@@ -21,6 +21,10 @@ pub struct ReliableEndpoint {
     /// Recently seen `(peer, id)` pairs for duplicate suppression.
     seen: HashMap<(IpAddr, u64), SimTime>,
     seen_ttl: SimDuration,
+    /// `seen` is swept of expired pairs when it outgrows this: twice what
+    /// the last sweep left (at least [`SEEN_SWEEP_MIN`]), so a sweep's
+    /// O(len) scan is paid for by the insertions since the previous one.
+    seen_sweep_at: usize,
     /// Reliable sends abandoned after `max_attempts` (diagnostics).
     abandoned: u64,
 }
@@ -39,6 +43,9 @@ pub const DEFAULT_RETRY_INTERVAL: SimDuration = SimDuration::from_millis(250);
 
 /// Default number of transmissions before a reliable send is abandoned.
 pub const DEFAULT_MAX_ATTEMPTS: u32 = 8;
+
+/// The duplicate filter is not swept while it holds at most this many pairs.
+const SEEN_SWEEP_MIN: usize = 1024;
 
 impl ReliableEndpoint {
     /// Creates an endpoint with default retry parameters.
@@ -68,6 +75,7 @@ impl ReliableEndpoint {
             pending: Vec::new(),
             seen: HashMap::new(),
             seen_ttl: SimDuration::from_secs(120),
+            seen_sweep_at: SEEN_SWEEP_MIN,
             abandoned: 0,
         }
     }
@@ -175,9 +183,10 @@ impl ReliableEndpoint {
     }
 
     fn gc_seen(&mut self, now: SimTime) {
-        if self.seen.len() > 1024 {
+        if self.seen.len() > self.seen_sweep_at {
             let ttl = self.seen_ttl;
             self.seen.retain(|_, &mut t| now.duration_since(t) <= ttl);
+            self.seen_sweep_at = (2 * self.seen.len()).max(SEEN_SWEEP_MIN);
         }
     }
 }
@@ -280,6 +289,57 @@ mod tests {
         let (msg, acks) = ep.on_datagram(PEER, &[1, 2, 3], SimTime::ZERO);
         assert!(msg.is_none());
         assert!(acks.is_empty());
+    }
+
+    /// Feeds `n` fresh datagrams 1 ms apart and returns the entries the
+    /// duplicate-filter sweeps scanned in total and the filter's peak size.
+    /// A call swept iff the filter failed to grow or its threshold moved.
+    fn feed(rx: &mut ReliableEndpoint, n: u64) -> (usize, usize) {
+        let (mut scanned, mut peak) = (0, 0);
+        for id in 1..=n {
+            let bytes = Envelope::Payload {
+                id,
+                needs_ack: false,
+                msg: probe(id),
+            }
+            .encode();
+            let before = (rx.seen.len(), rx.seen_sweep_at);
+            let (msg, _) = rx.on_datagram(PEER, &bytes, SimTime::from_millis(id));
+            assert_eq!(msg, Some(probe(id)));
+            if rx.seen.len() <= before.0 || rx.seen_sweep_at != before.1 {
+                scanned += before.0;
+            }
+            peak = peak.max(rx.seen.len());
+        }
+        (scanned, peak)
+    }
+
+    #[test]
+    fn duplicate_filter_sweeps_are_amortized_and_keep_it_bounded() {
+        // Regression: past 1,024 pairs every datagram rescanned the whole
+        // filter (12.5 M entries scanned for these 5,000 datagrams).
+        let mut rx = ReliableEndpoint::new();
+        let (scanned, peak) = feed(&mut rx, 5_000);
+        assert_eq!(peak, 5_000, "nothing is older than the 120 s horizon");
+        assert!(scanned <= 2 * 5_000, "scanned {scanned} entries");
+        // A duplicate inside the horizon is still suppressed.
+        let dup = Envelope::Payload {
+            id: 7,
+            needs_ack: true,
+            msg: probe(7),
+        }
+        .encode();
+        let (msg, acks) = rx.on_datagram(PEER, &dup, SimTime::from_millis(5_001));
+        assert_eq!((msg, acks.len()), (None, 1));
+
+        // With a horizon the run outlives, sweeps bound the filter at the
+        // sweep floor (live pairs: 500), still for O(n) scanning in total.
+        let mut rx = ReliableEndpoint::new();
+        rx.seen_ttl = SimDuration::from_millis(500);
+        let (scanned, peak) = feed(&mut rx, 5_000);
+        assert!(peak <= SEEN_SWEEP_MIN + 1, "peak {peak}");
+        assert!(scanned <= 3 * 5_000, "scanned {scanned} entries");
+        assert!(rx.seen.len() >= 500);
     }
 
     #[test]

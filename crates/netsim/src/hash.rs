@@ -15,9 +15,26 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// that hashbrown's control bytes are drawn from.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The [`IntHasher`] hash of one word: a Fibonacci multiply with the
+/// product's high half folded down, so every bit of `n` reaches the low
+/// bits of the result — the step a composite key must take *between* its
+/// words: `fold_mul(fold_mul(lo) ^ hi)` mixes all 128 bits of a two-word
+/// key.
+pub fn fold_mul(n: u64) -> u64 {
+    let mut h = IntHasher::default();
+    h.write_u64(n);
+    h.finish()
+}
+
 /// Multiply-only hasher for integer keys.
 ///
 /// Not DoS-resistant — use only for keys the engine itself assigns.
+///
+/// Built for one-word keys. Chaining `write_u64` calls is *not* a mix of
+/// the words: a multiply only carries differences upward and
+/// [`finish`](Hasher::finish) folds once, so a difference in bits 32.. of an
+/// earlier word never reaches the low 32 bits of the result. Hash composite
+/// keys with [`fold_mul`] between the words instead.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IntHasher(u64);
 
@@ -103,6 +120,42 @@ mod tests {
             "only {} distinct 12-bit bucket indices over 4096 high-variance keys",
             low_bits.len()
         );
+    }
+
+    /// Flow-table-shaped two-word keys: the low word carries the client's
+    /// ephemeral port in bits 48.. (plus a service address and port), the
+    /// high word the client address.
+    fn flow_words() -> impl Iterator<Item = (u64, u64)> {
+        (0u64..4096).map(|i| {
+            (
+                (40_000 + i) << 48 | 0xC014_E100_0050 | (i % 8) << 16,
+                0x0A00_0101,
+            )
+        })
+    }
+
+    #[test]
+    fn chained_write_u64_does_not_mix_an_earlier_words_high_bits() {
+        // Pins the limitation the type's docs state: the port in bits 48..
+        // of the first word never reaches the low 12 bits, so these 4096
+        // distinct keys land on at most 8 indices (the service address).
+        let low_bits: HashSet<u64> = flow_words()
+            .map(|(lo, hi)| {
+                let mut h = IntHasher::default();
+                h.write_u64(lo);
+                h.write_u64(hi);
+                h.finish() & 0xFFF
+            })
+            .collect();
+        assert!(low_bits.len() <= 8, "{} indices", low_bits.len());
+    }
+
+    #[test]
+    fn fold_mul_between_words_mixes_every_bit() {
+        let low_bits: HashSet<u64> = flow_words()
+            .map(|(lo, hi)| fold_mul(fold_mul(lo) ^ hi) & 0xFFF)
+            .collect();
+        assert!(low_bits.len() > 2500, "{} indices", low_bits.len());
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! and tunnelled to the appropriate hosts, with one copy going to the
 //! primary server and one copy to each backup server" (§4.2).
 
-use std::rc::Rc;
+use std::collections::HashMap;
 
 use hydranet_netsim::frag::Reassembler;
 use hydranet_netsim::node::{Context, IfaceId, Node};
-use hydranet_netsim::packet::{FragInfo, IpAddr, IpHeader, IpPacket, Protocol, DEFAULT_TTL};
+use hydranet_netsim::packet::{IpAddr, IpPacket, Protocol};
 use hydranet_netsim::routing::RouteTable;
 use hydranet_netsim::time::SimTime;
 use hydranet_obs::metrics::Counter;
@@ -22,6 +22,7 @@ use hydranet_tcp::segment::SockAddr;
 
 use crate::flow::FlowTable;
 use crate::table::{RedirectorTable, ServiceEntry};
+use crate::tunnel::encapsulate_buf;
 
 /// Counters kept by a redirector.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,35 +43,38 @@ pub struct RedirectorStats {
     /// admission grace (the client retransmits; see
     /// [`RedirectorEngine::defer_new_flows_until`]).
     pub syn_deferred: u64,
+    /// Times the flow cache reached its slot cap
+    /// ([`flow::MAX_SLOTS`](crate::flow::MAX_SLOTS)) and was emptied; the
+    /// flows re-resolve on their next packet.
+    pub flow_cache_resets: u64,
 }
 
-/// One resolved redirection decision, cached per flow quad in the engine's
-/// [`FlowTable`]. Everything per-*flow* is precomputed — the routed target
-/// set and, per target, the outer IP-in-IP header template — so committing
-/// a cached action per *packet* is: stats, one inner encode, and one
-/// header-id patch per copy.
-#[derive(Debug, Clone)]
-enum CachedAction {
-    /// The table matched: tunnel one encapsulated copy per routed target.
-    Tunnel {
-        /// Fault-tolerant entry (multicast fan-out; SYN-admission gated).
-        ft: bool,
-        /// Chain members with no route at resolution time, charged to
-        /// `dropped_no_route` per packet — same accounting as the
-        /// uncached walk keeps through [`FtTargets::unroutable`].
-        ///
-        /// [`FtTargets::unroutable`]: crate::table::FtTargets::unroutable
-        drops: u32,
-        /// `(egress, chain host, outer header template)` per routed
-        /// target, in delivery order. The template is everything
-        /// [`encapsulate_buf`](crate::tunnel::encapsulate_buf) computes
-        /// except the per-packet id.
-        outs: Rc<[(IfaceId, IpAddr, IpHeader)]>,
-    },
-    /// No table match: plain routed forward out of this interface.
-    Forward(IfaceId),
+/// What the flow cache remembers per flow quad: where the flow's packets
+/// go, small enough to sit beside the key. Everything large is per
+/// *service*, not per flow, and lives once in [`RedirectorEngine::services`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Verdict {
+    /// The table matched: tunnel to the targets of this resolved service
+    /// (an index into [`RedirectorEngine::services`]).
+    Tunnel(u32),
+    /// No table match: plain routed forward out of this interface index.
+    Forward(u32),
     /// No table match and no route: count the drop.
+    #[default]
     NoRoute,
+}
+
+/// A table entry resolved against the routing table — the once-per-
+/// (service, generation) work every flow of the service shares.
+#[derive(Debug)]
+struct ResolvedService {
+    /// Fault-tolerant entry: the fan-out is a multicast, traced as a span.
+    ft: bool,
+    /// Replicas with no route at resolution time, charged to
+    /// `dropped_no_route` per packet.
+    unroutable: u32,
+    /// `(egress, host)` per routed target, in delivery order.
+    routed: Vec<(IfaceId, IpAddr)>,
 }
 
 /// What [`RedirectorEngine::process`] decided about a packet.
@@ -100,13 +104,27 @@ pub struct RedirectorEngine {
     /// reassembled packets — the redirector is a middlebox with per-flow
     /// reassembly state, like any port-matching router.
     reassembler: Reassembler,
-    /// Per-flow resolved actions, stamped with the table generation (see
-    /// [`RedirectorTable::generation`]): the steady-state TCP path is one
-    /// flat-table probe instead of a table lookup plus target resolution.
-    flows: FlowTable<CachedAction>,
+    /// The one per-packet cache: flow quad → [`Verdict`]. The steady-state
+    /// TCP path is one flat-table probe instead of a table lookup plus
+    /// target resolution.
+    flows: FlowTable<Verdict>,
+    /// Table entries resolved against the routes, and where each service
+    /// access point's sits; consulted only when `flows` misses.
+    services: Vec<ResolvedService>,
+    service_index: HashMap<SockAddr, u32>,
+    /// The [`RedirectorTable::generation`] the three caches above were
+    /// filled under — the single invalidation stamp. A packet arriving
+    /// under any other generation empties them first.
+    cache_gen: u64,
     c_redirected: Counter,
     c_copies: Counter,
     c_forwarded: Counter,
+    c_flow_cache_resets: Counter,
+    /// One of the two counts per redirected packet: a hit found the
+    /// service's targets already resolved (through the flow cache or, on a
+    /// flow miss, through `service_index`); a miss ran the routing lookups.
+    c_target_hits: Counter,
+    c_target_misses: Counter,
     /// Telemetry handle kept for causal fan-out spans; the default
     /// (disabled) handle makes every span site a no-op flag check.
     obs: Obs,
@@ -131,9 +149,15 @@ impl RedirectorEngine {
             stats: RedirectorStats::default(),
             reassembler: Reassembler::new(),
             flows: FlowTable::new(),
+            services: Vec::new(),
+            service_index: HashMap::new(),
+            cache_gen: 0,
             c_redirected: Counter::default(),
             c_copies: Counter::default(),
             c_forwarded: Counter::default(),
+            c_flow_cache_resets: Counter::default(),
+            c_target_hits: Counter::default(),
+            c_target_misses: Counter::default(),
             obs: Obs::default(),
             fanout_seq: 0,
             admit_new_flows_after: None,
@@ -147,6 +171,12 @@ impl RedirectorEngine {
         self.c_redirected = obs.counter(&format!("{scope}.redirected"));
         self.c_copies = obs.counter(&format!("{scope}.copies"));
         self.c_forwarded = obs.counter(&format!("{scope}.forwarded"));
+        self.c_flow_cache_resets = obs.counter(&format!("{scope}.flow_cache_resets"));
+        // Published under the table's scope, where they were first
+        // counted: readers know them by these names.
+        let scope = format!("redirect.table.{}", self.addr);
+        self.c_target_hits = obs.counter(&format!("{scope}.target_cache_hits"));
+        self.c_target_misses = obs.counter(&format!("{scope}.target_cache_misses"));
         self.table.set_obs(obs, &self.addr.to_string());
         self.obs = obs.clone();
     }
@@ -184,12 +214,12 @@ impl RedirectorEngine {
         &self.routes
     }
 
-    /// The routing table, mutable. Conservatively drops the table's
-    /// memoized scaled targets: a route change can change which replica is
-    /// nearest-routable, and the borrow rules guarantee any mutation through
-    /// the returned reference completes before the next packet is processed.
+    /// The routing table, mutable. Conservatively moves the table
+    /// generation: a route change can change which replicas are routable,
+    /// and the borrow rules guarantee any mutation through the returned
+    /// reference completes before the next packet is processed.
     pub fn routes_mut(&mut self) -> &mut RouteTable {
-        self.table.invalidate_targets();
+        self.table.invalidate();
         &mut self.routes
     }
 
@@ -225,42 +255,6 @@ impl RedirectorEngine {
         now: SimTime,
         out: &mut Vec<(IfaceId, IpPacket)>,
     ) -> Disposition {
-        self.process_inner(packet, now, out, &mut None)
-    }
-
-    /// Processes a burst of packets delivered at one instant, pushing any
-    /// transmissions into `out` in arrival order. Exactly equivalent to
-    /// calling [`process`](Self::process) per packet — the batch entry
-    /// point exists so burst callers amortize flow-table work: a
-    /// within-burst memo serves back-to-back same-flow packets (the common
-    /// shape of a burst) without even the flow-cache probe. The memo is
-    /// sound because nothing inside batch processing can touch the
-    /// redirector or routing tables, so a flow's resolved action cannot go
-    /// stale mid-burst. Packets addressed to the redirector itself are
-    /// handed to `local`.
-    pub fn process_batch(
-        &mut self,
-        packets: &mut Vec<IpPacket>,
-        now: SimTime,
-        out: &mut Vec<(IfaceId, IpPacket)>,
-        mut local: impl FnMut(IpPacket),
-    ) {
-        let mut memo = None;
-        for packet in packets.drain(..) {
-            match self.process_inner(packet, now, out, &mut memo) {
-                Disposition::Handled => {}
-                Disposition::Local(p) => local(p),
-            }
-        }
-    }
-
-    fn process_inner(
-        &mut self,
-        packet: IpPacket,
-        now: SimTime,
-        out: &mut Vec<(IfaceId, IpPacket)>,
-        memo: &mut Option<(u128, CachedAction)>,
-    ) -> Disposition {
         if packet.dst() == self.addr || self.virtual_addr == Some(packet.dst()) {
             self.stats.local += 1;
             return Disposition::Local(packet);
@@ -283,206 +277,196 @@ impl RedirectorEngine {
             } else {
                 packet
             };
-            return self.process_tcp(whole, now, out, memo);
+            self.process_tcp(whole, now, out);
+        } else {
+            self.forward_plain(packet, out);
         }
-
-        self.forward_plain(packet, out);
         Disposition::Handled
     }
 
-    /// The TCP redirection path over a whole (reassembled) packet: probe
-    /// the within-burst memo, then the per-flow action cache, fall back to
-    /// full resolution on a miss (or a stale generation), and commit the
-    /// action. A memo hit is exactly a flow-cache hit replayed for the key
-    /// resolved earlier in the same burst.
-    fn process_tcp(
+    /// Processes a burst of packets delivered at one instant, pushing any
+    /// transmissions into `out` in arrival order: [`process`](Self::process)
+    /// per packet, with packets addressed to the redirector itself handed
+    /// to `local`.
+    pub fn process_batch(
         &mut self,
-        whole: IpPacket,
+        packets: &mut Vec<IpPacket>,
         now: SimTime,
         out: &mut Vec<(IfaceId, IpPacket)>,
-        memo: &mut Option<(u128, CachedAction)>,
-    ) -> Disposition {
+        mut local: impl FnMut(IpPacket),
+    ) {
+        for packet in packets.drain(..) {
+            if let Disposition::Local(p) = self.process(packet, now, out) {
+                local(p);
+            }
+        }
+    }
+
+    /// The TCP redirection path over a whole (reassembled) packet: probe
+    /// the flow cache, fall back to resolution on a miss, and commit the
+    /// verdict.
+    fn process_tcp(&mut self, whole: IpPacket, now: SimTime, out: &mut Vec<(IfaceId, IpPacket)>) {
         let Some(port) = peek_tcp_dst_port(&whole.payload) else {
             // Too short to carry ports: routed like any non-TCP packet.
-            self.forward_plain(whole, out);
-            return Disposition::Handled;
+            return self.forward_plain(whole, out);
         };
+        if self.cache_gen != self.table.generation() {
+            self.cache_gen = self.table.generation();
+            self.flows.clear();
+            self.services.clear();
+            self.service_index.clear();
+        }
         let sap = SockAddr::new(whole.dst(), port);
+        if self.defers_syn(sap, &whole, now) {
+            self.stats.syn_deferred += 1;
+            return;
+        }
         let key = pack_quad(&whole, port);
-        let (cached, from_memo) = match memo {
-            Some((k, act)) if *k == key => (Some(act.clone()), true),
-            _ => (self.flows.get(self.table.generation(), key).cloned(), false),
-        };
-        if let Some(act) = cached {
-            if let CachedAction::Tunnel { ft, .. } = &act {
-                if *ft && self.defer_syn(&whole, now) {
-                    return Disposition::Handled;
+        let verdict = match self.flows.get(key) {
+            Some(verdict) => {
+                if let Verdict::Tunnel(_) = verdict {
+                    self.c_target_hits.inc();
                 }
-                // A served flow-cache hit stands in for the memoized-target
-                // hit the uncached walk would have counted.
-                self.table.note_target_cache_hit();
+                verdict
             }
-            if !from_memo {
-                *memo = Some((key, act.clone()));
+            None => {
+                let verdict = self.resolve(sap);
+                if !self.flows.insert(key, verdict) {
+                    // At the slot cap: start over. The per-service state
+                    // is bounded by the table's size and stays.
+                    self.stats.flow_cache_resets += 1;
+                    self.c_flow_cache_resets.inc();
+                    self.flows.clear();
+                    self.flows.insert(key, verdict);
+                }
+                verdict
             }
-            return self.commit(sap, act, whole, now, out);
+        };
+        match verdict {
+            Verdict::Tunnel(i) => self.tunnel(sap, i as usize, whole, now, out),
+            Verdict::Forward(i) => {
+                self.stats.forwarded += 1;
+                self.c_forwarded.inc();
+                out.push((IfaceId::from_index(i as usize), whole));
+            }
+            Verdict::NoRoute => self.stats.dropped_no_route += 1,
         }
-        // Miss: the admission gate is checked before any resolution (the
-        // deferred SYN must not warm any cache), then the resolved action
-        // is cached for the flow and committed.
-        if matches!(
-            self.table.lookup(sap),
-            Some(ServiceEntry::FaultTolerant { .. })
-        ) && self.defer_syn(&whole, now)
-        {
-            return Disposition::Handled;
-        }
-        let act = self.resolve_action(sap);
-        self.flows.insert(self.table.generation(), key, act.clone());
-        *memo = Some((key, act.clone()));
-        self.commit(sap, act, whole, now, out)
     }
 
-    /// The §4.2-promotion admission gate: counts and reports `true` when
-    /// the packet is a bare SYN (SYN set, ACK clear) inside the grace
-    /// window. Callers apply it to fault-tolerant matches only.
-    fn defer_syn(&mut self, whole: &IpPacket, now: SimTime) -> bool {
-        if self.admit_new_flows_after.is_some_and(|t| now < t)
+    /// The §4.2-promotion admission gate: a bare SYN (SYN set, ACK clear)
+    /// to a fault-tolerant service inside the grace window. Checked before
+    /// any cache, so a deferred SYN warms none and counts nowhere else.
+    fn defers_syn(&self, sap: SockAddr, whole: &IpPacket, now: SimTime) -> bool {
+        self.admit_new_flows_after.is_some_and(|t| now < t)
             && peek_tcp_flags(&whole.payload)
                 .is_some_and(|f| f & 0x03 == 0x01 /* SYN, not SYN|ACK */)
-        {
-            self.stats.syn_deferred += 1;
-            true
-        } else {
-            false
-        }
+            && matches!(
+                self.table.lookup(sap),
+                Some(ServiceEntry::FaultTolerant { .. })
+            )
     }
 
-    /// Resolves the redirection action for a service access point from the
-    /// redirector and routing tables — the once-per-(flow, generation)
-    /// slow path behind the flow cache.
-    fn resolve_action(&self, sap: SockAddr) -> CachedAction {
-        let routes = &self.routes;
-        match self.table.lookup(sap) {
-            Some(ServiceEntry::Scaled { replicas }) => {
-                // Memoized nearest-routable pick: the min-metric scan and
-                // its routing lookups run once per (table, routes)
-                // generation, not per flow.
-                let mut outs = Vec::new();
-                let mut drops = 0;
-                match self.table.scaled_target(sap, |host| routes.lookup(host)) {
-                    Some((host, iface)) => outs.push((iface, host, self.outer_header(host))),
-                    None if replicas.is_empty() => {}
-                    None => drops = 1,
-                }
-                CachedAction::Tunnel {
-                    ft: false,
-                    drops,
-                    outs: outs.into(),
-                }
-            }
-            Some(ServiceEntry::FaultTolerant { .. }) => {
-                // Memoized routed fan-out: the per-chain-member routing
-                // lookups run once per (table, routes) generation.
-                // `unroutable` keeps the per-packet drop accounting exact.
-                let targets = self
-                    .table
-                    .ft_targets(sap, |host| routes.lookup(host))
-                    .expect("entry is fault-tolerant");
-                let outs: Vec<_> = targets
-                    .routed
+    /// The flow-cache miss path: the verdict for a service access point,
+    /// from the redirector and routing tables, resolving the service's
+    /// targets if no earlier flow did under this generation.
+    fn resolve(&mut self, sap: SockAddr) -> Verdict {
+        let Some(entry) = self.table.lookup(sap) else {
+            return match self.routes.lookup(sap.addr) {
+                Some(iface) => Verdict::Forward(
+                    u32::try_from(iface.index()).expect("a node has far fewer than 2^32 links"),
+                ),
+                None => Verdict::NoRoute,
+            };
+        };
+        if let Some(&i) = self.service_index.get(&sap) {
+            self.c_target_hits.inc();
+            return Verdict::Tunnel(i);
+        }
+        self.c_target_misses.inc();
+        let route = |host| self.routes.lookup(host).map(|iface| (iface, host));
+        let service = match entry {
+            // Nearest routable replica; the first of equals wins.
+            ServiceEntry::Scaled { replicas } => {
+                let nearest = replicas
                     .iter()
-                    .map(|&(iface, host)| (iface, host, self.outer_header(host)))
-                    .collect();
-                CachedAction::Tunnel {
-                    ft: true,
-                    drops: targets.unroutable,
-                    outs: outs.into(),
+                    .filter_map(|r| Some((r.metric, route(r.host)?)))
+                    .min_by_key(|&(metric, _)| metric);
+                ResolvedService {
+                    ft: false,
+                    unroutable: u32::from(nearest.is_none() && !replicas.is_empty()),
+                    routed: nearest.into_iter().map(|(_, target)| target).collect(),
                 }
             }
-            None => match routes.lookup(sap.addr) {
-                Some(iface) => CachedAction::Forward(iface),
-                None => CachedAction::NoRoute,
-            },
-        }
+            ServiceEntry::FaultTolerant { chain } => {
+                let routed: Vec<_> = chain.iter().filter_map(|&host| route(host)).collect();
+                ResolvedService {
+                    ft: true,
+                    unroutable: (chain.len() - routed.len()) as u32,
+                    routed,
+                }
+            }
+        };
+        let i =
+            u32::try_from(self.services.len()).expect("one per table entry: far fewer than 2^32");
+        self.services.push(service);
+        self.service_index.insert(sap, i);
+        Verdict::Tunnel(i)
     }
 
-    /// The outer header of a tunnelled copy to `host`: everything
-    /// [`encapsulate_buf`](crate::tunnel::encapsulate_buf) computes except
-    /// the per-packet id, prebuilt at flow-resolution time.
-    fn outer_header(&self, host: IpAddr) -> IpHeader {
-        IpHeader {
-            src: self.addr,
-            dst: host,
-            protocol: Protocol::IP_IN_IP,
-            ttl: DEFAULT_TTL,
-            id: 0,
-            frag: FragInfo::UNFRAGMENTED,
-        }
-    }
-
-    /// Commits a resolved action for one packet: stats, then (for tunnel
-    /// actions) encode the inner packet ONCE — each tunnelled copy is an
-    /// O(1) handle onto the same bytes, the last routable chain member
-    /// takes the buffer by move, and each copy's outer header is the
-    /// flow's precomputed template with the id patched in.
-    fn commit(
+    /// Tunnels one packet to a resolved service's targets: encode the
+    /// inner packet ONCE — each tunnelled copy is an O(1) handle onto the
+    /// same bytes, and the last routable target takes the buffer by move.
+    fn tunnel(
         &mut self,
         sap: SockAddr,
-        act: CachedAction,
+        service: usize,
         whole: IpPacket,
         now: SimTime,
         out: &mut Vec<(IfaceId, IpPacket)>,
-    ) -> Disposition {
-        match act {
-            CachedAction::Tunnel { ft, drops, outs } => {
-                self.stats.redirected += 1;
-                self.c_redirected.inc();
-                self.stats.dropped_no_route += u64::from(drops);
-                if let Some(((last_iface, _, last_tpl), rest)) = outs.split_last() {
-                    let inner_id = whole.header.id;
-                    let encoded = whole.encode();
-                    if ft {
-                        self.span_fanout(sap, &outs, encoded.lineage(), now);
-                    }
-                    for (iface, _, tpl) in rest {
-                        self.stats.copies += 1;
-                        self.c_copies.inc();
-                        let mut header = tpl.clone();
-                        header.id = inner_id;
-                        out.push((
-                            *iface,
-                            IpPacket {
-                                header,
-                                payload: encoded.clone(),
-                            },
-                        ));
-                    }
-                    self.stats.copies += 1;
-                    self.c_copies.inc();
-                    let mut header = last_tpl.clone();
-                    header.id = inner_id;
-                    out.push((
-                        *last_iface,
-                        IpPacket {
-                            header,
-                            payload: encoded,
-                        },
-                    ));
-                }
-                Disposition::Handled
+    ) {
+        let ResolvedService {
+            ft,
+            unroutable,
+            ref routed,
+        } = self.services[service];
+        self.stats.redirected += 1;
+        self.c_redirected.inc();
+        self.stats.dropped_no_route += u64::from(unroutable);
+        let Some((&(last_iface, last_host), rest)) = routed.split_last() else {
+            return;
+        };
+        self.stats.copies += routed.len() as u64;
+        self.c_copies.add(routed.len() as u64);
+        let inner_id = whole.header.id;
+        let encoded = whole.encode();
+        if ft && self.obs.tracing_enabled() {
+            // The instantaneous multicast fan-out span: which routable
+            // chain members received a tunnelled copy, and the lineage id
+            // of the shared inner bytes — the causal link from "the
+            // redirector multicast this" back to "this is the client
+            // segment it carried".
+            self.fanout_seq += 1;
+            let key = format!("redirect:{}:{}", self.addr, self.fanout_seq);
+            let at = now.as_nanos();
+            self.obs
+                .span_open(&key, "redirect", &format!("fanout {sap}"), None, at);
+            for (_, host) in routed {
+                self.obs.span_note(&key, at, "member", host.to_string());
             }
-            CachedAction::Forward(iface) => {
-                self.stats.forwarded += 1;
-                self.c_forwarded.inc();
-                out.push((iface, whole));
-                Disposition::Handled
-            }
-            CachedAction::NoRoute => {
-                self.stats.dropped_no_route += 1;
-                Disposition::Handled
-            }
+            let lineage = format!("{:#x}", encoded.lineage());
+            self.obs.span_note(&key, at, "lineage", lineage);
+            self.obs.span_close(&key, at);
         }
+        for &(iface, host) in rest {
+            out.push((
+                iface,
+                encapsulate_buf(encoded.clone(), inner_id, self.addr, host),
+            ));
+        }
+        out.push((
+            last_iface,
+            encapsulate_buf(encoded, inner_id, self.addr, last_host),
+        ));
     }
 
     /// Plain routed forward for packets redirection has no opinion about.
@@ -495,34 +479,6 @@ impl RedirectorEngine {
             }
             None => self.stats.dropped_no_route += 1,
         }
-    }
-
-    /// Emits the instantaneous multicast fan-out span for one redirected
-    /// fault-tolerant packet: which routable chain members received a
-    /// tunnelled copy, and the lineage id of the shared inner bytes — the
-    /// causal link from "the redirector multicast this" back to "this is
-    /// the client segment it carried".
-    fn span_fanout(
-        &mut self,
-        sap: SockAddr,
-        routed: &[(IfaceId, IpAddr, IpHeader)],
-        lineage: u64,
-        now: SimTime,
-    ) {
-        if !self.obs.tracing_enabled() {
-            return;
-        }
-        self.fanout_seq += 1;
-        let key = format!("redirect:{}:{}", self.addr, self.fanout_seq);
-        let at = now.as_nanos();
-        self.obs
-            .span_open(&key, "redirect", &format!("fanout {sap}"), None, at);
-        for (_, host, _) in routed {
-            self.obs.span_note(&key, at, "member", host.to_string());
-        }
-        self.obs
-            .span_note(&key, at, "lineage", format!("{lineage:#x}"));
-        self.obs.span_close(&key, at);
     }
 }
 
@@ -632,8 +588,12 @@ mod tests {
     const H2: IpAddr = IpAddr::new(10, 0, 3, 1);
 
     fn tcp_packet(dst_port: u16, payload_len: usize) -> IpPacket {
+        flow_packet(CLIENT, 40_000, dst_port, payload_len)
+    }
+
+    fn flow_packet(src: IpAddr, src_port: u16, dst_port: u16, payload_len: usize) -> IpPacket {
         let seg = TcpSegment {
-            src_port: 40_000,
+            src_port,
             dst_port,
             seq: SeqNum::new(1),
             ack: SeqNum::new(0),
@@ -641,7 +601,7 @@ mod tests {
             window: 1000,
             payload: vec![9; payload_len].into(),
         };
-        IpPacket::new(CLIENT, SERVICE, Protocol::TCP, seg.encode())
+        IpPacket::new(src, SERVICE, Protocol::TCP, seg.encode())
     }
 
     fn engine() -> RedirectorEngine {
@@ -891,6 +851,159 @@ mod tests {
         );
         e.process(tcp_packet(80, 0), SimTime::ZERO, &mut out);
         assert_eq!(out.last().unwrap().0, IfaceId::from_index(2));
+    }
+
+    #[test]
+    fn scaled_ties_go_to_the_first_and_no_routable_replica_is_a_counted_drop() {
+        let loc = |host, metric| crate::table::ReplicaLoc { host, metric };
+        let mut e = engine();
+        let sap = SockAddr::new(SERVICE, 80);
+        e.table_mut().install(
+            sap,
+            ServiceEntry::Scaled {
+                replicas: vec![loc(H2, 4), loc(H1, 4)],
+            },
+        );
+        let mut out = Vec::new();
+        e.process(tcp_packet(80, 0), SimTime::ZERO, &mut out);
+        assert_eq!(out[0].0, IfaceId::from_index(2)); // H2: first of equals
+                                                      // Nothing routable: redirected nowhere, one drop per packet — the
+                                                      // negative result is as cacheable as a target.
+        let nowhere = IpAddr::new(172, 16, 0, 1);
+        e.table_mut().install(
+            sap,
+            ServiceEntry::Scaled {
+                replicas: vec![loc(nowhere, 1)],
+            },
+        );
+        out.clear();
+        e.process(tcp_packet(80, 0), SimTime::ZERO, &mut out);
+        e.process(tcp_packet(80, 0), SimTime::ZERO, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(e.stats().dropped_no_route, 2);
+        assert_eq!(e.stats().redirected, 3);
+        // An entry with no replicas at all has nothing to drop.
+        e.table_mut()
+            .install(sap, ServiceEntry::Scaled { replicas: vec![] });
+        e.process(tcp_packet(80, 0), SimTime::ZERO, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(e.stats().dropped_no_route, 2);
+    }
+
+    #[test]
+    fn unroutable_chain_member_is_skipped_and_charged_per_packet() {
+        let mut e = engine();
+        e.table_mut().install(
+            SockAddr::new(SERVICE, 80),
+            ServiceEntry::FaultTolerant {
+                chain: vec![H1, IpAddr::new(172, 16, 0, 1), H2],
+            },
+        );
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            e.process(tcp_packet(80, 10), SimTime::ZERO, &mut out);
+        }
+        let egress: Vec<usize> = out.iter().map(|(iface, _)| iface.index()).collect();
+        assert_eq!(egress, [1, 2, 1, 2, 1, 2], "chain order, routable only");
+        assert_eq!(e.stats().copies, 6);
+        assert_eq!(e.stats().dropped_no_route, 3);
+    }
+
+    #[test]
+    fn a_service_resolves_once_per_generation_whatever_the_flow_count() {
+        let obs = Obs::enabled();
+        let mut e = engine();
+        e.set_obs(&obs);
+        let count = |name: &str| obs.counter(&format!("redirect.table.{RD}.{name}")).get();
+        e.table_mut().install(
+            SockAddr::new(SERVICE, 80),
+            ServiceEntry::FaultTolerant {
+                chain: vec![H1, H2],
+            },
+        );
+        let mut out = Vec::new();
+        // 50 flows x 3 packets: one resolution (the miss), every other
+        // packet served from the service's targets or the flow's verdict.
+        for _ in 0..3 {
+            for port in 0..50 {
+                e.process(
+                    flow_packet(CLIENT, 40_000 + port, 80, 10),
+                    SimTime::ZERO,
+                    &mut out,
+                );
+            }
+        }
+        assert_eq!(out.len(), 300);
+        assert_eq!(
+            (count("target_cache_misses"), count("target_cache_hits")),
+            (1, 149)
+        );
+        // Unmatched flows are cached too but are not target resolutions.
+        e.process(tcp_packet(23, 10), SimTime::ZERO, &mut out);
+        e.process(tcp_packet(23, 10), SimTime::ZERO, &mut out);
+        assert_eq!(e.stats().forwarded, 2);
+        assert_eq!(
+            count("target_cache_misses") + count("target_cache_hits"),
+            150
+        );
+        // Any table change is a new generation: everything re-resolves,
+        // the untouched service included.
+        e.table_mut().install(
+            SockAddr::new(SERVICE, 443),
+            ServiceEntry::FaultTolerant { chain: vec![H1] },
+        );
+        e.process(tcp_packet(80, 10), SimTime::ZERO, &mut out);
+        assert_eq!(count("target_cache_misses"), 2);
+    }
+
+    #[test]
+    fn flow_cache_is_capped_and_resets_wholesale() {
+        let obs = Obs::enabled();
+        let mut e = engine();
+        e.set_obs(&obs);
+        e.table_mut().install(
+            SockAddr::new(SERVICE, 80),
+            ServiceEntry::FaultTolerant {
+                chain: vec![H1, H2],
+            },
+        );
+        // Far more distinct flows than the cache may hold: it fills to the
+        // slot cap, is emptied, and fills again — every packet is still
+        // redirected to the whole chain.
+        let flows = 2 * crate::flow::MAX_SLOTS as u32;
+        let mut out = Vec::new();
+        let mut most = 0;
+        for i in 0..flows {
+            let src = IpAddr::from_bits(CLIENT.to_bits() + i / 60_000);
+            out.clear();
+            e.process(
+                flow_packet(src, (i % 60_000) as u16, 80, 0),
+                SimTime::ZERO,
+                &mut out,
+            );
+            assert_eq!(out.len(), 2, "flow {i}");
+            most = most.max(e.flows.len());
+        }
+        assert!(most <= crate::flow::MAX_SLOTS);
+        let resets = e.stats().flow_cache_resets;
+        assert!(
+            (1..=3).contains(&resets),
+            "{resets} resets for {flows} flows"
+        );
+        assert_eq!(
+            obs.counter(&format!("redirect.engine.{RD}.flow_cache_resets"))
+                .get(),
+            resets
+        );
+        assert!(e.flows.len() < most, "a reset empties the cache");
+        assert_eq!(e.stats().redirected, u64::from(flows));
+        // The service's resolved targets are bounded by the table, not by
+        // the flows, and survive a reset: still the one miss.
+        assert_eq!(
+            obs.counter(&format!("redirect.table.{RD}.target_cache_misses"))
+                .get(),
+            1
+        );
     }
 
     #[test]

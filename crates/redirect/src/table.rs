@@ -7,11 +7,8 @@
 //! the entry holds the whole replica chain: "the redirector maintains the
 //! location of the primary server and of all the backup servers" (§4.2).
 
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
-use hydranet_netsim::node::IfaceId;
 use hydranet_netsim::packet::IpAddr;
 use hydranet_obs::metrics::{Counter, Gauge};
 use hydranet_obs::Obs;
@@ -72,18 +69,6 @@ impl ServiceEntry {
     }
 }
 
-/// A fault-tolerant chain resolved against the routing table: the
-/// multicast fan-out in delivery order, plus how many chain members had no
-/// route (so the caller can keep per-packet drop accounting exact even
-/// though the resolution itself is memoized).
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct FtTargets {
-    /// Resolved `(egress interface, host)` pairs in chain order.
-    pub routed: Vec<(IfaceId, IpAddr)>,
-    /// Chain members with no route at resolution time.
-    pub unroutable: u32,
-}
-
 /// Maps service access points to their redirection entries.
 ///
 /// # Examples
@@ -103,34 +88,19 @@ pub struct FtTargets {
 #[derive(Debug, Clone, Default)]
 pub struct RedirectorTable {
     entries: HashMap<SockAddr, ServiceEntry>,
-    /// Memoized nearest-routable pick per scaled service, filled lazily by
-    /// [`scaled_target`](Self::scaled_target) so the per-packet fast path
-    /// skips the `min_by_key` scan and routing lookups. `None` records "no
-    /// routable replica" (also worth caching — the scan is the expensive
-    /// part either way). Every table mutation drops the affected entry;
-    /// routing changes must call [`invalidate_targets`](Self::invalidate_targets).
-    target_cache: RefCell<HashMap<SockAddr, Option<(IpAddr, IfaceId)>>>,
-    /// Memoized routed fan-out per fault-tolerant service, the FT analogue
-    /// of `target_cache`: one routing lookup per chain member per *(table,
-    /// routes)* generation instead of per packet. `Rc` so the per-packet
-    /// fast path hands back a handle without cloning the vector. Same
-    /// invalidation discipline as `target_cache`.
-    ft_cache: RefCell<HashMap<SockAddr, Rc<FtTargets>>>,
     /// Table epoch `(term, seq)` of the last accepted replicated update.
     /// `term` bumps on redirector promotion; an update from an older term
     /// is a partitioned ex-active talking and must be rejected.
     epoch: (u32, u64),
     /// Monotonic counter bumped by anything that could change how a packet
-    /// resolves: installs, removes, chain edits, and target invalidation
-    /// (which route changes are required to signal). The engine's per-flow
-    /// action cache stamps entries with this and treats a mismatch as a
-    /// miss — the flow-granular face of the same staleness discipline the
-    /// epoch guard enforces for replicated updates.
+    /// resolves: installs, removes, chain edits, a new epoch term, and
+    /// [`invalidate`](Self::invalidate) (which route changes are required
+    /// to signal). It is the *only* invalidation rule: the engine stamps
+    /// everything it resolved from this table with the generation and
+    /// drops the lot when the stamp no longer matches.
     generation: u64,
     c_installs: Counter,
     c_removes: Counter,
-    c_cache_hits: Counter,
-    c_cache_misses: Counter,
     c_stale: Counter,
     g_entries: Gauge,
 }
@@ -146,8 +116,6 @@ impl RedirectorTable {
     pub fn set_obs(&mut self, obs: &Obs, scope: &str) {
         self.c_installs = obs.counter(&format!("redirect.table.{scope}.installs"));
         self.c_removes = obs.counter(&format!("redirect.table.{scope}.removes"));
-        self.c_cache_hits = obs.counter(&format!("redirect.table.{scope}.target_cache_hits"));
-        self.c_cache_misses = obs.counter(&format!("redirect.table.{scope}.target_cache_misses"));
         self.c_stale = obs.counter(&format!("redirect.table.{scope}.stale_rejected"));
         self.g_entries = obs.gauge(&format!("redirect.table.{scope}.entries"));
         self.g_entries.set(self.entries.len() as f64);
@@ -158,16 +126,18 @@ impl RedirectorTable {
         self.epoch
     }
 
-    /// The table's resolution generation: changes whenever cached
-    /// resolutions (memoized targets, per-flow actions) may be stale.
+    /// The table's resolution generation: changes whenever anything
+    /// resolved from the table (per-service targets, per-flow verdicts) may
+    /// be stale.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Mirrors the memoized-target cache-hit count for a hit served one
-    /// level up, from the engine's per-flow action cache.
-    pub(crate) fn note_target_cache_hit(&self) {
-        self.c_cache_hits.inc();
+    /// Declares everything resolved from the table stale. Call after
+    /// anything *outside* the table changes which replicas are routable
+    /// (i.e. the routing table).
+    pub fn invalidate(&mut self) {
+        self.generation += 1;
     }
 
     /// Applies a replicated table update stamped with epoch `(term, seq)`:
@@ -175,9 +145,10 @@ impl RedirectorTable {
     /// update is stale — strictly older than the last accepted epoch — in
     /// which case nothing changes and `false` is returned.
     ///
-    /// Crossing into a new term drops *every* memoized target, not just the
-    /// touched sap's: a promotion means the table's provenance changed, and
-    /// fan-outs memoized under the old régime must not survive it.
+    /// Every accepted update moves the [generation](Self::generation),
+    /// crossing into a new term included: a promotion means the table's
+    /// provenance changed, and nothing resolved under the old régime may
+    /// survive it.
     pub fn apply_epoch_update(
         &mut self,
         term: u32,
@@ -190,7 +161,7 @@ impl RedirectorTable {
             return false;
         }
         if term != self.epoch.0 {
-            self.invalidate_targets();
+            self.invalidate();
         }
         self.epoch = (term, seq);
         match entry {
@@ -205,8 +176,6 @@ impl RedirectorTable {
     /// Installs (or replaces) the entry for a service access point.
     pub fn install(&mut self, sap: SockAddr, entry: ServiceEntry) {
         self.entries.insert(sap, entry);
-        self.target_cache.get_mut().remove(&sap);
-        self.ft_cache.get_mut().remove(&sap);
         self.generation += 1;
         self.c_installs.inc();
         self.g_entries.set(self.entries.len() as f64);
@@ -216,90 +185,11 @@ impl RedirectorTable {
     pub fn remove(&mut self, sap: SockAddr) -> Option<ServiceEntry> {
         let removed = self.entries.remove(&sap);
         if removed.is_some() {
-            self.target_cache.get_mut().remove(&sap);
-            self.ft_cache.get_mut().remove(&sap);
             self.generation += 1;
             self.c_removes.inc();
             self.g_entries.set(self.entries.len() as f64);
         }
         removed
-    }
-
-    /// The nearest *routable* replica for a scaled service, memoized.
-    ///
-    /// On a cache miss the replicas are scanned in order, keeping the first
-    /// strictly-lowest-metric host for which `routable` yields an egress
-    /// interface (so ties break identically to the uncached `min_by_key`
-    /// scan). The result — including "nothing routable" — is cached until
-    /// the entry is mutated or [`invalidate_targets`](Self::invalidate_targets)
-    /// is called. Returns `None` for missing or fault-tolerant entries.
-    pub fn scaled_target(
-        &self,
-        sap: SockAddr,
-        mut routable: impl FnMut(IpAddr) -> Option<IfaceId>,
-    ) -> Option<(IpAddr, IfaceId)> {
-        let replicas = match self.entries.get(&sap) {
-            Some(ServiceEntry::Scaled { replicas }) => replicas,
-            _ => return None,
-        };
-        if let Some(&cached) = self.target_cache.borrow().get(&sap) {
-            self.c_cache_hits.inc();
-            return cached;
-        }
-        self.c_cache_misses.inc();
-        let mut best: Option<(u32, IpAddr, IfaceId)> = None;
-        for r in replicas {
-            if best.is_some_and(|(m, _, _)| m <= r.metric) {
-                continue;
-            }
-            if let Some(iface) = routable(r.host) {
-                best = Some((r.metric, r.host, iface));
-            }
-        }
-        let picked = best.map(|(_, host, iface)| (host, iface));
-        self.target_cache.borrow_mut().insert(sap, picked);
-        picked
-    }
-
-    /// The routed multicast fan-out for a fault-tolerant service, memoized.
-    ///
-    /// On a cache miss every chain member is resolved through `routable`
-    /// (in chain order, matching the uncached walk); the result is cached
-    /// until the entry is mutated or
-    /// [`invalidate_targets`](Self::invalidate_targets) is called. Returns
-    /// `None` for missing or scaled entries.
-    pub fn ft_targets(
-        &self,
-        sap: SockAddr,
-        mut routable: impl FnMut(IpAddr) -> Option<IfaceId>,
-    ) -> Option<Rc<FtTargets>> {
-        let chain = match self.entries.get(&sap) {
-            Some(ServiceEntry::FaultTolerant { chain }) => chain,
-            _ => return None,
-        };
-        if let Some(cached) = self.ft_cache.borrow().get(&sap) {
-            self.c_cache_hits.inc();
-            return Some(Rc::clone(cached));
-        }
-        self.c_cache_misses.inc();
-        let mut t = FtTargets::default();
-        for &host in chain {
-            match routable(host) {
-                Some(iface) => t.routed.push((iface, host)),
-                None => t.unroutable += 1,
-            }
-        }
-        let rc = Rc::new(t);
-        self.ft_cache.borrow_mut().insert(sap, Rc::clone(&rc));
-        Some(rc)
-    }
-
-    /// Drops every memoized target. Call after anything *outside* the table
-    /// changes which replicas are routable (i.e. the routing table).
-    pub fn invalidate_targets(&mut self) {
-        self.target_cache.get_mut().clear();
-        self.ft_cache.get_mut().clear();
-        self.generation += 1;
     }
 
     /// Looks up the entry for `sap`. Packets with no entry "are simply
@@ -319,9 +209,7 @@ impl RedirectorTable {
     /// Mutable access to the FT chain for `sap` (used by reconfiguration).
     pub fn chain_mut(&mut self, sap: SockAddr) -> Option<&mut Vec<IpAddr>> {
         // An entry handed out mutably is an entry we can no longer vouch
-        // for: drop both caches' memo before the caller can edit the chain.
-        self.target_cache.get_mut().remove(&sap);
-        self.ft_cache.get_mut().remove(&sap);
+        // for: move the generation before the caller can edit the chain.
         self.generation += 1;
         match self.entries.get_mut(&sap) {
             Some(ServiceEntry::FaultTolerant { chain }) => Some(chain),
@@ -417,169 +305,6 @@ mod tests {
         assert!(empty.targets().is_empty());
     }
 
-    fn scaled(pairs: &[(u8, u32)]) -> ServiceEntry {
-        ServiceEntry::Scaled {
-            replicas: pairs
-                .iter()
-                .map(|&(n, metric)| ReplicaLoc {
-                    host: host(n),
-                    metric,
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn scaled_target_memoizes_the_scan() {
-        let mut t = RedirectorTable::new();
-        t.install(sap(80), scaled(&[(1, 10), (2, 3), (3, 7)]));
-        let probes = std::cell::Cell::new(0);
-        let routable = |_h: IpAddr| {
-            probes.set(probes.get() + 1);
-            Some(IfaceId::from_index(0))
-        };
-        assert_eq!(
-            t.scaled_target(sap(80), routable),
-            Some((host(2), IfaceId::from_index(0)))
-        );
-        // Only improving candidates are probed: hosts 1 and 2, not 3.
-        assert_eq!(probes.get(), 2);
-        // Second lookup is served from the cache: no routing probes at all.
-        assert_eq!(
-            t.scaled_target(sap(80), routable),
-            Some((host(2), IfaceId::from_index(0)))
-        );
-        assert_eq!(probes.get(), 2);
-    }
-
-    #[test]
-    fn scaled_target_skips_unroutable_nearest() {
-        let t = {
-            let mut t = RedirectorTable::new();
-            t.install(sap(80), scaled(&[(1, 1), (2, 2), (3, 3)]));
-            t
-        };
-        // Nearest replica has no route: the next-nearest routable one wins.
-        let got = t.scaled_target(sap(80), |h| (h != host(1)).then(|| IfaceId::from_index(9)));
-        assert_eq!(got, Some((host(2), IfaceId::from_index(9))));
-        // Nothing routable: the negative result is cached too.
-        let mut t2 = RedirectorTable::new();
-        t2.install(sap(80), scaled(&[(1, 1)]));
-        assert_eq!(t2.scaled_target(sap(80), |_| None::<IfaceId>), None);
-        let mut probes = 0;
-        assert_eq!(
-            t2.scaled_target(sap(80), |_| {
-                probes += 1;
-                Some(IfaceId::from_index(0))
-            }),
-            None,
-            "negative result must be served from the cache"
-        );
-        assert_eq!(probes, 0);
-        // ... until the caller declares routing changed.
-        t2.invalidate_targets();
-        assert_eq!(
-            t2.scaled_target(sap(80), |_| Some(IfaceId::from_index(0))),
-            Some((host(1), IfaceId::from_index(0)))
-        );
-    }
-
-    #[test]
-    fn install_and_remove_invalidate_cached_target() {
-        let mut t = RedirectorTable::new();
-        t.install(sap(80), scaled(&[(1, 5), (2, 9)]));
-        let routable = |_h: IpAddr| Some(IfaceId::from_index(0));
-        assert_eq!(t.scaled_target(sap(80), routable).unwrap().0, host(1));
-        // Replacing the entry must not serve the stale pick.
-        t.install(sap(80), scaled(&[(1, 5), (2, 2)]));
-        assert_eq!(t.scaled_target(sap(80), routable).unwrap().0, host(2));
-        // A different service's cache entry is untouched by the mutation.
-        t.install(sap(443), scaled(&[(3, 1)]));
-        assert_eq!(t.scaled_target(sap(443), routable).unwrap().0, host(3));
-        t.install(sap(80), scaled(&[(1, 0)]));
-        assert_eq!(t.scaled_target(sap(443), routable).unwrap().0, host(3));
-        // Removal clears the pick along with the entry.
-        t.remove(sap(80));
-        assert_eq!(t.scaled_target(sap(80), routable), None);
-    }
-
-    #[test]
-    fn scaled_target_ignores_ft_entries() {
-        let mut t = RedirectorTable::new();
-        t.install(
-            sap(80),
-            ServiceEntry::FaultTolerant {
-                chain: vec![host(1), host(2)],
-            },
-        );
-        assert_eq!(
-            t.scaled_target(sap(80), |_| Some(IfaceId::from_index(0))),
-            None
-        );
-    }
-
-    #[test]
-    fn ft_targets_memoizes_routing_lookups() {
-        let mut t = RedirectorTable::new();
-        t.install(
-            sap(80),
-            ServiceEntry::FaultTolerant {
-                chain: vec![host(1), host(2), host(3)],
-            },
-        );
-        let probes = std::cell::Cell::new(0);
-        let routable = |h: IpAddr| {
-            probes.set(probes.get() + 1);
-            (h != host(2)).then(|| IfaceId::from_index(0))
-        };
-        let got = t.ft_targets(sap(80), routable).unwrap();
-        assert_eq!(
-            got.routed,
-            vec![
-                (IfaceId::from_index(0), host(1)),
-                (IfaceId::from_index(0), host(3)),
-            ]
-        );
-        assert_eq!(got.unroutable, 1);
-        assert_eq!(probes.get(), 3);
-        // Second resolution is served from the cache: no routing probes.
-        let again = t.ft_targets(sap(80), routable).unwrap();
-        assert_eq!(probes.get(), 3);
-        assert!(Rc::ptr_eq(&got, &again));
-        // Scaled and missing entries are not the FT cache's business.
-        t.install(sap(443), scaled(&[(1, 1)]));
-        assert!(t.ft_targets(sap(443), routable).is_none());
-        assert!(t.ft_targets(sap(23), routable).is_none());
-    }
-
-    #[test]
-    fn ft_targets_invalidates_on_mutation_and_route_change() {
-        let mut t = RedirectorTable::new();
-        t.install(
-            sap(80),
-            ServiceEntry::FaultTolerant {
-                chain: vec![host(1), host(2)],
-            },
-        );
-        let all = |_h: IpAddr| Some(IfaceId::from_index(0));
-        assert_eq!(t.ft_targets(sap(80), all).unwrap().routed.len(), 2);
-        // Chain reconfiguration (fail-over) must drop the memoized fan-out.
-        assert!(t.remove_from_chain(sap(80), host(1)));
-        assert_eq!(
-            t.ft_targets(sap(80), all).unwrap().routed,
-            vec![(IfaceId::from_index(0), host(2))]
-        );
-        // A routing change must re-resolve too.
-        t.invalidate_targets();
-        let got = t.ft_targets(sap(80), |h| (h != host(2)).then(|| IfaceId::from_index(1)));
-        let got = got.unwrap();
-        assert!(got.routed.is_empty());
-        assert_eq!(got.unroutable, 1);
-        // Removal clears the cache along with the entry.
-        t.remove(sap(80));
-        assert!(t.ft_targets(sap(80), all).is_none());
-    }
-
     #[test]
     fn epoch_guard_rejects_stale_updates() {
         let mut t = RedirectorTable::new();
@@ -610,44 +335,36 @@ mod tests {
     }
 
     #[test]
-    fn term_change_flushes_every_memoized_target() {
-        let mut t = RedirectorTable::new();
-        t.install(
-            sap(80),
-            ServiceEntry::FaultTolerant {
-                chain: vec![host(1), host(2)],
-            },
-        );
-        let probes = std::cell::Cell::new(0);
-        let routable = |_h: IpAddr| {
-            probes.set(probes.get() + 1);
-            Some(IfaceId::from_index(0))
+    fn whatever_changes_resolution_moves_the_generation() {
+        let ft = |hosts: &[u8]| ServiceEntry::FaultTolerant {
+            chain: hosts.iter().map(|&n| host(n)).collect(),
         };
-        assert_eq!(t.ft_targets(sap(80), routable).unwrap().routed.len(), 2);
-        assert_eq!(probes.get(), 2);
-        // A replicated update in a NEW term touching a different service
-        // must still flush sap(80)'s memoized fan-out.
-        assert!(t.apply_epoch_update(
-            1,
-            1,
-            sap(443),
-            Some(ServiceEntry::FaultTolerant {
-                chain: vec![host(3)],
-            }),
-        ));
-        assert_eq!(t.ft_targets(sap(80), routable).unwrap().routed.len(), 2);
-        assert_eq!(probes.get(), 4, "cache was re-resolved after term change");
-        // A same-term update to another service leaves the memo alone.
-        assert!(t.apply_epoch_update(
-            1,
-            2,
-            sap(443),
-            Some(ServiceEntry::FaultTolerant {
-                chain: vec![host(4)],
-            }),
-        ));
-        let _ = t.ft_targets(sap(80), routable);
-        assert_eq!(probes.get(), 4);
+        let mut t = RedirectorTable::new();
+        let mut last = t.generation();
+        let mut moved = |t: &RedirectorTable| {
+            let moved = t.generation() != last;
+            last = t.generation();
+            moved
+        };
+        t.install(sap(80), ft(&[1, 2]));
+        assert!(moved(&t), "install");
+        assert!(t.remove_from_chain(sap(80), host(1)));
+        assert!(moved(&t), "chain edit");
+        t.invalidate();
+        assert!(moved(&t), "route change signalled by the engine");
+        assert!(t.apply_epoch_update(0, 1, sap(443), Some(ft(&[3]))));
+        assert!(moved(&t), "replicated install");
+        // A new term with nothing to remove still moves it: the table's
+        // provenance changed.
+        assert!(t.apply_epoch_update(1, 0, sap(23), None));
+        assert!(moved(&t), "term change");
+        assert!(t.remove(sap(443)).is_some());
+        assert!(moved(&t), "remove");
+        // What changes nothing leaves it alone.
+        assert!(t.remove(sap(443)).is_none());
+        assert!(!t.apply_epoch_update(0, 9, sap(80), None), "stale term");
+        let _ = (t.lookup(sap(80)), t.chain(sap(80)), t.len());
+        assert!(!moved(&t));
     }
 
     #[test]
