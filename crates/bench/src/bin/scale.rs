@@ -268,7 +268,9 @@ fn main() {
 
     // Events/sec ratchet against the committed baseline, host-speed
     // normalized so machine-wide swings cancel while engine regressions do
-    // not (same contract as the perf binary).
+    // not. Events/sec is work over wall only while the event count of the
+    // fixed configuration holds still (`PINNED_SCALE` pins it): a change
+    // that removes events here re-records the baseline in the same PR.
     let mut ratchet_failures: Vec<String> = Vec::new();
     if let Ok(doc) = std::fs::read_to_string(baseline_path(smoke)) {
         let speed_norm = baseline_host_speed(&doc)

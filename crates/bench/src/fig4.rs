@@ -134,6 +134,10 @@ pub struct Fig4Point {
     pub completed: bool,
     /// Client retransmissions during the run.
     pub retransmits: u64,
+    /// Simulator events the whole run processed (registration included).
+    pub events: u64,
+    /// How many of those events were node-timer wakeups.
+    pub timers_fired: u64,
 }
 
 const CLIENT: IpAddr = IpAddr::new(10, 0, 1, 1);
@@ -281,6 +285,7 @@ pub fn run_point_traced(
     };
     let result = run_ttcp(&mut system, client, target, &sink, &cfg);
     let chrome = trace_capacity.map(|_| system.obs().chrome_trace_json());
+    let stats = system.sim.stats();
     (
         Fig4Point {
             config,
@@ -288,6 +293,8 @@ pub fn run_point_traced(
             throughput_kbps: result.throughput_kbps,
             completed: result.completed,
             retransmits: result.client_retransmits,
+            events: stats.events_processed,
+            timers_fired: stats.timers_fired,
         },
         chrome,
     )

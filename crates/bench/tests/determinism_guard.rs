@@ -20,6 +20,11 @@
 //! experiment engine: an ablation grid or a seed sweep fanned out over N
 //! workers must merge to the byte-identical JSON the single-threaded run
 //! produces — thread count is a wall-clock knob, never a results knob.
+//!
+//! Pins are over behaviour (latencies, bytes, retransmits, completion
+//! instants), never over `events_processed`: removing no-op events is not
+//! a behaviour change. The one re-pin that rule cost is PR 13 (one wakeup
+//! per node), which dropped `events=` from the three pins that carried it.
 
 use hydranet_bench::ablations::{
     build_star_with, detector_sweep_threads, service, DetectorSweepConfig,
@@ -41,9 +46,11 @@ const PINNED_CLEAN: &str = "clean tput=0x407350f1d241914f retx=0 completed=true"
 /// fig4 `PrimaryBackup` @ 1480 B writes: multicast + tunnel + fragmentation.
 /// Re-pinned for the batched ack channel (PR 5).
 const PINNED_PRIMARY_BACKUP: &str = "pb tput=0x40759b5382f05691 retx=0 completed=true";
-/// Primary crash under load: detection latency and total event count.
-/// Re-pinned for the batched ack channel (PR 5); `bytes` must stay 200000.
-const PINNED_FAILOVER: &str = "failover detect_ns=401086400 events=3030 bytes=200000";
+/// Primary crash under load: detection latency, bytes the promoted backup
+/// holds, client retransmissions, and the instant its last byte landed.
+/// `detect_ns` and `bytes` are unchanged since the batched ack channel
+/// (PR 5); `bytes` must stay 200000.
+const PINNED_FAILOVER: &str = "failover detect_ns=401086400 bytes=200000 retx=4 done_ns=3630716000";
 
 fn fig4_fingerprint(config: Fig4Config, tag: &str, write_size: usize) -> String {
     let p = run_point(config, write_size, &Fig4Params::default(), SEED);
@@ -62,7 +69,8 @@ fn failover_fingerprint(calendar: CalendarKind) -> String {
     let payload: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
     let state = shared(SenderState::default());
     let app = StreamSenderApp::new(payload, false, state);
-    star.system
+    let quad = star
+        .system
         .connect_client(star.client, service(), Box::new(app));
     let crash_at = star
         .system
@@ -72,10 +80,17 @@ fn failover_fingerprint(calendar: CalendarKind) -> String {
     star.system.sim.schedule_crash(star.replicas[0], crash_at);
     star.system.sim.run_until(SimTime::from_secs(30));
     let detect_ns = star.system.detection_latency_nanos().unwrap_or(0);
-    let events = star.system.sim.stats().events_processed;
     // After the fail-over the backup (now primary) must hold the stream.
-    let bytes: usize = star.sinks.iter().map(|s| s.borrow().len()).max().unwrap();
-    format!("failover detect_ns={detect_ns} events={events} bytes={bytes}")
+    let survivor = star.sinks[1].borrow();
+    let bytes = survivor.len();
+    let done_ns = survivor.last_byte_at.map_or(0, SimTime::as_nanos);
+    let retx = star
+        .system
+        .client(star.client)
+        .stack()
+        .conn(quad)
+        .map_or(0, |c| c.retransmit_count());
+    format!("failover detect_ns={detect_ns} bytes={bytes} retx={retx} done_ns={done_ns}")
 }
 
 #[test]
@@ -250,10 +265,10 @@ fn ablation_grid_is_thread_count_invariant() {
 /// Pinned fingerprint of the chaos partition run at the default base seed:
 /// the class whose recovery depends on the gate-starvation probe refreshing
 /// ack state after the partition heals. Captured at 1 thread; the soak must
-/// reproduce it bit-identically at 4. Re-pinned for the batched ack
-/// channel (PR 5); `bytes` must stay 60000.
+/// reproduce it bit-identically at 4. `bytes` and `recovery_ns` are
+/// unchanged since the batched ack channel (PR 5); `bytes` must stay 60000.
 const PINNED_CHAOS_PARTITION: &str =
-    "partition seed=13000 events=3091 bytes=60000 recovery_ns=209868800";
+    "partition seed=13000 bytes=60000 recovery_ns=209868800 chain=3";
 
 /// Pinned fingerprint of the redirector-failover chaos run (crash the
 /// active pair member under load; the standby must promote and flip the
@@ -261,7 +276,7 @@ const PINNED_CHAOS_PARTITION: &str =
 /// epoch-stamped table replication, `ROUTE_ANNOUNCE` flooding — rides
 /// under this pin, captured at 1 thread and reproduced at 4.
 const PINNED_CHAOS_RD_FAILOVER: &str =
-    "rd_failover seed=15000 events=4113 bytes=60000 failover_ns=547461684";
+    "rd_failover seed=15000 bytes=60000 failover_ns=547461684 recovery_ns=30508800 chain=2";
 
 #[test]
 fn chaos_soak_is_thread_count_invariant_and_pinned() {
@@ -284,11 +299,11 @@ fn chaos_soak_is_thread_count_invariant_and_pinned() {
         .find(|o| o.class == "partition")
         .expect("partition class present");
     let fp = format!(
-        "partition seed={} events={} bytes={} recovery_ns={}",
+        "partition seed={} bytes={} recovery_ns={} chain={}",
         o.seed,
-        o.events,
         o.bytes,
-        o.recovery_ns.unwrap_or(0)
+        o.recovery_ns.unwrap_or(0),
+        o.chain_len
     );
     assert_eq!(fp, PINNED_CHAOS_PARTITION);
     let o = seq
@@ -296,11 +311,12 @@ fn chaos_soak_is_thread_count_invariant_and_pinned() {
         .find(|o| o.class == "rd_failover")
         .expect("rd_failover class present");
     let fp = format!(
-        "rd_failover seed={} events={} bytes={} failover_ns={}",
+        "rd_failover seed={} bytes={} failover_ns={} recovery_ns={} chain={}",
         o.seed,
-        o.events,
         o.bytes,
-        o.failover_ns.unwrap_or(0)
+        o.failover_ns.unwrap_or(0),
+        o.recovery_ns.unwrap_or(0),
+        o.chain_len
     );
     assert_eq!(fp, PINNED_CHAOS_RD_FAILOVER);
 }

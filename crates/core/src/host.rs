@@ -11,10 +11,17 @@ use hydranet_tcp::detector::DetectorParams;
 use hydranet_tcp::segment::{Quad, SockAddr};
 use hydranet_tcp::stack::{EphemeralPortsExhausted, SocketApp, StackEvent, TcpStack};
 
+use crate::timer::NodeTimer;
+
 /// An ordinary, unmodified client host: one interface, one [`TcpStack`],
 /// no HydraNet software at all — "neither the client application, nor the
 /// client TCP stack are aware of service management, server failures, and
 /// server recoveries" (§1).
+///
+/// Like every node in this crate it keeps at most one useful simulator
+/// wakeup pending: a flush files a calendar entry only when the stack's
+/// next deadline is earlier than the one already pending, and a deadline
+/// that moved later is picked up when that entry fires (DESIGN.md §5c).
 pub struct ClientHost {
     stack: TcpStack,
     /// Stack events accumulated for scenario inspection.
@@ -23,12 +30,7 @@ pub struct ClientHost {
     /// Scratch buffer recycled through `TcpStack::take_packets_into` so a
     /// flush costs no allocation once the high-water mark is reached.
     pkt_buf: Vec<IpPacket>,
-    /// When set, skip re-arming the node timer if a pending one already
-    /// fires at or before the stack's next deadline (see
-    /// [`set_coalesce_timers`](Self::set_coalesce_timers)).
-    coalesce_timers: bool,
-    /// Earliest pending node-timer instant (tracked only for coalescing).
-    armed_at: Option<SimTime>,
+    timer: NodeTimer,
 }
 
 impl std::fmt::Debug for ClientHost {
@@ -48,21 +50,8 @@ impl ClientHost {
             events: Vec::new(),
             name: name.into(),
             pkt_buf: Vec::new(),
-            coalesce_timers: false,
-            armed_at: None,
+            timer: NodeTimer::default(),
         }
-    }
-
-    /// Enables node-timer coalescing: a flush arms a fresh simulator timer
-    /// only when the stack's next deadline is *earlier* than one already
-    /// pending. Without this, every flush files a new calendar entry and
-    /// every stale entry's wakeup files another — one immortal wakeup
-    /// chain per packet, which at 10k-flow scale multiplies simulator
-    /// events ~30×. Off by default: dropping those no-op wakeups changes
-    /// simulator event *counts*, which the repo's pinned fingerprints
-    /// include, so flipping the default is a deliberate re-pin event.
-    pub fn set_coalesce_timers(&mut self, on: bool) {
-        self.coalesce_timers = on;
     }
 
     /// The host's stack.
@@ -106,12 +95,7 @@ impl ClientHost {
             ctx.send(IfaceId::from_index(0), p);
         }
         self.events.extend(self.stack.take_events());
-        if let Some(t) = self.stack.next_deadline() {
-            if !self.coalesce_timers || self.armed_at.is_none_or(|a| t < a) {
-                ctx.set_timer_at(t, TimerToken(0));
-                self.armed_at = Some(t);
-            }
-        }
+        self.timer.arm(ctx, self.stack.next_deadline());
     }
 }
 
@@ -122,16 +106,14 @@ impl Node for ClientHost {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
-        if self.armed_at.is_some_and(|a| a <= ctx.now()) {
-            self.armed_at = None;
-        }
+        self.timer.fired(ctx.now());
         self.stack.on_timer(ctx.now());
         self.flush(ctx);
     }
 
     fn on_crash(&mut self) {
         // The simulator discards a crashed node's pending timers.
-        self.armed_at = None;
+        self.timer.reset();
     }
 
     fn name(&self) -> &str {
@@ -161,9 +143,7 @@ pub struct HostServer {
     /// Scratch buffers recycled through the stack's `take_*_into` drains.
     pkt_buf: Vec<IpPacket>,
     ev_buf: Vec<StackEvent>,
-    /// See [`ClientHost::set_coalesce_timers`].
-    coalesce_timers: bool,
-    armed_at: Option<SimTime>,
+    timer: NodeTimer,
 }
 
 impl std::fmt::Debug for HostServer {
@@ -204,15 +184,8 @@ impl HostServer {
             obs: Obs::disabled(),
             pkt_buf: Vec::new(),
             ev_buf: Vec::new(),
-            coalesce_timers: false,
-            armed_at: None,
+            timer: NodeTimer::default(),
         }
-    }
-
-    /// Enables node-timer coalescing; see [`ClientHost::set_coalesce_timers`]
-    /// for semantics and the default-off rationale.
-    pub fn set_coalesce_timers(&mut self, on: bool) {
-        self.coalesce_timers = on;
     }
 
     /// Wires telemetry into the stack and the management daemon.
@@ -369,12 +342,7 @@ impl HostServer {
         .into_iter()
         .flatten()
         .min();
-        if let Some(t) = deadline {
-            if !self.coalesce_timers || self.armed_at.is_none_or(|a| t < a) {
-                ctx.set_timer_at(t, TimerToken(0));
-                self.armed_at = Some(t);
-            }
-        }
+        self.timer.arm(ctx, deadline);
     }
 }
 
@@ -389,7 +357,7 @@ impl Node for HostServer {
             p.registered = false;
         }
         // The simulator discards a crashed node's pending timers.
-        self.armed_at = None;
+        self.timer.reset();
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_>) {
@@ -426,14 +394,59 @@ impl Node for HostServer {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
-        if self.armed_at.is_some_and(|a| a <= ctx.now()) {
-            self.armed_at = None;
-        }
+        self.timer.fired(ctx.now());
         self.stack.on_timer(ctx.now());
         self.drive(ctx);
     }
 
     fn name(&self) -> &str {
         &self.name
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::prelude::*;
+
+    /// A crash discards the host's calendar entries, so a mark left
+    /// standing would sit before every later deadline and the recovered
+    /// host would never file a wakeup again.
+    #[test]
+    fn crash_clears_the_wakeup_mark_and_recovery_rearms() {
+        let rd_addr = IpAddr::new(10, 9, 0, 1);
+        let service = SockAddr::new(IpAddr::new(192, 20, 225, 20), 80);
+        let mut b = SystemBuilder::new(TcpConfig::default());
+        let rd = b.add_redirector("rd", rd_addr);
+        let hs = b.add_host_server("hs", IpAddr::new(10, 0, 2, 1), rd_addr);
+        b.link(rd, hs, LinkParams::default());
+        let spec = FtServiceSpec::new(service, vec![hs], DetectorParams::DEFAULT);
+        b.deploy_ft_service(&spec, |_q| {
+            Box::new(EchoApp::new(shared(SinkState::default())))
+        });
+        let mut system = b.build(3);
+        assert!(system.wait_for_chain(rd, service, 1, SimTime::from_secs(2)));
+
+        let ms = SimDuration::from_millis;
+        let t0 = system.sim.now();
+        let pending = t0.saturating_add(ms(2));
+        system
+            .sim
+            .with_node_ctx::<HostServer, _>(hs, |h, ctx| h.timer.arm(ctx, Some(pending)));
+        assert_eq!(system.host_server(hs).timer.armed_at(), Some(pending));
+
+        system.sim.schedule_crash(hs, t0.saturating_add(ms(1)));
+        let back = t0.saturating_add(ms(100));
+        system.sim.schedule_recover(hs, back);
+        system.sim.run_until(t0.saturating_add(ms(50)));
+        assert_eq!(system.host_server(hs).timer.armed_at(), None);
+
+        // Recovery re-registers; the registration's retransmit deadline is
+        // the host's next wakeup, filed because the mark was cleared.
+        system.sim.run_until(back);
+        let rearmed = system.host_server(hs).timer.armed_at();
+        assert!(rearmed.is_some_and(|t| t > back), "{rearmed:?}");
+        let fired = system.sim.stats().timers_fired;
+        system.sim.run_until(rearmed.unwrap());
+        assert!(system.sim.stats().timers_fired > fired);
     }
 }

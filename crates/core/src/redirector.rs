@@ -12,6 +12,8 @@ use hydranet_redirect::redirector::{Disposition, RedirectorEngine};
 use hydranet_redirect::table::ServiceEntry;
 use hydranet_tcp::udp::UdpDatagram;
 
+use crate::timer::NodeTimer;
+
 /// How long a freshly promoted pair member defers brand-new fault-tolerant
 /// flows: one mgmt reliable retransmit period
 /// (`hydranet_mgmt::reliable::DEFAULT_RETRY_INTERVAL`, 250 ms) plus
@@ -28,9 +30,7 @@ pub struct ManagedRedirector {
     name: String,
     out_scratch: Vec<(IfaceId, IpPacket)>,
     obs: Obs,
-    /// See `ClientHost::set_coalesce_timers` in `crate::host`.
-    coalesce_timers: bool,
-    armed_at: Option<SimTime>,
+    timer: NodeTimer,
     /// Interfaces a promotion floods `ROUTE_ANNOUNCE` packets out of.
     announce_ifaces: Vec<IfaceId>,
 }
@@ -53,8 +53,7 @@ impl ManagedRedirector {
             name: name.into(),
             out_scratch: Vec::new(),
             obs: Obs::disabled(),
-            coalesce_timers: false,
-            armed_at: None,
+            timer: NodeTimer::default(),
             announce_ifaces: Vec::new(),
         }
     }
@@ -68,12 +67,6 @@ impl ManagedRedirector {
         self.engine.set_virtual_addr(vip);
         self.controller.configure_pair(cfg, SimTime::ZERO);
         self.announce_ifaces = announce_ifaces;
-    }
-
-    /// Enables node-timer coalescing; see `ClientHost::set_coalesce_timers`
-    /// for semantics and the default-off rationale.
-    pub fn set_coalesce_timers(&mut self, on: bool) {
-        self.coalesce_timers = on;
     }
 
     /// Wires telemetry into the engine (redirection counters, table
@@ -199,12 +192,7 @@ impl ManagedRedirector {
             ctx.send(iface, p);
         }
         self.out_scratch = out;
-        if let Some(t) = self.controller.next_deadline() {
-            if !self.coalesce_timers || self.armed_at.is_none_or(|a| t < a) {
-                ctx.set_timer_at(t, TimerToken(0));
-                self.armed_at = Some(t);
-            }
-        }
+        self.timer.arm(ctx, self.controller.next_deadline());
     }
 }
 
@@ -251,18 +239,58 @@ impl Node for ManagedRedirector {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
-        if self.armed_at.is_some_and(|a| a <= ctx.now()) {
-            self.armed_at = None;
-        }
+        self.timer.fired(ctx.now());
         self.drive(ctx);
     }
 
     fn on_crash(&mut self) {
         // The simulator discards a crashed node's pending timers.
-        self.armed_at = None;
+        self.timer.reset();
     }
 
     fn name(&self) -> &str {
         &self.name
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::prelude::*;
+
+    /// A standby pair member lives on its probe timer: after a crash and
+    /// recovery it must be filing wakeups again, or it never probes the
+    /// active side and never promotes.
+    #[test]
+    fn paired_redirector_rearms_its_probe_timer_after_recovery() {
+        let mut b = SystemBuilder::new(TcpConfig::default());
+        let (rd_a, rd_b) = b.add_redirector_pair(
+            "rdA",
+            IpAddr::new(10, 9, 0, 1),
+            "rdB",
+            IpAddr::new(10, 9, 0, 2),
+            IpAddr::new(10, 9, 0, 9),
+        );
+        b.link(rd_a, rd_b, LinkParams::default());
+        let mut system = b.build(3);
+
+        let ms = SimTime::from_millis;
+        system.sim.run_until(ms(50));
+        let before = system.redirector(rd_b).timer.armed_at();
+        assert!(before.is_some_and(|t| t > ms(50)), "{before:?}");
+
+        system.sim.schedule_crash(rd_b, ms(60));
+        system.sim.schedule_recover(rd_b, ms(2_000));
+        system.sim.run_until(ms(1_000));
+        assert_eq!(system.redirector(rd_b).timer.armed_at(), None);
+
+        system.sim.run_until(ms(2_000));
+        let rearmed = system.redirector(rd_b).timer.armed_at();
+        assert!(rearmed.is_some_and(|t| t > ms(2_000)), "{rearmed:?}");
+        let fired = system.sim.stats().timers_fired;
+        system.sim.run_until(ms(4_000));
+        // rdA's own probe timers fire too; rdB's mark moving on shows its
+        // wakeups are live calendar entries.
+        assert!(system.sim.stats().timers_fired > fired);
+        assert!(system.redirector(rd_b).timer.armed_at() > rearmed);
     }
 }

@@ -88,7 +88,6 @@ pub struct SystemBuilder {
     links: Vec<(NodeId, NodeId, IfaceId, IfaceId)>,
     default_tcp: TcpConfig,
     probe_params: ProbeParams,
-    coalesce_node_timers: bool,
     pairs: Vec<PairSpec>,
 }
 
@@ -110,22 +109,15 @@ impl SystemBuilder {
             links: Vec::new(),
             default_tcp,
             probe_params: ProbeParams::default(),
-            coalesce_node_timers: false,
             pairs: Vec::new(),
         }
     }
 
-    /// Enables node-timer coalescing on every client, host server, and
-    /// redirector in the built system: a node re-arms its simulator timer
-    /// only when its next deadline moved *earlier* than one already
-    /// pending, instead of filing a fresh calendar entry on every flush.
-    /// This collapses the per-packet chains of stale wakeups that dominate
-    /// the event count at many-flow scale (see DESIGN.md §5c). Off by
-    /// default because the skipped wakeups are counted simulator events
-    /// and the repo's pinned fingerprints include event counts.
-    pub fn set_coalesce_node_timers(&mut self, on: bool) {
-        self.coalesce_node_timers = on;
-    }
+    /// No-op, kept only because the frozen `benchmark/` harness calls it:
+    /// every node already keeps at most one pending wakeup (DESIGN.md §5c).
+    /// Goes away in the next PR that may edit `benchmark/`.
+    #[doc(hidden)]
+    pub fn set_coalesce_node_timers(&mut self, _on: bool) {}
 
     /// Overrides the failure-identification probe parameters used by
     /// redirectors added *after* this call.
@@ -407,7 +399,6 @@ impl SystemBuilder {
             mut topo,
             nodes,
             links,
-            coalesce_node_timers,
             pairs,
             ..
         } = self;
@@ -572,21 +563,9 @@ impl SystemBuilder {
         for (idx, info) in nodes.iter().enumerate() {
             let id = NodeId::from_index(idx);
             match info.kind {
-                NodeKind::Client => {
-                    let node = topo.node_mut::<ClientHost>(id);
-                    node.set_obs(obs.clone());
-                    node.set_coalesce_timers(coalesce_node_timers);
-                }
-                NodeKind::HostServer => {
-                    let node = topo.node_mut::<HostServer>(id);
-                    node.set_obs(obs.clone());
-                    node.set_coalesce_timers(coalesce_node_timers);
-                }
-                NodeKind::Redirector => {
-                    let node = topo.node_mut::<ManagedRedirector>(id);
-                    node.set_obs(obs.clone());
-                    node.set_coalesce_timers(coalesce_node_timers);
-                }
+                NodeKind::Client => topo.node_mut::<ClientHost>(id).set_obs(obs.clone()),
+                NodeKind::HostServer => topo.node_mut::<HostServer>(id).set_obs(obs.clone()),
+                NodeKind::Redirector => topo.node_mut::<ManagedRedirector>(id).set_obs(obs.clone()),
                 NodeKind::Router => {}
             }
         }
