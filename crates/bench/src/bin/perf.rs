@@ -702,10 +702,111 @@ fn measure_flows_micro(cfg: PerfConfig) -> Vec<MicroPoint> {
         .collect()
 }
 
-/// Per-packet cost at the largest [`RD_FLOWS`] population over the cost at
-/// the smallest.
-fn flows_cost_ratio(points: &[MicroPoint]) -> f64 {
+/// Per-op cost at the last (largest) population of a sweep over the cost at
+/// the first (smallest).
+fn cost_ratio(points: &[MicroPoint]) -> f64 {
     points[0].ops_per_sec / points[points.len() - 1].ops_per_sec
+}
+
+/// Measures a population sweep and, under `--ratchet`, pins its
+/// [`cost_ratio`] at `max`. A wall-clock pin on shared hardware: on a miss,
+/// re-measure (up to twice) and keep each point's best wall across attempts.
+fn pinned_cost_ratio(
+    what: &str,
+    max: f64,
+    ratchet: bool,
+    mut measure: impl FnMut() -> Vec<MicroPoint>,
+) -> (Vec<MicroPoint>, f64) {
+    let mut points = measure();
+    let mut ratio = cost_ratio(&points);
+    if ratchet {
+        for attempt in 1..=2 {
+            if ratio <= max {
+                break;
+            }
+            eprintln!("{what}: x{ratio:.2} above x{max}, re-measuring (retry {attempt}/2)");
+            for (point, again) in points.iter_mut().zip(measure()) {
+                if again.wall_secs < point.wall_secs {
+                    *point = again;
+                }
+            }
+            ratio = cost_ratio(&points);
+        }
+        assert!(ratio <= max, "{what} must stay <= x{max}, got x{ratio:.2}");
+    }
+    (points, ratio)
+}
+
+/// Staged-run populations the gated-connection microbench sweeps: one run
+/// behind the deposit gate, and 256 (4 KiB of 16 B writes awaiting the
+/// successor's report).
+const STAGED_RUNS: [(u32, &str); 2] = [(1, "gated_seg_staged_1"), (256, "gated_seg_staged_256")];
+/// Pinned ceiling on the per-segment cost at 256 staged runs over the cost
+/// at one: the receive buffer answers `staged_bytes`/`coverage`/`window`
+/// from a running counter, so only the staging tree's O(log runs) insert
+/// grows. (It was linear when each of those walked every staged run.)
+const STAGED_MAX_RATIO: f64 = 2.0;
+
+/// Per-segment cost on a deposit-gated (backup) connection against the
+/// number of 16 B runs staged behind the gate. Each op is one steady-state
+/// cycle of the §4.3 deposit gate: a new in-order segment arrives and is
+/// staged, the successor's report releases the oldest run, the application
+/// reads it — so the staged population holds at the sweep's value.
+fn measure_staged_micro(cfg: PerfConfig) -> Vec<MicroPoint> {
+    use hydranet_tcp::conn::Connection;
+
+    const WRITE: u32 = 16;
+    let quad = Quad {
+        local: SockAddr::new(IpAddr::new(10, 0, 2, 1), 80),
+        remote: SockAddr::new(IpAddr::new(10, 0, 1, 1), 40_000),
+    };
+    let (irs, iss) = (SeqNum::new(100), SeqNum::new(5_000));
+    let segment = |seq: SeqNum, flags: TcpFlags, len: u32| TcpSegment {
+        src_port: quad.remote.port,
+        dst_port: quad.local.port,
+        seq,
+        ack: iss + 1,
+        flags,
+        window: 65_000,
+        payload: vec![7u8; len as usize].into(),
+    };
+    let now = SimTime::ZERO;
+    STAGED_RUNS
+        .iter()
+        .map(|&(runs, name)| {
+            let n = cfg.rd_packets as u32;
+            let (mut segs, mut events) = (Vec::new(), Vec::new());
+            micro_point(name, cfg.iters, u64::from(n), || {
+                let syn = segment(irs, TcpFlags::SYN, 0);
+                let mut conn = Connection::accept_replicated(
+                    quad,
+                    TcpConfig::default(),
+                    iss,
+                    &syn,
+                    now,
+                    false,
+                    true,
+                );
+                let first = irs + 1;
+                for i in 0..runs {
+                    conn.on_segment(segment(first + i * WRITE, TcpFlags::ACK, WRITE), now);
+                }
+                assert_eq!(conn.rcv_nxt(), first, "the gate holds every run staged");
+                for i in 0..n {
+                    conn.on_segment(
+                        segment(first + (runs + i) * WRITE, TcpFlags::ACK, WRITE),
+                        now,
+                    );
+                    conn.raise_deposit_gate(first + (i + 1) * WRITE, now);
+                    black_box(conn.read(WRITE as usize, now));
+                    conn.take_segments_into(&mut segs);
+                    conn.take_events_into(&mut events);
+                }
+                assert_eq!(conn.rcv_nxt(), first + n * WRITE);
+                assert_eq!(conn.duplicate_data_count(), 0);
+            })
+        })
+        .collect()
 }
 
 fn print_micro_points(points: &[MicroPoint]) {
@@ -1330,38 +1431,31 @@ fn main() {
         "timer wheel must stay >= {TIMER_MIN_RATIO}x over full scan at {MICRO_FLOWS} flows, got x{timer_ratio:.2}"
     );
     println!("\nredirector per-packet cost vs live flows (chain 2, 8 services):");
-    let mut flow_points = measure_flows_micro(cfg);
-    let mut flows_ratio = flows_cost_ratio(&flow_points);
-    if ratchet.is_some() {
-        // Wall-clock pin on shared hardware: on a miss, re-measure and keep
-        // each point's best wall across attempts.
-        for attempt in 1..=2 {
-            if flows_ratio <= RD_FLOWS_MAX_RATIO {
-                break;
-            }
-            eprintln!(
-                "20,000-flow cost x{flows_ratio:.2} above x{RD_FLOWS_MAX_RATIO}, \
-                 re-measuring (retry {attempt}/2)"
-            );
-            for (point, again) in flow_points.iter_mut().zip(measure_flows_micro(cfg)) {
-                if again.wall_secs < point.wall_secs {
-                    *point = again;
-                }
-            }
-            flows_ratio = flows_cost_ratio(&flow_points);
-        }
-        assert!(
-            flows_ratio <= RD_FLOWS_MAX_RATIO,
-            "a redirected packet at 20,000 flows must cost <= x{RD_FLOWS_MAX_RATIO} \
-             one at 1 flow, got x{flows_ratio:.2}"
-        );
-    }
+    let (flow_points, flows_ratio) = pinned_cost_ratio(
+        "a redirected packet at 20,000 flows over one at 1 flow",
+        RD_FLOWS_MAX_RATIO,
+        ratchet.is_some(),
+        || measure_flows_micro(cfg),
+    );
     print_micro_points(&flow_points);
     println!(
         "  20,000 flows cost x{flows_ratio:.2} one flow per packet \
          (pinned <= x{RD_FLOWS_MAX_RATIO} under --ratchet)"
     );
     micro_points.extend(flow_points);
+    println!("\ngated-connection per-segment cost vs staged runs (16 B writes):");
+    let (staged_points, staged_ratio) = pinned_cost_ratio(
+        "a gated segment at 256 staged runs over one at 1 staged run",
+        STAGED_MAX_RATIO,
+        ratchet.is_some(),
+        || measure_staged_micro(cfg),
+    );
+    print_micro_points(&staged_points);
+    println!(
+        "  256 staged runs cost x{staged_ratio:.2} one staged run per segment \
+         (pinned <= x{STAGED_MAX_RATIO} under --ratchet)"
+    );
+    micro_points.extend(staged_points);
     println!("\nper-subsystem event attribution (fig4 chain-2 transfer):");
     let attribution = measure_attribution(cfg);
     print_attribution(&attribution);

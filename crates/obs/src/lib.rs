@@ -22,7 +22,7 @@
 //! `SimTime::as_nanos()` at call sites).
 //!
 //! Metric names follow the `layer.component.name` convention documented in
-//! DESIGN.md, e.g. `tcp.conn.10.0.1.1:40000-192.20.225.20:80.rto_us`.
+//! DESIGN.md, e.g. `tcp.stack.10.0.1.1.conn.rto_us`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -56,22 +56,19 @@ impl Gauge {
 /// 2^39 (~9.2 simulated minutes in nanoseconds), plus an implicit overflow
 /// bucket. Power-of-two bounds give ≤ 2× relative quantile error across
 /// the whole range, which is plenty for latency distributions, and make
-/// bucket selection a comparison scan over 40 entries.
+/// bucket selection one leading-zero count.
 pub const BUCKET_BOUNDS: usize = 40;
 
 fn bound(i: usize) -> u64 {
     1u64 << i
 }
 
-/// The index of the bucket `value` falls into (the overflow bucket is
-/// `BUCKET_BOUNDS`).
+/// The index of the bucket `value` falls into — the smallest `i` with
+/// `value <= 2^i`, i.e. the bit length of `value - 1` (the overflow bucket
+/// is `BUCKET_BOUNDS`).
 fn bucket_index(value: u64) -> usize {
-    for i in 0..BUCKET_BOUNDS {
-        if value <= bound(i) {
-            return i;
-        }
-    }
-    BUCKET_BOUNDS
+    let bits = u64::BITS - value.saturating_sub(1).leading_zeros();
+    (bits as usize).min(BUCKET_BOUNDS)
 }
 
 #[derive(Debug)]
@@ -349,6 +346,24 @@ mod tests {
         assert_eq!(bucket_index(1 << 39), 39);
         assert_eq!(bucket_index((1 << 39) + 1), BUCKET_BOUNDS);
         assert_eq!(bucket_index(u64::MAX), BUCKET_BOUNDS);
+    }
+
+    /// The closed form agrees with the linear scan over the bounds it
+    /// replaced, at every bucket edge.
+    #[test]
+    fn bucket_index_matches_linear_scan() {
+        let scan = |v: u64| {
+            (0..BUCKET_BOUNDS)
+                .find(|&i| v <= bound(i))
+                .unwrap_or(BUCKET_BOUNDS)
+        };
+        let mut values = vec![0, 1, 2, 3, u64::MAX];
+        for k in 1..=40 {
+            values.extend([(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        for v in values {
+            assert_eq!(bucket_index(v), scan(v), "value {v}");
+        }
     }
 
     #[test]

@@ -32,6 +32,17 @@ fn reserve_bounded(q: &mut VecDeque<u8>, extra: usize, cap: usize) {
     }
 }
 
+/// Copies `q[start..end]` out as at most two `memcpy`s (the ring's two
+/// contiguous halves) instead of one iterator step per byte.
+fn copy_range(q: &VecDeque<u8>, start: usize, end: usize) -> Vec<u8> {
+    let (head, tail) = q.as_slices();
+    let split = head.len();
+    let mut out = Vec::with_capacity(end - start);
+    out.extend_from_slice(&head[start.min(split)..end.min(split)]);
+    out.extend_from_slice(&tail[start.saturating_sub(split)..end.saturating_sub(split)]);
+    out
+}
+
 /// Bytes accepted from the application, awaiting transmission and
 /// acknowledgement. The buffer's base tracks the lowest unacknowledged
 /// sequence number.
@@ -117,7 +128,7 @@ impl SendBuffer {
         }
         let start = (from - self.base) as usize;
         let end = (start + len).min(self.data.len());
-        self.data.range(start..end).copied().collect()
+        copy_range(&self.data, start, end)
     }
 }
 
@@ -137,6 +148,9 @@ pub struct RecvBuffer {
     readable: VecDeque<u8>,
     /// Staged runs keyed by absolute stream offset.
     staged: BTreeMap<u64, Vec<u8>>,
+    /// Sum of the staged runs' lengths, kept current at every insert and
+    /// removal: each segment asks several times, the tree walk is O(runs).
+    staged_len: usize,
     capacity: usize,
 }
 
@@ -149,6 +163,7 @@ impl RecvBuffer {
             deposit_limit: None,
             readable: VecDeque::new(),
             staged: BTreeMap::new(),
+            staged_len: 0,
             capacity,
         }
     }
@@ -174,7 +189,8 @@ impl RecvBuffer {
     /// Total bytes staged awaiting deposit (in-order but gated, or out of
     /// order).
     pub fn staged_bytes(&self) -> usize {
-        self.staged.values().map(Vec::len).sum()
+        debug_assert_eq!(self.staged_len, self.staged.values().map(Vec::len).sum());
+        self.staged_len
     }
 
     /// Sets the deposit gate from a successor-reported acknowledgement
@@ -241,7 +257,8 @@ impl RecvBuffer {
     /// Reads up to `max` deposited bytes.
     pub fn read(&mut self, max: usize) -> Vec<u8> {
         let n = max.min(self.readable.len());
-        let out: Vec<u8> = self.readable.drain(..n).collect();
+        let out = copy_range(&self.readable, 0, n);
+        self.readable.drain(..n);
         if self.readable.is_empty() && self.readable.capacity() > SHRINK_RETAIN {
             self.readable = VecDeque::new();
         }
@@ -258,6 +275,7 @@ impl RecvBuffer {
             }
             let run_end = off + run.len() as u64;
             if run_end <= self.nxt_off {
+                self.staged_len -= run.len();
                 self.staged.pop_first();
                 continue; // fully duplicate
             }
@@ -269,6 +287,7 @@ impl RecvBuffer {
             let skip = (self.nxt_off - off) as usize;
             let take = (take_end - self.nxt_off) as usize;
             let run = self.staged.pop_first().expect("first exists").1;
+            self.staged_len -= run.len();
             reserve_bounded(&mut self.readable, take, self.capacity);
             self.readable.extend(&run[skip..skip + take]);
             self.nxt_off += take as u64;
@@ -277,6 +296,7 @@ impl RecvBuffer {
             if take_end < run_end {
                 // Re-stage the gated tail.
                 let rest = run[skip + take..].to_vec();
+                self.staged_len += rest.len();
                 self.staged.insert(take_end, rest);
                 break;
             }
@@ -378,11 +398,13 @@ impl RecvBuffer {
                 Some((ex_start, _)) if ex_start < start + data.len() as u64 => {
                     // Partial room before the next run.
                     let take = (ex_start - start) as usize;
+                    self.staged_len += take;
                     self.staged.insert(start, data[..take].to_vec());
                     start += take as u64;
                     data = &data[take..];
                 }
                 _ => {
+                    self.staged_len += data.len();
                     self.staged.insert(start, data.to_vec());
                     return;
                 }
@@ -627,6 +649,92 @@ mod tests {
         assert!(rb.heap_bytes() < 16384, "got {}", rb.heap_bytes());
         rb.read(8192);
         assert_eq!(rb.heap_bytes(), 0, "drained readable queue is released");
+    }
+
+    /// Random offers (overlapping, out of order, clipped by the window),
+    /// gate moves and partial reads on a small buffer whose ring wraps many
+    /// times: after every operation the running `staged_len` equals the
+    /// recomputed sum, and `read` returns what a byte-at-a-time drain of the
+    /// ring would have — which is also the stream itself, in order.
+    #[test]
+    fn staged_counter_and_reads_match_bytewise_reference() {
+        let byte_at = |off: u64| (off % 251) as u8;
+        let mut rng = SimRng::seed_from(0x57a6ed);
+        let mut wrapped_reads = 0;
+        for round in 0..32u32 {
+            let base = SeqNum::new(0xffff_f000u32.wrapping_add(round * 97));
+            let cap = rng.range(64, 300) as usize;
+            let mut rb = RecvBuffer::new(base, cap);
+            if round % 2 == 0 {
+                rb.enable_gate();
+            }
+            let mut read_off = 0u64;
+            for _ in 0..600 {
+                match rng.range(0, 8) {
+                    0..=3 => {
+                        let lo = rb.nxt_off.saturating_sub(20);
+                        let off = rng.range(lo, rb.nxt_off + cap as u64 + 20);
+                        let len = rng.range(1, 40);
+                        let data: Vec<u8> = (off..off + len).map(byte_at).collect();
+                        rb.offer(base + off as u32, &data);
+                    }
+                    4 | 5 => {
+                        let upto = rb.nxt_off + rng.range(0, 64);
+                        rb.gate_deposits_below(base + upto as u32);
+                        rb.deposit();
+                    }
+                    6 => {
+                        let max = rng.range(0, 50) as usize;
+                        let expect: Vec<u8> = rb.readable.iter().take(max).copied().collect();
+                        let (head, _) = rb.readable.as_slices();
+                        wrapped_reads += usize::from(head.len() < expect.len());
+                        let got = rb.read(max);
+                        assert_eq!(got, expect);
+                        assert!(got.iter().zip(read_off..).all(|(&b, o)| b == byte_at(o)));
+                        read_off += got.len() as u64;
+                    }
+                    _ if rb.is_gated() => {
+                        rb.clear_gate();
+                        rb.deposit();
+                    }
+                    _ => rb.enable_gate(),
+                }
+                assert_eq!(
+                    rb.staged_bytes(),
+                    rb.staged.values().map(Vec::len).sum::<usize>()
+                );
+                assert_eq!(rb.coverage(), rb.nxt_off + rb.staged_bytes() as u64);
+                assert_eq!(read_off + rb.readable_len() as u64, rb.nxt_off);
+            }
+        }
+        assert!(
+            wrapped_reads > 50,
+            "only {wrapped_reads} reads crossed the ring seam"
+        );
+    }
+
+    /// `SendBuffer::slice` against a byte-at-a-time copy, with the ring
+    /// wrapped by write/ack cycles on a small buffer.
+    #[test]
+    fn send_slice_matches_bytewise_reference_across_wrap() {
+        let mut rng = SimRng::seed_from(0x511ce);
+        let mut sb = SendBuffer::new(SeqNum::new(u32::MAX - 500), 96);
+        let (mut written, mut wrapped) = (0u64, 0);
+        for _ in 0..2000 {
+            let chunk: Vec<u8> = (written..written + rng.range(1, 60))
+                .map(|i| (i % 253) as u8)
+                .collect();
+            written += sb.write(&chunk) as u64;
+            let start = rng.range(0, sb.len() as u64 + 1) as usize;
+            let len = rng.range(0, 80) as usize;
+            let end = (start + len).min(sb.len());
+            let expect: Vec<u8> = sb.data.range(start.min(end)..end).copied().collect();
+            let seam = sb.data.as_slices().0.len();
+            wrapped += usize::from(start < seam && seam < end);
+            assert_eq!(sb.slice(sb.base() + start as u32, len), expect);
+            sb.ack_to(sb.base() + rng.range(0, sb.len() as u64 + 1) as u32);
+        }
+        assert!(wrapped > 50, "only {wrapped} slices crossed the ring seam");
     }
 
     /// The gate: no byte at offset >= limit ever becomes readable.

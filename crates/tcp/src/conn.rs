@@ -210,21 +210,36 @@ struct SendState {
     iss: SeqNum,
 }
 
-/// Per-connection telemetry handles. Cold state: every field is a no-op
-/// unless the owning stack wired an enabled [`Obs`] registry, so the whole
-/// block lives behind an `Option<Box<_>>` and costs unobserved connections
-/// (the many-flow scale case) one pointer instead of ~200 bytes each.
+/// ft-TCP telemetry handles shared by every connection of one stack:
+/// srtt/rto/cwnd trajectory histograms, deposit-gate stall time (how long
+/// received data sat staged waiting for the chain successor's ack-channel
+/// report) and a duplicate-segment counter. One set per stack keeps the
+/// registry's series count and a connection's set-up cost independent of
+/// the connection count; per-flow detail goes to the `conn <quad>` span.
 #[derive(Debug)]
-struct ConnTelemetry {
+pub(crate) struct ConnTelemetry {
     obs: Obs,
     h_srtt_us: Histogram,
     h_rto_us: Histogram,
     h_cwnd: Histogram,
     h_gate_stall_us: Histogram,
     c_duplicates: Counter,
-    /// When data first became staged behind the deposit gate with nothing
-    /// depositable — the start of an ack-channel gating stall.
-    gate_stall_since: Option<SimTime>,
+}
+
+impl ConnTelemetry {
+    /// Registers the series under `<scope>.conn.*` (`None` when disabled).
+    pub(crate) fn new(obs: &Obs, scope: &str) -> Option<Rc<Self>> {
+        obs.is_enabled().then(|| {
+            Rc::new(ConnTelemetry {
+                h_srtt_us: obs.histogram(&format!("{scope}.conn.srtt_us")),
+                h_rto_us: obs.histogram(&format!("{scope}.conn.rto_us")),
+                h_cwnd: obs.histogram(&format!("{scope}.conn.cwnd")),
+                h_gate_stall_us: obs.histogram(&format!("{scope}.conn.gate_stall_us")),
+                c_duplicates: obs.counter(&format!("{scope}.conn.duplicate_segments")),
+                obs: obs.clone(),
+            })
+        })
+    }
 }
 
 /// A sans-I/O TCP connection.
@@ -293,8 +308,13 @@ pub struct Connection {
     retransmit_count: u64,
     duplicate_data_count: u64,
 
-    // Telemetry (absent until wired via `set_obs` with an enabled registry).
-    telemetry: Option<Box<ConnTelemetry>>,
+    /// The owning stack's shared handles (absent without a registry).
+    telemetry: Option<Rc<ConnTelemetry>>,
+    /// When data first became staged behind the deposit gate with nothing
+    /// depositable — the start of an ack-channel gating stall.
+    gate_stall_since: Option<SimTime>,
+    /// Sum of the stalls that ended (reported in the span's closing note).
+    gate_stall_total: SimDuration,
 }
 
 impl Connection {
@@ -454,31 +474,26 @@ impl Connection {
             retransmit_count: 0,
             duplicate_data_count: 0,
             telemetry: None,
+            gate_stall_since: None,
+            gate_stall_total: SimDuration::ZERO,
             cfg,
         }
     }
 
-    /// Wires per-connection ft-TCP telemetry under `tcp.conn.<quad>.*`:
-    /// srtt/rto/cwnd evolution histograms, a duplicate-segment counter, and
-    /// deposit-gate stall time (how long received data sat staged waiting
-    /// for the chain successor's ack-channel report).
-    pub fn set_obs(&mut self, obs: &Obs) {
-        if !obs.is_enabled() {
-            // Every handle below would be a no-op; skip the per-connection
-            // allocation entirely (the common case at scale).
-            self.telemetry = None;
-            return;
-        }
-        let scope = format!("tcp.conn.{}", self.quad);
-        self.telemetry = Some(Box::new(ConnTelemetry {
-            h_srtt_us: obs.histogram(&format!("{scope}.srtt_us")),
-            h_rto_us: obs.histogram(&format!("{scope}.rto_us")),
-            h_cwnd: obs.histogram(&format!("{scope}.cwnd")),
-            h_gate_stall_us: obs.histogram(&format!("{scope}.gate_stall_us")),
-            c_duplicates: obs.counter(&format!("{scope}.duplicate_segments")),
-            obs: obs.clone(),
-            gate_stall_since: None,
-        }));
+    /// Attaches the owning stack's shared telemetry handles.
+    pub(crate) fn set_telemetry(&mut self, telemetry: Option<Rc<ConnTelemetry>>) {
+        self.telemetry = telemetry;
+    }
+
+    /// Closing note of the trace span: what the aggregated series leave out.
+    pub(crate) fn span_summary(&self) -> String {
+        format!(
+            "srtt_us={} rto_us={} cwnd={} gate_stall_us={}",
+            self.rtt.srtt().map_or(0, |d| d.as_nanos() / 1_000),
+            self.rtt.rto().as_nanos() / 1_000,
+            self.cc.cwnd(),
+            self.gate_stall_total.as_nanos() / 1_000
+        )
     }
 
     // ------------------------------------------------------------------
@@ -666,9 +681,10 @@ impl Connection {
         let fin_done = self.try_process_peer_fin(now);
         if advanced {
             self.events.push(ConnEvent::DataReadable);
-            if let Some(t) = self.telemetry.as_deref_mut() {
-                if let Some(since) = t.gate_stall_since.take() {
+            if let Some(t) = self.telemetry.as_deref() {
+                if let Some(since) = self.gate_stall_since.take() {
                     let stalled = now.duration_since(since);
+                    self.gate_stall_total += stalled;
                     t.h_gate_stall_us.record(stalled.as_nanos() / 1_000);
                     // Only stalls long enough to matter become timeline
                     // events; sub-millisecond gate round trips are
@@ -822,10 +838,6 @@ impl Connection {
             + self.recvbuf.heap_bytes()
             + self.outbox.capacity() * std::mem::size_of::<TcpSegment>()
             + self.events.capacity() * std::mem::size_of::<ConnEvent>()
-            + self
-                .telemetry
-                .as_ref()
-                .map_or(0, |_| std::mem::size_of::<ConnTelemetry>())
     }
 
     // ------------------------------------------------------------------
@@ -966,7 +978,7 @@ impl Connection {
                 self.schedule_ack(now);
             } else {
                 self.duplicate_data_count += 1;
-                if let Some(t) = self.telemetry.as_deref_mut() {
+                if let Some(t) = self.telemetry.as_deref() {
                     t.c_duplicates.inc();
                 }
                 self.events.push(ConnEvent::DuplicateData);
@@ -979,8 +991,8 @@ impl Connection {
     }
 
     /// Samples the srtt/rto/cwnd trajectory once per processed segment.
-    fn sample_telemetry(&mut self) {
-        let Some(t) = self.telemetry.as_deref_mut() else {
+    fn sample_telemetry(&self) {
+        let Some(t) = self.telemetry.as_deref() else {
             return;
         };
         if let Some(srtt) = self.rtt.srtt() {
@@ -1135,7 +1147,7 @@ impl Connection {
             let is_duplicate = self.coverage() == coverage_before;
             if is_duplicate {
                 self.duplicate_data_count += 1;
-                if let Some(t) = self.telemetry.as_deref_mut() {
+                if let Some(t) = self.telemetry.as_deref() {
                     t.c_duplicates.inc();
                 }
                 self.events.push(ConnEvent::DuplicateData);
@@ -1149,12 +1161,12 @@ impl Connection {
                 // sender's fast-retransmit machinery sees it.
                 self.send_pure_ack(now);
             }
-            if self.recvbuf.is_gated() && self.recvbuf.staged_bytes() > 0 {
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    if t.gate_stall_since.is_none() {
-                        t.gate_stall_since = Some(now);
-                    }
-                }
+            if self.telemetry.is_some()
+                && self.gate_stall_since.is_none()
+                && self.recvbuf.is_gated()
+                && self.recvbuf.staged_bytes() > 0
+            {
+                self.gate_stall_since = Some(now);
             }
         }
 

@@ -14,6 +14,8 @@
 use hydranet_netsim::time::{SimDuration, SimTime};
 use hydranet_obs::{kinds, Obs};
 
+use crate::segment::Quad;
+
 /// Tuning for the failure estimator of one replicated port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectorParams {
@@ -61,8 +63,10 @@ pub struct FailureDetector {
     duplicates_total: u64,
     /// Telemetry sink; disabled (no-op) unless wired via [`set_obs`](Self::set_obs).
     obs: Obs,
-    /// Label identifying this detector in telemetry (usually the quad).
-    scope: String,
+    /// The watched connection, formatted as the telemetry `scope` only
+    /// when an event is emitted (events fire on duplicates, not per
+    /// connection).
+    quad: Option<Quad>,
 }
 
 impl FailureDetector {
@@ -74,15 +78,19 @@ impl FailureDetector {
             suspected: false,
             duplicates_total: 0,
             obs: Obs::disabled(),
-            scope: String::new(),
+            quad: None,
         }
     }
 
     /// Wires telemetry: every duplicate observation, suspicion, and clear
-    /// is recorded on the timeline under `scope`.
-    pub fn set_obs(&mut self, obs: Obs, scope: impl Into<String>) {
+    /// is recorded on the timeline with `quad` as its `scope`.
+    pub fn set_obs(&mut self, obs: Obs, quad: Quad) {
         self.obs = obs;
-        self.scope = scope.into();
+        self.quad = Some(quad);
+    }
+
+    fn scope(&self) -> String {
+        self.quad.map_or_else(String::new, |q| q.to_string())
     }
 
     /// The parameters in force.
@@ -101,7 +109,7 @@ impl FailureDetector {
                 now.as_nanos(),
                 kinds::DETECTOR_DUPLICATE,
                 &[
-                    ("scope", self.scope.clone()),
+                    ("scope", self.scope()),
                     ("total", self.duplicates_total.to_string()),
                     ("in_window", self.recent.len().to_string()),
                 ],
@@ -113,7 +121,7 @@ impl FailureDetector {
                 now.as_nanos(),
                 kinds::DETECTOR_SUSPECTED,
                 &[
-                    ("scope", self.scope.clone()),
+                    ("scope", self.scope()),
                     ("observed", self.duplicates_total.to_string()),
                     ("threshold", self.params.threshold.to_string()),
                 ],
@@ -131,7 +139,7 @@ impl FailureDetector {
                 now.as_nanos(),
                 kinds::DETECTOR_CLEARED,
                 &[
-                    ("scope", self.scope.clone()),
+                    ("scope", self.scope()),
                     ("cleared", self.recent.len().to_string()),
                 ],
             );
@@ -164,6 +172,8 @@ impl FailureDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::SockAddr;
+    use hydranet_netsim::packet::IpAddr;
 
     fn at(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -228,7 +238,11 @@ mod tests {
     fn telemetry_counts_each_duplicate_observation() {
         let obs = Obs::enabled();
         let mut d = FailureDetector::new(DetectorParams::new(3, SimDuration::from_secs(10)));
-        d.set_obs(obs.clone(), "10.0.1.1:40000-10.0.2.1:80");
+        let quad = Quad::new(
+            SockAddr::new(IpAddr::new(10, 0, 2, 1), 80),
+            SockAddr::new(IpAddr::new(10, 0, 1, 1), 40000),
+        );
+        d.set_obs(obs.clone(), quad);
         d.on_duplicate(at(0));
         d.on_duplicate(at(10));
         d.on_duplicate(at(20)); // crosses the threshold

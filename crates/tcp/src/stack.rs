@@ -44,7 +44,7 @@ use hydranet_netsim::wheel::{TimerEntry, TimingWheel};
 use hydranet_obs::metrics::{Counter, Histogram};
 use hydranet_obs::Obs;
 
-use crate::conn::{ConnEvent, Connection, TcpConfig, TcpState};
+use crate::conn::{ConnEvent, ConnTelemetry, Connection, TcpConfig, TcpState};
 use crate::detector::FailureDetector;
 use crate::ft::{
     deterministic_iss, AckChanMsg, ReplicatedPortConfig, ACK_CHANNEL_PORT, ACK_CHAN_MAX_PAIRS,
@@ -372,6 +372,8 @@ pub struct TcpStack {
     scratch_events: Vec<ConnEvent>,
     scratch_segments: Vec<TcpSegment>,
     obs: Obs,
+    /// The one set of series every connection of this stack records into.
+    conn_telemetry: Option<Rc<ConnTelemetry>>,
     c_ackchan_tx: Counter,
     c_ackchan_rx: Counter,
     c_rx_corrupt: Counter,
@@ -428,6 +430,7 @@ impl TcpStack {
             scratch_events: Vec::new(),
             scratch_segments: Vec::new(),
             obs: Obs::disabled(),
+            conn_telemetry: None,
             c_ackchan_tx: Counter::default(),
             c_ackchan_rx: Counter::default(),
             c_rx_corrupt: Counter::default(),
@@ -438,39 +441,28 @@ impl TcpStack {
     }
 
     /// Wires telemetry for this stack and every connection it creates from
-    /// now on: ack-channel traffic counters under
-    /// `tcp.stack.<addr>.*`, per-connection histograms under
-    /// `tcp.conn.<quad>.*`, and detector timeline events. Existing
-    /// connections are re-wired too.
+    /// now on: ack-channel traffic counters under `tcp.stack.<addr>.*`,
+    /// the connections' srtt/rto/cwnd/gate-stall histograms and duplicate
+    /// counter aggregated under `tcp.stack.<addr>.conn.*` (one set per
+    /// stack, whatever the connection count), and detector timeline
+    /// events. Existing connections are re-wired too.
     pub fn set_obs(&mut self, obs: Obs) {
         let scope = format!("tcp.stack.{}", self.addrs[0]);
         self.c_ackchan_tx = obs.counter(&format!("{scope}.ackchan_tx"));
         self.c_ackchan_rx = obs.counter(&format!("{scope}.ackchan_rx"));
         self.c_rx_corrupt = obs.counter(&format!("{scope}.rx_corrupt"));
         self.h_ackchan_pairs = obs.histogram(&format!("{scope}.ackchan.pairs_per_datagram"));
+        self.conn_telemetry = ConnTelemetry::new(&obs, &scope);
         // Registry-wide names (not per-stack): hit rate is meaningful as an
         // aggregate across every stack sharing the registry.
         self.c_fastpath_hits = obs.counter("tcp.fastpath.hits");
         self.c_fastpath_misses = obs.counter("tcp.fastpath.misses");
         self.timers.set_obs_prefixed(&obs, "tcp.timerwheel");
-        // Re-wire parked connections in ascending quad order so metric
-        // registration order (visible in telemetry dumps) is stable.
-        let mut order: Vec<(Quad, u32)> = Vec::with_capacity(self.live_conns);
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let Some(occ) = &slot.occ {
-                order.push((occ.quad, i as u32));
-            }
-        }
-        order.sort_unstable();
-        for (quad, idx) in order {
-            if let Some(entry) = self.slots[idx as usize]
-                .occ
-                .as_mut()
-                .and_then(|o| o.entry.as_mut())
-            {
-                entry.conn.set_obs(&obs);
+        for occ in self.slots.iter_mut().filter_map(|s| s.occ.as_mut()) {
+            if let Some(entry) = occ.entry.as_mut() {
+                entry.conn.set_telemetry(self.conn_telemetry.clone());
                 if let Some(d) = entry.detector.as_mut() {
-                    d.set_obs(obs.clone(), quad.to_string());
+                    d.set_obs(obs.clone(), occ.quad);
                 }
             }
         }
@@ -588,7 +580,7 @@ impl TcpStack {
         let quad = Quad::new(local, remote);
         let iss = deterministic_iss(quad);
         let mut conn = Connection::connect(quad, Rc::clone(&self.cfg), iss, now);
-        conn.set_obs(&self.obs);
+        conn.set_telemetry(self.conn_telemetry.clone());
         self.span_conn_open(quad, "connect", now);
         let entry = Box::new(ConnEntry {
             conn,
@@ -1158,7 +1150,7 @@ impl TcpStack {
             };
             let mut conn =
                 Connection::accept_replicated(quad, conn_cfg, iss, &seg, now, gated, gated);
-            conn.set_obs(&self.obs);
+            conn.set_telemetry(self.conn_telemetry.clone());
             self.span_conn_open(quad, if gated { "accept-gated" } else { "accept" }, now);
             let app = self
                 .listeners
@@ -1166,7 +1158,7 @@ impl TcpStack {
                 .expect("listener checked above")(quad);
             let detector = replication.as_ref().map(|r| {
                 let mut d = FailureDetector::new(r.detector);
-                d.set_obs(self.obs.clone(), quad.to_string());
+                d.set_obs(self.obs.clone(), quad);
                 d
             });
             let entry = Box::new(ConnEntry {
@@ -1407,7 +1399,10 @@ impl TcpStack {
                 self.free_slot(slot);
             }
             if self.obs.tracing_enabled() {
-                self.obs.span_close(&format!("conn:{quad}"), now.as_nanos());
+                let key = format!("conn:{quad}");
+                self.obs
+                    .span_note(&key, now.as_nanos(), "final", entry.conn.span_summary());
+                self.obs.span_close(&key, now.as_nanos());
             }
             return;
         }

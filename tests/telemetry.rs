@@ -1,6 +1,6 @@
 //! Acceptance test for the unified telemetry layer: a fail-over scenario
 //! run through `hydranet-core` must export a JSON report carrying
-//! per-connection RTO/cwnd histograms, the detector's duplicate-count
+//! per-stack connection RTO/cwnd histograms, the detector's duplicate-count
 //! trajectory, and a timeline whose `detect -> promote` span yields a
 //! measured detection latency.
 
@@ -17,10 +17,9 @@ fn service() -> SockAddr {
     SockAddr::new(SERVICE_ADDR, 80)
 }
 
-/// Client — redirector — two replicated echo servers; the primary is
-/// crashed mid-transfer so the full fail-over narrative lands on the
-/// timeline.
-fn run_failover_scenario() -> System {
+/// Client — redirector — two replicated echo servers, chain converged.
+/// Returns the system, the client and the primary.
+fn two_replica_system() -> (System, NodeId, NodeId) {
     let mut b = SystemBuilder::new(TcpConfig::default());
     b.set_probe_params(ProbeParams {
         timeout: SimDuration::from_millis(200),
@@ -49,7 +48,13 @@ fn run_failover_scenario() -> System {
     }
     let mut system = b.build(11);
     assert!(system.wait_for_chain(rd, service(), 2, SimTime::from_secs(2)));
+    (system, client, hs1)
+}
 
+/// The primary is crashed mid-transfer so the full fail-over narrative
+/// lands on the timeline.
+fn run_failover_scenario() -> System {
+    let (mut system, client, hs1) = two_replica_system();
     let state = shared(SenderState::default());
     let payload: Vec<u8> = (0..200_000).map(|i| (i % 251) as u8).collect();
     let app = StreamSenderApp::new(payload, false, state);
@@ -108,8 +113,9 @@ fn failover_run_exports_full_telemetry_report() {
         assert!(at <= promote, "{kind} after promotion");
     }
 
-    // The JSON report carries per-connection RTO and cwnd histograms with
-    // real observations, plus the timeline.
+    // The JSON report carries the connections' RTO and cwnd histograms (one
+    // set per stack, `tcp.stack.<addr>.conn.*`) with real observations,
+    // plus the timeline.
     let report = system.telemetry_json("telemetry-acceptance");
     assert!(report.contains("\"scenario\": \"telemetry-acceptance\""));
     let rto = report.match_indices(".rto_us\"").count();
@@ -125,19 +131,16 @@ fn failover_run_exports_full_telemetry_report() {
     assert!(report.contains("tcp.detector.suspected"));
     assert!(report.contains("mgmt.daemon.promoted"));
 
-    // Histogram handles back the JSON: the client connection recorded
+    // Histogram handles back the JSON: the client's connection recorded
     // nonzero RTO samples.
-    let h = obs.histogram(&format!(
-        "tcp.conn.{}:40000 <-> {}.rto_us",
-        CLIENT,
-        service()
-    ));
+    let h = obs.histogram(&format!("tcp.stack.{CLIENT}.conn.rto_us"));
     assert!(h.count() > 0, "client rto histogram empty");
     assert!(h.min() > 0, "rto of zero recorded");
 }
 
-#[test]
-fn healthy_run_records_no_failover_events() {
+/// Client — redirector — one echo replica, with `conns` client streams of
+/// 20 kB each run to completion. Returns the system and the client node.
+fn run_healthy(seed: u64, conns: usize) -> (System, NodeId) {
     let mut b = SystemBuilder::new(TcpConfig::default());
     let client = b.add_client("client", CLIENT);
     let rd = b.add_redirector("rd", RD);
@@ -152,14 +155,21 @@ fn healthy_run_records_no_failover_events() {
     );
     let app_sink = sink.clone();
     b.deploy_ft_service(&spec, move |_q| Box::new(EchoApp::new(app_sink.clone())));
-    let mut system = b.build(13);
+    let mut system = b.build(seed);
     assert!(system.wait_for_chain(rd, service(), 1, SimTime::from_secs(2)));
-    let state = shared(SenderState::default());
-    let app = StreamSenderApp::new(vec![7u8; 20_000], false, state);
-    system.connect_client(client, service(), Box::new(app));
-    system.sim.run_until(SimTime::from_secs(10));
+    for _ in 0..conns {
+        let state = shared(SenderState::default());
+        let app = StreamSenderApp::new(vec![7u8; 20_000], false, state);
+        system.connect_client(client, service(), Box::new(app));
+    }
+    system.sim.run_until(SimTime::from_secs(60));
+    assert_eq!(sink.borrow().len(), 20_000 * conns);
+    (system, client)
+}
 
-    assert_eq!(sink.borrow().len(), 20_000);
+#[test]
+fn healthy_run_records_no_failover_events() {
+    let (system, _) = run_healthy(13, 1);
     let obs = system.obs();
     assert!(system.detection_latency_nanos().is_none());
     for kind in [
@@ -174,4 +184,82 @@ fn healthy_run_records_no_failover_events() {
     let report = system.telemetry_json("healthy");
     assert!(report.contains(".srtt_us\""));
     assert!(report.contains("redirect.engine."));
+}
+
+/// Every dotted key of the report's `metrics` object — the registry's
+/// counter, gauge and histogram names (histogram fields carry no dot).
+fn metric_names(report: &str) -> Vec<String> {
+    let metrics =
+        &report[report.find("\"metrics\"").unwrap()..report.find("\"timeline\"").unwrap()];
+    let pieces: Vec<&str> = metrics.split('"').collect();
+    pieces
+        .windows(2)
+        .skip(1)
+        .step_by(2)
+        .filter(|w| w[0].contains('.') && w[1].starts_with(": "))
+        .map(|w| w[0].to_string())
+        .collect()
+}
+
+/// The registry's series count is independent of the connection count:
+/// connections record into one shared `tcp.stack.<addr>.conn.*` set, and
+/// those histograms take exactly one sample per segment a connection
+/// processed.
+#[test]
+fn series_count_is_independent_of_connection_count() {
+    let (one, _) = run_healthy(13, 1);
+    let (many, client) = run_healthy(13, 200);
+    let names = metric_names(&one.telemetry_json("one"));
+    assert!(names.len() > 20, "extracted only {names:?}");
+    assert!(names.contains(&format!("tcp.stack.{CLIENT}.conn.cwnd")));
+    assert_eq!(names, metric_names(&many.telemetry_json("many")));
+
+    let stats = many.client(client).stack().stats();
+    let processed = stats.fastpath_hits + stats.fastpath_misses;
+    assert!(
+        processed > 200 * 10,
+        "200 streams processed {processed} segments"
+    );
+    let conn_series = |name: &str| {
+        many.obs()
+            .histogram(&format!("tcp.stack.{CLIENT}.conn.{name}"))
+    };
+    assert_eq!(conn_series("rto_us").count(), processed);
+    assert_eq!(conn_series("cwnd").count(), processed);
+    // srtt has no value to sample until a connection's first RTT measurement.
+    let srtt = conn_series("srtt_us").count();
+    assert!(srtt > 0 && srtt <= processed, "srtt samples {srtt}");
+}
+
+/// Per-flow detail lives where it is bounded: with tracing on, a closing
+/// connection's span ends with one `final` note carrying its srtt/rto/cwnd
+/// and total deposit-gate stall — and the gated primary did stall.
+#[test]
+fn closing_connection_span_carries_final_summary() {
+    let (mut system, client, _) = two_replica_system();
+    system.enable_tracing(8192);
+    let state = shared(SenderState::default());
+    let app = StreamSenderApp::new(vec![5u8; 50_000], true, state);
+    system.connect_client(client, service(), Box::new(app));
+    system.sim.run_until(SimTime::from_secs(60));
+
+    let dump = system.obs().flight_recorder_json(&[]);
+    let finals: Vec<&str> = dump
+        .split("\"final\", \"")
+        .skip(1)
+        .map(|rest| &rest[..rest.find('"').unwrap()])
+        .collect();
+    assert!(finals.len() >= 2, "closing notes: {finals:?}");
+    for note in &finals {
+        let keys: Vec<&str> = note
+            .split(' ')
+            .map(|kv| kv.split_once('=').expect("k=v").0)
+            .collect();
+        assert_eq!(keys, ["srtt_us", "rto_us", "cwnd", "gate_stall_us"]);
+        assert!(!note.contains("rto_us=0 "), "{note}");
+    }
+    assert!(
+        finals.iter().any(|n| !n.ends_with("gate_stall_us=0")),
+        "the gated primary never stalled: {finals:?}"
+    );
 }
