@@ -48,37 +48,10 @@ pub struct Star {
 
 /// Builds and converges a star deployment with an echoing service.
 pub fn build_star(n_replicas: usize, detector: DetectorParams, echo: bool, seed: u64) -> Star {
-    build_star_with(
-        n_replicas,
-        detector,
-        echo,
-        seed,
-        hydranet_netsim::wheel::CalendarKind::Wheel,
-    )
+    build_star_cfg(n_replicas, detector, echo, seed, TcpConfig::default())
 }
 
-/// [`build_star`] with an explicit event-calendar backend, for tests and
-/// benches that pin wheel-vs-heap equivalence. The calendar is switched
-/// before the chain converges, so the entire run — registration traffic
-/// included — executes on the chosen backend.
-pub fn build_star_with(
-    n_replicas: usize,
-    detector: DetectorParams,
-    echo: bool,
-    seed: u64,
-    calendar: hydranet_netsim::wheel::CalendarKind,
-) -> Star {
-    build_star_cfg(
-        n_replicas,
-        detector,
-        echo,
-        seed,
-        calendar,
-        TcpConfig::default(),
-    )
-}
-
-/// [`build_star_with`] with an explicit per-stack TCP configuration — for
+/// [`build_star`] with an explicit per-stack TCP configuration — for
 /// tests that deliberately re-break a failure path (e.g. disabling the
 /// send-gate starvation watchdog) to exercise the flight recorder.
 pub fn build_star_cfg(
@@ -86,7 +59,6 @@ pub fn build_star_cfg(
     detector: DetectorParams,
     echo: bool,
     seed: u64,
-    calendar: hydranet_netsim::wheel::CalendarKind,
     tcp: TcpConfig,
 ) -> Star {
     assert!((1..=HS.len()).contains(&n_replicas));
@@ -128,7 +100,6 @@ pub fn build_star_cfg(
         });
     }
     let mut system = b.build(seed);
-    system.sim.set_calendar(calendar);
     assert!(
         system.wait_for_chain(rd, service(), n_replicas, SimTime::from_secs(3)),
         "chain failed to form"

@@ -16,11 +16,10 @@
 //! 3. **Event-calendar microbench**: timer-churn workloads driven straight
 //!    through `Simulator::run_until` — one with heavy pending
 //!    cancellations (tombstone pops), one that cancels only already-fired
-//!    timers (the historical `cancelled_timers` leak). Each runs on both
-//!    calendar backends (binary heap and hierarchical timing wheel), plus
-//!    a fig4 end-to-end pair, so the wheel's win is measured on the same
-//!    machine in the same run. Bare names are the heap (matching older
-//!    baselines); `_wheel` suffixes are the wheel.
+//!    timers (the historical `cancelled_timers` leak) — plus the fig4
+//!    end-to-end transfer as a calendar workload. Point names keep the
+//!    `_wheel` suffix they were recorded under, so the committed baselines
+//!    still pair with them.
 //! 4. **Parallel runner**: the seed-sweep workload at 1/2/4 threads —
 //!    aggregate events/sec and speedup through the experiment engine
 //!    (`hydranet_bench::runner`). Speedup is hardware-bound: on a 1-CPU
@@ -32,16 +31,8 @@
 //! 6. **Tracing overhead**: the fig4 wheel workload re-run with the causal
 //!    tracer *enabled* (informational, same-run pair), plus a ratcheted
 //!    guard that tracing *disabled* — the shipping default — costs ≤ 1%
-//!    wall on the fig4 calendar pair vs the committed baseline.
-//! 7. **Many-flow stack microbench**: the two data structures the TCP
-//!    stack replaced for the 10k-flow regime, measured before-vs-after in
-//!    the same run at a 10,000-connection population — demux lookup
-//!    (`BTreeMap<Quad, _>` walk vs packed-quad flat-map probe) and timer
-//!    dispatch (full deadline scan over every connection vs hierarchical
-//!    timing-wheel pop). The after/before speedups are pinned: the run
-//!    fails if either drops below 2x, so the scaling win is a regression
-//!    gate, not a claim.
-//! 8. **Redirector flow sweep**: `RedirectorEngine::process` per packet
+//!    wall on the fig4 calendar point vs the committed baseline.
+//! 7. **Redirector flow sweep**: `RedirectorEngine::process` per packet
 //!    round-robin over 1 / 2,800 / 20,000 live flows shaped like the scale
 //!    workload's (one client address, sequential ports, eight services).
 //!    The 20,000-over-1 cost ratio is pinned under `--ratchet`: the flow
@@ -76,14 +67,13 @@ use std::collections::VecDeque;
 use std::hint::black_box;
 use std::time::Instant;
 
-use hydranet_bench::ablations::{build_star, build_star_with, service};
+use hydranet_bench::ablations::{build_star, service};
 use hydranet_bench::render_table;
 use hydranet_bench::sweep::{run_seed_sweep, total_events, SweepConfig};
 use hydranet_core::prelude::*;
 use hydranet_netsim::node::{Context as NetCtx, IfaceId as NetIface, Node, TimerId, TimerToken};
 use hydranet_netsim::profile::CategoryStats;
 use hydranet_netsim::topology::TopologyBuilder;
-use hydranet_netsim::wheel::CalendarKind;
 use hydranet_obs::json::{push_f64, push_string, push_u64};
 use hydranet_redirect::redirector::RedirectorEngine;
 use hydranet_redirect::table::ServiceEntry;
@@ -94,19 +84,19 @@ const SEED: u64 = 11;
 const CHAINS: [usize; 4] = [1, 2, 3, 4];
 /// The tracing layer's contract: compiled in but *disabled* (the shipping
 /// default), it may cost at most 1% wall on the end-to-end event loop.
-/// Enforced whenever `--ratchet` is set, on the fig4 calendar pair,
+/// Enforced whenever `--ratchet` is set, on the fig4 calendar point,
 /// host-speed-normalized and re-measured like every other gated ratio.
 const TRACING_OFF_MIN_RATIO: f64 = 0.99;
-/// Calendar workloads the tracing-disabled guard applies to: the real
-/// end-to-end event mix on both backends (the synthetic churn workloads
-/// never touch the traced subsystems).
-const TRACING_OFF_GUARDED: [&str; 2] = ["fig4_e2e", "fig4_e2e_wheel"];
+/// The calendar workload the tracing-disabled guard applies to: the real
+/// end-to-end event mix (the synthetic churn workloads never touch the
+/// traced subsystems).
+const TRACING_OFF_GUARDED: &str = "fig4_e2e_wheel";
 
 /// The ratchet threshold for a calendar workload, if it is gated: the
-/// tracing-disabled guard on the fig4 pair, the `--ratchet` threshold on
+/// tracing-disabled guard on the fig4 point, the `--ratchet` threshold on
 /// the small-write point, nothing on the synthetic churn workloads.
 fn cal_gate_min(name: &str, ratchet: Option<f64>) -> Option<f64> {
-    if TRACING_OFF_GUARDED.contains(&name) {
+    if name == TRACING_OFF_GUARDED {
         ratchet.map(|_| TRACING_OFF_MIN_RATIO)
     } else if name == "fig4_small16" {
         ratchet
@@ -241,8 +231,8 @@ enum ChurnMode {
 impl ChurnMode {
     fn name(self) -> &'static str {
         match self {
-            ChurnMode::PendingCancel => "pending_cancel",
-            ChurnMode::StaleCancel => "stale_cancel",
+            ChurnMode::PendingCancel => "pending_cancel_wheel",
+            ChurnMode::StaleCancel => "stale_cancel_wheel",
         }
     }
 }
@@ -271,7 +261,7 @@ impl TimerChurn {
 
 impl Node for TimerChurn {
     fn on_start(&mut self, ctx: &mut NetCtx<'_>) {
-        // A resting population of far-future timers gives the heap
+        // A resting population of far-future timers gives the calendar
         // realistic depth under the churn.
         for i in 0..1024u64 {
             ctx.set_timer(SimDuration::from_millis(10_000 + i), TimerToken(u64::MAX));
@@ -325,24 +315,12 @@ struct CalPoint {
     events_per_sec: f64,
 }
 
-/// Suffix distinguishing the calendar backends in workload names. The heap
-/// gets the bare name so ratios against baselines recorded before the
-/// wheel existed stay apples-to-apples.
-fn kind_suffix(kind: CalendarKind) -> &'static str {
-    match kind {
-        CalendarKind::Heap => "",
-        CalendarKind::Wheel => "_wheel",
-    }
-}
-
-fn measure_calendar(mode: ChurnMode, kind: CalendarKind, cfg: PerfConfig) -> CalPoint {
-    let name = format!("{}{}", mode.name(), kind_suffix(kind));
+fn measure_calendar(mode: ChurnMode, cfg: PerfConfig) -> CalPoint {
     let mut best: Option<CalPoint> = None;
     for _ in 0..cfg.iters {
         let mut t = TopologyBuilder::new();
         t.add_node(TimerChurn::new(mode, cfg.cal_fires), NodeParams::INSTANT);
         let mut sim = t.into_simulator(SEED);
-        sim.set_calendar(kind);
         let started = Instant::now();
         sim.run_until(SimTime::from_secs(3_600));
         let wall_secs = started.elapsed().as_secs_f64().max(1e-9);
@@ -353,7 +331,7 @@ fn measure_calendar(mode: ChurnMode, kind: CalendarKind, cfg: PerfConfig) -> Cal
             sim.stats().timers_fired
         );
         let point = CalPoint {
-            name: name.clone(),
+            name: mode.name().to_string(),
             wall_secs,
             events,
             events_per_sec: events as f64 / wall_secs,
@@ -368,20 +346,20 @@ fn measure_calendar(mode: ChurnMode, kind: CalendarKind, cfg: PerfConfig) -> Cal
 
 /// The fig4 chain-2 transfer as a calendar workload: unlike the synthetic
 /// timer churn, this is the real event mix (packet arrivals, link
-/// dequeues, RTO/delayed-ack timers) the wheel has to win on. With
+/// dequeues, RTO/delayed-ack timers) the calendar serves. With
 /// `traced` the causal tracer runs live (`_traced` name suffix) — the
 /// same-run pair against the untraced point prices tracing *enabled*;
 /// tracing *disabled* is priced against the committed baseline instead,
 /// since its only cost is the branch left in the hot path.
-fn measure_fig4_calendar(kind: CalendarKind, traced: bool, cfg: PerfConfig) -> CalPoint {
-    let name = format!(
-        "fig4_e2e{}{}",
-        kind_suffix(kind),
-        if traced { "_traced" } else { "" }
-    );
+fn measure_fig4_calendar(traced: bool, cfg: PerfConfig) -> CalPoint {
+    let name = if traced {
+        "fig4_e2e_wheel_traced"
+    } else {
+        "fig4_e2e_wheel"
+    };
     let mut best: Option<CalPoint> = None;
     for _ in 0..cfg.iters {
-        let mut star = build_star_with(2, DetectorParams::DEFAULT, false, SEED, kind);
+        let mut star = build_star(2, DetectorParams::DEFAULT, false, SEED);
         if traced {
             star.system.enable_tracing(16_384);
         }
@@ -398,7 +376,7 @@ fn measure_fig4_calendar(kind: CalendarKind, traced: bool, cfg: PerfConfig) -> C
         assert!(result.completed, "fig4 calendar workload must complete");
         let events = star.system.sim.stats().events_processed - events_before;
         let point = CalPoint {
-            name: name.clone(),
+            name: name.to_string(),
             wall_secs,
             events,
             events_per_sec: events as f64 / wall_secs,
@@ -419,8 +397,7 @@ fn measure_fig4_small(cfg: PerfConfig) -> CalPoint {
     let name = "fig4_small16".to_string();
     let mut best: Option<CalPoint> = None;
     for _ in 0..cfg.iters {
-        let mut star =
-            build_star_with(2, DetectorParams::DEFAULT, false, SEED, CalendarKind::Wheel);
+        let mut star = build_star(2, DetectorParams::DEFAULT, false, SEED);
         let ttcp = TtcpConfig {
             total_bytes: cfg.total_bytes / 16,
             write_size: 16,
@@ -448,18 +425,8 @@ fn measure_fig4_small(cfg: PerfConfig) -> CalPoint {
 }
 
 // ----------------------------------------------------------------------
-// Many-flow stack microbench (demux + timers at 10k connections)
+// Per-packet / per-segment cost sweeps
 // ----------------------------------------------------------------------
-
-/// Connection population for the stack microbenches — the scale regime the
-/// slab/flat-map/wheel refactor targets.
-const MICRO_FLOWS: usize = 10_000;
-/// Pinned minimum speedup of the flat-map demux over the `BTreeMap` it
-/// replaced, at [`MICRO_FLOWS`] connections.
-const DEMUX_MIN_RATIO: f64 = 2.0;
-/// Pinned minimum speedup of wheel-driven timer dispatch over the
-/// full-deadline-scan it replaced, at [`MICRO_FLOWS`] connections.
-const TIMER_MIN_RATIO: f64 = 2.0;
 
 /// One measured microbench workload (best-of-`iters` wall clock).
 #[derive(Debug, Clone)]
@@ -483,142 +450,6 @@ fn micro_point(name: &'static str, iters: usize, ops: u64, mut run: impl FnMut()
         ops,
         ops_per_sec: ops as f64 / best,
     }
-}
-
-/// The connection population both demux variants index: distinct quads in
-/// the shape the stack sees them (one local service port, ephemeral remote
-/// ports across many remote hosts).
-fn micro_quads() -> Vec<Quad> {
-    (0..MICRO_FLOWS)
-        .map(|i| Quad {
-            local: SockAddr {
-                addr: IpAddr::new(10, 0, 2, 1),
-                port: 80,
-            },
-            remote: SockAddr {
-                addr: IpAddr::new(10, 1, (i / 16_384) as u8, (i / 64 % 256) as u8),
-                port: 40_000 + (i % 64) as u16,
-            },
-        })
-        .collect()
-}
-
-/// Mirror of the stack's packed demux key: the 96-bit quad minus the local
-/// address (single-homed hosts), remote address in the high bits.
-fn micro_demux_key(q: &Quad) -> u64 {
-    ((q.remote.addr.to_bits() as u64) << 32) | ((q.remote.port as u64) << 16) | q.local.port as u64
-}
-
-/// Demux at 10k connections: per-packet connection lookup through the old
-/// `BTreeMap<Quad, _>` versus the packed-quad flat map the stack now uses.
-/// Lookup order is a seed-fixed shuffle — neither structure gets to stream
-/// its keys in order.
-fn measure_demux_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
-    use hydranet_netsim::hash::IntMap;
-    use hydranet_netsim::rng::SimRng;
-    use std::collections::BTreeMap;
-
-    let quads = micro_quads();
-    let btree: BTreeMap<Quad, u32> = quads
-        .iter()
-        .enumerate()
-        .map(|(i, q)| (*q, i as u32))
-        .collect();
-    let flat: IntMap<u64, u32> = quads
-        .iter()
-        .enumerate()
-        .map(|(i, q)| (micro_demux_key(q), i as u32))
-        .collect();
-    let mut rng = SimRng::seed_from(SEED);
-    let lookups: Vec<u32> = (0..cfg.rd_packets)
-        .map(|_| rng.range(0, MICRO_FLOWS as u64) as u32)
-        .collect();
-
-    let before = micro_point("demux_btreemap", cfg.iters, lookups.len() as u64, || {
-        let mut hits = 0u64;
-        for &i in &lookups {
-            if btree.contains_key(&quads[i as usize]) {
-                hits += 1;
-            }
-        }
-        assert_eq!(hits, lookups.len() as u64);
-        black_box(hits);
-    });
-    let after = micro_point("demux_flatmap", cfg.iters, lookups.len() as u64, || {
-        let mut hits = 0u64;
-        for &i in &lookups {
-            let q = &quads[i as usize];
-            // The real demux verifies the full quad against the slab after
-            // the probe; include that compare so the win is honest.
-            if flat.get(&micro_demux_key(q)).is_some_and(|&slot| {
-                black_box(slot);
-                true
-            }) {
-                hits += 1;
-            }
-        }
-        assert_eq!(hits, lookups.len() as u64);
-        black_box(hits);
-    });
-    (before, after)
-}
-
-/// Timer dispatch at 10k connections: fire every armed timer in deadline
-/// order, the old way (`next_deadline` = full scan over every connection,
-/// per fire) versus the wheel (pop is O(due)). Deadlines are a seed-fixed
-/// spread so both variants fire the identical schedule.
-fn measure_timer_micro(cfg: PerfConfig) -> (MicroPoint, MicroPoint) {
-    use hydranet_netsim::rng::SimRng;
-    use hydranet_netsim::wheel::{TimerEntry, TimingWheel};
-
-    let mut rng = SimRng::seed_from(SEED);
-    let deadlines: Vec<SimTime> = (0..MICRO_FLOWS)
-        .map(|_| SimTime::from_nanos(rng.range(1, 10_000_000_000)))
-        .collect();
-    let fires = MICRO_FLOWS as u64;
-
-    let before = micro_point("timer_fullscan", cfg.iters, fires, || {
-        let mut armed: Vec<Option<SimTime>> = deadlines.iter().copied().map(Some).collect();
-        let mut fired = 0u64;
-        let mut acc = 0u64;
-        // The pre-wheel stack: every `on_timer` scans every connection for
-        // the minimum deadline, fires it, then rescans for the next one.
-        loop {
-            let mut min: Option<(usize, SimTime)> = None;
-            for (i, d) in armed.iter().enumerate() {
-                if let Some(d) = d {
-                    if min.is_none_or(|(_, m)| *d < m) {
-                        min = Some((i, *d));
-                    }
-                }
-            }
-            let Some((i, at)) = min else { break };
-            armed[i] = None;
-            fired += 1;
-            acc ^= at.as_nanos();
-        }
-        assert_eq!(fired, fires);
-        black_box(acc);
-    });
-    let after = micro_point("timer_wheel", cfg.iters, fires, || {
-        let mut wheel: TimingWheel<u32> = TimingWheel::default();
-        for (i, &d) in deadlines.iter().enumerate() {
-            wheel.push(TimerEntry {
-                time: d,
-                seq: i as u64,
-                payload: i as u32,
-            });
-        }
-        let mut fired = 0u64;
-        let mut acc = 0u64;
-        while let Some(e) = wheel.pop() {
-            fired += 1;
-            acc ^= e.time.as_nanos();
-        }
-        assert_eq!(fired, fires);
-        black_box(acc);
-    });
-    (before, after)
 }
 
 /// Live-flow counts the redirector microbench sweeps: one hot flow (the
@@ -1373,30 +1204,13 @@ fn main() {
         cfg.cal_fires
     );
     let cal_points = vec![
-        measure_calendar(ChurnMode::PendingCancel, CalendarKind::Heap, cfg),
-        measure_calendar(ChurnMode::StaleCancel, CalendarKind::Heap, cfg),
-        measure_calendar(ChurnMode::PendingCancel, CalendarKind::Wheel, cfg),
-        measure_calendar(ChurnMode::StaleCancel, CalendarKind::Wheel, cfg),
-        measure_fig4_calendar(CalendarKind::Heap, false, cfg),
-        measure_fig4_calendar(CalendarKind::Wheel, false, cfg),
-        measure_fig4_calendar(CalendarKind::Wheel, true, cfg),
+        measure_calendar(ChurnMode::PendingCancel, cfg),
+        measure_calendar(ChurnMode::StaleCancel, cfg),
+        measure_fig4_calendar(false, cfg),
+        measure_fig4_calendar(true, cfg),
         measure_fig4_small(cfg),
     ];
     print_cal_points(&cal_points);
-    println!("wheel vs heap (same run):");
-    for p in &cal_points {
-        let Some(wheel) = cal_points
-            .iter()
-            .find(|w| w.name == format!("{}_wheel", p.name))
-        else {
-            continue;
-        };
-        println!(
-            "  {}: events/sec x{:.2}",
-            p.name,
-            wheel.events_per_sec / p.events_per_sec
-        );
-    }
     if let (Some(off), Some(on)) = (
         cal_points.iter().find(|p| p.name == "fig4_e2e_wheel"),
         cal_points
@@ -1408,28 +1222,6 @@ fn main() {
             on.events_per_sec / off.events_per_sec
         );
     }
-    println!("\nmany-flow stack microbench ({MICRO_FLOWS} connections):");
-    let (demux_before, demux_after) = measure_demux_micro(cfg);
-    let (timer_before, timer_after) = measure_timer_micro(cfg);
-    let mut micro_points = vec![
-        demux_before.clone(),
-        demux_after.clone(),
-        timer_before.clone(),
-        timer_after.clone(),
-    ];
-    print_micro_points(&micro_points);
-    let demux_ratio = demux_after.ops_per_sec / demux_before.ops_per_sec;
-    let timer_ratio = timer_after.ops_per_sec / timer_before.ops_per_sec;
-    println!("  demux: flat map x{demux_ratio:.2} over BTreeMap (pinned >= {DEMUX_MIN_RATIO}x)");
-    println!("  timers: wheel x{timer_ratio:.2} over full scan (pinned >= {TIMER_MIN_RATIO}x)");
-    assert!(
-        demux_ratio >= DEMUX_MIN_RATIO,
-        "demux flat map must stay >= {DEMUX_MIN_RATIO}x over BTreeMap at {MICRO_FLOWS} flows, got x{demux_ratio:.2}"
-    );
-    assert!(
-        timer_ratio >= TIMER_MIN_RATIO,
-        "timer wheel must stay >= {TIMER_MIN_RATIO}x over full scan at {MICRO_FLOWS} flows, got x{timer_ratio:.2}"
-    );
     println!("\nredirector per-packet cost vs live flows (chain 2, 8 services):");
     let (flow_points, flows_ratio) = pinned_cost_ratio(
         "a redirected packet at 20,000 flows over one at 1 flow",
@@ -1442,7 +1234,7 @@ fn main() {
         "  20,000 flows cost x{flows_ratio:.2} one flow per packet \
          (pinned <= x{RD_FLOWS_MAX_RATIO} under --ratchet)"
     );
-    micro_points.extend(flow_points);
+    let mut micro_points = flow_points;
     println!("\ngated-connection per-segment cost vs staged runs (16 B writes):");
     let (staged_points, staged_ratio) = pinned_cost_ratio(
         "a gated segment at 256 staged runs over one at 1 staged run",
@@ -1670,11 +1462,7 @@ fn main() {
         }
         push_micro_point(&mut out, p);
     }
-    out.push_str("\n  ],\n\"scale_micro_ratios\": {\"demux_flat_over_btreemap\": ");
-    push_f64(&mut out, demux_ratio);
-    out.push_str(", \"timer_wheel_over_fullscan\": ");
-    push_f64(&mut out, timer_ratio);
-    out.push_str(", \"rd_cost_20000_flows_over_1\": ");
+    out.push_str("\n  ],\n\"scale_micro_ratios\": {\"rd_cost_20000_flows_over_1\": ");
     push_f64(&mut out, flows_ratio);
     out.push('}');
     out.push_str(",\n\"event_attribution\": [\n");
@@ -1755,11 +1543,7 @@ fn main() {
                             );
                         }
                     }
-                    for p in [
-                        measure_fig4_calendar(CalendarKind::Heap, false, cfg),
-                        measure_fig4_calendar(CalendarKind::Wheel, false, cfg),
-                        measure_fig4_small(cfg),
-                    ] {
+                    for p in [measure_fig4_calendar(false, cfg), measure_fig4_small(cfg)] {
                         if let (Some((_, base_wall)), Some(cal_min)) = (
                             baseline_cal_point(doc, &p.name),
                             cal_gate_min(&p.name, ratchet),

@@ -359,14 +359,7 @@ pub fn chrome_trace_json(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> Str
 fn chaos_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOutcome, Star) {
     let detector = DetectorParams::new(cfg.threshold, SimDuration::from_secs(60));
     let n = class.replicas();
-    let mut star = build_star_cfg(
-        n,
-        detector,
-        true,
-        seed,
-        hydranet_netsim::wheel::CalendarKind::Wheel,
-        cfg.tcp.clone(),
-    );
+    let mut star = build_star_cfg(n, detector, true, seed, cfg.tcp.clone());
     // Tracing is purely observational (no RNG draws, no scheduled events),
     // so the soak always flies with the recorder on: any invariant
     // violation yields a causal dump instead of just a failing bool.
@@ -526,10 +519,7 @@ fn build_pair_rig(
             .saturating_add(base.registration_stagger * i as u64);
         b.deploy_ft_service(&one, move |_q| Box::new(EchoApp::new(sink.clone())));
     }
-    let mut system = b.build(seed);
-    system
-        .sim
-        .set_calendar(hydranet_netsim::wheel::CalendarKind::Wheel);
+    let system = b.build(seed);
     PairRig {
         system,
         client,

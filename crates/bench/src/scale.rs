@@ -36,7 +36,6 @@
 use hydranet_core::prelude::*;
 use hydranet_netsim::profile::CategoryStats;
 use hydranet_netsim::rng::SimRng;
-use hydranet_netsim::wheel::CalendarKind;
 use hydranet_obs::{json, Obs};
 use hydranet_tcp::stack::{SocketApp, SocketIo};
 
@@ -87,10 +86,6 @@ pub struct ScaleConfig {
     /// Per-connection socket-buffer size (send and receive). Scaled down
     /// from the general default so 10k+ flows stay within real memory.
     pub buf_bytes: usize,
-    /// Event-calendar backend for every cell simulator. A wall-clock knob,
-    /// never a results knob — the determinism guard pins wheel/heap
-    /// bit-identity on the merged report.
-    pub calendar: CalendarKind,
 }
 
 impl Default for ScaleConfig {
@@ -107,7 +102,6 @@ impl Default for ScaleConfig {
             cross_bytes: 2_000_000,
             drain: SimDuration::from_secs(3),
             buf_bytes: 8_192,
-            calendar: CalendarKind::Wheel,
         }
     }
 }
@@ -392,7 +386,6 @@ fn run_cell_impl(
     let cross_spec = FtServiceSpec::new(cross_service(), vec![hs1], detector);
     b.deploy_ft_service(&cross_spec, |_quad| Box::new(ReceiptApp::default()));
     let mut system = b.build(seed);
-    system.sim.set_calendar(cfg.calendar);
     if profile {
         system.enable_profiler();
     }

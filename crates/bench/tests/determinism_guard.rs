@@ -11,11 +11,6 @@
 //! bit-identical afterwards. Gate outcomes (bytes released, retransmits,
 //! completion) are asserted unchanged.
 //!
-//! The timing-wheel calendar, by contrast, must be invisible: every pin in
-//! this file was captured with the wheel enabled and verified identical to
-//! a heap-backed run. `failover_is_calendar_and_thread_invariant` keeps
-//! that equivalence executable rather than historical.
-//!
 //! The thread-equivalence tests extend the same contract to the parallel
 //! experiment engine: an ablation grid or a seed sweep fanned out over N
 //! workers must merge to the byte-identical JSON the single-threaded run
@@ -26,22 +21,19 @@
 //! a behaviour change. The one re-pin that rule cost is PR 13 (one wakeup
 //! per node), which dropped `events=` from the three pins that carried it.
 
-use hydranet_bench::ablations::{
-    build_star_with, detector_sweep_threads, service, DetectorSweepConfig,
-};
+use hydranet_bench::ablations::{build_star, detector_sweep_threads, service, DetectorSweepConfig};
 use hydranet_bench::chaos::{self, ChaosConfig};
 use hydranet_bench::fig4::{run_point, Fig4Config, Fig4Params};
 use hydranet_bench::runner::{run_tasks, Task};
 use hydranet_bench::scale::{merged_report as scale_report, run_scale, ScaleConfig};
 use hydranet_bench::sweep::{detector_grid_json, merged_report, run_seed_sweep, SweepConfig};
 use hydranet_core::prelude::*;
-use hydranet_netsim::wheel::CalendarKind;
 
 const SEED: u64 = 21;
 
 /// fig4 `Clean` @ 512 B writes: plain TCP end-to-end, no redirector. No
 /// ack channel on this path — pinned since the zero-copy refactor and
-/// unchanged by batching or the wheel.
+/// unchanged by batching.
 const PINNED_CLEAN: &str = "clean tput=0x407350f1d241914f retx=0 completed=true";
 /// fig4 `PrimaryBackup` @ 1480 B writes: multicast + tunnel + fragmentation.
 /// Re-pinned for the batched ack channel (PR 5).
@@ -62,9 +54,9 @@ fn fig4_fingerprint(config: Fig4Config, tag: &str, write_size: usize) -> String 
     )
 }
 
-fn failover_fingerprint(calendar: CalendarKind) -> String {
+fn failover_fingerprint() -> String {
     let detector = DetectorParams::new(4, SimDuration::from_secs(60));
-    let mut star = build_star_with(2, detector, false, SEED, calendar);
+    let mut star = build_star(2, detector, false, SEED);
     let total = 200_000usize;
     let payload: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
     let state = shared(SenderState::default());
@@ -109,8 +101,8 @@ fn fig4_primary_backup_is_bit_identical() {
     );
 }
 
-/// Every pin in this file is captured with the ACK fast lane (and burst
-/// batching) enabled — the production configuration. The fast lane claims
+/// Every pin in this file is captured with the ACK fast lane enabled —
+/// the production configuration. The fast lane claims
 /// exact equivalence, so the *same* pins must hold with the lane
 /// force-disabled: a fingerprint that only reproduces with the lane on
 /// would mean the lane changed results, not just wall clock.
@@ -138,28 +130,24 @@ fn fig4_pins_hold_with_fast_lane_disabled() {
 
 #[test]
 fn failover_latency_is_bit_identical() {
-    assert_eq!(failover_fingerprint(CalendarKind::Wheel), PINNED_FAILOVER);
+    assert_eq!(failover_fingerprint(), PINNED_FAILOVER);
 }
 
-/// The calendar backend is a constant-factor knob, never a results knob:
-/// the fail-over fingerprint must be bit-identical between the timing
-/// wheel and the binary heap, and between 1 and 4 runner threads.
+/// Thread count is a wall-clock knob, never a results knob: two fail-over
+/// runs side by side must produce the pinned fingerprint at 1 and at 4
+/// runner threads.
 #[test]
-fn failover_is_calendar_and_thread_invariant() {
+fn failover_is_thread_invariant() {
     let tasks = || {
         vec![
-            Task::new("failover-wheel", SEED, || {
-                failover_fingerprint(CalendarKind::Wheel)
-            }),
-            Task::new("failover-heap", SEED, || {
-                failover_fingerprint(CalendarKind::Heap)
-            }),
+            Task::new("failover-a", SEED, failover_fingerprint),
+            Task::new("failover-b", SEED, failover_fingerprint),
         ]
     };
     let (seq, _) = run_tasks(tasks(), 1);
     let (par, _) = run_tasks(tasks(), 4);
     assert_eq!(seq, par, "fingerprints diverged between 1 and 4 threads");
-    assert_eq!(seq[0], seq[1], "wheel and heap calendars diverged");
+    assert_eq!(seq[0], seq[1], "side-by-side runs diverged");
     assert_eq!(seq[0], PINNED_FAILOVER);
 }
 
@@ -167,15 +155,15 @@ fn failover_is_calendar_and_thread_invariant() {
 /// primary crash @ +50 ms, 200 kB): FNV-1a over every span's category,
 /// name, causal parent, simulated open/close instants, and notes. Tracing
 /// is observational, so this pin moves only when the span taxonomy itself
-/// changes — and must be bit-identical across calendars and thread counts.
+/// changes — and must be bit-identical across thread counts.
 const PINNED_SPAN_TREE: &str = "spans fp=0x3be928a708bfc4e2 opened=163 evicted=0";
 
 /// The traced variant of [`failover_fingerprint`]: same scenario with the
 /// causal tracer on. Returns the span fingerprint line plus the full
 /// flight-recorder JSON for post-mortem when the pin moves.
-fn traced_failover_fingerprint(calendar: CalendarKind) -> (String, String) {
+fn traced_failover_fingerprint() -> (String, String) {
     let detector = DetectorParams::new(4, SimDuration::from_secs(60));
-    let mut star = build_star_with(2, detector, false, SEED, calendar);
+    let mut star = build_star(2, detector, false, SEED);
     star.system.enable_tracing(8192);
     let total = 200_000usize;
     let payload: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
@@ -202,19 +190,15 @@ fn traced_failover_fingerprint(calendar: CalendarKind) -> (String, String) {
 }
 
 /// The span tree is part of the determinism contract: the traced fail-over
-/// must produce a bit-identical span fingerprint on the wheel and heap
-/// calendars, at 1 and 4 runner threads, pinned against drift. On a pin
-/// mismatch the flight recorder auto-dumps for post-mortem.
+/// must produce a bit-identical span fingerprint at 1 and 4 runner
+/// threads, pinned against drift. On a pin mismatch the flight recorder
+/// auto-dumps for post-mortem.
 #[test]
-fn span_tree_is_calendar_and_thread_invariant() {
+fn span_tree_is_thread_invariant() {
     let tasks = || {
         vec![
-            Task::new("spans-wheel", SEED, || {
-                traced_failover_fingerprint(CalendarKind::Wheel)
-            }),
-            Task::new("spans-heap", SEED, || {
-                traced_failover_fingerprint(CalendarKind::Heap)
-            }),
+            Task::new("spans-a", SEED, traced_failover_fingerprint),
+            Task::new("spans-b", SEED, traced_failover_fingerprint),
         ]
     };
     let (seq, _) = run_tasks(tasks(), 1);
@@ -226,7 +210,7 @@ fn span_tree_is_calendar_and_thread_invariant() {
     );
     assert_eq!(
         seq[0].0, seq[1].0,
-        "span fingerprints diverged between wheel and heap calendars"
+        "span fingerprints diverged between side-by-side runs"
     );
     let (fp, dump) = &seq[0];
     if fp != PINNED_SPAN_TREE {
@@ -367,21 +351,6 @@ fn scale_workload_is_thread_invariant_and_pinned() {
         fnv1a(report.as_bytes())
     );
     assert_eq!(fp, PINNED_SCALE);
-
-    // The calendar backend must be invisible here too: a heap-backed run
-    // of the same cells merges to the byte-identical report (the scale
-    // engine leans hardest on the per-stack timer wheels, so this is the
-    // workload most likely to expose a backend-visible schedule).
-    let heap_cfg = ScaleConfig {
-        calendar: CalendarKind::Heap,
-        ..ScaleConfig::tiny()
-    };
-    let (heap, _) = run_scale(&heap_cfg, 1);
-    assert_eq!(
-        scale_report(&heap_cfg, &heap),
-        report,
-        "merged scale report diverged between wheel and heap calendars"
-    );
 }
 
 #[test]

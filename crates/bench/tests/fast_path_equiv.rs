@@ -22,7 +22,6 @@
 use hydranet_bench::ablations::{build_star_cfg, service};
 use hydranet_bench::fig4::{run_point, Fig4Config, Fig4Params};
 use hydranet_core::prelude::*;
-use hydranet_netsim::wheel::CalendarKind;
 
 /// One fig4 point reduced to its comparable bits.
 fn fig4_line(config: Fig4Config, write_size: usize, fastpath: bool, seed: u64) -> String {
@@ -71,7 +70,7 @@ fn impaired_star_run(seed: u64, fastpath: bool) -> StarRun {
         ..TcpConfig::default()
     };
     let detector = DetectorParams::new(4, SimDuration::from_secs(60));
-    let mut star = build_star_cfg(2, detector, false, seed, CalendarKind::Wheel, tcp);
+    let mut star = build_star_cfg(2, detector, false, seed, tcp);
     star.system.enable_tracing(8192);
     let imp = Impairments::NONE
         .with_loss(LossModel::Bernoulli { p: 0.02 })

@@ -207,6 +207,21 @@ fn traced_run_surfaces_evictions_and_attribution() {
             .expect("category present");
         assert!(stats.events > 0, "no events attributed to {subsystem}");
     }
+
+    // The instrumented engine is the shipped engine: the same seed with
+    // neither tracer nor profiler runs exactly as many events.
+    let mut plain = deploy(42);
+    let plan = FaultPlan::new().crash(plain.replicas[1], SimTime::from_millis(60));
+    let (bytes, intact) = run_transfer(&mut plain, &payload, plan, SimTime::from_secs(30));
+    assert!(
+        bytes == payload.len() && intact,
+        "unobserved run incomplete"
+    );
+    assert_eq!(
+        plain.system.sim.stats().events_processed,
+        d.system.sim.stats().events_processed,
+        "profiled + traced run diverged from the unobserved run"
+    );
 }
 
 /// Every run is a pure function of the topology and one RNG seed: repeating

@@ -1,15 +1,12 @@
 //! The simulator's event calendar.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use hydranet_obs::Obs;
 
 use crate::link::{Direction, Impairments, LinkId};
 use crate::node::{NodeId, TimerId, TimerToken};
 use crate::packet::IpPacket;
 use crate::time::SimTime;
-use crate::wheel::{CalendarKind, TimerEntry, TimingWheel};
+use crate::wheel::{TimerEntry, TimingWheel};
 
 /// What happens when an event fires.
 #[derive(Debug)]
@@ -59,75 +56,17 @@ pub(crate) enum EventKind {
     SetImpairments { link: LinkId, imp: Impairments },
 }
 
-#[derive(Debug)]
-pub(crate) struct Event {
-    pub time: SimTime,
-    pub seq: u64,
-    pub kind: EventKind,
-}
+/// One calendar entry: `time`, the FIFO tie-break `seq`, and the
+/// [`EventKind`] as `payload`.
+pub(crate) type Event = TimerEntry<EventKind>;
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. The sequence number breaks ties deterministically in FIFO
-        // order.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The calendar's data structure: the original deterministic min-heap, or
-/// the hierarchical timing wheel. Both pop in ascending `(time, seq)`
-/// order; the choice affects only the constant factors.
-#[derive(Debug)]
-enum Backend {
-    Heap(BinaryHeap<Event>),
-    Wheel(Box<TimingWheel<EventKind>>),
-}
-
-fn to_entry(ev: Event) -> TimerEntry<EventKind> {
-    TimerEntry {
-        time: ev.time,
-        seq: ev.seq,
-        payload: ev.kind,
-    }
-}
-
-fn from_entry(e: TimerEntry<EventKind>) -> Event {
-    Event {
-        time: e.time,
-        seq: e.seq,
-        kind: e.payload,
-    }
-}
-
-/// A deterministic event calendar ordered by `(time, insertion order)`.
-#[derive(Debug)]
+/// A deterministic event calendar ordered by `(time, insertion order)`:
+/// the hierarchical timing wheel plus the insertion counter that stamps
+/// each entry's `seq`.
+#[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    backend: Backend,
+    wheel: Box<TimingWheel<EventKind>>,
     next_seq: u64,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::with_kind(CalendarKind::Wheel)
-    }
 }
 
 impl EventQueue {
@@ -135,103 +74,41 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    pub fn with_kind(kind: CalendarKind) -> Self {
-        let backend = match kind {
-            CalendarKind::Heap => Backend::Heap(BinaryHeap::new()),
-            CalendarKind::Wheel => Backend::Wheel(Box::default()),
-        };
-        EventQueue {
-            backend,
-            next_seq: 0,
-        }
-    }
-
-    pub fn kind(&self) -> CalendarKind {
-        match self.backend {
-            Backend::Heap(_) => CalendarKind::Heap,
-            Backend::Wheel(_) => CalendarKind::Wheel,
-        }
-    }
-
-    /// Swaps the backing structure, preserving every pending event with
-    /// its original sequence number — the pop order before and after the
-    /// swap is identical, so a simulator can switch calendars at any
-    /// point without perturbing the schedule.
-    pub fn set_kind(&mut self, kind: CalendarKind) {
-        if self.kind() == kind {
-            return;
-        }
-        let mut drained = Vec::with_capacity(self.len());
-        while let Some(ev) = self.pop() {
-            drained.push(ev);
-        }
-        let next_seq = self.next_seq;
-        *self = EventQueue::with_kind(kind);
-        self.next_seq = next_seq;
-        for ev in drained {
-            self.push_event(ev);
-        }
-    }
-
-    /// Wires the wheel's internals counters (`wheel.*`); a no-op for the
-    /// heap backend.
+    /// Wires the wheel's internals counters (`wheel.*`).
     pub fn set_obs(&mut self, obs: &Obs) {
-        if let Backend::Wheel(w) = &mut self.backend {
-            w.set_obs(obs);
-        }
+        self.wheel.set_obs(obs);
     }
 
     pub fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.push_event(Event { time, seq, kind });
-    }
-
-    fn push_event(&mut self, ev: Event) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(ev),
-            Backend::Wheel(w) => w.push(to_entry(ev)),
-        }
+        self.wheel.push(TimerEntry {
+            time,
+            seq,
+            payload: kind,
+        });
     }
 
     pub fn pop(&mut self) -> Option<Event> {
-        match &mut self.backend {
-            Backend::Heap(h) => h.pop(),
-            Backend::Wheel(w) => w.pop().map(from_entry),
-        }
+        self.wheel.pop()
     }
 
-    /// Pops the earliest event only if it is due at or before `deadline` —
-    /// one peek-and-pop instead of the separate `peek_time` + `pop` the
-    /// `run_until` loop used to do per event (the heap's sift-down runs
-    /// once either way, but the bounds check and branch happen on the
-    /// already-fetched peek rather than re-entering the heap). The wheel
-    /// answers most misses from its occupancy bitmaps alone.
+    /// Pops the earliest event only if it is due at or before `deadline`;
+    /// the wheel answers most misses from its occupancy bitmaps alone.
     pub fn pop_if_at_or_before(&mut self, deadline: SimTime) -> Option<Event> {
-        match &mut self.backend {
-            Backend::Heap(h) => {
-                if h.peek()?.time > deadline {
-                    return None;
-                }
-                h.pop()
-            }
-            Backend::Wheel(w) => w.pop_if_at_or_before(deadline).map(from_entry),
-        }
+        self.wheel.pop_if_at_or_before(deadline)
     }
 
     #[cfg(test)]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         let ev = self.pop()?;
         let time = ev.time;
-        self.push_event(ev);
+        self.wheel.push(ev);
         Some(time)
     }
 
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Wheel(w) => w.len(),
-        }
+        self.wheel.len()
     }
 
     #[cfg(test)]
@@ -288,50 +165,6 @@ mod tests {
         assert!(q.pop_if_at_or_before(SimTime::from_millis(9)).is_none());
         assert!(q.pop_if_at_or_before(SimTime::from_millis(10)).is_some());
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn set_kind_preserves_pending_order() {
-        for (from, to) in [
-            (CalendarKind::Heap, CalendarKind::Wheel),
-            (CalendarKind::Wheel, CalendarKind::Heap),
-        ] {
-            let mut q = EventQueue::with_kind(from);
-            q.push(SimTime::from_millis(2), start(0));
-            q.push(SimTime::from_millis(1), start(1));
-            q.push(SimTime::from_millis(1), start(2));
-            q.push(SimTime::from_secs(120), start(3)); // wheel overflow range
-            let first = q.pop().unwrap();
-            assert_eq!((first.time, first.seq), (SimTime::from_millis(1), 1));
-            q.set_kind(to);
-            assert_eq!(q.kind(), to);
-            assert_eq!(q.len(), 3);
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-            assert_eq!(order, vec![2, 0, 3]);
-            // New pushes continue the sequence counter.
-            q.push(SimTime::from_millis(9), start(9));
-            assert_eq!(q.pop().unwrap().seq, 4);
-        }
-    }
-
-    #[test]
-    fn both_kinds_pop_identically() {
-        let mut heap = EventQueue::with_kind(CalendarKind::Heap);
-        let mut wheel = EventQueue::with_kind(CalendarKind::Wheel);
-        let times = [7u64, 3, 3, 100_000, 7, 1, 99_000_000_000];
-        for (i, t) in times.iter().enumerate() {
-            heap.push(SimTime::from_micros(*t), start(i));
-            wheel.push(SimTime::from_micros(*t), start(i));
-        }
-        loop {
-            let a = heap.pop();
-            let b = wheel.pop();
-            match (a, b) {
-                (None, None) => break,
-                (Some(x), Some(y)) => assert_eq!((x.time, x.seq), (y.time, y.seq)),
-                (a, b) => panic!("length mismatch: {a:?} vs {b:?}"),
-            }
-        }
     }
 
     #[test]

@@ -221,27 +221,6 @@ pub trait Node: Any {
     /// processing cost has elapsed).
     fn on_packet(&mut self, ctx: &mut Context<'_>, iface: IfaceId, packet: IpPacket);
 
-    /// Called when a burst of same-instant packets has been dispatched to
-    /// this node on one interface. The simulator coalesces runs of
-    /// `PacketDispatch` events that share a timestamp, node, interface,
-    /// and crash epoch into one call (untraced, unprofiled runs only), so
-    /// a node can amortize per-burst work — e.g. the redirector's
-    /// flow-table lookups. The default simply replays [`Node::on_packet`]
-    /// per packet in arrival order, which is exactly what the sequential
-    /// engine would have done: the per-packet callbacks run back-to-back
-    /// against the same buffered [`Context`], and the recorded actions
-    /// apply in the same order afterwards.
-    fn on_packet_batch(
-        &mut self,
-        ctx: &mut Context<'_>,
-        iface: IfaceId,
-        packets: &mut Vec<IpPacket>,
-    ) {
-        for packet in packets.drain(..) {
-            self.on_packet(ctx, iface, packet);
-        }
-    }
-
     /// Called when a timer set by this node fires.
     fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: TimerToken) {}
 

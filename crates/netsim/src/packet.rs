@@ -320,8 +320,8 @@ impl IpPacket {
     /// Parses a packet previously produced by [`encode`](Self::encode).
     ///
     /// The decoded payload is an O(1) slice of `buf`'s backing store — no
-    /// bytes are copied. Use [`decode_slice`](Self::decode_slice) when only
-    /// a borrowed `&[u8]` is available.
+    /// bytes are copied. A caller holding only a borrowed `&[u8]` wraps it
+    /// first: `decode(&PacketBuf::from(bytes))`.
     ///
     /// # Errors
     ///
@@ -333,20 +333,6 @@ impl IpPacket {
         Ok(IpPacket {
             header,
             payload: buf.slice(IP_HEADER_LEN..total_len),
-        })
-    }
-
-    /// Parses a packet from borrowed bytes, copying the payload into a
-    /// fresh buffer (the copying fallback to [`decode`](Self::decode)).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`decode`](Self::decode).
-    pub fn decode_slice(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let (header, total_len) = Self::decode_header(bytes)?;
-        Ok(IpPacket {
-            header,
-            payload: PacketBuf::from(&bytes[IP_HEADER_LEN..total_len]),
         })
     }
 
@@ -460,6 +446,12 @@ impl std::error::Error for DecodeError {}
 mod tests {
     use super::*;
 
+    /// Malformed-input cases start from raw bytes; wrap them for the one
+    /// decoder.
+    fn decode_bytes(bytes: &[u8]) -> Result<IpPacket, DecodeError> {
+        IpPacket::decode(&PacketBuf::from(bytes))
+    }
+
     fn sample() -> IpPacket {
         let mut p = IpPacket::new(
             IpAddr::new(192, 20, 225, 20),
@@ -520,7 +512,6 @@ mod tests {
         assert_eq!(p, q);
         // The decoded payload is a view of the encoded buffer, not a copy.
         assert!(crate::buf::PacketBuf::same_backing(&bytes, &q.payload));
-        assert_eq!(IpPacket::decode_slice(&bytes).unwrap(), p);
     }
 
     #[test]
@@ -537,7 +528,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncated() {
-        let err = IpPacket::decode_slice(&[0u8; 4]).unwrap_err();
+        let err = decode_bytes(&[0u8; 4]).unwrap_err();
         assert!(matches!(err, DecodeError::Truncated { .. }));
     }
 
@@ -546,7 +537,7 @@ mod tests {
         let mut bytes = sample().encode().to_vec();
         bytes[0] = 0x60;
         assert!(matches!(
-            IpPacket::decode_slice(&bytes),
+            decode_bytes(&bytes),
             Err(DecodeError::BadVersion(0x60))
         ));
     }
@@ -558,7 +549,7 @@ mod tests {
         let huge = (bytes.len() as u32 + 100).to_be_bytes();
         bytes[4..8].copy_from_slice(&huge);
         assert!(matches!(
-            IpPacket::decode_slice(&bytes),
+            decode_bytes(&bytes),
             Err(DecodeError::BadLength { .. })
         ));
     }
@@ -654,7 +645,7 @@ mod prop_tests {
         for _ in 0..512 {
             let len = rng.range(0, 128) as usize;
             let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            let _ = IpPacket::decode_slice(&bytes);
+            let _ = IpPacket::decode(&PacketBuf::from(bytes));
         }
     }
 }

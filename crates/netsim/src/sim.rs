@@ -21,7 +21,6 @@ use crate::rng::SimRng;
 use crate::stats::{LinkStats, NodeStats, SimStats};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TracePoint};
-use crate::wheel::CalendarKind;
 
 pub(crate) struct NodeSlot {
     /// `None` only transiently while the node's callback runs.
@@ -95,8 +94,6 @@ pub struct Simulator {
     profiler: EventProfiler,
     obs: Obs,
     actions_scratch: Vec<Action>,
-    /// Reused backing for burst dispatch (see [`Node::on_packet_batch`]).
-    batch_scratch: Vec<IpPacket>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -126,7 +123,6 @@ impl Simulator {
             profiler: EventProfiler::default(),
             obs: Obs::disabled(),
             actions_scratch: Vec::new(),
-            batch_scratch: Vec::new(),
         };
         for i in 0..sim.nodes.len() {
             sim.events
@@ -162,23 +158,6 @@ impl Simulator {
     pub fn set_obs(&mut self, obs: Obs) {
         self.events.set_obs(&obs);
         self.obs = obs;
-    }
-
-    /// Which data structure backs the event calendar (default:
-    /// [`CalendarKind::Wheel`]).
-    pub fn calendar_kind(&self) -> CalendarKind {
-        self.events.kind()
-    }
-
-    /// Switches the event calendar between the binary heap and the
-    /// hierarchical timing wheel. Both pop events in the identical
-    /// `(time, insertion order)` sequence, so this changes wall-clock
-    /// performance only — pending events (including the initial
-    /// `NodeStart` batch) carry over with their order intact, and a run
-    /// under either calendar is bit-for-bit the same.
-    pub fn set_calendar(&mut self, kind: CalendarKind) {
-        self.events.set_kind(kind);
-        self.events.set_obs(&self.obs);
     }
 
     /// The trace buffer (enable with [`Trace::set_enabled`]).
@@ -220,84 +199,9 @@ impl Simulator {
 
     /// Processes all events with timestamps `<= deadline`, then sets the
     /// clock to `deadline`.
-    ///
-    /// When neither the trace ring nor the profiler is active, runs of
-    /// same-instant `PacketDispatch` events that share a node, interface,
-    /// and crash epoch are coalesced into one [`Node::on_packet_batch`]
-    /// call. This is schedule-invisible: no simulator state (clock, RNG,
-    /// calendar order, counters) is touched between same-instant
-    /// dispatches to one node, the batched callbacks buffer actions in
-    /// the identical order, and collection stops at the first
-    /// non-matching event — so crashes, timers, and epoch bumps still
-    /// interleave exactly as in the sequential engine. The trace/profiler
-    /// gate exists because both record per-event artifacts whose relative
-    /// order against a node's enqueue records would otherwise shift.
     pub fn run_until(&mut self, deadline: SimTime) {
-        // Single peek-and-pop per event instead of peek_time + step's
-        // separate pop — this loop is the hot path of every benchmark.
-        // `carry` holds the first event popped past the end of a burst.
-        let mut carry: Option<Event> = None;
-        loop {
-            let ev = match carry.take() {
-                Some(ev) => ev,
-                None => match self.events.pop_if_at_or_before(deadline) {
-                    Some(ev) => ev,
-                    None => break,
-                },
-            };
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.now = ev.time;
-            self.stats.events_processed += 1;
-            if self.profiler.enabled() || self.trace.is_enabled() {
-                self.process_attributed(ev.kind);
-                continue;
-            }
-            let EventKind::PacketDispatch {
-                node,
-                iface,
-                packet,
-                epoch,
-            } = ev.kind
-            else {
-                self.process(ev.kind);
-                continue;
-            };
-            let slot = &self.nodes[node.index()];
-            if slot.crashed || slot.epoch != epoch {
-                continue; // trace disabled: CrashDrop record is a no-op
-            }
-            let mut batch = std::mem::take(&mut self.batch_scratch);
-            batch.push(packet);
-            // Pull the rest of the same-instant run for this (node,
-            // iface, epoch). Nothing between matching dispatches is
-            // processed, so the liveness check above covers them all.
-            while let Some(next) = self.events.pop_if_at_or_before(self.now) {
-                match next.kind {
-                    EventKind::PacketDispatch {
-                        node: n,
-                        iface: i,
-                        packet: p,
-                        epoch: e,
-                    } if n == node && i == iface && e == epoch => {
-                        self.stats.events_processed += 1;
-                        batch.push(p);
-                    }
-                    _ => {
-                        carry = Some(next);
-                        break;
-                    }
-                }
-            }
-            if batch.len() == 1 {
-                let p = batch.pop().expect("batch holds one packet");
-                self.dispatch(node, |n, ctx| n.on_packet(ctx, IfaceId(iface), p));
-            } else {
-                self.dispatch(node, |n, ctx| {
-                    n.on_packet_batch(ctx, IfaceId(iface), &mut batch)
-                });
-            }
-            batch.clear();
-            self.batch_scratch = batch;
+        while let Some(ev) = self.events.pop_if_at_or_before(deadline) {
+            self.run_event(ev);
         }
         if self.now < deadline {
             self.now = deadline;
@@ -315,10 +219,7 @@ impl Simulator {
         let Some(ev) = self.events.pop() else {
             return false;
         };
-        debug_assert!(ev.time >= self.now, "time went backwards");
-        self.now = ev.time;
-        self.stats.events_processed += 1;
-        self.process_attributed(ev.kind);
+        self.run_event(ev);
         true
     }
 
@@ -481,6 +382,18 @@ impl Simulator {
     // ------------------------------------------------------------------
     // Engine internals
     // ------------------------------------------------------------------
+
+    /// The one event-processing body: every driver (`run_until`, `step`,
+    /// and through it `run_until_idle*`) advances the clock, counts the
+    /// event and runs it here, so profiled, traced and plain runs execute
+    /// the same engine.
+    #[inline]
+    fn run_event(&mut self, ev: Event) {
+        debug_assert!(ev.time >= self.now, "time went backwards");
+        self.now = ev.time;
+        self.stats.events_processed += 1;
+        self.process_attributed(ev.payload);
+    }
 
     /// [`process`](Self::process) plus optional profiler attribution.
     ///
@@ -1326,6 +1239,164 @@ mod tests {
         // and zero perturbation, not the port heuristics (tested in
         // `profile`).
         assert!(profiled.profiler().stats(EventCategory::Other).events > 0);
+    }
+
+    /// What a same-instant run is compared on.
+    #[derive(Debug, PartialEq)]
+    struct SameInstantRun {
+        /// Action logs of the sending and the replying node.
+        sender: Vec<(SimTime, &'static str, usize)>,
+        replier: Vec<(SimTime, &'static str, usize)>,
+        stats: SimStats,
+        /// Link counters, sender→replier then replier→sender.
+        link: (LinkStats, LinkStats),
+        trace: Vec<String>,
+    }
+
+    /// Same-instant dispatch is the one case the deleted burst collector
+    /// treated specially. A link that duplicates every packet into an
+    /// instant node makes original and copy dispatch at one timestamp on
+    /// one interface — and with a serialisation time of zero, so do the
+    /// twelve distinct packets, so a reordered burst shows in the log. The
+    /// receiver replies and arms a timer per packet, and the replies are
+    /// duplicated back. Every way of driving the engine — plain, profiled,
+    /// traced, `run_until` or a `step` loop — must produce the same
+    /// deliveries in the same order.
+    #[test]
+    fn same_instant_dispatch_is_identical_however_the_engine_is_driven() {
+        /// Logs everything it sees and does.
+        struct Reflector {
+            sends: usize,
+            reply: bool,
+            log: Vec<(SimTime, &'static str, usize)>,
+        }
+        impl Node for Reflector {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                for i in 0..self.sends {
+                    let p = IpPacket::new(
+                        IpAddr::new(10, 0, 0, 1),
+                        IpAddr::new(10, 0, 0, 2),
+                        Protocol::UDP,
+                        vec![0u8; 100 + i],
+                    );
+                    self.log.push((ctx.now(), "send", 100 + i));
+                    ctx.send(IfaceId::from_index(0), p);
+                }
+            }
+            fn on_packet(&mut self, ctx: &mut Context<'_>, iface: IfaceId, mut p: IpPacket) {
+                self.log.push((ctx.now(), "rx", p.payload.len()));
+                if self.reply {
+                    std::mem::swap(&mut p.header.src, &mut p.header.dst);
+                    p.payload = vec![0u8; p.payload.len() + 1000].into();
+                    self.log.push((ctx.now(), "reply", p.payload.len()));
+                    ctx.send(iface, p);
+                    ctx.set_timer(SimDuration::from_micros(7), TimerToken(1));
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
+                self.log.push((ctx.now(), "timer", token.0 as usize));
+            }
+        }
+
+        #[derive(Clone, Copy)]
+        enum Drive {
+            RunUntil,
+            /// `step` exactly this many times.
+            Steps(u64),
+        }
+        let deadline = SimTime::from_millis(50);
+        let run = |profile: bool, trace: bool, drive: Drive| -> SameInstantRun {
+            let mut t = TopologyBuilder::new();
+            let a = t.add_node(
+                Reflector {
+                    sends: 12,
+                    reply: false,
+                    log: vec![],
+                },
+                NodeParams::INSTANT,
+            );
+            let b = t.add_node(
+                Reflector {
+                    sends: 0,
+                    reply: true,
+                    log: vec![],
+                },
+                NodeParams::INSTANT,
+            );
+            let (link, _, _) = t.connect(
+                a,
+                b,
+                LinkParams::new(u64::MAX, SimDuration::from_micros(50))
+                    .with_queue(64)
+                    .with_impairments(Impairments::NONE.with_duplication(1.0)),
+            );
+            let mut sim = t.into_simulator(7);
+            sim.profiler_mut().set_enabled(profile);
+            sim.trace_mut().set_enabled(trace);
+            match drive {
+                Drive::RunUntil => sim.run_until(deadline),
+                Drive::Steps(n) => {
+                    for _ in 0..n {
+                        assert!(sim.step(), "calendar ran dry before {n} steps");
+                    }
+                    assert!(sim.now() <= deadline);
+                    // Whatever is left lies beyond the deadline.
+                    sim.run_until(deadline);
+                    assert_eq!(sim.stats().events_processed, n);
+                }
+            }
+            if profile {
+                assert_eq!(
+                    sim.profiler().total_events(),
+                    sim.stats().events_processed,
+                    "the profiler must see every event the engine counts"
+                );
+            }
+            let (ab, ba) = sim.link_stats(link);
+            SameInstantRun {
+                sender: sim.node::<Reflector>(a).log.clone(),
+                replier: sim.node::<Reflector>(b).log.clone(),
+                stats: sim.stats(),
+                link: (*ab, *ba),
+                trace: sim.trace().entries().map(|e| e.to_string()).collect(),
+            }
+        };
+
+        let plain = run(false, false, Drive::RunUntil);
+        // The scenario is what it claims to be: all twelve packets and
+        // their copies reach the replier at one instant, in send order,
+        // each copy back to back with its original.
+        let at = SimTime::from_nanos(50_000);
+        let rx: Vec<_> = plain
+            .replier
+            .iter()
+            .filter(|e| e.1 == "rx")
+            .copied()
+            .collect();
+        let expected: Vec<_> = (0..24).map(|i| (at, "rx", 100 + i / 2)).collect();
+        assert_eq!(rx, expected);
+        assert_eq!(plain.link.0.duplicated, 12);
+        assert_eq!(plain.link.1.duplicated, 24);
+        assert_eq!(plain.sender.iter().filter(|e| e.1 == "rx").count(), 48);
+        assert_eq!(plain.stats.timers_fired, 24);
+
+        let profiled = run(true, false, Drive::RunUntil);
+        let traced = run(false, true, Drive::RunUntil);
+        let both = run(true, true, Drive::RunUntil);
+        assert!(plain.trace.is_empty());
+        assert_eq!(plain, profiled, "profiling changed the run");
+        assert_eq!(traced, both, "profiling changed the traced run");
+        let behaviour = |r: &SameInstantRun| (r.sender.clone(), r.replier.clone(), r.stats, r.link);
+        assert_eq!(
+            behaviour(&plain),
+            behaviour(&traced),
+            "tracing changed the run"
+        );
+
+        // `run_until(t)` and `step` agree event for event: the same number
+        // of steps reproduces the same trace, logs and counters.
+        let stepped = run(false, true, Drive::Steps(traced.stats.events_processed));
+        assert_eq!(traced, stepped);
     }
 
     #[test]

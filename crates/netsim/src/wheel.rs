@@ -13,9 +13,11 @@
 //! insertion sequence number assigned by the owner. Slots bucket entries
 //! by a 4096 ns tick; within a slot entries are sorted by `(time, seq)`
 //! before popping, so sub-tick ordering and FIFO tie-breaks are preserved
-//! bit-for-bit. Timer cancellation lives above the calendar (the
-//! simulator's tombstone set, the TCP stack's armed-deadline check) and
-//! is backend-agnostic.
+//! bit-for-bit. The wheel is the only calendar; a plain `BinaryHeap`
+//! survives as its far-future overflow and as the reference the property
+//! test at the bottom of this file compares against. Timer cancellation
+//! lives above the calendar (the simulator's tombstone set, the TCP
+//! stack's armed-deadline check).
 //!
 //! The wheel is generic over its payload so it serves two masters: the
 //! simulator's [`EventQueue`] files whole events (`P = EventKind`), and
@@ -23,8 +25,7 @@
 //! generation-checked slab index), sharing the cascade and lap-accounting
 //! logic rather than reimplementing it.
 //!
-//! [`EventQueue`]: crate::event — the queue wraps either backend; pick one
-//! per simulator with [`crate::sim::Simulator::set_calendar`].
+//! [`EventQueue`]: crate::event — the wheel plus the insertion counter.
 //!
 //! [`TcpStack`]: the TCP crate's per-host stack (downstream of this one).
 
@@ -35,15 +36,6 @@ use hydranet_obs::metrics::Counter;
 use hydranet_obs::Obs;
 
 use crate::time::SimTime;
-
-/// Which data structure backs the simulator's event calendar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CalendarKind {
-    /// Deterministic binary min-heap (the original calendar).
-    Heap,
-    /// Hierarchical timing wheel with the heap as far-future overflow.
-    Wheel,
-}
 
 /// One entry filed in the wheel: a deadline, the owner-assigned insertion
 /// sequence number that breaks same-time ties FIFO, and an arbitrary
@@ -246,31 +238,18 @@ impl<P> TimingWheel<P> {
 
     /// Removes and returns the earliest entry by `(time, seq)`.
     pub fn pop(&mut self) -> Option<TimerEntry<P>> {
-        if self.wheel_len == 0 {
-            let ev = self.overflow.pop()?;
-            self.now_tick = self.now_tick.max(tick_of(ev.time));
-            return Some(ev);
-        }
-        if let Some(head) = self.overflow.peek() {
-            let head_tick = tick_of(head.time);
-            // Every wheel entry's tick is ≥ the bound, so a strictly
-            // earlier overflow head wins without disturbing the wheel.
-            if head_tick < self.min_tick_bound().unwrap() {
-                let ev = self.overflow.pop().unwrap();
-                self.now_tick = self.now_tick.max(head_tick);
-                return Some(ev);
+        match self.overflow.peek() {
+            None => self.pop_wheel_upto(None),
+            // The overflow head is itself due at its own time, so this
+            // bounded pop always hits — and, unlike an unbounded search of
+            // the levels, cannot drag the clock to a later wheel entry's
+            // tick and then hand back the earlier overflow entry: the
+            // owner's next pushes (at or after the *returned* time) would
+            // file behind the cursor, out of reach of a bounded pop.
+            Some(head) => {
+                let bound = head.time;
+                self.pop_if_at_or_before(bound)
             }
-            let w = self.pop_wheel().unwrap();
-            if let Some(head) = self.overflow.peek() {
-                if (head.time, head.seq) < (w.time, w.seq) {
-                    let ev = self.overflow.pop().unwrap();
-                    self.push(w);
-                    return Some(ev);
-                }
-            }
-            Some(w)
-        } else {
-            self.pop_wheel()
         }
     }
 
@@ -278,16 +257,14 @@ impl<P> TimingWheel<P> {
     /// The common miss — next entry beyond the deadline — answers from the
     /// occupancy bitmaps alone, without cascading anything.
     ///
-    /// Unlike [`pop`], a miss never advances the wheel clock past
-    /// `deadline`'s tick: the bounded search refuses to cascade a window
-    /// or visit a level-0 slot beyond it. This matters to callers whose
-    /// clock is external (a TCP stack asked for timers due *now*, a
-    /// simulator probing its calendar before more events are scheduled):
-    /// if a miss probe dragged the clock to the next entry's future tick,
-    /// any entry pushed afterwards with an earlier deadline would file
-    /// behind the cursor and never be found due again.
-    ///
-    /// [`pop`]: TimingWheel::pop
+    /// Hit or miss, the wheel clock never advances past `deadline`'s tick:
+    /// the bounded search refuses to cascade a window or visit a level-0
+    /// slot beyond it. This matters to callers whose clock is external (a
+    /// TCP stack asked for timers due *now*, a simulator probing its
+    /// calendar before more events are scheduled): if a miss probe dragged
+    /// the clock to the next entry's future tick, any entry pushed
+    /// afterwards with an earlier deadline would file behind the cursor
+    /// and never be found due again.
     pub fn pop_if_at_or_before(&mut self, deadline: SimTime) -> Option<TimerEntry<P>> {
         let deadline_tick = tick_of(deadline);
         let ev = match self.pop_wheel_upto(Some(deadline_tick)) {
@@ -329,31 +306,6 @@ impl<P> TimingWheel<P> {
         Some(ev)
     }
 
-    /// A lower bound (in ticks) on every entry currently in the levels:
-    /// the exact tick of the nearest occupied level-0 slot, and the window
-    /// start of the nearest occupied slot per coarser level.
-    fn min_tick_bound(&self) -> Option<u64> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let mut best: Option<u64> = None;
-        if self.occupancy[0] != 0 {
-            let cur = (self.now_tick & SLOT_MASK) as u32;
-            let d = self.occupancy[0].rotate_right(cur).trailing_zeros() as u64;
-            best = Some(self.now_tick + d);
-        }
-        for lvl in 1..LEVELS {
-            if self.occupancy[lvl] == 0 {
-                continue;
-            }
-            let ws = self.nearest_window(lvl).1;
-            if best.is_none_or(|b| ws < b) {
-                best = Some(ws);
-            }
-        }
-        best
-    }
-
     /// For a level with at least one occupied slot: the occupied slot
     /// nearest at or after the cursor, and the start tick of its window.
     ///
@@ -376,19 +328,13 @@ impl<P> TimingWheel<P> {
         (idx, ws)
     }
 
-    /// Pops the earliest entry from the levels. Cascades any coarse slot
-    /// whose window opens at or before the nearest level-0 candidate —
-    /// `≤`, not `<`, because a coarse slot's entries may share the
-    /// candidate's tick with smaller `(time, seq)`.
-    fn pop_wheel(&mut self) -> Option<TimerEntry<P>> {
-        self.pop_wheel_upto(None)
-    }
-
     /// Pops the earliest entry from the levels, refusing — when `cap` is
     /// set — to advance the clock (cascade a window, visit a level-0 slot)
     /// beyond tick `cap`. A `None` return with `cap` set means every
     /// remaining entry sits beyond it, and the clock stayed at or below
-    /// it.
+    /// it. Cascades any coarse slot whose window opens at or before the
+    /// nearest level-0 candidate — `≤`, not `<`, because a coarse slot's
+    /// entries may share the candidate's tick with smaller `(time, seq)`.
     fn pop_wheel_upto(&mut self, cap: Option<u64>) -> Option<TimerEntry<P>> {
         if self.wheel_len == 0 {
             return None;
@@ -574,43 +520,122 @@ mod tests {
         );
     }
 
-    /// The determinism contract: any interleaving of pushes and pops
-    /// produces the exact pop order of a reference heap.
+    /// The determinism contract, and the only evidence for it now that the
+    /// wheel is the sole calendar: any interleaving of pushes, plain pops
+    /// and deadline-bounded pops (hits and misses) produces the exact pop
+    /// sequence of a reference heap. Covers same-tick pushes at the
+    /// cursor's own tick mid-drain (including slightly behind the clock),
+    /// every wheel level, and far-future entries that live in the overflow
+    /// heap until the clock catches up with them.
     #[test]
     fn matches_heap_order_under_random_interleaving() {
-        let mut rng = SimRng::seed_from(0x77EE1);
-        for round in 0..20u64 {
+        const SPAN_NS: u64 = SPAN_TICKS << TICK_BITS;
+        /// The reference `pop_if_at_or_before`.
+        fn heap_pop_upto(
+            heap: &mut BinaryHeap<TimerEntry<()>>,
+            deadline: u64,
+        ) -> Option<TimerEntry<()>> {
+            if heap.peek()?.time.as_nanos() > deadline {
+                return None;
+            }
+            heap.pop()
+        }
+        let key = |e: Option<TimerEntry<()>>| e.map(|e| (e.time.as_nanos(), e.seq));
+
+        for seed in 0..48u64 {
+            let mut rng = SimRng::seed_from(0x77EE1 ^ (seed << 20));
             let mut wheel = TimingWheel::default();
             let mut heap: BinaryHeap<TimerEntry<()>> = BinaryHeap::new();
-            let mut now = 0u64;
             let mut seq = 0u64;
-            let mut popped = Vec::new();
-            let mut expected = Vec::new();
-            for _ in 0..400 {
-                if rng.range(0, 3) > 0 || heap.is_empty() {
-                    // Mixed horizons: same-tick, near, mid, far, overflow.
-                    let horizon = match rng.range(0, 5) {
-                        0 => rng.range(0, 1 << 10),
-                        1 => rng.range(0, 1 << 16),
-                        2 => rng.range(0, 1 << 24),
-                        3 => rng.range(0, 1 << 34),
-                        _ => rng.range(0, (SPAN_TICKS << TICK_BITS) * 2),
-                    };
-                    let e = ev(now + horizon, seq);
-                    seq += 1;
-                    wheel.push(ev(e.time.as_nanos(), e.seq));
-                    heap.push(e);
-                } else {
-                    let a = wheel.pop().unwrap();
-                    let b = heap.pop().unwrap();
-                    now = b.time.as_nanos();
-                    popped.push((a.time.as_nanos(), a.seq));
-                    expected.push((b.time.as_nanos(), b.seq));
+            let mut overflowed = 0usize;
+            let mut push = |wheel: &mut TimingWheel<()>,
+                            heap: &mut BinaryHeap<TimerEntry<()>>,
+                            rng: &mut SimRng,
+                            now: u64| {
+                let time = match rng.range(0, 7) {
+                    // The cursor's own tick, possibly just behind `now`.
+                    0 => (now & !((1 << TICK_BITS) - 1)) + rng.range(0, 1 << TICK_BITS),
+                    1 => now + rng.range(0, 1 << 10),
+                    2 => now + rng.range(0, 1 << 16),
+                    3 => now + rng.range(0, 1 << 24),
+                    4 => now + rng.range(0, 1 << 34),
+                    // Straddling the wheel's span: last level or overflow.
+                    5 => now + SPAN_NS - (1 << 20) + rng.range(0, 1 << 21),
+                    _ => now + SPAN_NS + rng.range(0, SPAN_NS),
+                };
+                let before = wheel.overflow_len();
+                wheel.push(ev(time, seq));
+                overflowed += wheel.overflow_len() - before;
+                heap.push(ev(time, seq));
+                seq += 1;
+            };
+            // The owner's clock, as the simulator keeps it: the time of the
+            // entry being handled, then the deadline once a bounded drain
+            // misses. Pushes land at or after it; deadlines never go back.
+            let mut now = 0u64;
+            let (mut hits, mut misses) = (0u32, 0u32);
+            for step in 0..400u32 {
+                match rng.range(0, 4) {
+                    0 | 1 => {
+                        for _ in 0..rng.range(1, 6) {
+                            push(&mut wheel, &mut heap, &mut rng, now);
+                        }
+                    }
+                    2 => {
+                        let got = key(wheel.pop());
+                        assert_eq!(got, key(heap.pop()), "seed {seed} step {step}: pop");
+                        if let Some((t, _)) = got {
+                            now = now.max(t);
+                        }
+                    }
+                    _ => {
+                        // `run_until(deadline)`: pop until the miss, each
+                        // handled entry free to schedule more — some of it
+                        // due within this same drain.
+                        let deadline = now
+                            + match rng.range(0, 4) {
+                                0 => 0,
+                                1 => rng.range(0, 1 << 13),
+                                2 => rng.range(0, 1 << 26),
+                                _ => rng.range(0, 1 << 35),
+                            };
+                        loop {
+                            let got = key(wheel.pop_if_at_or_before(SimTime::from_nanos(deadline)));
+                            let want = key(heap_pop_upto(&mut heap, deadline));
+                            assert_eq!(got, want, "seed {seed} step {step}: bounded pop");
+                            let Some((t, _)) = got else {
+                                misses += 1;
+                                break;
+                            };
+                            hits += 1;
+                            now = now.max(t);
+                            if rng.chance(0.4) {
+                                push(&mut wheel, &mut heap, &mut rng, now);
+                            }
+                        }
+                        now = deadline;
+                    }
+                }
+                assert_eq!(wheel.len(), heap.len(), "seed {seed} step {step}");
+            }
+            assert!(overflowed > 0, "seed {seed}: overflow heap never used");
+            assert!(
+                hits > 50 && misses > 50,
+                "seed {seed}: {hits} hits, {misses} misses"
+            );
+            // Drain with advancing deadlines, so the overflow entries come
+            // due against whatever the levels still hold.
+            while !heap.is_empty() {
+                now += rng.range(0, 1 << 33);
+                loop {
+                    let got = key(wheel.pop_if_at_or_before(SimTime::from_nanos(now)));
+                    assert_eq!(got, key(heap_pop_upto(&mut heap, now)), "seed {seed} drain");
+                    if got.is_none() {
+                        break;
+                    }
                 }
             }
-            popped.extend(drain(&mut wheel));
-            expected.extend(std::iter::from_fn(|| heap.pop()).map(|e| (e.time.as_nanos(), e.seq)));
-            assert_eq!(popped, expected, "diverged in round {round}");
+            assert!(wheel.is_empty());
         }
     }
 

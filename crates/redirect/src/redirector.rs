@@ -284,10 +284,12 @@ impl RedirectorEngine {
         Disposition::Handled
     }
 
-    /// Processes a burst of packets delivered at one instant, pushing any
-    /// transmissions into `out` in arrival order: [`process`](Self::process)
-    /// per packet, with packets addressed to the redirector itself handed
-    /// to `local`.
+    /// [`process`](Self::process) per packet in order, with packets
+    /// addressed to the redirector itself handed to `local`. Nothing in
+    /// the workspace calls it: the simulator dispatches one packet at a
+    /// time. Signature and body are kept only because the frozen
+    /// `benchmark/` ladder times it; goes away in the next PR that may
+    /// edit `benchmark/`.
     pub fn process_batch(
         &mut self,
         packets: &mut Vec<IpPacket>,
@@ -546,22 +548,6 @@ impl Node for RedirectorNode {
     fn on_packet(&mut self, ctx: &mut Context<'_>, _iface: IfaceId, packet: IpPacket) {
         let mut out = std::mem::take(&mut self.out_scratch);
         let _ = self.engine.process(packet, ctx.now(), &mut out);
-        for (iface, p) in out.drain(..) {
-            ctx.send(iface, p);
-        }
-        self.out_scratch = out;
-    }
-
-    fn on_packet_batch(
-        &mut self,
-        ctx: &mut Context<'_>,
-        _iface: IfaceId,
-        packets: &mut Vec<IpPacket>,
-    ) {
-        let mut out = std::mem::take(&mut self.out_scratch);
-        // Local packets are management traffic the standalone node drops.
-        self.engine
-            .process_batch(packets, ctx.now(), &mut out, |_p| ());
         for (iface, p) in out.drain(..) {
             ctx.send(iface, p);
         }

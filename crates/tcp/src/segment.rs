@@ -252,8 +252,8 @@ impl TcpSegment {
     ///
     /// The decoded payload is an O(1) slice of `buf`'s backing store — the
     /// receive path hands the bytes to the connection without copying them
-    /// out of the packet. Use [`decode_slice`](Self::decode_slice) when
-    /// only a borrowed `&[u8]` is available.
+    /// out of the packet. A caller holding only a borrowed `&[u8]` wraps
+    /// it first: `decode(&PacketBuf::from(bytes))`.
     ///
     /// # Errors
     ///
@@ -266,19 +266,6 @@ impl TcpSegment {
         let (mut seg, payload_len, declared_sum) = Self::decode_header(buf)?;
         Self::verify_checksum(buf, declared_sum)?;
         seg.payload = buf.slice(TCP_HEADER_LEN..TCP_HEADER_LEN + payload_len);
-        Ok(seg)
-    }
-
-    /// Parses a segment from borrowed bytes, copying the payload into a
-    /// fresh buffer (the copying fallback to [`decode`](Self::decode)).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`decode`](Self::decode).
-    pub fn decode_slice(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let (mut seg, payload_len, declared_sum) = Self::decode_header(bytes)?;
-        Self::verify_checksum(bytes, declared_sum)?;
-        seg.payload = PacketBuf::from(&bytes[TCP_HEADER_LEN..TCP_HEADER_LEN + payload_len]);
         Ok(seg)
     }
 
@@ -399,6 +386,12 @@ mod tests {
     use super::*;
     use hydranet_netsim::rng::SimRng;
 
+    /// Malformed-input cases start from raw bytes; wrap them for the one
+    /// decoder.
+    fn decode_bytes(bytes: &[u8]) -> Result<TcpSegment, DecodeError> {
+        TcpSegment::decode(&PacketBuf::from(bytes))
+    }
+
     fn sample(payload: impl Into<PacketBuf>) -> TcpSegment {
         TcpSegment {
             src_port: 40000,
@@ -455,8 +448,8 @@ mod tests {
     fn decode_rejects_truncation() {
         let seg = sample(vec![9u8; 50]);
         let bytes = seg.encode();
-        assert!(TcpSegment::decode_slice(&bytes[..10]).is_err());
-        assert!(TcpSegment::decode_slice(&bytes[..TCP_HEADER_LEN + 10]).is_err());
+        assert!(decode_bytes(&bytes[..10]).is_err());
+        assert!(decode_bytes(&bytes[..TCP_HEADER_LEN + 10]).is_err());
     }
 
     #[test]
@@ -465,7 +458,7 @@ mod tests {
         let mut bytes = seg.encode().to_vec();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        assert!(TcpSegment::decode_slice(&bytes).is_err());
+        assert!(decode_bytes(&bytes).is_err());
     }
 
     #[test]
@@ -531,7 +524,7 @@ mod tests {
             let bit = rng.range(0, bytes.len() as u64 * 8) as usize;
             bytes[bit / 8] ^= 1 << (bit % 8);
             assert!(
-                TcpSegment::decode_slice(&bytes).is_err(),
+                decode_bytes(&bytes).is_err(),
                 "flip of bit {bit} went undetected"
             );
         }
@@ -545,7 +538,7 @@ mod tests {
         let mut bytes = seg.encode().to_vec();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        match TcpSegment::decode_slice(&bytes) {
+        match decode_bytes(&bytes) {
             Err(DecodeError::BadChecksum { declared, actual }) => {
                 assert_ne!(declared, actual);
             }
@@ -561,7 +554,7 @@ mod tests {
         let mut bytes = seg.encode().to_vec();
         bytes.push(0);
         assert!(matches!(
-            TcpSegment::decode_slice(&bytes),
+            decode_bytes(&bytes),
             Err(DecodeError::BadLength { .. })
         ));
     }
