@@ -313,8 +313,7 @@ pub const FAILOVER_SCENARIOS: [(&str, usize, bool); 3] = [
     ("server crash (no backup)", 1, true),
 ];
 
-/// One A2 scenario run. Pure function of its arguments — the unit of
-/// parallel work for [`failover_disruption_threads`].
+/// One A2 scenario run. Pure function of its arguments.
 pub fn failover_point(
     scenario: &'static str,
     replicas: usize,
@@ -376,19 +375,6 @@ pub fn failover_disruption(seed: u64) -> Vec<FailoverPoint> {
         .collect()
 }
 
-/// [`failover_disruption`] fanned out across the experiment engine.
-pub fn failover_disruption_threads(seed: u64, threads: usize) -> (Vec<FailoverPoint>, RunnerStats) {
-    let tasks: Vec<Task<FailoverPoint>> = FAILOVER_SCENARIOS
-        .iter()
-        .map(|&(scenario, replicas, crash)| {
-            Task::new(format!("a2-{scenario}"), seed, move || {
-                failover_point(scenario, replicas, crash, 600_000, seed)
-            })
-        })
-        .collect();
-    run_tasks(tasks, threads)
-}
-
 // --------------------------------------------------------------------
 // A3: chain length
 // --------------------------------------------------------------------
@@ -405,7 +391,7 @@ pub struct ChainPoint {
 }
 
 /// One A3 chain-length point: `ttcp` through an `n`-replica chain. Pure
-/// function of `(n, seed)` — the unit of parallel work.
+/// function of `(n, seed)`.
 pub fn chain_point(n: usize, seed: u64) -> ChainPoint {
     let mut star = build_star(n, DetectorParams::DEFAULT, false, seed);
     let cfg = TtcpConfig {
@@ -425,18 +411,6 @@ pub fn chain_point(n: usize, seed: u64) -> ChainPoint {
 /// A3: upstream `ttcp` throughput vs. number of chained replicas.
 pub fn chain_scaling(max_replicas: usize, seed: u64) -> Vec<ChainPoint> {
     (1..=max_replicas).map(|n| chain_point(n, seed)).collect()
-}
-
-/// [`chain_scaling`] fanned out across the experiment engine.
-pub fn chain_scaling_threads(
-    max_replicas: usize,
-    seed: u64,
-    threads: usize,
-) -> (Vec<ChainPoint>, RunnerStats) {
-    let tasks: Vec<Task<ChainPoint>> = (1..=max_replicas)
-        .map(|n| Task::new(format!("a3-chain-{n}"), seed, move || chain_point(n, seed)))
-        .collect();
-    run_tasks(tasks, threads)
 }
 
 // --------------------------------------------------------------------

@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! scale [--smoke] [--cells N] [--flows N] [--threads N] [--no-profile]
-//!       [--save-baseline] [--require-baseline] [--ratchet F]
 //! ```
 //!
 //! - `--smoke`      reduced flow-count configuration for CI;
@@ -11,16 +10,6 @@
 //! - `--flows N`    override flows per cell;
 //! - `--threads N`  measure at 1 and N threads (default: 1, 2, and 4);
 //! - `--no-profile` skip the profiled attribution run.
-//!
-//! Ratchet flags, mirroring the `perf` binary:
-//!
-//! - `--save-baseline`    record per-thread-count events/sec (plus a
-//!   product-code-free host-speed calibration) to
-//!   `crates/bench/data/scale_baseline[_smoke].json`;
-//! - `--require-baseline` fail (exit 1) instead of continuing without a
-//!   committed baseline — CI uses this so a missing baseline is loud;
-//! - `--ratchet F`        fail (exit 1) if any host-speed-normalized
-//!   events/sec ratio vs. the baseline falls below `F`.
 //!
 //! The workload runs once per thread count, asserts every merged report is
 //! **byte-identical** to the single-threaded one, prints the concurrency /
@@ -54,127 +43,15 @@ impl Measurement {
     }
 }
 
-/// Product-code-free host-speed calibration (same FNV-1a loop as the
-/// `perf` binary): wall-clock ratios against a baseline recorded on
-/// different hardware conflate host speed with code speed, so the ratchet
-/// divides ratios by the host-speed ratio.
-fn measure_host_speed() -> f64 {
-    let buf: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
-    let mut best = 0.0f64;
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for _ in 0..3 {
-        let started = std::time::Instant::now();
-        for round in 0..400u64 {
-            acc ^= round;
-            for &b in &buf {
-                acc ^= u64::from(b);
-                acc = acc.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        let secs = started.elapsed().as_secs_f64().max(1e-9);
-        best = best.max((400 * buf.len() as u64) as f64 / secs);
-    }
-    std::hint::black_box(acc);
-    best
-}
-
-/// Smoke and full mode run different workloads, so each ratchets against
-/// (and re-pins) its own baseline file.
-fn baseline_path(smoke: bool) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("data")
-        .join(if smoke {
-            "scale_baseline_smoke.json"
-        } else {
-            "scale_baseline.json"
-        })
-}
-
-/// Extracts `"key": <number>` from one line of the baseline document (a
-/// pairing convenience over the format written below, not a JSON parser).
-fn extract_f64(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn baseline_host_speed(doc: &str) -> Option<f64> {
-    doc.lines()
-        .find(|l| l.contains("\"host_speed\": "))
-        .and_then(|l| extract_f64(l, "host_speed"))
-}
-
-/// The per-flow memory pin recorded in the baseline document (absent in
-/// baselines from before memory was ratcheted).
-fn baseline_bytes_per_flow(doc: &str) -> Option<f64> {
-    doc.lines()
-        .find(|l| l.contains("\"bytes_per_flow\": "))
-        .and_then(|l| extract_f64(l, "bytes_per_flow"))
-}
-
-/// Reads the recorded events/sec for one thread count back out of the
-/// baseline document.
-fn baseline_eps(doc: &str, threads: usize) -> Option<f64> {
-    let needle = format!("\"threads\": {threads},");
-    doc.lines()
-        .find(|l| l.contains(&needle))
-        .and_then(|l| extract_f64(l, "events_per_sec"))
-}
-
-fn baseline_json(
-    cfg: &ScaleConfig,
-    host_speed: f64,
-    bytes_per_flow: u64,
-    measurements: &[Measurement],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n\"bench\": \"scale_baseline\",\n");
-    let _ = write!(
-        out,
-        "\"cells\": {}, \"flows_per_cell\": {},\n\"host_speed\": {host_speed:.1},\n\"bytes_per_flow\": {bytes_per_flow},\n\"timing\": [\n",
-        cfg.cells, cfg.flows_per_cell
-    );
-    for (i, m) in measurements.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        let _ = write!(
-            out,
-            "  {{\"threads\": {}, \"events_per_sec\": {:.1}}}",
-            m.threads,
-            m.events_per_sec()
-        );
-    }
-    out.push_str("\n]\n}\n");
-    out
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ScaleConfig::default();
     let mut thread_counts: Vec<usize> = vec![1, 2, 4];
     let mut profile = true;
-    let mut smoke = false;
-    let save_baseline = args.iter().any(|a| a == "--save-baseline");
-    let require_baseline = args.iter().any(|a| a == "--require-baseline");
-    let mut ratchet: Option<f64> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                cfg = ScaleConfig::smoke();
-            }
-            "--save-baseline" | "--require-baseline" => {}
-            "--ratchet" => {
-                i += 1;
-                ratchet = Some(args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: --ratchet requires a numeric threshold, e.g. --ratchet 0.95");
-                    std::process::exit(2);
-                }));
-            }
+            "--smoke" => cfg = ScaleConfig::smoke(),
             "--no-profile" => profile = false,
             "--cells" => {
                 i += 1;
@@ -191,21 +68,12 @@ fn main() {
             }
             other => {
                 eprintln!(
-                    "unknown flag {other} (try --smoke, --cells N, --flows N, --threads N, \
-                     --no-profile, --save-baseline, --require-baseline, --ratchet F)"
+                    "unknown flag {other} (try --smoke, --cells N, --flows N, --threads N, --no-profile)"
                 );
                 std::process::exit(2);
             }
         }
         i += 1;
-    }
-
-    if require_baseline && !save_baseline && !baseline_path(smoke).exists() {
-        eprintln!(
-            "error: --require-baseline set but no baseline at {} — run `scale --save-baseline` and commit the file",
-            baseline_path(smoke).display()
-        );
-        std::process::exit(1);
     }
 
     let host_cpus = std::thread::available_parallelism()
@@ -250,75 +118,7 @@ fn main() {
     }
     let (outcomes, report) = reference.expect("at least one thread count");
 
-    let host_speed = measure_host_speed();
     let bytes_per_flow = aggregate_bytes_per_flow(&outcomes);
-    if save_baseline {
-        let path = baseline_path(smoke);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).expect("create baseline dir");
-        }
-        std::fs::write(
-            &path,
-            baseline_json(&cfg, host_speed, bytes_per_flow, &measurements),
-        )
-        .expect("write baseline");
-        println!("baseline written to {}", path.display());
-        return;
-    }
-
-    // Events/sec ratchet against the committed baseline, host-speed
-    // normalized so machine-wide swings cancel while engine regressions do
-    // not. Events/sec is work over wall only while the event count of the
-    // fixed configuration holds still (`PINNED_SCALE` pins it): a change
-    // that removes events here re-records the baseline in the same PR.
-    let mut ratchet_failures: Vec<String> = Vec::new();
-    if let Ok(doc) = std::fs::read_to_string(baseline_path(smoke)) {
-        let speed_norm = baseline_host_speed(&doc)
-            .map(|base| host_speed / base)
-            .filter(|r| r.is_finite() && *r > 0.0)
-            .unwrap_or(1.0);
-        println!("vs. baseline (host-speed x{speed_norm:.2}):");
-        for m in &measurements {
-            let Some(base_eps) = baseline_eps(&doc, m.threads) else {
-                continue;
-            };
-            let ratio = m.events_per_sec() / base_eps;
-            let normalized = ratio / speed_norm;
-            println!(
-                "  threads={}: events/sec x{ratio:.2} ({normalized:.2} host-speed-normalized)",
-                m.threads
-            );
-            // Only the single-threaded ratio is enforced: multi-thread
-            // throughput scales with the host's core count, which the
-            // host-speed calibration cannot cancel.
-            if m.threads == 1 && ratchet.is_some_and(|min| normalized < min) {
-                ratchet_failures.push(format!(
-                    "threads={}: events_per_sec_ratio {ratio:.3} \
-                     ({normalized:.3} host-speed-normalized)",
-                    m.threads
-                ));
-            }
-        }
-        // Memory ratchet: per-flow bytes derive from slab/buffer
-        // accounting over simulated state, so for a fixed config the
-        // number is exactly reproducible — no host-speed normalization,
-        // and only a small allowance for platform allocation-size skew.
-        if let Some(base) = baseline_bytes_per_flow(&doc) {
-            let ratio = bytes_per_flow as f64 / base.max(1.0);
-            println!("  bytes_per_flow {bytes_per_flow} vs baseline {base:.0} (x{ratio:.3})");
-            if ratchet.is_some() && ratio > 1.05 {
-                ratchet_failures.push(format!(
-                    "bytes_per_flow {bytes_per_flow} regressed over baseline {base:.0} \
-                     (x{ratio:.3} > 1.05)"
-                ));
-            }
-        }
-    } else if ratchet.is_some() {
-        println!(
-            "(no baseline at {} — ratchet skipped)",
-            baseline_path(smoke).display()
-        );
-    }
 
     // Deterministic workload summary.
     let peak: u64 = outcomes.iter().map(|o| o.peak_concurrent).sum();
@@ -461,12 +261,4 @@ fn main() {
         "wrote BENCH_scale.json ({} cells, byte-identical across {thread_counts:?} threads)",
         outcomes.len()
     );
-
-    if !ratchet_failures.is_empty() {
-        eprintln!("\nscale ratchet FAILED (threshold {}):", ratchet.unwrap());
-        for f in &ratchet_failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
 }

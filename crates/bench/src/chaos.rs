@@ -337,59 +337,118 @@ impl ChaosOutcome {
 /// Runs one `(class, seed)` chaos run. Pure function of its arguments —
 /// the unit of parallel work.
 pub fn chaos_point(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> ChaosOutcome {
-    if class.is_pair() {
-        chaos_pair_point_run(cfg, class, seed).0
-    } else {
-        chaos_point_run(cfg, class, seed).0
-    }
+    chaos_point_run(cfg, class, seed).0
 }
 
 /// Chrome trace-event JSON of one traced `(class, seed)` run — the
 /// `--trace` export of the `chaos` binary, loadable in chrome://tracing.
 pub fn chrome_trace_json(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> String {
+    let (_, system) = chaos_point_run(cfg, class, seed);
+    system.obs().chrome_trace_json()
+}
+
+/// What a chaos run needs from its deployment — solo-redirector star or
+/// redirector pair — once the class's plan is built against it.
+struct Rig {
+    system: System,
+    client: NodeId,
+    sinks: Vec<Shared<SinkState>>,
+    plan: FaultPlan,
+    /// When the plan's first fault lands.
+    t0: SimTime,
+    /// The redirector serving the chain at deployment.
+    rd: NodeId,
+    /// Its standby, for pair classes: reconvergence is judged at whichever
+    /// member is active at the end, and `failover_ns` is its promotion.
+    standby: Option<NodeId>,
+}
+
+/// Builds the class's deployment and its fault plan.
+fn deploy(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> Rig {
+    let detector = DetectorParams::new(cfg.threshold, SimDuration::from_secs(60));
+    let n = class.replicas();
+    // The fault lands `base_ms` in, jittered across a 40 ms window per seed
+    // so it hits different phases of the transfer.
+    let jitter_ns = hydranet_netsim::rng::SimRng::seed_from(seed).next_u64() % 40_000_000;
+    let fault_time = |system: &System, base_ms: u64| {
+        system
+            .sim
+            .now()
+            .saturating_add(SimDuration::from_millis(base_ms))
+            .saturating_add(SimDuration::from_nanos(jitter_ns))
+    };
     if class.is_pair() {
-        let (_, system) = chaos_pair_point_run(cfg, class, seed);
-        system.obs().chrome_trace_json()
+        let probe = ProbeParams {
+            timeout: cfg.pair_probe_timeout,
+            attempts: cfg.pair_probe_attempts,
+        };
+        let pair = build_pair_rig(n, detector, seed, cfg.tcp.clone(), probe);
+        // Crash-during-install lands *inside* the staggered registration
+        // window (starting 5 ms in); every other class waits 50 ms so the
+        // transfer is in full flight.
+        let base_ms = if class == FaultClass::RedirectorCrashInstall {
+            5
+        } else {
+            50
+        };
+        let t0 = fault_time(&pair.system, base_ms);
+        let plan = class.pair_plan(&pair, t0, cfg);
+        Rig {
+            system: pair.system,
+            client: pair.client,
+            sinks: pair.sinks,
+            plan,
+            t0,
+            rd: pair.rd_a,
+            standby: Some(pair.rd_b),
+        }
     } else {
-        let (_, star) = chaos_point_run(cfg, class, seed);
-        star.system.obs().chrome_trace_json()
+        let star = build_star_cfg(n, detector, true, seed, cfg.tcp.clone());
+        let t0 = fault_time(&star.system, 50);
+        let plan = class.plan(&star, t0, cfg);
+        Rig {
+            system: star.system,
+            client: star.client,
+            sinks: star.sinks,
+            plan,
+            t0,
+            rd: star.rd,
+            standby: None,
+        }
     }
 }
 
-fn chaos_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOutcome, Star) {
-    let detector = DetectorParams::new(cfg.threshold, SimDuration::from_secs(60));
-    let n = class.replicas();
-    let mut star = build_star_cfg(n, detector, true, seed, cfg.tcp.clone());
+/// One `(class, seed)` run: stream an echo transfer through the deployment,
+/// apply the class's plan, and check the chaos invariants (for pair classes
+/// also measuring the standby's promotion latency).
+fn chaos_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOutcome, System) {
+    let Rig {
+        mut system,
+        client,
+        sinks,
+        plan,
+        t0,
+        rd,
+        standby,
+    } = deploy(cfg, class, seed);
     // Tracing is purely observational (no RNG draws, no scheduled events),
     // so the soak always flies with the recorder on: any invariant
     // violation yields a causal dump instead of just a failing bool.
-    star.system.enable_tracing(FLIGHT_CAPACITY);
+    system.enable_tracing(FLIGHT_CAPACITY);
 
     let payload: Vec<u8> = (0..cfg.payload).map(|i| (i % 251) as u8).collect();
     let state = shared(SenderState::default());
     let app = StreamSenderApp::new(payload.clone(), false, state.clone());
-    star.system
-        .connect_client(star.client, service(), Box::new(app));
+    system.connect_client(client, service(), Box::new(app));
+    plan.apply(&mut system);
 
-    // The fault lands 50 ms in, jittered across a 40 ms window per seed so
-    // it hits different phases of the transfer.
-    let jitter_ns = hydranet_netsim::rng::SimRng::seed_from(seed).next_u64() % 40_000_000;
-    let t0 = star
-        .system
-        .sim
-        .now()
-        .saturating_add(SimDuration::from_millis(50))
-        .saturating_add(SimDuration::from_nanos(jitter_ns));
-    let plan = class.plan(&star, t0, cfg);
-    plan.apply(&mut star.system);
-
-    let mut step = star.system.sim.now();
-    while star.system.sim.now() < cfg.deadline {
+    let mut step = system.sim.now();
+    while system.sim.now() < cfg.deadline {
         if state.borrow().replies.data.len() >= cfg.payload {
             break;
         }
         step = step.saturating_add(SimDuration::from_millis(20));
-        star.system.sim.run_until(step);
+        system.sim.run_until(step);
     }
     let (completed, intact, bytes, recovery_ns) = {
         let st = state.borrow();
@@ -404,24 +463,30 @@ fn chaos_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOut
     // Survivors (replicas the plan never crashed) must have consumed the
     // whole stream — a stuck deposit gate would leave one short.
     let crashed = class.crashed_replica();
-    let survivors_intact = star
-        .sinks
+    let survivors_intact = sinks
         .iter()
         .enumerate()
         .filter(|&(i, _)| Some(i) != crashed)
         .all(|(_, sink)| sink.borrow().data == payload);
 
     // Reconvergence: recovered replicas re-register, so the chain must be
-    // back to full strength.
-    let converge_deadline = star.system.sim.now().saturating_add(cfg.converge_grace);
-    star.system
-        .wait_for_chain(star.rd, service(), n, converge_deadline);
-    let chain_len = star
-        .system
-        .redirector(star.rd)
+    // back to full strength — judged at whichever pair member holds the
+    // active role now (after a promotion, the standby).
+    let n = class.replicas();
+    let judged = standby
+        .filter(|&s| system.redirector(s).controller().is_active())
+        .unwrap_or(rd);
+    let converge_deadline = system.sim.now().saturating_add(cfg.converge_grace);
+    system.wait_for_chain(judged, service(), n, converge_deadline);
+    let chain_len = system
+        .redirector(judged)
         .controller()
         .chain(service())
         .map_or(0, <[IpAddr]>::len);
+
+    let failover_ns = standby
+        .and_then(|_| system.obs().first_event_at(kinds::REDIRECTOR_PROMOTED))
+        .and_then(|at| at.checked_sub(t0.as_nanos()));
 
     let mut outcome = ChaosOutcome {
         class: class.name(),
@@ -433,20 +498,20 @@ fn chaos_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOut
         chain_len,
         chain_expected: n,
         recovery_ns,
-        detection_latency_ns: star.system.detection_latency_nanos(),
-        failover_ns: None,
+        detection_latency_ns: system.detection_latency_nanos(),
+        failover_ns,
         bytes,
-        events: star.system.sim.stats().events_processed,
+        events: system.sim.stats().events_processed,
         flight_dump: None,
     };
     if !outcome.invariants_hold() {
-        outcome.flight_dump = Some(star.system.obs().flight_recorder_json(&[
+        outcome.flight_dump = Some(system.obs().flight_recorder_json(&[
             ("workload", "chaos_soak".into()),
             ("class", class.name().into()),
             ("seed", seed.to_string()),
         ]));
     }
-    (outcome, star)
+    (outcome, system)
 }
 
 /// A deployed redirector-*pair* topology for the `rd_*` chaos classes:
@@ -529,120 +594,6 @@ fn build_pair_rig(
         sinks,
         west_links: [l_client_side, l_peer],
     }
-}
-
-/// One `(pair class, seed)` run: stream an echo transfer through the VIP,
-/// kill (or partition) the active redirector per the class, and measure the
-/// standby's promotion latency on top of the usual chaos invariants. The
-/// chain reconvergence check reads whichever member ends up active.
-fn chaos_pair_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOutcome, System) {
-    let detector = DetectorParams::new(cfg.threshold, SimDuration::from_secs(60));
-    let n = class.replicas();
-    let probe = ProbeParams {
-        timeout: cfg.pair_probe_timeout,
-        attempts: cfg.pair_probe_attempts,
-    };
-    let mut rig = build_pair_rig(n, detector, seed, cfg.tcp.clone(), probe);
-    rig.system.enable_tracing(FLIGHT_CAPACITY);
-
-    let payload: Vec<u8> = (0..cfg.payload).map(|i| (i % 251) as u8).collect();
-    let state = shared(SenderState::default());
-    let app = StreamSenderApp::new(payload.clone(), false, state.clone());
-    rig.system
-        .connect_client(rig.client, service(), Box::new(app));
-
-    // Crash-during-install lands *inside* the staggered registration window
-    // (starting 5 ms in); the other pair classes use the star classes' 50 ms
-    // base so the transfer is in full flight. Both jitter across the same
-    // 40 ms window per seed.
-    let jitter_ns = hydranet_netsim::rng::SimRng::seed_from(seed).next_u64() % 40_000_000;
-    let base_ms = if class == FaultClass::RedirectorCrashInstall {
-        5
-    } else {
-        50
-    };
-    let t0 = rig
-        .system
-        .sim
-        .now()
-        .saturating_add(SimDuration::from_millis(base_ms))
-        .saturating_add(SimDuration::from_nanos(jitter_ns));
-    let plan = class.pair_plan(&rig, t0, cfg);
-    plan.apply(&mut rig.system);
-
-    let mut step = rig.system.sim.now();
-    while rig.system.sim.now() < cfg.deadline {
-        if state.borrow().replies.data.len() >= cfg.payload {
-            break;
-        }
-        step = step.saturating_add(SimDuration::from_millis(20));
-        rig.system.sim.run_until(step);
-    }
-    let (completed, intact, bytes, recovery_ns) = {
-        let st = state.borrow();
-        (
-            st.replies.data.len() >= cfg.payload,
-            st.replies.data == payload,
-            st.replies.data.len(),
-            st.replies.max_gap_duration().map(|d| d.as_nanos()),
-        )
-    };
-
-    let crashed = class.crashed_replica();
-    let survivors_intact = rig
-        .sinks
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| Some(i) != crashed)
-        .all(|(_, sink)| sink.borrow().data == payload);
-
-    // Reconvergence is judged at whichever member holds the active role
-    // now — after a promotion that is rd_b.
-    let active_rd = if rig.system.redirector(rig.rd_b).controller().is_active() {
-        rig.rd_b
-    } else {
-        rig.rd_a
-    };
-    let converge_deadline = rig.system.sim.now().saturating_add(cfg.converge_grace);
-    rig.system
-        .wait_for_chain(active_rd, service(), n, converge_deadline);
-    let chain_len = rig
-        .system
-        .redirector(active_rd)
-        .controller()
-        .chain(service())
-        .map_or(0, <[IpAddr]>::len);
-
-    let failover_ns = rig
-        .system
-        .obs()
-        .first_event_at(kinds::REDIRECTOR_PROMOTED)
-        .and_then(|at| at.checked_sub(t0.as_nanos()));
-
-    let mut outcome = ChaosOutcome {
-        class: class.name(),
-        seed,
-        faults: plan.len() as u64,
-        completed,
-        intact,
-        survivors_intact,
-        chain_len,
-        chain_expected: n,
-        recovery_ns,
-        detection_latency_ns: rig.system.detection_latency_nanos(),
-        failover_ns,
-        bytes,
-        events: rig.system.sim.stats().events_processed,
-        flight_dump: None,
-    };
-    if !outcome.invariants_hold() {
-        outcome.flight_dump = Some(rig.system.obs().flight_recorder_json(&[
-            ("workload", "chaos_soak".into()),
-            ("class", class.name().into()),
-            ("seed", seed.to_string()),
-        ]));
-    }
-    (outcome, rig.system)
 }
 
 /// Runs the full soak (every class × every seed) across the experiment

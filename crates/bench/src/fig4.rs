@@ -311,29 +311,6 @@ pub fn run_sweep(write_sizes: &[usize], params: &Fig4Params, seed: u64) -> Vec<F
     points
 }
 
-/// [`run_sweep`] fanned out across the experiment engine: every
-/// `(write size, configuration)` cell is an independent seeded simulation,
-/// merged back in the same order `run_sweep` produces.
-pub fn run_sweep_threads(
-    write_sizes: &[usize],
-    params: &Fig4Params,
-    seed: u64,
-    threads: usize,
-) -> (Vec<Fig4Point>, crate::runner::RunnerStats) {
-    let mut tasks = Vec::new();
-    for &ws in write_sizes {
-        for config in Fig4Config::ALL {
-            let params = params.clone();
-            tasks.push(crate::runner::Task::new(
-                format!("fig4-{}-{ws}", config.label()),
-                seed,
-                move || run_point(config, ws, &params, seed),
-            ));
-        }
-    }
-    crate::runner::run_tasks(tasks, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -348,67 +348,6 @@ impl SocketApp for RequestLoopApp {
     }
 }
 
-/// Per-connection sink bookkeeping: hands every accepted connection its own
-/// [`SinkState`], retrievable by the client endpoint afterwards. Use this
-/// instead of sharing one `SinkState` across a listener's connections —
-/// interleaved recording makes byte-level assertions meaningless.
-#[derive(Debug, Default)]
-pub struct SinkRegistry {
-    by_quad: RefCell<Vec<(Quad, Shared<SinkState>)>>,
-}
-
-impl SinkRegistry {
-    /// Creates an empty registry (wrap in [`shared`] to move into a
-    /// factory closure).
-    pub fn new() -> Shared<SinkRegistry> {
-        shared(SinkRegistry::default())
-    }
-
-    /// Creates the app for one accepted connection, registering its sink.
-    pub fn make_app(registry: &Shared<SinkRegistry>, quad: Quad, echo: bool) -> EchoApp {
-        let state = shared(SinkState::default());
-        registry
-            .borrow()
-            .by_quad
-            .borrow_mut()
-            .push((quad, state.clone()));
-        if echo {
-            EchoApp::new(state)
-        } else {
-            EchoApp::sink(state)
-        }
-    }
-
-    /// The sink of the connection whose *remote* endpoint is `remote`
-    /// (most recent if the client reconnected).
-    pub fn sink_for_remote(
-        &self,
-        remote: hydranet_tcp::segment::SockAddr,
-    ) -> Option<Shared<SinkState>> {
-        self.by_quad
-            .borrow()
-            .iter()
-            .rev()
-            .find(|(q, _)| q.remote == remote)
-            .map(|(_, s)| s.clone())
-    }
-
-    /// All `(quad, sink)` pairs registered so far.
-    pub fn all(&self) -> Vec<(Quad, Shared<SinkState>)> {
-        self.by_quad.borrow().clone()
-    }
-
-    /// Number of connections accepted through this registry.
-    pub fn len(&self) -> usize {
-        self.by_quad.borrow().len()
-    }
-
-    /// Whether no connection has been accepted yet.
-    pub fn is_empty(&self) -> bool {
-        self.by_quad.borrow().is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

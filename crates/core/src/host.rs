@@ -264,22 +264,7 @@ impl HostServer {
             }
         }
         self.daemon.poll(now);
-        // Apply daemon actions to the stack.
-        for action in self.daemon.take_actions() {
-            match action {
-                DaemonAction::Send(dst, payload) => {
-                    let src = SockAddr::new(self.stack.primary_addr(), MGMT_PORT);
-                    self.stack
-                        .udp_send(src, SockAddr::new(dst, MGMT_PORT), payload);
-                }
-                DaemonAction::AddVirtualHost(addr) => {
-                    self.stack.add_local_addr(addr);
-                }
-                DaemonAction::ApplyPortOpt { port, config } => {
-                    self.stack.setportopt(port, config, now);
-                }
-            }
-        }
+        self.apply_daemon_actions(now);
         // Route stack events: management datagrams to the daemon, failure
         // suspicions into failure reports.
         let mut events = std::mem::take(&mut self.ev_buf);
@@ -308,6 +293,12 @@ impl HostServer {
         self.ev_buf = events;
         // Daemon reactions may have produced more actions (e.g. probe
         // answers); run one more application pass.
+        self.apply_daemon_actions(now);
+        self.flush(ctx);
+    }
+
+    /// Applies the daemon's queued actions to the stack.
+    fn apply_daemon_actions(&mut self, now: SimTime) {
         for action in self.daemon.take_actions() {
             match action {
                 DaemonAction::Send(dst, payload) => {
@@ -321,7 +312,6 @@ impl HostServer {
                 }
             }
         }
-        self.flush(ctx);
     }
 
     fn flush(&mut self, ctx: &mut Context<'_>) {

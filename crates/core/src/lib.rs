@@ -67,7 +67,7 @@ mod timer;
 pub mod prelude {
     pub use crate::apps::{
         shared, EchoApp, LineReplyApp, RequestLoopApp, RequestLoopState, SenderState, Shared,
-        SinkRegistry, SinkState, StreamSenderApp,
+        SinkState, StreamSenderApp,
     };
     pub use crate::faults::{FaultAction, FaultEvent, FaultPlan};
     pub use crate::host::{ClientHost, HostServer};

@@ -274,10 +274,7 @@ impl ReplicaController {
             // probes the active one; answer the peer, ignore the rest.
             MgmtMsg::Probe { nonce } => {
                 if self.pair.as_ref().is_some_and(|p| p.peer == src) {
-                    let out = self
-                        .endpoint
-                        .send_unreliable(src, MgmtMsg::ProbeAck { nonce });
-                    self.actions.push(ControllerAction::Send(out.0, out.1));
+                    self.send_unreliable(src, MgmtMsg::ProbeAck { nonce });
                 }
             }
             MgmtMsg::TableReplicate {
@@ -336,8 +333,7 @@ impl ReplicaController {
         let changed = changed_assignments(&old, &new);
         for a in changed {
             let msg = a.to_msg(service);
-            let out = self.endpoint.send_reliable(a.host, msg, now);
-            self.actions.push(ControllerAction::Send(out.0, out.1));
+            self.send_reliable(a.host, msg, now);
         }
     }
 
@@ -376,8 +372,7 @@ impl ReplicaController {
         self.push_table_update(service, &new, now);
         for a in changed_assignments(&old, &new) {
             let msg = a.to_msg(service);
-            let out = self.endpoint.send_reliable(a.host, msg, now);
-            self.actions.push(ControllerAction::Send(out.0, out.1));
+            self.send_reliable(a.host, msg, now);
         }
     }
 
@@ -410,10 +405,7 @@ impl ReplicaController {
             ],
         );
         for host in awaiting {
-            let out = self
-                .endpoint
-                .send_unreliable(host, MgmtMsg::Probe { nonce });
-            self.actions.push(ControllerAction::Send(out.0, out.1));
+            self.send_unreliable(host, MgmtMsg::Probe { nonce });
         }
     }
 
@@ -449,10 +441,7 @@ impl ReplicaController {
                 attempt: round.attempt + 1,
             });
             for host in awaiting {
-                let out = self
-                    .endpoint
-                    .send_unreliable(host, MgmtMsg::Probe { nonce });
-                self.actions.push(ControllerAction::Send(out.0, out.1));
+                self.send_unreliable(host, MgmtMsg::Probe { nonce });
             }
             return;
         }
@@ -482,8 +471,7 @@ impl ReplicaController {
             service,
             chain: chain.to_vec(),
         };
-        let out = self.endpoint.send_reliable(peer, msg, now);
-        self.actions.push(ControllerAction::Send(out.0, out.1));
+        self.send_reliable(peer, msg, now);
     }
 
     // ---------------------------- pair ----------------------------------
@@ -516,10 +504,7 @@ impl ReplicaController {
     fn send_peer_probe(&mut self, peer: IpAddr, misses: u32, now: SimTime) {
         let nonce = self.next_nonce;
         self.next_nonce += 1;
-        let out = self
-            .endpoint
-            .send_unreliable(peer, MgmtMsg::Probe { nonce });
-        self.actions.push(ControllerAction::Send(out.0, out.1));
+        self.send_unreliable(peer, MgmtMsg::Probe { nonce });
         if let Some(pair) = self.pair.as_mut() {
             pair.probing = Some(PeerProbe {
                 nonce,
@@ -544,8 +529,7 @@ impl ReplicaController {
                 pair.reconcile_pending = false;
                 let peer = pair.peer;
                 let snap = self.snapshot_msg();
-                let out = self.endpoint.send_reliable(peer, snap, now);
-                self.actions.push(ControllerAction::Send(out.0, out.1));
+                self.send_reliable(peer, snap, now);
             }
         }
     }
@@ -644,11 +628,9 @@ impl ReplicaController {
                 term: epoch.term,
                 seq: epoch.seq,
             };
-            let out = self.endpoint.send_unreliable(src, reject);
-            self.actions.push(ControllerAction::Send(out.0, out.1));
+            self.send_unreliable(src, reject);
             let snap = self.snapshot_msg();
-            let out = self.endpoint.send_reliable(src, snap, now);
-            self.actions.push(ControllerAction::Send(out.0, out.1));
+            self.send_reliable(src, snap, now);
             return;
         }
         if incoming <= pair.epoch {
@@ -724,6 +706,18 @@ impl ReplicaController {
         }
     }
 
+    /// Queues `msg` for `dst` on the retransmitting channel.
+    fn send_reliable(&mut self, dst: IpAddr, msg: MgmtMsg, now: SimTime) {
+        let (dst, bytes) = self.endpoint.send_reliable(dst, msg, now);
+        self.actions.push(ControllerAction::Send(dst, bytes));
+    }
+
+    /// Queues `msg` for `dst` fire-and-forget.
+    fn send_unreliable(&mut self, dst: IpAddr, msg: MgmtMsg) {
+        let (dst, bytes) = self.endpoint.send_unreliable(dst, msg);
+        self.actions.push(ControllerAction::Send(dst, bytes));
+    }
+
     fn push_roles_for(
         &mut self,
         service: SockAddr,
@@ -736,8 +730,7 @@ impl ReplicaController {
                 continue;
             }
             let msg = a.to_msg(service);
-            let out = self.endpoint.send_reliable(a.host, msg, now);
-            self.actions.push(ControllerAction::Send(out.0, out.1));
+            self.send_reliable(a.host, msg, now);
         }
     }
 }

@@ -3,7 +3,7 @@
 use hydranet_obs::Obs;
 
 use crate::link::{Direction, Impairments, LinkId};
-use crate::node::{NodeId, TimerId, TimerToken};
+use crate::node::{NodeId, TimerToken};
 use crate::packet::IpPacket;
 use crate::time::SimTime;
 use crate::wheel::{TimerEntry, TimingWheel};
@@ -38,7 +38,6 @@ pub(crate) enum EventKind {
     /// A node timer fires.
     Timer {
         node: NodeId,
-        id: TimerId,
         token: TimerToken,
         epoch: u64,
     },

@@ -1,13 +1,13 @@
 //! A fast hasher for the simulator's integer-keyed maps.
 //!
-//! The calendar's timer bookkeeping ([`sim::Simulator`](crate::sim::Simulator))
-//! keys its maps by monotonically assigned `u64` timer ids, touched on every
-//! timer set/fire. Std's default SipHash is DoS-resistant but costs far more
-//! than the surrounding heap operation; these keys are engine-internal and
-//! never attacker-controlled, so a single Fibonacci multiply suffices to
-//! spread consecutive ids across buckets.
+//! The TCP stack's demux map and the redirector's flow table key their
+//! entries by engine-assigned integers, probed once per packet. Std's
+//! default SipHash is DoS-resistant but costs far more than the surrounding
+//! work; these keys are engine-internal and never attacker-controlled, so a
+//! single Fibonacci multiply suffices to spread consecutive ids across
+//! buckets.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// 2^64 / φ, the classic Fibonacci-hashing multiplier: one `wrapping_mul`
@@ -79,12 +79,10 @@ pub type IntBuildHasher = BuildHasherDefault<IntHasher>;
 /// A `HashMap` keyed by engine-assigned integers.
 pub type IntMap<K, V> = HashMap<K, V, IntBuildHasher>;
 
-/// A `HashSet` of engine-assigned integers.
-pub type IntSet<K> = HashSet<K, IntBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn consecutive_keys_spread_across_buckets() {
@@ -159,18 +157,15 @@ mod tests {
     }
 
     #[test]
-    fn map_and_set_roundtrip() {
+    fn map_roundtrip() {
         let mut m: IntMap<u64, u32> = IntMap::default();
-        let mut s: IntSet<u64> = IntSet::default();
         for i in 0..1000u64 {
             m.insert(i, i as u32 * 2);
-            s.insert(i);
         }
         for i in 0..1000u64 {
             assert_eq!(m.get(&i), Some(&(i as u32 * 2)));
-            assert!(s.contains(&i));
         }
-        assert!(!s.contains(&1000));
+        assert!(!m.contains_key(&1000));
     }
 
     #[test]

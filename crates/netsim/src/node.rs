@@ -59,10 +59,6 @@ impl fmt::Display for IfaceId {
     }
 }
 
-/// Handle for a scheduled timer, usable to cancel it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(pub(crate) u64);
-
 /// Opaque payload a node attaches to a timer so it can tell its timers apart
 /// when they fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -115,18 +111,8 @@ impl Default for NodeParams {
 /// callback returns.
 #[derive(Debug)]
 pub(crate) enum Action {
-    Send {
-        iface: IfaceId,
-        packet: IpPacket,
-    },
-    SetTimer {
-        id: TimerId,
-        at: SimTime,
-        token: TimerToken,
-    },
-    CancelTimer {
-        id: TimerId,
-    },
+    Send { iface: IfaceId, packet: IpPacket },
+    SetTimer { at: SimTime, token: TimerToken },
 }
 
 /// The environment a node callback runs in.
@@ -139,7 +125,6 @@ pub struct Context<'a> {
     now: SimTime,
     node: NodeId,
     rng: &'a mut SimRng,
-    next_timer_id: &'a mut u64,
     actions: &'a mut Vec<Action>,
 }
 
@@ -148,14 +133,12 @@ impl<'a> Context<'a> {
         now: SimTime,
         node: NodeId,
         rng: &'a mut SimRng,
-        next_timer_id: &'a mut u64,
         actions: &'a mut Vec<Action>,
     ) -> Self {
         Context {
             now,
             node,
             rng,
-            next_timer_id,
             actions,
         }
     }
@@ -184,26 +167,18 @@ impl<'a> Context<'a> {
     }
 
     /// Schedules a timer to fire after `delay`, delivering `token` to
-    /// [`Node::on_timer`]. Returns a handle for cancellation.
-    pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) -> TimerId {
-        self.set_timer_at(self.now.saturating_add(delay), token)
+    /// [`Node::on_timer`]. A filed timer always fires unless the node
+    /// crashes first; a node that no longer wants the wake-up ignores it.
+    pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
+        self.set_timer_at(self.now.saturating_add(delay), token);
     }
 
     /// Schedules a timer to fire at the absolute instant `at`.
     ///
     /// An instant in the past fires immediately (at the current time).
-    pub fn set_timer_at(&mut self, at: SimTime, token: TimerToken) -> TimerId {
-        let id = TimerId(*self.next_timer_id);
-        *self.next_timer_id += 1;
+    pub fn set_timer_at(&mut self, at: SimTime, token: TimerToken) {
         let at = at.max(self.now);
-        self.actions.push(Action::SetTimer { id, at, token });
-        id
-    }
-
-    /// Cancels a previously scheduled timer. Cancelling a timer that has
-    /// already fired is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.actions.push(Action::CancelTimer { id });
+        self.actions.push(Action::SetTimer { at, token });
     }
 }
 
@@ -254,26 +229,17 @@ mod tests {
     #[test]
     fn context_buffers_actions() {
         let mut rng = SimRng::seed_from(0);
-        let mut next = 0u64;
         let mut actions = Vec::new();
-        let mut ctx = Context::new(
-            SimTime::from_secs(1),
-            NodeId(3),
-            &mut rng,
-            &mut next,
-            &mut actions,
-        );
+        let mut ctx = Context::new(SimTime::from_secs(1), NodeId(3), &mut rng, &mut actions);
         assert_eq!(ctx.now(), SimTime::from_secs(1));
         assert_eq!(ctx.node_id(), NodeId(3));
-        let t1 = ctx.set_timer(SimDuration::from_millis(5), TimerToken(7));
-        let t2 = ctx.set_timer_at(SimTime::ZERO, TimerToken(8)); // in the past
-        assert_ne!(t1, t2);
-        ctx.cancel_timer(t1);
+        ctx.set_timer(SimDuration::from_millis(5), TimerToken(7));
+        ctx.set_timer_at(SimTime::ZERO, TimerToken(8)); // in the past
         #[allow(clippy::drop_non_drop)] // end the borrow of `actions`
         drop(ctx);
-        assert_eq!(actions.len(), 3);
+        assert_eq!(actions.len(), 2);
         match &actions[0] {
-            Action::SetTimer { at, token, .. } => {
+            Action::SetTimer { at, token } => {
                 assert_eq!(*at, SimTime::from_secs(1) + SimDuration::from_millis(5));
                 assert_eq!(*token, TimerToken(7));
             }
@@ -284,7 +250,6 @@ mod tests {
             Action::SetTimer { at, .. } => assert_eq!(*at, SimTime::from_secs(1)),
             other => panic!("unexpected action {other:?}"),
         }
-        assert!(matches!(actions[2], Action::CancelTimer { id } if id == t1));
     }
 
     #[test]

@@ -12,7 +12,6 @@ use hydranet_obs::{kinds, Obs};
 
 use crate::event::{Event, EventKind, EventQueue};
 use crate::frag::fragment_packet;
-use crate::hash::{IntMap, IntSet};
 use crate::link::{Direction, Impairments, Link, LinkId};
 use crate::node::{Action, Context, IfaceId, Node, NodeId, NodeParams};
 use crate::packet::IpPacket;
@@ -73,19 +72,6 @@ pub(crate) struct NodeSlot {
 pub struct Simulator {
     now: SimTime,
     events: EventQueue,
-    next_timer_id: u64,
-    /// Cancelled-but-not-yet-popped timer ids, keyed to the node that
-    /// cancelled them so a crash can purge its pending entries (otherwise
-    /// an id whose event the crash-epoch check discards would be retained
-    /// forever).
-    cancelled_timers: IntMap<u64, NodeId>,
-    /// Ids of timer events still in the calendar. A cancellation is only
-    /// tombstoned while its id is live; cancelling an already-popped timer
-    /// is a pure no-op (historically it inserted an entry into
-    /// `cancelled_timers` that nothing would ever pop — unbounded growth
-    /// over a long healthy run). Each id leaves this set exactly when its
-    /// event pops, so the set is bounded by the calendar size.
-    live_timers: IntSet<u64>,
     pub(crate) nodes: Vec<NodeSlot>,
     pub(crate) links: Vec<Link>,
     rng: SimRng,
@@ -112,9 +98,6 @@ impl Simulator {
         let mut sim = Simulator {
             now: SimTime::ZERO,
             events: EventQueue::new(),
-            next_timer_id: 0,
-            cancelled_timers: IntMap::default(),
-            live_timers: IntSet::default(),
             nodes,
             links,
             rng: SimRng::seed_from(seed),
@@ -243,13 +226,6 @@ impl Simulator {
         self.events.push(at, EventKind::LinkUp(link));
     }
 
-    /// Number of lazily-cancelled timer ids awaiting their tombstoned
-    /// event. Bounded by the calendar size: ids enter only while their
-    /// timer event is live and leave when it pops (or a crash purges them).
-    pub fn pending_cancellations(&self) -> usize {
-        self.cancelled_timers.len()
-    }
-
     /// Whether `node` is currently crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
         self.nodes[node.index()].crashed
@@ -361,13 +337,7 @@ impl Simulator {
             .expect("node callback reentrancy");
         let mut actions = std::mem::take(&mut self.actions_scratch);
         let result = {
-            let mut ctx = Context::new(
-                self.now,
-                id,
-                &mut self.rng,
-                &mut self.next_timer_id,
-                &mut actions,
-            );
+            let mut ctx = Context::new(self.now, id, &mut self.rng, &mut actions);
             let node = (boxed.as_mut() as &mut dyn Any)
                 .downcast_mut::<T>()
                 .unwrap_or_else(|| panic!("node {id} is not a {}", std::any::type_name::<T>()));
@@ -474,21 +444,7 @@ impl Simulator {
             EventKind::LinkDequeue { link, dir, epoch } => {
                 self.link_dequeue(link, dir, epoch);
             }
-            EventKind::Timer {
-                node,
-                id,
-                token,
-                epoch,
-            } => {
-                self.live_timers.remove(&id.0);
-                // Fast path: with no cancellations pending (the common case
-                // on a healthy run) skip the tombstone map probe entirely.
-                if !self.cancelled_timers.is_empty()
-                    && self.cancelled_timers.remove(&id.0).is_some()
-                {
-                    self.stats.timers_cancelled += 1;
-                    return;
-                }
+            EventKind::Timer { node, token, epoch } => {
                 let slot = &self.nodes[node.index()];
                 if slot.crashed || slot.epoch != epoch {
                     return;
@@ -507,10 +463,6 @@ impl Simulator {
                     .as_mut()
                     .expect("node callback reentrancy")
                     .on_crash();
-                // The epoch bump already invalidates this node's pending
-                // timers, so its cancellation entries will never be
-                // consumed — drop them rather than leak the ids.
-                self.cancelled_timers.retain(|_, by| *by != node);
                 self.obs.event(
                     self.now.as_nanos(),
                     kinds::NODE_CRASHED,
@@ -584,13 +536,7 @@ impl Simulator {
             .expect("node callback reentrancy");
         let mut actions = std::mem::take(&mut self.actions_scratch);
         {
-            let mut ctx = Context::new(
-                self.now,
-                id,
-                &mut self.rng,
-                &mut self.next_timer_id,
-                &mut actions,
-            );
+            let mut ctx = Context::new(self.now, id, &mut self.rng, &mut actions);
             f(boxed.as_mut(), &mut ctx);
         }
         self.nodes[id.index()].node = Some(boxed);
@@ -608,26 +554,11 @@ impl Simulator {
                     };
                     self.link_enqueue(link, dir, packet);
                 }
-                Action::SetTimer { id: tid, at, token } => {
+                Action::SetTimer { at, token } => {
                     let epoch = self.nodes[id.index()].epoch;
-                    self.live_timers.insert(tid.0);
-                    self.events.push(
-                        at,
-                        EventKind::Timer {
-                            node: id,
-                            id: tid,
-                            token,
-                            epoch,
-                        },
-                    );
-                }
-                Action::CancelTimer { id: tid } => {
-                    // Only tombstone ids whose event is still in the
-                    // calendar; cancelling an already-fired timer is a
-                    // documented no-op and must not grow the map.
-                    if self.live_timers.contains(&tid.0) {
-                        self.cancelled_timers.insert(tid.0, id);
-                    }
+                    let node = id;
+                    let timer = EventKind::Timer { node, token, epoch };
+                    self.events.push(at, timer);
                 }
             }
         }
@@ -1045,16 +976,16 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_and_cancel() {
+    fn timers_fire_in_deadline_then_filing_order() {
         struct TimerNode {
             fired: Vec<u64>,
         }
         impl Node for TimerNode {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.set_timer(SimDuration::from_millis(1), TimerToken(1));
-                let t2 = ctx.set_timer(SimDuration::from_millis(2), TimerToken(2));
                 ctx.set_timer(SimDuration::from_millis(3), TimerToken(3));
-                ctx.cancel_timer(t2);
+                ctx.set_timer(SimDuration::from_millis(1), TimerToken(1));
+                ctx.set_timer(SimDuration::from_millis(2), TimerToken(20));
+                ctx.set_timer(SimDuration::from_millis(2), TimerToken(21));
             }
             fn on_packet(&mut self, _ctx: &mut Context<'_>, _iface: IfaceId, _p: IpPacket) {}
             fn on_timer(&mut self, _ctx: &mut Context<'_>, token: TimerToken) {
@@ -1065,115 +996,8 @@ mod tests {
         let n = t.add_node(TimerNode { fired: vec![] }, NodeParams::INSTANT);
         let mut sim = t.into_simulator(1);
         sim.run_until_idle();
-        assert_eq!(sim.node::<TimerNode>(n).fired, vec![1, 3]);
-        assert_eq!(sim.stats().timers_fired, 2);
-        assert_eq!(sim.stats().timers_cancelled, 1);
-        assert!(sim.cancelled_timers.is_empty(), "cancellation id leaked");
-    }
-
-    #[test]
-    fn crash_purges_pending_cancellations() {
-        struct CancelThenCrash;
-        impl Node for CancelThenCrash {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let t = ctx.set_timer(SimDuration::from_secs(1), TimerToken(7));
-                ctx.cancel_timer(t);
-            }
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, _iface: IfaceId, _p: IpPacket) {}
-        }
-        let mut t = TopologyBuilder::new();
-        let n = t.add_node(CancelThenCrash, NodeParams::INSTANT);
-        let mut sim = t.into_simulator(1);
-        // Crash before the cancelled timer's event pops: the epoch bump
-        // orphans the cancellation entry, which the crash must purge.
-        sim.schedule_crash(n, SimTime::from_millis(1));
-        sim.run_until(SimTime::from_millis(2));
-        assert_eq!(sim.cancelled_timers.len(), 0, "cancellation id leaked");
-        // The timer's event is still queued but must not fire.
-        sim.run_until_idle();
-        assert_eq!(sim.stats().timers_fired, 0);
-    }
-
-    #[test]
-    fn cancelling_fired_timer_does_not_leak() {
-        // A node that keeps a handle to a timer that has already fired and
-        // cancels it later — the documented no-op. Historically each such
-        // cancel inserted a tombstone into `cancelled_timers` that no event
-        // would ever pop, so the map grew without bound.
-        struct StaleCanceller {
-            history: Vec<crate::node::TimerId>,
-            fires: u32,
-        }
-        impl Node for StaleCanceller {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                let id = ctx.set_timer(SimDuration::from_millis(1), TimerToken(0));
-                self.history.push(id);
-            }
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, _iface: IfaceId, _p: IpPacket) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
-                self.fires += 1;
-                if self.fires >= 64 {
-                    return;
-                }
-                let id = ctx.set_timer(SimDuration::from_millis(1), TimerToken(0));
-                self.history.push(id);
-                // Cancel a timer that fired long ago: must be a pure no-op.
-                if self.history.len() > 4 {
-                    let stale = self.history.remove(0);
-                    ctx.cancel_timer(stale);
-                }
-            }
-        }
-        let mut t = TopologyBuilder::new();
-        let n = t.add_node(
-            StaleCanceller {
-                history: vec![],
-                fires: 0,
-            },
-            NodeParams::INSTANT,
-        );
-        let mut sim = t.into_simulator(1);
-        sim.run_until_idle();
-        assert_eq!(sim.node::<StaleCanceller>(n).fires, 64);
-        assert_eq!(sim.stats().timers_cancelled, 0);
-        assert_eq!(
-            sim.pending_cancellations(),
-            0,
-            "stale cancellations leaked into the tombstone map"
-        );
-        assert!(sim.live_timers.is_empty(), "live-timer set leaked");
-    }
-
-    #[test]
-    fn timer_churn_drains_cancellation_map() {
-        // Heavy set-and-cancel churn: every pending cancellation must be
-        // consumed (and counted) by the time its tombstoned event pops.
-        struct Churner {
-            rounds: u32,
-        }
-        impl Node for Churner {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.set_timer(SimDuration::from_millis(1), TimerToken(0));
-            }
-            fn on_packet(&mut self, _ctx: &mut Context<'_>, _iface: IfaceId, _p: IpPacket) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-                if token.0 != 0 || self.rounds >= 100 {
-                    return;
-                }
-                self.rounds += 1;
-                ctx.set_timer(SimDuration::from_millis(1), TimerToken(0));
-                let doomed = ctx.set_timer(SimDuration::from_millis(2), TimerToken(1));
-                ctx.cancel_timer(doomed);
-            }
-        }
-        let mut t = TopologyBuilder::new();
-        let n = t.add_node(Churner { rounds: 0 }, NodeParams::INSTANT);
-        let mut sim = t.into_simulator(1);
-        sim.run_until_idle();
-        assert_eq!(sim.node::<Churner>(n).rounds, 100);
-        assert_eq!(sim.stats().timers_cancelled, 100);
-        assert_eq!(sim.pending_cancellations(), 0, "tombstone map not drained");
-        assert!(sim.live_timers.is_empty(), "live-timer set leaked");
+        assert_eq!(sim.node::<TimerNode>(n).fired, vec![1, 20, 21, 3]);
+        assert_eq!(sim.stats().timers_fired, 4);
     }
 
     #[test]
@@ -1200,6 +1024,13 @@ mod tests {
         // Ticks at 10, 20, 30 — then the pending tick at 40 dies with the
         // crash, and recovery does not restart the timer chain by itself.
         assert_eq!(sim.node::<TickTock>(n).ticks, 3);
+        // The epoch is the only invalidation: a timer filed after recovery
+        // carries the new epoch and fires.
+        sim.with_node_ctx::<TickTock, _>(n, |_, ctx| {
+            ctx.set_timer(SimDuration::from_millis(10), TimerToken(0));
+        });
+        sim.run_until(SimTime::from_millis(215));
+        assert_eq!(sim.node::<TickTock>(n).ticks, 4);
     }
 
     #[test]

@@ -50,10 +50,9 @@ pub struct NodeStats {
 pub struct SimStats {
     /// Events processed by the run loop.
     pub events_processed: u64,
-    /// Timers fired (after cancellation filtering).
+    /// Timers delivered to their node; a crashed node's pending timers are
+    /// dropped uncounted.
     pub timers_fired: u64,
-    /// Timers that were cancelled before firing.
-    pub timers_cancelled: u64,
     /// Packet-trace entries evicted from the trace ring to make room for
     /// newer ones (0 when tracing is off or the ring never filled).
     pub trace_dropped: u64,

@@ -15,9 +15,10 @@
 //! before popping, so sub-tick ordering and FIFO tie-breaks are preserved
 //! bit-for-bit. The wheel is the only calendar; a plain `BinaryHeap`
 //! survives as its far-future overflow and as the reference the property
-//! test at the bottom of this file compares against. Timer cancellation
-//! lives above the calendar (the simulator's tombstone set, the TCP
-//! stack's armed-deadline check).
+//! test at the bottom of this file compares against. An entry, once
+//! filed, is always popped; owners that lose interest ignore it when it
+//! surfaces (the simulator's node epoch, the TCP stack's armed-deadline
+//! check).
 //!
 //! The wheel is generic over its payload so it serves two masters: the
 //! simulator's [`EventQueue`] files whole events (`P = EventKind`), and

@@ -519,7 +519,7 @@ impl TcpStack {
         let promoted = config.mode.is_primary();
         self.replicated.insert(port, config);
         for quad in self.quads_on_port(port) {
-            let Some(mut entry) = self.take_conn(quad) else {
+            let Some((slot, mut entry)) = self.take_conn(quad) else {
                 continue;
             };
             // Role changes only ever *loosen* gates on existing
@@ -541,7 +541,7 @@ impl TcpStack {
             if let Some(d) = entry.detector.as_mut() {
                 d.reset();
             }
-            self.finish_entry(quad, entry, now);
+            self.finish_entry(Some(slot), entry, now);
         }
     }
 
@@ -549,11 +549,11 @@ impl TcpStack {
     pub fn clear_portopt(&mut self, port: u16, now: SimTime) {
         self.replicated.remove(&port);
         for quad in self.quads_on_port(port) {
-            if let Some(mut entry) = self.take_conn(quad) {
+            if let Some((slot, mut entry)) = self.take_conn(quad) {
                 entry.conn.disable_send_gate(now);
                 entry.conn.disable_deposit_gate(now);
                 entry.detector = None;
-                self.finish_entry(quad, entry, now);
+                self.finish_entry(Some(slot), entry, now);
             }
         }
     }
@@ -587,7 +587,7 @@ impl TcpStack {
             app,
             detector: None,
         });
-        self.finish_entry(quad, entry, now);
+        self.finish_entry(None, entry, now);
         Ok(quad)
     }
 
@@ -688,7 +688,7 @@ impl TcpStack {
         now: SimTime,
         f: impl FnOnce(&mut SocketIo<'_>) -> R,
     ) -> Option<R> {
-        let mut entry = self.take_conn(quad)?;
+        let (slot, mut entry) = self.take_conn(quad)?;
         let result = {
             let mut io = SocketIo {
                 conn: &mut entry.conn,
@@ -696,7 +696,7 @@ impl TcpStack {
             };
             f(&mut io)
         };
-        self.finish_entry(quad, entry, now);
+        self.finish_entry(Some(slot), entry, now);
         Some(result)
     }
 
@@ -784,7 +784,7 @@ impl TcpStack {
     /// entry exists at a connection's current `next_deadline()` at all
     /// times.
     pub fn on_timer(&mut self, now: SimTime) {
-        let mut due: Vec<Quad> = Vec::new();
+        let mut due: Vec<(Quad, u32)> = Vec::new();
         while let Some(e) = self.timers.pop_if_at_or_before(now) {
             match e.payload {
                 StackTimer::Conn { slot, gen } => {
@@ -803,7 +803,7 @@ impl TcpStack {
                     // Consume the live entry; `finish_entry` re-arms from
                     // the connection's post-tick deadline.
                     occ.armed = None;
-                    due.push(occ.quad);
+                    due.push((occ.quad, slot));
                 }
                 StackTimer::AckFlush => {
                     // Handled below off `ackchan_flush_at`, which is
@@ -812,10 +812,11 @@ impl TcpStack {
             }
         }
         due.sort_unstable();
-        for quad in due {
-            if let Some(mut entry) = self.take_conn(quad) {
+        for (_, slot) in due {
+            let occ = self.slots[slot as usize].occ.as_mut();
+            if let Some(mut entry) = occ.and_then(|o| o.entry.take()) {
                 entry.conn.on_tick(now);
-                self.finish_entry(quad, entry, now);
+                self.finish_entry(Some(slot), entry, now);
             }
         }
         // After connection ticks: their output may have queued more pairs,
@@ -891,12 +892,12 @@ impl TcpStack {
         self.slots.get(slot as usize)?.occ.as_ref().map(|o| o.quad)
     }
 
-    /// Checks out a parked connection. The slot stays occupied (its quad
-    /// remains visible to demux) until `finish_entry` parks it again or
-    /// reaps it.
-    fn take_conn(&mut self, quad: Quad) -> Option<Box<ConnEntry>> {
+    /// Checks out a parked connection and names its slot. The slot stays
+    /// occupied (its quad remains visible to demux) until `finish_entry`,
+    /// handed the slot back, parks the connection again or reaps it.
+    fn take_conn(&mut self, quad: Quad) -> Option<(u32, Box<ConnEntry>)> {
         let slot = self.lookup_slot(quad)?;
-        self.slots[slot as usize].occ.as_mut()?.entry.take()
+        Some((slot, self.slots[slot as usize].occ.as_mut()?.entry.take()?))
     }
 
     fn insert_conn(&mut self, quad: Quad, entry: Box<ConnEntry>) -> u32 {
@@ -1125,7 +1126,7 @@ impl TcpStack {
                 format!("{:#x} seq={}", seg.payload.lineage(), seg.seq.raw()),
             );
         }
-        if let Some(mut entry) = self.take_conn(quad) {
+        if let Some((slot, mut entry)) = self.take_conn(quad) {
             if entry.conn.on_segment(seg, now) {
                 self.stats.fastpath_hits += 1;
                 self.c_fastpath_hits.inc();
@@ -1133,7 +1134,7 @@ impl TcpStack {
                 self.stats.fastpath_misses += 1;
                 self.c_fastpath_misses.inc();
             }
-            self.finish_entry(quad, entry, now);
+            self.finish_entry(Some(slot), entry, now);
             return;
         }
         // New connection?
@@ -1166,7 +1167,7 @@ impl TcpStack {
                 app,
                 detector,
             });
-            self.finish_entry(quad, entry, now);
+            self.finish_entry(None, entry, now);
             return;
         }
         // No socket. A replica that (re)joined a chain after a connection
@@ -1227,18 +1228,18 @@ impl TcpStack {
     fn on_ack_chan(&mut self, msg: AckChanMsg, now: SimTime) {
         self.stats.ackchan_rx += 1;
         self.c_ackchan_rx.inc();
-        let quad = msg.quad();
-        if let Some(mut entry) = self.take_conn(quad) {
+        if let Some((slot, mut entry)) = self.take_conn(msg.quad()) {
             entry.conn.raise_send_gate(msg.seq, now);
             entry.conn.raise_deposit_gate(msg.ack, now);
-            self.finish_entry(quad, entry, now);
+            self.finish_entry(Some(slot), entry, now);
         }
     }
 
     /// Common post-processing after any interaction with a connection:
-    /// dispatch events to the application, drain and route outgoing
-    /// segments, reap closed connections, re-arm the timer wheel.
-    fn finish_entry(&mut self, quad: Quad, mut entry: Box<ConnEntry>, now: SimTime) {
+    /// dispatch events to the application, route outgoing segments, reap it
+    /// if closed, else park it in `slot` (`None`: a new slot) and re-arm.
+    fn finish_entry(&mut self, slot: Option<u32>, mut entry: Box<ConnEntry>, now: SimTime) {
+        let quad = entry.conn.quad();
         // Event/application loop: app actions may produce more events. The
         // iteration cap is a runaway-app backstop; hitting it is counted
         // rather than silently swallowed.
@@ -1395,7 +1396,7 @@ impl TcpStack {
         self.scratch_segments = segments;
         if entry.conn.state() == TcpState::Closed {
             // Reaped; events already delivered.
-            if let Some(slot) = self.lookup_slot(quad) {
+            if let Some(slot) = slot {
                 self.free_slot(slot);
             }
             if self.obs.tracing_enabled() {
@@ -1406,13 +1407,10 @@ impl TcpStack {
             }
             return;
         }
-        let slot = match self.lookup_slot(quad) {
+        let slot = match slot {
             Some(s) => {
-                self.slots[s as usize]
-                    .occ
-                    .as_mut()
-                    .expect("checked-out slot is occupied")
-                    .entry = Some(entry);
+                let occ = self.slots[s as usize].occ.as_mut();
+                occ.expect("checked-out slot is occupied").entry = Some(entry);
                 s
             }
             None => self.insert_conn(quad, entry),
