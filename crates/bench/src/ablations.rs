@@ -46,6 +46,41 @@ pub struct Star {
     pub client_link: LinkId,
 }
 
+/// Deploys [`service`] on `replicas` — echoing, or a plain sink — one
+/// registration per replica, staggered so the chain forms in this order.
+/// Returns the per-replica sinks.
+pub fn deploy_echo_chain(
+    b: &mut SystemBuilder,
+    replicas: &[NodeId],
+    detector: DetectorParams,
+    echo: bool,
+) -> Vec<Shared<SinkState>> {
+    let base = FtServiceSpec::new(service(), replicas.to_vec(), detector);
+    replicas
+        .iter()
+        .enumerate()
+        .map(|(i, &replica)| {
+            let sink = shared(SinkState::default());
+            let one = FtServiceSpec {
+                chain: vec![replica],
+                registration_start: base
+                    .registration_start
+                    .saturating_add(base.registration_stagger * i as u64),
+                ..base.clone()
+            };
+            let app_sink = sink.clone();
+            b.deploy_ft_service(&one, move |_q| {
+                if echo {
+                    Box::new(EchoApp::new(app_sink.clone()))
+                } else {
+                    Box::new(EchoApp::sink(app_sink.clone()))
+                }
+            });
+            sink
+        })
+        .collect()
+}
+
 /// Builds and converges a star deployment with an echoing service.
 pub fn build_star(n_replicas: usize, detector: DetectorParams, echo: bool, seed: u64) -> Star {
     build_star_cfg(n_replicas, detector, echo, seed, TcpConfig::default())
@@ -78,27 +113,7 @@ pub fn build_star_cfg(
     for &r in &replicas {
         replica_links.push(b.link(rd, r, LinkParams::default()));
     }
-    let sinks: Vec<Shared<SinkState>> = (0..n_replicas)
-        .map(|_| shared(SinkState::default()))
-        .collect();
-    let base = FtServiceSpec::new(service(), replicas.clone(), detector);
-    for (i, &replica) in replicas.iter().enumerate() {
-        let sink = sinks[i].clone();
-        let mut one = FtServiceSpec {
-            chain: vec![replica],
-            ..base.clone()
-        };
-        one.registration_start = base
-            .registration_start
-            .saturating_add(base.registration_stagger * i as u64);
-        b.deploy_ft_service(&one, move |_q| {
-            if echo {
-                Box::new(EchoApp::new(sink.clone()))
-            } else {
-                Box::new(EchoApp::sink(sink.clone()))
-            }
-        });
-    }
+    let sinks = deploy_echo_chain(&mut b, &replicas, detector, echo);
     let mut system = b.build(seed);
     assert!(
         system.wait_for_chain(rd, service(), n_replicas, SimTime::from_secs(3)),
@@ -113,6 +128,35 @@ pub fn build_star_cfg(
         replica_links,
         client_link,
     }
+}
+
+/// The `i % 251` byte pattern every echo experiment streams.
+pub fn pattern(total: usize) -> Vec<u8> {
+    (0..total).map(|i| (i % 251) as u8).collect()
+}
+
+/// Connects `client` to [`service`] streaming `payload`, lets `inject`
+/// schedule the run's faults (after the connect, so every caller files its
+/// events in the same order), then steps the simulation in 20 ms slices
+/// until the whole echo is back or `deadline` passes.
+pub fn stream_echo(
+    system: &mut System,
+    client: NodeId,
+    payload: Vec<u8>,
+    deadline: SimTime,
+    inject: impl FnOnce(&mut System),
+) -> Shared<SenderState> {
+    let total = payload.len();
+    let state = shared(SenderState::default());
+    let app = StreamSenderApp::new(payload, false, state.clone());
+    system.connect_client(client, service(), Box::new(app));
+    inject(system);
+    let mut step = system.sim.now();
+    while system.sim.now() < deadline && state.borrow().replies.data.len() < total {
+        step = step.saturating_add(SimDuration::from_millis(20));
+        system.sim.run_until(step);
+    }
+    state
 }
 
 // --------------------------------------------------------------------
@@ -137,9 +181,9 @@ pub struct DetectorPoint {
 
 /// Workload knobs for the A1 sweep. The default reproduces the historical
 /// `detector_sweep` sizes; tests and the deterministic-equivalence guard
-/// use a scaled-down grid via [`DetectorSweepConfig::quick`].
+/// use a scaled-down grid via [`DetectorGridConfig::quick`].
 #[derive(Debug, Clone)]
-pub struct DetectorSweepConfig {
+pub struct DetectorGridConfig {
     /// Bytes streamed in the crash run (a).
     pub crash_payload: usize,
     /// Deadline for detecting the crash in run (a).
@@ -152,9 +196,9 @@ pub struct DetectorSweepConfig {
     pub loss_p: f64,
 }
 
-impl Default for DetectorSweepConfig {
+impl Default for DetectorGridConfig {
     fn default() -> Self {
-        DetectorSweepConfig {
+        DetectorGridConfig {
             crash_payload: 200_000,
             crash_deadline: SimTime::from_secs(120),
             lossy_payload: 400_000,
@@ -164,10 +208,10 @@ impl Default for DetectorSweepConfig {
     }
 }
 
-impl DetectorSweepConfig {
+impl DetectorGridConfig {
     /// A scaled-down grid for fast tests (~4× smaller payloads).
     pub fn quick() -> Self {
-        DetectorSweepConfig {
+        DetectorGridConfig {
             crash_payload: 60_000,
             crash_deadline: SimTime::from_secs(60),
             lossy_payload: 100_000,
@@ -179,14 +223,13 @@ impl DetectorSweepConfig {
 
 /// One A1 grid cell: both measurement runs for a single threshold value.
 /// Pure function of `(threshold, cfg, seed)` — the unit of parallel work.
-pub fn detector_point(threshold: u32, cfg: &DetectorSweepConfig, seed: u64) -> DetectorPoint {
+pub fn detector_point(threshold: u32, cfg: &DetectorGridConfig, seed: u64) -> DetectorPoint {
     let detector = DetectorParams::new(threshold, SimDuration::from_secs(60));
 
     // (a) real crash: measure reconfiguration latency.
     let mut star = build_star(2, detector, false, seed);
-    let payload: Vec<u8> = (0..cfg.crash_payload).map(|i| (i % 251) as u8).collect();
     let state = shared(SenderState::default());
-    let app = StreamSenderApp::new(payload, false, state);
+    let app = StreamSenderApp::new(pattern(cfg.crash_payload), false, state);
     star.system
         .connect_client(star.client, service(), Box::new(app));
     let crash_at = star
@@ -226,9 +269,8 @@ pub fn detector_point(threshold: u32, cfg: &DetectorSweepConfig, seed: u64) -> D
         star.replica_links[0],
         LossModel::Bernoulli { p: cfg.loss_p },
     );
-    let payload: Vec<u8> = (0..cfg.lossy_payload).map(|i| (i % 251) as u8).collect();
     let state = shared(SenderState::default());
-    let app = StreamSenderApp::new(payload, false, state);
+    let app = StreamSenderApp::new(pattern(cfg.lossy_payload), false, state);
     star.system
         .connect_client(star.client, service(), Box::new(app));
     star.system.sim.run_until(cfg.lossy_deadline);
@@ -255,7 +297,7 @@ pub fn detector_point(threshold: u32, cfg: &DetectorSweepConfig, seed: u64) -> D
 /// reconfiguration latency, and (b) reconfigurations triggered by a healthy
 /// run over a lossy primary branch (false positives).
 pub fn detector_sweep(thresholds: &[u32], seed: u64) -> Vec<DetectorPoint> {
-    let cfg = DetectorSweepConfig::default();
+    let cfg = DetectorGridConfig::default();
     thresholds
         .iter()
         .map(|&threshold| detector_point(threshold, &cfg, seed))
@@ -267,7 +309,7 @@ pub fn detector_sweep(thresholds: &[u32], seed: u64) -> Vec<DetectorPoint> {
 /// regardless of thread count.
 pub fn detector_sweep_threads(
     thresholds: &[u32],
-    cfg: &DetectorSweepConfig,
+    cfg: &DetectorGridConfig,
     seed: u64,
     threads: usize,
 ) -> (Vec<DetectorPoint>, RunnerStats) {
@@ -275,9 +317,7 @@ pub fn detector_sweep_threads(
         .iter()
         .map(|&threshold| {
             let cfg = cfg.clone();
-            Task::new(format!("a1-threshold-{threshold}"), seed, move || {
-                detector_point(threshold, &cfg, seed)
-            })
+            Task::new(move || detector_point(threshold, &cfg, seed))
         })
         .collect();
     run_tasks(tasks, threads)
@@ -322,43 +362,35 @@ pub fn failover_point(
     seed: u64,
 ) -> FailoverPoint {
     let detector = DetectorParams::new(4, SimDuration::from_secs(60));
-    let payload: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
-    let deadline = SimTime::from_secs(120);
-
     let mut star = build_star(replicas, detector, true, seed);
-    let state = shared(SenderState::default());
-    let app = StreamSenderApp::new(payload, false, state.clone());
-    star.system
-        .connect_client(star.client, service(), Box::new(app));
-    if crash {
-        let at = star
-            .system
-            .sim
-            .now()
-            .saturating_add(SimDuration::from_millis(50));
-        star.system.sim.schedule_crash(star.replicas[0], at);
-    }
-    let mut step = star.system.sim.now();
-    while star.system.sim.now() < deadline {
-        if state.borrow().replies.data.len() >= total {
-            break;
-        }
-        step = step.saturating_add(SimDuration::from_millis(20));
-        star.system.sim.run_until(step);
-    }
-    let detection_latency = star
-        .system
-        .detection_latency_nanos()
-        .map(SimDuration::from_nanos);
-    let telemetry = star.system.telemetry_json(scenario);
+    let primary = star.replicas[0];
+    let deadline = SimTime::from_secs(120);
+    let state = stream_echo(
+        &mut star.system,
+        star.client,
+        pattern(total),
+        deadline,
+        |system| {
+            if crash {
+                let at = system
+                    .sim
+                    .now()
+                    .saturating_add(SimDuration::from_millis(50));
+                system.sim.schedule_crash(primary, at);
+            }
+        },
+    );
     let st = state.borrow();
     FailoverPoint {
         scenario,
         completed: st.replies.data.len() >= total,
         stall: st.replies.max_gap_duration(),
         bytes: st.replies.data.len(),
-        detection_latency,
-        telemetry,
+        detection_latency: star
+            .system
+            .detection_latency_nanos()
+            .map(SimDuration::from_nanos),
+        telemetry: star.system.telemetry_json(scenario),
     }
 }
 

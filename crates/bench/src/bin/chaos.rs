@@ -16,140 +16,98 @@
 //!   period and miss budget (default 200 ms x 2; the `rd_*` classes only —
 //!   used by the EXPERIMENTS.md C2 detection-threshold sweep).
 //!
-//! The soak runs once per thread count, asserts every merged report is
-//! **byte-identical** to the single-threaded one, asserts the chaos
-//! invariants (client stream intact and exactly-once, survivor replicas
-//! intact, chain reconverged) over every `(class, seed)` run, prints
-//! per-class recovery-latency distributions, and writes `BENCH_chaos.json`.
-
-use std::fmt::Write as _;
+//! The soak runs once per thread count ([`run_soak`] asserts every merged
+//! report is **byte-identical** to the single-threaded one), asserts the
+//! chaos invariants (client stream intact and exactly-once, survivor
+//! replicas intact, chain reconverged, false alarms absorbed) over every
+//! `(class, seed)` run, prints the per-class distributions of the fail-over
+//! window (EXPERIMENTS.md S1 and C1), and writes `BENCH_chaos.json`.
 
 use hydranet_bench::chaos::{
-    chrome_trace_json, merged_report, run_chaos_soak, total_events, violations, ChaosConfig,
-    ChaosOutcome, FaultClass, CLASSES,
+    chrome_trace_json, merged_report, run_chaos_soak, violations, ChaosConfig, ChaosOutcome,
+    FaultClass, CLASSES, VALUE_FLAGS,
 };
-use hydranet_bench::{render_table, RunnerStats};
-use hydranet_obs::Obs;
+use hydranet_bench::runner::{host_cpus, run_soak, SoakArgs};
+use hydranet_bench::{quantile, render_table};
+use hydranet_netsim::time::SimDuration;
 
-struct Measurement {
-    threads: usize,
-    stats: RunnerStats,
-    events: u64,
-}
+/// One optional nanosecond reading of a run.
+type Reading = fn(&ChaosOutcome) -> Option<u64>;
 
-impl Measurement {
-    fn events_per_sec(&self) -> f64 {
-        if self.stats.wall_nanos == 0 {
-            0.0
-        } else {
-            self.events as f64 * 1e9 / self.stats.wall_nanos as f64
-        }
+/// Prints one per-class p50/p90/p99/max table (milliseconds) of `reading`;
+/// classes that never produced it are left out.
+fn print_latency_table(title: &str, outcomes: &[ChaosOutcome], reading: Reading) {
+    let header = ["class", "runs", "p50 ms", "p90 ms", "p99 ms", "max ms"].map(String::from);
+    let rows: Vec<Vec<String>> = CLASSES
+        .iter()
+        .filter_map(|class| {
+            let mut vals: Vec<u64> = outcomes
+                .iter()
+                .filter(|o| o.class == class.name())
+                .filter_map(reading)
+                .collect();
+            vals.sort_unstable();
+            let ms = |p: f64| format!("{:.1}", quantile(&vals, p) as f64 / 1e6);
+            (!vals.is_empty()).then(|| {
+                let runs = vals.len().to_string();
+                let name = class.name().to_string();
+                vec![name, runs, ms(0.50), ms(0.90), ms(0.99), ms(1.0)]
+            })
+        })
+        .collect();
+    if !rows.is_empty() {
+        println!("{title}:");
+        println!("{}", render_table(&header, &rows));
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ChaosConfig::default();
-    let mut thread_counts: Vec<usize> = vec![1, 2, 4];
-    let mut trace = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => cfg = ChaosConfig::smoke(),
-            "--trace" => trace = true,
-            "--seeds" => {
-                i += 1;
-                cfg.seeds_per_class = args[i].parse().expect("--seeds takes a number");
-            }
-            "--threads" => {
-                i += 1;
-                let n: usize = args[i].parse().expect("--threads takes a number");
-                thread_counts = if n <= 1 { vec![1] } else { vec![1, n] };
-            }
-            "--probe-ms" => {
-                i += 1;
-                let ms: u64 = args[i].parse().expect("--probe-ms takes a number");
-                cfg.pair_probe_timeout = hydranet_netsim::time::SimDuration::from_millis(ms);
-            }
-            "--probe-attempts" => {
-                i += 1;
-                cfg.pair_probe_attempts = args[i].parse().expect("--probe-attempts takes a number");
-            }
-            other => {
-                eprintln!(
-                    "unknown flag {other} (try --smoke, --seeds N, --threads N, --trace, \
-                     --probe-ms N, --probe-attempts N)"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
+    let args = SoakArgs::from_env(&["--trace"], VALUE_FLAGS);
+    let mut cfg = if args.switch("--smoke") {
+        ChaosConfig::smoke()
+    } else {
+        ChaosConfig::default()
+    };
+    if let Some(n) = args.value("--seeds") {
+        cfg.seeds_per_class = n;
+    }
+    if let Some(ms) = args.value("--probe-ms") {
+        cfg.pair_probe_timeout = SimDuration::from_millis(ms);
+    }
+    if let Some(n) = args.value("--probe-attempts") {
+        cfg.pair_probe_attempts = u32::try_from(n).unwrap_or(u32::MAX);
     }
 
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     println!(
         "chaos soak: {} classes x {} seeds, threshold {}, host has {} cpu(s)",
         CLASSES.len(),
         cfg.seeds_per_class,
         cfg.threshold,
-        host_cpus
+        host_cpus()
     );
-
-    let mut measurements: Vec<Measurement> = Vec::new();
-    let mut reference: Option<(Vec<ChaosOutcome>, String)> = None;
-    for &threads in &thread_counts {
-        let (outcomes, stats) = run_chaos_soak(&cfg, threads);
-        let events = total_events(&outcomes);
-        let report = merged_report(&cfg, &outcomes);
-        match &reference {
-            None => reference = Some((outcomes, report)),
-            Some((ref_outcomes, ref_report)) => {
-                assert_eq!(
-                    ref_outcomes, &outcomes,
-                    "outcomes diverged between threads={} and threads={threads}",
-                    thread_counts[0]
-                );
-                assert_eq!(
-                    ref_report, &report,
-                    "merged report not byte-identical at threads={threads}"
-                );
-            }
-        }
-        println!(
-            "  threads={threads}: {:.1} ms wall, {:.0} events/sec, utilization {:.2}",
-            stats.wall_nanos as f64 / 1e6,
-            events as f64 * 1e9 / stats.wall_nanos.max(1) as f64,
-            stats.utilization()
-        );
-        measurements.push(Measurement {
-            threads,
-            stats,
-            events,
-        });
-    }
-    let (outcomes, report) = reference.expect("at least one thread count");
+    let soak = run_soak(
+        &args.thread_counts(),
+        |threads| run_chaos_soak(&cfg, threads),
+        |outcomes| merged_report(&cfg, outcomes),
+    );
+    let outcomes = &soak.outcomes;
 
     // The soak's point: every run must satisfy the invariants. Before
     // failing, persist every captured flight-recorder dump so CI attaches
     // the causal evidence (span tree + lineage notes) to the red run.
-    let bad = violations(&outcomes);
-    if outcomes.iter().any(|o| o.flight_dump.is_some()) {
-        // Dumps land in a gitignored scratch dir; CI uploads them as
-        // workflow artifacts, they are never committed to the repo.
-        if let Err(e) = std::fs::create_dir_all("artifacts") {
-            eprintln!("could not create artifacts dir: {e}");
-        }
-    }
-    for o in outcomes.iter().filter(|o| o.flight_dump.is_some()) {
+    // Dumps land in a gitignored scratch dir; CI uploads them as workflow
+    // artifacts, they are never committed to the repo.
+    for o in outcomes {
+        let Some(dump) = o.flight_dump.as_deref() else {
+            continue;
+        };
         let path = format!("artifacts/FLIGHT_chaos_{}_{}.json", o.class, o.seed);
-        let dump = o.flight_dump.as_deref().unwrap_or_default();
-        match std::fs::write(&path, dump) {
+        match std::fs::create_dir_all("artifacts").and_then(|()| std::fs::write(&path, dump)) {
             Ok(()) => eprintln!("flight recorder dumped to {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
+    let bad = violations(outcomes);
     assert!(
         bad.is_empty(),
         "{} invariant violation(s):\n{}",
@@ -164,128 +122,26 @@ fn main() {
         cfg.seeds_per_class
     );
 
-    // Per-class recovery-latency distribution table.
-    let q = |sorted: &[u64], p: f64| sorted[((sorted.len() - 1) as f64 * p) as usize] as f64 / 1e6;
-    let header: Vec<String> = ["class", "runs", "p50 ms", "p90 ms", "p99 ms", "max ms"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let rows: Vec<Vec<String>> = CLASSES
-        .iter()
-        .filter_map(|&class| {
-            let mut vals: Vec<u64> = outcomes
-                .iter()
-                .filter(|o| o.class == class.name())
-                .filter_map(|o| o.recovery_ns)
-                .collect();
-            if vals.is_empty() {
-                return None;
-            }
-            vals.sort_unstable();
-            Some(vec![
-                class.name().to_string(),
-                vals.len().to_string(),
-                format!("{:.1}", q(&vals, 0.50)),
-                format!("{:.1}", q(&vals, 0.90)),
-                format!("{:.1}", q(&vals, 0.99)),
-                format!("{:.1}", vals[vals.len() - 1] as f64 / 1e6),
-            ])
-        })
-        .collect();
-    println!("client-visible recovery latency per fault class:");
-    println!("{}", render_table(&header, &rows));
-
-    // Standby-promotion latency for the redirector-pair classes.
-    let header: Vec<String> = ["class", "runs", "p50 ms", "p90 ms", "p99 ms", "max ms"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let rows: Vec<Vec<String>> = CLASSES
-        .iter()
-        .filter(|c| c.is_pair())
-        .filter_map(|&class| {
-            let mut vals: Vec<u64> = outcomes
-                .iter()
-                .filter(|o| o.class == class.name())
-                .filter_map(|o| o.failover_ns)
-                .collect();
-            if vals.is_empty() {
-                return None;
-            }
-            vals.sort_unstable();
-            Some(vec![
-                class.name().to_string(),
-                vals.len().to_string(),
-                format!("{:.1}", q(&vals, 0.50)),
-                format!("{:.1}", q(&vals, 0.90)),
-                format!("{:.1}", q(&vals, 0.99)),
-                format!("{:.1}", vals[vals.len() - 1] as f64 / 1e6),
-            ])
-        })
-        .collect();
-    if !rows.is_empty() {
-        println!("redirector failover (fault -> standby promotion) latency:");
-        println!("{}", render_table(&header, &rows));
+    let tables: [(&str, Reading); 4] = [
+        ("client-visible recovery latency", |o| o.recovery_ns),
+        ("fault -> first suspicion", |o| o.crash_to_detect_ns),
+        ("first suspicion -> promotion", |o| o.detection_latency_ns),
+        ("fault -> standby redirector promotion", |o| o.failover_ns),
+    ];
+    for (title, reading) in tables {
+        print_latency_table(title, outcomes, reading);
     }
-
-    // Speedup table (wall-clock; honest about the host).
-    let base_wall = measurements[0].stats.wall_nanos.max(1) as f64;
-    let header: Vec<String> = ["threads", "wall ms", "events/sec", "speedup", "util"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let rows: Vec<Vec<String>> = measurements
-        .iter()
-        .map(|m| {
-            vec![
-                m.threads.to_string(),
-                format!("{:.1}", m.stats.wall_nanos as f64 / 1e6),
-                format!("{:.0}", m.events_per_sec()),
-                format!("{:.2}x", base_wall / m.stats.wall_nanos.max(1) as f64),
-                format!("{:.2}", m.stats.utilization()),
-            ]
-        })
-        .collect();
-    println!("{}", render_table(&header, &rows));
-
-    // Engine telemetry through the obs registry (runner.* metrics).
-    let obs = Obs::enabled();
-    if let Some(last) = measurements.last() {
-        last.stats.publish(&obs, last.events);
-    }
-
-    let mut json = String::with_capacity(report.len() + 4096);
-    json.push_str("{\n\"bench\": \"chaos_soak\",\n");
-    let _ = write!(json, "\"host_cpus\": {host_cpus},\n\"timing\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "  {{\"threads\": {}, \"wall_nanos\": {}, \"worker_busy_nanos\": {}, \"tasks\": {}, \"events\": {}, \"events_per_sec\": {:.1}, \"speedup_vs_1\": {:.3}, \"utilization\": {:.3}}}",
-            m.threads,
-            m.stats.wall_nanos,
-            m.stats.worker_busy_nanos,
-            m.stats.tasks_completed,
-            m.events,
-            m.events_per_sec(),
-            base_wall / m.stats.wall_nanos.max(1) as f64,
-            m.stats.utilization()
-        );
-    }
-    json.push_str("\n],\n\"runner_telemetry\": ");
-    json.push_str(obs.to_json().trim_end());
-    json.push_str(",\n\"report\": ");
-    json.push_str(report.trim_end());
-    json.push_str("\n}\n");
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
+    let false_reports: Vec<u64> = outcomes.iter().filter_map(|o| o.false_reports).collect();
     println!(
-        "wrote BENCH_chaos.json ({} runs, byte-identical across {thread_counts:?} threads)",
-        outcomes.len()
+        "lossy_healthy: {} false report(s) over {} of {} runs, every one absorbed by the probe round\n",
+        false_reports.iter().sum::<u64>(),
+        false_reports.iter().filter(|&&n| n > 0).count(),
+        false_reports.len()
     );
 
-    if trace {
+    soak.finish("chaos_soak", "BENCH_chaos.json", &[]);
+
+    if args.switch("--trace") {
         let chrome = chrome_trace_json(&cfg, FaultClass::PrimaryCrash, cfg.base_seed);
         std::fs::write("TRACE_chaos.json", &chrome).expect("write TRACE_chaos.json");
         println!(

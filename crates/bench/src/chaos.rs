@@ -7,7 +7,9 @@
 //! group partition, and an ack-channel loss burst — plus three `rd_*`
 //! classes that run against a *replicated redirector pair* (crash the
 //! active under load, partition-then-heal with stale updates, crash during
-//! table install) and report the standby's promotion latency. Per
+//! table install) and report the standby's promotion latency, and a
+//! `lossy_healthy` class where nobody fails but the primary's branch drops
+//! packets (the detector's false-positive side). Per
 //! `(class, seed)` the soak builds a star (or pair) deployment, streams an
 //! echo transfer through it, applies the plan, and checks the properties
 //! that must survive *any* of these faults:
@@ -19,21 +21,30 @@
 //!   consumed the full client stream (a permanently gated deposit buffer
 //!   would leave a survivor short);
 //! - **chain reconverges** — after recovery the redirector's chain is back
-//!   to full strength with a single primary at its head.
+//!   to full strength with a single primary at its head;
+//! - **false alarms absorbed** — when nobody failed, the redirector's probe
+//!   round answers every failure report and never reconfigures.
 //!
 //! Each run is a pure function of `(config, class, seed)` on the parallel
 //! experiment engine ([`crate::runner`]), so outcomes and the merged report
 //! are byte-identical at any thread count. The `chaos` binary wraps the
-//! report in `BENCH_chaos.json` with per-class recovery-latency
-//! distributions (p50/p90/p99 from the client's largest reply gap).
+//! report in `BENCH_chaos.json` with per-class distributions (p50/p90/p99)
+//! of the fail-over window's parts: fault → first suspicion
+//! (`crash_to_detect_ns`), suspicion → promotion (`detection_latency_ns`)
+//! and the client's largest reply gap (`recovery_ns`).
+
+use std::fmt::Write as _;
 
 use hydranet_core::faults::FaultPlan;
 use hydranet_core::prelude::*;
 use hydranet_netsim::link::{Impairments, LinkId};
 use hydranet_obs::{json, kinds, Obs};
 
-use crate::ablations::{build_star_cfg, service, Star};
-use crate::runner::{run_tasks, RunnerStats, Task};
+use crate::ablations::{build_star_cfg, deploy_echo_chain, pattern, service, stream_echo, Star};
+use crate::runner::{run_tasks, Outcome, RunnerStats, Task};
+
+/// The `chaos` binary's number-valued flags (besides `--threads`).
+pub const VALUE_FLAGS: &[&str] = &["--seeds", "--probe-ms", "--probe-attempts"];
 
 /// Flight-recorder ring capacity for soak runs: big enough to hold the
 /// spans around a wedged transfer, small enough to keep 800 runs cheap.
@@ -73,11 +84,17 @@ pub enum FaultClass {
     /// table installs are still in flight — unacked registrations must
     /// retransmit into the promoted standby.
     RedirectorCrashInstall,
+    /// Nobody fails: 3 % Bernoulli loss on the primary's branch for the
+    /// whole run. Packets the backup received but the primary lost make the
+    /// client retransmit, and those retransmissions are exactly the
+    /// duplicates the backup's estimator counts — ordinary congestion loss
+    /// looking like a failure (§4.3's false-positive risk).
+    LossyHealthy,
 }
 
 /// Every class, in report order. New classes are appended so existing
 /// classes keep their seed bands (`base_seed + 1000 * index`).
-pub const CLASSES: [FaultClass; 11] = [
+pub const CLASSES: [FaultClass; 12] = [
     FaultClass::PrimaryCrash,
     FaultClass::MidChainCrash,
     FaultClass::TailCrash,
@@ -89,6 +106,7 @@ pub const CLASSES: [FaultClass; 11] = [
     FaultClass::RedirectorFailover,
     FaultClass::RedirectorPartitionStale,
     FaultClass::RedirectorCrashInstall,
+    FaultClass::LossyHealthy,
 ];
 
 impl FaultClass {
@@ -106,6 +124,7 @@ impl FaultClass {
             FaultClass::RedirectorFailover => "rd_failover",
             FaultClass::RedirectorPartitionStale => "rd_partition_stale",
             FaultClass::RedirectorCrashInstall => "rd_crash_install",
+            FaultClass::LossyHealthy => "lossy_healthy",
         }
     }
 
@@ -143,9 +162,10 @@ impl FaultClass {
         }
     }
 
-    /// Builds the class's fault plan against a deployed star, starting at
+    /// Builds the class's fault plan against its deployment, starting at
     /// `t0`.
-    fn plan(self, star: &Star, t0: SimTime, cfg: &ChaosConfig) -> FaultPlan {
+    fn plan(self, rig: &Rig, t0: SimTime, cfg: &ChaosConfig) -> FaultPlan {
+        let star = &rig.star;
         match self {
             FaultClass::PrimaryCrash | FaultClass::MidChainCrash | FaultClass::TailCrash => {
                 let victim = star.replicas[self.crashed_replica().expect("crash class")];
@@ -190,19 +210,13 @@ impl FaultClass {
                 t0,
                 SimDuration::from_millis(250),
             ),
-            FaultClass::RedirectorFailover
-            | FaultClass::RedirectorPartitionStale
-            | FaultClass::RedirectorCrashInstall => {
-                unreachable!("pair classes plan against a PairRig, not a Star")
-            }
-        }
-    }
-
-    /// Builds the class's fault plan against a deployed redirector pair.
-    fn pair_plan(self, rig: &PairRig, t0: SimTime, cfg: &ChaosConfig) -> FaultPlan {
-        match self {
+            FaultClass::LossyHealthy => FaultPlan::new().impair(
+                star.replica_links[0],
+                Impairments::NONE.with_loss(LossModel::Bernoulli { p: 0.03 }),
+                t0,
+            ),
             FaultClass::RedirectorFailover | FaultClass::RedirectorCrashInstall => {
-                FaultPlan::new().crash_for(rig.rd_a, t0, cfg.crash_downtime)
+                FaultPlan::new().crash_for(star.rd, t0, cfg.crash_downtime)
             }
             FaultClass::RedirectorPartitionStale => {
                 // Cut the active's client-facing and peer links (its daemon
@@ -218,9 +232,8 @@ impl FaultClass {
                     .fold(FaultPlan::new(), |p, &l| {
                         p.link_flap(l, t0, SimDuration::from_millis(1500))
                     })
-                    .crash_for(rig.replicas[2], crash_tail, cfg.crash_downtime)
+                    .crash_for(star.replicas[2], crash_tail, cfg.crash_downtime)
             }
-            _ => unreachable!("star classes plan against a Star, not a PairRig"),
         }
     }
 }
@@ -309,11 +322,21 @@ pub struct ChaosOutcome {
     /// Largest client-visible gap between reply bytes — the recovery
     /// latency the client experienced.
     pub recovery_ns: Option<u64>,
+    /// Fault→first-suspicion span: the part of the fail-over window that
+    /// depends on where the fault landed relative to the client's
+    /// retransmission schedule (the seed-varying part).
+    pub crash_to_detect_ns: Option<u64>,
     /// Detect→promote latency, when the run involved a fail-over.
     pub detection_latency_ns: Option<u64>,
     /// Fault-injection→standby-promotion latency, for redirector-pair
     /// classes (None for solo-redirector classes).
     pub failover_ns: Option<u64>,
+    /// Failure reports the replicas' estimators sent although nobody failed
+    /// (`lossy_healthy` only).
+    pub false_reports: Option<u64>,
+    /// Of those, how many survived the redirector's probe round and caused
+    /// a spurious reconfiguration — must be 0 (`lossy_healthy` only).
+    pub false_reconfigurations: Option<u64>,
     /// Bytes the client received.
     pub bytes: usize,
     /// Simulated events processed.
@@ -331,6 +354,25 @@ impl ChaosOutcome {
             && self.intact
             && self.survivors_intact
             && self.chain_len == self.chain_expected
+            && self.false_reconfigurations.unwrap_or(0) == 0
+    }
+
+    /// The optional readings, by report key: each gets a per-class
+    /// histogram in the summary and a field in the per-run line.
+    fn readings(&self) -> [(&'static str, Option<u64>); 5] {
+        [
+            ("recovery_ns", self.recovery_ns),
+            ("crash_to_detect_ns", self.crash_to_detect_ns),
+            ("detection_latency_ns", self.detection_latency_ns),
+            ("failover_ns", self.failover_ns),
+            ("false_reports", self.false_reports),
+        ]
+    }
+}
+
+impl Outcome for ChaosOutcome {
+    fn events(&self) -> u64 {
+        self.events
     }
 }
 
@@ -347,108 +389,94 @@ pub fn chrome_trace_json(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> Str
     system.obs().chrome_trace_json()
 }
 
-/// What a chaos run needs from its deployment — solo-redirector star or
-/// redirector pair — once the class's plan is built against it.
+/// A chaos deployment: the solo-redirector [`Star`], or the redirector pair
+/// laid out in the same fields (`rd` is the initial active, `client_link`
+/// and `replica_links` hang off the plain routers on either side).
 struct Rig {
-    system: System,
-    client: NodeId,
-    sinks: Vec<Shared<SinkState>>,
-    plan: FaultPlan,
-    /// When the plan's first fault lands.
-    t0: SimTime,
-    /// The redirector serving the chain at deployment.
-    rd: NodeId,
-    /// Its standby, for pair classes: reconvergence is judged at whichever
-    /// member is active at the end, and `failover_ns` is its promotion.
+    star: Star,
+    /// The standby redirector, for pair classes: reconvergence is judged at
+    /// whichever member is active at the end, and `failover_ns` is its
+    /// promotion.
     standby: Option<NodeId>,
+    /// Pair only: routerA—rdA and rdA—rdB. Cutting exactly these isolates
+    /// the initial active from the clients and its peer while its daemon
+    /// side stays reachable (the stale-update partition shape).
+    west_links: Vec<LinkId>,
 }
 
-/// Builds the class's deployment and its fault plan.
-fn deploy(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> Rig {
+/// Builds the class's deployment, its fault plan, and the instant the
+/// plan's first fault lands.
+fn deploy(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (Rig, FaultPlan, SimTime) {
     let detector = DetectorParams::new(cfg.threshold, SimDuration::from_secs(60));
     let n = class.replicas();
-    // The fault lands `base_ms` in, jittered across a 40 ms window per seed
-    // so it hits different phases of the transfer.
-    let jitter_ns = hydranet_netsim::rng::SimRng::seed_from(seed).next_u64() % 40_000_000;
-    let fault_time = |system: &System, base_ms: u64| {
-        system
-            .sim
-            .now()
-            .saturating_add(SimDuration::from_millis(base_ms))
-            .saturating_add(SimDuration::from_nanos(jitter_ns))
-    };
-    if class.is_pair() {
+    let rig = if class.is_pair() {
         let probe = ProbeParams {
             timeout: cfg.pair_probe_timeout,
             attempts: cfg.pair_probe_attempts,
         };
-        let pair = build_pair_rig(n, detector, seed, cfg.tcp.clone(), probe);
-        // Crash-during-install lands *inside* the staggered registration
-        // window (starting 5 ms in); every other class waits 50 ms so the
-        // transfer is in full flight.
-        let base_ms = if class == FaultClass::RedirectorCrashInstall {
-            5
-        } else {
-            50
-        };
-        let t0 = fault_time(&pair.system, base_ms);
-        let plan = class.pair_plan(&pair, t0, cfg);
-        Rig {
-            system: pair.system,
-            client: pair.client,
-            sinks: pair.sinks,
-            plan,
-            t0,
-            rd: pair.rd_a,
-            standby: Some(pair.rd_b),
-        }
+        build_pair_rig(n, detector, seed, cfg.tcp.clone(), probe)
     } else {
-        let star = build_star_cfg(n, detector, true, seed, cfg.tcp.clone());
-        let t0 = fault_time(&star.system, 50);
-        let plan = class.plan(&star, t0, cfg);
         Rig {
-            system: star.system,
-            client: star.client,
-            sinks: star.sinks,
-            plan,
-            t0,
-            rd: star.rd,
+            star: build_star_cfg(n, detector, true, seed, cfg.tcp.clone()),
             standby: None,
+            west_links: Vec::new(),
         }
-    }
+    };
+    let base_ms = match class {
+        // No fault instant: the loss is there from the first packet.
+        FaultClass::LossyHealthy => None,
+        // Lands *inside* the staggered registration window (starting 5 ms
+        // in).
+        FaultClass::RedirectorCrashInstall => Some(5),
+        // Every other class waits until the transfer is in full flight.
+        _ => Some(50),
+    };
+    // Jittered across a 40 ms window per seed, so the fault hits different
+    // phases of the transfer.
+    let jitter_ns = hydranet_netsim::rng::SimRng::seed_from(seed).next_u64() % 40_000_000;
+    let now = rig.star.system.sim.now();
+    let t0 = base_ms.map_or(now, |ms| {
+        now.saturating_add(SimDuration::from_millis(ms))
+            .saturating_add(SimDuration::from_nanos(jitter_ns))
+    });
+    let plan = class.plan(&rig, t0, cfg);
+    (rig, plan, t0)
 }
 
 /// One `(class, seed)` run: stream an echo transfer through the deployment,
 /// apply the class's plan, and check the chaos invariants (for pair classes
 /// also measuring the standby's promotion latency).
 fn chaos_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOutcome, System) {
-    let Rig {
+    let (rig, plan, t0) = deploy(cfg, class, seed);
+    let Star {
         mut system,
         client,
-        sinks,
-        plan,
-        t0,
         rd,
-        standby,
-    } = deploy(cfg, class, seed);
+        replicas,
+        sinks,
+        ..
+    } = rig.star;
+    let standby = rig.standby;
     // Tracing is purely observational (no RNG draws, no scheduled events),
     // so the soak always flies with the recorder on: any invariant
     // violation yields a causal dump instead of just a failing bool.
     system.enable_tracing(FLIGHT_CAPACITY);
 
-    let payload: Vec<u8> = (0..cfg.payload).map(|i| (i % 251) as u8).collect();
-    let state = shared(SenderState::default());
-    let app = StreamSenderApp::new(payload.clone(), false, state.clone());
-    system.connect_client(client, service(), Box::new(app));
-    plan.apply(&mut system);
-
-    let mut step = system.sim.now();
-    while system.sim.now() < cfg.deadline {
-        if state.borrow().replies.data.len() >= cfg.payload {
-            break;
-        }
-        step = step.saturating_add(SimDuration::from_millis(20));
-        system.sim.run_until(step);
+    let payload = pattern(cfg.payload);
+    let state = stream_echo(
+        &mut system,
+        client,
+        payload.clone(),
+        cfg.deadline,
+        |system| plan.apply(system),
+    );
+    let healthy = class == FaultClass::LossyHealthy;
+    if healthy {
+        // A false alarm raised just before the last byte still has its
+        // probe round (2 x 200 ms) in flight: let it conclude before
+        // judging whether it was absorbed.
+        let settled = system.sim.now().saturating_add(SimDuration::from_secs(1));
+        system.sim.run_until(settled);
     }
     let (completed, intact, bytes, recovery_ns) = {
         let st = state.borrow();
@@ -487,6 +515,18 @@ fn chaos_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOut
     let failover_ns = standby
         .and_then(|_| system.obs().first_event_at(kinds::REDIRECTOR_PROMOTED))
         .and_then(|at| at.checked_sub(t0.as_nanos()));
+    let crash_to_detect_ns = system
+        .obs()
+        .first_event_at(kinds::DETECTOR_SUSPECTED)
+        .map(|at| at.saturating_sub(t0.as_nanos()));
+    // With nobody failed, every report is a false alarm the probe round
+    // must absorb.
+    let false_reports = healthy.then(|| {
+        let sent = |&r: &NodeId| system.host_server(r).daemon().reports_sent();
+        replicas.iter().map(sent).sum()
+    });
+    let false_reconfigurations =
+        healthy.then(|| system.redirector(rd).controller().reconfigurations());
 
     let mut outcome = ChaosOutcome {
         class: class.name(),
@@ -498,8 +538,11 @@ fn chaos_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOut
         chain_len,
         chain_expected: n,
         recovery_ns,
+        crash_to_detect_ns,
         detection_latency_ns: system.detection_latency_nanos(),
         failover_ns,
+        false_reports,
+        false_reconfigurations,
         bytes,
         events: system.sim.stats().events_processed,
         flight_dump: None,
@@ -514,7 +557,7 @@ fn chaos_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOut
     (outcome, system)
 }
 
-/// A deployed redirector-*pair* topology for the `rd_*` chaos classes:
+/// Deploys the redirector-*pair* topology of the `rd_*` chaos classes:
 /// clients and host daemons address only the pair's VIP, plain routers sit
 /// on both sides, and each router is linked to both members (the anycast
 /// group):
@@ -522,26 +565,13 @@ fn chaos_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOut
 /// ```text
 /// client — routerA ═ (rdA ↔ rdB) ═ routerB — hs1..hsN
 /// ```
-struct PairRig {
-    system: System,
-    client: NodeId,
-    rd_a: NodeId,
-    rd_b: NodeId,
-    replicas: Vec<NodeId>,
-    sinks: Vec<Shared<SinkState>>,
-    /// routerA—rdA and rdA—rdB: cutting exactly these isolates the initial
-    /// active from the clients and its peer while its daemon side stays
-    /// reachable (the stale-update partition shape).
-    west_links: [LinkId; 2],
-}
-
 fn build_pair_rig(
     n: usize,
     detector: DetectorParams,
     seed: u64,
     tcp: TcpConfig,
     probe: ProbeParams,
-) -> PairRig {
+) -> Rig {
     const CLIENT: IpAddr = IpAddr::new(10, 0, 1, 1);
     const RD_A: IpAddr = IpAddr::new(10, 9, 0, 1);
     const RD_B: IpAddr = IpAddr::new(10, 9, 0, 2);
@@ -562,37 +592,30 @@ fn build_pair_rig(
             )
         })
         .collect();
-    b.link(client, router_a, LinkParams::default());
+    let client_link = b.link(client, router_a, LinkParams::default());
     let l_client_side = b.link(router_a, rd_a, LinkParams::default());
     b.link(router_a, rd_b, LinkParams::default());
     let l_peer = b.link(rd_a, rd_b, LinkParams::default());
     b.link(rd_a, router_b, LinkParams::default());
     b.link(rd_b, router_b, LinkParams::default());
-    for &r in &replicas {
-        b.link(router_b, r, LinkParams::default());
-    }
-    let sinks: Vec<Shared<SinkState>> = (0..n).map(|_| shared(SinkState::default())).collect();
-    let base = FtServiceSpec::new(service(), replicas.clone(), detector);
-    for (i, &replica) in replicas.iter().enumerate() {
-        let sink = sinks[i].clone();
-        let mut one = FtServiceSpec {
-            chain: vec![replica],
-            ..base.clone()
-        };
-        one.registration_start = base
-            .registration_start
-            .saturating_add(base.registration_stagger * i as u64);
-        b.deploy_ft_service(&one, move |_q| Box::new(EchoApp::new(sink.clone())));
-    }
+    let replica_links = replicas
+        .iter()
+        .map(|&r| b.link(router_b, r, LinkParams::default()))
+        .collect();
+    let sinks = deploy_echo_chain(&mut b, &replicas, detector, true);
     let system = b.build(seed);
-    PairRig {
-        system,
-        client,
-        rd_a,
-        rd_b,
-        replicas,
-        sinks,
-        west_links: [l_client_side, l_peer],
+    Rig {
+        star: Star {
+            system,
+            client,
+            rd: rd_a,
+            replicas,
+            sinks,
+            replica_links,
+            client_link,
+        },
+        standby: Some(rd_b),
+        west_links: vec![l_client_side, l_peer],
     }
 }
 
@@ -606,9 +629,7 @@ pub fn run_chaos_soak(cfg: &ChaosConfig, threads: usize) -> (Vec<ChaosOutcome>, 
         .map(|(class, i)| {
             let seed = cfg.base_seed + 1000 * class_index(class) + i;
             let cfg = cfg.clone();
-            Task::new(format!("chaos-{}-{seed}", class.name()), seed, move || {
-                chaos_point(&cfg, class, seed)
-            })
+            Task::new(move || chaos_point(&cfg, class, seed))
         })
         .collect();
     run_tasks(tasks, threads)
@@ -629,7 +650,8 @@ pub fn violations(outcomes: &[ChaosOutcome]) -> Vec<String> {
         .filter(|o| !o.invariants_hold())
         .map(|o| {
             format!(
-                "{} seed {}: completed={} intact={} survivors_intact={} chain={}/{}{}",
+                "{} seed {}: completed={} intact={} survivors_intact={} chain={}/{} \
+                 false_reconfigurations={}{}",
                 o.class,
                 o.seed,
                 o.completed,
@@ -637,6 +659,7 @@ pub fn violations(outcomes: &[ChaosOutcome]) -> Vec<String> {
                 o.survivors_intact,
                 o.chain_len,
                 o.chain_expected,
+                o.false_reconfigurations.unwrap_or(0),
                 if o.flight_dump.is_some() {
                     " [flight recorded]"
                 } else {
@@ -645,11 +668,6 @@ pub fn violations(outcomes: &[ChaosOutcome]) -> Vec<String> {
             )
         })
         .collect()
-}
-
-/// Total simulated events across outcomes.
-pub fn total_events(outcomes: &[ChaosOutcome]) -> u64 {
-    outcomes.iter().map(|o| o.events).sum()
 }
 
 /// Builds the deterministic merged report: per-class recovery-latency and
@@ -669,17 +687,11 @@ pub fn merged_report(cfg: &ChaosConfig, outcomes: &[ChaosOutcome]) -> String {
         }
         faults.add(o.faults);
         events.add(o.events);
-        if let Some(ns) = o.recovery_ns {
-            obs.histogram(&format!("chaos.{}.recovery_ns", o.class))
-                .record(ns);
-        }
-        if let Some(ns) = o.detection_latency_ns {
-            obs.histogram(&format!("chaos.{}.detection_latency_ns", o.class))
-                .record(ns);
-        }
-        if let Some(ns) = o.failover_ns {
-            obs.histogram(&format!("chaos.{}.failover_ns", o.class))
-                .record(ns);
+        for (name, value) in o.readings() {
+            if let Some(v) = value {
+                obs.histogram(&format!("chaos.{}.{name}", o.class))
+                    .record(v);
+            }
         }
     }
     let summary = obs.to_json_with_meta(&[
@@ -699,31 +711,17 @@ pub fn merged_report(cfg: &ChaosConfig, outcomes: &[ChaosOutcome]) -> String {
         if i > 0 {
             out.push_str(",\n");
         }
-        out.push_str("  {\"class\": \"");
-        out.push_str(o.class);
-        out.push_str("\", \"seed\": ");
-        json::push_u64(&mut out, o.seed);
-        out.push_str(", \"faults\": ");
-        json::push_u64(&mut out, o.faults);
-        out.push_str(", \"completed\": ");
-        out.push_str(if o.completed { "true" } else { "false" });
-        out.push_str(", \"intact\": ");
-        out.push_str(if o.intact { "true" } else { "false" });
-        out.push_str(", \"survivors_intact\": ");
-        out.push_str(if o.survivors_intact { "true" } else { "false" });
-        out.push_str(", \"chain_len\": ");
-        json::push_u64(&mut out, o.chain_len as u64);
-        out.push_str(", \"recovery_ns\": ");
-        push_opt_u64(&mut out, o.recovery_ns);
-        out.push_str(", \"detection_latency_ns\": ");
-        push_opt_u64(&mut out, o.detection_latency_ns);
-        out.push_str(", \"failover_ns\": ");
-        push_opt_u64(&mut out, o.failover_ns);
-        out.push_str(", \"bytes\": ");
-        json::push_u64(&mut out, o.bytes as u64);
-        out.push_str(", \"events\": ");
-        json::push_u64(&mut out, o.events);
-        out.push('}');
+        let _ = write!(
+            out,
+            "  {{\"class\": \"{}\", \"seed\": {}, \"faults\": {}, \"completed\": {}, \
+             \"intact\": {}, \"survivors_intact\": {}, \"chain_len\": {}",
+            o.class, o.seed, o.faults, o.completed, o.intact, o.survivors_intact, o.chain_len
+        );
+        for (key, value) in o.readings() {
+            let _ = write!(out, ", \"{key}\": ");
+            push_opt_u64(&mut out, value);
+        }
+        let _ = write!(out, ", \"bytes\": {}, \"events\": {}}}", o.bytes, o.events);
     }
     out.push_str("\n]\n}\n");
     out
@@ -775,7 +773,7 @@ mod tests {
     /// and the partition class also forces (and survives) a stale-epoch
     /// rejection at the new active.
     #[test]
-    fn pair_classes_measure_failover_latency() {
+    fn pair_classes_report_promotion_latency() {
         let cfg = tiny();
         for class in [
             FaultClass::RedirectorFailover,

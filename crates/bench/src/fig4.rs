@@ -300,17 +300,6 @@ pub fn run_point_traced(
     )
 }
 
-/// Runs the full sweep: every configuration × every write size.
-pub fn run_sweep(write_sizes: &[usize], params: &Fig4Params, seed: u64) -> Vec<Fig4Point> {
-    let mut points = Vec::new();
-    for &ws in write_sizes {
-        for config in Fig4Config::ALL {
-            points.push(run_point(config, ws, params, seed));
-        }
-    }
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

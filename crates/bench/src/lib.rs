@@ -8,17 +8,18 @@
 //! - [`ablations`] — design-space experiments the paper discusses in prose:
 //!   detector-threshold trade-off (A1), fail-over disruption (A2), chain
 //!   length scaling (A3), and ack-channel loss (A4).
-//! - [`sweep`] — fail-over behaviour as a seed-swept distribution.
 //! - [`chaos`] — scripted fault plans swept over seeds, with hard
-//!   invariants (stream intact, survivors intact, chain reconverges).
+//!   invariants (stream intact, survivors intact, chain reconverges, false
+//!   alarms absorbed) and the fail-over latency distributions.
 //! - [`scale`] — many-flow engine scaling: open-loop Poisson arrivals with
 //!   heavy-tailed flow sizes across replicated services through shared
 //!   redirectors, reporting events/sec, per-flow memory, and completion
 //!   tail latency.
 //!
 //! Binaries (`fig4`, `detector_sweep`, `failover_latency`, `chain_scaling`,
-//! `ackchan_loss`) print paper-style tables; the Criterion benches wrap the
-//! same scenarios.
+//! `ackchan_loss`) print paper-style tables; `chaos` and `scale` run on the
+//! parallel engine's soak driver ([`runner::run_soak`]) and write
+//! `BENCH_*.json`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,9 +29,16 @@ pub mod chaos;
 pub mod fig4;
 pub mod runner;
 pub mod scale;
-pub mod sweep;
 
 pub use runner::{run_tasks, RunnerStats, Task};
+
+/// Nearest-rank `p`-quantile (`0..=1`) of an ascending slice; 0 when empty.
+pub fn quantile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted[((sorted.len() - 1) as f64 * p) as usize]
+}
 
 /// Renders a simple aligned table: a header row then data rows.
 pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {

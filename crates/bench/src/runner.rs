@@ -7,7 +7,7 @@
 //! provided the merge step is order-independent. This module provides that
 //! fan-out with nothing beyond `std`:
 //!
-//! - A [`Task`] is `(label, seed, builder-fn)`. The closure must be `Send`
+//! - A [`Task`] is a boxed builder closure. The closure must be `Send`
 //!   (it is moved to a worker thread), but what it *builds* need not be:
 //!   the `Rc`-based [`hydranet_core::System`] is constructed *inside* the
 //!   worker, lives its whole life on that thread, and only the plain-data
@@ -24,51 +24,34 @@
 //! The pool reports [`RunnerStats`] (tasks completed, per-worker busy time,
 //! wall-clock) which can be published into an [`Obs`] registry via
 //! [`RunnerStats::publish`] under the `runner.*` metric names.
+//!
+//! [`run_soak`] is the one driver the soak binaries (`chaos`, `scale`)
+//! share: it re-runs a workload at each requested thread count, asserts the
+//! determinism contract above on outcomes and merged report, and
+//! [`Soak::finish`] prints the speed-up table and writes the `BENCH_*.json`
+//! envelope. [`SoakArgs`] is their command line.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use hydranet_obs::Obs;
 
-/// One unit of parallel work: a labelled, seeded, self-contained simulation
-/// run. The closure owns everything it needs (configs are cloned in) and
-/// returns a plain-data result.
-pub struct Task<R> {
-    /// Human-readable label, carried through to reports.
-    pub label: String,
-    /// The deterministic seed this task runs with (informational; the
-    /// closure already captured it).
-    pub seed: u64,
-    run: Box<dyn FnOnce() -> R + Send>,
-}
+/// One unit of parallel work: a self-contained, seeded simulation run. The
+/// closure owns everything it needs (configs are cloned in) and returns a
+/// plain-data result.
+pub struct Task<R>(Box<dyn FnOnce() -> R + Send>);
 
 impl<R> Task<R> {
-    /// Creates a task from a label, seed, and builder closure.
-    pub fn new(
-        label: impl Into<String>,
-        seed: u64,
-        run: impl FnOnce() -> R + Send + 'static,
-    ) -> Self {
-        Task {
-            label: label.into(),
-            seed,
-            run: Box::new(run),
-        }
+    /// Wraps a builder closure.
+    pub fn new(run: impl FnOnce() -> R + Send + 'static) -> Self {
+        Task(Box::new(run))
     }
 
     /// Runs the task, consuming it.
     pub fn run(self) -> R {
-        (self.run)()
-    }
-}
-
-impl<R> std::fmt::Debug for Task<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Task")
-            .field("label", &self.label)
-            .field("seed", &self.seed)
-            .finish_non_exhaustive()
+        (self.0)()
     }
 }
 
@@ -221,6 +204,219 @@ fn elapsed_nanos(t: &Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// A plain-data experiment result: comparable across thread counts and
+/// priced in simulated events.
+pub trait Outcome: PartialEq + std::fmt::Debug {
+    /// Simulated events the run processed.
+    fn events(&self) -> u64;
+}
+
+/// Total simulated events across a set of outcomes.
+pub fn total_events<O: Outcome>(outcomes: &[O]) -> u64 {
+    outcomes.iter().map(Outcome::events).sum()
+}
+
+/// CPUs the host offers — read every speed-up against this.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Command line of a soak binary: `--smoke` and `--threads N` everywhere,
+/// plus the binary's own switches and number-valued flags.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SoakArgs {
+    given: Vec<(String, Option<u64>)>,
+}
+
+impl SoakArgs {
+    /// Parses `args` (program name already stripped). `switches` and
+    /// `valued` name the binary's own flags; an unknown flag, a missing
+    /// value or a non-number is an `Err` carrying the usage line.
+    pub fn parse(args: &[String], switches: &[&str], valued: &[&str]) -> Result<Self, String> {
+        let switches = [&["--smoke"], switches].concat();
+        let valued = [&["--threads"], valued].concat();
+        let usage = |problem: String| {
+            let valued = valued.iter().map(|v| format!("{v} N"));
+            let flags: Vec<String> = switches
+                .iter()
+                .map(|s| s.to_string())
+                .chain(valued)
+                .collect();
+            format!("{problem} (flags: {})", flags.join(", "))
+        };
+        let mut given = Vec::new();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let value = if valued.contains(&flag.as_str()) {
+                let n = it.next().and_then(|v| v.parse().ok());
+                Some(n.ok_or_else(|| usage(format!("{flag} takes a number")))?)
+            } else if switches.contains(&flag.as_str()) {
+                None
+            } else {
+                return Err(usage(format!("unknown flag {flag}")));
+            };
+            given.push((flag.clone(), value));
+        }
+        Ok(SoakArgs { given })
+    }
+
+    /// [`SoakArgs::parse`] over the process arguments; prints the usage
+    /// line and exits with status 2 on a bad command line.
+    pub fn from_env(switches: &[&str], valued: &[&str]) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args, switches, valued).unwrap_or_else(|usage| {
+            eprintln!("{usage}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Whether switch `name` was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.given.iter().any(|(flag, _)| flag == name)
+    }
+
+    /// The value of flag `name`, if given (the last one wins).
+    pub fn value(&self, name: &str) -> Option<u64> {
+        let found = self.given.iter().rev().find(|(flag, _)| flag == name);
+        found.and_then(|&(_, n)| n)
+    }
+
+    /// Thread counts to measure at: 1, 2 and 4, or 1 and N after
+    /// `--threads N`.
+    pub fn thread_counts(&self) -> Vec<usize> {
+        match self.value("--threads") {
+            None => vec![1, 2, 4],
+            Some(n) if n <= 1 => vec![1],
+            Some(n) => vec![1, usize::try_from(n).unwrap_or(usize::MAX)],
+        }
+    }
+}
+
+/// One thread count's wall-clock reading of a soak.
+#[derive(Debug)]
+struct Measurement {
+    /// Threads requested (the pool clamps to the task count).
+    threads: usize,
+    stats: RunnerStats,
+}
+
+/// A finished soak: outcomes and merged report — identical at every
+/// measured thread count — plus one wall-clock reading per count.
+#[derive(Debug)]
+pub struct Soak<O> {
+    /// Outcomes in task order.
+    pub outcomes: Vec<O>,
+    /// The deterministic merged report (no wall-clock data).
+    pub report: String,
+    measurements: Vec<Measurement>,
+}
+
+/// Runs a workload once per thread count and enforces the determinism
+/// contract: outcomes and merged report at every count must equal the
+/// first count's.
+///
+/// # Panics
+///
+/// Panics if any thread count produces different outcomes or a different
+/// report, or if `thread_counts` is empty.
+pub fn run_soak<O: Outcome>(
+    thread_counts: &[usize],
+    run: impl Fn(usize) -> (Vec<O>, RunnerStats),
+    merged_report: impl Fn(&[O]) -> String,
+) -> Soak<O> {
+    let mut reference: Option<(Vec<O>, String)> = None;
+    let mut measurements = Vec::with_capacity(thread_counts.len());
+    for &threads in thread_counts {
+        let (outcomes, stats) = run(threads);
+        let report = merged_report(&outcomes);
+        measurements.push(Measurement { threads, stats });
+        match &reference {
+            None => reference = Some((outcomes, report)),
+            Some((ref_outcomes, ref_report)) => {
+                assert_eq!(
+                    ref_outcomes, &outcomes,
+                    "outcomes diverged between threads={} and threads={threads}",
+                    thread_counts[0]
+                );
+                assert_eq!(
+                    ref_report, &report,
+                    "merged report not byte-identical at threads={threads}"
+                );
+            }
+        }
+    }
+    let (outcomes, report) = reference.expect("at least one thread count");
+    Soak {
+        outcomes,
+        report,
+        measurements,
+    }
+}
+
+impl<O: Outcome> Soak<O> {
+    /// Prints the speed-up table and writes the `BENCH_*.json` envelope to
+    /// `path`: `timing` rows and `runner.*` telemetry (wall-clock), any
+    /// `extra` `(name, JSON value)` sections, then the deterministic
+    /// `report` — kept apart so determinism stays checkable by `diff`.
+    pub fn finish(&self, bench: &str, path: &str, extra: &[(&str, &str)]) {
+        let events = total_events(&self.outcomes);
+        let base_wall = self.measurements[0].stats.wall_nanos.max(1) as f64;
+        let header = ["threads", "wall ms", "events/sec", "speedup", "util"].map(String::from);
+        let mut rows = Vec::new();
+        let mut timing = String::new();
+        for m in &self.measurements {
+            let wall = m.stats.wall_nanos.max(1) as f64;
+            let events_per_sec = events as f64 * 1e9 / wall;
+            rows.push(vec![
+                m.threads.to_string(),
+                format!("{:.1}", wall / 1e6),
+                format!("{events_per_sec:.0}"),
+                format!("{:.2}x", base_wall / wall),
+                format!("{:.2}", m.stats.utilization()),
+            ]);
+            if !timing.is_empty() {
+                timing.push_str(",\n");
+            }
+            let _ = write!(
+                timing,
+                "  {{\"threads\": {}, \"wall_nanos\": {}, \"worker_busy_nanos\": {}, \"tasks\": {}, \"events\": {events}, \"events_per_sec\": {events_per_sec:.1}, \"speedup_vs_1\": {:.3}, \"utilization\": {:.3}}}",
+                m.threads,
+                m.stats.wall_nanos,
+                m.stats.worker_busy_nanos,
+                m.stats.tasks_completed,
+                base_wall / wall,
+                m.stats.utilization()
+            );
+        }
+        println!("{}", crate::render_table(&header, &rows));
+
+        // Engine telemetry through the obs registry (runner.* metrics).
+        let obs = Obs::enabled();
+        if let Some(last) = self.measurements.last() {
+            last.stats.publish(&obs, events);
+        }
+        let mut json = format!(
+            "{{\n\"bench\": \"{bench}\",\n\"host_cpus\": {},\n\"timing\": [\n{timing}\n],\n",
+            host_cpus()
+        );
+        for (name, value) in extra {
+            let _ = writeln!(json, "\"{name}\": {value},");
+        }
+        let _ = write!(
+            json,
+            "\"runner_telemetry\": {},\n\"report\": {}\n}}\n",
+            obs.to_json().trim_end(),
+            self.report.trim_end()
+        );
+        std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        let counts: Vec<usize> = self.measurements.iter().map(|m| m.threads).collect();
+        println!(
+            "wrote {path} ({} tasks, byte-identical across {counts:?} threads)",
+            self.outcomes.len()
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,9 +424,7 @@ mod tests {
     use std::rc::Rc;
 
     fn squares(n: u64) -> Vec<Task<u64>> {
-        (0..n)
-            .map(|i| Task::new(format!("sq-{i}"), i, move || i * i))
-            .collect()
+        (0..n).map(|i| Task::new(move || i * i)).collect()
     }
 
     #[test]
@@ -252,7 +446,7 @@ mod tests {
         let make = || {
             (0..16u64)
                 .map(|i| {
-                    Task::new(format!("walk-{i}"), i, move || {
+                    Task::new(move || {
                         let rng = Rc::new(std::cell::RefCell::new(SimRng::seed_from(i)));
                         let mut acc = 0u64;
                         for _ in 0..1000 {
@@ -293,6 +487,71 @@ mod tests {
         );
         assert!(stats.utilization() <= 1.0 + f64::EPSILON);
         assert!(stats.wall_nanos > 0);
+    }
+
+    impl Outcome for u64 {
+        fn events(&self) -> u64 {
+            *self
+        }
+    }
+
+    /// Every value-taking flag of both soak binaries: missing its value
+    /// (last argument) or given a non-number is a usage error, never an
+    /// out-of-bounds index.
+    #[test]
+    fn value_flag_without_a_number_is_a_usage_error() {
+        let switches = ["--trace", "--no-profile"];
+        let valued: Vec<&str> = crate::chaos::VALUE_FLAGS
+            .iter()
+            .chain(crate::scale::VALUE_FLAGS)
+            .copied()
+            .collect();
+        let argv = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        for flag in valued.iter().chain(&["--threads"]) {
+            for bad in [argv(&["--smoke", flag]), argv(&[flag, "many"])] {
+                let err = SoakArgs::parse(&bad, &switches, &valued).unwrap_err();
+                assert!(err.contains(&format!("{flag} takes a number")), "{err}");
+                assert!(err.contains("--threads N"), "no usage in {err}");
+            }
+            let ok = SoakArgs::parse(&argv(&[flag, "3", "--trace"]), &switches, &valued).unwrap();
+            assert!(ok.switch("--trace") && !ok.switch("--no-profile") && !ok.switch("--smoke"));
+            assert_eq!(ok.value(flag), Some(3));
+        }
+        let err = SoakArgs::parse(&argv(&["--bogus"]), &switches, &valued).unwrap_err();
+        assert!(err.contains("unknown flag --bogus"), "{err}");
+        let threads = |args: &[&str]| {
+            SoakArgs::parse(&argv(args), &[], &[])
+                .unwrap()
+                .thread_counts()
+        };
+        assert_eq!(threads(&[]), vec![1, 2, 4]);
+        assert_eq!(threads(&["--threads", "1"]), vec![1]);
+        assert_eq!(threads(&["--smoke", "--threads", "3"]), vec![1, 3]);
+    }
+
+    #[test]
+    fn soak_returns_the_reference_run() {
+        let soak = run_soak(
+            &[1, 3],
+            |threads| run_tasks(squares(5), threads),
+            |o| format!("{o:?}"),
+        );
+        assert_eq!(soak.outcomes, vec![0, 1, 4, 9, 16]);
+        assert_eq!(soak.report, "[0, 1, 4, 9, 16]");
+        assert_eq!(soak.measurements.len(), 2);
+        assert_eq!(total_events(&soak.outcomes), 30);
+    }
+
+    /// The driver's reason to exist: a workload whose result depends on the
+    /// thread count must not get as far as a `BENCH_*.json`.
+    #[test]
+    #[should_panic(expected = "outcomes diverged between threads=1 and threads=2")]
+    fn soak_panics_when_outcomes_depend_on_thread_count() {
+        run_soak(
+            &[1, 2],
+            |threads| (vec![threads as u64], RunnerStats::default()),
+            |_| String::new(),
+        );
     }
 
     #[test]

@@ -33,13 +33,19 @@
 //!
 //! [`SimRng`]: hydranet_netsim::rng::SimRng
 
+use std::fmt::Write as _;
+
 use hydranet_core::prelude::*;
 use hydranet_netsim::profile::CategoryStats;
 use hydranet_netsim::rng::SimRng;
-use hydranet_obs::{json, Obs};
+use hydranet_obs::Obs;
 use hydranet_tcp::stack::{SocketApp, SocketIo};
 
-use crate::runner::{run_tasks, RunnerStats, Task};
+use crate::quantile;
+use crate::runner::{run_tasks, total_events, Outcome, RunnerStats, Task};
+
+/// The `scale` binary's number-valued flags (besides `--threads`).
+pub const VALUE_FLAGS: &[&str] = &["--cells", "--flows"];
 
 const CLIENT: IpAddr = IpAddr::new(10, 0, 1, 1);
 const CROSS: IpAddr = IpAddr::new(10, 0, 1, 2);
@@ -169,6 +175,12 @@ impl CellOutcome {
         self.client_conn_bytes
             .checked_div(self.client_conns_at_sample)
             .unwrap_or(0)
+    }
+}
+
+impl Outcome for CellOutcome {
+    fn events(&self) -> u64 {
+        self.events
     }
 }
 
@@ -318,32 +330,17 @@ fn bounded_pareto(rng: &mut SimRng, lo: u64, hi: u64, alpha: f64) -> u64 {
 }
 
 /// Runs one cell. Pure function of `(cfg, seed)` — the unit of parallel
-/// work.
-pub fn run_cell(cfg: &ScaleConfig, seed: u64) -> CellOutcome {
-    run_cell_impl(cfg, seed, false).0
-}
-
-/// Runs one cell with the [`EventProfiler`] enabled and returns its
-/// attribution snapshot alongside the outcome. The profiler only measures
-/// wall time — the outcome is identical to [`run_cell`]'s — but the
-/// snapshot itself is wall-clock data, so it must stay out of the
-/// deterministic report.
+/// work — returned with the cell's [`EventProfiler`] attribution snapshot.
+/// `profile` turns the profiler on; it only measures wall time, so the
+/// outcome is identical either way, but the snapshot is wall-clock data and
+/// must stay out of the deterministic report (all zeros when off).
 ///
 /// [`EventProfiler`]: hydranet_netsim::profile::EventProfiler
-pub fn profile_cell(
-    cfg: &ScaleConfig,
-    seed: u64,
-) -> (CellOutcome, Vec<(&'static str, CategoryStats)>) {
-    let (outcome, snap) = run_cell_impl(cfg, seed, true);
-    (outcome, snap.expect("profiler was enabled"))
-}
-
-#[allow(clippy::type_complexity)]
-fn run_cell_impl(
+pub fn run_cell(
     cfg: &ScaleConfig,
     seed: u64,
     profile: bool,
-) -> (CellOutcome, Option<Vec<(&'static str, CategoryStats)>>) {
+) -> (CellOutcome, Vec<(&'static str, CategoryStats)>) {
     let tcp = TcpConfig {
         send_buf: cfg.buf_bytes,
         recv_buf: cfg.buf_bytes,
@@ -499,8 +496,7 @@ fn run_cell_impl(
         primary_conn_bytes,
         residual_conns: system.client(client).stack().conn_count() as u64,
     };
-    let snap = profile.then(|| system.sim.profiler().snapshot());
-    (outcome, snap)
+    (outcome, system.sim.profiler().snapshot())
 }
 
 /// Runs the scale workload across the experiment engine. Outcomes come
@@ -510,17 +506,10 @@ pub fn run_scale(cfg: &ScaleConfig, threads: usize) -> (Vec<CellOutcome>, Runner
         .map(|i| {
             let seed = cfg.base_seed + i as u64;
             let cfg = cfg.clone();
-            Task::new(format!("scale-cell-{seed}"), seed, move || {
-                run_cell(&cfg, seed)
-            })
+            Task::new(move || run_cell(&cfg, seed, false).0)
         })
         .collect();
     run_tasks(tasks, threads)
-}
-
-/// Total simulated events across a set of outcomes.
-pub fn total_events(outcomes: &[CellOutcome]) -> u64 {
-    outcomes.iter().map(|o| o.events).sum()
 }
 
 /// Total payload bytes delivered across a set of outcomes.
@@ -538,15 +527,6 @@ pub fn aggregate_bytes_per_flow(outcomes: &[CellOutcome]) -> u64 {
     let bytes: u64 = outcomes.iter().map(|o| o.client_conn_bytes).sum();
     let conns: u64 = outcomes.iter().map(|o| o.client_conns_at_sample).sum();
     bytes.checked_div(conns).unwrap_or(0)
-}
-
-/// The `p`-quantile (0..=1) of a sorted slice.
-fn quantile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p) as usize;
-    sorted[idx]
 }
 
 /// Builds the deterministic merged report: aggregate counts, completion
@@ -584,12 +564,11 @@ pub fn merged_report(cfg: &ScaleConfig, outcomes: &[CellOutcome]) -> String {
         h_per_flow.record(o.per_flow_bytes());
     }
     merged.sort_unstable();
-    let total_bytes: u64 = outcomes.iter().map(|o| o.bytes).sum();
-    let total_events: u64 = outcomes.iter().map(|o| o.events).sum();
+    let total_bytes = total_bytes(outcomes);
     let events_per_byte = if total_bytes == 0 {
         0.0
     } else {
-        total_events as f64 / total_bytes as f64
+        total_events(outcomes) as f64 / total_bytes as f64
     };
     let bytes_per_flow = aggregate_bytes_per_flow(outcomes);
     let summary = obs.to_json_with_meta(&[
@@ -618,35 +597,28 @@ pub fn merged_report(cfg: &ScaleConfig, outcomes: &[CellOutcome]) -> String {
         if i > 0 {
             out.push_str(",\n");
         }
-        out.push_str("  {\"seed\": ");
-        json::push_u64(&mut out, o.seed);
-        out.push_str(", \"flows\": ");
-        json::push_u64(&mut out, o.flows);
-        out.push_str(", \"connected\": ");
-        json::push_u64(&mut out, o.connected);
-        out.push_str(", \"completed\": ");
-        json::push_u64(&mut out, o.completed);
-        out.push_str(", \"peak_concurrent\": ");
-        json::push_u64(&mut out, o.peak_concurrent);
-        out.push_str(", \"bytes\": ");
-        json::push_u64(&mut out, o.bytes);
-        out.push_str(", \"events\": ");
-        json::push_u64(&mut out, o.events);
-        out.push_str(", \"per_flow_client_bytes\": ");
-        json::push_u64(&mut out, o.per_flow_bytes());
-        out.push_str(", \"primary_conn_bytes\": ");
-        json::push_u64(&mut out, o.primary_conn_bytes);
-        out.push_str(", \"residual_conns\": ");
-        json::push_u64(&mut out, o.residual_conns);
         let mut sorted = o.completion_ns.clone();
         sorted.sort_unstable();
-        out.push_str(", \"p50_ns\": ");
-        json::push_u64(&mut out, quantile(&sorted, 0.50));
-        out.push_str(", \"p99_ns\": ");
-        json::push_u64(&mut out, quantile(&sorted, 0.99));
-        out.push_str(", \"p999_ns\": ");
-        json::push_u64(&mut out, quantile(&sorted, 0.999));
-        out.push('}');
+        let _ = write!(
+            out,
+            "  {{\"seed\": {}, \"flows\": {}, \"connected\": {}, \"completed\": {}, \
+             \"peak_concurrent\": {}, \"bytes\": {}, \"events\": {}, \
+             \"per_flow_client_bytes\": {}, \"primary_conn_bytes\": {}, \
+             \"residual_conns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}",
+            o.seed,
+            o.flows,
+            o.connected,
+            o.completed,
+            o.peak_concurrent,
+            o.bytes,
+            o.events,
+            o.per_flow_bytes(),
+            o.primary_conn_bytes,
+            o.residual_conns,
+            quantile(&sorted, 0.50),
+            quantile(&sorted, 0.99),
+            quantile(&sorted, 0.999)
+        );
     }
     out.push_str("\n]\n}\n");
     out

@@ -12,7 +12,7 @@
 //! completion) are asserted unchanged.
 //!
 //! The thread-equivalence tests extend the same contract to the parallel
-//! experiment engine: an ablation grid or a seed sweep fanned out over N
+//! experiment engine: an ablation grid or a chaos soak fanned out over N
 //! workers must merge to the byte-identical JSON the single-threaded run
 //! produces — thread count is a wall-clock knob, never a results knob.
 //!
@@ -21,12 +21,11 @@
 //! a behaviour change. The one re-pin that rule cost is PR 13 (one wakeup
 //! per node), which dropped `events=` from the three pins that carried it.
 
-use hydranet_bench::ablations::{build_star, detector_sweep_threads, service, DetectorSweepConfig};
-use hydranet_bench::chaos::{self, ChaosConfig};
+use hydranet_bench::ablations::{build_star, detector_sweep_threads, service, DetectorGridConfig};
+use hydranet_bench::chaos::{self, ChaosConfig, FaultClass};
 use hydranet_bench::fig4::{run_point, Fig4Config, Fig4Params};
 use hydranet_bench::runner::{run_tasks, Task};
 use hydranet_bench::scale::{merged_report as scale_report, run_scale, ScaleConfig};
-use hydranet_bench::sweep::{detector_grid_json, merged_report, run_seed_sweep, SweepConfig};
 use hydranet_core::prelude::*;
 
 const SEED: u64 = 21;
@@ -140,8 +139,8 @@ fn failover_latency_is_bit_identical() {
 fn failover_is_thread_invariant() {
     let tasks = || {
         vec![
-            Task::new("failover-a", SEED, failover_fingerprint),
-            Task::new("failover-b", SEED, failover_fingerprint),
+            Task::new(failover_fingerprint),
+            Task::new(failover_fingerprint),
         ]
     };
     let (seq, _) = run_tasks(tasks(), 1);
@@ -197,8 +196,8 @@ fn traced_failover_fingerprint() -> (String, String) {
 fn span_tree_is_thread_invariant() {
     let tasks = || {
         vec![
-            Task::new("spans-a", SEED, traced_failover_fingerprint),
-            Task::new("spans-b", SEED, traced_failover_fingerprint),
+            Task::new(traced_failover_fingerprint),
+            Task::new(traced_failover_fingerprint),
         ]
     };
     let (seq, _) = run_tasks(tasks(), 1);
@@ -231,16 +230,11 @@ fn span_tree_is_thread_invariant() {
 
 #[test]
 fn ablation_grid_is_thread_count_invariant() {
-    let cfg = DetectorSweepConfig::quick();
+    let cfg = DetectorGridConfig::quick();
     let thresholds = [3u32, 4];
     let (seq, seq_stats) = detector_sweep_threads(&thresholds, &cfg, SEED, 1);
     let (par, par_stats) = detector_sweep_threads(&thresholds, &cfg, SEED, 4);
     assert_eq!(seq, par, "A1 grid points diverged between 1 and 4 threads");
-    assert_eq!(
-        detector_grid_json(&seq),
-        detector_grid_json(&par),
-        "A1 grid JSON not byte-identical across thread counts"
-    );
     // Both runs did all the work, whatever the worker layout.
     assert_eq!(seq_stats.tasks_completed, thresholds.len() as u64);
     assert_eq!(par_stats.tasks_completed, thresholds.len() as u64);
@@ -353,21 +347,58 @@ fn scale_workload_is_thread_invariant_and_pinned() {
     assert_eq!(fp, PINNED_SCALE);
 }
 
+/// The S1 crash distributions are `primary_crash` runs. These are the
+/// values the retired `sweep` binary produced for its `--smoke` crash run
+/// (60 kB echo) at seeds 1000 and 1004, so the fold moved no number:
+/// detect→promote, the client's stall, crash→first suspicion, bytes.
+const PINNED_S1_CRASH: [&str; 2] = [
+    "primary_crash seed=1000 detect_ns=401086400 recovery_ns=1045628000 crash_to_detect_ns=645638639 bytes=60000",
+    "primary_crash seed=1004 detect_ns=401086400 recovery_ns=1009244000 crash_to_detect_ns=607704883 bytes=60000",
+];
+
 #[test]
-fn seed_sweep_is_thread_count_invariant() {
-    let cfg = SweepConfig {
-        seeds: 6,
-        crash_payload: 80_000,
-        lossy_payload: 30_000,
-        lossy_deadline: SimTime::from_secs(10),
-        ..SweepConfig::default()
+fn primary_crash_reproduces_the_seed_sweep_crash_run() {
+    let cfg = ChaosConfig {
+        payload: 60_000,
+        ..ChaosConfig::default()
     };
-    let (seq, _) = run_seed_sweep(&cfg, 1);
-    let (par, _) = run_seed_sweep(&cfg, 4);
-    assert_eq!(seq, par, "seed outcomes diverged between 1 and 4 threads");
-    assert_eq!(
-        merged_report(&cfg, &seq),
-        merged_report(&cfg, &par),
-        "merged sweep report not byte-identical across thread counts"
+    for (seed, pinned) in [1000, 1004].into_iter().zip(PINNED_S1_CRASH) {
+        let o = chaos::chaos_point(&cfg, FaultClass::PrimaryCrash, seed);
+        assert!(o.invariants_hold());
+        let fp = format!(
+            "primary_crash seed={seed} detect_ns={} recovery_ns={} crash_to_detect_ns={} bytes={}",
+            o.detection_latency_ns.unwrap_or(0),
+            o.recovery_ns.unwrap_or(0),
+            o.crash_to_detect_ns.unwrap_or(0),
+            o.bytes
+        );
+        assert_eq!(fp, pinned);
+    }
+}
+
+/// S1's false-positive half, on a seed where the 3 % loss on the primary's
+/// branch does trip the backup's estimator: the class exercises the
+/// false-alarm path (a report, a probe round), not a quiet run, and the
+/// probe round absorbs it.
+const PINNED_LOSSY_HEALTHY: &str =
+    "lossy_healthy seed=18012 bytes=90000 false_reports=1 false_reconfigurations=0 crash_to_detect_ns=660160000 chain=2";
+
+#[test]
+fn lossy_healthy_raises_a_false_alarm_and_absorbs_it() {
+    let mut o = chaos::chaos_point(&ChaosConfig::default(), FaultClass::LossyHealthy, 18012);
+    assert!(o.invariants_hold());
+    let fp = format!(
+        "lossy_healthy seed={} bytes={} false_reports={} false_reconfigurations={} crash_to_detect_ns={} chain={}",
+        o.seed,
+        o.bytes,
+        o.false_reports.unwrap_or(0),
+        o.false_reconfigurations.unwrap_or(u64::MAX),
+        o.crash_to_detect_ns.unwrap_or(0),
+        o.chain_len
     );
+    assert_eq!(fp, PINNED_LOSSY_HEALTHY);
+    // Had the false alarm reconfigured the chain, the soak would go red.
+    o.false_reconfigurations = Some(1);
+    assert!(!o.invariants_hold());
+    assert!(chaos::violations(&[o])[0].contains("false_reconfigurations=1"));
 }

@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::faults::{FaultAction, FaultEvent, FaultPlan};
     pub use crate::host::{ClientHost, HostServer};
     pub use crate::redirector::ManagedRedirector;
-    pub use crate::scenario::{measure_failover, run_ttcp, FailoverResult, TtcpConfig, TtcpResult};
+    pub use crate::scenario::{run_ttcp, TtcpConfig, TtcpResult};
     pub use crate::system::{FtServiceSpec, NodeKind, System, SystemBuilder};
     pub use hydranet_mgmt::failover::ProbeParams;
     pub use hydranet_netsim::link::{Impairments, LinkParams, LossModel};

@@ -1,5 +1,5 @@
-//! Scenario drivers and measurement utilities: the `ttcp`-style workload
-//! the paper's evaluation uses, and fail-over measurements.
+//! Scenario driver and measurement utilities: the `ttcp`-style workload
+//! the paper's evaluation uses.
 
 use hydranet_netsim::node::NodeId;
 use hydranet_netsim::time::{SimDuration, SimTime};
@@ -105,58 +105,5 @@ fn finish_ttcp(
         completed: bytes >= cfg.total_bytes,
         client_retransmits,
         client_segments,
-    }
-}
-
-/// Result of a fail-over scenario.
-#[derive(Debug, Clone)]
-pub struct FailoverResult {
-    /// Whether the transfer completed despite the failure.
-    pub completed: bool,
-    /// The largest client-visible gap between reply bytes — the service
-    /// disruption the fail-over cost.
-    pub client_stall: Option<SimDuration>,
-    /// When the redirector completed the chain reconfiguration (if it did).
-    pub reconfigured: bool,
-    /// Bytes the client received in total.
-    pub bytes_received: usize,
-    /// Measured detection latency — first `tcp.detector.suspected` to the
-    /// first promotion — from the telemetry timeline, if both happened.
-    pub detection_latency: Option<SimDuration>,
-}
-
-/// Measures client-visible disruption across a replica failure: runs until
-/// `sink` has `expected_bytes` or `deadline`, then reports the largest
-/// inter-arrival gap recorded by the sink.
-pub fn measure_failover(
-    system: &mut System,
-    redirector: NodeId,
-    sink: &Shared<SinkState>,
-    expected_bytes: usize,
-    deadline: SimTime,
-) -> FailoverResult {
-    let step = SimDuration::from_millis(5);
-    while system.sim.now() < deadline {
-        if sink.borrow().len() >= expected_bytes {
-            break;
-        }
-        let next = system.sim.now().saturating_add(step);
-        system.sim.run_until(next.min(deadline));
-    }
-    let reconfigured = system
-        .redirector(redirector)
-        .controller()
-        .reconfigurations()
-        > 0;
-    let detection_latency = system
-        .detection_latency_nanos()
-        .map(SimDuration::from_nanos);
-    let sink = sink.borrow();
-    FailoverResult {
-        completed: sink.len() >= expected_bytes,
-        client_stall: sink.max_gap_duration(),
-        reconfigured,
-        bytes_received: sink.len(),
-        detection_latency,
     }
 }

@@ -474,11 +474,6 @@ impl TcpStack {
         self.addrs[0]
     }
 
-    /// All local addresses (host address plus virtual hosts).
-    pub fn local_addrs(&self) -> &[IpAddr] {
-        &self.addrs
-    }
-
     /// Adds a local address — the paper's `v_host(ip_address)` system call:
     /// the host will accept traffic addressed to `addr` as its own, letting
     /// it "host IP services that may be known to the outside world under
@@ -503,11 +498,6 @@ impl TcpStack {
     /// accepted connection to create its application.
     pub fn listen(&mut self, port: u16, factory: impl FnMut(Quad) -> Box<dyn SocketApp> + 'static) {
         self.listeners.insert(port, Box::new(factory));
-    }
-
-    /// Removes the listener on `port` (existing connections continue).
-    pub fn unlisten(&mut self, port: u16) {
-        self.listeners.remove(&port);
     }
 
     /// Marks `port` replicated — the paper's
@@ -542,19 +532,6 @@ impl TcpStack {
                 d.reset();
             }
             self.finish_entry(Some(slot), entry, now);
-        }
-    }
-
-    /// Removes replication state from `port` (connections become plain TCP).
-    pub fn clear_portopt(&mut self, port: u16, now: SimTime) {
-        self.replicated.remove(&port);
-        for quad in self.quads_on_port(port) {
-            if let Some((slot, mut entry)) = self.take_conn(quad) {
-                entry.conn.disable_send_gate(now);
-                entry.conn.disable_deposit_gate(now);
-                entry.detector = None;
-                self.finish_entry(Some(slot), entry, now);
-            }
         }
     }
 
