@@ -79,10 +79,6 @@ pub struct Fig4Params {
     pub total_bytes: usize,
     /// Give up after this much simulated time per point.
     pub deadline: SimTime,
-    /// Header-prediction fast lane on the simulated stacks. On by default
-    /// (it is the production configuration); the equivalence property test
-    /// turns it off to prove the fast lane never changes results.
-    pub fastpath: bool,
 }
 
 impl Default for Fig4Params {
@@ -98,7 +94,6 @@ impl Default for Fig4Params {
             hydranet_overhead: SimDuration::from_micros(40),
             total_bytes: 256 * 1024,
             deadline: SimTime::from_secs(300),
-            fastpath: true,
         }
     }
 }
@@ -181,7 +176,6 @@ pub fn run_point_traced(
     let tcp = TcpConfig {
         mss: write_size,
         delayed_ack: false,
-        fastpath: params.fastpath,
         ..TcpConfig::default()
     };
 

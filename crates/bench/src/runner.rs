@@ -9,9 +9,9 @@
 //!
 //! - A [`Task`] is a boxed builder closure. The closure must be `Send`
 //!   (it is moved to a worker thread), but what it *builds* need not be:
-//!   the `Rc`-based [`hydranet_core::System`] is constructed *inside* the
-//!   worker, lives its whole life on that thread, and only the plain-data
-//!   result crosses back.
+//!   the `Rc`-based [`hydranet_core::system::System`] is constructed
+//!   *inside* the worker, lives its whole life on that thread, and only
+//!   the plain-data result crosses back.
 //! - [`run_tasks`] spins up a scoped worker pool (`std::thread::scope`, so
 //!   no `'static` bounds and no join-handle leaks). Workers pull task
 //!   indices from a shared `AtomicUsize` — classic work stealing without a

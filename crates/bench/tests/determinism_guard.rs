@@ -100,33 +100,6 @@ fn fig4_primary_backup_is_bit_identical() {
     );
 }
 
-/// Every pin in this file is captured with the ACK fast lane enabled —
-/// the production configuration. The fast lane claims
-/// exact equivalence, so the *same* pins must hold with the lane
-/// force-disabled: a fingerprint that only reproduces with the lane on
-/// would mean the lane changed results, not just wall clock.
-#[test]
-fn fig4_pins_hold_with_fast_lane_disabled() {
-    let params = Fig4Params {
-        fastpath: false,
-        ..Fig4Params::default()
-    };
-    let line = |config, tag: &str, write_size| {
-        let p = run_point(config, write_size, &params, SEED);
-        format!(
-            "{tag} tput={:#018x} retx={} completed={}",
-            p.throughput_kbps.to_bits(),
-            p.retransmits,
-            p.completed
-        )
-    };
-    assert_eq!(line(Fig4Config::Clean, "clean", 512), PINNED_CLEAN);
-    assert_eq!(
-        line(Fig4Config::PrimaryBackup, "pb", 1480),
-        PINNED_PRIMARY_BACKUP
-    );
-}
-
 #[test]
 fn failover_latency_is_bit_identical() {
     assert_eq!(failover_fingerprint(), PINNED_FAILOVER);

@@ -21,14 +21,11 @@
 //! check).
 //!
 //! The wheel is generic over its payload so it serves two masters: the
-//! simulator's [`EventQueue`] files whole events (`P = EventKind`), and
-//! each [`TcpStack`] files per-connection timer references (`P` = a
-//! generation-checked slab index), sharing the cascade and lap-accounting
-//! logic rather than reimplementing it.
-//!
-//! [`EventQueue`]: crate::event — the wheel plus the insertion counter.
-//!
-//! [`TcpStack`]: the TCP crate's per-host stack (downstream of this one).
+//! simulator's `EventQueue` (the wheel plus the insertion counter) files
+//! whole events (`P = EventKind`), and each `TcpStack` (the TCP crate's
+//! per-host stack, downstream of this one) files per-connection timer
+//! references (`P` = a generation-checked slab index), sharing the cascade
+//! and lap-accounting logic rather than reimplementing it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -37,14 +37,9 @@ pub struct TcpConfig {
     /// The paper's measurements turned this off so each `write()` produces
     /// one segment ("we turned off buffering of small segments", §5).
     pub nagle: bool,
-    /// Delay ACKs briefly to piggyback/coalesce (ack-every-other-segment).
+    /// Delay ACKs briefly (at most 40 ms) to piggyback/coalesce
+    /// (ack-every-other-segment).
     pub delayed_ack: bool,
-    /// How long an ACK may be delayed.
-    pub ack_delay: SimDuration,
-    /// RTO floor.
-    pub min_rto: SimDuration,
-    /// RTO ceiling.
-    pub max_rto: SimDuration,
     /// How long a backup stack may hold diverted `(SEQ, ACK)` report pairs
     /// before flushing one coalesced ack-channel datagram to its chain
     /// predecessor. Zero disables batching: every would-be transmission is
@@ -67,13 +62,13 @@ pub struct TcpConfig {
     /// off switch exists so tests can re-break that failure path and
     /// verify the flight recorder captures the resulting wedge.
     pub gate_watchdog: bool,
-    /// Header-prediction fast lane for in-order pure ACKs and in-order
-    /// data on established, ungated connections. Behaviour is identical
-    /// either way (any prediction miss falls back to full processing);
-    /// the switch exists so the equivalence property test can force both
-    /// lanes over the same schedule and compare traces bit for bit.
-    pub fastpath: bool,
 }
+
+/// How long a delayed ACK may be held. Well under the RTO floor
+/// (`DEFAULT_MIN_RTO`): a delayed ACK must never race the sender's
+/// retransmission timer (BSD used 200 ms against a 1 s RTO floor; this
+/// keeps the same 5x margin).
+const ACK_DELAY: SimDuration = SimDuration::from_millis(40);
 
 /// Keepalive tuning: after `idle` with no segments received, send up to
 /// `probes` probes spaced `interval` apart; an unanswered run aborts the
@@ -106,24 +101,17 @@ impl Default for TcpConfig {
             recv_buf: 65_535,
             nagle: true,
             delayed_ack: true,
-            // Well under min_rto: a delayed ACK must never race the
-            // sender's retransmission timer (BSD used 200 ms against a 1 s
-            // RTO floor; these defaults keep the same 5x margin).
-            ack_delay: SimDuration::from_millis(40),
-            // Same discipline as ack_delay, much tighter: a held report
+            // Same discipline as ACK_DELAY, much tighter: a held report
             // delays the predecessor's gates, and those stack per chain
             // stage on the client's ACK path. 4 ms is 50x under the RTO
             // floor, so a full chain of flush delays can never race a
             // retransmission timer.
             ackchan_flush_delay: SimDuration::from_millis(4),
             ackchan_max_pairs: 32,
-            min_rto: DEFAULT_MIN_RTO,
-            max_rto: DEFAULT_MAX_RTO,
             max_retries: 12,
             time_wait: SimDuration::from_secs(30),
             keepalive: None,
             gate_watchdog: true,
-            fastpath: true,
         }
     }
 }
@@ -427,7 +415,7 @@ impl Connection {
         let sendbuf = SendBuffer::new(iss + 1, cfg.send_buf);
         let recvbuf = RecvBuffer::new(rcv_nxt, cfg.recv_buf);
         let cc = CongestionControl::new(cfg.mss as u32);
-        let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto);
+        let rtt = RttEstimator::new(DEFAULT_MIN_RTO, DEFAULT_MAX_RTO);
         let last_advertised_window = recvbuf.window();
         Connection {
             state,
@@ -844,21 +832,15 @@ impl Connection {
     // Segment processing
     // ------------------------------------------------------------------
 
-    /// Feeds one incoming segment. Returns `true` when the header-prediction
-    /// fast lane handled it (telemetry only — behaviour is identical).
-    pub fn on_segment(&mut self, seg: TcpSegment, now: SimTime) -> bool {
+    /// Feeds one incoming segment.
+    pub fn on_segment(&mut self, seg: TcpSegment, now: SimTime) {
         self.segments_received += 1;
         // Any inbound segment is proof of life: reset keepalive state.
         self.keepalive_probes_sent = 0;
         self.rearm_keepalive(now);
-        if self.cfg.fastpath && self.fast_lane_qualifies(&seg) {
-            self.on_segment_fast(seg, now);
-            self.sample_telemetry();
-            return true;
-        }
         if seg.flags.rst {
             self.on_rst(&seg);
-            return false;
+            return;
         }
         match self.state {
             TcpState::Closed => {}
@@ -866,128 +848,6 @@ impl Connection {
             _ => self.on_segment_synchronized(seg, now),
         }
         self.sample_telemetry();
-        false
-    }
-
-    /// Header prediction (§5e): whether `seg` is an in-order pure ACK or
-    /// in-order data on an established, ungated connection with no close,
-    /// recovery, or duplicate-ACK machinery in play — the cases where
-    /// [`on_segment_fast`](Self::on_segment_fast) is provably equivalent to
-    /// full processing. Read-only: a miss leaves nothing to undo.
-    fn fast_lane_qualifies(&self, seg: &TcpSegment) -> bool {
-        // Steady-state established connection, plain ACK segment.
-        if self.state != TcpState::Established {
-            return false;
-        }
-        let f = seg.flags;
-        if !f.ack || f.syn || f.fin || f.rst {
-            return false;
-        }
-        // No FT gates, no close handshake, no go-back-N recovery pending.
-        if self.send_gated
-            || self.recvbuf.is_gated()
-            || self.recover.is_some()
-            || self.fin_queued
-            || self.fin_seq.is_some()
-            || self.peer_fin.is_some()
-        {
-            return false;
-        }
-        // Exactly in order (also excludes keepalive probes below RCV.NXT),
-        // and past the handshake slot so every acked byte is data.
-        if seg.seq != self.rcv_nxt() || self.snd.una == self.snd.iss {
-            return false;
-        }
-        let ack = seg.ack;
-        // The ACK must cover only transmitted, non-rolled-back sequence
-        // space (ack > SND.NXT after a rollback means a pre-rollback
-        // transmission surfaced: slow path), and a non-advancing ACK must
-        // not be one the duplicate-ACK counter would inspect.
-        if ack.after(self.snd.nxt) || ack.before(self.snd.una) {
-            return false;
-        }
-        if ack == self.snd.una
-            && seg.payload.is_empty()
-            && self.snd.una != self.snd.nxt
-            && u32::from(seg.window) == self.snd.wnd
-        {
-            return false;
-        }
-        // In-order data must be a single straight-line deposit: nothing
-        // staged out of order that a deposit pass could merge behind it.
-        if !seg.payload.is_empty() && self.recvbuf.staged_bytes() != 0 {
-            return false;
-        }
-        true
-    }
-
-    /// The fast lane: the exact subset of
-    /// [`on_segment_synchronized`](Self::on_segment_synchronized) that can
-    /// execute for a qualifying segment, with every skipped branch provably
-    /// dead under [`fast_lane_qualifies`](Self::fast_lane_qualifies) — same
-    /// mutations, same event order, same outgoing segments.
-    fn on_segment_fast(&mut self, seg: TcpSegment, now: SimTime) {
-        let ack = seg.ack;
-        if ack.after(self.snd.una) {
-            // Established past the handshake with no FIN in flight: the
-            // full path's handshake_aware_acked is the identity here.
-            let acked = ack - self.snd.una;
-            self.snd.una = ack;
-            self.sendbuf.ack_to(ack);
-            self.bytes_acked_total += u64::from(acked);
-            self.cc.on_new_ack(acked);
-            self.retries = 0;
-            self.events.push(ConnEvent::AckProgress);
-            if let Some((cover, sent_at)) = self.rtt_probe {
-                if ack.after_eq(cover) {
-                    self.rtt.sample(now.duration_since(sent_at));
-                    self.rtt_probe = None;
-                }
-            }
-            if self.snd.una == self.snd.nxt {
-                self.clear_rto();
-            } else {
-                self.arm_rto(now);
-            }
-            if self.send_was_full && self.sendbuf.room() > 0 {
-                self.send_was_full = false;
-                self.events.push(ConnEvent::SendSpace);
-            }
-        }
-
-        // Window update (RFC 793 WL1/WL2 check), verbatim from the full
-        // path — header prediction does not exempt window bookkeeping.
-        if self.snd.wl1.before(seg.seq) || (self.snd.wl1 == seg.seq && self.snd.wl2.before_eq(ack))
-        {
-            let was_zero = self.snd.wnd == 0;
-            self.snd.wnd = u32::from(seg.window);
-            self.snd.wl1 = seg.seq;
-            self.snd.wl2 = ack;
-            if was_zero && self.snd.wnd > 0 {
-                self.persist_deadline = None;
-            }
-        }
-
-        if !seg.payload.is_empty() {
-            // In order with nothing staged and no gate: offer() is one
-            // append, and it fails to advance only when the whole payload
-            // was clipped — a full duplicate by the coverage test.
-            let advanced = self.recvbuf.offer(seg.seq, &seg.payload);
-            if advanced {
-                self.events.push(ConnEvent::DataReadable);
-                self.schedule_ack(now);
-            } else {
-                self.duplicate_data_count += 1;
-                if let Some(t) = self.telemetry.as_deref() {
-                    t.c_duplicates.inc();
-                }
-                self.events.push(ConnEvent::DuplicateData);
-                self.send_pure_ack(now);
-            }
-        }
-
-        // Send whatever the new window/ack state allows.
-        self.pump(now);
     }
 
     /// Samples the srtt/rto/cwnd trajectory once per processed segment.
@@ -1334,18 +1194,7 @@ impl Connection {
                     // them on its own) and the whole chain deadlocks on a
                     // quiescent connection.
                     if self.state.is_open() && self.state != TcpState::SynRcvd {
-                        self.emit(
-                            TcpSegment {
-                                src_port: self.quad.local.port,
-                                dst_port: self.quad.remote.port,
-                                seq: self.snd.nxt - 1,
-                                ack: self.rcv_nxt(),
-                                flags: TcpFlags::ACK,
-                                window: self.advertised_window(),
-                                payload: PacketBuf::new(),
-                            },
-                            now,
-                        );
+                        self.send_keepalive_probe(now);
                     }
                     // Keep firing once per RTO while the stall persists so
                     // the failure estimator can accumulate to its threshold.
@@ -1376,8 +1225,13 @@ impl Connection {
             return;
         }
         self.keepalive_probes_sent += 1;
-        // Classic keepalive probe: a zero-length segment one slot below
-        // SND.NXT; a live peer answers with a plain ACK.
+        self.send_keepalive_probe(now);
+        self.keepalive_deadline = Some(now + ka.interval);
+    }
+
+    /// Classic keepalive probe: a zero-length segment one slot below
+    /// SND.NXT; a live peer answers with a plain ACK.
+    fn send_keepalive_probe(&mut self, now: SimTime) {
         self.emit(
             TcpSegment {
                 src_port: self.quad.local.port,
@@ -1390,7 +1244,6 @@ impl Connection {
             },
             now,
         );
-        self.keepalive_deadline = Some(now + ka.interval);
     }
 
     fn on_rto(&mut self, now: SimTime) {
@@ -1697,7 +1550,7 @@ impl Connection {
                 self.send_pure_ack(now);
             }
             None => {
-                self.delack_deadline = Some(now + self.cfg.ack_delay);
+                self.delack_deadline = Some(now + ACK_DELAY);
             }
         }
     }

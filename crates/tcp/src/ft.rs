@@ -217,12 +217,19 @@ impl AckChanMsg {
     ///
     /// # Errors
     ///
-    /// Returns a [`DecodeError`] on truncation or a bad tag byte.
+    /// Returns a [`DecodeError`] on truncation, trailing bytes, or a bad tag
+    /// byte.
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
         if bytes.len() < ACK_CHAN_MSG_LEN {
             return Err(DecodeError::Truncated {
                 needed: ACK_CHAN_MSG_LEN,
                 got: bytes.len(),
+            });
+        }
+        if bytes.len() != ACK_CHAN_MSG_LEN {
+            return Err(DecodeError::BadLength {
+                declared: ACK_CHAN_MSG_LEN,
+                available: bytes.len(),
             });
         }
         if bytes[0] != ACK_CHAN_TAG {
@@ -396,6 +403,11 @@ mod tests {
         let mut bytes = msg.encode();
         bytes[0] = 0x00;
         assert!(AckChanMsg::decode(&bytes).is_err());
+        // Trailing bytes after a well-formed single-pair frame.
+        let mut trailing = msg.encode();
+        trailing.push(0);
+        assert!(AckChanMsg::decode(&trailing).is_err());
+        assert!(AckChanMsg::decode_each(&trailing, |_| {}).is_err());
     }
 
     #[test]

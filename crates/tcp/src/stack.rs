@@ -216,11 +216,10 @@ pub struct StackStats {
     /// scratch buffer — each one a heap allocation the former
     /// take-and-drop pattern would have re-paid on the next enqueue.
     pub bufs_recycled: u64,
-    /// Segments handled by the header-prediction fast lane (in-order pure
-    /// ACKs and in-order data on established, ungated connections).
+    /// Always 0, kept only because the frozen `benchmark/` harness reads it.
     pub fastpath_hits: u64,
-    /// Segments that reached a connection but missed the fast-lane
-    /// predicate and took full processing.
+    /// Segments handed to an existing connection; the name is kept only
+    /// because the frozen `benchmark/` harness reads it.
     pub fastpath_misses: u64,
 }
 
@@ -377,8 +376,6 @@ pub struct TcpStack {
     c_ackchan_tx: Counter,
     c_ackchan_rx: Counter,
     c_rx_corrupt: Counter,
-    c_fastpath_hits: Counter,
-    c_fastpath_misses: Counter,
     h_ackchan_pairs: Histogram,
 }
 
@@ -434,8 +431,6 @@ impl TcpStack {
             c_ackchan_tx: Counter::default(),
             c_ackchan_rx: Counter::default(),
             c_rx_corrupt: Counter::default(),
-            c_fastpath_hits: Counter::default(),
-            c_fastpath_misses: Counter::default(),
             h_ackchan_pairs: Histogram::default(),
         }
     }
@@ -453,10 +448,6 @@ impl TcpStack {
         self.c_rx_corrupt = obs.counter(&format!("{scope}.rx_corrupt"));
         self.h_ackchan_pairs = obs.histogram(&format!("{scope}.ackchan.pairs_per_datagram"));
         self.conn_telemetry = ConnTelemetry::new(&obs, &scope);
-        // Registry-wide names (not per-stack): hit rate is meaningful as an
-        // aggregate across every stack sharing the registry.
-        self.c_fastpath_hits = obs.counter("tcp.fastpath.hits");
-        self.c_fastpath_misses = obs.counter("tcp.fastpath.misses");
         self.timers.set_obs_prefixed(&obs, "tcp.timerwheel");
         for occ in self.slots.iter_mut().filter_map(|s| s.occ.as_mut()) {
             if let Some(entry) = occ.entry.as_mut() {
@@ -1104,13 +1095,8 @@ impl TcpStack {
             );
         }
         if let Some((slot, mut entry)) = self.take_conn(quad) {
-            if entry.conn.on_segment(seg, now) {
-                self.stats.fastpath_hits += 1;
-                self.c_fastpath_hits.inc();
-            } else {
-                self.stats.fastpath_misses += 1;
-                self.c_fastpath_misses.inc();
-            }
+            entry.conn.on_segment(seg, now);
+            self.stats.fastpath_misses += 1;
             self.finish_entry(Some(slot), entry, now);
             return;
         }
@@ -1277,44 +1263,25 @@ impl TcpStack {
                         entry.app.on_closed(quad);
                         self.events.push(StackEvent::ConnClosed(quad));
                     }
-                    ConnEvent::DuplicateData => {
-                        if let Some(d) = entry.detector.as_mut() {
-                            if d.on_duplicate(now) {
-                                self.events.push(StackEvent::FailureSuspected {
-                                    port: quad.local.port,
-                                    quad,
-                                    observed: d.duplicates_total(),
-                                });
-                            }
-                        }
-                    }
                     ConnEvent::AckProgress => {
                         if let Some(d) = entry.detector.as_mut() {
                             d.on_progress(now);
                         }
                     }
-                    ConnEvent::RetransmitTimeout => {
-                        // Our own data is not being acknowledged: for a
-                        // replica this usually means the primary that
-                        // delivers the stream to the client is gone. Count
-                        // it as a broken-loop signal (§4.3).
-                        if let Some(d) = entry.detector.as_mut() {
-                            if d.on_duplicate(now) {
-                                self.events.push(StackEvent::FailureSuspected {
-                                    port: quad.local.port,
-                                    quad,
-                                    observed: d.duplicates_total(),
-                                });
-                            }
-                        }
-                    }
-                    ConnEvent::GateStarved => {
-                        // The send gate has starved for a full RTO: the
-                        // chain successor stopped reporting progress. This
-                        // is the only client-invisible failure mode — a
-                        // dead tail leaves every client byte acknowledged,
-                        // so no retransmission ever reaches the estimator —
-                        // and it feeds the same suspicion counter.
+                    ConnEvent::DuplicateData
+                    | ConnEvent::RetransmitTimeout
+                    | ConnEvent::GateStarved => {
+                        // The three §4.3 broken-loop signals feed one
+                        // suspicion counter: a duplicate segment (the
+                        // client retransmitted, so the primary stopped
+                        // delivering); a retransmission timeout on our own
+                        // data (for a replica, usually the primary that
+                        // delivers the stream to the client is gone); and
+                        // a send gate starved for a full RTO (the chain
+                        // successor stopped reporting progress — the only
+                        // client-invisible failure mode, since a dead tail
+                        // leaves every client byte acknowledged and no
+                        // retransmission ever reaches the estimator).
                         if let Some(d) = entry.detector.as_mut() {
                             if d.on_duplicate(now) {
                                 self.events.push(StackEvent::FailureSuspected {
