@@ -275,7 +275,7 @@ fn chaos_soak_is_thread_count_invariant_and_pinned() {
 /// Pinned fingerprint of the tiny scale workload: FNV-1a over the entire
 /// merged report (every counter, histogram bucket, percentile, and
 /// per-cell line), plus the headline counts in the clear. The slab demux,
-/// per-stack timer wheels, and buffer recycling all ride under this pin:
+/// per-stack deadline heaps, and buffer recycling all ride under this pin:
 /// any schedule-visible change to the many-flow engine moves it.
 /// Re-pinned when `bytes_per_flow` joined the merged report (the lean
 /// connection layout + honest memory accounting); the headline counts did

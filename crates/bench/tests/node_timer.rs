@@ -53,19 +53,19 @@ fn events_per_payload_kb_do_not_grow_with_transfer_length() {
 /// The instant a node's protocol state next needs a wakeup, read through
 /// the node's public surface.
 trait Deadline: Node {
-    fn deadline(&mut self) -> Option<SimTime>;
+    fn deadline(&self) -> Option<SimTime>;
 }
 
 impl Deadline for ClientHost {
-    fn deadline(&mut self) -> Option<SimTime> {
-        self.stack_mut().next_deadline()
+    fn deadline(&self) -> Option<SimTime> {
+        self.stack().next_deadline()
     }
 }
 
 impl Deadline for HostServer {
-    fn deadline(&mut self) -> Option<SimTime> {
+    fn deadline(&self) -> Option<SimTime> {
         let daemon = self.daemon().next_deadline();
-        [self.stack_mut().next_deadline(), daemon]
+        [self.stack().next_deadline(), daemon]
             .into_iter()
             .flatten()
             .min()
@@ -73,7 +73,7 @@ impl Deadline for HostServer {
 }
 
 impl Deadline for ManagedRedirector {
-    fn deadline(&mut self) -> Option<SimTime> {
+    fn deadline(&self) -> Option<SimTime> {
         self.controller().next_deadline()
     }
 }

@@ -144,6 +144,10 @@ pub struct HostServer {
     pkt_buf: Vec<IpPacket>,
     ev_buf: Vec<StackEvent>,
     timer: NodeTimer,
+    /// The earlier of the daemon's deadline and the first registration
+    /// still to fire, as of the last management pass; `ZERO` (due at once)
+    /// forces the next drive through that pass.
+    mgmt_deadline: Option<SimTime>,
 }
 
 impl std::fmt::Debug for HostServer {
@@ -185,6 +189,7 @@ impl HostServer {
             pkt_buf: Vec::new(),
             ev_buf: Vec::new(),
             timer: NodeTimer::default(),
+            mgmt_deadline: Some(SimTime::ZERO),
         }
     }
 
@@ -227,6 +232,7 @@ impl HostServer {
             register_at,
             registered: false,
         });
+        self.mgmt_deadline = Some(SimTime::ZERO);
     }
 
     /// Registers (or re-registers) a replica of `service` immediately —
@@ -239,32 +245,34 @@ impl HostServer {
         service: SockAddr,
         detector: DetectorParams,
     ) {
-        self.pending.push(PendingService {
-            service,
-            detector,
-            register_at: ctx.now(),
-            registered: false,
-        });
+        self.schedule_registration(service, detector, ctx.now());
         self.drive(ctx);
     }
 
     /// Voluntarily deregisters this host's replica of `service`.
     pub fn deregister(&mut self, ctx: &mut Context<'_>, service: SockAddr) {
         self.daemon.deregister_service(service, ctx.now());
+        self.mgmt_deadline = Some(SimTime::ZERO);
         self.drive(ctx);
     }
 
     fn drive(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        // Fire any due registrations.
-        for p in &mut self.pending {
-            if !p.registered && now >= p.register_at {
-                p.registered = true;
-                self.daemon.register_service(p.service, p.detector, now);
+        // The management pass runs only when its deadline has come or a
+        // stack event below hands the daemon a datagram or a suspicion;
+        // otherwise every step of it would be a no-op.
+        let mut mgmt = self.mgmt_deadline.is_some_and(|t| t <= now);
+        if mgmt {
+            // Fire any due registrations.
+            for p in &mut self.pending {
+                if !p.registered && now >= p.register_at {
+                    p.registered = true;
+                    self.daemon.register_service(p.service, p.detector, now);
+                }
             }
+            self.daemon.poll(now);
+            self.apply_daemon_actions(now);
         }
-        self.daemon.poll(now);
-        self.apply_daemon_actions(now);
         // Route stack events: management datagrams to the daemon, failure
         // suspicions into failure reports.
         let mut events = std::mem::take(&mut self.ev_buf);
@@ -277,6 +285,7 @@ impl HostServer {
                     payload,
                 } if local.port == MGMT_PORT => {
                     self.daemon.on_datagram(remote.addr, payload, now);
+                    mgmt = true;
                 }
                 StackEvent::FailureSuspected {
                     port,
@@ -286,14 +295,23 @@ impl HostServer {
                     let service = SockAddr::new(quad.local.addr, *port);
                     self.daemon.report_failure(service, *observed, now);
                     self.events.push(event);
+                    mgmt = true;
                 }
                 _ => self.events.push(event),
             }
         }
         self.ev_buf = events;
-        // Daemon reactions may have produced more actions (e.g. probe
-        // answers); run one more application pass.
-        self.apply_daemon_actions(now);
+        if mgmt {
+            // Daemon reactions may have produced more actions (e.g. probe
+            // answers); run one more application pass.
+            self.apply_daemon_actions(now);
+            let unregistered = self.pending.iter().filter(|p| !p.registered);
+            let registration = unregistered.map(|p| p.register_at).min();
+            self.mgmt_deadline = registration
+                .into_iter()
+                .chain(self.daemon.next_deadline())
+                .min();
+        }
         self.flush(ctx);
     }
 
@@ -320,19 +338,12 @@ impl HostServer {
             ctx.send(IfaceId::from_index(0), p);
         }
         self.events.extend(self.stack.take_events());
-        let deadline = [
-            self.stack.next_deadline(),
-            self.daemon.next_deadline(),
-            self.pending
-                .iter()
-                .filter(|p| !p.registered)
-                .map(|p| p.register_at)
-                .min(),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        self.timer.arm(ctx, deadline);
+        let deadline = self
+            .stack
+            .next_deadline()
+            .into_iter()
+            .chain(self.mgmt_deadline);
+        self.timer.arm(ctx, deadline.min());
     }
 }
 
@@ -367,6 +378,7 @@ impl Node for HostServer {
         for p in &mut self.pending {
             p.register_at = ctx.now();
         }
+        self.mgmt_deadline = Some(SimTime::ZERO);
         self.drive(ctx);
     }
 
@@ -396,6 +408,14 @@ impl Node for HostServer {
 
 #[cfg(test)]
 mod tests {
+    use hydranet_mgmt::proto::MGMT_PORT;
+    use hydranet_mgmt::reliable::DEFAULT_RETRY_INTERVAL;
+    use hydranet_netsim::node::{Context, IfaceId, Node, TimerToken};
+    use hydranet_netsim::packet::{IpPacket, Protocol};
+    use hydranet_netsim::topology::TopologyBuilder;
+    use hydranet_tcp::stack::StackEvent;
+    use hydranet_tcp::udp::UdpDatagram;
+
     use crate::prelude::*;
 
     /// A crash discards the host's calendar entries, so a mark left
@@ -438,5 +458,68 @@ mod tests {
         let fired = system.sim.stats().timers_fired;
         system.sim.run_until(rearmed.unwrap());
         assert!(system.sim.stats().timers_fired > fired);
+    }
+
+    /// Stands in for the redirector: never answers, records when each
+    /// management datagram arrives, and sends the host a data packet every
+    /// 7 ms.
+    #[derive(Default)]
+    struct SilentRedirector {
+        mgmt_arrivals: Vec<SimTime>,
+    }
+
+    const HS: IpAddr = IpAddr::new(10, 0, 2, 1);
+    const RD: IpAddr = IpAddr::new(10, 9, 0, 1);
+
+    impl Node for SilentRedirector {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(SimDuration::from_millis(7), TimerToken(0));
+        }
+
+        fn on_packet(&mut self, ctx: &mut Context<'_>, _: IfaceId, packet: IpPacket) {
+            if UdpDatagram::decode(&packet.payload).is_ok_and(|d| d.dst_port == MGMT_PORT) {
+                self.mgmt_arrivals.push(ctx.now());
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, _: TimerToken) {
+            let data = UdpDatagram {
+                src_port: 7000,
+                dst_port: 7001,
+                payload: vec![0; 64],
+            };
+            let packet = IpPacket::new(RD, HS, Protocol::UDP, data.encode());
+            ctx.send(IfaceId::from_index(0), packet);
+            ctx.set_timer(SimDuration::from_millis(7), TimerToken(0));
+        }
+    }
+
+    /// Data packets do not run the management pass, so nothing but the
+    /// host's own wakeup sends a registration retransmit: it must leave at
+    /// exactly the retry interval, not with the next packet after it.
+    #[test]
+    fn registration_retransmits_on_time_while_only_data_arrives() {
+        let mut t = TopologyBuilder::new();
+        let mut hs_node = HostServer::new("hs", HS, RD, TcpConfig::default());
+        let service = SockAddr::new(IpAddr::new(192, 20, 225, 20), 80);
+        hs_node.schedule_registration(service, DetectorParams::DEFAULT, SimTime::from_millis(1));
+        let hs = t.add_node(hs_node, NodeParams::INSTANT);
+        let rd = t.add_node(SilentRedirector::default(), NodeParams::INSTANT);
+        t.connect(hs, rd, LinkParams::default());
+        let mut sim = t.into_simulator(1);
+        sim.run_until(SimTime::from_millis(600));
+
+        let data = sim
+            .node::<HostServer>(hs)
+            .events
+            .iter()
+            .filter(|e| matches!(e, StackEvent::UdpDelivery { .. }))
+            .count();
+        assert!(data > 80, "{data} data packets reached the host");
+        let sent = &sim.node::<SilentRedirector>(rd).mgmt_arrivals;
+        assert_eq!(sent.len(), 3, "{sent:?}");
+        for pair in sent.windows(2) {
+            assert_eq!(pair[1].duration_since(pair[0]), DEFAULT_RETRY_INTERVAL);
+        }
     }
 }

@@ -31,6 +31,8 @@ pub struct ManagedRedirector {
     out_scratch: Vec<(IfaceId, IpPacket)>,
     obs: Obs,
     timer: NodeTimer,
+    /// The controller's deadline as of the last `drive` (`ZERO`: due now).
+    ctl_deadline: Option<SimTime>,
     /// Interfaces a promotion floods `ROUTE_ANNOUNCE` packets out of.
     announce_ifaces: Vec<IfaceId>,
 }
@@ -54,6 +56,7 @@ impl ManagedRedirector {
             out_scratch: Vec::new(),
             obs: Obs::disabled(),
             timer: NodeTimer::default(),
+            ctl_deadline: Some(SimTime::ZERO),
             announce_ifaces: Vec::new(),
         }
     }
@@ -66,6 +69,7 @@ impl ManagedRedirector {
     pub fn configure_pair(&mut self, vip: IpAddr, cfg: PairConfig, announce_ifaces: Vec<IfaceId>) {
         self.engine.set_virtual_addr(vip);
         self.controller.configure_pair(cfg, SimTime::ZERO);
+        self.ctl_deadline = Some(SimTime::ZERO);
         self.announce_ifaces = announce_ifaces;
     }
 
@@ -192,7 +196,8 @@ impl ManagedRedirector {
             ctx.send(iface, p);
         }
         self.out_scratch = out;
-        self.timer.arm(ctx, self.controller.next_deadline());
+        self.ctl_deadline = self.controller.next_deadline();
+        self.timer.arm(ctx, self.ctl_deadline);
     }
 }
 
@@ -217,8 +222,8 @@ impl Node for ManagedRedirector {
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, _iface: IfaceId, packet: IpPacket) {
         let mut out = std::mem::take(&mut self.out_scratch);
-        match self.engine.process(packet, ctx.now(), &mut out) {
-            Disposition::Handled => {}
+        let handled = match self.engine.process(packet, ctx.now(), &mut out) {
+            Disposition::Handled => true,
             Disposition::Local(packet) => {
                 // Management traffic addressed to the redirector itself.
                 if packet.protocol() == Protocol::UDP {
@@ -229,13 +234,20 @@ impl Node for ManagedRedirector {
                         }
                     }
                 }
+                false
             }
-        }
+        };
         for (iface, p) in out.drain(..) {
             ctx.send(iface, p);
         }
         self.out_scratch = out;
-        self.drive(ctx);
+        // A packet the engine handled leaves the controller untouched:
+        // before its deadline, and while a pending wakeup covers it (a
+        // crash clears that one), `drive` would do nothing.
+        let idle = self.ctl_deadline.is_none_or(|t| ctx.now() < t);
+        if !(handled && idle && self.timer.covers(self.ctl_deadline)) {
+            self.drive(ctx);
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
@@ -255,7 +267,68 @@ impl Node for ManagedRedirector {
 
 #[cfg(test)]
 mod tests {
+    use hydranet_mgmt::proto::{Envelope, MgmtMsg, MGMT_PORT};
+    use hydranet_netsim::node::{IfaceId, Node};
+    use hydranet_netsim::packet::{IpPacket, Protocol};
+    use hydranet_tcp::udp::UdpDatagram;
+
+    use super::ManagedRedirector;
     use crate::prelude::*;
+
+    /// A crash discards the pending wakeup, and a solo redirector does not
+    /// drive on recovery. Data packets skip `drive` only while a pending
+    /// wakeup covers the controller's deadline, so the first one after
+    /// recovery must file it again.
+    #[test]
+    fn solo_redirector_refiles_its_wakeup_on_the_first_packet_after_recovery() {
+        let rd_addr = IpAddr::new(10, 9, 0, 1);
+        let host = IpAddr::new(10, 0, 2, 1);
+        let mut b = SystemBuilder::new(TcpConfig::default());
+        let rd = b.add_redirector("rd", rd_addr);
+        let mut system = b.build(3);
+        let deliver = |system: &mut System, src: IpAddr, dst: IpAddr, payload: Vec<u8>| {
+            let packet = IpPacket::new(src, dst, Protocol::UDP, payload);
+            system
+                .sim
+                .with_node_ctx::<ManagedRedirector, _>(rd, |r, ctx| {
+                    r.on_packet(ctx, IfaceId::from_index(0), packet)
+                });
+        };
+
+        // A registration from a host the redirector has no route to: the
+        // controller's reliable reply to it stays pending.
+        let register = Envelope::Payload {
+            id: 1,
+            needs_ack: true,
+            msg: MgmtMsg::RegisterReplica {
+                service: SockAddr::new(IpAddr::new(192, 20, 225, 20), 80),
+                host,
+            },
+        };
+        let datagram = UdpDatagram {
+            src_port: MGMT_PORT,
+            dst_port: MGMT_PORT,
+            payload: register.encode(),
+        };
+        deliver(&mut system, host, rd_addr, datagram.encode());
+        let pending = system.redirector(rd).controller().next_deadline();
+        assert!(pending.is_some());
+        assert_eq!(system.redirector(rd).timer.armed_at(), pending);
+
+        let t0 = system.sim.now();
+        let ms = SimDuration::from_millis;
+        system.sim.schedule_crash(rd, t0.saturating_add(ms(1)));
+        system.sim.schedule_recover(rd, t0.saturating_add(ms(2)));
+        system.sim.run_until(t0.saturating_add(ms(3)));
+        assert_eq!(system.redirector(rd).timer.armed_at(), None);
+        assert_eq!(system.redirector(rd).controller().next_deadline(), pending);
+
+        // A packet the engine handles (routed nowhere, dropped), well
+        // before the controller's deadline.
+        let client = IpAddr::new(10, 0, 1, 1);
+        deliver(&mut system, client, IpAddr::new(10, 0, 3, 1), vec![0; 8]);
+        assert_eq!(system.redirector(rd).timer.armed_at(), pending);
+    }
 
     /// A standby pair member lives on its probe timer: after a crash and
     /// recovery it must be filing wakeups again, or it never probes the

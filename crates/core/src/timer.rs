@@ -21,11 +21,16 @@ pub(crate) struct NodeTimer {
 impl NodeTimer {
     /// Ensures a wakeup is pending at or before `deadline`.
     pub(crate) fn arm(&mut self, ctx: &mut Context<'_>, deadline: Option<SimTime>) {
-        let Some(t) = deadline else { return };
-        if self.armed_at.is_none_or(|a| t < a) {
+        if let Some(t) = deadline.filter(|_| !self.covers(deadline)) {
             ctx.set_timer_at(t, TimerToken(0));
             self.armed_at = Some(t);
         }
+    }
+
+    /// Whether [`arm`](Self::arm) would file nothing for `deadline`: there
+    /// is none, or a wakeup at or before it is already pending.
+    pub(crate) fn covers(&self, deadline: Option<SimTime>) -> bool {
+        deadline.is_none_or(|t| self.armed_at.is_some_and(|a| a <= t))
     }
 
     /// Call first in `Node::on_timer`. Clears the mark once the earliest
@@ -159,6 +164,18 @@ mod tests {
         sim.run_until(ms(10));
         assert_eq!(sim.node::<Probe>(id).timer.armed_at(), Some(ms(20)));
         assert_eq!(run(&mut sim, id), (vec![ms(5), ms(10), ms(20)], 3));
+    }
+
+    #[test]
+    fn covers_exactly_when_arm_would_file_nothing() {
+        let mut t = NodeTimer::default();
+        assert!(t.covers(None), "no deadline");
+        assert!(!t.covers(Some(ms(10))), "unarmed");
+        t.armed_at = Some(ms(10));
+        assert!(t.covers(None));
+        assert!(t.covers(Some(ms(10))), "armed at the deadline");
+        assert!(t.covers(Some(ms(30))), "armed earlier");
+        assert!(!t.covers(Some(ms(5))), "armed later");
     }
 
     #[test]

@@ -16,16 +16,12 @@
 //! bit-for-bit. The wheel is the only calendar; a plain `BinaryHeap`
 //! survives as its far-future overflow and as the reference the property
 //! test at the bottom of this file compares against. An entry, once
-//! filed, is always popped; owners that lose interest ignore it when it
-//! surfaces (the simulator's node epoch, the TCP stack's armed-deadline
-//! check).
+//! filed, is always popped; an owner that loses interest ignores it when
+//! it surfaces (the simulator's node epoch).
 //!
-//! The wheel is generic over its payload so it serves two masters: the
-//! simulator's `EventQueue` (the wheel plus the insertion counter) files
-//! whole events (`P = EventKind`), and each `TcpStack` (the TCP crate's
-//! per-host stack, downstream of this one) files per-connection timer
-//! references (`P` = a generation-checked slab index), sharing the cascade
-//! and lap-accounting logic rather than reimplementing it.
+//! The simulator's `EventQueue` (the wheel plus the insertion counter) is
+//! its one owner and files whole events (`P = EventKind`); the payload
+//! stays generic so the wheel can be exercised on its own.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -163,18 +159,12 @@ fn level_for(delta: u64) -> usize {
 }
 
 impl<P> TimingWheel<P> {
-    /// Wires the wheel's internal counters under the given metric prefix
-    /// (`{prefix}.cascades` etc.) — the simulator calendar uses `wheel`,
-    /// per-stack connection-timer wheels use their own namespace.
-    pub fn set_obs_prefixed(&mut self, obs: &Obs, prefix: &str) {
-        self.c_cascades = obs.counter(&format!("{prefix}.cascades"));
-        self.c_overflow = obs.counter(&format!("{prefix}.overflow_pushes"));
-        self.c_sorts = obs.counter(&format!("{prefix}.slot_sorts"));
-    }
-
-    /// Wires the wheel's counters under the default `wheel.*` namespace.
+    /// Wires the wheel's counters: `wheel.cascades`,
+    /// `wheel.overflow_pushes` and `wheel.slot_sorts`.
     pub fn set_obs(&mut self, obs: &Obs) {
-        self.set_obs_prefixed(obs, "wheel");
+        self.c_cascades = obs.counter("wheel.cascades");
+        self.c_overflow = obs.counter("wheel.overflow_pushes");
+        self.c_sorts = obs.counter("wheel.slot_sorts");
     }
 
     /// Total entries filed (levels plus overflow).

@@ -25,6 +25,7 @@
 pub mod buffer;
 pub mod cc;
 pub mod conn;
+mod deadlines;
 pub mod detector;
 pub mod ft;
 pub mod rto;

@@ -20,19 +20,19 @@
 //!
 //! # Many-flow scaling
 //!
-//! Connection state lives in a slab (`Vec` of generation-checked slots)
+//! Connection state lives in a slab (`Vec` of recycled slots)
 //! demultiplexed through a flat integer-hashed table keyed by a packed
-//! 64-bit triple of the quad, and per-connection timers ride a per-stack
-//! hierarchical timing wheel ([`hydranet_netsim::wheel`]), so the hot
-//! paths — segment demux, [`TcpStack::on_timer`], and
-//! [`TcpStack::next_deadline`] — cost `O(1)`/`O(due)` rather than
+//! 64-bit triple of the quad, and each connection's earliest deadline is
+//! one entry in a per-stack indexed min-heap, moved in place whenever it
+//! changes. Segment demux costs `O(1)`, [`TcpStack::next_deadline`]
+//! `O(1)`, and [`TcpStack::on_timer`] `O(due · log n)` — never
 //! `O(#connections)`. Everywhere iteration order is schedule-visible
 //! (timer processing, port re-gearing, ack-channel flushes) connections
 //! are visited in ascending `Quad` order, exactly as the former
 //! `BTreeMap<Quad, _>` table visited them, so the refactor is
 //! schedule-invisible: pinned fingerprints do not move.
 
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use hydranet_netsim::buf::PacketBuf;
@@ -40,11 +40,11 @@ use hydranet_netsim::frag::Reassembler;
 use hydranet_netsim::hash::IntMap;
 use hydranet_netsim::packet::{DecodeError, IpAddr, IpPacket, Protocol};
 use hydranet_netsim::time::{SimDuration, SimTime};
-use hydranet_netsim::wheel::{TimerEntry, TimingWheel};
 use hydranet_obs::metrics::{Counter, Histogram};
 use hydranet_obs::Obs;
 
 use crate::conn::{ConnEvent, ConnTelemetry, Connection, TcpConfig, TcpState};
+use crate::deadlines::Deadlines;
 use crate::detector::FailureDetector;
 use crate::ft::{
     deterministic_iss, AckChanMsg, ReplicatedPortConfig, ACK_CHANNEL_PORT, ACK_CHAN_MAX_PAIRS,
@@ -260,36 +260,22 @@ enum DemuxSlot {
     Many(Vec<u32>),
 }
 
-/// One slab slot. `gen` increments on every free, so a stale reference
-/// (a timer-wheel entry filed for a previous occupant) can be detected
-/// in O(1).
+/// One slab slot.
+#[derive(Default)]
 struct ConnSlot {
-    gen: u32,
+    /// The deadline this slot has filed in the stack's deadline heap; kept
+    /// equal to `conn.next_deadline()` after every interaction, so a
+    /// re-arm that leaves it unchanged never touches the heap.
+    armed: Option<SimTime>,
     occ: Option<Occupant>,
 }
 
 struct Occupant {
     quad: Quad,
-    /// Deadline of this connection's single *live* timer-wheel entry;
-    /// kept equal to `conn.next_deadline()` after every interaction.
-    /// Entries in the wheel whose time differs from this are stale and
-    /// are discarded when popped.
-    armed: Option<SimTime>,
     /// `None` while the entry is checked out for processing. Boxed so the
     /// check-out/check-in dance per segment moves one pointer, not the
     /// whole multi-hundred-byte connection, and so slab slots stay small.
     entry: Option<Box<ConnEntry>>,
-}
-
-/// Payload of a per-stack timer-wheel entry.
-#[derive(Debug, Clone, Copy)]
-enum StackTimer {
-    /// A connection's earliest TCP deadline, referenced by
-    /// generation-checked slab slot.
-    Conn { slot: u32, gen: u32 },
-    /// The ack-channel flush timer; live only while it matches
-    /// `ackchan_flush_at` exactly.
-    AckFlush,
 }
 
 /// Per-remote ephemeral-port bookkeeping: how many in-range ports are
@@ -315,31 +301,15 @@ pub struct TcpStack {
     // iterated rarely, and their order is schedule-visible.
     listeners: BTreeMap<u16, AppFactory>,
     replicated: BTreeMap<u16, ReplicatedPortConfig>,
-    /// Connection slab: slots are recycled through `free_slots` and
-    /// generation-checked so timer-wheel references cannot alias a new
-    /// occupant.
+    /// Connection slab: slots are recycled through `free_slots`.
     slots: Vec<ConnSlot>,
     free_slots: Vec<u32>,
     /// Flat demux table: packed 64-bit key → slab slot(s).
     demux: IntMap<u64, DemuxSlot>,
     live_conns: usize,
-    /// Per-stack hierarchical timer wheel holding one live entry per
-    /// connection with a deadline, plus the ack-channel flush timer.
-    /// Lazily invalidated: superseded entries stay filed and are
-    /// discarded on pop (the `armed` check). Only [`TcpStack::on_timer`]
-    /// pops it — always bounded by `now` — so the wheel's internal clock
-    /// never outruns simulation time and every future arm files at its
-    /// real tick.
-    timers: TimingWheel<StackTimer>,
-    /// Companion min-heap over the same (lazily invalidated) timer
-    /// entries, answering the exact-min [`TcpStack::next_deadline`] query.
-    /// The wheel cannot answer it: finding a *future* minimum would force
-    /// cascades that advance its clock past the present, after which an
-    /// earlier re-arm files behind the cursor and is never popped again.
-    /// The heap is clock-free and globally `(time, seq)`-ordered, so
-    /// peeking is non-destructive.
-    deadline_index: BinaryHeap<TimerEntry<StackTimer>>,
-    timer_seq: u64,
+    /// Exactly one entry per connection with a deadline, keyed by slot.
+    /// The ack-channel flush deadline is `ackchan_flush_at`, not an entry.
+    deadlines: Deadlines,
     /// Per-remote ephemeral-port recycle state.
     eph: IntMap<u64, EphState>,
     reassembler: Reassembler,
@@ -370,6 +340,8 @@ pub struct TcpStack {
     /// every swap, so steady-state segment processing allocates nothing.
     scratch_events: Vec<ConnEvent>,
     scratch_segments: Vec<TcpSegment>,
+    /// Due `(quad, slot)` pairs of one `on_timer` call, recycled likewise.
+    scratch_due: Vec<(Quad, u32)>,
     obs: Obs,
     /// The one set of series every connection of this stack records into.
     conn_telemetry: Option<Rc<ConnTelemetry>>,
@@ -410,9 +382,7 @@ impl TcpStack {
             free_slots: Vec::new(),
             demux: IntMap::default(),
             live_conns: 0,
-            timers: TimingWheel::default(),
-            deadline_index: BinaryHeap::new(),
-            timer_seq: 0,
+            deadlines: Deadlines::default(),
             eph: IntMap::default(),
             reassembler: Reassembler::new(),
             ip_id: 1,
@@ -426,6 +396,7 @@ impl TcpStack {
             stats: StackStats::default(),
             scratch_events: Vec::new(),
             scratch_segments: Vec::new(),
+            scratch_due: Vec::new(),
             obs: Obs::disabled(),
             conn_telemetry: None,
             c_ackchan_tx: Counter::default(),
@@ -448,7 +419,6 @@ impl TcpStack {
         self.c_rx_corrupt = obs.counter(&format!("{scope}.rx_corrupt"));
         self.h_ackchan_pairs = obs.histogram(&format!("{scope}.ackchan.pairs_per_datagram"));
         self.conn_telemetry = ConnTelemetry::new(&obs, &scope);
-        self.timers.set_obs_prefixed(&obs, "tcp.timerwheel");
         for occ in self.slots.iter_mut().filter_map(|s| s.occ.as_mut()) {
             if let Some(entry) = occ.entry.as_mut() {
                 entry.conn.set_telemetry(self.conn_telemetry.clone());
@@ -593,8 +563,7 @@ impl TcpStack {
         self.demux = IntMap::default();
         self.live_conns = 0;
         self.eph = IntMap::default();
-        self.timers = TimingWheel::default();
-        self.timers.set_obs_prefixed(&self.obs, "tcp.timerwheel");
+        self.deadlines = Deadlines::default();
         self.replicated.clear();
         self.out.clear();
         self.events.clear();
@@ -745,48 +714,32 @@ impl TcpStack {
 
     /// Advances all due connection timers to `now`.
     ///
-    /// Cost is `O(due)`, not `O(#connections)`: due timer-wheel entries
-    /// are popped (discarding lazily-invalidated stale ones), and the
-    /// matching connections are then ticked in ascending quad order — the
-    /// exact set and order the former full scan produced, since a live
-    /// entry exists at a connection's current `next_deadline()` at all
-    /// times.
+    /// Cost is `O(due · log n)`, not `O(#connections)`: the due entries
+    /// are popped off the deadline heap, and their connections are then
+    /// ticked in ascending quad order — the exact set and order the former
+    /// full scan produced, since every connection's heap entry sits at its
+    /// current `next_deadline()` at all times.
     pub fn on_timer(&mut self, now: SimTime) {
-        let mut due: Vec<(Quad, u32)> = Vec::new();
-        while let Some(e) = self.timers.pop_if_at_or_before(now) {
-            match e.payload {
-                StackTimer::Conn { slot, gen } => {
-                    let Some(s) = self.slots.get_mut(slot as usize) else {
-                        continue;
-                    };
-                    if s.gen != gen {
-                        continue; // slot was recycled: stale
-                    }
-                    let Some(occ) = s.occ.as_mut() else {
-                        continue;
-                    };
-                    if occ.armed != Some(e.time) {
-                        continue; // deadline moved on: stale
-                    }
-                    // Consume the live entry; `finish_entry` re-arms from
-                    // the connection's post-tick deadline.
-                    occ.armed = None;
-                    due.push((occ.quad, slot));
-                }
-                StackTimer::AckFlush => {
-                    // Handled below off `ackchan_flush_at`, which is
-                    // authoritative; the wheel entry is just its alarm.
-                }
+        let mut due = std::mem::take(&mut self.scratch_due);
+        while let Some(slot) = self.deadlines.pop_due(now) {
+            // The entry is consumed; `finish_entry` re-arms from the
+            // connection's post-tick deadline.
+            let s = &mut self.slots[slot as usize];
+            s.armed = None;
+            if let Some(occ) = &s.occ {
+                due.push((occ.quad, slot));
             }
         }
         due.sort_unstable();
-        for (_, slot) in due {
+        for &(_, slot) in &due {
             let occ = self.slots[slot as usize].occ.as_mut();
             if let Some(mut entry) = occ.and_then(|o| o.entry.take()) {
                 entry.conn.on_tick(now);
                 self.finish_entry(Some(slot), entry, now);
             }
         }
+        due.clear();
+        self.scratch_due = due;
         // After connection ticks: their output may have queued more pairs,
         // which ride along with a due flush instead of re-arming the timer.
         if self.ackchan_flush_at.is_some_and(|t| t <= now) {
@@ -795,23 +748,11 @@ impl TcpStack {
     }
 
     /// The earliest timer deadline across all connections, including a
-    /// pending ack-channel flush.
-    ///
-    /// Amortised `O(1)`: stale entries at the top of the deadline index
-    /// are popped and dropped (each entry is dropped at most once over
-    /// its lifetime); the first live entry — whose time is the exact
-    /// minimum, because every connection keeps a live entry at its
-    /// current deadline — is peeked, not removed. The wheel is left
-    /// untouched: popping it here would advance its clock into the
-    /// future and desynchronize it from simulation time.
-    pub fn next_deadline(&mut self) -> Option<SimTime> {
-        while let Some(e) = self.deadline_index.peek() {
-            if self.timer_is_live(e) {
-                return Some(e.time);
-            }
-            self.deadline_index.pop();
-        }
-        None
+    /// pending ack-channel flush. `O(1)`: the deadline heap's root and
+    /// `ackchan_flush_at`.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        let conns = self.deadlines.peek();
+        conns.into_iter().chain(self.ackchan_flush_at).min()
     }
 
     /// Drains queued outgoing IP packets.
@@ -872,13 +813,12 @@ impl TcpStack {
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
-                self.slots.push(ConnSlot { gen: 0, occ: None });
+                self.slots.push(ConnSlot::default());
                 (self.slots.len() - 1) as u32
             }
         };
         self.slots[slot as usize].occ = Some(Occupant {
             quad,
-            armed: None,
             entry: Some(entry),
         });
         match self.demux.entry(demux_key(quad)) {
@@ -901,14 +841,16 @@ impl TcpStack {
         slot
     }
 
-    /// Frees a slot: demux unlinked, generation bumped (invalidating any
-    /// timer-wheel references), ephemeral port returned to the recycle
-    /// list.
+    /// Frees a slot: deadline withdrawn, demux unlinked, ephemeral port
+    /// returned to the recycle list.
     fn free_slot(&mut self, slot: u32) {
-        let Some(occ) = self.slots[slot as usize].occ.take() else {
+        let s = &mut self.slots[slot as usize];
+        let Some(occ) = s.occ.take() else {
             return;
         };
-        self.slots[slot as usize].gen = self.slots[slot as usize].gen.wrapping_add(1);
+        if s.armed.take().is_some() {
+            self.deadlines.set(slot, None);
+        }
         self.free_slots.push(slot);
         self.live_conns -= 1;
         let key = demux_key(occ.quad);
@@ -965,47 +907,17 @@ impl TcpStack {
         quads
     }
 
-    fn push_timer(&mut self, time: SimTime, payload: StackTimer) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.push(TimerEntry { time, seq, payload });
-        self.deadline_index.push(TimerEntry { time, seq, payload });
-    }
-
-    /// Whether a filed timer entry still refers to a current deadline.
-    /// Both the wheel and the deadline index hold superseded entries;
-    /// this is the shared lazy-invalidation test.
-    fn timer_is_live(&self, e: &TimerEntry<StackTimer>) -> bool {
-        match e.payload {
-            StackTimer::Conn { slot, gen } => self
-                .slots
-                .get(slot as usize)
-                .filter(|s| s.gen == gen)
-                .and_then(|s| s.occ.as_ref())
-                .is_some_and(|o| o.armed == Some(e.time)),
-            StackTimer::AckFlush => self.ackchan_flush_at == Some(e.time),
-        }
-    }
-
-    /// Re-files the connection's wheel entry if its deadline changed since
-    /// last armed. The superseded entry (if any) is left in the wheel and
-    /// dies as stale on pop.
+    /// Moves the connection's heap entry to its current deadline (filing
+    /// or withdrawing it as needed) if that changed since last armed.
     fn arm_conn_timer(&mut self, slot: u32) {
         let s = &mut self.slots[slot as usize];
-        let gen = s.gen;
-        let Some(occ) = s.occ.as_mut() else {
-            return;
-        };
-        let Some(entry) = occ.entry.as_ref() else {
+        let Some(entry) = s.occ.as_ref().and_then(|o| o.entry.as_ref()) else {
             return;
         };
         let next = entry.conn.next_deadline();
-        if next == occ.armed {
-            return;
-        }
-        occ.armed = next;
-        if let Some(t) = next {
-            self.push_timer(t, StackTimer::Conn { slot, gen });
+        if next != s.armed {
+            s.armed = next;
+            self.deadlines.set(slot, next);
         }
     }
 
@@ -1389,9 +1301,8 @@ impl TcpStack {
     /// zero — always (the paper's per-segment behaviour, used as the
     /// reference arm in equivalence tests).
     ///
-    /// The flush timer rides the stack's timer wheel like any connection
-    /// deadline; `ackchan_flush_at` stays authoritative and orphaned wheel
-    /// entries die as stale.
+    /// The flush deadline is `ackchan_flush_at` itself, which
+    /// [`TcpStack::next_deadline`] folds in beside the connections' heap.
     fn queue_ack_report(
         &mut self,
         quad: Quad,
@@ -1411,9 +1322,7 @@ impl TcpStack {
         if control || self.ackchan_pending.len() >= self.cfg.ackchan_max_pairs.max(1) {
             self.flush_ackchan(now);
         } else if self.ackchan_flush_at.is_none() {
-            let at = now + delay;
-            self.ackchan_flush_at = Some(at);
-            self.push_timer(at, StackTimer::AckFlush);
+            self.ackchan_flush_at = Some(now + delay);
         }
     }
 
