@@ -79,7 +79,7 @@ pub mod prelude {
     pub use hydranet_netsim::node::{NodeId, NodeParams};
     pub use hydranet_netsim::packet::IpAddr;
     pub use hydranet_netsim::time::{SimDuration, SimTime};
-    pub use hydranet_tcp::conn::{KeepaliveConfig, TcpConfig};
+    pub use hydranet_tcp::conn::TcpConfig;
     pub use hydranet_tcp::detector::DetectorParams;
     pub use hydranet_tcp::segment::{Quad, SockAddr};
     pub use hydranet_tcp::stack::{EphemeralPortsExhausted, SocketApp, SocketIo};

@@ -119,46 +119,32 @@ impl ManagedRedirector {
                     let packet = IpPacket::new(src, dst, Protocol::UDP, datagram.encode());
                     self.engine.route_own(packet, out);
                 }
+                // The controller only emits updates at its own epoch, which
+                // never decreases; it rejects stale peers itself.
                 ControllerAction::UpdateTable { service, chain } => {
-                    let epoch = self.controller.epoch();
+                    let redirector = ("redirector", self.engine.addr().to_string());
+                    let service_field = ("service", service.to_string());
                     if chain.is_empty() {
-                        let applied = self
-                            .engine
-                            .table_mut()
-                            .apply_epoch_update(epoch.term, epoch.seq, service, None);
-                        if applied {
-                            self.obs.event(
-                                now.as_nanos(),
-                                kinds::TABLE_REMOVED,
-                                &[
-                                    ("redirector", self.engine.addr().to_string()),
-                                    ("service", service.to_string()),
-                                ],
-                            );
-                        }
+                        self.engine.table_mut().remove(service);
+                        self.obs.event(
+                            now.as_nanos(),
+                            kinds::TABLE_REMOVED,
+                            &[redirector, service_field],
+                        );
                     } else {
                         let chain_desc = chain
                             .iter()
                             .map(|h| h.to_string())
                             .collect::<Vec<_>>()
                             .join(" -> ");
-                        let applied = self.engine.table_mut().apply_epoch_update(
-                            epoch.term,
-                            epoch.seq,
-                            service,
-                            Some(ServiceEntry::FaultTolerant { chain }),
+                        self.engine
+                            .table_mut()
+                            .install(service, ServiceEntry::FaultTolerant { chain });
+                        self.obs.event(
+                            now.as_nanos(),
+                            kinds::TABLE_INSTALLED,
+                            &[redirector, service_field, ("chain", chain_desc)],
                         );
-                        if applied {
-                            self.obs.event(
-                                now.as_nanos(),
-                                kinds::TABLE_INSTALLED,
-                                &[
-                                    ("redirector", self.engine.addr().to_string()),
-                                    ("service", service.to_string()),
-                                    ("chain", chain_desc),
-                                ],
-                            );
-                        }
                     }
                 }
                 ControllerAction::AnnounceRoutes { seq } => {

@@ -45,7 +45,6 @@ struct PairSpec {
     primary: NodeId,
     backup: NodeId,
     vip: IpAddr,
-    probe: ProbeParams,
     extra_virtuals: Vec<IpAddr>,
 }
 
@@ -236,7 +235,6 @@ impl SystemBuilder {
             primary,
             backup,
             vip,
-            probe: self.probe_params,
             extra_virtuals: Vec::new(),
         });
         (primary, backup)
@@ -515,7 +513,6 @@ impl SystemBuilder {
                     PairConfig {
                         peer: b_addr,
                         initially_active: true,
-                        probe: pair.probe,
                     },
                     member_ifaces(pair.primary),
                 );
@@ -525,7 +522,6 @@ impl SystemBuilder {
                     PairConfig {
                         peer: p_addr,
                         initially_active: false,
-                        probe: pair.probe,
                     },
                     member_ifaces(pair.backup),
                 );

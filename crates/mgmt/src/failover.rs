@@ -57,9 +57,6 @@ pub struct PairConfig {
     pub peer: IpAddr,
     /// Whether this side starts as the active member.
     pub initially_active: bool,
-    /// Peer liveness probing: `timeout` is both the probe interval and the
-    /// per-probe wait; `attempts` consecutive unanswered probes promote.
-    pub probe: ProbeParams,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,7 +77,6 @@ struct PairState {
     peer: IpAddr,
     role: Role,
     epoch: Epoch,
-    probe: ProbeParams,
     /// Outstanding peer probe (both roles probe continuously).
     probing: Option<PeerProbe>,
     /// When the next peer probe goes out.
@@ -172,9 +168,8 @@ impl ReplicaController {
                 Role::Standby
             },
             epoch: Epoch::default(),
-            probe: cfg.probe,
             probing: None,
-            next_probe_at: now + cfg.probe.timeout,
+            next_probe_at: now + self.probe_params.timeout,
             reconcile_pending: false,
         });
     }
@@ -486,7 +481,7 @@ impl ReplicaController {
         let Some(pair) = self.pair.as_ref() else {
             return;
         };
-        let (attempts, peer, role) = (pair.probe.attempts, pair.peer, pair.role);
+        let (attempts, peer, role) = (self.probe_params.attempts, pair.peer, pair.role);
         let due_misses = match &pair.probing {
             Some(p) if now >= p.deadline => Some(p.misses + 1),
             None if now >= pair.next_probe_at => Some(0),
@@ -508,7 +503,7 @@ impl ReplicaController {
         if let Some(pair) = self.pair.as_mut() {
             pair.probing = Some(PeerProbe {
                 nonce,
-                deadline: now + pair.probe.timeout,
+                deadline: now + self.probe_params.timeout,
                 misses,
             });
         }
@@ -520,7 +515,7 @@ impl ReplicaController {
         };
         if pair.probing.as_ref().is_some_and(|p| p.nonce == nonce) {
             pair.probing = None;
-            pair.next_probe_at = now + pair.probe.timeout;
+            pair.next_probe_at = now + self.probe_params.timeout;
             // First sign of life from the peer since this side promoted:
             // the peer may be a deposed ex-active whose stale replication
             // was abandoned while the link was down, so push it a full
@@ -545,7 +540,7 @@ impl ReplicaController {
         pair.epoch.term += 1;
         pair.epoch.seq = 0;
         pair.probing = None;
-        pair.next_probe_at = now + pair.probe.timeout;
+        pair.next_probe_at = now + self.probe_params.timeout;
         pair.reconcile_pending = true;
         let (peer, term) = (pair.peer, pair.epoch.term);
         self.promotions += 1;
@@ -570,7 +565,7 @@ impl ReplicaController {
         pair.role = Role::Standby;
         pair.epoch = epoch;
         pair.probing = None;
-        pair.next_probe_at = now + pair.probe.timeout;
+        pair.next_probe_at = now + self.probe_params.timeout;
         pair.reconcile_pending = false;
         let peer = pair.peer;
         for state in self.services.values_mut() {
@@ -978,7 +973,6 @@ mod tests {
             PairConfig {
                 peer,
                 initially_active: active,
-                probe: pair_params(),
             },
             SimTime::ZERO,
         );

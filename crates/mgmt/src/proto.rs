@@ -275,18 +275,23 @@ impl Envelope {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on truncation or unknown tags.
+    /// Returns a [`WireError`] on truncation, unknown tags, or bytes left
+    /// over after a complete envelope.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
-        match r.u8()? {
-            0xE0 => Ok(Envelope::Payload {
+        let env = match r.u8()? {
+            0xE0 => Envelope::Payload {
                 id: r.u64()?,
                 needs_ack: r.u8()? != 0,
                 msg: MgmtMsg::read(&mut r)?,
-            }),
-            0xE1 => Ok(Envelope::Ack { of: r.u64()? }),
-            _ => Err(WireError { at: 0 }),
+            },
+            0xE1 => Envelope::Ack { of: r.u64()? },
+            _ => return Err(WireError { at: 0 }),
+        };
+        if !r.is_exhausted() {
+            return Err(WireError { at: r.pos() });
         }
+        Ok(env)
     }
 }
 

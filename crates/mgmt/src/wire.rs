@@ -144,9 +144,13 @@ impl<'a> Reader<'a> {
     }
 
     /// Whether all bytes have been consumed.
-    #[allow(dead_code)] // exercised in tests; part of the wire API surface
     pub fn is_exhausted(&self) -> bool {
         self.pos == self.buf.len()
+    }
+
+    /// Offset of the next unread byte.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
     }
 }
 

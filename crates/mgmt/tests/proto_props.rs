@@ -18,8 +18,20 @@ fn arb_sockaddr(rng: &mut SimRng) -> SockAddr {
     SockAddr::new(arb_addr(rng), rng.next_u64() as u16)
 }
 
+fn arb_chain(rng: &mut SimRng) -> Vec<IpAddr> {
+    (0..rng.range(0, 4)).map(|_| arb_addr(rng)).collect()
+}
+
+/// Number of [`MgmtMsg`] kinds [`arb_msg_of`] draws from.
+const MSG_KINDS: u64 = 9;
+
 fn arb_msg(rng: &mut SimRng) -> MgmtMsg {
-    match rng.range(0, 6) {
+    let kind = rng.range(0, MSG_KINDS);
+    arb_msg_of(rng, kind)
+}
+
+fn arb_msg_of(rng: &mut SimRng, kind: u64) -> MgmtMsg {
+    match kind {
         0 => MgmtMsg::RegisterReplica {
             service: arb_sockaddr(rng),
             host: arb_addr(rng),
@@ -46,8 +58,25 @@ fn arb_msg(rng: &mut SimRng) -> MgmtMsg {
         4 => MgmtMsg::Probe {
             nonce: rng.next_u64(),
         },
-        _ => MgmtMsg::ProbeAck {
+        5 => MgmtMsg::ProbeAck {
             nonce: rng.next_u64(),
+        },
+        6 => MgmtMsg::TableReplicate {
+            term: rng.next_u64() as u32,
+            seq: rng.next_u64(),
+            service: arb_sockaddr(rng),
+            chain: arb_chain(rng),
+        },
+        7 => MgmtMsg::TableSnapshot {
+            term: rng.next_u64() as u32,
+            seq: rng.next_u64(),
+            entries: (0..rng.range(0, 3))
+                .map(|_| (arb_sockaddr(rng), arb_chain(rng)))
+                .collect(),
+        },
+        _ => MgmtMsg::EpochReject {
+            term: rng.next_u64() as u32,
+            seq: rng.next_u64(),
         },
     }
 }
@@ -102,6 +131,33 @@ fn truncation_is_detected() {
         if cut < bytes.len() {
             let truncated = &bytes[..bytes.len() - cut];
             assert!(Envelope::decode(truncated).is_err());
+        }
+    }
+}
+
+/// A datagram is exactly one envelope: a complete message of any kind, or
+/// an `Ack`, followed by 1–8 bytes of junk is rejected.
+#[test]
+fn trailing_bytes_are_rejected() {
+    let mut rng = SimRng::seed_from(6);
+    for kind in 0..=MSG_KINDS {
+        for _ in 0..32 {
+            let env = if kind == MSG_KINDS {
+                Envelope::Ack { of: rng.next_u64() }
+            } else {
+                Envelope::Payload {
+                    id: rng.next_u64(),
+                    needs_ack: rng.chance(0.5),
+                    msg: arb_msg_of(&mut rng, kind),
+                }
+            };
+            let mut bytes = env.encode();
+            let junk = rng.range(1, 9);
+            bytes.extend((0..junk).map(|_| rng.next_u64() as u8));
+            assert!(
+                Envelope::decode(&bytes).is_err(),
+                "{env:?} followed by {junk} junk bytes decoded"
+            );
         }
     }
 }

@@ -729,7 +729,8 @@ mod tests {
         e.process(tcp_packet(80, 100), SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 2);
         // Fail-over removes the primary: the memoized fan-out must follow.
-        assert!(e.table_mut().remove_from_chain(sap, H1));
+        e.table_mut()
+            .install(sap, ServiceEntry::FaultTolerant { chain: vec![H2] });
         out.clear();
         e.process(tcp_packet(80, 100), SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 1);

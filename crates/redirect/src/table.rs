@@ -88,12 +88,8 @@ impl ServiceEntry {
 #[derive(Debug, Clone, Default)]
 pub struct RedirectorTable {
     entries: HashMap<SockAddr, ServiceEntry>,
-    /// Table epoch `(term, seq)` of the last accepted replicated update.
-    /// `term` bumps on redirector promotion; an update from an older term
-    /// is a partitioned ex-active talking and must be rejected.
-    epoch: (u32, u64),
     /// Monotonic counter bumped by anything that could change how a packet
-    /// resolves: installs, removes, chain edits, a new epoch term, and
+    /// resolves: installs, removes, and
     /// [`invalidate`](Self::invalidate) (which route changes are required
     /// to signal). It is the *only* invalidation rule: the engine stamps
     /// everything it resolved from this table with the generation and
@@ -101,7 +97,6 @@ pub struct RedirectorTable {
     generation: u64,
     c_installs: Counter,
     c_removes: Counter,
-    c_stale: Counter,
     g_entries: Gauge,
 }
 
@@ -116,14 +111,8 @@ impl RedirectorTable {
     pub fn set_obs(&mut self, obs: &Obs, scope: &str) {
         self.c_installs = obs.counter(&format!("redirect.table.{scope}.installs"));
         self.c_removes = obs.counter(&format!("redirect.table.{scope}.removes"));
-        self.c_stale = obs.counter(&format!("redirect.table.{scope}.stale_rejected"));
         self.g_entries = obs.gauge(&format!("redirect.table.{scope}.entries"));
         self.g_entries.set(self.entries.len() as f64);
-    }
-
-    /// The `(term, seq)` epoch of the last accepted replicated update.
-    pub fn epoch(&self) -> (u32, u64) {
-        self.epoch
     }
 
     /// The table's resolution generation: changes whenever anything
@@ -138,39 +127,6 @@ impl RedirectorTable {
     /// (i.e. the routing table).
     pub fn invalidate(&mut self) {
         self.generation += 1;
-    }
-
-    /// Applies a replicated table update stamped with epoch `(term, seq)`:
-    /// installs `entry` (or removes the `sap` entry when `None`) unless the
-    /// update is stale — strictly older than the last accepted epoch — in
-    /// which case nothing changes and `false` is returned.
-    ///
-    /// Every accepted update moves the [generation](Self::generation),
-    /// crossing into a new term included: a promotion means the table's
-    /// provenance changed, and nothing resolved under the old régime may
-    /// survive it.
-    pub fn apply_epoch_update(
-        &mut self,
-        term: u32,
-        seq: u64,
-        sap: SockAddr,
-        entry: Option<ServiceEntry>,
-    ) -> bool {
-        if (term, seq) < self.epoch {
-            self.c_stale.inc();
-            return false;
-        }
-        if term != self.epoch.0 {
-            self.invalidate();
-        }
-        self.epoch = (term, seq);
-        match entry {
-            Some(e) => self.install(sap, e),
-            None => {
-                self.remove(sap);
-            }
-        }
-        true
     }
 
     /// Installs (or replaces) the entry for a service access point.
@@ -204,29 +160,6 @@ impl RedirectorTable {
             Some(ServiceEntry::FaultTolerant { chain }) => Some(chain),
             _ => None,
         }
-    }
-
-    /// Mutable access to the FT chain for `sap` (used by reconfiguration).
-    pub fn chain_mut(&mut self, sap: SockAddr) -> Option<&mut Vec<IpAddr>> {
-        // An entry handed out mutably is an entry we can no longer vouch
-        // for: move the generation before the caller can edit the chain.
-        self.generation += 1;
-        match self.entries.get_mut(&sap) {
-            Some(ServiceEntry::FaultTolerant { chain }) => Some(chain),
-            _ => None,
-        }
-    }
-
-    /// Removes `host` from the FT chain of `sap` (failure reconfiguration:
-    /// "the failed server must then be 'shut down' by eliminating it from
-    /// the set of replicas", §4.4). Returns `true` if the chain changed.
-    pub fn remove_from_chain(&mut self, sap: SockAddr, host: IpAddr) -> bool {
-        if let Some(chain) = self.chain_mut(sap) {
-            let before = chain.len();
-            chain.retain(|&h| h != host);
-            return chain.len() != before;
-        }
-        false
     }
 
     /// Number of installed entries.
@@ -306,35 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_guard_rejects_stale_updates() {
-        let mut t = RedirectorTable::new();
-        assert!(t.apply_epoch_update(
-            1,
-            1,
-            sap(80),
-            Some(ServiceEntry::FaultTolerant {
-                chain: vec![host(1), host(2)],
-            }),
-        ));
-        assert_eq!(t.epoch(), (1, 1));
-        // A stale update from the partitioned ex-active (older term) is
-        // rejected without touching the table.
-        assert!(!t.apply_epoch_update(
-            0,
-            9,
-            sap(80),
-            Some(ServiceEntry::FaultTolerant {
-                chain: vec![host(9)],
-            }),
-        ));
-        assert_eq!(t.chain(sap(80)).unwrap(), &[host(1), host(2)]);
-        assert_eq!(t.epoch(), (1, 1));
-        // Same-epoch replay is idempotent, newer seq advances.
-        assert!(t.apply_epoch_update(1, 2, sap(80), None));
-        assert!(t.lookup(sap(80)).is_none());
-    }
-
-    #[test]
     fn whatever_changes_resolution_moves_the_generation() {
         let ft = |hosts: &[u8]| ServiceEntry::FaultTolerant {
             chain: hosts.iter().map(|&n| host(n)).collect(),
@@ -348,40 +252,18 @@ mod tests {
         };
         t.install(sap(80), ft(&[1, 2]));
         assert!(moved(&t), "install");
-        assert!(t.remove_from_chain(sap(80), host(1)));
-        assert!(moved(&t), "chain edit");
+        t.install(sap(80), ft(&[2]));
+        assert!(moved(&t), "chain replaced");
         t.invalidate();
         assert!(moved(&t), "route change signalled by the engine");
-        assert!(t.apply_epoch_update(0, 1, sap(443), Some(ft(&[3]))));
-        assert!(moved(&t), "replicated install");
-        // A new term with nothing to remove still moves it: the table's
-        // provenance changed.
-        assert!(t.apply_epoch_update(1, 0, sap(23), None));
-        assert!(moved(&t), "term change");
+        t.install(sap(443), ft(&[3]));
+        assert!(moved(&t), "second service");
         assert!(t.remove(sap(443)).is_some());
         assert!(moved(&t), "remove");
         // What changes nothing leaves it alone.
         assert!(t.remove(sap(443)).is_none());
-        assert!(!t.apply_epoch_update(0, 9, sap(80), None), "stale term");
         let _ = (t.lookup(sap(80)), t.chain(sap(80)), t.len());
         assert!(!moved(&t));
-    }
-
-    #[test]
-    fn remove_from_chain_reconfigures() {
-        let mut t = RedirectorTable::new();
-        t.install(
-            sap(80),
-            ServiceEntry::FaultTolerant {
-                chain: vec![host(1), host(2), host(3)],
-            },
-        );
-        assert!(t.remove_from_chain(sap(80), host(1)));
-        assert_eq!(t.chain(sap(80)).unwrap(), &[host(2), host(3)]);
-        // Removing an absent host is a no-op.
-        assert!(!t.remove_from_chain(sap(80), host(9)));
-        // Unknown service too.
-        assert!(!t.remove_from_chain(sap(443), host(2)));
     }
 
     #[test]

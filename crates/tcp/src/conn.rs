@@ -48,13 +48,8 @@ pub struct TcpConfig {
     pub ackchan_flush_delay: SimDuration,
     /// Pending report pairs that force an immediate ack-channel flush.
     pub ackchan_max_pairs: usize,
-    /// Consecutive retransmissions of the same data before the connection
-    /// is aborted.
-    pub max_retries: u32,
     /// How long to linger in TIME-WAIT.
     pub time_wait: SimDuration,
-    /// Optional keepalive probing of idle established connections.
-    pub keepalive: Option<KeepaliveConfig>,
     /// Send-gate starvation watchdog: fires [`ConnEvent::GateStarved`]
     /// after an RTO of the gate blocking ready work with no successor
     /// progress. On is the only safe setting — a dead chain tail is
@@ -70,28 +65,10 @@ pub struct TcpConfig {
 /// keeps the same 5x margin).
 const ACK_DELAY: SimDuration = SimDuration::from_millis(40);
 
-/// Keepalive tuning: after `idle` with no segments received, send up to
-/// `probes` probes spaced `interval` apart; an unanswered run aborts the
-/// connection. Lets servers reap connections whose clients silently died.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeepaliveConfig {
-    /// Quiet time before the first probe.
-    pub idle: SimDuration,
-    /// Spacing between successive probes.
-    pub interval: SimDuration,
-    /// Unanswered probes before the connection is reset.
-    pub probes: u32,
-}
-
-impl Default for KeepaliveConfig {
-    fn default() -> Self {
-        KeepaliveConfig {
-            idle: SimDuration::from_secs(60),
-            interval: SimDuration::from_secs(10),
-            probes: 3,
-        }
-    }
-}
+/// Consecutive retransmission timeouts of the same data before the
+/// connection is aborted. With the RTO doubling from 1 s to its 64 s cap,
+/// an unanswered SYN gives up 511 s after it was first sent.
+const MAX_RETRIES: u32 = 12;
 
 impl Default for TcpConfig {
     fn default() -> Self {
@@ -108,9 +85,7 @@ impl Default for TcpConfig {
             // retransmission timer.
             ackchan_flush_delay: SimDuration::from_millis(4),
             ackchan_max_pairs: 32,
-            max_retries: 12,
             time_wait: SimDuration::from_secs(30),
-            keepalive: None,
             gate_watchdog: true,
         }
     }
@@ -251,10 +226,10 @@ pub struct Connection {
     peer_fin: Option<SeqNum>,
     peer_fin_processed: bool,
 
-    /// ft-TCP send gate: highest sequence slot the chain successor has
-    /// reported; `None` when ungated.
+    /// ft-TCP send gate: the chain successor's send progress — only slots
+    /// before it may go out; `None` when ungated. Set at accept, then only
+    /// ever raised or removed.
     send_gate: Option<SeqNum>,
-    send_gated: bool,
     /// Starvation watchdog for the send gate: armed while the gate blocks
     /// ready work, fires [`ConnEvent::GateStarved`] once per RTO of stall.
     gate_starved_deadline: Option<SimTime>,
@@ -264,8 +239,6 @@ pub struct Connection {
     delack_deadline: Option<SimTime>,
     timewait_deadline: Option<SimTime>,
     persist_deadline: Option<SimTime>,
-    keepalive_deadline: Option<SimTime>,
-    keepalive_probes_sent: u32,
 
     /// RTT probe per Karn: (covers-up-to, sent-at).
     rtt_probe: Option<(SeqNum, SimTime)>,
@@ -309,18 +282,7 @@ impl Connection {
     /// Opens a connection actively (client side): queues a SYN.
     pub fn connect(quad: Quad, cfg: impl Into<Rc<TcpConfig>>, iss: SeqNum, now: SimTime) -> Self {
         let mut conn = Self::new(quad, cfg, iss, SeqNum::new(0), TcpState::SynSent);
-        conn.emit(
-            TcpSegment {
-                src_port: quad.local.port,
-                dst_port: quad.remote.port,
-                seq: iss,
-                ack: SeqNum::new(0),
-                flags: TcpFlags::SYN,
-                window: conn.advertised_window(),
-                payload: PacketBuf::new(),
-            },
-            now,
-        );
+        conn.emit(conn.segment(iss, TcpFlags::SYN, PacketBuf::new()), now);
         conn.snd.nxt = iss + 1;
         conn.syn_sent_at = Some(now);
         conn.arm_rto(now);
@@ -328,7 +290,11 @@ impl Connection {
     }
 
     /// Opens a connection passively (server side) in response to `syn`.
-    /// The SYN-ACK is queued immediately unless a send gate holds it back.
+    /// The SYN-ACK is queued immediately unless the connection is `gated`:
+    /// a replica with a chain successor gets both HydraNet-FT gates
+    /// *before* the SYN-ACK can be emitted, so it does not answer the
+    /// client's SYN until its successor has reported (the paper's §4.3
+    /// rules apply from the handshake onwards).
     ///
     /// # Panics
     ///
@@ -339,26 +305,7 @@ impl Connection {
         iss: SeqNum,
         syn: &TcpSegment,
         now: SimTime,
-    ) -> Self {
-        Self::accept_replicated(quad, cfg, iss, syn, now, false, false)
-    }
-
-    /// Like [`accept`](Self::accept), but with the HydraNet-FT gates
-    /// installed *before* the SYN-ACK can be emitted — a gated replica must
-    /// not answer the client's SYN until its chain successor has reported
-    /// (the paper's §4.3 rules apply from the handshake onwards).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `syn` does not have the SYN flag set.
-    pub fn accept_replicated(
-        quad: Quad,
-        cfg: impl Into<Rc<TcpConfig>>,
-        iss: SeqNum,
-        syn: &TcpSegment,
-        now: SimTime,
-        send_gated: bool,
-        deposit_gated: bool,
+        gated: bool,
     ) -> Self {
         assert!(syn.flags.syn, "accept requires a SYN segment");
         let irs = syn.seq;
@@ -367,10 +314,9 @@ impl Connection {
         conn.snd.wl1 = syn.seq;
         conn.snd.nxt = iss + 1;
         conn.segments_received += 1;
-        if send_gated {
-            conn.send_gated = true;
-        }
-        if deposit_gated {
+        if gated {
+            // Nothing from ISS on is covered until the successor reports.
+            conn.send_gate = Some(iss);
             conn.recvbuf.enable_gate();
         }
         conn.try_send_synack(now);
@@ -437,15 +383,12 @@ impl Connection {
             peer_fin: None,
             peer_fin_processed: false,
             send_gate: None,
-            send_gated: false,
             gate_starved_deadline: None,
             gate_starved_count: 0,
             rto_deadline: None,
             delack_deadline: None,
             timewait_deadline: None,
             persist_deadline: None,
-            keepalive_deadline: None,
-            keepalive_probes_sent: 0,
             rtt_probe: None,
             max_sent: iss,
             recover: None,
@@ -579,35 +522,22 @@ impl Connection {
     // ft-TCP gates (driven by the stack for replicated ports)
     // ------------------------------------------------------------------
 
-    /// Enables the send gate: data (and SYN-ACK/FIN slots) may only be
-    /// transmitted up to what the chain successor has reported.
-    pub fn enable_send_gate(&mut self) {
-        self.send_gated = true;
-    }
-
     /// Disables the send gate (connection became last in chain or the port
     /// is no longer replicated with a successor).
     pub fn disable_send_gate(&mut self, now: SimTime) {
-        self.send_gated = false;
         self.send_gate = None;
         self.try_send_synack(now);
         self.pump(now);
     }
 
-    /// Raises the send gate to at least `seq` (successor reported it).
+    /// Raises the send gate to at least `seq` (successor reported it); an
+    /// ungated connection stays ungated.
     pub fn raise_send_gate(&mut self, seq: SeqNum, now: SimTime) {
-        self.send_gate = Some(match self.send_gate {
-            Some(g) => g.max_seq(seq),
-            None => seq,
-        });
+        if let Some(g) = &mut self.send_gate {
+            *g = g.max_seq(seq);
+        }
         self.try_send_synack(now);
         self.pump(now);
-    }
-
-    /// Enables the deposit gate: received data stays staged until the
-    /// successor acknowledges it.
-    pub fn enable_deposit_gate(&mut self) {
-        self.recvbuf.enable_gate();
     }
 
     /// Disables the deposit gate and releases staged data.
@@ -622,25 +552,27 @@ impl Connection {
         self.after_deposit_progress(now);
     }
 
-    /// Whether the send gate currently blocks sequence slot `seq`.
-    ///
-    /// The gate value is the successor's send *progress* (first slot it has
-    /// not covered), so slot `seq` may go out only when `seq < gate`.
-    fn gate_blocks(&self, seq: SeqNum) -> bool {
-        if !self.send_gated {
-            return false;
-        }
+    /// How many sequence slots from `seq` on the send gate lets out. The
+    /// gate value is the successor's send *progress* (first slot it has not
+    /// covered), so slot `seq` may go out only when `seq < gate`.
+    fn gate_room(&self, seq: SeqNum) -> usize {
         match self.send_gate {
-            None => true,
-            Some(g) => !seq.before(g),
+            None => usize::MAX,
+            Some(g) if seq.before(g) => (g - seq) as usize,
+            Some(_) => 0,
         }
+    }
+
+    /// Whether the send gate currently blocks sequence slot `seq`.
+    fn gate_blocks(&self, seq: SeqNum) -> bool {
+        self.gate_room(seq) == 0
     }
 
     /// Whether the send gate is the thing standing between ready work and
     /// the wire: an unsent SYN-ACK, buffered data, or a queued FIN whose
     /// next slot the gate refuses.
     fn gate_blocked_work(&self) -> bool {
-        if !self.send_gated {
+        if self.send_gate.is_none() {
             return false;
         }
         if self.state == TcpState::SynRcvd {
@@ -755,22 +687,16 @@ impl Connection {
     /// Aborts the connection with a RST.
     pub fn abort(&mut self, now: SimTime) {
         if self.state != TcpState::Closed {
-            self.emit(
-                TcpSegment {
-                    src_port: self.quad.local.port,
-                    dst_port: self.quad.remote.port,
-                    seq: self.snd.nxt,
-                    ack: self.rcv_nxt(),
-                    flags: TcpFlags {
-                        rst: true,
-                        ack: true,
-                        ..TcpFlags::default()
-                    },
-                    window: 0,
-                    payload: PacketBuf::new(),
-                },
-                now,
-            );
+            let flags = TcpFlags {
+                rst: true,
+                ack: true,
+                ..TcpFlags::default()
+            };
+            let rst = TcpSegment {
+                window: 0,
+                ..self.segment(self.snd.nxt, flags, PacketBuf::new())
+            };
+            self.emit(rst, now);
             self.enter_closed(ConnEvent::Reset);
         }
     }
@@ -808,7 +734,6 @@ impl Connection {
             self.delack_deadline,
             self.timewait_deadline,
             self.persist_deadline,
-            self.keepalive_deadline,
             self.gate_starved_deadline,
         ]
         .into_iter()
@@ -835,9 +760,6 @@ impl Connection {
     /// Feeds one incoming segment.
     pub fn on_segment(&mut self, seg: TcpSegment, now: SimTime) {
         self.segments_received += 1;
-        // Any inbound segment is proof of life: reset keepalive state.
-        self.keepalive_probes_sent = 0;
-        self.rearm_keepalive(now);
         if seg.flags.rst {
             self.on_rst(&seg);
             return;
@@ -898,7 +820,6 @@ impl Connection {
         self.state = TcpState::Established;
         self.clear_rto();
         self.retries = 0;
-        self.rearm_keepalive(now);
         self.events.push(ConnEvent::Established);
         // ACK the SYN-ACK (third step of the handshake), then any data.
         self.send_pure_ack(now);
@@ -955,7 +876,6 @@ impl Connection {
             }
             if self.state == TcpState::SynRcvd {
                 self.state = TcpState::Established;
-                self.rearm_keepalive(now);
                 self.events.push(ConnEvent::Established);
             }
             self.on_fin_acked_if_complete(ack, now);
@@ -993,9 +913,10 @@ impl Connection {
             }
         }
 
-        // A zero-length segment below RCV.NXT is a keepalive probe (or a
-        // stale duplicate): answer with a plain ACK so the prober sees
-        // life. A normal ACK carries seq == RCV.NXT and is not affected.
+        // A zero-length segment below RCV.NXT is a keepalive-shaped probe
+        // (the gate watchdog's, see `on_tick`) or a stale duplicate: answer
+        // with a plain ACK so the prober sees life. A normal ACK carries
+        // seq == RCV.NXT and is not affected.
         if seg.payload.is_empty() && !seg.flags.fin && seg.seq.before(self.rcv_nxt()) {
             self.send_pure_ack(now);
         }
@@ -1162,12 +1083,6 @@ impl Connection {
                 self.on_rto(now);
             }
         }
-        if let Some(t) = self.keepalive_deadline {
-            if now >= t {
-                self.keepalive_deadline = None;
-                self.on_keepalive(now);
-            }
-        }
         if let Some(t) = self.gate_starved_deadline {
             if now >= t {
                 self.gate_starved_deadline = None;
@@ -1204,44 +1119,11 @@ impl Connection {
         }
     }
 
-    fn rearm_keepalive(&mut self, now: SimTime) {
-        if let Some(ka) = self.cfg.keepalive {
-            if self.state.is_open() {
-                self.keepalive_deadline = Some(now + ka.idle);
-            }
-        }
-    }
-
-    fn on_keepalive(&mut self, now: SimTime) {
-        let Some(ka) = self.cfg.keepalive else {
-            return;
-        };
-        if !self.state.is_open() {
-            return;
-        }
-        if self.keepalive_probes_sent >= ka.probes {
-            // The peer is gone: reset so the application can reap.
-            self.abort(now);
-            return;
-        }
-        self.keepalive_probes_sent += 1;
-        self.send_keepalive_probe(now);
-        self.keepalive_deadline = Some(now + ka.interval);
-    }
-
-    /// Classic keepalive probe: a zero-length segment one slot below
-    /// SND.NXT; a live peer answers with a plain ACK.
+    /// The gate watchdog's keepalive-shaped probe: a zero-length segment
+    /// one slot below SND.NXT; a live peer answers with a plain ACK.
     fn send_keepalive_probe(&mut self, now: SimTime) {
         self.emit(
-            TcpSegment {
-                src_port: self.quad.local.port,
-                dst_port: self.quad.remote.port,
-                seq: self.snd.nxt - 1,
-                ack: self.rcv_nxt(),
-                flags: TcpFlags::ACK,
-                window: self.advertised_window(),
-                payload: PacketBuf::new(),
-            },
+            self.segment(self.snd.nxt - 1, TcpFlags::ACK, PacketBuf::new()),
             now,
         );
     }
@@ -1249,7 +1131,7 @@ impl Connection {
     fn on_rto(&mut self, now: SimTime) {
         self.retries += 1;
         self.events.push(ConnEvent::RetransmitTimeout);
-        if self.retries > self.cfg.max_retries {
+        if self.retries > MAX_RETRIES {
             self.abort(now);
             return;
         }
@@ -1259,17 +1141,9 @@ impl Connection {
         match self.state {
             TcpState::SynSent => {
                 self.retransmit_count += 1;
-                let iss = self.snd.iss;
+                // RCV.NXT is still zero: a SYN carries no ACK.
                 self.emit(
-                    TcpSegment {
-                        src_port: self.quad.local.port,
-                        dst_port: self.quad.remote.port,
-                        seq: iss,
-                        ack: SeqNum::new(0),
-                        flags: TcpFlags::SYN,
-                        window: self.advertised_window(),
-                        payload: PacketBuf::new(),
-                    },
+                    self.segment(self.snd.iss, TcpFlags::SYN, PacketBuf::new()),
                     now,
                 );
             }
@@ -1320,7 +1194,7 @@ impl Connection {
                 _ => {}
             }
         }
-        let data = self.sendbuf.slice(una, self.cfg.mss);
+        let mut data = self.sendbuf.slice(una, self.cfg.mss);
         if data.is_empty() {
             // Only a FIN may be outstanding.
             if let Some(fin) = self.fin_seq {
@@ -1331,27 +1205,18 @@ impl Connection {
             }
             return;
         }
-        // Honour the send gate even on retransmission (it is monotonic, so
-        // anything previously sent stays allowed).
-        let mut len = data.len();
-        if self.send_gated {
-            match self.send_gate {
-                None => return,
-                Some(g) => {
-                    if !una.before(g) {
-                        return;
-                    }
-                    len = len.min((g - una) as usize);
-                }
-            }
+        // Honour the send gate even on retransmission: it is monotonic, so
+        // anything previously sent stays allowed, but a full MSS from
+        // SND.UNA may reach past what was.
+        data.truncate(self.gate_room(una));
+        if data.is_empty() {
+            return;
         }
-        let payload = data[..len].to_vec();
         let fin_here = self
             .fin_seq
-            .map(|f| f == una + payload.len() as u32 && !self.gate_blocks(f))
-            .unwrap_or(false);
+            .is_some_and(|f| f == una + data.len() as u32 && !self.gate_blocks(f));
         self.retransmit_count += 1;
-        self.emit_data_segment(una, payload.into(), fin_here, now);
+        self.emit_data_segment(una, data.into(), fin_here, now);
     }
 
     fn send_window_probe(&mut self, now: SimTime) {
@@ -1403,20 +1268,8 @@ impl Connection {
             } else {
                 0
             };
-            let mut len = usable.min(pending).min(self.cfg.mss as u32) as usize;
-
-            if self.send_gated {
-                match self.send_gate {
-                    None => len = 0,
-                    Some(g) => {
-                        if self.snd.nxt.before(g) {
-                            len = len.min((g - self.snd.nxt) as usize);
-                        } else {
-                            len = 0;
-                        }
-                    }
-                }
-            }
+            let len = (usable.min(pending).min(self.cfg.mss as u32) as usize)
+                .min(self.gate_room(self.snd.nxt));
 
             // Nagle: hold sub-MSS segments while data is in flight, unless
             // a FIN is ready to ride along (closing flushes).
@@ -1486,15 +1339,7 @@ impl Connection {
             return; // held until the chain successor reports its SYN-ACK
         }
         self.emit(
-            TcpSegment {
-                src_port: self.quad.local.port,
-                dst_port: self.quad.remote.port,
-                seq: self.snd.iss,
-                ack: self.rcv_nxt(),
-                flags: TcpFlags::SYN_ACK,
-                window: self.advertised_window(),
-                payload: PacketBuf::new(),
-            },
+            self.segment(self.snd.iss, TcpFlags::SYN_ACK, PacketBuf::new()),
             now,
         );
     }
@@ -1503,38 +1348,20 @@ impl Connection {
         self.bytes_sent += payload.len() as u64;
         let psh = !payload.is_empty();
         self.delack_deadline = None; // this segment carries our ACK
-        self.emit(
-            TcpSegment {
-                src_port: self.quad.local.port,
-                dst_port: self.quad.remote.port,
-                seq,
-                ack: self.rcv_nxt(),
-                flags: TcpFlags {
-                    ack: true,
-                    psh,
-                    fin,
-                    ..TcpFlags::default()
-                },
-                window: self.advertised_window(),
-                payload,
-            },
-            now,
-        );
+        let flags = TcpFlags {
+            ack: true,
+            psh,
+            fin,
+            ..TcpFlags::default()
+        };
+        self.emit(self.segment(seq, flags, payload), now);
     }
 
     fn send_pure_ack(&mut self, now: SimTime) {
         self.delack_deadline = None;
         self.last_advertised_window = self.recvbuf.window();
         self.emit(
-            TcpSegment {
-                src_port: self.quad.local.port,
-                dst_port: self.quad.remote.port,
-                seq: self.snd.nxt,
-                ack: self.rcv_nxt(),
-                flags: TcpFlags::ACK,
-                window: self.advertised_window(),
-                payload: PacketBuf::new(),
-            },
+            self.segment(self.snd.nxt, TcpFlags::ACK, PacketBuf::new()),
             now,
         );
     }
@@ -1574,6 +1401,20 @@ impl Connection {
         self.recvbuf.coverage()
     }
 
+    /// A segment from this connection's port pair at `seq`, carrying
+    /// `RCV.NXT` as its acknowledgement and the current receive window.
+    fn segment(&self, seq: SeqNum, flags: TcpFlags, payload: PacketBuf) -> TcpSegment {
+        TcpSegment {
+            src_port: self.quad.local.port,
+            dst_port: self.quad.remote.port,
+            seq,
+            ack: self.rcv_nxt(),
+            flags,
+            window: self.advertised_window(),
+            payload,
+        }
+    }
+
     fn emit(&mut self, seg: TcpSegment, _now: SimTime) {
         self.segments_sent += 1;
         if seg.seq_len() > 0 {
@@ -1603,7 +1444,6 @@ impl Connection {
         self.delack_deadline = None;
         self.timewait_deadline = None;
         self.persist_deadline = None;
-        self.keepalive_deadline = None;
         self.events.push(event);
     }
 }
@@ -1641,6 +1481,8 @@ mod tests {
         server_events: Vec<ConnEvent>,
         /// Read continuously (keep windows open)?
         auto_read: bool,
+        /// Accept the server as a gated replica?
+        server_gated: bool,
     }
 
     impl Pair {
@@ -1660,9 +1502,24 @@ mod tests {
                 client_events: Vec::new(),
                 server_events: Vec::new(),
                 auto_read: true,
+                server_gated: false,
             };
             pair.collect(false);
             pair
+        }
+
+        /// A pair whose server is a gated replica, its send gate raised
+        /// over the SYN-ACK so the handshake completes.
+        fn gated(cfg: TcpConfig) -> Self {
+            let mut p = Pair::new(cfg.clone(), cfg);
+            p.server_gated = true;
+            p.run_until(SimTime::from_millis(100));
+            let (iss, now) = (p.server().iss(), p.now);
+            p.server().raise_send_gate(iss + 1, now);
+            p.collect(true);
+            p.run_until(SimTime::from_millis(200));
+            assert_eq!(p.server().state(), TcpState::Established);
+            p
         }
 
         fn with_drop(mut self, mut f: impl FnMut(bool, &TcpSegment) -> bool + 'static) -> Self {
@@ -1757,6 +1614,7 @@ mod tests {
                     SeqNum::new(77_000),
                     &seg,
                     self.now,
+                    self.server_gated,
                 ));
             }
             self.collect(true);
@@ -2048,53 +1906,27 @@ mod tests {
         let now = SimTime::ZERO;
         let mut client = Connection::connect(cq, nagle_off(), SeqNum::new(500), now);
         let syn = client.take_segments().remove(0);
-        let mut server = Connection::accept(sq, nagle_off(), SeqNum::new(9000), &syn, now);
+        let mut server = Connection::accept(sq, nagle_off(), SeqNum::new(9000), &syn, now, false);
         // Not gated: SYN-ACK flows immediately.
         assert_eq!(server.take_segments().len(), 1);
 
-        let mut gated = Connection::accept(sq, nagle_off(), SeqNum::new(9000), &syn, now);
-        gated.enable_send_gate();
-        // accept() already emitted before the gate went up in this ordering;
-        // construct the realistic order instead: gate first.
-        let mut gated2 = {
-            let mut c = Connection::connect(cq, nagle_off(), SeqNum::new(500), now);
-            let syn = c.take_segments().remove(0);
-            let mut s = Connection::accept(
-                sq,
-                TcpConfig {
-                    nagle: false,
-                    ..TcpConfig::default()
-                },
-                SeqNum::new(9000),
-                &syn,
-                now,
-            );
-            // In the stack, the gate is enabled before accept's SYN-ACK is
-            // released; emulate by draining and gating, then asking for a
-            // retransmit path.
-            s.enable_send_gate();
-            s
-        };
-        let _ = gated;
+        let mut gated = Connection::accept(sq, nagle_off(), SeqNum::new(9000), &syn, now, true);
+        assert!(gated.take_segments().is_empty(), "gated SYN-ACK leaked");
         // A retransmitted SYN while gated must not produce a SYN-ACK.
-        gated2.take_segments();
-        gated2.on_segment(syn.clone(), now);
-        assert!(gated2.take_segments().is_empty(), "gated SYN-ACK leaked");
+        gated.on_segment(syn, now);
+        assert!(gated.take_segments().is_empty(), "gated SYN-ACK leaked");
         // Successor reports its SYN-ACK progress: seq_end = ISS + 1 (same
         // ISS by construction).
-        gated2.raise_send_gate(SeqNum::new(9001), now);
-        let out = gated2.take_segments();
+        gated.raise_send_gate(SeqNum::new(9001), now);
+        let out = gated.take_segments();
         assert_eq!(out.len(), 1);
         assert!(out[0].flags.syn && out[0].flags.ack);
     }
 
     #[test]
     fn send_gate_limits_data() {
-        let mut p = Pair::new(nagle_off(), nagle_off());
-        p.run_until(SimTime::from_millis(100));
-        // Gate the server's sending path.
-        let _now = p.now;
-        p.server().enable_send_gate();
+        // The server's gate covers nothing past its SYN-ACK.
+        let mut p = Pair::gated(nagle_off());
         p.server_write(&pattern(1000));
         p.run_until(p.now + SimDuration::from_millis(50));
         assert_eq!(p.client_received.len(), 0, "gated data leaked");
@@ -2121,12 +1953,10 @@ mod tests {
                 gate_watchdog: watchdog,
                 ..TcpConfig::default()
             };
-            let mut p = Pair::new(cfg.clone(), cfg);
-            p.run_until(SimTime::from_millis(100));
-            // Gate the server's sending path with data queued behind it and
-            // never report successor progress: the flow-control loop is
-            // silently wedged (the client sees nothing to retransmit).
-            p.server().enable_send_gate();
+            // Queue data behind the server's gate and never report
+            // successor progress: the flow-control loop is silently wedged
+            // (the client sees nothing to retransmit).
+            let mut p = Pair::gated(cfg);
             p.server_write(&pattern(1000));
             p.run_until(p.now + SimDuration::from_secs(10));
             let fired = p.server().gate_starved_count();
@@ -2138,12 +1968,118 @@ mod tests {
         }
     }
 
+    /// A client and a gated server past the handshake, the server's send
+    /// gate raised over its SYN-ACK and nothing more, as the stack sets up
+    /// a replica with a chain successor.
+    fn gated_established() -> (Connection, Connection) {
+        let (cq, sq) = quads();
+        let now = SimTime::ZERO;
+        let mut client = Connection::connect(cq, nagle_off(), SeqNum::new(1000), now);
+        let syn = client.take_segments().remove(0);
+        let mut server = Connection::accept(sq, nagle_off(), SeqNum::new(77_000), &syn, now, true);
+        assert!(server.take_segments().is_empty(), "gated SYN-ACK leaked");
+        server.raise_send_gate(server.iss() + 1, now);
+        let synack = server.take_segments().remove(0);
+        client.on_segment(synack, now);
+        for seg in client.take_segments() {
+            server.on_segment(seg, now);
+        }
+        assert_eq!(server.state(), TcpState::Established);
+        (client, server)
+    }
+
+    #[test]
+    fn retransmissions_never_pass_the_send_gate() {
+        let (client, mut server) = gated_established();
+        let t = SimTime::from_millis(1);
+        let start = server.snd_nxt();
+        // The successor has covered 700 of 3,000 buffered bytes, not the
+        // FIN: a full MSS from SND.UNA would run past the gate.
+        let mut gate = start + 700;
+        server.raise_send_gate(gate, t);
+        server.write(&pattern(3000), t);
+        server.close(t);
+        let sent = |server: &mut Connection, gate: SeqNum| {
+            let segs = server.take_segments();
+            for s in &segs {
+                assert!(s.seq_end().before_eq(gate), "{s} passes the gate {gate}");
+            }
+            segs
+        };
+        let resent_at = |segs: &[TcpSegment], seq: SeqNum| {
+            segs.iter()
+                .any(|s| s.seq == seq && (!s.payload.is_empty() || s.flags.fin))
+        };
+        assert!(resent_at(&sent(&mut server, gate), start));
+
+        // RTO: go-back-N re-sends from SND.UNA.
+        let rto = server.next_deadline().expect("RTO armed");
+        server.on_tick(rto);
+        assert!(resent_at(&sent(&mut server, gate), start), "RTO");
+
+        // Fast retransmit: three duplicate ACKs at SND.UNA.
+        let dup_ack = TcpSegment {
+            src_port: 40_000,
+            dst_port: 80,
+            seq: client.snd_nxt(),
+            ack: start,
+            flags: TcpFlags::ACK,
+            window: u16::MAX,
+            payload: PacketBuf::new(),
+        };
+        for _ in 0..3 {
+            server.on_segment(dup_ack.clone(), rto);
+        }
+        assert!(
+            resent_at(&sent(&mut server, gate), start),
+            "fast retransmit"
+        );
+
+        // FIN: the successor covers everything, the client acknowledges
+        // the data but not the FIN, then repeats that ACK three times.
+        gate = start + 3001;
+        server.raise_send_gate(gate, rto);
+        assert!(sent(&mut server, gate).iter().any(|s| s.flags.fin));
+        let fin = start + 3000;
+        let data_ack = TcpSegment {
+            ack: fin,
+            ..dup_ack
+        };
+        for _ in 0..4 {
+            server.on_segment(data_ack.clone(), rto);
+        }
+        assert!(resent_at(&sent(&mut server, gate), fin), "FIN retransmit");
+    }
+
+    /// The gate watchdog's probe sits at `SND.NXT - 1`, below the peer's
+    /// `RCV.NXT`: a live peer answers it with exactly one pure ACK.
+    #[test]
+    fn live_peer_answers_probe_and_conn_survives() {
+        let (mut client, mut server) = gated_established();
+        server.write(b"held behind the gate", SimTime::ZERO);
+        assert!(server.take_segments().is_empty());
+        let starved = server.next_deadline().expect("watchdog armed");
+        server.on_tick(starved);
+        assert!(server.take_events().contains(&ConnEvent::GateStarved));
+        let probe = server.take_segments().remove(0);
+        assert!(probe.payload.is_empty());
+        assert_eq!(probe.seq, server.snd_nxt() - 1);
+        client.on_segment(probe, starved);
+        let answers = client.take_segments();
+        assert_eq!(answers.len(), 1, "probe unanswered: {answers:?}");
+        let answer = &answers[0];
+        assert!(answer.payload.is_empty() && answer.flags == TcpFlags::ACK);
+        assert_eq!(answer.ack, server.snd_nxt());
+        server.on_segment(answer.clone(), starved);
+        assert!(server.take_segments().is_empty());
+        assert_eq!(server.state(), TcpState::Established);
+        assert_eq!(client.state(), TcpState::Established);
+    }
+
     #[test]
     fn deposit_gate_stages_then_releases() {
-        let mut p = Pair::new(nagle_off(), nagle_off());
-        p.run_until(SimTime::from_millis(100));
+        let mut p = Pair::gated(nagle_off());
         let now = p.now;
-        p.server().enable_deposit_gate();
         p.client_write(b"gated-bytes");
         p.run_until(now + SimDuration::from_millis(50));
         assert_eq!(p.server_received.len(), 0);
@@ -2163,9 +2099,7 @@ mod tests {
 
     #[test]
     fn deposit_gate_suppresses_ack_progress() {
-        let mut p = Pair::new(nagle_off(), nagle_off());
-        p.run_until(SimTime::from_millis(100));
-        p.server().enable_deposit_gate();
+        let mut p = Pair::gated(nagle_off());
         p.client_write(b"0123456789");
         p.run_until(p.now + SimDuration::from_millis(200));
         // Client saw no ACK covering its data (server's rcv_nxt is pinned),
@@ -2234,15 +2168,17 @@ mod tests {
 
     #[test]
     fn retry_exhaustion_resets() {
-        // Server never reachable: every segment to it is dropped.
-        let cfg = TcpConfig {
-            max_retries: 3,
-            ..TcpConfig::default()
-        };
-        let mut p = Pair::new(cfg, TcpConfig::default()).with_drop(|to_server, _| to_server);
-        p.run_until(SimTime::from_secs(120));
+        // Server never reachable: every segment to it is dropped. The SYN
+        // backs off 1, 2, 4 … 64 s and gives up on the 13th timeout, 511 s
+        // after the first transmission.
+        let mut p = Pair::new(TcpConfig::default(), TcpConfig::default())
+            .with_drop(|to_server, _| to_server);
+        p.run_until(SimTime::from_secs(510));
+        assert_eq!(p.client.state(), TcpState::SynSent);
+        p.run_until(SimTime::from_secs(512));
         assert_eq!(p.client.state(), TcpState::Closed);
         assert!(p.client_events.contains(&ConnEvent::Reset));
+        assert_eq!(p.client.retransmit_count(), 12);
     }
 
     #[test]
@@ -2289,132 +2225,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod keepalive_tests {
-    use super::*;
-    use crate::segment::SockAddr;
-    use hydranet_netsim::packet::IpAddr;
-
-    fn ka_cfg() -> TcpConfig {
-        TcpConfig {
-            nagle: false,
-            keepalive: Some(KeepaliveConfig {
-                idle: SimDuration::from_secs(5),
-                interval: SimDuration::from_secs(1),
-                probes: 2,
-            }),
-            ..TcpConfig::default()
-        }
-    }
-
-    fn quads() -> (Quad, Quad) {
-        let c = SockAddr::new(IpAddr::new(10, 0, 0, 1), 40_000);
-        let s = SockAddr::new(IpAddr::new(10, 0, 0, 2), 80);
-        (Quad::new(c, s), Quad::new(s, c))
-    }
-
-    /// Hand-drives a handshake, returning established client and server.
-    fn established(server_cfg: TcpConfig) -> (Connection, Connection, SimTime) {
-        let (cq, sq) = quads();
-        let now = SimTime::ZERO;
-        let mut client = Connection::connect(cq, TcpConfig::default(), SeqNum::new(100), now);
-        let syn = client.take_segments().remove(0);
-        let mut server = Connection::accept(sq, server_cfg, SeqNum::new(900), &syn, now);
-        let synack = server.take_segments().remove(0);
-        client.on_segment(synack, now);
-        let ack = client.take_segments().remove(0);
-        server.on_segment(ack, now);
-        assert_eq!(client.state(), TcpState::Established);
-        assert_eq!(server.state(), TcpState::Established);
-        (client, server, now)
-    }
-
-    #[test]
-    fn keepalive_probes_fire_after_idle_and_reset_peerless_conn() {
-        let (_client, mut server, _) = established(ka_cfg());
-        server.take_segments();
-        // Idle: the first probe at +5 s, then +6 s, then reset at +7 s.
-        server.on_tick(SimTime::from_secs(5));
-        let probes = server.take_segments();
-        assert_eq!(probes.len(), 1, "first probe");
-        assert!(probes[0].payload.is_empty());
-        assert_eq!(probes[0].seq, server.snd_nxt() - 1);
-        server.on_tick(SimTime::from_secs(6));
-        assert_eq!(server.take_segments().len(), 1, "second probe");
-        server.on_tick(SimTime::from_secs(7));
-        let out = server.take_segments();
-        assert!(out.iter().any(|s| s.flags.rst), "expected RST, got {out:?}");
-        assert_eq!(server.state(), TcpState::Closed);
-        assert!(server.take_events().contains(&ConnEvent::Reset));
-    }
-
-    #[test]
-    fn live_peer_answers_probe_and_conn_survives() {
-        let (mut client, mut server, _) = established(ka_cfg());
-        server.take_segments();
-        server.on_tick(SimTime::from_secs(5));
-        let probe = server.take_segments().remove(0);
-        // The (stock, keepalive-less) client answers the probe.
-        client.on_segment(probe, SimTime::from_secs(5));
-        let answers = client.take_segments();
-        assert_eq!(answers.len(), 1, "probe unanswered: {answers:?}");
-        server.on_segment(answers[0].clone(), SimTime::from_secs(5));
-        // The answer reset the cycle; at +6 s nothing fires, next probe
-        // would be at +10 s.
-        server.on_tick(SimTime::from_secs(6));
-        assert!(server.take_segments().is_empty());
-        assert_eq!(server.state(), TcpState::Established);
-        assert_eq!(server.next_deadline(), Some(SimTime::from_secs(10)));
-    }
-
-    /// Delivers all pending segments both ways until quiescent at `t`.
-    fn shuttle(client: &mut Connection, server: &mut Connection, t: SimTime) {
-        for _ in 0..16 {
-            let c2s = client.take_segments();
-            let s2c = server.take_segments();
-            if c2s.is_empty() && s2c.is_empty() {
-                break;
-            }
-            for seg in c2s {
-                assert!(!seg.flags.rst, "client reset at {t}");
-                server.on_segment(seg, t);
-            }
-            for seg in s2c {
-                assert!(!seg.flags.rst, "server reset at {t}");
-                client.on_segment(seg, t);
-            }
-        }
-    }
-
-    #[test]
-    fn traffic_keeps_keepalive_quiet() {
-        let (mut client, mut server, _) = established(ka_cfg());
-        shuttle(&mut client, &mut server, SimTime::ZERO);
-        // Chat every 3 s — under the 5 s idle threshold — while ticking
-        // both endpoints every second.
-        for tick in 1..=30u64 {
-            let t = SimTime::from_secs(tick);
-            if tick % 3 == 0 {
-                client.write(b"ping", t);
-            }
-            client.on_tick(t);
-            server.on_tick(t);
-            shuttle(&mut client, &mut server, t);
-            assert_eq!(server.state(), TcpState::Established, "at {t}");
-            assert_eq!(client.state(), TcpState::Established, "at {t}");
-        }
-    }
-
-    #[test]
-    fn keepalive_disabled_by_default() {
-        let (_c, mut server, _) = established(TcpConfig::default());
-        server.take_segments();
-        server.on_tick(SimTime::from_secs(3600));
-        assert!(server.take_segments().is_empty());
-        assert_eq!(server.state(), TcpState::Established);
-    }
-}
-
-#[cfg(test)]
 mod close_tests {
     use super::*;
     use crate::segment::SockAddr;
@@ -2437,7 +2247,7 @@ mod close_tests {
         };
         let mut a = Connection::connect(aq, cfg.clone(), SeqNum::new(10), now);
         let syn = a.take_segments().remove(0);
-        let mut b = Connection::accept(bq, cfg, SeqNum::new(20), &syn, now);
+        let mut b = Connection::accept(bq, cfg, SeqNum::new(20), &syn, now, false);
         let synack = b.take_segments().remove(0);
         a.on_segment(synack, now);
         for seg in a.take_segments() {

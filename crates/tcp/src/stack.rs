@@ -1024,8 +1024,7 @@ impl TcpStack {
             } else {
                 Rc::clone(&self.cfg)
             };
-            let mut conn =
-                Connection::accept_replicated(quad, conn_cfg, iss, &seg, now, gated, gated);
+            let mut conn = Connection::accept(quad, conn_cfg, iss, &seg, now, gated);
             conn.set_telemetry(self.conn_telemetry.clone());
             self.span_conn_open(quad, if gated { "accept-gated" } else { "accept" }, now);
             let app = self

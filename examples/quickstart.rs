@@ -67,6 +67,7 @@ fn main() {
         st.replies.data, payload,
         "echo stream corrupted or incomplete"
     );
+    assert!(!st.replies.reset, "client connection was reset");
     println!(
         "client received the full {} byte echo at {} — connection never reset: {}",
         st.replies.data.len(),
