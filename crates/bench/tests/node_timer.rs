@@ -202,7 +202,7 @@ fn run(rearm: bool, total: usize, crash_primary: bool, until: SimTime) -> (Obser
         .collect();
     let mut replicas = Vec::new();
     for (i, addr) in HS.into_iter().enumerate() {
-        let mut hs = HostServer::new(format!("hs{}", i + 1), addr, RD, tcp.clone());
+        let mut hs = HostServer::new(format!("hs{}", i + 1), addr, vec![RD], tcp.clone());
         hs.set_obs(obs.clone());
         hs.stack_mut().add_local_addr(service().addr);
         let sink = sinks[i].clone();

@@ -160,20 +160,14 @@ impl std::fmt::Debug for HostServer {
 }
 
 impl HostServer {
-    /// Creates a host server at `addr`, managed via the redirector at
-    /// `redirector`.
-    pub fn new(name: impl Into<String>, addr: IpAddr, redirector: IpAddr, cfg: TcpConfig) -> Self {
-        Self::with_redirectors(name, addr, vec![redirector], cfg)
-    }
-
-    /// Creates a host server managed via *several* redirectors (the
-    /// Figure 1 multi-ISP deployment): registrations and failure reports
-    /// are broadcast to all of them.
+    /// Creates a host server at `addr`, managed via `redirectors` (several
+    /// for the Figure 1 multi-ISP deployment): registrations and failure
+    /// reports are broadcast to all of them.
     ///
     /// # Panics
     ///
     /// Panics if `redirectors` is empty.
-    pub fn with_redirectors(
+    pub fn new(
         name: impl Into<String>,
         addr: IpAddr,
         redirectors: Vec<IpAddr>,
@@ -181,7 +175,7 @@ impl HostServer {
     ) -> Self {
         HostServer {
             stack: TcpStack::new(addr, cfg),
-            daemon: HostDaemon::multi_with_id_base(addr, redirectors, 1),
+            daemon: HostDaemon::new(addr, redirectors, 1),
             pending: Vec::new(),
             events: Vec::new(),
             name: name.into(),
@@ -369,7 +363,7 @@ impl Node for HostServer {
         // that predate the crash are not resumed — per-connection state
         // transfer is the paper's declared future work (§6).
         let redirectors = self.daemon.redirectors().to_vec();
-        self.daemon = HostDaemon::multi_with_id_base(
+        self.daemon = HostDaemon::new(
             self.stack.primary_addr(),
             redirectors,
             ctx.now().as_nanos().max(1),
@@ -500,7 +494,7 @@ mod tests {
     #[test]
     fn registration_retransmits_on_time_while_only_data_arrives() {
         let mut t = TopologyBuilder::new();
-        let mut hs_node = HostServer::new("hs", HS, RD, TcpConfig::default());
+        let mut hs_node = HostServer::new("hs", HS, vec![RD], TcpConfig::default());
         let service = SockAddr::new(IpAddr::new(192, 20, 225, 20), 80);
         hs_node.schedule_registration(service, DetectorParams::DEFAULT, SimTime::from_millis(1));
         let hs = t.add_node(hs_node, NodeParams::INSTANT);

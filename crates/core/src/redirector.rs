@@ -189,9 +189,9 @@ impl ManagedRedirector {
 
 impl Node for ManagedRedirector {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        // A standby pair member must wake on its own to probe the active
-        // side; solo redirectors keep their historical packet-driven
-        // behavior (no timer armed until something arrives).
+        // A pair member must wake on its own to probe its peer; solo
+        // redirectors keep their historical packet-driven behavior (no
+        // timer armed until something arrives).
         if self.controller.peer().is_some() {
             self.drive(ctx);
         }

@@ -7,7 +7,7 @@ use hydranet_mgmt::failover::{PairConfig, ProbeParams};
 use hydranet_netsim::link::{LinkId, LinkParams};
 use hydranet_netsim::node::{IfaceId, NodeId, NodeParams};
 use hydranet_netsim::packet::IpAddr;
-use hydranet_netsim::routing::{Prefix, RouterNode};
+use hydranet_netsim::routing::{Prefix, RouteTable, RouterNode};
 use hydranet_netsim::sim::Simulator;
 use hydranet_netsim::time::{SimDuration, SimTime};
 use hydranet_netsim::topology::TopologyBuilder;
@@ -144,13 +144,7 @@ impl SystemBuilder {
 
     /// Adds a host server managed via the redirector at `redirector_addr`.
     pub fn add_host_server(&mut self, name: &str, addr: IpAddr, redirector_addr: IpAddr) -> NodeId {
-        self.add_host_server_with(
-            name,
-            addr,
-            redirector_addr,
-            self.default_tcp.clone(),
-            NodeParams::INSTANT,
-        )
+        self.add_host_server_multi(name, addr, vec![redirector_addr])
     }
 
     /// Adds a host server managed via several redirectors (Figure 1's
@@ -162,7 +156,7 @@ impl SystemBuilder {
         redirectors: Vec<IpAddr>,
     ) -> NodeId {
         let id = self.topo.add_node(
-            HostServer::with_redirectors(name, addr, redirectors, self.default_tcp.clone()),
+            HostServer::new(name, addr, redirectors, self.default_tcp.clone()),
             NodeParams::INSTANT,
         );
         self.note(id, NodeKind::HostServer, Some(addr));
@@ -178,9 +172,10 @@ impl SystemBuilder {
         cfg: TcpConfig,
         params: NodeParams,
     ) -> NodeId {
-        let id = self
-            .topo
-            .add_node(HostServer::new(name, addr, redirector_addr, cfg), params);
+        let id = self.topo.add_node(
+            HostServer::new(name, addr, vec![redirector_addr], cfg),
+            params,
+        );
         self.note(id, NodeKind::HostServer, Some(addr));
         id
     }
@@ -402,12 +397,20 @@ impl SystemBuilder {
         } = self;
         let obs = Obs::enabled();
 
-        // Adjacency: node -> [(neighbor, local iface)].
+        // Adjacency: node -> [(neighbor, local iface)], in link order.
         let mut adj: HashMap<NodeId, Vec<(NodeId, IfaceId)>> = HashMap::new();
         for &(a, b, ia, ib) in &links {
             adj.entry(a).or_default().push((b, ia));
             adj.entry(b).or_default().push((a, ib));
         }
+        // The interfaces of `x` whose link leads to a node `toward` accepts.
+        let ifaces = |x: NodeId, toward: &dyn Fn(NodeId) -> bool| -> Vec<IfaceId> {
+            let links = adj.get(&x).into_iter().flatten();
+            links
+                .filter(|&&(n, _)| toward(n))
+                .map(|&(_, i)| i)
+                .collect()
+        };
 
         // For every routing node, BFS to find the egress interface toward
         // every addressed node.
@@ -441,20 +444,7 @@ impl SystemBuilder {
                 let (Some(addr), Some(&iface)) = (target.addr, first_hop.get(&target_id)) else {
                     continue;
                 };
-                match info.kind {
-                    NodeKind::Router => {
-                        topo.node_mut::<RouterNode>(router_id)
-                            .routes_mut()
-                            .add(Prefix::host(addr), iface);
-                    }
-                    NodeKind::Redirector => {
-                        topo.node_mut::<ManagedRedirector>(router_id)
-                            .engine_mut()
-                            .routes_mut()
-                            .add(Prefix::host(addr), iface);
-                    }
-                    _ => unreachable!(),
-                }
+                routes_of(&mut topo, router_id, info.kind).add(Prefix::host(addr), iface);
             }
             // Each pair's VIP routes like a host attached to the
             // initially-active member; pair members themselves treat the
@@ -467,20 +457,7 @@ impl SystemBuilder {
                     continue;
                 };
                 for vaddr in std::iter::once(pair.vip).chain(pair.extra_virtuals.iter().copied()) {
-                    match info.kind {
-                        NodeKind::Router => {
-                            topo.node_mut::<RouterNode>(router_id)
-                                .routes_mut()
-                                .add(Prefix::host(vaddr), iface);
-                        }
-                        NodeKind::Redirector => {
-                            topo.node_mut::<ManagedRedirector>(router_id)
-                                .engine_mut()
-                                .routes_mut()
-                                .add(Prefix::host(vaddr), iface);
-                        }
-                        _ => unreachable!(),
-                    }
+                    routes_of(&mut topo, router_id, info.kind).add(Prefix::host(vaddr), iface);
                 }
             }
         }
@@ -493,20 +470,6 @@ impl SystemBuilder {
         for pair in &pairs {
             let p_addr = nodes[pair.primary.index()].addr.expect("redirector addr");
             let b_addr = nodes[pair.backup.index()].addr.expect("redirector addr");
-            let member_ifaces = |id: NodeId| -> Vec<IfaceId> {
-                links
-                    .iter()
-                    .filter_map(|&(a, b, ia, ib)| {
-                        if a == id {
-                            Some(ia)
-                        } else if b == id {
-                            Some(ib)
-                        } else {
-                            None
-                        }
-                    })
-                    .collect()
-            };
             topo.node_mut::<ManagedRedirector>(pair.primary)
                 .configure_pair(
                     pair.vip,
@@ -514,7 +477,7 @@ impl SystemBuilder {
                         peer: b_addr,
                         initially_active: true,
                     },
-                    member_ifaces(pair.primary),
+                    ifaces(pair.primary, &|_| true),
                 );
             topo.node_mut::<ManagedRedirector>(pair.backup)
                 .configure_pair(
@@ -523,27 +486,15 @@ impl SystemBuilder {
                         peer: p_addr,
                         initially_active: false,
                     },
-                    member_ifaces(pair.backup),
+                    ifaces(pair.backup, &|_| true),
                 );
             for (idx, info) in nodes.iter().enumerate() {
                 if info.kind != NodeKind::Router {
                     continue;
                 }
                 let rid = NodeId::from_index(idx);
-                let mut to_primary = None;
-                let mut to_backup = None;
-                for &(a, b, ia, ib) in &links {
-                    if a == rid && b == pair.primary {
-                        to_primary = Some(ia);
-                    } else if b == rid && a == pair.primary {
-                        to_primary = Some(ib);
-                    }
-                    if a == rid && b == pair.backup {
-                        to_backup = Some(ia);
-                    } else if b == rid && a == pair.backup {
-                        to_backup = Some(ib);
-                    }
-                }
+                let to_primary = ifaces(rid, &|n| n == pair.primary).pop();
+                let to_backup = ifaces(rid, &|n| n == pair.backup).pop();
                 let (Some(pi), Some(bi)) = (to_primary, to_backup) else {
                     continue;
                 };
@@ -580,6 +531,18 @@ impl SystemBuilder {
             );
         }
         self.nodes.push(NodeInfo { kind, addr });
+    }
+}
+
+/// The route table of the routing node `id` (a router or a redirector).
+fn routes_of(topo: &mut TopologyBuilder, id: NodeId, kind: NodeKind) -> &mut RouteTable {
+    match kind {
+        NodeKind::Router => topo.node_mut::<RouterNode>(id).routes_mut(),
+        NodeKind::Redirector => topo
+            .node_mut::<ManagedRedirector>(id)
+            .engine_mut()
+            .routes_mut(),
+        _ => unreachable!("only routers and redirectors route"),
     }
 }
 

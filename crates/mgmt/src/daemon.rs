@@ -53,32 +53,24 @@ pub struct HostDaemon {
 }
 
 impl HostDaemon {
-    /// Creates a daemon for the host at `host`, talking to the redirector
-    /// at `redirector`.
-    pub fn new(host: IpAddr, redirector: IpAddr) -> Self {
-        Self::with_id_base(host, redirector, 1)
-    }
-
-    /// Like [`new`](Self::new) with an explicit message-id base. A daemon
-    /// restarting after a crash must use a fresh base (e.g. the restart
-    /// time in nanoseconds) so peers' duplicate filters accept it.
-    pub fn with_id_base(host: IpAddr, redirector: IpAddr, id_base: u64) -> Self {
-        Self::multi_with_id_base(host, vec![redirector], id_base)
-    }
-
-    /// Creates a daemon registering with *several* redirectors — the
-    /// Figure 1 deployment, where clients of different ISPs reach the
-    /// service through their own redirector. Registrations, departures,
-    /// and failure reports are broadcast to all of them; as long as they
+    /// Creates a daemon for the host at `host`, registering with every
+    /// redirector in `redirectors`. Several redirectors are the Figure 1
+    /// deployment, where clients of different ISPs reach the service
+    /// through their own redirector. Registrations, departures, and
+    /// failure reports are broadcast to all of them; as long as they
     /// observe the same reports symmetrically, their chains converge
     /// (staggered registration fixes the order). Divergence under
     /// asymmetric loss is a limitation inherited from the paper's
     /// single-redirector protocol (§4.4).
     ///
+    /// `id_base` is the first message id. A daemon restarting after a
+    /// crash must use a fresh base (e.g. the restart time in nanoseconds)
+    /// so peers' duplicate filters accept it.
+    ///
     /// # Panics
     ///
     /// Panics if `redirectors` is empty.
-    pub fn multi_with_id_base(host: IpAddr, redirectors: Vec<IpAddr>, id_base: u64) -> Self {
+    pub fn new(host: IpAddr, redirectors: Vec<IpAddr>, id_base: u64) -> Self {
         assert!(
             !redirectors.is_empty(),
             "a daemon needs at least one redirector"
@@ -99,16 +91,6 @@ impl HostDaemon {
     /// (in particular primary promotions) are recorded on the timeline.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
-    }
-
-    /// This host's address.
-    pub fn host(&self) -> IpAddr {
-        self.host
-    }
-
-    /// The first redirector this daemon registers with.
-    pub fn redirector(&self) -> IpAddr {
-        self.redirectors[0]
     }
 
     /// All redirectors this daemon registers with.
@@ -146,27 +128,21 @@ impl HostDaemon {
         );
         self.actions
             .push(DaemonAction::AddVirtualHost(service.addr));
-        for rd in self.redirectors.clone() {
-            let msg = MgmtMsg::RegisterReplica {
-                service,
-                host: self.host,
-            };
-            let out = self.endpoint.send_reliable(rd, msg, now);
-            self.actions.push(DaemonAction::Send(out.0, out.1));
-        }
+        let msg = MgmtMsg::RegisterReplica {
+            service,
+            host: self.host,
+        };
+        self.broadcast(msg, now);
     }
 
     /// Voluntarily removes this host's replica of `service` (§4.4).
     pub fn deregister_service(&mut self, service: SockAddr, now: SimTime) {
         self.registered.remove(&service);
-        for rd in self.redirectors.clone() {
-            let msg = MgmtMsg::Deregister {
-                service,
-                host: self.host,
-            };
-            let out = self.endpoint.send_reliable(rd, msg, now);
-            self.actions.push(DaemonAction::Send(out.0, out.1));
-        }
+        let msg = MgmtMsg::Deregister {
+            service,
+            host: self.host,
+        };
+        self.broadcast(msg, now);
     }
 
     /// Forwards a failure suspicion from the local estimator to the
@@ -198,15 +174,12 @@ impl HostDaemon {
             }
             self.obs.span_close(&key, at);
         }
-        for rd in self.redirectors.clone() {
-            let msg = MgmtMsg::FailureReport {
-                service,
-                reporter: self.host,
-                observed,
-            };
-            let out = self.endpoint.send_reliable(rd, msg, now);
-            self.actions.push(DaemonAction::Send(out.0, out.1));
-        }
+        let msg = MgmtMsg::FailureReport {
+            service,
+            reporter: self.host,
+            observed,
+        };
+        self.broadcast(msg, now);
         self.reports_sent += 1;
     }
 
@@ -276,6 +249,14 @@ impl HostDaemon {
             self.actions.push(DaemonAction::Send(dst, bytes));
         }
     }
+
+    /// Sends `msg` reliably to every redirector, in configuration order.
+    fn broadcast(&mut self, msg: MgmtMsg, now: SimTime) {
+        for &rd in &self.redirectors {
+            let (dst, bytes) = self.endpoint.send_reliable(rd, msg.clone(), now);
+            self.actions.push(DaemonAction::Send(dst, bytes));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -302,7 +283,7 @@ mod tests {
 
     #[test]
     fn registration_emits_vhost_and_register() {
-        let mut d = HostDaemon::new(HOST, RD);
+        let mut d = HostDaemon::new(HOST, vec![RD], 1);
         d.register_service(service(), DetectorParams::DEFAULT, SimTime::ZERO);
         let actions = d.take_actions();
         assert!(actions.contains(&DaemonAction::AddVirtualHost(service().addr)));
@@ -327,7 +308,7 @@ mod tests {
 
     #[test]
     fn probe_is_answered() {
-        let mut d = HostDaemon::new(HOST, RD);
+        let mut d = HostDaemon::new(HOST, vec![RD], 1);
         d.on_datagram(RD, &payload(MgmtMsg::Probe { nonce: 0xAB }), SimTime::ZERO);
         let actions = d.take_actions();
         let ack = actions
@@ -349,7 +330,7 @@ mod tests {
 
     #[test]
     fn set_role_becomes_portopt() {
-        let mut d = HostDaemon::new(HOST, RD);
+        let mut d = HostDaemon::new(HOST, vec![RD], 1);
         let custom = DetectorParams::new(7, SimDuration::from_secs(5));
         d.register_service(service(), custom, SimTime::ZERO);
         d.take_actions();
@@ -380,7 +361,7 @@ mod tests {
 
     #[test]
     fn failure_report_is_reliable() {
-        let mut d = HostDaemon::new(HOST, RD);
+        let mut d = HostDaemon::new(HOST, vec![RD], 1);
         d.report_failure(service(), 9, SimTime::ZERO);
         assert_eq!(d.reports_sent(), 1);
         d.take_actions();
@@ -400,7 +381,7 @@ mod tests {
     fn failure_report_span_names_redirectors() {
         let obs = Obs::enabled();
         obs.enable_tracing(16);
-        let mut d = HostDaemon::multi_with_id_base(HOST, vec![RD, IpAddr::new(10, 9, 0, 2)], 1);
+        let mut d = HostDaemon::new(HOST, vec![RD, IpAddr::new(10, 9, 0, 2)], 1);
         d.set_obs(obs.clone());
         d.report_failure(service(), 4, SimTime::from_secs(2));
         let dump = obs.flight_recorder_json(&[]);
@@ -411,7 +392,7 @@ mod tests {
 
     #[test]
     fn deregister_sends_message() {
-        let mut d = HostDaemon::new(HOST, RD);
+        let mut d = HostDaemon::new(HOST, vec![RD], 1);
         d.register_service(service(), DetectorParams::DEFAULT, SimTime::ZERO);
         d.take_actions();
         d.deregister_service(service(), SimTime::from_secs(1));

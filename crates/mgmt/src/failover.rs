@@ -1,5 +1,12 @@
 //! The redirector-side replica manager: registration, failure
 //! identification by probing, and chain reconfiguration (§4.4).
+//!
+//! Failure identification is one mechanism, a probe round: probe the
+//! targets under one nonce, re-probe the silent ones, and judge whoever is
+//! still silent at the last deadline. A failure report starts a round over
+//! a service's chain, and its verdict cuts the silent members out. A
+//! redirector pair runs the same round over `{peer}` continuously, and its
+//! verdict promotes a standby (an active keeps probing).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -66,21 +73,10 @@ enum Role {
 }
 
 #[derive(Debug)]
-struct PeerProbe {
-    nonce: u64,
-    deadline: SimTime,
-    misses: u32,
-}
-
-#[derive(Debug)]
 struct PairState {
     peer: IpAddr,
     role: Role,
     epoch: Epoch,
-    /// Outstanding peer probe (both roles probe continuously).
-    probing: Option<PeerProbe>,
-    /// When the next peer probe goes out.
-    next_probe_at: SimTime,
     /// Set on self-promotion: the next peer probe the (possibly deposed)
     /// ex-active answers triggers a reliable reconciling snapshot.
     reconcile_pending: bool,
@@ -91,7 +87,8 @@ struct PairState {
 pub struct ProbeParams {
     /// How long to wait for a `ProbeAck`.
     pub timeout: SimDuration,
-    /// Probe rounds before a silent replica is declared failed.
+    /// Probes a silent target gets before the round's verdict (`0` acts
+    /// as `1`).
     pub attempts: u32,
 }
 
@@ -104,18 +101,25 @@ impl Default for ProbeParams {
     }
 }
 
-#[derive(Debug)]
-struct ProbeRound {
-    nonce: u64,
-    deadline: SimTime,
-    awaiting: BTreeSet<IpAddr>,
-    attempt: u32,
+/// Whose liveness a probe round decides. Service rounds sort before the
+/// peer round, so one poll expires them in that order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Subject {
+    /// A service's chain members, probed after a failure report.
+    Service(SockAddr),
+    /// The redirector-pair peer, probed continuously.
+    Peer,
 }
 
+/// One failure-identification round (see the module docs).
 #[derive(Debug, Default)]
-struct ServiceState {
-    chain: Vec<IpAddr>,
-    probing: Option<ProbeRound>,
+struct ProbeRound {
+    /// Issued when the round starts and reused by every re-probe.
+    nonce: u64,
+    deadline: SimTime,
+    /// Targets that have not answered yet.
+    awaiting: BTreeSet<IpAddr>,
+    attempt: u32,
 }
 
 /// The replica management controller embedded in a redirector.
@@ -125,7 +129,10 @@ pub struct ReplicaController {
     endpoint: ReliableEndpoint,
     // Deterministic iteration: probe scheduling order is part of the
     // event schedule.
-    services: BTreeMap<SockAddr, ServiceState>,
+    /// Each service's chain, primary first.
+    services: BTreeMap<SockAddr, Vec<IpAddr>>,
+    /// Service rounds in flight, plus the pair's peer round.
+    rounds: BTreeMap<Subject, ProbeRound>,
     probe_params: ProbeParams,
     next_nonce: u64,
     actions: Vec<ControllerAction>,
@@ -145,6 +152,7 @@ impl ReplicaController {
             addr,
             endpoint: ReliableEndpoint::new(),
             services: BTreeMap::new(),
+            rounds: BTreeMap::new(),
             probe_params,
             next_nonce: 1,
             actions: Vec::new(),
@@ -156,9 +164,9 @@ impl ReplicaController {
         }
     }
 
-    /// Joins this controller to a redirector pair. The standby side starts
-    /// probing the active peer; the active side replicates every table
-    /// update to the standby.
+    /// Joins this controller to a redirector pair. Both sides probe the
+    /// peer, the first probe leaving one `timeout` after `now`; the active
+    /// side replicates every table update to the standby.
     pub fn configure_pair(&mut self, cfg: PairConfig, now: SimTime) {
         self.pair = Some(PairState {
             peer: cfg.peer,
@@ -168,10 +176,9 @@ impl ReplicaController {
                 Role::Standby
             },
             epoch: Epoch::default(),
-            probing: None,
-            next_probe_at: now + self.probe_params.timeout,
             reconcile_pending: false,
         });
+        self.rest_peer_round(now);
     }
 
     /// Whether this controller currently acts as the pair's active member
@@ -214,7 +221,7 @@ impl ReplicaController {
 
     /// The current chain of `service` (primary first).
     pub fn chain(&self, service: SockAddr) -> Option<&[IpAddr]> {
-        self.services.get(&service).map(|s| s.chain.as_slice())
+        self.services.get(&service).map(Vec::as_slice)
     }
 
     /// Completed reconfigurations (diagnostics).
@@ -227,22 +234,10 @@ impl ReplicaController {
         std::mem::take(&mut self.actions)
     }
 
-    /// The earliest deadline (probe, retransmission, or peer probe).
+    /// The earliest deadline (probe round or retransmission).
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let probe = self
-            .services
-            .values()
-            .filter_map(|s| s.probing.as_ref().map(|p| p.deadline))
-            .min();
-        let peer = self.pair.as_ref().map(|p| {
-            p.probing
-                .as_ref()
-                .map_or(p.next_probe_at, |probe| probe.deadline)
-        });
-        [probe, peer, self.endpoint.next_deadline()]
-            .into_iter()
-            .flatten()
-            .min()
+        let rounds = self.rounds.values().map(|r| r.deadline);
+        rounds.chain(self.endpoint.next_deadline()).min()
     }
 
     /// Handles an incoming management datagram from `src`.
@@ -257,18 +252,12 @@ impl ReplicaController {
         match msg {
             MgmtMsg::RegisterReplica { service, host } => self.register(service, host, now),
             MgmtMsg::Deregister { service, host } => self.remove_hosts(service, &[host], now),
-            MgmtMsg::FailureReport { service, .. } => self.start_probe_round(service, now),
-            MgmtMsg::ProbeAck { nonce } => {
-                if self.pair.as_ref().is_some_and(|p| p.peer == src) {
-                    self.on_peer_probe_ack(nonce, now);
-                } else {
-                    self.on_probe_ack(src, nonce);
-                }
-            }
-            // Hosts never probe controllers, but a standby pair member
-            // probes the active one; answer the peer, ignore the rest.
+            MgmtMsg::FailureReport { service, .. } => self.start_service_round(service, now),
+            MgmtMsg::ProbeAck { nonce } => self.on_probe_ack(src, nonce, now),
+            // Hosts never probe controllers, but pair members probe each
+            // other; answer the peer, ignore the rest.
             MgmtMsg::Probe { nonce } => {
-                if self.pair.as_ref().is_some_and(|p| p.peer == src) {
+                if self.peer() == Some(src) {
                     self.send_unreliable(src, MgmtMsg::ProbeAck { nonce });
                 }
             }
@@ -289,22 +278,20 @@ impl ReplicaController {
         }
     }
 
-    /// Advances timers: reliable retransmissions, probe deadlines, and the
-    /// standby's peer liveness probing.
+    /// Advances timers: reliable retransmissions and probe-round deadlines.
     pub fn poll(&mut self, now: SimTime) {
         for out in self.endpoint.poll(now) {
             self.actions.push(ControllerAction::Send(out.0, out.1));
         }
-        let expired: Vec<SockAddr> = self
-            .services
+        let expired: Vec<Subject> = self
+            .rounds
             .iter()
-            .filter(|(_, s)| s.probing.as_ref().is_some_and(|p| now >= p.deadline))
-            .map(|(&sap, _)| sap)
+            .filter(|(_, r)| now >= r.deadline)
+            .map(|(&subject, _)| subject)
             .collect();
-        for service in expired {
-            self.probe_deadline(service, now);
+        for subject in expired {
+            self.expire(subject, now);
         }
-        self.poll_pair(now);
     }
 
     // ------------------------------------------------------------------
@@ -312,45 +299,34 @@ impl ReplicaController {
     /// "Creation of primary server / creation of backup servers" (§4.4):
     /// first registrant becomes primary, later ones append as backups.
     fn register(&mut self, service: SockAddr, host: IpAddr, now: SimTime) {
-        let state = self.services.entry(service).or_default();
-        if state.chain.contains(&host) {
+        let old = self.services.get(&service).cloned().unwrap_or_default();
+        if old.contains(&host) {
             // Idempotent re-registration: re-announce the host's role.
-            let chain = state.chain.clone();
-            self.push_roles_for(service, &chain, Some(host), now);
+            if let Some(a) = assignments(&old).into_iter().find(|a| a.host == host) {
+                self.send_reliable(host, a.to_msg(service), now);
+            }
             return;
         }
-        let old = state.chain.clone();
-        state.chain.push(host);
-        let new = state.chain.clone();
-        self.push_table_update(service, &new, now);
-        // Tell every host whose assignment changed (the new tail, and the
-        // previous tail which now has a successor).
-        let changed = changed_assignments(&old, &new);
-        for a in changed {
-            let msg = a.to_msg(service);
-            self.send_reliable(a.host, msg, now);
-        }
+        let mut new = old.clone();
+        new.push(host);
+        self.commit(service, &old, new, now);
     }
 
     fn remove_hosts(&mut self, service: SockAddr, hosts: &[IpAddr], now: SimTime) {
-        let Some(state) = self.services.get_mut(&service) else {
+        let Some(old) = self.services.get(&service).cloned() else {
             return;
         };
-        let old = state.chain.clone();
-        state.chain.retain(|h| !hosts.contains(h));
-        let new = state.chain.clone();
+        let new: Vec<IpAddr> = old.iter().copied().filter(|h| !hosts.contains(h)).collect();
         if old == new {
             return;
         }
         self.reconfigurations += 1;
-        for host in &old {
-            if !new.contains(host) {
-                self.obs.event(
-                    now.as_nanos(),
-                    kinds::HOST_REMOVED,
-                    &[("service", service.to_string()), ("host", host.to_string())],
-                );
-            }
+        for host in old.iter().filter(|h| !new.contains(h)) {
+            self.obs.event(
+                now.as_nanos(),
+                kinds::HOST_REMOVED,
+                &[("service", service.to_string()), ("host", host.to_string())],
+            );
         }
         self.obs.event(
             now.as_nanos(),
@@ -364,170 +340,159 @@ impl ReplicaController {
         self.obs
             .counter(&format!("mgmt.controller.{}.reconfigurations", self.addr))
             .inc();
-        self.push_table_update(service, &new, now);
-        for a in changed_assignments(&old, &new) {
-            let msg = a.to_msg(service);
-            self.send_reliable(a.host, msg, now);
-        }
+        self.commit(service, &old, new, now);
     }
+
+    /// Commits a chain change: installs `new` in the local table,
+    /// replicates it to the standby under the next epoch sequence number
+    /// (when this side is a pair's active member), then sends `SetRole` to
+    /// every host whose assignment differs from the one in `old`.
+    fn commit(&mut self, service: SockAddr, old: &[IpAddr], new: Vec<IpAddr>, now: SimTime) {
+        self.actions.push(ControllerAction::UpdateTable {
+            service,
+            chain: new.clone(),
+        });
+        if let Some(pair) = self.pair.as_mut().filter(|p| p.role == Role::Active) {
+            pair.epoch.seq += 1;
+            let (peer, epoch) = (pair.peer, pair.epoch);
+            let msg = MgmtMsg::TableReplicate {
+                term: epoch.term,
+                seq: epoch.seq,
+                service,
+                chain: new.clone(),
+            };
+            self.send_reliable(peer, msg, now);
+        }
+        for a in changed_assignments(old, &new) {
+            self.send_reliable(a.host, a.to_msg(service), now);
+        }
+        self.services.insert(service, new);
+    }
+
+    // ---------------------------- probing -------------------------------
 
     /// "Reconfiguration after a failure detection: … the failed server
     /// needs to be identified" (§4.4): probe every chain member; whoever
     /// stays silent is declared failed.
-    fn start_probe_round(&mut self, service: SockAddr, now: SimTime) {
-        let Some(state) = self.services.get_mut(&service) else {
+    fn start_service_round(&mut self, service: SockAddr, now: SimTime) {
+        let subject = Subject::Service(service);
+        let Some(chain) = self.services.get(&service) else {
             return;
         };
-        if state.probing.is_some() || state.chain.is_empty() {
+        if self.rounds.contains_key(&subject) || chain.is_empty() {
             return; // a round is already under way
         }
-        let nonce = self.next_nonce;
-        self.next_nonce += 1;
-        let awaiting: BTreeSet<IpAddr> = state.chain.iter().copied().collect();
-        state.probing = Some(ProbeRound {
-            nonce,
-            deadline: now + self.probe_params.timeout,
-            awaiting: awaiting.clone(),
-            attempt: 1,
-        });
+        let targets: BTreeSet<IpAddr> = chain.iter().copied().collect();
+        let count = targets.len();
+        let nonce = self.start_round(subject, targets, now);
         self.obs.event(
             now.as_nanos(),
             kinds::PROBE_STARTED,
             &[
                 ("service", service.to_string()),
                 ("nonce", nonce.to_string()),
-                ("targets", awaiting.len().to_string()),
+                ("targets", count.to_string()),
             ],
         );
-        for host in awaiting {
+    }
+
+    /// Starts a round for `subject` probing `targets` under a fresh nonce.
+    fn start_round(&mut self, subject: Subject, targets: BTreeSet<IpAddr>, now: SimTime) -> u64 {
+        let nonce = self.next_nonce;
+        self.next_nonce += 1;
+        let round = ProbeRound {
+            nonce,
+            awaiting: targets,
+            attempt: 1,
+            ..ProbeRound::default()
+        };
+        self.rounds.insert(subject, round);
+        self.probe(subject, now); // arms the deadline
+        nonce
+    }
+
+    /// Sends the round's probe to every target still silent and arms the
+    /// round's deadline one `timeout` from `now`.
+    fn probe(&mut self, subject: Subject, now: SimTime) {
+        let Some(round) = self.rounds.get_mut(&subject) else {
+            return;
+        };
+        round.deadline = now + self.probe_params.timeout;
+        let (nonce, targets) = (round.nonce, round.awaiting.clone());
+        for host in targets {
             self.send_unreliable(host, MgmtMsg::Probe { nonce });
         }
     }
 
-    fn on_probe_ack(&mut self, src: IpAddr, nonce: u64) {
-        for state in self.services.values_mut() {
-            if let Some(round) = state.probing.as_mut() {
-                if round.nonce == nonce {
-                    round.awaiting.remove(&src);
-                }
+    /// Records `src`'s answer in the round its `nonce` names. A service
+    /// round runs on to its deadline; the peer round ends on the answer.
+    fn on_probe_ack(&mut self, src: IpAddr, nonce: u64, now: SimTime) {
+        let Some((&subject, round)) = self.rounds.iter_mut().find(|(_, r)| r.nonce == nonce) else {
+            return;
+        };
+        if !round.awaiting.remove(&src) || subject != Subject::Peer {
+            return;
+        }
+        self.rest_peer_round(now);
+        // First sign of life from the peer since this side promoted: the
+        // peer may be a deposed ex-active whose stale replication was
+        // abandoned while the link was down, so push it a full snapshot —
+        // receiving the newer epoch demotes and resyncs it.
+        let Some(pair) = self
+            .pair
+            .as_mut()
+            .filter(|p| p.role == Role::Active && p.reconcile_pending)
+        else {
+            return;
+        };
+        pair.reconcile_pending = false;
+        let peer = pair.peer;
+        let snap = self.snapshot_msg();
+        self.send_reliable(peer, snap, now);
+    }
+
+    /// A round's deadline. While attempts remain, the silent targets are
+    /// probed again. Then comes the verdict on silence: silent hosts leave
+    /// the service's chain, and a standby takes over from its silent peer —
+    /// an active instead keeps probing, once per `timeout`, so it notices
+    /// when a deposed ex-active comes back. An answered service round was a
+    /// false alarm and ends; an idle peer round starts the next one.
+    fn expire(&mut self, subject: Subject, now: SimTime) {
+        let Some(round) = self.rounds.get_mut(&subject) else {
+            return;
+        };
+        let silent = !round.awaiting.is_empty();
+        if silent && round.attempt < self.probe_params.attempts {
+            round.attempt += 1;
+            self.probe(subject, now);
+            return;
+        }
+        match (subject, self.pair.as_ref()) {
+            (Subject::Service(service), _) => {
+                let round = self.rounds.remove(&subject);
+                let failed: Vec<IpAddr> = round.into_iter().flat_map(|r| r.awaiting).collect();
+                self.remove_hosts(service, &failed, now);
             }
+            (Subject::Peer, Some(pair)) if !silent => {
+                let peer = pair.peer;
+                self.start_round(subject, BTreeSet::from([peer]), now);
+            }
+            (Subject::Peer, Some(pair)) if pair.role == Role::Active => self.probe(subject, now),
+            (Subject::Peer, _) => self.promote_self(now),
         }
     }
 
-    fn probe_deadline(&mut self, service: SockAddr, now: SimTime) {
-        let Some(state) = self.services.get_mut(&service) else {
-            return;
+    /// Ends the peer round. Until the next one starts, one `timeout` from
+    /// `now`, an idle round awaiting nobody holds its place.
+    fn rest_peer_round(&mut self, now: SimTime) {
+        let idle = ProbeRound {
+            deadline: now + self.probe_params.timeout,
+            ..ProbeRound::default()
         };
-        let Some(round) = state.probing.take() else {
-            return;
-        };
-        if round.awaiting.is_empty() {
-            // Everyone answered: a false alarm (e.g. transient congestion
-            // that cleared). Leave the chain as is.
-            return;
-        }
-        if round.attempt < self.probe_params.attempts {
-            let nonce = round.nonce;
-            let awaiting = round.awaiting.clone();
-            state.probing = Some(ProbeRound {
-                nonce,
-                deadline: now + self.probe_params.timeout,
-                awaiting: awaiting.clone(),
-                attempt: round.attempt + 1,
-            });
-            for host in awaiting {
-                self.send_unreliable(host, MgmtMsg::Probe { nonce });
-            }
-            return;
-        }
-        // Silent replicas are failed: shut them out of the chain.
-        let failed: Vec<IpAddr> = round.awaiting.into_iter().collect();
-        self.remove_hosts(service, &failed, now);
-    }
-
-    fn push_table_update(&mut self, service: SockAddr, chain: &[IpAddr], now: SimTime) {
-        self.actions.push(ControllerAction::UpdateTable {
-            service,
-            chain: chain.to_vec(),
-        });
-        // An active pair member replicates the update to its standby under
-        // the next epoch sequence number.
-        let Some(pair) = self.pair.as_mut() else {
-            return;
-        };
-        if pair.role != Role::Active {
-            return;
-        }
-        pair.epoch.seq += 1;
-        let (peer, epoch) = (pair.peer, pair.epoch);
-        let msg = MgmtMsg::TableReplicate {
-            term: epoch.term,
-            seq: epoch.seq,
-            service,
-            chain: chain.to_vec(),
-        };
-        self.send_reliable(peer, msg, now);
+        self.rounds.insert(Subject::Peer, idle);
     }
 
     // ---------------------------- pair ----------------------------------
-
-    /// Peer liveness probing, which *both* roles run continuously. The
-    /// standby promotes itself after `attempts` consecutive unanswered
-    /// probes; the active never promotes on misses — it probes so that a
-    /// freshly promoted member notices when a deposed (crashed or
-    /// partitioned) ex-active comes back, and can push it a reconciling
-    /// snapshot (see [`Self::on_peer_probe_ack`]).
-    fn poll_pair(&mut self, now: SimTime) {
-        let Some(pair) = self.pair.as_ref() else {
-            return;
-        };
-        let (attempts, peer, role) = (self.probe_params.attempts, pair.peer, pair.role);
-        let due_misses = match &pair.probing {
-            Some(p) if now >= p.deadline => Some(p.misses + 1),
-            None if now >= pair.next_probe_at => Some(0),
-            _ => None,
-        };
-        match due_misses {
-            Some(misses) if misses >= attempts && role == Role::Standby => self.promote_self(now),
-            // Cap the counter so an active member probing a long-dead peer
-            // cannot overflow it.
-            Some(misses) => self.send_peer_probe(peer, misses.min(attempts), now),
-            None => {}
-        }
-    }
-
-    fn send_peer_probe(&mut self, peer: IpAddr, misses: u32, now: SimTime) {
-        let nonce = self.next_nonce;
-        self.next_nonce += 1;
-        self.send_unreliable(peer, MgmtMsg::Probe { nonce });
-        if let Some(pair) = self.pair.as_mut() {
-            pair.probing = Some(PeerProbe {
-                nonce,
-                deadline: now + self.probe_params.timeout,
-                misses,
-            });
-        }
-    }
-
-    fn on_peer_probe_ack(&mut self, nonce: u64, now: SimTime) {
-        let Some(pair) = self.pair.as_mut() else {
-            return;
-        };
-        if pair.probing.as_ref().is_some_and(|p| p.nonce == nonce) {
-            pair.probing = None;
-            pair.next_probe_at = now + self.probe_params.timeout;
-            // First sign of life from the peer since this side promoted:
-            // the peer may be a deposed ex-active whose stale replication
-            // was abandoned while the link was down, so push it a full
-            // snapshot — receiving the newer epoch demotes and resyncs it.
-            if pair.role == Role::Active && pair.reconcile_pending {
-                pair.reconcile_pending = false;
-                let peer = pair.peer;
-                let snap = self.snapshot_msg();
-                self.send_reliable(peer, snap, now);
-            }
-        }
-    }
 
     /// The standby lost its peer: take over. The term bump makes every
     /// update the dead (or partitioned) ex-active later sends compare
@@ -539,10 +504,9 @@ impl ReplicaController {
         pair.role = Role::Active;
         pair.epoch.term += 1;
         pair.epoch.seq = 0;
-        pair.probing = None;
-        pair.next_probe_at = now + self.probe_params.timeout;
         pair.reconcile_pending = true;
         let (peer, term) = (pair.peer, pair.epoch.term);
+        self.rest_peer_round(now);
         self.promotions += 1;
         self.obs.event(
             now.as_nanos(),
@@ -556,21 +520,33 @@ impl ReplicaController {
             .push(ControllerAction::AnnounceRoutes { seq: term as u64 });
     }
 
-    /// This side met a newer epoch: it was superseded while partitioned or
-    /// slow. Drop back to standby and resume peer probing.
+    /// The epoch-adoption rule, for every epoch the peer's replication
+    /// traffic carries that is at least as new as this side's: a newer
+    /// *term* met while active means this side was superseded while
+    /// partitioned or slow, so it demotes; otherwise it moves to `incoming`.
+    fn adopt_epoch(&mut self, incoming: Epoch, now: SimTime) {
+        let Some(pair) = self.pair.as_mut() else {
+            return;
+        };
+        if incoming.term > pair.epoch.term && pair.role == Role::Active {
+            self.demote_self(incoming, now);
+        } else {
+            pair.epoch = incoming;
+        }
+    }
+
+    /// Drops back to standby at `epoch`: abandons the service rounds
+    /// started while active and resumes peer probing.
     fn demote_self(&mut self, epoch: Epoch, now: SimTime) {
         let Some(pair) = self.pair.as_mut() else {
             return;
         };
         pair.role = Role::Standby;
         pair.epoch = epoch;
-        pair.probing = None;
-        pair.next_probe_at = now + self.probe_params.timeout;
         pair.reconcile_pending = false;
         let peer = pair.peer;
-        for state in self.services.values_mut() {
-            state.probing = None; // abandon probe rounds started while active
-        }
+        self.rounds.clear();
+        self.rest_peer_round(now);
         self.obs.event(
             now.as_nanos(),
             kinds::REDIRECTOR_DEMOTED,
@@ -579,16 +555,16 @@ impl ReplicaController {
     }
 
     fn snapshot_msg(&self) -> MgmtMsg {
-        let epoch = self.epoch();
-        MgmtMsg::TableSnapshot {
-            term: epoch.term,
-            seq: epoch.seq,
-            entries: self
-                .services
-                .iter()
-                .map(|(&sap, s)| (sap, s.chain.clone()))
-                .collect(),
-        }
+        let Epoch { term, seq } = self.epoch();
+        let entries = self.services.iter().map(|(&s, chain)| (s, chain.clone()));
+        let entries = entries.collect();
+        MgmtMsg::TableSnapshot { term, seq, entries }
+    }
+
+    /// Forgets `service` and any round probing it.
+    fn drop_service(&mut self, service: SockAddr) {
+        self.services.remove(&service);
+        self.rounds.remove(&Subject::Service(service));
     }
 
     fn on_table_replicate(
@@ -599,13 +575,12 @@ impl ReplicaController {
         chain: Vec<IpAddr>,
         now: SimTime,
     ) {
-        let Some(pair) = self.pair.as_mut() else {
+        let Some(current) = self.pair.as_ref().map(|p| p.epoch) else {
             return;
         };
-        if incoming.term < pair.epoch.term {
+        if incoming.term < current.term {
             // A partitioned ex-active catching up: reject the stale update
             // and push a snapshot so it can demote and resync.
-            let epoch = pair.epoch;
             self.stale_rejections += 1;
             self.obs.event(
                 now.as_nanos(),
@@ -613,37 +588,32 @@ impl ReplicaController {
                 &[
                     ("from", src.to_string()),
                     ("stale", incoming.to_string()),
-                    ("current", epoch.to_string()),
+                    ("current", current.to_string()),
                 ],
             );
             self.obs
                 .counter(&format!("mgmt.controller.{}.stale_rejections", self.addr))
                 .inc();
             let reject = MgmtMsg::EpochReject {
-                term: epoch.term,
-                seq: epoch.seq,
+                term: current.term,
+                seq: current.seq,
             };
             self.send_unreliable(src, reject);
             let snap = self.snapshot_msg();
             self.send_reliable(src, snap, now);
             return;
         }
-        if incoming <= pair.epoch {
+        if incoming <= current {
             return; // duplicate or reordered within the current term
         }
-        let superseded = incoming.term > pair.epoch.term && pair.role == Role::Active;
-        if superseded {
-            self.demote_self(incoming, now);
-        } else {
-            pair.epoch = incoming;
-        }
+        self.adopt_epoch(incoming, now);
         if chain.is_empty() {
-            self.services.remove(&service);
+            self.drop_service(service);
         } else {
-            self.services.entry(service).or_default().chain = chain.clone();
+            self.services.insert(service, chain.clone());
         }
-        // Install into the local engine table directly — never back through
-        // push_table_update, which would re-replicate.
+        // Install into the local engine table directly — never through
+        // `commit`, which would re-replicate.
         self.actions
             .push(ControllerAction::UpdateTable { service, chain });
     }
@@ -654,17 +624,10 @@ impl ReplicaController {
         entries: Vec<(SockAddr, Vec<IpAddr>)>,
         now: SimTime,
     ) {
-        let Some(pair) = self.pair.as_mut() else {
-            return;
-        };
-        if incoming < pair.epoch {
+        if self.pair.as_ref().is_none_or(|p| incoming < p.epoch) {
             return;
         }
-        if incoming.term > pair.epoch.term && pair.role == Role::Active {
-            self.demote_self(incoming, now);
-        } else {
-            pair.epoch = incoming;
-        }
+        self.adopt_epoch(incoming, now);
         // Remove services absent from the snapshot, then install the rest.
         let keep: BTreeSet<SockAddr> = entries.iter().map(|(sap, _)| *sap).collect();
         let stale: Vec<SockAddr> = self
@@ -674,30 +637,26 @@ impl ReplicaController {
             .copied()
             .collect();
         for sap in stale {
-            self.services.remove(&sap);
+            self.drop_service(sap);
             self.actions.push(ControllerAction::UpdateTable {
                 service: sap,
                 chain: Vec::new(),
             });
         }
         for (service, chain) in entries {
-            self.services.entry(service).or_default().chain = chain.clone();
+            self.services.insert(service, chain.clone());
             self.actions
                 .push(ControllerAction::UpdateTable { service, chain });
         }
     }
 
     fn on_epoch_reject(&mut self, src: IpAddr, incoming: Epoch, now: SimTime) {
-        let Some(pair) = self.pair.as_ref() else {
-            return;
-        };
-        if pair.peer != src || incoming <= pair.epoch {
-            return;
-        }
-        if pair.role == Role::Active {
-            self.demote_self(incoming, now);
-        } else if let Some(pair) = self.pair.as_mut() {
-            pair.epoch = incoming;
+        if self
+            .pair
+            .as_ref()
+            .is_some_and(|p| p.peer == src && incoming > p.epoch)
+        {
+            self.adopt_epoch(incoming, now);
         }
     }
 
@@ -711,22 +670,6 @@ impl ReplicaController {
     fn send_unreliable(&mut self, dst: IpAddr, msg: MgmtMsg) {
         let (dst, bytes) = self.endpoint.send_unreliable(dst, msg);
         self.actions.push(ControllerAction::Send(dst, bytes));
-    }
-
-    fn push_roles_for(
-        &mut self,
-        service: SockAddr,
-        chain: &[IpAddr],
-        only: Option<IpAddr>,
-        now: SimTime,
-    ) {
-        for a in assignments(chain) {
-            if only.is_some_and(|h| h != a.host) {
-                continue;
-            }
-            let msg = a.to_msg(service);
-            self.send_reliable(a.host, msg, now);
-        }
     }
 }
 
@@ -775,6 +718,41 @@ mod tests {
             .iter()
             .filter_map(|a| match a {
                 ControllerAction::UpdateTable { chain, .. } => Some(chain.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// An unacknowledged datagram carrying `msg` under envelope `id` (the
+    /// reliable layer suppresses a repeated `(sender, id)`).
+    fn datagram(id: u64, msg: MgmtMsg) -> Vec<u8> {
+        Envelope::Payload {
+            id,
+            needs_ack: false,
+            msg,
+        }
+        .encode()
+    }
+
+    /// `h(2)` reporting the service broken.
+    fn failure_report(id: u64) -> Vec<u8> {
+        datagram(
+            id,
+            MgmtMsg::FailureReport {
+                service: service(),
+                reporter: h(2),
+                observed: 5,
+            },
+        )
+    }
+
+    /// `(destination, nonce)` of every probe in `actions`.
+    fn probes_sent(actions: &[ControllerAction]) -> Vec<(IpAddr, u64)> {
+        actions
+            .iter()
+            .filter_map(decode_send)
+            .filter_map(|(dst, m)| match m {
+                MgmtMsg::Probe { nonce } => Some((dst, nonce)),
                 _ => None,
             })
             .collect()
@@ -830,17 +808,7 @@ mod tests {
         c.take_actions();
 
         // h2 reports the primary broken.
-        let report = Envelope::Payload {
-            id: 99,
-            needs_ack: false,
-            msg: MgmtMsg::FailureReport {
-                service: service(),
-                reporter: h(2),
-                observed: 6,
-            },
-        }
-        .encode();
-        c.on_datagram(h(2), &report, SimTime::from_secs(1));
+        c.on_datagram(h(2), &failure_report(99), SimTime::from_secs(1));
         let actions = c.take_actions();
         let probes: Vec<_> = actions
             .iter()
@@ -854,12 +822,7 @@ mod tests {
         };
 
         // Only h2 answers.
-        let ack = Envelope::Payload {
-            id: 1,
-            needs_ack: false,
-            msg: MgmtMsg::ProbeAck { nonce },
-        }
-        .encode();
+        let ack = datagram(1, MgmtMsg::ProbeAck { nonce });
         c.on_datagram(h(2), &ack, SimTime::from_millis(1050));
 
         // First deadline: h1 still silent → second round.
@@ -903,17 +866,7 @@ mod tests {
         c.on_datagram(h(1), &reg(h(1)), SimTime::ZERO);
         c.on_datagram(h(2), &reg(h(2)), SimTime::ZERO);
         c.take_actions();
-        let report = Envelope::Payload {
-            id: 99,
-            needs_ack: false,
-            msg: MgmtMsg::FailureReport {
-                service: service(),
-                reporter: h(2),
-                observed: 5,
-            },
-        }
-        .encode();
-        c.on_datagram(h(2), &report, SimTime::from_secs(1));
+        c.on_datagram(h(2), &failure_report(99), SimTime::from_secs(1));
         let actions = c.take_actions();
         let probes: Vec<_> = actions.iter().filter_map(decode_send).collect();
         let nonce = probes
@@ -924,14 +877,14 @@ mod tests {
             })
             .unwrap();
         for host in [h(1), h(2)] {
-            let ack = Envelope::Payload {
-                id: 1,
-                needs_ack: false,
-                msg: MgmtMsg::ProbeAck { nonce },
-            }
-            .encode();
+            let ack = datagram(1, MgmtMsg::ProbeAck { nonce });
             c.on_datagram(host, &ack, SimTime::from_millis(1020));
         }
+        // Everyone answered, but the round lasts until its deadline: a
+        // report inside it starts no second round.
+        c.take_actions();
+        c.on_datagram(h(2), &failure_report(100), SimTime::from_millis(1050));
+        assert!(probes_sent(&c.take_actions()).is_empty());
         c.poll(SimTime::from_millis(1150));
         assert_eq!(c.chain(service()).unwrap(), &[h(1), h(2)]);
         assert_eq!(c.reconfigurations(), 0);
@@ -980,16 +933,23 @@ mod tests {
     }
 
     /// Delivers every queued `Send` addressed to `to.addr()` into `to`,
-    /// returning the actions that were not network sends to it.
-    fn shuttle(from: &mut ReplicaController, to: &mut ReplicaController, now: SimTime) {
+    /// returning the payload messages delivered; other actions are dropped.
+    fn shuttle(
+        from: &mut ReplicaController,
+        to: &mut ReplicaController,
+        now: SimTime,
+    ) -> Vec<MgmtMsg> {
         let from_addr = from.addr();
+        let mut delivered = Vec::new();
         for action in from.take_actions() {
             if let ControllerAction::Send(dst, bytes) = &action {
                 if *dst == to.addr() {
                     to.on_datagram(from_addr, bytes, now);
+                    delivered.extend(decode_send(&action).map(|(_, m)| m));
                 }
             }
         }
+        delivered
     }
 
     #[test]
@@ -1185,17 +1145,7 @@ mod tests {
         c.on_datagram(h(2), &reg(h(2)), SimTime::ZERO);
         c.take_actions();
         for id in [1u64, 2] {
-            let report = Envelope::Payload {
-                id,
-                needs_ack: false,
-                msg: MgmtMsg::FailureReport {
-                    service: service(),
-                    reporter: h(2),
-                    observed: 5,
-                },
-            }
-            .encode();
-            c.on_datagram(h(2), &report, SimTime::from_secs(1));
+            c.on_datagram(h(2), &failure_report(id), SimTime::from_secs(1));
         }
         let probes = c
             .take_actions()
@@ -1204,5 +1154,108 @@ mod tests {
             .filter(|(_, m)| matches!(m, MgmtMsg::Probe { .. }))
             .count();
         assert_eq!(probes, 2, "one round of two probes, not two rounds");
+    }
+
+    #[test]
+    fn a_late_probe_ack_counts_alike_in_a_service_round_and_the_peer_round() {
+        let ms = SimTime::from_millis;
+        // Service round: h1 answers the first probe after its deadline.
+        let mut c = ReplicaController::new(RD, pair_params());
+        c.on_datagram(h(1), &reg(h(1)), SimTime::ZERO);
+        c.on_datagram(h(2), &reg(h(2)), SimTime::ZERO);
+        c.take_actions();
+        c.on_datagram(h(2), &failure_report(1), ms(1000));
+        let nonce = probes_sent(&c.take_actions())[0].1;
+        c.on_datagram(h(2), &datagram(2, MgmtMsg::ProbeAck { nonce }), ms(1050));
+        c.poll(ms(1100));
+        assert_eq!(probes_sent(&c.take_actions()), vec![(h(1), nonce)]);
+        c.on_datagram(h(1), &datagram(1, MgmtMsg::ProbeAck { nonce }), ms(1150));
+        c.poll(ms(1200));
+        assert_eq!(c.chain(service()).unwrap(), &[h(1), h(2)]);
+        assert_eq!(c.reconfigurations(), 0);
+
+        // Peer round: the active answers the first probe after its deadline.
+        let mut b = paired(RD_B, RD, false);
+        b.poll(ms(100));
+        let nonce = probes_sent(&b.take_actions())[0].1;
+        b.poll(ms(200));
+        assert_eq!(probes_sent(&b.take_actions()), vec![(RD, nonce)]);
+        b.on_datagram(RD, &datagram(1, MgmtMsg::ProbeAck { nonce }), ms(250));
+        b.poll(ms(300));
+        assert!(!b.is_active());
+        assert_eq!(b.promotions(), 0);
+        // The answer ended the round; the next leaves one timeout after it.
+        b.poll(ms(349));
+        assert!(probes_sent(&b.take_actions()).is_empty());
+        b.poll(ms(350));
+        assert_eq!(probes_sent(&b.take_actions()).len(), 1);
+    }
+
+    #[test]
+    fn a_demoted_ex_active_abandons_its_service_round() {
+        let ms = SimTime::from_millis;
+        let mut a = paired(RD, RD_B, true);
+        a.on_datagram(h(1), &reg(h(1)), SimTime::ZERO);
+        a.on_datagram(h(2), &reg(h(2)), SimTime::ZERO);
+        a.take_actions();
+        a.on_datagram(h(2), &failure_report(1), ms(1000));
+        assert_eq!(probes_sent(&a.take_actions()).len(), 2);
+        // Nobody answers, and the promoted peer's reject demotes `a`.
+        let reject = MgmtMsg::EpochReject { term: 1, seq: 0 };
+        a.on_datagram(RD_B, &datagram(1, reject), ms(1050));
+        assert!(!a.is_active());
+        for t in (1060..=1500).step_by(10) {
+            a.poll(ms(t));
+        }
+        let hosts_probed = probes_sent(&a.take_actions())
+            .iter()
+            .filter(|(dst, _)| *dst != RD_B)
+            .count();
+        assert_eq!(hosts_probed, 0);
+        assert_eq!(a.chain(service()).unwrap(), &[h(1), h(2)]);
+        assert_eq!(a.reconfigurations(), 0);
+    }
+
+    #[test]
+    fn an_active_watches_a_dead_peer_once_per_timeout_and_reconciles_once() {
+        let ms = SimTime::from_millis;
+        let mut a = paired(RD, RD_B, true);
+        let mut b = paired(RD_B, RD, false);
+        a.on_datagram(h(1), &reg(h(1)), SimTime::ZERO);
+        shuttle(&mut a, &mut b, ms(1));
+        // `a` dies: `b` promotes after two unanswered probes.
+        for t in (10..=300).step_by(10) {
+            b.poll(ms(t));
+        }
+        assert!(b.is_active());
+        b.take_actions();
+        // Twelve silent periods, polled every 10 ms: one probe per period.
+        let mut sent = Vec::new();
+        for t in (310..=1500).step_by(10) {
+            b.poll(ms(t));
+            for (dst, _) in probes_sent(&b.take_actions()) {
+                sent.push((dst, t));
+            }
+        }
+        let every_period: Vec<_> = (400..=1500).step_by(100).map(|t| (RD, t)).collect();
+        assert_eq!(sent, every_period);
+        assert_eq!(b.promotions(), 1);
+        assert_eq!(b.epoch(), Epoch { term: 1, seq: 0 });
+        // `a` comes back silent and still active at term 0: `b`'s probes
+        // reach it, and exactly one reconciling snapshot demotes it.
+        let mut snapshots = 0;
+        for t in (1510..=3000).step_by(10) {
+            b.poll(ms(t));
+            let delivered = shuttle(&mut b, &mut a, ms(t));
+            snapshots += delivered
+                .iter()
+                .filter(|m| matches!(m, MgmtMsg::TableSnapshot { .. }))
+                .count();
+            shuttle(&mut a, &mut b, ms(t));
+        }
+        assert_eq!(snapshots, 1);
+        assert!(!a.is_active());
+        assert_eq!(a.epoch().term, 1);
+        assert_eq!(b.promotions(), 1);
     }
 }

@@ -187,6 +187,7 @@ impl MgmtMsg {
     }
 
     fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let at = r.pos();
         let tag = r.u8()?;
         Ok(match tag {
             1 => MgmtMsg::RegisterReplica {
@@ -231,7 +232,7 @@ impl MgmtMsg {
                 term: r.u32()?,
                 seq: r.u64()?,
             },
-            _ => return Err(WireError { at: 0 }),
+            _ => return Err(WireError { at }),
         })
     }
 }
@@ -395,9 +396,10 @@ mod tests {
         .encode();
         bytes.truncate(bytes.len() - 3);
         assert!(Envelope::decode(&bytes).is_err());
-        // Unknown message tag inside a payload envelope.
+        // Unknown message tag inside a payload envelope, reported where it
+        // sits: after the envelope tag (1), id (8) and needs_ack (1) bytes.
         let mut w = Writer::new();
         w.u8(0xE0).u64(5).u8(1).u8(99);
-        assert!(Envelope::decode(&w.into_bytes()).is_err());
+        assert_eq!(Envelope::decode(&w.into_bytes()), Err(WireError { at: 10 }));
     }
 }

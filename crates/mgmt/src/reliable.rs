@@ -15,8 +15,6 @@ pub type Outgoing = (IpAddr, Vec<u8>);
 #[derive(Debug)]
 pub struct ReliableEndpoint {
     next_id: u64,
-    retry_interval: SimDuration,
-    max_attempts: u32,
     pending: Vec<Pending>,
     /// Recently seen `(peer, id)` pairs for duplicate suppression.
     seen: HashMap<(IpAddr, u64), SimTime>,
@@ -25,7 +23,7 @@ pub struct ReliableEndpoint {
     /// the last sweep left (at least [`SEEN_SWEEP_MIN`]), so a sweep's
     /// O(len) scan is paid for by the insertions since the previous one.
     seen_sweep_at: usize,
-    /// Reliable sends abandoned after `max_attempts` (diagnostics).
+    /// Reliable sends abandoned after [`DEFAULT_MAX_ATTEMPTS`] (diagnostics).
     abandoned: u64,
 }
 
@@ -38,19 +36,27 @@ struct Pending {
     attempts: u32,
 }
 
-/// Default retransmission interval.
+/// Retransmission interval of a reliable send.
 pub const DEFAULT_RETRY_INTERVAL: SimDuration = SimDuration::from_millis(250);
 
-/// Default number of transmissions before a reliable send is abandoned.
+/// Transmissions of a reliable send before it is abandoned.
 pub const DEFAULT_MAX_ATTEMPTS: u32 = 8;
 
 /// The duplicate filter is not swept while it holds at most this many pairs.
 const SEEN_SWEEP_MIN: usize = 1024;
 
 impl ReliableEndpoint {
-    /// Creates an endpoint with default retry parameters.
+    /// Creates an endpoint retransmitting every [`DEFAULT_RETRY_INTERVAL`]
+    /// for up to [`DEFAULT_MAX_ATTEMPTS`] transmissions.
     pub fn new() -> Self {
-        Self::with_params(DEFAULT_RETRY_INTERVAL, DEFAULT_MAX_ATTEMPTS)
+        ReliableEndpoint {
+            next_id: 1,
+            pending: Vec::new(),
+            seen: HashMap::new(),
+            seen_ttl: SimDuration::from_secs(120),
+            seen_sweep_at: SEEN_SWEEP_MIN,
+            abandoned: 0,
+        }
     }
 
     /// Sets the first message id this endpoint will use. A process that
@@ -59,25 +65,6 @@ impl ReliableEndpoint {
     pub fn with_id_base(mut self, base: u64) -> Self {
         self.next_id = base.max(1);
         self
-    }
-
-    /// Creates an endpoint with the given retry interval and attempt limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_attempts` is zero.
-    pub fn with_params(retry_interval: SimDuration, max_attempts: u32) -> Self {
-        assert!(max_attempts > 0, "max_attempts must be positive");
-        ReliableEndpoint {
-            next_id: 1,
-            retry_interval,
-            max_attempts,
-            pending: Vec::new(),
-            seen: HashMap::new(),
-            seen_ttl: SimDuration::from_secs(120),
-            seen_sweep_at: SEEN_SWEEP_MIN,
-            abandoned: 0,
-        }
     }
 
     /// Sends `msg` reliably to `dst`: it is retransmitted until acked.
@@ -95,7 +82,7 @@ impl ReliableEndpoint {
             id,
             dst,
             bytes: bytes.clone(),
-            next_retry: now + self.retry_interval,
+            next_retry: now + DEFAULT_RETRY_INTERVAL,
             attempts: 1,
         });
         (dst, bytes)
@@ -147,19 +134,17 @@ impl ReliableEndpoint {
     /// Retransmits overdue reliable messages; drops those out of attempts.
     pub fn poll(&mut self, now: SimTime) -> Vec<Outgoing> {
         let mut out = Vec::new();
-        let retry_interval = self.retry_interval;
-        let max_attempts = self.max_attempts;
         let mut abandoned = 0;
         self.pending.retain_mut(|p| {
             if now < p.next_retry {
                 return true;
             }
-            if p.attempts >= max_attempts {
+            if p.attempts >= DEFAULT_MAX_ATTEMPTS {
                 abandoned += 1;
                 return false;
             }
             p.attempts += 1;
-            p.next_retry = now + retry_interval;
+            p.next_retry = now + DEFAULT_RETRY_INTERVAL;
             out.push((p.dst, p.bytes.clone()));
             true
         });
@@ -209,14 +194,14 @@ mod tests {
 
     #[test]
     fn reliable_send_retransmits_until_acked() {
-        let mut ep = ReliableEndpoint::with_params(SimDuration::from_millis(100), 5);
+        let mut ep = ReliableEndpoint::new();
         let (dst, bytes) = ep.send_reliable(PEER, probe(1), SimTime::ZERO);
         assert_eq!(dst, PEER);
         assert_eq!(ep.pending_count(), 1);
         // Not due yet.
-        assert!(ep.poll(SimTime::from_millis(50)).is_empty());
+        assert!(ep.poll(SimTime::from_millis(125)).is_empty());
         // Due: retransmit.
-        let retx = ep.poll(SimTime::from_millis(100));
+        let retx = ep.poll(SimTime::ZERO + DEFAULT_RETRY_INTERVAL);
         assert_eq!(retx.len(), 1);
         assert_eq!(retx[0].1, bytes);
         // The peer acks.
@@ -225,20 +210,20 @@ mod tests {
             panic!()
         };
         let ack = Envelope::Ack { of: id }.encode();
-        ep.on_datagram(PEER, &ack, SimTime::from_millis(150));
+        ep.on_datagram(PEER, &ack, SimTime::from_millis(300));
         assert_eq!(ep.pending_count(), 0);
         assert!(ep.poll(SimTime::from_secs(10)).is_empty());
     }
 
     #[test]
     fn abandons_after_max_attempts() {
-        let mut ep = ReliableEndpoint::with_params(SimDuration::from_millis(10), 3);
+        let mut ep = ReliableEndpoint::new();
         ep.send_reliable(PEER, probe(2), SimTime::ZERO);
         let mut total = 1;
-        for i in 1..10 {
-            total += ep.poll(SimTime::from_millis(i * 10)).len();
+        for i in 1..20 {
+            total += ep.poll(SimTime::ZERO + DEFAULT_RETRY_INTERVAL * i).len();
         }
-        assert_eq!(total, 3);
+        assert_eq!(total, DEFAULT_MAX_ATTEMPTS as usize);
         assert_eq!(ep.pending_count(), 0);
         assert_eq!(ep.abandoned(), 1);
     }
@@ -276,11 +261,14 @@ mod tests {
 
     #[test]
     fn next_deadline_tracks_earliest() {
-        let mut ep = ReliableEndpoint::with_params(SimDuration::from_millis(100), 3);
+        let mut ep = ReliableEndpoint::new();
         assert!(ep.next_deadline().is_none());
         ep.send_reliable(PEER, probe(5), SimTime::ZERO);
         ep.send_reliable(PEER, probe(6), SimTime::from_millis(40));
-        assert_eq!(ep.next_deadline(), Some(SimTime::from_millis(100)));
+        assert_eq!(
+            ep.next_deadline(),
+            Some(SimTime::ZERO + DEFAULT_RETRY_INTERVAL)
+        );
     }
 
     #[test]
