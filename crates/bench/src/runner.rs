@@ -81,17 +81,28 @@ impl RunnerStats {
         }
     }
 
-    /// Publishes this run into `obs` under the `runner.*` metric names.
-    /// `events` is the total simulated-event count across tasks (0 if the
-    /// workload does not track events).
+    /// Simulated events per wall-clock second for `events` processed over
+    /// this run's wall time.
+    pub fn events_per_sec(&self, events: u64) -> f64 {
+        events as f64 * 1e9 / self.wall_nanos.max(1) as f64
+    }
+
+    /// Publishes this run into `obs` — this crate owns the `runner.*`
+    /// series: `tasks_completed`, `worker_busy_nanos` and `wall_nanos`
+    /// accumulate across publishes; `threads`, `utilization` and
+    /// `events_per_sec` hold the latest run. `events` is the total
+    /// simulated-event count across tasks (0 if the workload does not
+    /// track events). A disabled handle records nothing.
     pub fn publish(&self, obs: &Obs, events: u64) {
-        obs.record_runner(
-            self.threads,
-            self.tasks_completed,
-            self.worker_busy_nanos,
-            self.wall_nanos,
-            events,
-        );
+        obs.counter("runner.tasks_completed")
+            .add(self.tasks_completed);
+        obs.counter("runner.worker_busy_nanos")
+            .add(self.worker_busy_nanos);
+        obs.counter("runner.wall_nanos").add(self.wall_nanos);
+        obs.gauge("runner.threads").set(self.threads as f64);
+        obs.gauge("runner.utilization").set(self.utilization());
+        obs.gauge("runner.events_per_sec")
+            .set(self.events_per_sec(events));
     }
 }
 
@@ -366,7 +377,7 @@ impl<O: Outcome> Soak<O> {
         let mut timing = String::new();
         for m in &self.measurements {
             let wall = m.stats.wall_nanos.max(1) as f64;
-            let events_per_sec = events as f64 * 1e9 / wall;
+            let events_per_sec = m.stats.events_per_sec(events);
             rows.push(vec![
                 m.threads.to_string(),
                 format!("{:.1}", wall / 1e6),
@@ -556,11 +567,38 @@ mod tests {
 
     #[test]
     fn publish_lands_in_registry() {
-        let (_, stats) = run_tasks(squares(4), 2);
+        let run = |threads, tasks_completed, worker_busy_nanos, wall_nanos| RunnerStats {
+            threads,
+            tasks_completed,
+            worker_busy_nanos,
+            wall_nanos,
+            per_worker_busy_nanos: Vec::new(),
+        };
         let obs = Obs::enabled();
-        stats.publish(&obs, 1234);
+        // 4 threads, 10 tasks, workers busy 6 s of an 8 s-capacity window
+        // (2 s wall), processing 1,000,000 events.
+        run(4, 10, 6_000_000_000, 2_000_000_000).publish(&obs, 1_000_000);
         let j = obs.to_json();
-        assert!(j.contains("\"runner.tasks_completed\": 4"), "{j}");
+        for needle in [
+            "\"runner.tasks_completed\": 10",
+            "\"runner.worker_busy_nanos\": 6000000000",
+            "\"runner.wall_nanos\": 2000000000",
+            "\"runner.threads\": 4",
+            "\"runner.utilization\": 0.75",
+            "\"runner.events_per_sec\": 500000",
+        ] {
+            assert!(j.contains(needle), "missing {needle} in {j}");
+        }
+        // Counters accumulate across publishes; gauges take the latest.
+        run(2, 5, 1_000_000_000, 1_000_000_000).publish(&obs, 0);
+        let j = obs.to_json();
+        assert!(j.contains("\"runner.tasks_completed\": 15"), "{j}");
         assert!(j.contains("\"runner.threads\": 2"), "{j}");
+        assert!(j.contains("\"runner.utilization\": 0.5"), "{j}");
+        assert!(j.contains("\"runner.events_per_sec\": 0"), "{j}");
+
+        let disabled = Obs::disabled();
+        run(4, 10, 1, 1).publish(&disabled, 1);
+        assert!(disabled.to_json().contains("\"counters\": {}"));
     }
 }

@@ -612,12 +612,11 @@ impl System {
     /// timeline) as JSON, tagged with run metadata. Bench binaries write
     /// this next to their numeric output.
     pub fn telemetry_json(&self, scenario: &str) -> String {
-        let stats = self.sim.stats();
+        let events = self.sim.stats().events_processed;
         self.obs.to_json_with_meta(&[
             ("scenario", scenario.to_string()),
             ("sim_now_nanos", self.sim.now().as_nanos().to_string()),
-            ("events_processed", stats.events_processed.to_string()),
-            ("trace_dropped", stats.trace_dropped.to_string()),
+            ("events_processed", events.to_string()),
             (
                 "flight_recorder_evicted",
                 self.obs.trace_evicted().to_string(),

@@ -157,8 +157,8 @@ fn mid_chain_backup_crash_under_load() {
 }
 
 /// A deliberately tiny flight recorder must evict retired spans under a
-/// traced failover, and the eviction counter must surface (next to
-/// `SimStats::trace_dropped`) in the telemetry JSON. The event-attribution
+/// traced failover, and the eviction counter must surface in the
+/// telemetry JSON. The event-attribution
 /// profiler rides along: every simulated event lands in exactly one
 /// subsystem bucket, and the hot subsystems are non-empty.
 #[test]
@@ -183,7 +183,6 @@ fn traced_run_surfaces_evictions_and_attribution() {
         json.contains(&format!("\"flight_recorder_evicted\": \"{evicted}\"")),
         "eviction counter missing from telemetry meta: {json}"
     );
-    assert!(json.contains("\"trace_dropped\""), "{json}");
 
     // The flight recorder still dumps (newest spans survive), and the
     // Chrome export is well-formed enough to contain span records.

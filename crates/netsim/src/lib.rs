@@ -20,6 +20,11 @@
 //! - **Static routing** ([`routing`]) with longest-prefix matching.
 //! - **Failure injection** ([`sim`]): fail-stop node crashes, recoveries,
 //!   and link outages at scheduled instants.
+//! - **Counters** ([`stats`]): every packet a link refuses, loses or
+//!   delivers, and every packet a node dispatches or loses to a crash, is
+//!   counted. The simulator keeps no per-packet log; the lineage id a
+//!   packet carries ([`buf::PacketBuf::lineage`]) is what the spans of
+//!   `hydranet-obs` note to follow it across hops.
 //!
 //! Everything is driven from a single seeded RNG ([`rng`]) and a calendar
 //! queue ([`sim::Simulator`]), so any run is exactly reproducible.
@@ -72,7 +77,6 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod wheel;
 
 /// Convenient glob-import of the types most simulations need.

@@ -19,7 +19,6 @@ use crate::profile::{EventCategory, EventProfiler};
 use crate::rng::SimRng;
 use crate::stats::{LinkStats, NodeStats, SimStats};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{Trace, TracePoint};
 
 pub(crate) struct NodeSlot {
     /// `None` only transiently while the node's callback runs.
@@ -76,7 +75,6 @@ pub struct Simulator {
     pub(crate) links: Vec<Link>,
     rng: SimRng,
     stats: SimStats,
-    trace: Trace,
     profiler: EventProfiler,
     obs: Obs,
     actions_scratch: Vec<Action>,
@@ -102,7 +100,6 @@ impl Simulator {
             links,
             rng: SimRng::seed_from(seed),
             stats: SimStats::default(),
-            trace: Trace::default(),
             profiler: EventProfiler::default(),
             obs: Obs::disabled(),
             actions_scratch: Vec::new(),
@@ -129,11 +126,9 @@ impl Simulator {
         self.links.len()
     }
 
-    /// Whole-run counters (trace-ring evictions folded in).
+    /// Whole-run counters.
     pub fn stats(&self) -> SimStats {
-        let mut stats = self.stats;
-        stats.trace_dropped = self.trace.dropped();
-        stats
+        self.stats
     }
 
     /// Wires telemetry: fault-injection transitions (node crash/recover,
@@ -141,11 +136,6 @@ impl Simulator {
     pub fn set_obs(&mut self, obs: Obs) {
         self.events.set_obs(&obs);
         self.obs = obs;
-    }
-
-    /// The trace buffer (enable with [`Trace::set_enabled`]).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// The event-attribution profiler (enable, mark redirectors, and set
@@ -157,11 +147,6 @@ impl Simulator {
     /// The event-attribution profiler, read-only.
     pub fn profiler(&self) -> &EventProfiler {
         &self.profiler
-    }
-
-    /// The trace buffer, read-only.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Processes events until the calendar is exhausted or `limit` events
@@ -355,8 +340,8 @@ impl Simulator {
 
     /// The one event-processing body: every driver (`run_until`, `step`,
     /// and through it `run_until_idle*`) advances the clock, counts the
-    /// event and runs it here, so profiled, traced and plain runs execute
-    /// the same engine.
+    /// event and runs it here, so profiled and plain runs execute the same
+    /// engine.
     #[inline]
     fn run_event(&mut self, ev: Event) {
         debug_assert!(ev.time >= self.now, "time went backwards");
@@ -431,14 +416,14 @@ impl Simulator {
                 packet,
                 epoch,
             } => {
-                let slot = &self.nodes[node.index()];
+                // A crash between arrival and dispatch — even one already
+                // recovered from — discards the packet waiting for the CPU.
+                let slot = &mut self.nodes[node.index()];
                 if slot.crashed || slot.epoch != epoch {
-                    self.trace
-                        .record_with(self.now, TracePoint::CrashDrop(node), || summarize(&packet));
+                    slot.stats.dropped_crashed += 1;
                     return;
                 }
-                self.trace
-                    .record_with(self.now, TracePoint::Dispatch(node), || summarize(&packet));
+                slot.stats.dispatched += 1;
                 self.dispatch(node, |n, ctx| n.on_packet(ctx, IfaceId(iface), packet));
             }
             EventKind::LinkDequeue { link, dir, epoch } => {
@@ -568,10 +553,6 @@ impl Simulator {
         let link = &mut self.links[link_id.index()];
         if !link.up {
             link.dirs[dir.index()].stats.dropped_down += 1;
-            self.trace
-                .record_with(self.now, TracePoint::LinkDrop(link_id), || {
-                    summarize(&packet)
-                });
             return;
         }
         let fragments = match fragment_packet(packet, link.params.mtu) {
@@ -586,13 +567,9 @@ impl Simulator {
             let state = &mut link.dirs[dir.index()];
             if state.queue.len() >= limit {
                 state.stats.dropped_queue += 1;
-                self.trace
-                    .record_with(self.now, TracePoint::LinkDrop(link_id), || summarize(&frag));
                 continue;
             }
             state.stats.enqueued += 1;
-            self.trace
-                .record_with(self.now, TracePoint::Enqueue(link_id), || summarize(&frag));
             state.queue.push_back(frag);
             if !state.transmitting {
                 state.transmitting = true;
@@ -637,10 +614,6 @@ impl Simulator {
         let lost = link.draw_loss(dir, &mut self.rng);
         if lost {
             link.dirs[dir.index()].stats.dropped_loss += 1;
-            self.trace
-                .record_with(self.now, TracePoint::LinkDrop(link_id), || {
-                    summarize(&packet)
-                });
             return;
         }
         {
@@ -717,17 +690,12 @@ impl Simulator {
         let slot = &mut self.nodes[node.index()];
         if slot.crashed {
             slot.stats.dropped_crashed += 1;
-            self.trace
-                .record_with(self.now, TracePoint::CrashDrop(node), || summarize(&packet));
             return;
         }
-        self.trace
-            .record_with(self.now, TracePoint::Arrival(node), || summarize(&packet));
         let cost = slot.params.cost_for(packet.total_len());
         let start = self.now.max(slot.cpu_free_at);
         let done = start.saturating_add(cost);
         slot.cpu_free_at = done;
-        slot.stats.dispatched += 1;
         slot.stats.cpu_busy_nanos += cost.as_nanos();
         let epoch = slot.epoch;
         self.events.push(
@@ -752,16 +720,6 @@ fn draw_jitter(rng: &mut SimRng, p: f64, jitter_nanos: u64) -> Option<SimDuratio
     } else {
         None
     }
-}
-
-fn summarize(packet: &IpPacket) -> String {
-    format!(
-        "{} -> {} {} {}B",
-        packet.src(),
-        packet.dst(),
-        packet.protocol(),
-        packet.total_len()
-    )
 }
 
 #[cfg(test)]
@@ -975,6 +933,33 @@ mod tests {
         assert!(sim.node_stats(b).cpu_busy_nanos >= 10_000_000);
     }
 
+    /// A packet waiting for the CPU when its node crashes is lost to the
+    /// crash — whether the node is still down when the dispatch falls due
+    /// or has recovered by then — and the node counters account for every
+    /// arrival: dispatched or dropped as crashed.
+    #[test]
+    fn packets_waiting_for_the_cpu_at_a_crash_count_as_crash_drops() {
+        let mut t = TopologyBuilder::new();
+        let a = t.add_node(Blaster::new(3, 100), NodeParams::INSTANT);
+        let b = t.add_node(
+            Blaster::new(0, 0),
+            NodeParams::new(SimDuration::from_millis(5), SimDuration::ZERO),
+        );
+        let (link, _, _) = t.connect(a, b, LinkParams::new(1_000_000_000, SimDuration::ZERO));
+        let mut sim = t.into_simulator(1);
+        // All three arrive within microseconds and queue for b's CPU:
+        // dispatches fall due just after 5, 10 and 15 ms. The second finds
+        // b crashed, the third finds it recovered under a new epoch.
+        sim.schedule_crash(b, SimTime::from_millis(7));
+        sim.schedule_recover(b, SimTime::from_millis(12));
+        sim.run_until_idle();
+        let (ab, _) = sim.link_stats(link);
+        let stats = sim.node_stats(b);
+        assert_eq!(sim.node::<Blaster>(b).received.len(), 1);
+        assert_eq!((stats.dispatched, stats.dropped_crashed), (1, 2));
+        assert_eq!(stats.dispatched + stats.dropped_crashed, ab.delivered);
+    }
+
     #[test]
     fn timers_fire_in_deadline_then_filing_order() {
         struct TimerNode {
@@ -1081,7 +1066,6 @@ mod tests {
         stats: SimStats,
         /// Link counters, sender→replier then replier→sender.
         link: (LinkStats, LinkStats),
-        trace: Vec<String>,
     }
 
     /// Same-instant dispatch is the one case the deleted burst collector
@@ -1091,8 +1075,8 @@ mod tests {
     /// twelve distinct packets, so a reordered burst shows in the log. The
     /// receiver replies and arms a timer per packet, and the replies are
     /// duplicated back. Every way of driving the engine — plain, profiled,
-    /// traced, `run_until` or a `step` loop — must produce the same
-    /// deliveries in the same order.
+    /// `run_until` or a `step` loop — must produce the same deliveries in
+    /// the same order.
     #[test]
     fn same_instant_dispatch_is_identical_however_the_engine_is_driven() {
         /// Logs everything it sees and does.
@@ -1136,7 +1120,7 @@ mod tests {
             Steps(u64),
         }
         let deadline = SimTime::from_millis(50);
-        let run = |profile: bool, trace: bool, drive: Drive| -> SameInstantRun {
+        let run = |profile: bool, drive: Drive| -> SameInstantRun {
             let mut t = TopologyBuilder::new();
             let a = t.add_node(
                 Reflector {
@@ -1163,7 +1147,6 @@ mod tests {
             );
             let mut sim = t.into_simulator(7);
             sim.profiler_mut().set_enabled(profile);
-            sim.trace_mut().set_enabled(trace);
             match drive {
                 Drive::RunUntil => sim.run_until(deadline),
                 Drive::Steps(n) => {
@@ -1189,11 +1172,10 @@ mod tests {
                 replier: sim.node::<Reflector>(b).log.clone(),
                 stats: sim.stats(),
                 link: (*ab, *ba),
-                trace: sim.trace().entries().map(|e| e.to_string()).collect(),
             }
         };
 
-        let plain = run(false, false, Drive::RunUntil);
+        let plain = run(false, Drive::RunUntil);
         // The scenario is what it claims to be: all twelve packets and
         // their copies reach the replier at one instant, in send order,
         // each copy back to back with its original.
@@ -1211,23 +1193,13 @@ mod tests {
         assert_eq!(plain.sender.iter().filter(|e| e.1 == "rx").count(), 48);
         assert_eq!(plain.stats.timers_fired, 24);
 
-        let profiled = run(true, false, Drive::RunUntil);
-        let traced = run(false, true, Drive::RunUntil);
-        let both = run(true, true, Drive::RunUntil);
-        assert!(plain.trace.is_empty());
+        let profiled = run(true, Drive::RunUntil);
         assert_eq!(plain, profiled, "profiling changed the run");
-        assert_eq!(traced, both, "profiling changed the traced run");
-        let behaviour = |r: &SameInstantRun| (r.sender.clone(), r.replier.clone(), r.stats, r.link);
-        assert_eq!(
-            behaviour(&plain),
-            behaviour(&traced),
-            "tracing changed the run"
-        );
 
         // `run_until(t)` and `step` agree event for event: the same number
-        // of steps reproduces the same trace, logs and counters.
-        let stepped = run(false, true, Drive::Steps(traced.stats.events_processed));
-        assert_eq!(traced, stepped);
+        // of steps reproduces the same logs and counters.
+        let stepped = run(false, Drive::Steps(plain.stats.events_processed));
+        assert_eq!(plain, stepped);
     }
 
     #[test]

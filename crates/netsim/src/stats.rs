@@ -1,4 +1,11 @@
 //! Counters collected during a run.
+//!
+//! These counters are the simulator's whole account of its packets; it
+//! keeps no per-packet log. A packet a link refuses or loses lands in one
+//! [`LinkStats`] drop counter, and a packet that reaches a node is either
+//! [`NodeStats::dispatched`] or [`NodeStats::dropped_crashed`]. Which
+//! packet went where is answered by packet lineage and the spans of
+//! `hydranet-obs`, not here.
 
 /// Per-direction link counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,9 +44,12 @@ impl LinkStats {
 /// Per-node counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeStats {
-    /// Packets dispatched to the node's handler.
+    /// Packets handed to the node's handler, counted when the handler runs
+    /// (after the CPU delay).
     pub dispatched: u64,
-    /// Packets discarded because the node was crashed.
+    /// Packets discarded because the node was crashed: on arrival, or while
+    /// they waited for the CPU. Every arrival is dispatched, dropped here,
+    /// or still waiting for its dispatch.
     pub dropped_crashed: u64,
     /// Accumulated CPU busy time in nanoseconds.
     pub cpu_busy_nanos: u64,
@@ -53,9 +63,6 @@ pub struct SimStats {
     /// Timers delivered to their node; a crashed node's pending timers are
     /// dropped uncounted.
     pub timers_fired: u64,
-    /// Packet-trace entries evicted from the trace ring to make room for
-    /// newer ones (0 when tracing is off or the ring never filled).
-    pub trace_dropped: u64,
 }
 
 #[cfg(test)]

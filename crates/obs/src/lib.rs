@@ -86,26 +86,6 @@ pub mod kinds {
     pub const STALE_EPOCH_REJECTED: &str = "mgmt.controller.stale_epoch_rejected";
 }
 
-/// Well-known metric names published by the parallel experiment engine
-/// (`hydranet-bench::runner`). Kept here so the registry keys used by the
-/// bench crate and asserted on by telemetry consumers live in one place.
-pub mod runner_metrics {
-    /// Counter: total tasks completed by the worker pool.
-    pub const TASKS_COMPLETED: &str = "runner.tasks_completed";
-    /// Counter: summed busy wall-clock nanoseconds across all workers.
-    pub const WORKER_BUSY_NANOS: &str = "runner.worker_busy_nanos";
-    /// Counter: wall-clock nanoseconds for the whole pool run.
-    pub const WALL_NANOS: &str = "runner.wall_nanos";
-    /// Gauge: number of worker threads used.
-    pub const THREADS: &str = "runner.threads";
-    /// Gauge: pool utilization, `worker_busy / (wall * threads)` in `[0, 1]`.
-    pub const UTILIZATION: &str = "runner.utilization";
-    /// Gauge: aggregate simulated events per wall-clock second.
-    pub const EVENTS_PER_SEC: &str = "runner.events_per_sec";
-    /// Histogram: per-task wall-clock nanoseconds.
-    pub const TASK_NANOS: &str = "runner.task_nanos";
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     registry: Registry,
@@ -191,16 +171,6 @@ impl Obs {
     /// [`Counter`] handle on hot paths).
     pub fn add(&self, name: &str, delta: u64) {
         self.counter(name).add(delta);
-    }
-
-    /// One-shot gauge set.
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        self.gauge(name).set(value);
-    }
-
-    /// One-shot histogram record.
-    pub fn record(&self, name: &str, value: u64) {
-        self.histogram(name).record(value);
     }
 
     /// Appends a timeline event at `at_nanos` simulated nanoseconds.
@@ -293,8 +263,8 @@ impl Obs {
         }
     }
 
-    /// Spans evicted from the flight-recorder ring so far (the cap-and-
-    /// evict counter surfaced next to `SimStats::trace_dropped`).
+    /// Spans evicted from the flight-recorder ring so far (surfaced as
+    /// `flight_recorder_evicted` in `System::telemetry_json`).
     pub fn trace_evicted(&self) -> u64 {
         self.with_trace(0, trace::TraceData::evicted)
     }
@@ -379,43 +349,6 @@ impl Obs {
             .map(|e| e.at_nanos - detect)
     }
 
-    /// Records one worker-pool run of the parallel experiment engine into
-    /// the registry under the [`runner_metrics`] names, so the telemetry
-    /// JSON shows engine utilization next to the simulation metrics.
-    ///
-    /// `events` is the total number of simulated events processed across
-    /// all tasks; pass `0` when the workload does not count events and the
-    /// `runner.events_per_sec` gauge will read zero.
-    pub fn record_runner(
-        &self,
-        threads: usize,
-        tasks_completed: u64,
-        worker_busy_nanos: u64,
-        wall_nanos: u64,
-        events: u64,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.add(runner_metrics::TASKS_COMPLETED, tasks_completed);
-        self.add(runner_metrics::WORKER_BUSY_NANOS, worker_busy_nanos);
-        self.add(runner_metrics::WALL_NANOS, wall_nanos);
-        self.set_gauge(runner_metrics::THREADS, threads as f64);
-        let capacity = wall_nanos.saturating_mul(threads as u64);
-        let utilization = if capacity == 0 {
-            0.0
-        } else {
-            worker_busy_nanos as f64 / capacity as f64
-        };
-        self.set_gauge(runner_metrics::UTILIZATION, utilization);
-        let events_per_sec = if wall_nanos == 0 {
-            0.0
-        } else {
-            events as f64 * 1e9 / wall_nanos as f64
-        };
-        self.set_gauge(runner_metrics::EVENTS_PER_SEC, events_per_sec);
-    }
-
     /// Serialises registry + timeline as a JSON document.
     pub fn to_json(&self) -> String {
         self.to_json_with_meta(&[])
@@ -460,7 +393,7 @@ mod tests {
     fn disabled_obs_is_a_noop() {
         let obs = Obs::disabled();
         obs.add("x", 3);
-        obs.record("h", 9);
+        obs.histogram("h").record(9);
         obs.event(5, kinds::DETECTOR_SUSPECTED, &[]);
         assert!(!obs.is_enabled());
         assert!(obs.events().is_empty());
@@ -497,39 +430,6 @@ mod tests {
         obs.event(1_000, kinds::PROMOTED, &[]);
         obs.event(2_000, kinds::DETECTOR_SUSPECTED, &[]);
         assert_eq!(obs.detection_latency_nanos(), None);
-    }
-
-    #[test]
-    fn record_runner_publishes_engine_utilization() {
-        let obs = Obs::enabled();
-        // 4 threads, 10 tasks, workers busy 6s of an 8s-capacity window
-        // (2s wall), processing 1_000_000 events.
-        obs.record_runner(4, 10, 6_000_000_000, 2_000_000_000, 1_000_000);
-        let j = obs.to_json();
-        for needle in [
-            "\"runner.tasks_completed\": 10",
-            "\"runner.worker_busy_nanos\": 6000000000",
-            "\"runner.wall_nanos\": 2000000000",
-            "\"runner.threads\": 4",
-            "\"runner.utilization\": 0.75",
-            "\"runner.events_per_sec\": 500000",
-        ] {
-            assert!(j.contains(needle), "missing {needle} in {j}");
-        }
-        // Counters accumulate across runs; gauges reflect the latest run.
-        obs.record_runner(2, 5, 1_000_000_000, 1_000_000_000, 0);
-        let j = obs.to_json();
-        assert!(j.contains("\"runner.tasks_completed\": 15"), "{j}");
-        assert!(j.contains("\"runner.threads\": 2"), "{j}");
-        assert!(j.contains("\"runner.utilization\": 0.5"), "{j}");
-        assert!(j.contains("\"runner.events_per_sec\": 0"), "{j}");
-    }
-
-    #[test]
-    fn record_runner_on_disabled_handle_is_noop() {
-        let obs = Obs::disabled();
-        obs.record_runner(4, 10, 1, 1, 1);
-        assert!(obs.to_json().contains("\"counters\": {}"));
     }
 
     #[test]
@@ -607,8 +507,8 @@ mod tests {
     fn json_has_all_sections() {
         let obs = Obs::enabled();
         obs.add("a.b.count", 1);
-        obs.set_gauge("a.b.level", 0.5);
-        obs.record("a.b.lat_us", 100);
+        obs.gauge("a.b.level").set(0.5);
+        obs.histogram("a.b.lat_us").record(100);
         obs.event(9, kinds::PROMOTED, &[("host", "10.0.2.1".into())]);
         let j = obs.to_json_with_meta(&[("scenario", "test".into())]);
         for needle in [

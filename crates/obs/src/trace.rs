@@ -11,17 +11,21 @@
 //!   crash→detect→report→promote→reconverge, redirector multicast fan-out,
 //!   ack-channel flushes), each carrying a bounded list of timestamped
 //!   key/value notes;
-//! - a **flight recorder**: retired spans live in a bounded ring (like the
-//!   PR 1 packet trace) with an eviction counter, so tracing through a
-//!   multi-second chaos run costs capped memory; on an invariant violation
-//!   the whole thing dumps as self-contained JSON — the failing seed's
-//!   causal story without a re-run;
+//! - a **flight recorder**: retired spans live in a bounded ring with an
+//!   eviction counter, so tracing through a multi-second chaos run costs
+//!   capped memory; on an invariant violation the whole thing dumps as
+//!   self-contained JSON — the failing seed's causal story without a
+//!   re-run;
 //! - **Chrome trace export**: the same spans as chrome://tracing
 //!   `traceEvents` JSON;
 //! - a **span fingerprint**: an FNV-1a hash over the canonical span
 //!   serialisation, containing only simulated time — the determinism
 //!   guard pins it bit-identical across thread counts and calendar
 //!   backends.
+//!
+//! This is the workspace's one tracer: the simulator keeps counters, not a
+//! packet log, and a packet is followed across hops by the lineage id its
+//! spans' notes carry.
 //!
 //! Everything here is sim-time only (`u64` nanoseconds); no wall clock
 //! ever enters a span, so traces are bit-identical across runs.
@@ -30,6 +34,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 use crate::json;
+use crate::kinds;
 
 /// Span categories get stable Chrome-trace thread ids so each family
 /// renders as its own track.
@@ -85,6 +90,13 @@ impl Span {
             Some(e) => json::push_u64(out, e),
             None => out.push_str("null"),
         }
+        self.write_notes(out);
+        out.push('}');
+    }
+
+    /// Writes `, "notes": [[at, k, v], …]` — one array, so notes sharing a
+    /// key and an instant all survive a JSON parser.
+    fn write_notes(&self, out: &mut String) {
         out.push_str(", \"notes\": [");
         for (i, (at, k, v)) in self.notes.iter().enumerate() {
             if i > 0 {
@@ -98,7 +110,7 @@ impl Span {
             json::push_string(out, v);
             out.push(']');
         }
-        out.push_str("]}");
+        out.push(']');
     }
 
     fn fingerprint_into(&self, acc: &mut u64) {
@@ -141,6 +153,20 @@ fn fnv_str(acc: &mut u64, s: &str) {
 /// lineage-linked packet a wedged connection saw always survives.
 pub const NOTES_PER_SPAN: usize = 16;
 
+/// Span key of the fail-over root; a phase's key is `failover/<phase>`.
+const FAILOVER_ROOT: &str = "failover";
+
+/// The fail-over phase table, in §4.3 order: timeline kind → phase it
+/// closes → phase it opens. A crash closes nothing (it starts the tree);
+/// the last phase opens nothing (the root closes with it).
+const FAILOVER_PHASES: [(&str, Option<&str>, Option<&str>); 5] = [
+    (kinds::NODE_CRASHED, None, Some("detect")),
+    (kinds::DETECTOR_SUSPECTED, Some("detect"), Some("report")),
+    (kinds::FAILURE_REPORTED, Some("report"), Some("promote")),
+    (kinds::PROMOTED, Some("promote"), Some("reconverge")),
+    (kinds::CHAIN_RECONFIGURED, Some("reconverge"), None),
+];
+
 /// The tracer state behind an enabled [`crate::Obs`]: open spans keyed by
 /// caller-chosen strings, plus the bounded ring of retired spans.
 #[derive(Debug)]
@@ -153,7 +179,8 @@ pub struct TraceData {
     ring: VecDeque<Span>,
     capacity: usize,
     evicted: u64,
-    /// Fail-over phase machine: the id of the open root span, if any.
+    /// Fail-over phase machine: the id of the first fail-over's root span.
+    /// It stays set once the tree closes, so only one fail-over is spanned.
     failover_root: Option<u64>,
 }
 
@@ -250,99 +277,47 @@ impl TraceData {
         }
     }
 
-    /// Feeds one timeline event into the fail-over phase machine: the
-    /// well-known kinds (`netsim.node.crashed` → `tcp.detector.suspected`
-    /// → `mgmt.daemon.failure_reported` → `mgmt.daemon.promoted` →
-    /// `mgmt.controller.chain_reconfigured`) open and close the
-    /// crash→detect→report→promote→reconverge phase spans with zero
-    /// cross-component coordination. Out-of-order or repeated kinds are
-    /// ignored — only the first fail-over is spanned.
+    /// Feeds one timeline event into the fail-over phase machine, driven by
+    /// [`FAILOVER_PHASES`]: the first `netsim.node.crashed` opens the
+    /// `crash→reconverge` root and its `detect` phase, each later kind
+    /// closes the phase it names and opens the next, and
+    /// `mgmt.controller.chain_reconfigured` closes the last phase and the
+    /// root. The event's fields become notes on the root (crash) or on the
+    /// phase it closes. A kind whose phase is not open — out of order or
+    /// repeated — does nothing, and only the first fail-over is spanned.
     pub(crate) fn on_event(&mut self, at_nanos: u64, kind: &str, fields: &[(&str, String)]) {
-        let note_fields = |span: &mut Span, at: u64| {
-            for (k, v) in fields {
-                if span.notes.len() >= NOTES_PER_SPAN {
-                    span.notes.remove(0);
-                }
-                span.notes.push((at, (*k).to_string(), v.clone()));
-            }
+        let Some(&(_, closes, opens)) = FAILOVER_PHASES.iter().find(|(k, ..)| *k == kind) else {
+            return;
         };
-        match kind {
-            crate::kinds::NODE_CRASHED if self.failover_root.is_none() => {
-                let root = self.open("failover", "failover", "crash→reconverge", None, at_nanos);
-                self.failover_root = Some(root);
-                self.open(
-                    "failover/detect",
+        let phase_key = |phase: &str| format!("{FAILOVER_ROOT}/{phase}");
+        let closes = closes.map(phase_key);
+        let root = match (&closes, self.failover_root) {
+            (None, None) => {
+                let root = self.open(
+                    FAILOVER_ROOT,
                     "failover",
-                    "detect",
-                    Some(root),
+                    "crash→reconverge",
+                    None,
                     at_nanos,
                 );
-                if let Some(span) = self.open.get_mut("failover") {
-                    note_fields(span, at_nanos);
-                }
+                self.failover_root = Some(root);
+                root
             }
-            crate::kinds::DETECTOR_SUSPECTED => {
-                if let Some(root) = self.failover_root {
-                    if self.open.contains_key("failover/detect") {
-                        if let Some(span) = self.open.get_mut("failover/detect") {
-                            note_fields(span, at_nanos);
-                        }
-                        self.close("failover/detect", at_nanos);
-                        self.open(
-                            "failover/report",
-                            "failover",
-                            "report",
-                            Some(root),
-                            at_nanos,
-                        );
-                    }
-                }
+            (Some(key), Some(root)) if self.open.contains_key(key) => root,
+            _ => return,
+        };
+        let noted = closes.as_deref().unwrap_or(FAILOVER_ROOT);
+        for (k, v) in fields {
+            self.note(noted, at_nanos, k, v.clone());
+        }
+        if let Some(key) = &closes {
+            self.close(key, at_nanos);
+        }
+        match opens {
+            Some(phase) => {
+                self.open(&phase_key(phase), "failover", phase, Some(root), at_nanos);
             }
-            crate::kinds::FAILURE_REPORTED => {
-                if let Some(root) = self.failover_root {
-                    if self.open.contains_key("failover/report") {
-                        if let Some(span) = self.open.get_mut("failover/report") {
-                            note_fields(span, at_nanos);
-                        }
-                        self.close("failover/report", at_nanos);
-                        self.open(
-                            "failover/promote",
-                            "failover",
-                            "promote",
-                            Some(root),
-                            at_nanos,
-                        );
-                    }
-                }
-            }
-            crate::kinds::PROMOTED => {
-                if let Some(root) = self.failover_root {
-                    if self.open.contains_key("failover/promote") {
-                        if let Some(span) = self.open.get_mut("failover/promote") {
-                            note_fields(span, at_nanos);
-                        }
-                        self.close("failover/promote", at_nanos);
-                        self.open(
-                            "failover/reconverge",
-                            "failover",
-                            "reconverge",
-                            Some(root),
-                            at_nanos,
-                        );
-                    }
-                }
-            }
-            crate::kinds::CHAIN_RECONFIGURED
-                if self.failover_root.is_some()
-                    && self.open.contains_key("failover/reconverge") =>
-            {
-                if let Some(span) = self.open.get_mut("failover/reconverge") {
-                    note_fields(span, at_nanos);
-                }
-                self.close("failover/reconverge", at_nanos);
-                self.close("failover", at_nanos);
-            }
-            _ => {}
+            None => self.close(FAILOVER_ROOT, at_nanos),
         }
     }
 
@@ -413,12 +388,7 @@ impl TraceData {
             if open {
                 out.push_str(", \"open\": true");
             }
-            for (at, k, v) in &span.notes {
-                out.push_str(", ");
-                json::push_string(out, &format!("{k}@{at}"));
-                out.push_str(": ");
-                json::push_string(out, v);
-            }
+            span.write_notes(out);
             out.push_str("}}");
         };
         for span in &self.ring {
@@ -540,9 +510,88 @@ mod tests {
         assert_eq!(t.ring[0].start_nanos, 100);
         assert_eq!(t.ring[0].end_nanos, Some(200));
         assert_eq!(t.ring[3].end_nanos, Some(400));
-        // A second crash does not re-open the machine.
-        t.on_event(500, crate::kinds::NODE_CRASHED, &[]);
+        // A crash's fields note the root; any other kind's, the phase it
+        // closes.
+        let note = |i: usize| t.ring[i].notes.clone();
+        assert_eq!(note(4), [(100, "node".to_string(), "n2".to_string())]);
+        assert_eq!(note(2), [(300, "host".to_string(), "10.0.3.1".to_string())]);
+    }
+
+    /// Feeds the §4.3 arc crash → suspected → reported → promoted →
+    /// reconfigured, starting at `t0`.
+    fn failover_arc(t: &mut TraceData, t0: u64) {
+        use crate::kinds::*;
+        let arc = [
+            NODE_CRASHED,
+            DETECTOR_SUSPECTED,
+            FAILURE_REPORTED,
+            PROMOTED,
+            CHAIN_RECONFIGURED,
+        ];
+        for (i, kind) in arc.into_iter().enumerate() {
+            t.on_event(t0 + 100 * i as u64, kind, &[]);
+        }
+    }
+
+    /// A kind whose phase is not open is not a transition: out of order or
+    /// repeated, it opens, closes and notes nothing.
+    #[test]
+    fn kinds_out_of_order_or_repeated_open_and_close_nothing() {
+        use crate::kinds::*;
+        let mut t = TraceData::new(32);
+        // No crash yet: a reconfiguration or promotion is not a fail-over.
+        t.on_event(50, CHAIN_RECONFIGURED, &[("chain", "c".into())]);
+        t.on_event(60, PROMOTED, &[("host", "h".into())]);
+        assert_eq!(t.spans_opened(), 0);
+        assert!(t.open.is_empty() && t.ring.is_empty());
+
+        t.on_event(100, NODE_CRASHED, &[]);
+        // Promotion and reconvergence before the report was made.
+        t.on_event(150, PROMOTED, &[("host", "h".into())]);
+        t.on_event(160, CHAIN_RECONFIGURED, &[]);
+        t.on_event(200, DETECTOR_SUSPECTED, &[]);
+        // Repeats: the phase each would close is already closed.
+        t.on_event(210, DETECTOR_SUSPECTED, &[("again", "1".into())]);
+        t.on_event(220, NODE_CRASHED, &[("node", "n3".into())]);
+        t.on_event(250, FAILURE_REPORTED, &[]);
+        t.on_event(260, FAILURE_REPORTED, &[]);
+        assert_eq!(t.spans_opened(), 4, "root, detect, report, promote");
+        let open: Vec<&str> = t.open.keys().map(String::as_str).collect();
+        assert_eq!(open, ["failover", "failover/promote"]);
+        let retired: Vec<_> = t
+            .ring
+            .iter()
+            .map(|s| (s.name.as_str(), s.end_nanos))
+            .collect();
+        assert_eq!(retired, [("detect", Some(200)), ("report", Some(250))]);
+        assert!(t
+            .ring
+            .iter()
+            .chain(t.open.values())
+            .all(|s| s.notes.is_empty()));
+
+        t.on_event(300, PROMOTED, &[]);
+        t.on_event(400, CHAIN_RECONFIGURED, &[]);
+        t.on_event(410, PROMOTED, &[]);
+        t.on_event(420, CHAIN_RECONFIGURED, &[]);
         assert!(t.open.is_empty());
+        assert_eq!(t.spans_opened(), 5);
+        assert_eq!(t.ring.back().unwrap().end_nanos, Some(400));
+    }
+
+    /// Only the first fail-over is spanned: a second crash after the first
+    /// tree closed starts nothing, and the arc that follows adds nothing.
+    #[test]
+    fn a_second_crash_after_the_first_failover_opens_no_new_tree() {
+        let mut t = TraceData::new(32);
+        failover_arc(&mut t, 100);
+        assert!(t.open.is_empty());
+        assert_eq!(t.spans_opened(), 5);
+        let fingerprint = t.fingerprint();
+        failover_arc(&mut t, 10_000);
+        assert!(t.open.is_empty());
+        assert_eq!(t.spans_opened(), 5);
+        assert_eq!(t.fingerprint(), fingerprint);
     }
 
     #[test]
@@ -596,5 +645,26 @@ mod tests {
         ] {
             assert!(chrome.contains(needle), "missing {needle} in {chrome}");
         }
+    }
+
+    /// A fan-out notes one `member` per chain host at one instant. Notes
+    /// must not become args keys — two equal keys in one object keep only
+    /// the last under a JSON parser — so the Chrome export writes them as
+    /// the flight dump does: one `notes` array, every note in order.
+    #[test]
+    fn chrome_export_keeps_same_instant_notes_with_one_key() {
+        let mut t = TraceData::new(4);
+        t.open("f", "redirect", "fanout", None, 5);
+        t.note("f", 5, "member", "10.0.2.1".into());
+        t.note("f", 5, "member", "10.0.3.1".into());
+        t.close("f", 5);
+        let notes = r#""notes": [[5, "member", "10.0.2.1"], [5, "member", "10.0.3.1"]]"#;
+        let mut chrome = String::new();
+        t.write_chrome_json(&mut chrome);
+        assert!(chrome.contains(notes), "{chrome}");
+        assert_eq!(chrome.matches("\"member").count(), 2, "{chrome}");
+        let mut flight = String::new();
+        t.write_flight_json(&mut flight, &[]);
+        assert!(flight.contains(notes), "{flight}");
     }
 }

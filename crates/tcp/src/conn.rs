@@ -46,8 +46,6 @@ pub struct TcpConfig {
     /// reported in its own datagram (the paper's §4.2 per-segment
     /// behaviour).
     pub ackchan_flush_delay: SimDuration,
-    /// Pending report pairs that force an immediate ack-channel flush.
-    pub ackchan_max_pairs: usize,
     /// How long to linger in TIME-WAIT.
     pub time_wait: SimDuration,
     /// Send-gate starvation watchdog: fires [`ConnEvent::GateStarved`]
@@ -84,7 +82,6 @@ impl Default for TcpConfig {
             // floor, so a full chain of flush delays can never race a
             // retransmission timer.
             ackchan_flush_delay: SimDuration::from_millis(4),
-            ackchan_max_pairs: 32,
             time_wait: SimDuration::from_secs(30),
             gate_watchdog: true,
         }

@@ -53,6 +53,10 @@ use crate::ft::{
 use crate::segment::{Quad, SockAddr, TcpFlags, TcpSegment};
 use crate::udp::{UdpDatagram, UDP_HEADER_LEN};
 
+/// Pending ack-channel reports (one per connection) that force a flush
+/// before the flush timer: a full batch gains nothing by waiting.
+const ACKCHAN_FLUSH_PAIRS: usize = 32;
+
 /// Application callbacks for one TCP connection.
 ///
 /// Handlers receive a [`SocketIo`] scoped to the connection; they may read,
@@ -1218,10 +1222,11 @@ impl TcpStack {
                 .map(|r| r.predecessor);
             for seg in segments.drain(..) {
                 match divert {
-                    Some(Some(pred)) => {
+                    Some(Some(_)) => {
                         // Backup: strip to (SEQ, ACK) and forward along the
                         // acknowledgement channel; discard the contents
-                        // (§4.3).
+                        // (§4.3). The predecessor is resolved again at
+                        // flush time.
                         let msg = AckChanMsg {
                             client: quad.remote,
                             service: quad.local,
@@ -1229,7 +1234,7 @@ impl TcpStack {
                             ack: seg.ack,
                         };
                         let control = seg.flags.syn || seg.flags.fin || seg.flags.rst;
-                        self.queue_ack_report(quad, pred, msg, control, now);
+                        self.queue_ack_report(quad, msg, control, now);
                     }
                     Some(None) => {
                         // Backup with no predecessor configured yet: the
@@ -1296,29 +1301,22 @@ impl TcpStack {
     ///
     /// Flushes immediately when the report carries connection-lifecycle
     /// state (SYN/FIN/RST segments — handshakes must not wait), when the
-    /// batch reaches `ackchan_max_pairs`, or — `ackchan_flush_delay` of
-    /// zero — always (the paper's per-segment behaviour, used as the
-    /// reference arm in equivalence tests).
+    /// batch reaches [`ACKCHAN_FLUSH_PAIRS`], or — `ackchan_flush_delay` of
+    /// zero — always, so every report leaves alone in its own datagram (the
+    /// paper's per-segment behaviour, used as the reference arm in
+    /// equivalence tests).
     ///
     /// The flush deadline is `ackchan_flush_at` itself, which
     /// [`TcpStack::next_deadline`] folds in beside the connections' heap.
-    fn queue_ack_report(
-        &mut self,
-        quad: Quad,
-        pred: IpAddr,
-        msg: AckChanMsg,
-        control: bool,
-        now: SimTime,
-    ) {
+    fn queue_ack_report(&mut self, quad: Quad, msg: AckChanMsg, control: bool, now: SimTime) {
         let delay = self.cfg.ackchan_flush_delay;
-        if delay == SimDuration::ZERO {
-            self.send_ack_batch(quad.local.addr, pred, &[msg], now);
-            return;
-        }
         if self.ackchan_pending.insert(quad, msg).is_some() {
             self.stats.ackchan_coalesced += 1;
         }
-        if control || self.ackchan_pending.len() >= self.cfg.ackchan_max_pairs.max(1) {
+        if control
+            || delay == SimDuration::ZERO
+            || self.ackchan_pending.len() >= ACKCHAN_FLUSH_PAIRS
+        {
             self.flush_ackchan(now);
         } else if self.ackchan_flush_at.is_none() {
             self.ackchan_flush_at = Some(now + delay);

@@ -347,10 +347,15 @@ fn deliver_tcp(stack: &mut TcpStack, seg: TcpSegment, now: SimTime) {
 /// Client-side SYN; the backup diverts its SYN-ACK into a report (a
 /// control report: flushed immediately).
 fn deliver_syn(stack: &mut TcpStack, now: SimTime) {
+    deliver_syn_from(stack, CLIENT_PORT, now);
+}
+
+/// [`deliver_syn`] from client port `port`.
+fn deliver_syn_from(stack: &mut TcpStack, port: u16, now: SimTime) {
     deliver_tcp(
         stack,
         TcpSegment {
-            src_port: CLIENT_PORT,
+            src_port: port,
             dst_port: 80,
             seq: SeqNum::new(CLIENT_ISS),
             ack: SeqNum::new(0),
@@ -365,15 +370,17 @@ fn deliver_syn(stack: &mut TcpStack, now: SimTime) {
 /// The nth in-order 100-byte client data segment (0-based), acking the
 /// backup's deterministic ISS so the segment is fully acceptable.
 fn deliver_data(stack: &mut TcpStack, n: u32, now: SimTime) {
-    let quad = Quad::new(
-        SockAddr::new(B_ADDR, 80),
-        SockAddr::new(A_ADDR, CLIENT_PORT),
-    );
+    deliver_data_from(stack, CLIENT_PORT, n, now);
+}
+
+/// [`deliver_data`] on the connection from client port `port`.
+fn deliver_data_from(stack: &mut TcpStack, port: u16, n: u32, now: SimTime) {
+    let quad = Quad::new(SockAddr::new(B_ADDR, 80), SockAddr::new(A_ADDR, port));
     let iss = deterministic_iss(quad);
     deliver_tcp(
         stack,
         TcpSegment {
-            src_port: CLIENT_PORT,
+            src_port: port,
             dst_port: 80,
             seq: SeqNum::new(CLIENT_ISS + 1 + n * 100),
             ack: SeqNum::new(iss.raw().wrapping_add(1)),
@@ -422,19 +429,27 @@ fn ackchan_reports_coalesce_until_the_flush_timer() {
 
 #[test]
 fn ackchan_pair_cap_forces_immediate_flush() {
-    let cfg = TcpConfig {
-        ackchan_max_pairs: 1,
-        ..TcpConfig::default()
-    };
-    let mut s = backup_stack(cfg);
-    deliver_syn(&mut s, SimTime::from_millis(1));
-    s.take_packets();
-    for n in 0..3 {
-        deliver_data(&mut s, n, SimTime::from_millis(2));
+    let mut s = backup_stack(TcpConfig::default());
+    let ports: Vec<u16> = (0..32).map(|i| CLIENT_PORT + i).collect();
+    for &port in &ports {
+        deliver_syn_from(&mut s, port, SimTime::from_millis(1));
     }
-    // Cap of one pair: every report is its own datagram, nothing coalesces.
-    assert_eq!(reports_to_pred(&s.take_packets()), 3);
-    assert_eq!(s.stats().ackchan_tx, 4);
+    assert_eq!(
+        reports_to_pred(&s.take_packets()),
+        32,
+        "SYN reports never wait"
+    );
+    // One report per connection: 31 pending pairs wait for the flush timer.
+    let t1 = SimTime::from_millis(2);
+    for &port in &ports[..31] {
+        deliver_data_from(&mut s, port, 0, t1);
+    }
+    assert_eq!(reports_to_pred(&s.take_packets()), 0, "below the cap");
+    // The 32nd pending pair is the cap: one datagram carries all 32 at
+    // once, before the timer.
+    deliver_data_from(&mut s, ports[31], 0, t1);
+    assert_eq!(reports_to_pred(&s.take_packets()), 1);
+    assert_eq!(s.stats().ackchan_tx, 64);
     assert_eq!(s.stats().ackchan_coalesced, 0);
 }
 
