@@ -1,11 +1,11 @@
 //! A fast hasher for the simulator's integer-keyed maps.
 //!
 //! The TCP stack's demux map and the redirector's flow table key their
-//! entries by engine-assigned integers, probed once per packet. Std's
-//! default SipHash is DoS-resistant but costs far more than the surrounding
-//! work; these keys are engine-internal and never attacker-controlled, so a
-//! single Fibonacci multiply suffices to spread consecutive ids across
-//! buckets.
+//! entries by packed connection quads and engine-assigned integers,
+//! probed once per packet. Std's default SipHash is DoS-resistant but
+//! costs far more than the surrounding work; these keys are
+//! engine-internal and never attacker-controlled, so a Fibonacci multiply
+//! per word suffices to spread them across buckets.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -15,17 +15,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// that hashbrown's control bytes are drawn from.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The [`IntHasher`] hash of one word: a Fibonacci multiply with the
-/// product's high half folded down, so every bit of `n` reaches the low
-/// bits of the result — the step a composite key must take *between* its
-/// words: `fold_mul(fold_mul(lo) ^ hi)` mixes all 128 bits of a two-word
-/// key.
-pub fn fold_mul(n: u64) -> u64 {
-    let mut h = IntHasher::default();
-    h.write_u64(n);
-    h.finish()
-}
-
 /// Multiply-only hasher for integer keys.
 ///
 /// Not DoS-resistant — use only for keys the engine itself assigns.
@@ -33,8 +22,9 @@ pub fn fold_mul(n: u64) -> u64 {
 /// Built for one-word keys. Chaining `write_u64` calls is *not* a mix of
 /// the words: a multiply only carries differences upward and
 /// [`finish`](Hasher::finish) folds once, so a difference in bits 32.. of an
-/// earlier word never reaches the low 32 bits of the result. Hash composite
-/// keys with [`fold_mul`] between the words instead.
+/// earlier word never reaches the low 32 bits of the result.
+/// [`write_u128`](Hasher::write_u128) folds between its two words instead,
+/// so a `u128` key (a packed connection quad) mixes all its bits.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IntHasher(u64);
 
@@ -42,9 +32,9 @@ impl Hasher for IntHasher {
     fn finish(&self) -> u64 {
         // A product's low bits depend only on equally-low key bits, and
         // hashbrown draws its bucket index from the low bits: a key whose
-        // variance lives up high (the stack's packed demux quads keep the
-        // local port in bits 0..16) would pile every entry into a handful
-        // of buckets. Folding the well-mixed high half down makes every
+        // variance lives up high (a packed quad keeps the local port in
+        // bits 0..16) would pile every entry into a handful of buckets.
+        // Folding the well-mixed high half down makes every
         // key bit reach the bucket index; the control byte (top 7 bits)
         // is unaffected.
         self.0 ^ (self.0 >> 32)
@@ -52,7 +42,7 @@ impl Hasher for IntHasher {
 
     fn write(&mut self, bytes: &[u8]) {
         // Generic path for composite keys: fold 8-byte chunks. The engine's
-        // maps use `write_u64`/`write_usize`, so this is rarely exercised.
+        // maps use the integer writes, so this is rarely exercised.
         for chunk in bytes.chunks(8) {
             let mut buf = [0u8; 8];
             buf[..chunk.len()].copy_from_slice(chunk);
@@ -71,6 +61,14 @@ impl Hasher for IntHasher {
     fn write_u32(&mut self, n: u32) {
         self.write_u64(u64::from(n));
     }
+
+    fn write_u128(&mut self, n: u128) {
+        // Fold the low word's product before the high word goes in, so the
+        // low word's high bits (a quad's remote port) reach the index too.
+        self.write_u64(n as u64);
+        self.0 = self.finish();
+        self.write_u64((n >> 64) as u64);
+    }
 }
 
 /// [`BuildHasher`](std::hash::BuildHasher) for [`IntHasher`].
@@ -83,6 +81,7 @@ pub type IntMap<K, V> = HashMap<K, V, IntBuildHasher>;
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::hash::BuildHasher;
 
     #[test]
     fn consecutive_keys_spread_across_buckets() {
@@ -103,8 +102,8 @@ mod tests {
 
     #[test]
     fn high_bit_variance_reaches_the_bucket_index() {
-        // Keys shaped like the stack's packed demux quads: all variance in
-        // bits 16.. (remote endpoint), constant low 16 bits (local port).
+        // Keys shaped like a packed quad's low word: all variance in bits
+        // 16.. (an address), constant low 16 bits (a service port).
         // The low hash bits pick the bucket, so they must still spread.
         let mut low_bits = HashSet::new();
         for i in 0u64..4096 {
@@ -148,12 +147,30 @@ mod tests {
         assert!(low_bits.len() <= 8, "{} indices", low_bits.len());
     }
 
+    fn hash_u128(lo: u64, hi: u64) -> u64 {
+        IntBuildHasher::default().hash_one(u128::from(hi) << 64 | u128::from(lo))
+    }
+
     #[test]
-    fn fold_mul_between_words_mixes_every_bit() {
+    fn write_u128_mixes_every_bit() {
         let low_bits: HashSet<u64> = flow_words()
-            .map(|(lo, hi)| fold_mul(fold_mul(lo) ^ hi) & 0xFFF)
+            .map(|(lo, hi)| hash_u128(lo, hi) & 0xFFF)
             .collect();
         assert!(low_bits.len() > 2500, "{} indices", low_bits.len());
+    }
+
+    #[test]
+    fn write_u128_is_the_two_step_fold() {
+        // The flow table's slot placement, growth and memory rest on this
+        // exact value: hash the low word, fold its product, mix in the
+        // high word and fold again.
+        let fold = |n: u64| {
+            let p = n.wrapping_mul(FIB);
+            p ^ (p >> 32)
+        };
+        for (lo, hi) in flow_words() {
+            assert_eq!(hash_u128(lo, hi), fold(fold(lo) ^ hi), "{lo:#x} {hi:#x}");
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! resolves identically until the redirector table or the routing table
 //! changes. Caching a small verdict per flow quad turns the per-packet
 //! table lookup into one probe of a dense power-of-two slot array — the
-//! same flat-map idea as the TCP stack's packed-quad demux.
+//! same flat-map idea and the same key ([`Quad::key`]) as the TCP stack's
+//! demux.
 //!
 //! Layout is struct-of-arrays: the packed keys sit in one array (a probe
 //! touches nothing else), the small `Copy` values beside them; whatever is
@@ -23,10 +24,14 @@
 //! The bound only keeps the array small if the hash spreads the keys: all
 //! 96 significant key bits must reach the slot index. Flows of one client
 //! differ only in the source port (bits 48..64 of the low word), so the low
-//! word is folded before the high word is mixed in — see
-//! [`hydranet_netsim::hash::fold_mul`].
+//! word is folded before the high word is mixed in — the `write_u128` of
+//! [`IntHasher`](hydranet_netsim::hash::IntHasher).
+//!
+//! [`Quad::key`]: hydranet_tcp::segment::Quad::key
 
-use hydranet_netsim::hash::fold_mul;
+use std::hash::BuildHasher;
+
+use hydranet_netsim::hash::IntBuildHasher;
 
 /// Smallest non-empty slot-array size (power of two).
 const MIN_SLOTS: usize = 16;
@@ -71,7 +76,7 @@ impl<V: Copy + Default> FlowTable<V> {
     /// Mixes the 96 significant bits of a packed quad so that every one of
     /// them reaches the low (slot index) bits.
     fn hash(key: u128) -> u64 {
-        fold_mul(fold_mul(key as u64) ^ (key >> 64) as u64)
+        IntBuildHasher::default().hash_one(key)
     }
 
     /// The slot holding `key`, or the free slot it would take: the first

@@ -18,7 +18,7 @@ use hydranet_netsim::routing::RouteTable;
 use hydranet_netsim::time::SimTime;
 use hydranet_obs::metrics::Counter;
 use hydranet_obs::Obs;
-use hydranet_tcp::segment::SockAddr;
+use hydranet_tcp::segment::{Quad, SockAddr};
 
 use crate::flow::FlowTable;
 use crate::table::{RedirectorTable, ServiceEntry};
@@ -484,17 +484,17 @@ impl RedirectorEngine {
     }
 }
 
-/// Packs a whole TCP packet's connection quad into one `u128` flow-cache
-/// key: `src_addr (32) | src_port (16) | dst_addr (32) | dst_port (16)` —
-/// the same flat packed-quad scheme as the TCP stack's demux. The caller
-/// has already peeked `dst_port`, which guarantees the payload holds the
-/// source port too.
+/// A whole TCP packet's flow-cache key: its connection quad as the
+/// service sees it ([`Quad::key`]), the client being the remote end. The
+/// caller has already peeked `dst_port`, which guarantees the payload
+/// holds the source port too.
 fn pack_quad(whole: &IpPacket, dst_port: u16) -> u128 {
     let src_port = u16::from_be_bytes([whole.payload[0], whole.payload[1]]);
-    (whole.src().to_bits() as u128) << 64
-        | (src_port as u128) << 48
-        | (whole.dst().to_bits() as u128) << 16
-        | dst_port as u128
+    Quad::new(
+        SockAddr::new(whole.dst(), dst_port),
+        SockAddr::new(whole.src(), src_port),
+    )
+    .key()
 }
 
 /// Reads the TCP destination port from an (unfragmented) TCP payload.

@@ -40,35 +40,6 @@ pub enum ServiceEntry {
     },
 }
 
-impl ServiceEntry {
-    /// All host addresses a matching packet must be delivered to.
-    pub fn targets(&self) -> Vec<IpAddr> {
-        let mut out = Vec::new();
-        self.for_each_target(|host| out.push(host));
-        out
-    }
-
-    /// Visits each host address a matching packet must be delivered to, in
-    /// delivery order — the allocation-free form of [`targets`] used on the
-    /// redirector's per-packet fast path.
-    ///
-    /// [`targets`]: Self::targets
-    pub fn for_each_target(&self, mut f: impl FnMut(IpAddr)) {
-        match self {
-            ServiceEntry::Scaled { replicas } => {
-                if let Some(r) = replicas.iter().min_by_key(|r| r.metric) {
-                    f(r.host);
-                }
-            }
-            ServiceEntry::FaultTolerant { chain } => {
-                for &host in chain {
-                    f(host);
-                }
-            }
-        }
-    }
-}
-
 /// Maps service access points to their redirection entries.
 ///
 /// # Examples
@@ -83,7 +54,7 @@ impl ServiceEntry {
 /// t.install(sap, ServiceEntry::FaultTolerant {
 ///     chain: vec![IpAddr::new(10, 0, 2, 1), IpAddr::new(10, 0, 3, 1)],
 /// });
-/// assert_eq!(t.lookup(sap).unwrap().targets().len(), 2);
+/// assert_eq!(t.chain(sap).unwrap().len(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RedirectorTable {
@@ -205,37 +176,6 @@ mod tests {
         assert!(t.lookup(sap(23)).is_none()); // telnet not redirected (Fig. 2)
         assert!(t.remove(sap(80)).is_some());
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn ft_entry_targets_whole_chain() {
-        let e = ServiceEntry::FaultTolerant {
-            chain: vec![host(1), host(2), host(3)],
-        };
-        assert_eq!(e.targets(), vec![host(1), host(2), host(3)]);
-    }
-
-    #[test]
-    fn scaled_entry_picks_nearest() {
-        let e = ServiceEntry::Scaled {
-            replicas: vec![
-                ReplicaLoc {
-                    host: host(1),
-                    metric: 10,
-                },
-                ReplicaLoc {
-                    host: host(2),
-                    metric: 3,
-                },
-                ReplicaLoc {
-                    host: host(3),
-                    metric: 7,
-                },
-            ],
-        };
-        assert_eq!(e.targets(), vec![host(2)]);
-        let empty = ServiceEntry::Scaled { replicas: vec![] };
-        assert!(empty.targets().is_empty());
     }
 
     #[test]

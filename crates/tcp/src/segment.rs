@@ -47,6 +47,17 @@ impl Quad {
         Quad { local, remote }
     }
 
+    /// The connection's one lookup key, all 96 bits of the quad packed
+    /// into a `u128`: `remote addr (32) | remote port (16) | local addr
+    /// (32) | local port (16)`. The stack demultiplexes by it, and the
+    /// redirector keys its flow cache by it with the client as remote.
+    pub fn key(self) -> u128 {
+        u128::from(self.remote.addr.to_bits()) << 64
+            | u128::from(self.remote.port) << 48
+            | u128::from(self.local.addr.to_bits()) << 16
+            | u128::from(self.local.port)
+    }
+
     /// The same connection as seen from the other end.
     pub fn flipped(self) -> Quad {
         Quad {
@@ -484,6 +495,26 @@ mod tests {
         );
         assert_eq!(q.flipped().flipped(), q);
         assert_eq!(q.flipped().local.port, 4000);
+    }
+
+    #[test]
+    fn quads_differing_in_any_one_field_get_distinct_keys() {
+        let (a, b) = (IpAddr::new(10, 0, 1, 1), IpAddr::new(10, 0, 9, 9));
+        let q = Quad::new(SockAddr::new(a, 80), SockAddr::new(b, 40_000));
+        let variants = [
+            q,
+            Quad::new(SockAddr::new(b, 80), q.remote),
+            Quad::new(SockAddr::new(a, 81), q.remote),
+            Quad::new(q.local, SockAddr::new(a, 40_000)),
+            Quad::new(q.local, SockAddr::new(b, 40_001)),
+        ];
+        let keys: std::collections::HashSet<u128> = variants.iter().map(|v| v.key()).collect();
+        assert_eq!(keys.len(), variants.len());
+        assert_eq!(
+            q.key(),
+            0x0a00_0909_9c40_0a00_0101_0050,
+            "remote addr | remote port | local addr | local port"
+        );
     }
 
     /// Arbitrary segments round-trip through the wire format (deterministic

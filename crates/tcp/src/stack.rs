@@ -21,11 +21,12 @@
 //! # Many-flow scaling
 //!
 //! Connection state lives in a slab (`Vec` of recycled slots)
-//! demultiplexed through a flat integer-hashed table keyed by a packed
-//! 64-bit triple of the quad, and each connection's earliest deadline is
-//! one entry in a per-stack indexed min-heap, moved in place whenever it
-//! changes. Segment demux costs `O(1)`, [`TcpStack::next_deadline`]
-//! `O(1)`, and [`TcpStack::on_timer`] `O(due · log n)` — never
+//! demultiplexed through a flat integer-hashed table keyed by the whole
+//! quad packed into one `u128` ([`Quad::key`], the redirector's flow key
+//! too), and each connection's earliest deadline is one entry in a
+//! per-stack indexed min-heap, moved in place whenever it changes.
+//! Segment demux costs `O(1)`, [`TcpStack::next_deadline`] `O(1)`, and
+//! [`TcpStack::on_timer`] `O(due · log n)` — never
 //! `O(#connections)`. Everywhere iteration order is schedule-visible
 //! (timer processing, port re-gearing, ack-channel flushes) connections
 //! are visited in ascending `Quad` order, exactly as the former
@@ -192,7 +193,8 @@ pub struct StackStats {
     pub tcp_rx: u64,
     /// UDP datagrams accepted.
     pub udp_rx: u64,
-    /// Packets dropped (bad decode, unknown address; includes corrupt).
+    /// Packets dropped (bad decode, unknown address, a tunnel inside a
+    /// tunnel; includes corrupt).
     pub dropped: u64,
     /// TCP segments and UDP datagrams rejected by their checksum —
     /// in-flight corruption. Counted separately from framing errors so
@@ -213,13 +215,6 @@ pub struct StackStats {
     pub ackchan_rx: u64,
     /// IP-in-IP tunnelled packets decapsulated.
     pub decapsulated: u64,
-    /// Ephemeral ports served from the per-remote recycle list instead of
-    /// the allocation cursor.
-    pub ports_recycled: u64,
-    /// Packet/event drains served by swapping with a caller-retained
-    /// scratch buffer — each one a heap allocation the former
-    /// take-and-drop pattern would have re-paid on the next enqueue.
-    pub bufs_recycled: u64,
     /// Always 0, kept only because the frozen `benchmark/` harness reads it.
     pub fastpath_hits: u64,
     /// Segments handed to an existing connection; the name is kept only
@@ -234,35 +229,6 @@ struct ConnEntry {
 }
 
 type AppFactory = Box<dyn FnMut(Quad) -> Box<dyn SocketApp>>;
-
-/// Packs the demux-relevant 64 bits of a quad: remote address (32),
-/// remote port (16), local port (16). The local *address* is left out —
-/// quads are per-stack and the local address is one of a handful of
-/// stack-local addresses — so two quads collide on a key only when the
-/// same remote endpoint reaches the same local port on two different
-/// local addresses (virtual hosting); the slab entry carries the full
-/// quad, lookups verify it, and such collisions overflow into a short
-/// in-slot list.
-fn demux_key(quad: Quad) -> u64 {
-    (u64::from(quad.remote.addr.to_bits()) << 32)
-        | (u64::from(quad.remote.port) << 16)
-        | u64::from(quad.local.port)
-}
-
-/// Packed remote endpoint: the per-remote key of the ephemeral-port
-/// recycle table.
-fn eph_key(remote: SockAddr) -> u64 {
-    (u64::from(remote.addr.to_bits()) << 16) | u64::from(remote.port)
-}
-
-/// Demux table value: almost always one slab slot; the rare full-key
-/// collision (same remote endpoint, same local port, different local
-/// address) spills into a vector that lookups scan with a full-quad
-/// compare.
-enum DemuxSlot {
-    One(u32),
-    Many(Vec<u32>),
-}
 
 /// One slab slot.
 #[derive(Default)]
@@ -280,14 +246,6 @@ struct Occupant {
     /// check-out/check-in dance per segment moves one pointer, not the
     /// whole multi-hundred-byte connection, and so slab slots stay small.
     entry: Option<Box<ConnEntry>>,
-}
-
-/// Per-remote ephemeral-port bookkeeping: how many in-range ports are
-/// held by parked connections, and closed ports awaiting reuse.
-#[derive(Default)]
-struct EphState {
-    live: u32,
-    free: Vec<u16>,
 }
 
 /// The per-host TCP/UDP protocol engine.
@@ -308,14 +266,12 @@ pub struct TcpStack {
     /// Connection slab: slots are recycled through `free_slots`.
     slots: Vec<ConnSlot>,
     free_slots: Vec<u32>,
-    /// Flat demux table: packed 64-bit key → slab slot(s).
-    demux: IntMap<u64, DemuxSlot>,
+    /// Flat demux table: [`Quad::key`] → slab slot.
+    demux: IntMap<u128, u32>,
     live_conns: usize,
     /// Exactly one entry per connection with a deadline, keyed by slot.
     /// The ack-channel flush deadline is `ackchan_flush_at`, not an entry.
     deadlines: Deadlines,
-    /// Per-remote ephemeral-port recycle state.
-    eph: IntMap<u64, EphState>,
     reassembler: Reassembler,
     ip_id: u16,
     /// Per-stack packet-lineage counter. The stack mints a lineage id for
@@ -387,7 +343,6 @@ impl TcpStack {
             demux: IntMap::default(),
             live_conns: 0,
             deadlines: Deadlines::default(),
-            eph: IntMap::default(),
             reassembler: Reassembler::new(),
             ip_id: 1,
             lineage_counter: 0,
@@ -534,9 +489,8 @@ impl TcpStack {
     }
 
     /// Restricts the ephemeral-port range to `lo..=hi` (default
-    /// `40_000..=65_535`), resets the allocation cursor, and rebuilds the
-    /// per-remote recycle state against the new range. Mainly for tests
-    /// exercising port exhaustion without tens of thousands of
+    /// `40_000..=65_535`) and resets the allocation cursor. Mainly for
+    /// tests exercising port exhaustion without tens of thousands of
     /// connections.
     ///
     /// # Panics
@@ -546,15 +500,6 @@ impl TcpStack {
         assert!(lo <= hi, "empty ephemeral range");
         self.ephemeral_range = (lo, hi);
         self.next_ephemeral = lo;
-        self.eph = IntMap::default();
-        let addr0 = self.addrs[0];
-        for slot in &self.slots {
-            if let Some(occ) = &slot.occ {
-                if occ.quad.local.addr == addr0 && (lo..=hi).contains(&occ.quad.local.port) {
-                    self.eph.entry(eph_key(occ.quad.remote)).or_default().live += 1;
-                }
-            }
-        }
     }
 
     /// Drops all connection state and replicated-port configuration, as a
@@ -566,7 +511,6 @@ impl TcpStack {
         self.free_slots.clear();
         self.demux = IntMap::default();
         self.live_conns = 0;
-        self.eph = IntMap::default();
         self.deadlines = Deadlines::default();
         self.replicated.clear();
         self.out.clear();
@@ -610,8 +554,7 @@ impl TcpStack {
     pub fn conn_memory_bytes(&self) -> usize {
         let mut total = self.slots.capacity() * std::mem::size_of::<ConnSlot>()
             + self.free_slots.capacity() * std::mem::size_of::<u32>()
-            + self.demux.capacity()
-                * (std::mem::size_of::<u64>() + std::mem::size_of::<DemuxSlot>());
+            + self.demux.capacity() * std::mem::size_of::<(u128, u32)>();
         for slot in &self.slots {
             if let Some(entry) = slot.occ.as_ref().and_then(|o| o.entry.as_ref()) {
                 total += std::mem::size_of::<ConnEntry>() + entry.conn.memory_bytes();
@@ -658,7 +601,7 @@ impl TcpStack {
     }
 
     /// Feeds one incoming IP packet (fragments are reassembled internally;
-    /// IP-in-IP tunnels from redirectors are decapsulated).
+    /// one layer of IP-in-IP tunnelling from a redirector is decapsulated).
     pub fn handle_packet(&mut self, packet: IpPacket, now: SimTime) {
         let Some(packet) = self.reassembler.push(now, packet) else {
             return;
@@ -668,18 +611,17 @@ impl TcpStack {
 
     fn handle_assembled(&mut self, packet: IpPacket, now: SimTime) {
         match packet.protocol() {
-            Protocol::IP_IN_IP => {
-                match IpPacket::decode(&packet.payload) {
-                    Ok(inner) => {
-                        self.stats.decapsulated += 1;
-                        // Tunnelled packets address the virtual host; the
-                        // reassembler keyed the outer packet, the inner one
-                        // may itself be fragmented end-to-end.
-                        self.handle_packet(inner, now);
-                    }
-                    Err(_) => self.stats.dropped += 1,
+            Protocol::IP_IN_IP => match IpPacket::decode(&packet.payload) {
+                // Tunnelled packets address the virtual host; the
+                // reassembler keyed the outer packet, the inner one may
+                // itself be fragmented end-to-end. Redirectors tunnel once,
+                // so a second layer is dropped rather than unwrapped.
+                Ok(inner) if inner.protocol() != Protocol::IP_IN_IP => {
+                    self.stats.decapsulated += 1;
+                    self.handle_packet(inner, now);
                 }
-            }
+                _ => self.stats.dropped += 1,
+            },
             Protocol::TCP => {
                 if !self.is_local(packet.dst()) {
                     self.stats.dropped += 1;
@@ -775,9 +717,6 @@ impl TcpStack {
     pub fn take_packets_into(&mut self, buf: &mut Vec<IpPacket>) {
         buf.clear();
         std::mem::swap(buf, &mut self.out);
-        if self.out.capacity() > 0 {
-            self.stats.bufs_recycled += 1;
-        }
     }
 
     /// Drains queued stack events into `buf` (cleared first) by swapping
@@ -785,9 +724,6 @@ impl TcpStack {
     pub fn take_events_into(&mut self, buf: &mut Vec<StackEvent>) {
         buf.clear();
         std::mem::swap(buf, &mut self.events);
-        if self.events.capacity() > 0 {
-            self.stats.bufs_recycled += 1;
-        }
     }
 
     // ------------------------------------------------------------------
@@ -795,14 +731,7 @@ impl TcpStack {
     // ------------------------------------------------------------------
 
     fn lookup_slot(&self, quad: Quad) -> Option<u32> {
-        match self.demux.get(&demux_key(quad))? {
-            DemuxSlot::One(s) => (self.slot_quad(*s) == Some(quad)).then_some(*s),
-            DemuxSlot::Many(v) => v.iter().copied().find(|&s| self.slot_quad(s) == Some(quad)),
-        }
-    }
-
-    fn slot_quad(&self, slot: u32) -> Option<Quad> {
-        self.slots.get(slot as usize)?.occ.as_ref().map(|o| o.quad)
+        self.demux.get(&quad.key()).copied()
     }
 
     /// Checks out a parked connection and names its slot. The slot stays
@@ -825,28 +754,12 @@ impl TcpStack {
             quad,
             entry: Some(entry),
         });
-        match self.demux.entry(demux_key(quad)) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(DemuxSlot::One(slot));
-            }
-            std::collections::hash_map::Entry::Occupied(mut o) => match o.get_mut() {
-                DemuxSlot::One(first) => {
-                    let f = *first;
-                    *o.get_mut() = DemuxSlot::Many(vec![f, slot]);
-                }
-                DemuxSlot::Many(v) => v.push(slot),
-            },
-        }
+        self.demux.insert(quad.key(), slot);
         self.live_conns += 1;
-        let (lo, hi) = self.ephemeral_range;
-        if quad.local.addr == self.addrs[0] && (lo..=hi).contains(&quad.local.port) {
-            self.eph.entry(eph_key(quad.remote)).or_default().live += 1;
-        }
         slot
     }
 
-    /// Frees a slot: deadline withdrawn, demux unlinked, ephemeral port
-    /// returned to the recycle list.
+    /// Frees a slot: deadline withdrawn, demux unlinked.
     fn free_slot(&mut self, slot: u32) {
         let s = &mut self.slots[slot as usize];
         let Some(occ) = s.occ.take() else {
@@ -857,45 +770,7 @@ impl TcpStack {
         }
         self.free_slots.push(slot);
         self.live_conns -= 1;
-        let key = demux_key(occ.quad);
-        enum After {
-            Keep,
-            Remove,
-            Collapse(u32),
-        }
-        let action = match self.demux.get_mut(&key) {
-            None => After::Keep,
-            Some(DemuxSlot::One(s)) => {
-                if *s == slot {
-                    After::Remove
-                } else {
-                    After::Keep
-                }
-            }
-            Some(DemuxSlot::Many(v)) => {
-                v.retain(|&s| s != slot);
-                match v.len() {
-                    0 => After::Remove,
-                    1 => After::Collapse(v[0]),
-                    _ => After::Keep,
-                }
-            }
-        };
-        match action {
-            After::Keep => {}
-            After::Remove => {
-                self.demux.remove(&key);
-            }
-            After::Collapse(s) => {
-                self.demux.insert(key, DemuxSlot::One(s));
-            }
-        }
-        let (lo, hi) = self.ephemeral_range;
-        if occ.quad.local.addr == self.addrs[0] && (lo..=hi).contains(&occ.quad.local.port) {
-            let st = self.eph.entry(eph_key(occ.quad.remote)).or_default();
-            st.live = st.live.saturating_sub(1);
-            st.free.push(occ.quad.local.port);
-        }
+        self.demux.remove(&occ.quad.key());
     }
 
     /// Live connection quads on `port`, ascending — the schedule-visible
@@ -930,66 +805,31 @@ impl TcpStack {
     // ------------------------------------------------------------------
 
     /// Allocates an ephemeral port such that `(local, remote)` is not a
-    /// live connection. The cursor hands out ports sequentially (wrapping
-    /// at the top of the range); when it lands on a held port the
-    /// per-remote recycle list — ports returned by closed connections —
-    /// answers in `O(1)` instead of probing onward. Exhaustion is detected
-    /// up front from the per-remote live count. A quad still parked in the
-    /// table but fully `Closed` does not pin its port: the stale entry is
-    /// reaped and the port recycled.
+    /// live connection: the cursor hands out ports sequentially (wrapping
+    /// at the top of the range) and steps past held ones, giving up after
+    /// one full lap. A quad still parked in the table but fully `Closed`
+    /// does not pin its port: the stale entry is reaped and the port
+    /// reused.
     fn alloc_ephemeral(&mut self, remote: SockAddr) -> Result<u16, EphemeralPortsExhausted> {
         let (lo, hi) = self.ephemeral_range;
-        let span = u32::from(hi - lo) + 1;
-        if self
-            .eph
-            .get(&eph_key(remote))
-            .is_some_and(|st| st.live >= span)
-        {
-            return Err(EphemeralPortsExhausted { remote });
-        }
-        for _ in 0..span {
+        for _ in lo..=hi {
             let port = self.next_ephemeral;
             self.next_ephemeral = if port >= hi { lo } else { port + 1 };
             let quad = Quad::new(SockAddr::new(self.addrs[0], port), remote);
-            match self.lookup_slot(quad) {
-                None => return Ok(port),
-                Some(slot) => {
-                    let closed = self.slots[slot as usize]
-                        .occ
-                        .as_ref()
-                        .and_then(|o| o.entry.as_ref())
-                        .is_some_and(|e| e.conn.state() == TcpState::Closed);
-                    if closed {
-                        self.free_slot(slot);
-                        return Ok(port);
-                    }
-                    // Held by a live connection: try the recycle list
-                    // before walking the cursor onward.
-                    if let Some(p) = self.pop_recycled(remote) {
-                        return Ok(p);
-                    }
-                }
+            let Some(slot) = self.lookup_slot(quad) else {
+                return Ok(port);
+            };
+            let closed = self.slots[slot as usize]
+                .occ
+                .as_ref()
+                .and_then(|o| o.entry.as_ref())
+                .is_some_and(|e| e.conn.state() == TcpState::Closed);
+            if closed {
+                self.free_slot(slot);
+                return Ok(port);
             }
         }
         Err(EphemeralPortsExhausted { remote })
-    }
-
-    /// Pops a recycled port for `remote`, discarding entries invalidated
-    /// by cursor reuse or a range change. Each stale entry is discarded at
-    /// most once, so the amortised cost is `O(1)`.
-    fn pop_recycled(&mut self, remote: SockAddr) -> Option<u16> {
-        let (lo, hi) = self.ephemeral_range;
-        loop {
-            let p = self.eph.get_mut(&eph_key(remote))?.free.pop()?;
-            if !(lo..=hi).contains(&p) {
-                continue;
-            }
-            let quad = Quad::new(SockAddr::new(self.addrs[0], p), remote);
-            if self.lookup_slot(quad).is_none() {
-                self.stats.ports_recycled += 1;
-                return Some(p);
-            }
-        }
     }
 
     fn handle_tcp(&mut self, src: IpAddr, dst: IpAddr, seg: TcpSegment, now: SimTime) {

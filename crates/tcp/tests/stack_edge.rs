@@ -544,20 +544,16 @@ fn ephemeral_exhaustion_is_recoverable_and_ports_recycle() {
         // Closing a connection releases its port for reuse. Close the
         // *first* connection: the cursor (advanced past the range end by
         // the wrap, then spent on `other`) is parked on q2's still-live
-        // port, so the reconnect cannot be served positionally.
+        // port, so the reconnect must step past held ports to reach it.
         host.stack.with_io(q1, ctx.now(), |io| io.close());
         let q5 = host
             .stack
             .connect(remote, Box::new(NullApp), ctx.now())
-            .expect("port recycled after close");
+            .expect("port reused after close");
         assert_eq!(q5.local.port, q1.local.port, "closed port reused");
-        // The reuse came from the O(1) recycle queue (the cursor was
-        // parked on a live port), not from walking the probe loop.
-        assert_eq!(host.stack.stats().ports_recycled, 1);
         // Churn on the saturated range: with the two other ports held by
         // live connections, every close/reconnect cycle must hand the
-        // same port back — via the free list or the cursor landing on the
-        // freed quad, never by scanning into the exhaustion error.
+        // same port back, never scanning into the exhaustion error.
         let mut q = q5;
         for i in 0..30 {
             host.stack.with_io(q, ctx.now(), |io| io.close());
@@ -568,14 +564,8 @@ fn ephemeral_exhaustion_is_recoverable_and_ports_recycle() {
             assert_eq!(q.local.port, q5.local.port, "only one port is free");
             assert_eq!(host.stack.conn_count(), 4, "churn leaked connections");
         }
-        assert!(
-            host.stack.stats().ports_recycled >= 10,
-            "recycle queue barely used: {} recycles in 30 churn cycles",
-            host.stack.stats().ports_recycled
-        );
-        // Stale free-list entries (ports re-issued by the cursor while
-        // still queued) are discarded, not double-allocated: the range
-        // still reports exhaustion once all three ports are live again.
+        // Nothing is double-allocated: the range still reports exhaustion
+        // once all three ports are live again.
         assert!(host
             .stack
             .connect(remote, Box::new(NullApp), ctx.now())
@@ -584,16 +574,13 @@ fn ephemeral_exhaustion_is_recoverable_and_ports_recycle() {
     });
 }
 
-/// Churn the ephemeral recycle queue *through* a demux collision spill.
-/// The demux key packs (remote addr, remote port, local port) but not the
-/// local address, so a `v_host` virtual-address connection sharing the
-/// remote endpoint and local port of an `addrs[0]` connection lands in the
-/// same slot (`DemuxSlot::Many`). Recycling the `addrs[0]` port over and
-/// over must keep resolving against the full quad: the spill partner is
-/// neither aliased by a recycled allocation nor lost when the spill
-/// collapses back to a single slot.
+/// Two quads that differ only in local address — an inbound connection to
+/// a `v_host` virtual address and an outbound one from `addrs[0]`, same
+/// remote endpoint, same local port — demultiplex apart through 20
+/// close/reconnect cycles of the outbound one: the reused port never
+/// aliases the partner, and closing it never loses the partner.
 #[test]
-fn recycle_churn_through_demux_collision_spill_never_aliases() {
+fn quads_differing_only_in_local_addr_demux_apart_through_churn() {
     const V_ADDR: IpAddr = IpAddr::new(10, 0, 9, 9);
     let (mut sim, a, _b) = pair();
     sim.with_node_ctx::<StackHost, _>(a, |host, ctx| {
@@ -602,9 +589,8 @@ fn recycle_churn_through_demux_collision_spill_never_aliases() {
         host.stack.listen(50_001, |_q| Box::new(NullApp));
         let remote = SockAddr::new(B_ADDR, 80);
 
-        // The spill partner: an inbound connection from the same remote
-        // endpoint to the *virtual* address on a port inside the
-        // ephemeral range.
+        // The partner: an inbound connection from the same remote endpoint
+        // to the *virtual* address on a port inside the ephemeral range.
         let seg = TcpSegment {
             src_port: 80,
             dst_port: 50_001,
@@ -622,10 +608,10 @@ fn recycle_churn_through_demux_collision_spill_never_aliases() {
         );
         host.stack.handle_packet(packet, ctx.now());
         let partner = Quad::new(SockAddr::new(V_ADDR, 50_001), remote);
-        assert!(host.stack.conn(partner).is_some(), "spill partner missing");
+        assert!(host.stack.conn(partner).is_some(), "partner missing");
 
         // Saturate the range towards the same remote: the allocation on
-        // port 50001 shares its demux slot with the partner.
+        // port 50001 differs from the partner only in local address.
         let quads: Vec<Quad> = (0..3)
             .map(|i| {
                 host.stack
@@ -633,45 +619,82 @@ fn recycle_churn_through_demux_collision_spill_never_aliases() {
                     .unwrap_or_else(|_| panic!("connect {i}"))
             })
             .collect();
-        let spilled = *quads
+        let shared = *quads
             .iter()
             .find(|q| q.local.port == 50_001)
             .expect("range must include the partner's port");
         assert_eq!(host.stack.conn_count(), 4);
 
-        // Churn the spilled port through close/reconnect. Each cycle the
-        // spill collapses to the partner alone and re-spills on reuse; a
-        // key-only (quad-less) lookup anywhere in the recycle path would
-        // either alias the partner's slot or refuse to recycle the port
-        // (exhaustion), and a collapse bug would drop the partner.
+        // Churn the shared port through close/reconnect. A key that left
+        // out the local address would either alias the partner or refuse
+        // to reuse the port (exhaustion), and unlinking the closed quad
+        // would drop the partner.
         for i in 0..20 {
-            host.stack.with_io(spilled, ctx.now(), |io| io.close());
+            host.stack.with_io(shared, ctx.now(), |io| io.close());
             let q = host
                 .stack
                 .connect(remote, Box::new(NullApp), ctx.now())
                 .unwrap_or_else(|_| panic!("churn reconnect {i}"));
-            assert_eq!(q.local.port, 50_001, "only the spilled port is free");
+            assert_eq!(q.local.port, 50_001, "only the shared port is free");
             assert!(
                 host.stack.conn(q).is_some(),
-                "cycle {i}: recycled connection not resolvable by full quad"
+                "cycle {i}: reused connection not resolvable by full quad"
             );
             assert!(
                 host.stack.conn(partner).is_some(),
-                "cycle {i}: spill partner lost by collapse or aliased away"
+                "cycle {i}: partner lost or aliased away"
             );
             assert_eq!(host.stack.conn_count(), 4, "cycle {i} leaked connections");
         }
-        assert!(
-            host.stack.stats().ports_recycled >= 10,
-            "churn never exercised the recycle queue: {} recycles",
-            host.stack.stats().ports_recycled
-        );
 
         // The partner still demuxes by full quad after all that churn: its
         // handshake state is intact, distinct from the fresh outbound
-        // connection sharing its demux key.
+        // connection on the same port.
         let partner_state = host.stack.conn(partner).expect("partner").state();
         assert_eq!(partner_state, TcpState::SynRcvd);
         host.flush(ctx);
     });
+}
+
+/// A UDP datagram from B to this stack's port 7, wrapped in `layers`
+/// IP-in-IP tunnel headers.
+fn tunnelled_udp(layers: usize) -> IpPacket {
+    let dgram = UdpDatagram {
+        src_port: 9,
+        dst_port: 7,
+        payload: vec![0; 20],
+    };
+    let mut packet = IpPacket::new(B_ADDR, A_ADDR, Protocol::UDP, dgram.encode());
+    for _ in 0..layers {
+        packet = IpPacket::new(B_ADDR, A_ADDR, Protocol::IP_IN_IP, packet.encode());
+    }
+    packet
+}
+
+#[test]
+fn one_tunnel_layer_is_unwrapped_and_a_second_is_dropped() {
+    let mut s = TcpStack::new(A_ADDR, TcpConfig::default());
+    s.handle_packet(tunnelled_udp(1), SimTime::ZERO);
+    assert_eq!((s.stats().decapsulated, s.stats().dropped), (1, 0));
+    assert!(matches!(
+        s.take_events()[..],
+        [StackEvent::UdpDelivery { .. }]
+    ));
+    // Redirectors tunnel once; a tunnel inside a tunnel is not unwrapped.
+    s.handle_packet(tunnelled_udp(2), SimTime::ZERO);
+    assert_eq!((s.stats().decapsulated, s.stats().dropped), (1, 1));
+    assert!(s.take_events().is_empty(), "two-layer tunnel delivered");
+}
+
+#[test]
+fn deepest_nested_tunnel_is_dropped_without_recursing() {
+    // 3,274 tunnel headers around a 48-byte UDP packet: 3,275 IP headers in
+    // 65,528 bytes, as many as one packet holds. Unwrapping them one call
+    // deeper per layer overflowed the stack of a debug-build test thread.
+    let packet = tunnelled_udp(3_274);
+    assert_eq!(packet.total_len(), 65_528);
+    let mut s = TcpStack::new(A_ADDR, TcpConfig::default());
+    s.handle_packet(packet, SimTime::ZERO);
+    assert_eq!((s.stats().decapsulated, s.stats().dropped), (0, 1));
+    assert!(s.take_events().is_empty());
 }
