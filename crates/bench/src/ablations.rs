@@ -83,21 +83,8 @@ pub fn deploy_echo_chain(
 
 /// Builds and converges a star deployment with an echoing service.
 pub fn build_star(n_replicas: usize, detector: DetectorParams, echo: bool, seed: u64) -> Star {
-    build_star_cfg(n_replicas, detector, echo, seed, TcpConfig::default())
-}
-
-/// [`build_star`] with an explicit per-stack TCP configuration — for
-/// tests that deliberately re-break a failure path (e.g. disabling the
-/// send-gate starvation watchdog) to exercise the flight recorder.
-pub fn build_star_cfg(
-    n_replicas: usize,
-    detector: DetectorParams,
-    echo: bool,
-    seed: u64,
-    tcp: TcpConfig,
-) -> Star {
     assert!((1..=HS.len()).contains(&n_replicas));
-    let mut b = SystemBuilder::new(tcp);
+    let mut b = SystemBuilder::new(TcpConfig::default());
     b.set_probe_params(ProbeParams {
         timeout: SimDuration::from_millis(200),
         attempts: 2,
@@ -265,9 +252,9 @@ pub fn detector_point(threshold: u32, cfg: &DetectorGridConfig, seed: u64) -> De
     // backup's estimator counts — ordinary congestion loss looking
     // like a failure (§4.3's false-positive risk).
     let mut star = build_star(2, detector, false, seed + 1);
-    star.system.sim.set_link_loss(
+    star.system.sim.set_link_impairments(
         star.replica_links[0],
-        LossModel::Bernoulli { p: cfg.loss_p },
+        Impairments::NONE.with_loss(cfg.loss_p),
     );
     let state = shared(SenderState::default());
     let app = StreamSenderApp::new(pattern(cfg.lossy_payload), false, state);
@@ -477,7 +464,7 @@ pub fn ackchan_loss(losses: &[f64], seed: u64) -> Vec<AckChanPoint> {
             let mut star = build_star(2, detector, false, seed);
             star.system
                 .sim
-                .set_link_loss(star.replica_links[1], LossModel::Bernoulli { p: loss });
+                .set_link_impairments(star.replica_links[1], Impairments::NONE.with_loss(loss));
             let cfg = TtcpConfig {
                 total_bytes: 128 * 1024,
                 write_size: 1024,

@@ -6,7 +6,9 @@ use hydranet_bench::render_table;
 fn main() {
     println!("HydraNet-FT reproduction — A1: detector threshold trade-off");
     println!("crash scenario: primary fails 50 ms into a bulk transfer");
-    println!("false-positive scenario: healthy run over a 2%-lossy client link (60 s)\n");
+    println!(
+        "false-positive scenario: healthy run, 3% loss on the redirector→primary link (60 s)\n"
+    );
     let thresholds = [1, 2, 3, 4, 5, 6, 8, 10];
     let points = detector_sweep(&thresholds, 11);
     let header = vec![

@@ -40,7 +40,7 @@ use hydranet_core::prelude::*;
 use hydranet_netsim::link::{Impairments, LinkId};
 use hydranet_obs::{json, kinds, Obs};
 
-use crate::ablations::{build_star_cfg, deploy_echo_chain, pattern, service, stream_echo, Star};
+use crate::ablations::{build_star, deploy_echo_chain, pattern, service, stream_echo, Star};
 use crate::runner::{run_tasks, Outcome, RunnerStats, Task};
 
 /// The `chaos` binary's number-valued flags (besides `--threads`).
@@ -181,7 +181,7 @@ impl FaultClass {
             }
             FaultClass::ImpairedLinks => {
                 let imp = Impairments::NONE
-                    .with_loss(LossModel::Bernoulli { p: 0.02 })
+                    .with_loss(0.02)
                     .with_reordering(0.2, SimDuration::from_millis(2))
                     .with_duplication(0.05)
                     .with_corruption(0.05);
@@ -212,7 +212,7 @@ impl FaultClass {
             ),
             FaultClass::LossyHealthy => FaultPlan::new().impair(
                 star.replica_links[0],
-                Impairments::NONE.with_loss(LossModel::Bernoulli { p: 0.03 }),
+                Impairments::NONE.with_loss(0.03),
                 t0,
             ),
             FaultClass::RedirectorFailover | FaultClass::RedirectorCrashInstall => {
@@ -257,10 +257,6 @@ pub struct ChaosConfig {
     /// Extra simulated time after transfer completion for the chain to
     /// reconverge (recovered replicas re-register).
     pub converge_grace: SimDuration,
-    /// Per-stack TCP configuration. The default is production tuning;
-    /// tests re-break failure paths through this (e.g. `gate_watchdog:
-    /// false`) to prove the flight recorder captures the wedge.
-    pub tcp: TcpConfig,
     /// Peer-probe period for the redirector-pair rig (pair classes only;
     /// the solo-redirector star keeps the builder default so its pinned
     /// fingerprints never move).
@@ -279,7 +275,6 @@ impl Default for ChaosConfig {
             deadline: SimTime::from_secs(60),
             crash_downtime: SimDuration::from_secs(8),
             converge_grace: SimDuration::from_secs(10),
-            tcp: TcpConfig::default(),
             pair_probe_timeout: SimDuration::from_millis(200),
             pair_probe_attempts: 2,
         }
@@ -414,10 +409,10 @@ fn deploy(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (Rig, FaultPlan, S
             timeout: cfg.pair_probe_timeout,
             attempts: cfg.pair_probe_attempts,
         };
-        build_pair_rig(n, detector, seed, cfg.tcp.clone(), probe)
+        build_pair_rig(n, detector, seed, probe)
     } else {
         Rig {
-            star: build_star_cfg(n, detector, true, seed, cfg.tcp.clone()),
+            star: build_star(n, detector, true, seed),
             standby: None,
             west_links: Vec::new(),
         }
@@ -565,18 +560,12 @@ fn chaos_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOut
 /// ```text
 /// client — routerA ═ (rdA ↔ rdB) ═ routerB — hs1..hsN
 /// ```
-fn build_pair_rig(
-    n: usize,
-    detector: DetectorParams,
-    seed: u64,
-    tcp: TcpConfig,
-    probe: ProbeParams,
-) -> Rig {
+fn build_pair_rig(n: usize, detector: DetectorParams, seed: u64, probe: ProbeParams) -> Rig {
     const CLIENT: IpAddr = IpAddr::new(10, 0, 1, 1);
     const RD_A: IpAddr = IpAddr::new(10, 9, 0, 1);
     const RD_B: IpAddr = IpAddr::new(10, 9, 0, 2);
     const VIP: IpAddr = IpAddr::new(10, 9, 0, 9);
-    let mut b = SystemBuilder::new(tcp);
+    let mut b = SystemBuilder::new(TcpConfig::default());
     b.set_probe_params(probe);
     let client = b.add_client("client", CLIENT);
     let (rd_a, rd_b) = b.add_redirector_pair("rdA", RD_A, "rdB", RD_B, VIP);
@@ -809,26 +798,25 @@ mod tests {
         assert_eq!(merged_report(&cfg, &seq), merged_report(&cfg, &par));
     }
 
-    /// The flight recorder's reason to exist: re-break the historical
-    /// failure path (send-gate starvation watchdog off) and re-run the
-    /// dead-chain-tail scenario it was added for — the tail crash generates
-    /// no estimator signal at all, so without the watchdog the gated reply
-    /// stream wedges. The invariant violation must capture a dump naming
-    /// the wedged connection and the last lineage-linked packet it saw.
+    /// The flight recorder's reason to exist: a primary crash the detector
+    /// never reports (threshold 1000) leaves the client retransmitting into
+    /// a dead head, so the transfer wedges. The invariant violation must
+    /// capture a dump naming the wedged connection and the last
+    /// lineage-linked packet it saw.
     #[test]
-    fn watchdog_off_tail_crash_wedges_and_flight_records_the_conn() {
+    fn undetected_primary_crash_wedges_and_flight_records_the_conn() {
         let mut cfg = tiny();
-        cfg.tcp.gate_watchdog = false;
-        // Keep the dead tail down past the deadline: recovery would let the
-        // run converge late and mask the missing watchdog.
+        cfg.threshold = 1000;
+        // Keep the dead primary down past the deadline: recovery would let
+        // the run converge late and mask the missed detection.
         cfg.crash_downtime = SimDuration::from_secs(120);
         cfg.deadline = SimTime::from_secs(20);
         cfg.converge_grace = SimDuration::from_secs(1);
-        let seed = cfg.base_seed + 1000 * class_index(FaultClass::TailCrash);
-        let o = chaos_point(&cfg, FaultClass::TailCrash, seed);
+        let seed = cfg.base_seed + 1000 * class_index(FaultClass::PrimaryCrash);
+        let o = chaos_point(&cfg, FaultClass::PrimaryCrash, seed);
         assert!(
             !o.invariants_hold(),
-            "watchdog-off tail crash should violate invariants \
+            "undetected primary crash should violate invariants \
              (completed={} intact={} survivors_intact={} chain={}/{})",
             o.completed,
             o.intact,
@@ -855,16 +843,19 @@ mod tests {
             dump.contains("last_rx_lineage"),
             "dump has no lineage-linked packet note"
         );
-        // Same harsh timing with the watchdog back on: the transfer itself
-        // completes intact, so the violation above is the re-broken failure
-        // path and nothing else. (The chain stays short — the tail is still
-        // down — hence no completed-run invariant check here.)
-        let mut fixed = cfg.clone();
-        fixed.tcp.gate_watchdog = true;
-        let c = chaos_point(&fixed, FaultClass::TailCrash, seed);
+        // Same harsh timing with the soak's threshold: the fail-over runs
+        // and the transfer completes intact, so the violation above is the
+        // missed detection and nothing else. (The chain stays short — the
+        // old primary is still down — hence no completed-run invariant
+        // check here.)
+        let fixed = ChaosConfig {
+            threshold: 4,
+            ..cfg
+        };
+        let c = chaos_point(&fixed, FaultClass::PrimaryCrash, seed);
         assert!(
             c.completed && c.intact && c.survivors_intact,
-            "watchdog-on control should stream through the dead tail \
+            "threshold-4 control should fail over and stream intact \
              (completed={} intact={} survivors_intact={})",
             c.completed,
             c.intact,

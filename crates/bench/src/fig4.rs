@@ -4,8 +4,10 @@
 //! purposely used slow machines to measure the effects of bottlenecks. We
 //! set one 486 PC to act as the redirector and the two Pentiums as Primary
 //! and Backup. Another 486 PC is client." Links are 10 Mb/s Ethernet.
-//! Sender-side batching of small segments is off, so each write is one
-//! packet; the write size is the "Packet Size" axis of Figure 4.
+//! The paper turned sender-side batching of small segments off so each
+//! write is one packet; here the client runs with `mss = write_size`, so
+//! every write is a full segment Nagle never holds. The write size is the
+//! "Packet Size" axis of Figure 4.
 //!
 //! The reproduction models the slow machines as per-packet CPU costs
 //! ([`NodeParams`]): a fixed header-processing cost plus a per-byte copy

@@ -27,7 +27,7 @@
 //! assert_eq!(plan.len(), 4);
 //! ```
 
-use hydranet_netsim::link::{Impairments, LinkId, LossModel};
+use hydranet_netsim::link::{Impairments, LinkId};
 use hydranet_netsim::node::NodeId;
 use hydranet_netsim::sim::Simulator;
 use hydranet_netsim::time::{SimDuration, SimTime};
@@ -73,10 +73,7 @@ impl FaultAction {
         match self {
             FaultAction::CrashNode(n) | FaultAction::RecoverNode(n) => n.to_string(),
             FaultAction::LinkDown(l) | FaultAction::LinkUp(l) => l.to_string(),
-            FaultAction::SetImpairments { link, imp } => format!(
-                "{link} loss={:?} reorder_p={} dup_p={} corrupt_p={}",
-                imp.loss, imp.reorder_p, imp.duplicate_p, imp.corrupt_p
-            ),
+            FaultAction::SetImpairments { link, imp } => format!("{link} {imp}"),
         }
     }
 }
@@ -168,17 +165,12 @@ impl FaultPlan {
         )
     }
 
-    /// A loss burst on `link`: Bernoulli loss with probability `p` from
+    /// A loss burst on `link`: each packet lost with probability `p` from
     /// `at` for `duration`, then clean again. Pointed at the links that
     /// carry the acknowledgement channel, this models the §4.3 "lossy ack
     /// channel" failure class.
     pub fn loss_burst(self, link: LinkId, p: f64, at: SimTime, duration: SimDuration) -> Self {
-        self.impair_for(
-            link,
-            Impairments::NONE.with_loss(LossModel::Bernoulli { p }),
-            at,
-            duration,
-        )
+        self.impair_for(link, Impairments::NONE.with_loss(p), at, duration)
     }
 
     /// Partitions `group` from the rest of the topology at `at`, healing

@@ -24,12 +24,11 @@ use crate::timer::NodeTimer;
 /// that moved later is picked up when that entry fires (DESIGN.md §5c).
 pub struct ClientHost {
     stack: TcpStack,
-    /// Stack events accumulated for scenario inspection.
-    pub events: Vec<StackEvent>,
     name: String,
-    /// Scratch buffer recycled through `TcpStack::take_packets_into` so a
-    /// flush costs no allocation once the high-water mark is reached.
+    /// Scratch buffers recycled through the stack's `take_*_into` drains so
+    /// a flush costs no allocation once the high-water mark is reached.
     pkt_buf: Vec<IpPacket>,
+    ev_buf: Vec<StackEvent>,
     timer: NodeTimer,
 }
 
@@ -47,9 +46,9 @@ impl ClientHost {
     pub fn new(name: impl Into<String>, addr: IpAddr, cfg: TcpConfig) -> Self {
         ClientHost {
             stack: TcpStack::new(addr, cfg),
-            events: Vec::new(),
             name: name.into(),
             pkt_buf: Vec::new(),
+            ev_buf: Vec::new(),
             timer: NodeTimer::default(),
         }
     }
@@ -88,13 +87,15 @@ impl ClientHost {
         Ok(quad)
     }
 
-    /// Sends queued packets, collects events, and (re)arms the stack timer.
+    /// Sends queued packets, drops the stack's events (a client routes
+    /// none), and (re)arms the stack timer.
     pub fn flush(&mut self, ctx: &mut Context<'_>) {
         self.stack.take_packets_into(&mut self.pkt_buf);
         for p in self.pkt_buf.drain(..) {
             ctx.send(IfaceId::from_index(0), p);
         }
-        self.events.extend(self.stack.take_events());
+        self.stack.take_events_into(&mut self.ev_buf);
+        self.ev_buf.clear();
         self.timer.arm(ctx, self.stack.next_deadline());
     }
 }
@@ -135,8 +136,6 @@ pub struct HostServer {
     stack: TcpStack,
     daemon: HostDaemon,
     pending: Vec<PendingService>,
-    /// Stack events accumulated for scenario inspection.
-    pub events: Vec<StackEvent>,
     name: String,
     /// Kept so a daemon recreated on recovery can be re-wired.
     obs: Obs,
@@ -177,7 +176,6 @@ impl HostServer {
             stack: TcpStack::new(addr, cfg),
             daemon: HostDaemon::new(addr, redirectors, 1),
             pending: Vec::new(),
-            events: Vec::new(),
             name: name.into(),
             obs: Obs::disabled(),
             pkt_buf: Vec::new(),
@@ -268,17 +266,17 @@ impl HostServer {
             self.apply_daemon_actions(now);
         }
         // Route stack events: management datagrams to the daemon, failure
-        // suspicions into failure reports.
+        // suspicions into failure reports; nothing else is kept.
         let mut events = std::mem::take(&mut self.ev_buf);
         self.stack.take_events_into(&mut events);
         for event in events.drain(..) {
-            match &event {
+            match event {
                 StackEvent::UdpDelivery {
                     local,
                     remote,
                     payload,
                 } if local.port == MGMT_PORT => {
-                    self.daemon.on_datagram(remote.addr, payload, now);
+                    self.daemon.on_datagram(remote.addr, &payload, now);
                     mgmt = true;
                 }
                 StackEvent::FailureSuspected {
@@ -286,12 +284,11 @@ impl HostServer {
                     quad,
                     observed,
                 } => {
-                    let service = SockAddr::new(quad.local.addr, *port);
-                    self.daemon.report_failure(service, *observed, now);
-                    self.events.push(event);
+                    let service = SockAddr::new(quad.local.addr, port);
+                    self.daemon.report_failure(service, observed, now);
                     mgmt = true;
                 }
-                _ => self.events.push(event),
+                _ => {}
             }
         }
         self.ev_buf = events;
@@ -331,7 +328,8 @@ impl HostServer {
         for p in self.pkt_buf.drain(..) {
             ctx.send(IfaceId::from_index(0), p);
         }
-        self.events.extend(self.stack.take_events());
+        self.stack.take_events_into(&mut self.ev_buf);
+        self.ev_buf.clear();
         let deadline = self
             .stack
             .next_deadline()
@@ -407,7 +405,6 @@ mod tests {
     use hydranet_netsim::node::{Context, IfaceId, Node, TimerToken};
     use hydranet_netsim::packet::{IpPacket, Protocol};
     use hydranet_netsim::topology::TopologyBuilder;
-    use hydranet_tcp::stack::StackEvent;
     use hydranet_tcp::udp::UdpDatagram;
 
     use crate::prelude::*;
@@ -503,12 +500,7 @@ mod tests {
         let mut sim = t.into_simulator(1);
         sim.run_until(SimTime::from_millis(600));
 
-        let data = sim
-            .node::<HostServer>(hs)
-            .events
-            .iter()
-            .filter(|e| matches!(e, StackEvent::UdpDelivery { .. }))
-            .count();
+        let data = sim.node::<HostServer>(hs).stack().stats().udp_rx;
         assert!(data > 80, "{data} data packets reached the host");
         let sent = &sim.node::<SilentRedirector>(rd).mgmt_arrivals;
         assert_eq!(sent.len(), 3, "{sent:?}");

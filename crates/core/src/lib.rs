@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::scenario::{run_ttcp, TtcpConfig, TtcpResult};
     pub use crate::system::{FtServiceSpec, NodeKind, System, SystemBuilder};
     pub use hydranet_mgmt::failover::ProbeParams;
-    pub use hydranet_netsim::link::{Impairments, LinkParams, LossModel};
+    pub use hydranet_netsim::link::{Impairments, LinkParams};
     pub use hydranet_netsim::node::{NodeId, NodeParams};
     pub use hydranet_netsim::packet::IpAddr;
     pub use hydranet_netsim::time::{SimDuration, SimTime};

@@ -10,7 +10,8 @@
 //!   payloads held in cheaply shareable buffers ([`buf::PacketBuf`]), and
 //!   IP-in-IP encapsulation support.
 //! - **Links** ([`link`]) with bandwidth, propagation delay, MTU, drop-tail
-//!   queues, Bernoulli/Gilbert–Elliott loss, and scheduled outages.
+//!   queues, independent per-packet loss, reordering, duplication and
+//!   corruption, and scheduled outages.
 //! - **Fragmentation and reassembly** ([`frag`]) when packets exceed a
 //!   link's MTU.
 //! - **Nodes** ([`node`]) — hosts, routers, redirectors — with per-packet
@@ -83,7 +84,7 @@ pub mod wheel;
 pub mod prelude {
     pub use crate::buf::PacketBuf;
     pub use crate::frag::Reassembler;
-    pub use crate::link::{Impairments, LinkId, LinkParams, LossModel};
+    pub use crate::link::{Impairments, LinkId, LinkParams};
     pub use crate::node::{Context, IfaceId, Node, NodeId, NodeParams, TimerToken};
     pub use crate::packet::{IpAddr, IpPacket, Protocol};
     pub use crate::rng::SimRng;

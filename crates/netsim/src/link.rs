@@ -11,7 +11,6 @@ use std::fmt;
 
 use crate::node::NodeId;
 use crate::packet::IpPacket;
-use crate::rng::SimRng;
 use crate::stats::LinkStats;
 use crate::time::SimDuration;
 
@@ -65,52 +64,6 @@ impl Direction {
     }
 }
 
-/// Random-loss model applied per packet as it leaves the transmitter.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum LossModel {
-    /// No random loss.
-    #[default]
-    None,
-    /// Each packet is independently lost with probability `p`.
-    Bernoulli {
-        /// Loss probability in `0.0..=1.0`.
-        p: f64,
-    },
-    /// Gilbert–Elliott two-state burst loss: the channel alternates between
-    /// a good state (loss `p_good`) and a bad state (loss `p_bad`), moving
-    /// between them with the given transition probabilities per packet.
-    GilbertElliott {
-        /// Loss probability in the good state.
-        p_good: f64,
-        /// Loss probability in the bad state.
-        p_bad: f64,
-        /// Probability of moving good → bad, evaluated per packet.
-        p_good_to_bad: f64,
-        /// Probability of moving bad → good, evaluated per packet.
-        p_bad_to_good: f64,
-    },
-}
-
-impl LossModel {
-    fn validate(&self) -> Result<(), String> {
-        match self {
-            LossModel::None => Ok(()),
-            LossModel::Bernoulli { p } => check_prob("p", *p),
-            LossModel::GilbertElliott {
-                p_good,
-                p_bad,
-                p_good_to_bad,
-                p_bad_to_good,
-            } => {
-                check_prob("p_good", *p_good)?;
-                check_prob("p_bad", *p_bad)?;
-                check_prob("p_good_to_bad", *p_good_to_bad)?;
-                check_prob("p_bad_to_good", *p_bad_to_good)
-            }
-        }
-    }
-}
-
 fn check_prob(name: &str, v: f64) -> Result<(), String> {
     if (0.0..=1.0).contains(&v) {
         Ok(())
@@ -119,14 +72,15 @@ fn check_prob(name: &str, v: f64) -> Result<(), String> {
     }
 }
 
-/// The full per-link impairment set: random loss plus reordering,
-/// duplication, and single-bit payload corruption.
+/// The full per-link impairment set: independent per-packet loss plus
+/// reordering, duplication, and single-bit payload corruption.
 ///
-/// Every stochastic decision draws from the simulation's single [`SimRng`]
-/// at the transmitter, in a fixed order, so a run's behaviour — including
-/// every injected fault — is a pure function of the seed. A probability of
-/// zero draws nothing from the RNG, so links without an impairment leave
-/// the random stream exactly as it was before impairments existed.
+/// Every stochastic decision draws from the simulation's single
+/// [`SimRng`](crate::rng::SimRng) at the transmitter, in a fixed order, so
+/// a run's behaviour — including every injected fault — is a pure function
+/// of the seed. A probability of zero draws nothing from the RNG, so links
+/// without an impairment leave the random stream exactly as it was before
+/// impairments existed.
 ///
 /// Corruption flips one uniformly-chosen bit of the *IP payload* (the
 /// transport segment), never the IP header: real IP protects its header
@@ -134,8 +88,9 @@ fn check_prob(name: &str, v: f64) -> Result<(), String> {
 /// the TCP/UDP checksum is responsible for catching.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Impairments {
-    /// Random loss model (per direction, independent draws).
-    pub loss: LossModel,
+    /// Probability a packet is lost as it leaves the transmitter (per
+    /// direction, independent draws).
+    pub loss_p: f64,
     /// Probability a delivered packet receives extra propagation delay,
     /// letting later packets overtake it (reordering).
     pub reorder_p: f64,
@@ -151,16 +106,16 @@ pub struct Impairments {
 impl Impairments {
     /// No impairments at all (also the `Default`).
     pub const NONE: Impairments = Impairments {
-        loss: LossModel::None,
+        loss_p: 0.0,
         reorder_p: 0.0,
         reorder_jitter: SimDuration::ZERO,
         duplicate_p: 0.0,
         corrupt_p: 0.0,
     };
 
-    /// Sets the loss model (builder style).
-    pub fn with_loss(mut self, loss: LossModel) -> Self {
-        self.loss = loss;
+    /// Sets the loss probability (builder style).
+    pub fn with_loss(mut self, p: f64) -> Self {
+        self.loss_p = p;
         self
     }
 
@@ -185,10 +140,21 @@ impl Impairments {
     }
 
     fn validate(&self) -> Result<(), String> {
-        self.loss.validate()?;
+        check_prob("loss_p", self.loss_p)?;
         check_prob("reorder_p", self.reorder_p)?;
         check_prob("duplicate_p", self.duplicate_p)?;
         check_prob("corrupt_p", self.corrupt_p)
+    }
+}
+
+/// The one-line description timeline events carry for an impairment set.
+impl fmt::Display for Impairments {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "loss_p={} reorder_p={} dup_p={} corrupt_p={}",
+            self.loss_p, self.reorder_p, self.duplicate_p, self.corrupt_p
+        )
     }
 }
 
@@ -247,20 +213,6 @@ impl LinkParams {
         self
     }
 
-    /// Sets the loss model (builder style), leaving the other impairments
-    /// untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any probability in the model is outside `0.0..=1.0`.
-    pub fn with_loss(mut self, loss: LossModel) -> Self {
-        if let Err(msg) = loss.validate() {
-            panic!("invalid loss model: {msg}");
-        }
-        self.impairments.loss = loss;
-        self
-    }
-
     /// Replaces the whole impairment set (builder style).
     ///
     /// # Panics
@@ -300,8 +252,6 @@ pub(crate) struct DirectionState {
     /// so an outage/restore cycle cannot leave two concurrent dequeue
     /// chains serving one direction.
     pub epoch: u64,
-    /// Gilbert–Elliott channel state: `true` while in the bad state.
-    pub ge_bad: bool,
     pub stats: LinkStats,
 }
 
@@ -311,7 +261,6 @@ impl DirectionState {
             queue: VecDeque::new(),
             transmitting: false,
             epoch: 0,
-            ge_bad: false,
             stats: LinkStats::default(),
         }
     }
@@ -347,31 +296,6 @@ impl Link {
             Direction::BToA => (self.endpoints[0], self.ifaces[0]),
         }
     }
-
-    /// Draws from the loss model; `true` means the packet is lost.
-    pub(crate) fn draw_loss(&mut self, dir: Direction, rng: &mut SimRng) -> bool {
-        let state = &mut self.dirs[dir.index()];
-        match &self.params.impairments.loss {
-            LossModel::None => false,
-            LossModel::Bernoulli { p } => rng.chance(*p),
-            LossModel::GilbertElliott {
-                p_good,
-                p_bad,
-                p_good_to_bad,
-                p_bad_to_good,
-            } => {
-                // Transition first, then draw loss in the new state.
-                if state.ge_bad {
-                    if rng.chance(*p_bad_to_good) {
-                        state.ge_bad = false;
-                    }
-                } else if rng.chance(*p_good_to_bad) {
-                    state.ge_bad = true;
-                }
-                rng.chance(if state.ge_bad { *p_bad } else { *p_good })
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -388,27 +312,26 @@ mod tests {
 
     #[test]
     fn builder_methods() {
+        let imp = Impairments::NONE
+            .with_loss(0.02)
+            .with_reordering(0.1, SimDuration::from_millis(2))
+            .with_duplication(0.05)
+            .with_corruption(0.01);
         let p = LinkParams::new(1_000_000, SimDuration::from_millis(1))
             .with_mtu(576)
             .with_queue(10)
-            .with_loss(LossModel::Bernoulli { p: 0.01 });
+            .with_impairments(imp);
         assert_eq!(p.mtu, 576);
         assert_eq!(p.queue_packets, 10);
-        assert_eq!(p.impairments.loss, LossModel::Bernoulli { p: 0.01 });
-        // `with_loss` leaves the rest of an impairment set untouched.
-        let p = p
-            .with_impairments(
-                Impairments::NONE
-                    .with_reordering(0.1, SimDuration::from_millis(2))
-                    .with_duplication(0.05)
-                    .with_corruption(0.01),
-            )
-            .with_loss(LossModel::Bernoulli { p: 0.02 });
-        assert_eq!(p.impairments.loss, LossModel::Bernoulli { p: 0.02 });
+        assert_eq!(p.impairments.loss_p, 0.02);
         assert_eq!(p.impairments.reorder_p, 0.1);
         assert_eq!(p.impairments.reorder_jitter, SimDuration::from_millis(2));
         assert_eq!(p.impairments.duplicate_p, 0.05);
         assert_eq!(p.impairments.corrupt_p, 0.01);
+        assert_eq!(
+            p.impairments.to_string(),
+            "loss_p=0.02 reorder_p=0.1 dup_p=0.05 corrupt_p=0.01"
+        );
     }
 
     #[test]
@@ -418,9 +341,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid loss model")]
+    #[should_panic(expected = "loss_p out of range")]
     fn bad_loss_probability_rejected() {
-        let _ = LinkParams::default().with_loss(LossModel::Bernoulli { p: 1.5 });
+        let _ = LinkParams::default().with_impairments(Impairments::NONE.with_loss(1.5));
     }
 
     #[test]
@@ -441,49 +364,6 @@ mod tests {
         assert_eq!(Direction::BToA.reverse(), Direction::AToB);
         assert_eq!(Direction::AToB.index(), 0);
         assert_eq!(Direction::BToA.index(), 1);
-    }
-
-    #[test]
-    fn bernoulli_loss_draw_calibrated() {
-        let params = LinkParams::default().with_loss(LossModel::Bernoulli { p: 0.5 });
-        let mut link = Link::new(params, [NodeId(0), NodeId(1)], [0, 0]);
-        let mut rng = SimRng::seed_from(11);
-        let losses = (0..10_000)
-            .filter(|_| link.draw_loss(Direction::AToB, &mut rng))
-            .count();
-        assert!((4_500..5_500).contains(&losses), "losses = {losses}");
-    }
-
-    #[test]
-    fn gilbert_elliott_bursts() {
-        let params = LinkParams::default().with_loss(LossModel::GilbertElliott {
-            p_good: 0.0,
-            p_bad: 1.0,
-            p_good_to_bad: 0.05,
-            p_bad_to_good: 0.2,
-        });
-        let mut link = Link::new(params, [NodeId(0), NodeId(1)], [0, 0]);
-        let mut rng = SimRng::seed_from(12);
-        let draws: Vec<bool> = (0..10_000)
-            .map(|_| link.draw_loss(Direction::AToB, &mut rng))
-            .collect();
-        let losses = draws.iter().filter(|&&l| l).count();
-        // Stationary bad-state share = 0.05 / (0.05 + 0.2) = 20 %.
-        assert!((1_000..3_000).contains(&losses), "losses = {losses}");
-        // Bursts: the probability a loss is followed by a loss must be far
-        // higher than the marginal loss rate.
-        let mut after_loss = 0usize;
-        let mut loss_then_loss = 0usize;
-        for w in draws.windows(2) {
-            if w[0] {
-                after_loss += 1;
-                if w[1] {
-                    loss_then_loss += 1;
-                }
-            }
-        }
-        let cond = loss_then_loss as f64 / after_loss as f64;
-        assert!(cond > 0.5, "burstiness too low: {cond}");
     }
 
     #[test]

@@ -216,17 +216,6 @@ impl Simulator {
         self.nodes[node.index()].crashed
     }
 
-    /// Immediately replaces the loss model of `link` (both directions),
-    /// leaving the other impairments in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model's probabilities are out of range.
-    pub fn set_link_loss(&mut self, link: LinkId, loss: crate::link::LossModel) {
-        let params = self.links[link.index()].params.clone().with_loss(loss);
-        self.links[link.index()].params = params;
-    }
-
     /// Immediately replaces the full impairment set of `link` (both
     /// directions).
     ///
@@ -496,10 +485,7 @@ impl Simulator {
                 );
             }
             EventKind::SetImpairments { link, imp } => {
-                let desc = format!(
-                    "loss={:?} reorder_p={} dup_p={} corrupt_p={}",
-                    imp.loss, imp.reorder_p, imp.duplicate_p, imp.corrupt_p
-                );
+                let desc = imp.to_string();
                 self.set_link_impairments(link, imp);
                 self.obs.event(
                     self.now.as_nanos(),
@@ -611,8 +597,8 @@ impl Simulator {
             },
         );
 
-        let lost = link.draw_loss(dir, &mut self.rng);
-        if lost {
+        let loss_p = link.params.impairments.loss_p;
+        if loss_p > 0.0 && self.rng.chance(loss_p) {
             link.dirs[dir.index()].stats.dropped_loss += 1;
             return;
         }
@@ -1248,13 +1234,47 @@ mod tests {
             t.connect(
                 a,
                 b,
-                LinkParams::default().with_loss(crate::link::LossModel::Bernoulli { p: 0.2 }),
+                LinkParams::default().with_impairments(Impairments::NONE.with_loss(0.2)),
             );
             let mut sim = t.into_simulator(99);
             sim.run_until_idle();
             sim.node::<Blaster>(b).received.clone()
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn loss_draw_calibrated() {
+        let imp = Impairments::NONE.with_loss(0.5);
+        let (mut sim, a, b, link) = two_nodes(
+            LinkParams::default()
+                .with_queue(10_000)
+                .with_impairments(imp),
+        );
+        blast_sizes(&mut sim, a, &[8; 10_000]);
+        sim.run_until_idle();
+        let (ab, _) = sim.link_stats(link);
+        assert!(
+            (4_500..5_500).contains(&ab.dropped_loss),
+            "losses = {}",
+            ab.dropped_loss
+        );
+        assert_eq!(ab.delivered + ab.dropped_loss, 10_000, "conservation");
+        assert_eq!(sim.node::<Blaster>(b).received.len() as u64, ab.delivered);
+    }
+
+    /// A loss probability of zero draws nothing: after a link carried
+    /// packets, the simulator's next draw is still the seed's first, so an
+    /// unimpaired link leaves every later random decision unmoved.
+    #[test]
+    fn zero_loss_leaves_the_rng_stream_untouched() {
+        let imp = Impairments::NONE.with_loss(0.0);
+        let (mut sim, a, b, _) = two_nodes(LinkParams::default().with_impairments(imp));
+        blast_sizes(&mut sim, a, &[8; 50]);
+        sim.run_until_idle();
+        assert_eq!(sim.node::<Blaster>(b).received.len(), 50);
+        let next = sim.with_node_ctx::<Blaster, _>(a, |_, ctx| ctx.rng().next_u64());
+        assert_eq!(next, SimRng::seed_from(1).next_u64());
     }
 
     /// Sends `sizes.len()` packets whose payload lengths encode their send
@@ -1402,7 +1422,7 @@ mod tests {
     fn impaired_links_deterministic_across_runs() {
         let build = || {
             let imp = Impairments::NONE
-                .with_loss(crate::link::LossModel::Bernoulli { p: 0.05 })
+                .with_loss(0.05)
                 .with_reordering(0.3, SimDuration::from_millis(2))
                 .with_duplication(0.1)
                 .with_corruption(0.1);

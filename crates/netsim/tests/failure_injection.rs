@@ -1,5 +1,5 @@
 //! Failure-injection integration tests: link flaps, outage accounting,
-//! crash epochs, and bursty loss.
+//! and crash epochs.
 
 use hydranet_netsim::prelude::*;
 
@@ -112,31 +112,4 @@ fn double_crash_and_recover_are_idempotent() {
     sim.schedule_recover(a, SimTime::from_millis(210));
     sim.run_until_idle();
     assert!(!sim.is_crashed(a));
-}
-
-#[test]
-fn gilbert_elliott_losses_are_bursty_end_to_end() {
-    let link = LinkParams::default().with_loss(LossModel::GilbertElliott {
-        p_good: 0.001,
-        p_bad: 0.9,
-        p_good_to_bad: 0.02,
-        p_bad_to_good: 0.1,
-    });
-    let (mut sim, _a, b, l) = ticker_pair(2000, SimDuration::from_millis(1), link);
-    sim.run_until_idle();
-    let (ab, _) = sim.link_stats(l);
-    assert!(
-        ab.dropped_loss > 50,
-        "bursty model dropped {}",
-        ab.dropped_loss
-    );
-    assert!(ab.delivered > 500);
-    // Burstiness: consecutive receive gaps should include multi-packet
-    // holes (>= 3 intervals), not just single-packet losses.
-    let times = &sim.node::<Ticker>(b).received;
-    let big_holes = times
-        .windows(2)
-        .filter(|w| w[1].duration_since(w[0]) >= SimDuration::from_millis(3))
-        .count();
-    assert!(big_holes > 0, "no loss bursts observed");
 }

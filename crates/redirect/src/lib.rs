@@ -10,15 +10,13 @@
 //! - [`tunnel`] — IP-in-IP encapsulation used to deliver redirected packets
 //!   to host servers.
 //! - [`redirector`] — the sans-I/O [`RedirectorEngine`] (routing +
-//!   redirection + per-flow reassembly) and a standalone [`RedirectorNode`]
-//!   for static deployments.
+//!   redirection + per-flow reassembly).
 //!
 //! The replica management protocol that installs and reconfigures table
 //! entries lives in `hydranet-mgmt`; the fully managed redirector node is
 //! assembled in `hydranet-core`.
 //!
 //! [`RedirectorEngine`]: redirector::RedirectorEngine
-//! [`RedirectorNode`]: redirector::RedirectorNode
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,6 +26,6 @@ pub mod redirector;
 pub mod table;
 pub mod tunnel;
 
-pub use redirector::{Disposition, RedirectorEngine, RedirectorNode, RedirectorStats};
+pub use redirector::{Disposition, RedirectorEngine, RedirectorStats};
 pub use table::{RedirectorTable, ReplicaLoc, ServiceEntry};
 pub use tunnel::{decapsulate, encapsulate, TUNNEL_OVERHEAD};

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use hydranet_netsim::frag::Reassembler;
-use hydranet_netsim::node::{Context, IfaceId, Node};
+use hydranet_netsim::node::IfaceId;
 use hydranet_netsim::packet::{IpAddr, IpPacket, Protocol};
 use hydranet_netsim::routing::RouteTable;
 use hydranet_netsim::time::SimTime;
@@ -88,8 +88,8 @@ pub enum Disposition {
     Local(IpPacket),
 }
 
-/// Sans-I/O redirector logic: routing plus redirection. Embed this in a
-/// node (see [`RedirectorNode`] or `hydranet-core`'s managed redirector).
+/// Sans-I/O redirector logic: routing plus redirection. `hydranet-core`'s
+/// managed redirector embeds it in a node.
 #[derive(Debug)]
 pub struct RedirectorEngine {
     addr: IpAddr,
@@ -510,53 +510,6 @@ pub fn peek_tcp_dst_port(payload: &[u8]) -> Option<u16> {
 /// flags (1) | …`; bit 0 = SYN, bit 1 = ACK).
 pub fn peek_tcp_flags(payload: &[u8]) -> Option<u8> {
     payload.get(12).copied()
-}
-
-/// A standalone redirector node (no management plane): suitable for tests
-/// and static deployments. Management traffic addressed to the redirector
-/// itself is counted and dropped; use `hydranet-core`'s managed redirector
-/// for the full replica management protocol.
-#[derive(Debug)]
-pub struct RedirectorNode {
-    engine: RedirectorEngine,
-    name: String,
-    out_scratch: Vec<(IfaceId, IpPacket)>,
-}
-
-impl RedirectorNode {
-    /// Creates a redirector node.
-    pub fn new(name: impl Into<String>, addr: IpAddr) -> Self {
-        RedirectorNode {
-            engine: RedirectorEngine::new(addr),
-            name: name.into(),
-            out_scratch: Vec::new(),
-        }
-    }
-
-    /// The embedded engine.
-    pub fn engine(&self) -> &RedirectorEngine {
-        &self.engine
-    }
-
-    /// The embedded engine, mutable (for table/route configuration).
-    pub fn engine_mut(&mut self) -> &mut RedirectorEngine {
-        &mut self.engine
-    }
-}
-
-impl Node for RedirectorNode {
-    fn on_packet(&mut self, ctx: &mut Context<'_>, _iface: IfaceId, packet: IpPacket) {
-        let mut out = std::mem::take(&mut self.out_scratch);
-        let _ = self.engine.process(packet, ctx.now(), &mut out);
-        for (iface, p) in out.drain(..) {
-            ctx.send(iface, p);
-        }
-        self.out_scratch = out;
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
 }
 
 #[cfg(test)]

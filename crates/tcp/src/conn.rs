@@ -33,10 +33,6 @@ pub struct TcpConfig {
     pub send_buf: usize,
     /// Receive buffer capacity in bytes.
     pub recv_buf: usize,
-    /// Nagle's algorithm: batch small writes while data is in flight.
-    /// The paper's measurements turned this off so each `write()` produces
-    /// one segment ("we turned off buffering of small segments", §5).
-    pub nagle: bool,
     /// Delay ACKs briefly (at most 40 ms) to piggyback/coalesce
     /// (ack-every-other-segment).
     pub delayed_ack: bool,
@@ -48,13 +44,6 @@ pub struct TcpConfig {
     pub ackchan_flush_delay: SimDuration,
     /// How long to linger in TIME-WAIT.
     pub time_wait: SimDuration,
-    /// Send-gate starvation watchdog: fires [`ConnEvent::GateStarved`]
-    /// after an RTO of the gate blocking ready work with no successor
-    /// progress. On is the only safe setting — a dead chain tail is
-    /// invisible to the client-retransmission estimator without it; the
-    /// off switch exists so tests can re-break that failure path and
-    /// verify the flight recorder captures the resulting wedge.
-    pub gate_watchdog: bool,
 }
 
 /// How long a delayed ACK may be held. Well under the RTO floor
@@ -74,7 +63,6 @@ impl Default for TcpConfig {
             mss: 1460,
             send_buf: 65_535,
             recv_buf: 65_535,
-            nagle: true,
             delayed_ack: true,
             // Same discipline as ACK_DELAY, much tighter: a held report
             // delays the predecessor's gates, and those stack per chain
@@ -83,7 +71,6 @@ impl Default for TcpConfig {
             // retransmission timer.
             ackchan_flush_delay: SimDuration::from_millis(4),
             time_wait: SimDuration::from_secs(30),
-            gate_watchdog: true,
         }
     }
 }
@@ -584,7 +571,7 @@ impl Connection {
     /// clears it the moment it does not. One RTO of uninterrupted blockage
     /// fires [`ConnEvent::GateStarved`] (see [`Self::on_tick`]).
     fn update_gate_starvation(&mut self, now: SimTime) {
-        if self.cfg.gate_watchdog && self.gate_blocked_work() {
+        if self.gate_blocked_work() {
             if self.gate_starved_deadline.is_none() {
                 self.gate_starved_deadline = Some(now + self.rtt.rto());
             }
@@ -1270,12 +1257,7 @@ impl Connection {
 
             // Nagle: hold sub-MSS segments while data is in flight, unless
             // a FIN is ready to ride along (closing flushes).
-            if self.cfg.nagle
-                && len > 0
-                && len < self.cfg.mss
-                && in_flight > 0
-                && !self.fin_ready(len as u32)
-            {
+            if len > 0 && len < self.cfg.mss && in_flight > 0 && !self.fin_ready(len as u32) {
                 break;
             }
 
@@ -1670,13 +1652,6 @@ mod tests {
         }
     }
 
-    fn nagle_off() -> TcpConfig {
-        TcpConfig {
-            nagle: false,
-            ..TcpConfig::default()
-        }
-    }
-
     fn pattern(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i % 251) as u8).collect()
     }
@@ -1693,7 +1668,7 @@ mod tests {
 
     #[test]
     fn small_message_round_trip() {
-        let mut p = Pair::new(nagle_off(), nagle_off());
+        let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
         p.run_until(SimTime::from_millis(100));
         p.client_write(b"ping");
         p.run_until(SimTime::from_millis(200));
@@ -1722,7 +1697,7 @@ mod tests {
     fn transfer_survives_heavy_loss() {
         // Drop every 7th segment in both directions.
         let mut n = 0u64;
-        let mut p = Pair::new(nagle_off(), nagle_off()).with_drop(move |_, _| {
+        let mut p = Pair::new(TcpConfig::default(), TcpConfig::default()).with_drop(move |_, _| {
             n += 1;
             n.is_multiple_of(7)
         });
@@ -1781,7 +1756,7 @@ mod tests {
 
     #[test]
     fn graceful_close_four_way() {
-        let mut p = Pair::new(nagle_off(), nagle_off());
+        let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
         p.run_until(SimTime::from_millis(100));
         p.client_write(b"bye");
         p.client.close(p.now);
@@ -1807,7 +1782,7 @@ mod tests {
 
     #[test]
     fn abort_resets_peer() {
-        let mut p = Pair::new(nagle_off(), nagle_off());
+        let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
         p.run_until(SimTime::from_millis(100));
         p.client.abort(p.now);
         p.collect(false);
@@ -1819,27 +1794,18 @@ mod tests {
 
     #[test]
     fn nagle_coalesces_small_writes() {
-        let run = |nagle: bool| {
-            let cfg = TcpConfig {
-                nagle,
-                ..TcpConfig::default()
-            };
-            let mut p = Pair::new(cfg, TcpConfig::default());
-            p.run_until(SimTime::from_millis(100));
-            for _ in 0..50 {
-                p.client_write(&[0xAB; 10]);
-                p.run_until(p.now + SimDuration::from_millis(1));
-            }
-            p.run_until(p.now + SimDuration::from_secs(2));
-            assert_eq!(p.server_received.len(), 500);
-            p.client.segments_sent()
-        };
-        let with_nagle = run(true);
-        let without_nagle = run(false);
-        assert!(
-            with_nagle < without_nagle,
-            "nagle={with_nagle} vs no-nagle={without_nagle}"
-        );
+        let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
+        p.run_until(SimTime::from_millis(100));
+        let before = p.client.segments_sent();
+        let writes = 50;
+        for _ in 0..writes {
+            p.client_write(&[0xAB; 10]);
+            p.run_until(p.now + SimDuration::from_millis(1));
+        }
+        p.run_until(p.now + SimDuration::from_secs(2));
+        assert_eq!(p.server_received.len(), 500);
+        let segments = p.client.segments_sent() - before;
+        assert!(segments < writes, "{segments} segments for {writes} writes");
     }
 
     #[test]
@@ -1864,7 +1830,7 @@ mod tests {
 
     #[test]
     fn duplicate_data_is_detected() {
-        let mut p = Pair::new(nagle_off(), nagle_off());
+        let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
         p.run_until(SimTime::from_millis(100));
         p.client_write(b"payload!");
         p.run_until(p.now + SimDuration::from_millis(50));
@@ -1901,13 +1867,21 @@ mod tests {
     fn send_gate_holds_synack_until_raised() {
         let (cq, sq) = quads();
         let now = SimTime::ZERO;
-        let mut client = Connection::connect(cq, nagle_off(), SeqNum::new(500), now);
+        let mut client = Connection::connect(cq, TcpConfig::default(), SeqNum::new(500), now);
         let syn = client.take_segments().remove(0);
-        let mut server = Connection::accept(sq, nagle_off(), SeqNum::new(9000), &syn, now, false);
+        let mut server = Connection::accept(
+            sq,
+            TcpConfig::default(),
+            SeqNum::new(9000),
+            &syn,
+            now,
+            false,
+        );
         // Not gated: SYN-ACK flows immediately.
         assert_eq!(server.take_segments().len(), 1);
 
-        let mut gated = Connection::accept(sq, nagle_off(), SeqNum::new(9000), &syn, now, true);
+        let mut gated =
+            Connection::accept(sq, TcpConfig::default(), SeqNum::new(9000), &syn, now, true);
         assert!(gated.take_segments().is_empty(), "gated SYN-ACK leaked");
         // A retransmitted SYN while gated must not produce a SYN-ACK.
         gated.on_segment(syn, now);
@@ -1923,7 +1897,7 @@ mod tests {
     #[test]
     fn send_gate_limits_data() {
         // The server's gate covers nothing past its SYN-ACK.
-        let mut p = Pair::gated(nagle_off());
+        let mut p = Pair::gated(TcpConfig::default());
         p.server_write(&pattern(1000));
         p.run_until(p.now + SimDuration::from_millis(50));
         assert_eq!(p.client_received.len(), 0, "gated data leaked");
@@ -1943,26 +1917,17 @@ mod tests {
     }
 
     #[test]
-    fn gate_watchdog_fires_only_when_enabled() {
-        for watchdog in [true, false] {
-            let cfg = TcpConfig {
-                nagle: false,
-                gate_watchdog: watchdog,
-                ..TcpConfig::default()
-            };
-            // Queue data behind the server's gate and never report
-            // successor progress: the flow-control loop is silently wedged
-            // (the client sees nothing to retransmit).
-            let mut p = Pair::gated(cfg);
-            p.server_write(&pattern(1000));
-            p.run_until(p.now + SimDuration::from_secs(10));
-            let fired = p.server().gate_starved_count();
-            if watchdog {
-                assert!(fired > 0, "watchdog armed but never fired");
-            } else {
-                assert_eq!(fired, 0, "disabled watchdog fired");
-            }
-        }
+    fn gate_watchdog_fires_on_a_silent_successor() {
+        // Queue data behind the server's gate and never report successor
+        // progress: the flow-control loop is silently wedged (the client
+        // sees nothing to retransmit).
+        let mut p = Pair::gated(TcpConfig::default());
+        p.server_write(&pattern(1000));
+        p.run_until(p.now + SimDuration::from_secs(10));
+        assert!(
+            p.server().gate_starved_count() > 0,
+            "watchdog armed but never fired"
+        );
     }
 
     /// A client and a gated server past the handshake, the server's send
@@ -1971,9 +1936,16 @@ mod tests {
     fn gated_established() -> (Connection, Connection) {
         let (cq, sq) = quads();
         let now = SimTime::ZERO;
-        let mut client = Connection::connect(cq, nagle_off(), SeqNum::new(1000), now);
+        let mut client = Connection::connect(cq, TcpConfig::default(), SeqNum::new(1000), now);
         let syn = client.take_segments().remove(0);
-        let mut server = Connection::accept(sq, nagle_off(), SeqNum::new(77_000), &syn, now, true);
+        let mut server = Connection::accept(
+            sq,
+            TcpConfig::default(),
+            SeqNum::new(77_000),
+            &syn,
+            now,
+            true,
+        );
         assert!(server.take_segments().is_empty(), "gated SYN-ACK leaked");
         server.raise_send_gate(server.iss() + 1, now);
         let synack = server.take_segments().remove(0);
@@ -2075,7 +2047,7 @@ mod tests {
 
     #[test]
     fn deposit_gate_stages_then_releases() {
-        let mut p = Pair::gated(nagle_off());
+        let mut p = Pair::gated(TcpConfig::default());
         let now = p.now;
         p.client_write(b"gated-bytes");
         p.run_until(now + SimDuration::from_millis(50));
@@ -2096,7 +2068,7 @@ mod tests {
 
     #[test]
     fn deposit_gate_suppresses_ack_progress() {
-        let mut p = Pair::gated(nagle_off());
+        let mut p = Pair::gated(TcpConfig::default());
         p.client_write(b"0123456789");
         p.run_until(p.now + SimDuration::from_millis(200));
         // Client saw no ACK covering its data (server's rcv_nxt is pinned),
@@ -2110,10 +2082,9 @@ mod tests {
     fn zero_window_stalls_then_resumes() {
         let server_cfg = TcpConfig {
             recv_buf: 2048,
-            nagle: false,
             ..TcpConfig::default()
         };
-        let mut p = Pair::new(nagle_off(), server_cfg);
+        let mut p = Pair::new(TcpConfig::default(), server_cfg);
         p.auto_read = false;
         p.run_until(SimTime::from_millis(100));
         let data = pattern(8000);
@@ -2182,7 +2153,6 @@ mod tests {
     fn rtt_estimate_tracks_latency() {
         // Delayed ACKs would inflate the samples; turn them off.
         let cfg = TcpConfig {
-            nagle: false,
             delayed_ack: false,
             ..TcpConfig::default()
         };
@@ -2202,7 +2172,7 @@ mod tests {
 
     #[test]
     fn write_after_close_rejected() {
-        let mut p = Pair::new(nagle_off(), nagle_off());
+        let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
         p.run_until(SimTime::from_millis(100));
         let now = p.now;
         p.client.close(now);
@@ -2211,7 +2181,7 @@ mod tests {
 
     #[test]
     fn counters_track_bytes() {
-        let mut p = Pair::new(nagle_off(), nagle_off());
+        let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
         p.run_until(SimTime::from_millis(100));
         p.client_write(&pattern(5000));
         p.run_until(p.now + SimDuration::from_secs(2));
@@ -2237,7 +2207,6 @@ mod close_tests {
         let (aq, bq) = quads();
         let now = SimTime::ZERO;
         let cfg = TcpConfig {
-            nagle: false,
             delayed_ack: false,
             time_wait: SimDuration::from_secs(1),
             ..TcpConfig::default()

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use common::{pattern, CollectApp, Replicator, SendOnceApp, StackHost};
-use hydranet_netsim::link::{Impairments, LinkParams, LossModel};
+use hydranet_netsim::link::{Impairments, LinkParams};
 use hydranet_netsim::packet::{IpPacket, Protocol};
 use hydranet_netsim::prelude::*;
 use hydranet_tcp::prelude::*;
@@ -353,7 +353,7 @@ fn build_lossy_chain(replica_cfg: TcpConfig, link: LinkParams, seed: u64) -> Cha
 fn run_lossy_chain(replica_cfg: TcpConfig, seed: u64) -> (u64, u64) {
     let link = LinkParams {
         impairments: Impairments {
-            loss: LossModel::Bernoulli { p: 0.02 },
+            loss_p: 0.02,
             reorder_p: 0.05,
             reorder_jitter: SimDuration::from_millis(2),
             duplicate_p: 0.01,

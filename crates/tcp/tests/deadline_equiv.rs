@@ -228,14 +228,12 @@ fn run_scenario(
     conns: &[(u64, u16)],
 ) -> Vec<String> {
     let log: TraceLog = Rc::new(RefCell::new(Vec::new()));
-    let link = LinkParams::default()
-        .with_loss(LossModel::Bernoulli { p: 0.05 })
-        .with_impairments(
-            Impairments::NONE
-                .with_loss(LossModel::Bernoulli { p: 0.05 })
-                .with_reordering(0.10, SimDuration::from_millis(2))
-                .with_duplication(0.02),
-        );
+    let link = LinkParams::default().with_impairments(
+        Impairments::NONE
+            .with_loss(0.05)
+            .with_reordering(0.10, SimDuration::from_millis(2))
+            .with_duplication(0.02),
+    );
     let mut t = TopologyBuilder::new();
     let client = t.add_node(
         PolicyHost::new(

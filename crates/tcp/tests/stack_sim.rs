@@ -77,7 +77,7 @@ fn echo_round_trip_over_simulated_link() {
 
 #[test]
 fn echo_survives_link_loss() {
-    let link = LinkParams::default().with_loss(LossModel::Bernoulli { p: 0.05 });
+    let link = LinkParams::default().with_impairments(Impairments::NONE.with_loss(0.05));
     let (mut sim, client, server) = two_hosts(link);
     let server_rx = start_echo_server(&mut sim, server, 80);
     let payload = pattern(20_000);

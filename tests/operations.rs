@@ -150,7 +150,7 @@ fn congested_backup_is_shed_then_recommissioned() {
     // Severe congestion on the backup's branch: effectively unusable.
     rig.system
         .sim
-        .set_link_loss(backup_link, LossModel::Bernoulli { p: 0.9 });
+        .set_link_impairments(backup_link, Impairments::NONE.with_loss(0.9));
 
     // The broken chain stalls the primary; the estimator fires; the
     // redirector probes. The congested backup often cannot answer probes
@@ -193,7 +193,9 @@ fn congested_backup_is_shed_then_recommissioned() {
     );
 
     // Congestion clears; the operator re-commissions the backup.
-    rig.system.sim.set_link_loss(backup_link, LossModel::None);
+    rig.system
+        .sim
+        .set_link_impairments(backup_link, Impairments::NONE);
     let hs2 = rig.hs2;
     rig.system
         .sim
