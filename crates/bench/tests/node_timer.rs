@@ -12,7 +12,7 @@
 
 use hydranet_bench::fig4::{run_point, Fig4Config, Fig4Params};
 use hydranet_core::prelude::*;
-use hydranet_netsim::node::{Context, IfaceId, Node, TimerToken};
+use hydranet_netsim::node::{Context, IfaceId, Node};
 use hydranet_netsim::packet::IpPacket;
 use hydranet_netsim::routing::Prefix;
 use hydranet_netsim::sim::Simulator;
@@ -101,7 +101,7 @@ impl<N: Deadline> Reference<N> {
     fn rearm(&mut self, ctx: &mut Context<'_>) {
         if self.rearm {
             if let Some(t) = self.node.deadline() {
-                ctx.set_timer_at(t, TimerToken(0));
+                ctx.set_timer_at(t);
             }
         }
     }
@@ -119,8 +119,8 @@ impl<N: Deadline> Node for Reference<N> {
         self.rearm(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-        self.node.on_timer(ctx, token);
+    fn on_timer(&mut self, ctx: &mut Context<'_>) {
+        self.node.on_timer(ctx);
         self.rearm(ctx);
     }
 

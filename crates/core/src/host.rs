@@ -2,7 +2,7 @@
 
 use hydranet_mgmt::daemon::{DaemonAction, HostDaemon};
 use hydranet_mgmt::proto::MGMT_PORT;
-use hydranet_netsim::node::{Context, IfaceId, Node, TimerToken};
+use hydranet_netsim::node::{Context, IfaceId, Node};
 use hydranet_netsim::packet::{IpAddr, IpPacket};
 use hydranet_netsim::time::{SimDuration, SimTime};
 use hydranet_obs::Obs;
@@ -106,7 +106,7 @@ impl Node for ClientHost {
         self.flush(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>) {
         self.timer.fired(ctx.now());
         self.stack.on_timer(ctx.now());
         self.flush(ctx);
@@ -379,7 +379,7 @@ impl Node for HostServer {
         self.drive(ctx);
         // Always arm a short bootstrap tick so registrations scheduled at
         // t=0 with zero-latency links still make progress.
-        ctx.set_timer(SimDuration::from_micros(1), TimerToken(0));
+        ctx.set_timer(SimDuration::from_micros(1));
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_>, _iface: IfaceId, packet: IpPacket) {
@@ -387,7 +387,7 @@ impl Node for HostServer {
         self.drive(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>) {
         self.timer.fired(ctx.now());
         self.stack.on_timer(ctx.now());
         self.drive(ctx);
@@ -402,7 +402,7 @@ impl Node for HostServer {
 mod tests {
     use hydranet_mgmt::proto::MGMT_PORT;
     use hydranet_mgmt::reliable::DEFAULT_RETRY_INTERVAL;
-    use hydranet_netsim::node::{Context, IfaceId, Node, TimerToken};
+    use hydranet_netsim::node::{Context, IfaceId, Node};
     use hydranet_netsim::packet::{IpPacket, Protocol};
     use hydranet_netsim::topology::TopologyBuilder;
     use hydranet_tcp::udp::UdpDatagram;
@@ -464,7 +464,7 @@ mod tests {
 
     impl Node for SilentRedirector {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.set_timer(SimDuration::from_millis(7), TimerToken(0));
+            ctx.set_timer(SimDuration::from_millis(7));
         }
 
         fn on_packet(&mut self, ctx: &mut Context<'_>, _: IfaceId, packet: IpPacket) {
@@ -473,7 +473,7 @@ mod tests {
             }
         }
 
-        fn on_timer(&mut self, ctx: &mut Context<'_>, _: TimerToken) {
+        fn on_timer(&mut self, ctx: &mut Context<'_>) {
             let data = UdpDatagram {
                 src_port: 7000,
                 dst_port: 7001,
@@ -481,7 +481,7 @@ mod tests {
             };
             let packet = IpPacket::new(RD, HS, Protocol::UDP, data.encode());
             ctx.send(IfaceId::from_index(0), packet);
-            ctx.set_timer(SimDuration::from_millis(7), TimerToken(0));
+            ctx.set_timer(SimDuration::from_millis(7));
         }
     }
 

@@ -1,9 +1,10 @@
 //! The managed redirector node: redirection engine plus the replica
 //! management controller.
 
+use hydranet_mgmt::chain::describe;
 use hydranet_mgmt::failover::{ControllerAction, PairConfig, ProbeParams, ReplicaController};
 use hydranet_mgmt::proto::MGMT_PORT;
-use hydranet_netsim::node::{Context, IfaceId, Node, TimerToken};
+use hydranet_netsim::node::{Context, IfaceId, Node};
 use hydranet_netsim::packet::{IpAddr, IpPacket, Protocol};
 use hydranet_netsim::routing::encode_route_announce;
 use hydranet_netsim::time::{SimDuration, SimTime};
@@ -132,11 +133,7 @@ impl ManagedRedirector {
                             &[redirector, service_field],
                         );
                     } else {
-                        let chain_desc = chain
-                            .iter()
-                            .map(|h| h.to_string())
-                            .collect::<Vec<_>>()
-                            .join(" -> ");
+                        let chain_desc = describe(&chain);
                         self.engine
                             .table_mut()
                             .install(service, ServiceEntry::FaultTolerant { chain });
@@ -236,7 +233,7 @@ impl Node for ManagedRedirector {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>) {
         self.timer.fired(ctx.now());
         self.drive(ctx);
     }

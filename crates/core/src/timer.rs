@@ -1,6 +1,6 @@
 //! The one simulator wakeup a node keeps pending.
 
-use hydranet_netsim::node::{Context, TimerToken};
+use hydranet_netsim::node::Context;
 use hydranet_netsim::time::SimTime;
 
 /// A node's pending-wakeup mark: at most one *useful* simulator timer per
@@ -22,7 +22,7 @@ impl NodeTimer {
     /// Ensures a wakeup is pending at or before `deadline`.
     pub(crate) fn arm(&mut self, ctx: &mut Context<'_>, deadline: Option<SimTime>) {
         if let Some(t) = deadline.filter(|_| !self.covers(deadline)) {
-            ctx.set_timer_at(t, TimerToken(0));
+            ctx.set_timer_at(t);
             self.armed_at = Some(t);
         }
     }
@@ -79,7 +79,7 @@ mod tests {
     impl Node for Probe {
         fn on_packet(&mut self, _: &mut Context<'_>, _: IfaceId, _: IpPacket) {}
 
-        fn on_timer(&mut self, ctx: &mut Context<'_>, _: TimerToken) {
+        fn on_timer(&mut self, ctx: &mut Context<'_>) {
             self.timer.fired(ctx.now());
             self.woke.push(ctx.now());
             let next = self.script.pop_front();

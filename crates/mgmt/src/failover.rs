@@ -207,9 +207,9 @@ impl ReplicaController {
         self.stale_rejections
     }
 
-    /// Wires telemetry: probe rounds, host removals, and committed chain
-    /// reconfigurations are recorded on the timeline, plus a
-    /// `mgmt.controller.<addr>.reconfigurations` counter.
+    /// Wires telemetry: probe rounds, host removals, committed chain
+    /// reconfigurations, promotions and stale-epoch rejections are
+    /// recorded on the timeline. Their counts are the accessors above.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = obs;
     }
@@ -337,9 +337,6 @@ impl ReplicaController {
                 ("length", new.len().to_string()),
             ],
         );
-        self.obs
-            .counter(&format!("mgmt.controller.{}.reconfigurations", self.addr))
-            .inc();
         self.commit(service, &old, new, now);
     }
 
@@ -513,9 +510,6 @@ impl ReplicaController {
             kinds::REDIRECTOR_PROMOTED,
             &[("peer", peer.to_string()), ("term", term.to_string())],
         );
-        self.obs
-            .counter(&format!("mgmt.controller.{}.promotions", self.addr))
-            .inc();
         self.actions
             .push(ControllerAction::AnnounceRoutes { seq: term as u64 });
     }
@@ -591,9 +585,6 @@ impl ReplicaController {
                     ("current", current.to_string()),
                 ],
             );
-            self.obs
-                .counter(&format!("mgmt.controller.{}.stale_rejections", self.addr))
-                .inc();
             let reject = MgmtMsg::EpochReject {
                 term: current.term,
                 seq: current.seq,

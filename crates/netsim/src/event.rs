@@ -1,9 +1,7 @@
 //! The simulator's event calendar.
 
-use hydranet_obs::Obs;
-
 use crate::link::{Direction, Impairments, LinkId};
-use crate::node::{NodeId, TimerToken};
+use crate::node::NodeId;
 use crate::packet::IpPacket;
 use crate::time::SimTime;
 use crate::wheel::{TimerEntry, TimingWheel};
@@ -36,11 +34,7 @@ pub(crate) enum EventKind {
         epoch: u64,
     },
     /// A node timer fires.
-    Timer {
-        node: NodeId,
-        token: TimerToken,
-        epoch: u64,
-    },
+    Timer { node: NodeId, epoch: u64 },
     /// Fail-stop a node.
     Crash(NodeId),
     /// Bring a crashed node back.
@@ -71,11 +65,6 @@ pub(crate) struct EventQueue {
 impl EventQueue {
     pub fn new() -> Self {
         EventQueue::default()
-    }
-
-    /// Wires the wheel's internals counters (`wheel.*`).
-    pub fn set_obs(&mut self, obs: &Obs) {
-        self.wheel.set_obs(obs);
     }
 
     pub fn push(&mut self, time: SimTime, kind: EventKind) {

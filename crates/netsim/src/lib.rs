@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::buf::PacketBuf;
     pub use crate::frag::Reassembler;
     pub use crate::link::{Impairments, LinkId, LinkParams};
-    pub use crate::node::{Context, IfaceId, Node, NodeId, NodeParams, TimerToken};
+    pub use crate::node::{Context, IfaceId, Node, NodeId, NodeParams};
     pub use crate::packet::{IpAddr, IpPacket, Protocol};
     pub use crate::rng::SimRng;
     pub use crate::routing::{Prefix, RouteTable, RouterNode};

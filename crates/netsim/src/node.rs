@@ -59,11 +59,6 @@ impl fmt::Display for IfaceId {
     }
 }
 
-/// Opaque payload a node attaches to a timer so it can tell its timers apart
-/// when they fire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct TimerToken(pub u64);
-
 /// Per-node processing-cost parameters.
 ///
 /// Models the CPU cost of handling one packet: `fixed` covers header
@@ -112,7 +107,7 @@ impl Default for NodeParams {
 #[derive(Debug)]
 pub(crate) enum Action {
     Send { iface: IfaceId, packet: IpPacket },
-    SetTimer { at: SimTime, token: TimerToken },
+    SetTimer { at: SimTime },
 }
 
 /// The environment a node callback runs in.
@@ -166,19 +161,19 @@ impl<'a> Context<'a> {
         self.actions.push(Action::Send { iface, packet });
     }
 
-    /// Schedules a timer to fire after `delay`, delivering `token` to
-    /// [`Node::on_timer`]. A filed timer always fires unless the node
-    /// crashes first; a node that no longer wants the wake-up ignores it.
-    pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        self.set_timer_at(self.now.saturating_add(delay), token);
+    /// Schedules a timer to fire after `delay`, calling [`Node::on_timer`].
+    /// A filed timer always fires unless the node crashes first; a node
+    /// that no longer wants the wake-up ignores it.
+    pub fn set_timer(&mut self, delay: SimDuration) {
+        self.set_timer_at(self.now.saturating_add(delay));
     }
 
     /// Schedules a timer to fire at the absolute instant `at`.
     ///
     /// An instant in the past fires immediately (at the current time).
-    pub fn set_timer_at(&mut self, at: SimTime, token: TimerToken) {
+    pub fn set_timer_at(&mut self, at: SimTime) {
         let at = at.max(self.now);
-        self.actions.push(Action::SetTimer { at, token });
+        self.actions.push(Action::SetTimer { at });
     }
 }
 
@@ -197,7 +192,7 @@ pub trait Node: Any {
     fn on_packet(&mut self, ctx: &mut Context<'_>, iface: IfaceId, packet: IpPacket);
 
     /// Called when a timer set by this node fires.
-    fn on_timer(&mut self, _ctx: &mut Context<'_>, _token: TimerToken) {}
+    fn on_timer(&mut self, _ctx: &mut Context<'_>) {}
 
     /// Called when the node crashes (fail-stop). Pending packets and timers
     /// are discarded by the simulator; implementations should drop volatile
@@ -233,21 +228,20 @@ mod tests {
         let mut ctx = Context::new(SimTime::from_secs(1), NodeId(3), &mut rng, &mut actions);
         assert_eq!(ctx.now(), SimTime::from_secs(1));
         assert_eq!(ctx.node_id(), NodeId(3));
-        ctx.set_timer(SimDuration::from_millis(5), TimerToken(7));
-        ctx.set_timer_at(SimTime::ZERO, TimerToken(8)); // in the past
+        ctx.set_timer(SimDuration::from_millis(5));
+        ctx.set_timer_at(SimTime::ZERO); // in the past
         #[allow(clippy::drop_non_drop)] // end the borrow of `actions`
         drop(ctx);
         assert_eq!(actions.len(), 2);
         match &actions[0] {
-            Action::SetTimer { at, token } => {
+            Action::SetTimer { at } => {
                 assert_eq!(*at, SimTime::from_secs(1) + SimDuration::from_millis(5));
-                assert_eq!(*token, TimerToken(7));
             }
             other => panic!("unexpected action {other:?}"),
         }
         match &actions[1] {
             // Past deadlines are clamped to now.
-            Action::SetTimer { at, .. } => assert_eq!(*at, SimTime::from_secs(1)),
+            Action::SetTimer { at } => assert_eq!(*at, SimTime::from_secs(1)),
             other => panic!("unexpected action {other:?}"),
         }
     }

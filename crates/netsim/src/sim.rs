@@ -134,7 +134,6 @@ impl Simulator {
     /// Wires telemetry: fault-injection transitions (node crash/recover,
     /// link down/up) are recorded on the shared timeline.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.events.set_obs(&obs);
         self.obs = obs;
     }
 
@@ -418,13 +417,13 @@ impl Simulator {
             EventKind::LinkDequeue { link, dir, epoch } => {
                 self.link_dequeue(link, dir, epoch);
             }
-            EventKind::Timer { node, token, epoch } => {
+            EventKind::Timer { node, epoch } => {
                 let slot = &self.nodes[node.index()];
                 if slot.crashed || slot.epoch != epoch {
                     return;
                 }
                 self.stats.timers_fired += 1;
-                self.dispatch(node, |n, ctx| n.on_timer(ctx, token));
+                self.dispatch(node, |n, ctx| n.on_timer(ctx));
             }
             EventKind::Crash(node) => {
                 let slot = &mut self.nodes[node.index()];
@@ -525,11 +524,9 @@ impl Simulator {
                     };
                     self.link_enqueue(link, dir, packet);
                 }
-                Action::SetTimer { at, token } => {
+                Action::SetTimer { at } => {
                     let epoch = self.nodes[id.index()].epoch;
-                    let node = id;
-                    let timer = EventKind::Timer { node, token, epoch };
-                    self.events.push(at, timer);
+                    self.events.push(at, EventKind::Timer { node: id, epoch });
                 }
             }
         }
@@ -712,7 +709,6 @@ fn draw_jitter(rng: &mut SimRng, p: f64, jitter_nanos: u64) -> Option<SimDuratio
 mod tests {
     use super::*;
     use crate::link::LinkParams;
-    use crate::node::TimerToken;
     use crate::packet::{IpAddr, Protocol};
     use crate::topology::TopologyBuilder;
 
@@ -948,26 +944,45 @@ mod tests {
 
     #[test]
     fn timers_fire_in_deadline_then_filing_order() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        type Log = Rc<RefCell<Vec<(SimTime, usize)>>>;
+        /// Node 0 files 3 ms and 1 ms at start and 2 ms from its 1 ms
+        /// timer; node 1 files 2 ms at start, so at 2 ms its timer is the
+        /// one filed first although node 0 started first.
         struct TimerNode {
-            fired: Vec<u64>,
+            tag: usize,
+            log: Log,
         }
         impl Node for TimerNode {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.set_timer(SimDuration::from_millis(3), TimerToken(3));
-                ctx.set_timer(SimDuration::from_millis(1), TimerToken(1));
-                ctx.set_timer(SimDuration::from_millis(2), TimerToken(20));
-                ctx.set_timer(SimDuration::from_millis(2), TimerToken(21));
+                let delays: &[u64] = if self.tag == 0 { &[3, 1] } else { &[2] };
+                for &ms in delays {
+                    ctx.set_timer(SimDuration::from_millis(ms));
+                }
             }
             fn on_packet(&mut self, _ctx: &mut Context<'_>, _iface: IfaceId, _p: IpPacket) {}
-            fn on_timer(&mut self, _ctx: &mut Context<'_>, token: TimerToken) {
-                self.fired.push(token.0);
+            fn on_timer(&mut self, ctx: &mut Context<'_>) {
+                self.log.borrow_mut().push((ctx.now(), self.tag));
+                if self.tag == 0 && ctx.now() == SimTime::from_millis(1) {
+                    ctx.set_timer_at(SimTime::from_millis(2));
+                }
             }
         }
+        let log = Log::default();
         let mut t = TopologyBuilder::new();
-        let n = t.add_node(TimerNode { fired: vec![] }, NodeParams::INSTANT);
+        for tag in 0..2 {
+            let log = log.clone();
+            t.add_node(TimerNode { tag, log }, NodeParams::INSTANT);
+        }
         let mut sim = t.into_simulator(1);
         sim.run_until_idle();
-        assert_eq!(sim.node::<TimerNode>(n).fired, vec![1, 20, 21, 3]);
+        let ms = SimTime::from_millis;
+        assert_eq!(
+            *log.borrow(),
+            vec![(ms(1), 0), (ms(2), 1), (ms(2), 0), (ms(3), 0)]
+        );
         assert_eq!(sim.stats().timers_fired, 4);
     }
 
@@ -978,12 +993,12 @@ mod tests {
         }
         impl Node for TickTock {
             fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.set_timer(SimDuration::from_millis(10), TimerToken(0));
+                ctx.set_timer(SimDuration::from_millis(10));
             }
             fn on_packet(&mut self, _ctx: &mut Context<'_>, _iface: IfaceId, _p: IpPacket) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
+            fn on_timer(&mut self, ctx: &mut Context<'_>) {
                 self.ticks += 1;
-                ctx.set_timer(SimDuration::from_millis(10), TimerToken(0));
+                ctx.set_timer(SimDuration::from_millis(10));
             }
         }
         let mut t = TopologyBuilder::new();
@@ -998,7 +1013,7 @@ mod tests {
         // The epoch is the only invalidation: a timer filed after recovery
         // carries the new epoch and fires.
         sim.with_node_ctx::<TickTock, _>(n, |_, ctx| {
-            ctx.set_timer(SimDuration::from_millis(10), TimerToken(0));
+            ctx.set_timer(SimDuration::from_millis(10));
         });
         sim.run_until(SimTime::from_millis(215));
         assert_eq!(sim.node::<TickTock>(n).ticks, 4);
@@ -1091,11 +1106,11 @@ mod tests {
                     p.payload = vec![0u8; p.payload.len() + 1000].into();
                     self.log.push((ctx.now(), "reply", p.payload.len()));
                     ctx.send(iface, p);
-                    ctx.set_timer(SimDuration::from_micros(7), TimerToken(1));
+                    ctx.set_timer(SimDuration::from_micros(7));
                 }
             }
-            fn on_timer(&mut self, ctx: &mut Context<'_>, token: TimerToken) {
-                self.log.push((ctx.now(), "timer", token.0 as usize));
+            fn on_timer(&mut self, ctx: &mut Context<'_>) {
+                self.log.push((ctx.now(), "timer", 0));
             }
         }
 

@@ -26,9 +26,6 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use hydranet_obs::metrics::Counter;
-use hydranet_obs::Obs;
-
 use crate::time::SimTime;
 
 /// One entry filed in the wheel: a deadline, the owner-assigned insertion
@@ -121,9 +118,6 @@ pub struct TimingWheel<P> {
     /// entry and to each cascaded window start; placement of a push is
     /// relative to it.
     now_tick: u64,
-    c_cascades: Counter,
-    c_overflow: Counter,
-    c_sorts: Counter,
 }
 
 impl<P> Default for TimingWheel<P> {
@@ -134,9 +128,6 @@ impl<P> Default for TimingWheel<P> {
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             now_tick: 0,
-            c_cascades: Counter::default(),
-            c_overflow: Counter::default(),
-            c_sorts: Counter::default(),
         }
     }
 }
@@ -159,14 +150,6 @@ fn level_for(delta: u64) -> usize {
 }
 
 impl<P> TimingWheel<P> {
-    /// Wires the wheel's counters: `wheel.cascades`,
-    /// `wheel.overflow_pushes` and `wheel.slot_sorts`.
-    pub fn set_obs(&mut self, obs: &Obs) {
-        self.c_cascades = obs.counter("wheel.cascades");
-        self.c_overflow = obs.counter("wheel.overflow_pushes");
-        self.c_sorts = obs.counter("wheel.slot_sorts");
-    }
-
     /// Total entries filed (levels plus overflow).
     pub fn len(&self) -> usize {
         self.wheel_len + self.overflow.len()
@@ -187,7 +170,6 @@ impl<P> TimingWheel<P> {
         let tick = tick_of(ev.time).max(self.now_tick);
         let delta = tick - self.now_tick;
         if delta >= SPAN_TICKS {
-            self.c_overflow.inc();
             self.overflow.push(ev);
             return;
         }
@@ -203,7 +185,6 @@ impl<P> TimingWheel<P> {
                 // next 6 bits), so the ambiguity cannot recur.
                 lvl += 1;
                 if lvl == LEVELS {
-                    self.c_overflow.inc();
                     self.overflow.push(ev);
                     return;
                 }
@@ -383,7 +364,6 @@ impl<P> TimingWheel<P> {
     /// of a level-`L` slot sit within `64^L` ticks of their window start).
     fn cascade(&mut self, lvl: usize, idx: usize, window_start: u64) {
         debug_assert!(lvl > 0);
-        self.c_cascades.inc();
         self.now_tick = self.now_tick.max(window_start);
         let events = std::mem::take(&mut self.levels[lvl][idx].events);
         self.occupancy[lvl] &= !(1 << idx);
@@ -398,7 +378,6 @@ impl<P> TimingWheel<P> {
         self.now_tick = tick;
         let idx = (tick & SLOT_MASK) as usize;
         if !self.levels[0][idx].sorted {
-            self.c_sorts.inc();
             let slot = &mut self.levels[0][idx];
             slot.events
                 .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));

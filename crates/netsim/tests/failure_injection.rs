@@ -31,7 +31,7 @@ impl Ticker {
                 vec![0u8; 500],
             );
             ctx.send(IfaceId::from_index(0), p);
-            ctx.set_timer(self.interval, TimerToken(1));
+            ctx.set_timer(self.interval);
         }
     }
 }
@@ -40,7 +40,7 @@ impl Node for Ticker {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.emit(ctx);
     }
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _t: TimerToken) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>) {
         self.emit(ctx);
     }
     fn on_packet(&mut self, ctx: &mut Context<'_>, _iface: IfaceId, _p: IpPacket) {

@@ -116,10 +116,6 @@ pub struct RedirectorEngine {
     /// filled under — the single invalidation stamp. A packet arriving
     /// under any other generation empties them first.
     cache_gen: u64,
-    c_redirected: Counter,
-    c_copies: Counter,
-    c_forwarded: Counter,
-    c_flow_cache_resets: Counter,
     /// One of the two counts per redirected packet: a hit found the
     /// service's targets already resolved (through the flow cache or, on a
     /// flow miss, through `service_index`); a miss ran the routing lookups.
@@ -152,10 +148,6 @@ impl RedirectorEngine {
             services: Vec::new(),
             service_index: HashMap::new(),
             cache_gen: 0,
-            c_redirected: Counter::default(),
-            c_copies: Counter::default(),
-            c_forwarded: Counter::default(),
-            c_flow_cache_resets: Counter::default(),
             c_target_hits: Counter::default(),
             c_target_misses: Counter::default(),
             obs: Obs::default(),
@@ -164,20 +156,15 @@ impl RedirectorEngine {
         }
     }
 
-    /// Wires hot-path counters under `redirect.engine.<addr>.*` and the
-    /// embedded table's metrics under `redirect.table.<addr>.*`.
+    /// Wires the target-cache counters under `redirect.table.<addr>.*`
+    /// and the fan-out spans. Every other count is in
+    /// [`stats`](Self::stats).
     pub fn set_obs(&mut self, obs: &Obs) {
-        let scope = format!("redirect.engine.{}", self.addr);
-        self.c_redirected = obs.counter(&format!("{scope}.redirected"));
-        self.c_copies = obs.counter(&format!("{scope}.copies"));
-        self.c_forwarded = obs.counter(&format!("{scope}.forwarded"));
-        self.c_flow_cache_resets = obs.counter(&format!("{scope}.flow_cache_resets"));
         // Published under the table's scope, where they were first
         // counted: readers know them by these names.
         let scope = format!("redirect.table.{}", self.addr);
         self.c_target_hits = obs.counter(&format!("{scope}.target_cache_hits"));
         self.c_target_misses = obs.counter(&format!("{scope}.target_cache_misses"));
-        self.table.set_obs(obs, &self.addr.to_string());
         self.obs = obs.clone();
     }
 
@@ -337,7 +324,6 @@ impl RedirectorEngine {
                     // At the slot cap: start over. The per-service state
                     // is bounded by the table's size and stays.
                     self.stats.flow_cache_resets += 1;
-                    self.c_flow_cache_resets.inc();
                     self.flows.clear();
                     self.flows.insert(key, verdict);
                 }
@@ -348,7 +334,6 @@ impl RedirectorEngine {
             Verdict::Tunnel(i) => self.tunnel(sap, i as usize, whole, now, out),
             Verdict::Forward(i) => {
                 self.stats.forwarded += 1;
-                self.c_forwarded.inc();
                 out.push((IfaceId::from_index(i as usize), whole));
             }
             Verdict::NoRoute => self.stats.dropped_no_route += 1,
@@ -432,13 +417,11 @@ impl RedirectorEngine {
             ref routed,
         } = self.services[service];
         self.stats.redirected += 1;
-        self.c_redirected.inc();
         self.stats.dropped_no_route += u64::from(unroutable);
         let Some((&(last_iface, last_host), rest)) = routed.split_last() else {
             return;
         };
         self.stats.copies += routed.len() as u64;
-        self.c_copies.add(routed.len() as u64);
         let inner_id = whole.header.id;
         let encoded = whole.encode();
         if ft && self.obs.tracing_enabled() {
@@ -476,7 +459,6 @@ impl RedirectorEngine {
         match self.routes.lookup(packet.dst()) {
             Some(iface) => {
                 self.stats.forwarded += 1;
-                self.c_forwarded.inc();
                 out.push((iface, packet));
             }
             None => self.stats.dropped_no_route += 1,
@@ -929,11 +911,6 @@ mod tests {
         assert!(
             (1..=3).contains(&resets),
             "{resets} resets for {flows} flows"
-        );
-        assert_eq!(
-            obs.counter(&format!("redirect.engine.{RD}.flow_cache_resets"))
-                .get(),
-            resets
         );
         assert!(e.flows.len() < most, "a reset empties the cache");
         assert_eq!(e.stats().redirected, u64::from(flows));

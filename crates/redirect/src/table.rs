@@ -10,8 +10,6 @@
 use std::collections::HashMap;
 
 use hydranet_netsim::packet::IpAddr;
-use hydranet_obs::metrics::{Counter, Gauge};
-use hydranet_obs::Obs;
 use hydranet_tcp::segment::SockAddr;
 
 /// A replica location for a scaled (non-fault-tolerant) service, with the
@@ -66,24 +64,12 @@ pub struct RedirectorTable {
     /// everything it resolved from this table with the generation and
     /// drops the lot when the stamp no longer matches.
     generation: u64,
-    c_installs: Counter,
-    c_removes: Counter,
-    g_entries: Gauge,
 }
 
 impl RedirectorTable {
     /// Creates an empty table.
     pub fn new() -> Self {
         RedirectorTable::default()
-    }
-
-    /// Wires install/remove counters and an entry-count gauge under
-    /// `redirect.table.<scope>.*`.
-    pub fn set_obs(&mut self, obs: &Obs, scope: &str) {
-        self.c_installs = obs.counter(&format!("redirect.table.{scope}.installs"));
-        self.c_removes = obs.counter(&format!("redirect.table.{scope}.removes"));
-        self.g_entries = obs.gauge(&format!("redirect.table.{scope}.entries"));
-        self.g_entries.set(self.entries.len() as f64);
     }
 
     /// The table's resolution generation: changes whenever anything
@@ -104,8 +90,6 @@ impl RedirectorTable {
     pub fn install(&mut self, sap: SockAddr, entry: ServiceEntry) {
         self.entries.insert(sap, entry);
         self.generation += 1;
-        self.c_installs.inc();
-        self.g_entries.set(self.entries.len() as f64);
     }
 
     /// Removes the entry for `sap`, returning it.
@@ -113,8 +97,6 @@ impl RedirectorTable {
         let removed = self.entries.remove(&sap);
         if removed.is_some() {
             self.generation += 1;
-            self.c_removes.inc();
-            self.g_entries.set(self.entries.len() as f64);
         }
         removed
     }

@@ -41,7 +41,7 @@ use hydranet_netsim::frag::Reassembler;
 use hydranet_netsim::hash::IntMap;
 use hydranet_netsim::packet::{DecodeError, IpAddr, IpPacket, Protocol};
 use hydranet_netsim::time::{SimDuration, SimTime};
-use hydranet_obs::metrics::{Counter, Histogram};
+use hydranet_obs::metrics::Histogram;
 use hydranet_obs::Obs;
 
 use crate::conn::{ConnEvent, ConnTelemetry, Connection, TcpConfig, TcpState};
@@ -169,10 +169,6 @@ pub enum StackEvent {
         /// Datagram payload.
         payload: Vec<u8>,
     },
-    /// A connection completed its handshake.
-    ConnEstablished(Quad),
-    /// A connection ended (cleanly or by reset).
-    ConnClosed(Quad),
     /// The failure estimator on a replicated port crossed its threshold:
     /// the flow-control loop appears broken (§4.3). The host should report
     /// this through the replica management protocol.
@@ -305,9 +301,6 @@ pub struct TcpStack {
     obs: Obs,
     /// The one set of series every connection of this stack records into.
     conn_telemetry: Option<Rc<ConnTelemetry>>,
-    c_ackchan_tx: Counter,
-    c_ackchan_rx: Counter,
-    c_rx_corrupt: Counter,
     h_ackchan_pairs: Histogram,
 }
 
@@ -358,24 +351,19 @@ impl TcpStack {
             scratch_due: Vec::new(),
             obs: Obs::disabled(),
             conn_telemetry: None,
-            c_ackchan_tx: Counter::default(),
-            c_ackchan_rx: Counter::default(),
-            c_rx_corrupt: Counter::default(),
             h_ackchan_pairs: Histogram::default(),
         }
     }
 
     /// Wires telemetry for this stack and every connection it creates from
-    /// now on: ack-channel traffic counters under `tcp.stack.<addr>.*`,
-    /// the connections' srtt/rto/cwnd/gate-stall histograms and duplicate
+    /// now on: the ack-channel batch-size histogram under
+    /// `tcp.stack.<addr>.*`, the connections' srtt/rto/cwnd/gate-stall
+    /// histograms and duplicate
     /// counter aggregated under `tcp.stack.<addr>.conn.*` (one set per
     /// stack, whatever the connection count), and detector timeline
     /// events. Existing connections are re-wired too.
     pub fn set_obs(&mut self, obs: Obs) {
         let scope = format!("tcp.stack.{}", self.addrs[0]);
-        self.c_ackchan_tx = obs.counter(&format!("{scope}.ackchan_tx"));
-        self.c_ackchan_rx = obs.counter(&format!("{scope}.ackchan_rx"));
-        self.c_rx_corrupt = obs.counter(&format!("{scope}.rx_corrupt"));
         self.h_ackchan_pairs = obs.histogram(&format!("{scope}.ackchan.pairs_per_datagram"));
         self.conn_telemetry = ConnTelemetry::new(&obs, &scope);
         for occ in self.slots.iter_mut().filter_map(|s| s.occ.as_mut()) {
@@ -654,7 +642,6 @@ impl TcpStack {
         self.stats.dropped += 1;
         if matches!(err, DecodeError::BadChecksum { .. }) {
             self.stats.rx_corrupt += 1;
-            self.c_rx_corrupt.inc();
         }
     }
 
@@ -704,11 +691,6 @@ impl TcpStack {
     /// Drains queued outgoing IP packets.
     pub fn take_packets(&mut self) -> Vec<IpPacket> {
         std::mem::take(&mut self.out)
-    }
-
-    /// Drains queued stack events.
-    pub fn take_events(&mut self) -> Vec<StackEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// Drains queued outgoing IP packets into `buf` (cleared first) by
@@ -945,7 +927,6 @@ impl TcpStack {
     /// matching connection's send gate (SEQ) and deposit gate (ACK).
     fn on_ack_chan(&mut self, msg: AckChanMsg, now: SimTime) {
         self.stats.ackchan_rx += 1;
-        self.c_ackchan_rx.inc();
         if let Some((slot, mut entry)) = self.take_conn(msg.quad()) {
             entry.conn.raise_send_gate(msg.seq, now);
             entry.conn.raise_deposit_gate(msg.ack, now);
@@ -979,7 +960,6 @@ impl TcpStack {
             for &ev in events.iter() {
                 match ev {
                     ConnEvent::Established => {
-                        self.events.push(StackEvent::ConnEstablished(quad));
                         let mut io = SocketIo {
                             conn: &mut entry.conn,
                             now,
@@ -1012,11 +992,9 @@ impl TcpStack {
                     }
                     ConnEvent::Reset => {
                         entry.app.on_reset(quad);
-                        self.events.push(StackEvent::ConnClosed(quad));
                     }
                     ConnEvent::Closed => {
                         entry.app.on_closed(quad);
-                        self.events.push(StackEvent::ConnClosed(quad));
                     }
                     ConnEvent::AckProgress => {
                         if let Some(d) = entry.detector.as_mut() {
@@ -1208,7 +1186,6 @@ impl TcpStack {
     fn send_ack_batch(&mut self, src: IpAddr, pred: IpAddr, batch: &[AckChanMsg], now: SimTime) {
         debug_assert!(!batch.is_empty() && batch.len() <= ACK_CHAN_MAX_PAIRS);
         self.stats.ackchan_tx += batch.len() as u64;
-        self.c_ackchan_tx.add(batch.len() as u64);
         self.h_ackchan_pairs.record(batch.len() as u64);
         let mut wire = Vec::with_capacity(UDP_HEADER_LEN + 2 + batch.len() * ACK_CHAN_PAIR_LEN);
         UdpDatagram::encode_with(ACK_CHANNEL_PORT, ACK_CHANNEL_PORT, &mut wire, |p| {

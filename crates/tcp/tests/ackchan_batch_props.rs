@@ -20,7 +20,7 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::{pattern, CollectApp, Replicator, SendOnceApp, StackHost};
+use common::{pattern, CollectApp, Ends, Replicator, SendOnceApp, StackHost};
 use hydranet_netsim::link::{Impairments, LinkParams};
 use hydranet_netsim::packet::{IpPacket, Protocol};
 use hydranet_netsim::prelude::*;
@@ -125,6 +125,7 @@ fn prop_batched_reports_gate_like_singles_at_identical_times() {
                     payload: payload.clone(),
                     received: echo_rx.clone(),
                     close_after: None,
+                    ends: Ends::default(),
                 }),
                 SimTime::ZERO,
             )
@@ -336,6 +337,7 @@ fn build_lossy_chain(replica_cfg: TcpConfig, link: LinkParams, seed: u64) -> Cha
         payload,
         received: echo_rx.clone(),
         close_after: None,
+        ends: Ends::default(),
     };
     sim.with_node_ctx::<StackHost, _>(client, |host, ctx| {
         host.stack

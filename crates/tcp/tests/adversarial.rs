@@ -6,7 +6,7 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::{pattern, CollectApp, SendOnceApp, StackHost};
+use common::{pattern, CollectApp, Ends, SendOnceApp, StackHost};
 use hydranet_netsim::prelude::*;
 use hydranet_netsim::rng::SimRng;
 use hydranet_tcp::prelude::*;
@@ -89,6 +89,7 @@ fn run_chaos_transfer(
         payload: payload.clone(),
         received: client_rx.clone(),
         close_after: None,
+        ends: Ends::default(),
     };
     sim.with_node_ctx::<StackHost, _>(client, |host, ctx| {
         host.stack

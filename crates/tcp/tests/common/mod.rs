@@ -29,9 +29,11 @@ impl StackHost {
         for p in self.stack.take_packets() {
             ctx.send(IfaceId::from_index(0), p);
         }
-        self.events.extend(self.stack.take_events());
+        let mut events = Vec::new();
+        self.stack.take_events_into(&mut events);
+        self.events.extend(events);
         if let Some(t) = self.stack.next_deadline() {
-            ctx.set_timer_at(t, TimerToken(0));
+            ctx.set_timer_at(t);
         }
     }
 }
@@ -42,7 +44,7 @@ impl Node for StackHost {
         self.flush(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>) {
         self.stack.on_timer(ctx.now());
         self.flush(ctx);
     }
@@ -54,6 +56,11 @@ impl Node for StackHost {
 
 /// Shared byte-collector handle.
 pub type Collected = Rc<RefCell<Vec<u8>>>;
+
+/// Shared record of how an app's connections ended: one
+/// [`ConnEvent::Reset`] or [`ConnEvent::Closed`] per `on_reset` /
+/// `on_closed` call.
+pub type Ends = Rc<RefCell<Vec<ConnEvent>>>;
 
 /// Server app: accumulates received bytes into shared state; optionally
 /// echoes everything back. A deterministic replicated service must not
@@ -102,11 +109,13 @@ impl SocketApp for CollectApp {
 }
 
 /// Client app: streams a fixed payload starting at establishment (refilling
-/// the send buffer as space opens), collects replies.
+/// the send buffer as space opens), collects replies and records how the
+/// connection ended.
 pub struct SendOnceApp {
     pub payload: Vec<u8>,
     pub received: Collected,
     pub close_after: Option<usize>,
+    pub ends: Ends,
 }
 
 impl SendOnceApp {
@@ -138,6 +147,14 @@ impl SocketApp for SendOnceApp {
                 io.close();
             }
         }
+    }
+
+    fn on_reset(&mut self, _quad: Quad) {
+        self.ends.borrow_mut().push(ConnEvent::Reset);
+    }
+
+    fn on_closed(&mut self, _quad: Quad) {
+        self.ends.borrow_mut().push(ConnEvent::Closed);
     }
 }
 

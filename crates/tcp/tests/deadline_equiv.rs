@@ -88,7 +88,7 @@ impl PolicyHost {
             ));
             ctx.send(IfaceId::from_index(0), p);
         }
-        let _ = self.stack.take_events();
+        self.stack.take_events_into(&mut Vec::new());
         let indexed = self.stack.next_deadline();
         let scanned: Option<SimTime> = self
             .stack
@@ -110,7 +110,7 @@ impl PolicyHost {
             DeadlinePolicy::FullScan => scanned,
         };
         if let Some(t) = deadline {
-            ctx.set_timer_at(t, TimerToken(0));
+            ctx.set_timer_at(t);
         }
     }
 }
@@ -121,7 +121,7 @@ impl Node for PolicyHost {
         self.flush(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _token: TimerToken) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>) {
         self.stack.on_timer(ctx.now());
         self.flush(ctx);
     }

@@ -6,7 +6,7 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::{pattern, CollectApp, SendOnceApp, StackHost};
+use common::{pattern, CollectApp, Ends, SendOnceApp, StackHost};
 use hydranet_netsim::prelude::*;
 use hydranet_tcp::prelude::*;
 
@@ -86,6 +86,7 @@ fn reset_volatile_drops_connections_keeps_listeners() {
         payload: payload.clone(),
         received: sent,
         close_after: None,
+        ends: Ends::default(),
     };
     sim.with_node_ctx::<StackHost, _>(a, |host, ctx| {
         host.stack
@@ -105,6 +106,7 @@ fn reset_volatile_drops_connections_keeps_listeners() {
         payload: b"again".to_vec(),
         received: rx2,
         close_after: None,
+        ends: Ends::default(),
     };
     sim.with_node_ctx::<StackHost, _>(a, |host, ctx| {
         host.stack
@@ -144,6 +146,7 @@ fn graceful_close_reaps_both_ends() {
         payload: b"goodbye".to_vec(),
         received: replies.clone(),
         close_after: Some(7), // close after full echo
+        ends: Ends::default(),
     };
     sim.with_node_ctx::<StackHost, _>(a, |host, ctx| {
         host.stack
@@ -232,6 +235,7 @@ fn replica_connections_ack_every_segment() {
             payload: pattern(20_000),
             received: sent,
             close_after: None,
+            ends: Ends::default(),
         };
         let quad = sim.with_node_ctx::<StackHost, _>(a, |host, ctx| {
             let q = host
@@ -674,16 +678,16 @@ fn tunnelled_udp(layers: usize) -> IpPacket {
 #[test]
 fn one_tunnel_layer_is_unwrapped_and_a_second_is_dropped() {
     let mut s = TcpStack::new(A_ADDR, TcpConfig::default());
+    let mut events = Vec::new();
     s.handle_packet(tunnelled_udp(1), SimTime::ZERO);
     assert_eq!((s.stats().decapsulated, s.stats().dropped), (1, 0));
-    assert!(matches!(
-        s.take_events()[..],
-        [StackEvent::UdpDelivery { .. }]
-    ));
+    s.take_events_into(&mut events);
+    assert!(matches!(events[..], [StackEvent::UdpDelivery { .. }]));
     // Redirectors tunnel once; a tunnel inside a tunnel is not unwrapped.
     s.handle_packet(tunnelled_udp(2), SimTime::ZERO);
     assert_eq!((s.stats().decapsulated, s.stats().dropped), (1, 1));
-    assert!(s.take_events().is_empty(), "two-layer tunnel delivered");
+    s.take_events_into(&mut events);
+    assert!(events.is_empty(), "two-layer tunnel delivered");
 }
 
 #[test]
@@ -696,5 +700,7 @@ fn deepest_nested_tunnel_is_dropped_without_recursing() {
     let mut s = TcpStack::new(A_ADDR, TcpConfig::default());
     s.handle_packet(packet, SimTime::ZERO);
     assert_eq!((s.stats().decapsulated, s.stats().dropped), (0, 1));
-    assert!(s.take_events().is_empty());
+    let mut events = Vec::new();
+    s.take_events_into(&mut events);
+    assert!(events.is_empty());
 }

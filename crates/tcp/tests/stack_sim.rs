@@ -6,7 +6,7 @@ mod common;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use common::{pattern, CollectApp, SendOnceApp, StackHost};
+use common::{pattern, CollectApp, Collected, Ends, SendOnceApp, StackHost};
 use hydranet_netsim::prelude::*;
 use hydranet_tcp::prelude::*;
 
@@ -43,12 +43,14 @@ fn start_client(
     client: NodeId,
     remote: SockAddr,
     payload: Vec<u8>,
-) -> common::Collected {
-    let received = Rc::new(RefCell::new(Vec::new()));
+) -> (Collected, Ends) {
+    let received = Collected::default();
+    let ends = Ends::default();
     let app = SendOnceApp {
         payload,
         received: received.clone(),
         close_after: None,
+        ends: ends.clone(),
     };
     sim.with_node_ctx::<StackHost, _>(client, |host, ctx| {
         host.stack
@@ -56,7 +58,7 @@ fn start_client(
             .expect("connect");
         host.flush(ctx);
     });
-    received
+    (received, ends)
 }
 
 #[test]
@@ -64,7 +66,7 @@ fn echo_round_trip_over_simulated_link() {
     let (mut sim, client, server) = two_hosts(LinkParams::default());
     let server_rx = start_echo_server(&mut sim, server, 80);
     let payload = pattern(10_000);
-    let client_rx = start_client(
+    let (client_rx, _) = start_client(
         &mut sim,
         client,
         SockAddr::new(SERVER_ADDR, 80),
@@ -81,7 +83,7 @@ fn echo_survives_link_loss() {
     let (mut sim, client, server) = two_hosts(link);
     let server_rx = start_echo_server(&mut sim, server, 80);
     let payload = pattern(20_000);
-    let client_rx = start_client(
+    let (client_rx, _) = start_client(
         &mut sim,
         client,
         SockAddr::new(SERVER_ADDR, 80),
@@ -114,7 +116,7 @@ fn transfer_through_router_hop() {
     let mut sim = t.into_simulator(9);
     let server_rx = start_echo_server(&mut sim, server, 8080);
     let payload = pattern(5_000);
-    let client_rx = start_client(
+    let (client_rx, _) = start_client(
         &mut sim,
         client,
         SockAddr::new(SERVER_ADDR, 8080),
@@ -128,18 +130,13 @@ fn transfer_through_router_hop() {
 #[test]
 fn syn_to_closed_port_gets_rst() {
     let (mut sim, client, _server) = two_hosts(LinkParams::default());
-    let client_rx = start_client(&mut sim, client, SockAddr::new(SERVER_ADDR, 9), pattern(10));
+    let (client_rx, ends) =
+        start_client(&mut sim, client, SockAddr::new(SERVER_ADDR, 9), pattern(10));
     sim.run_until(SimTime::from_secs(5));
     assert!(client_rx.borrow().is_empty());
-    // The connection was reset and reaped.
+    // The connection was reset, the app was told, and the stack reaped it.
+    assert_eq!(*ends.borrow(), [ConnEvent::Reset]);
     assert_eq!(sim.node::<StackHost>(client).stack.conn_count(), 0);
-    let events = &sim.node::<StackHost>(client).events;
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, StackEvent::ConnClosed(_))),
-        "no close event: {events:?}"
-    );
 }
 
 #[test]
@@ -153,7 +150,7 @@ fn many_concurrent_connections() {
         total += payload.len();
         client_rxs.push((
             payload.clone(),
-            start_client(&mut sim, client, SockAddr::new(SERVER_ADDR, 80), payload),
+            start_client(&mut sim, client, SockAddr::new(SERVER_ADDR, 80), payload).0,
         ));
     }
     sim.run_until(SimTime::from_secs(60));
@@ -167,7 +164,7 @@ fn many_concurrent_connections() {
 fn server_crash_resets_nothing_but_stops_service() {
     let (mut sim, client, server) = two_hosts(LinkParams::default());
     let _server_rx = start_echo_server(&mut sim, server, 80);
-    let client_rx = start_client(
+    let (client_rx, _) = start_client(
         &mut sim,
         client,
         SockAddr::new(SERVER_ADDR, 80),
@@ -192,7 +189,7 @@ fn fragmentation_on_small_mtu_path_is_transparent() {
     let (mut sim, client, server) = two_hosts(link);
     let server_rx = start_echo_server(&mut sim, server, 80);
     let payload = pattern(30_000);
-    let client_rx = start_client(
+    let (client_rx, _) = start_client(
         &mut sim,
         client,
         SockAddr::new(SERVER_ADDR, 80),

@@ -139,8 +139,9 @@ fn failover_run_exports_full_telemetry_report() {
 }
 
 /// Client — redirector — one echo replica, with `conns` client streams of
-/// 20 kB each run to completion. Returns the system and the client node.
-fn run_healthy(seed: u64, conns: usize) -> (System, NodeId) {
+/// 20 kB each run to completion. Returns the system, the client node and
+/// the redirector node.
+fn run_healthy(seed: u64, conns: usize) -> (System, NodeId, NodeId) {
     let mut b = SystemBuilder::new(TcpConfig::default());
     let client = b.add_client("client", CLIENT);
     let rd = b.add_redirector("rd", RD);
@@ -164,12 +165,12 @@ fn run_healthy(seed: u64, conns: usize) -> (System, NodeId) {
     }
     system.sim.run_until(SimTime::from_secs(60));
     assert_eq!(sink.borrow().len(), 20_000 * conns);
-    (system, client)
+    (system, client, rd)
 }
 
 #[test]
 fn healthy_run_records_no_failover_events() {
-    let (system, _) = run_healthy(13, 1);
+    let (system, _, rd) = run_healthy(13, 1);
     let obs = system.obs();
     assert!(system.detection_latency_nanos().is_none());
     for kind in [
@@ -180,10 +181,12 @@ fn healthy_run_records_no_failover_events() {
     ] {
         assert!(obs.first_event_at(kind).is_none(), "spurious {kind}");
     }
-    // But steady-state metrics still flowed.
+    // But steady-state metrics still flowed: the registry's histograms
+    // and target-cache counters, and the engine's own stats.
     let report = system.telemetry_json("healthy");
     assert!(report.contains(".srtt_us\""));
-    assert!(report.contains("redirect.engine."));
+    assert!(report.contains(&format!("redirect.table.{RD}.target_cache_hits")));
+    assert!(system.redirector(rd).engine().stats().redirected > 0);
 }
 
 /// Every dotted key of the report's `metrics` object — the registry's
@@ -207,11 +210,28 @@ fn metric_names(report: &str) -> Vec<String> {
 /// processed.
 #[test]
 fn series_count_is_independent_of_connection_count() {
-    let (one, _) = run_healthy(13, 1);
-    let (many, client) = run_healthy(13, 200);
+    let (one, _, _) = run_healthy(13, 1);
+    let (many, client, _) = run_healthy(13, 200);
     let names = metric_names(&one.telemetry_json("one"));
-    assert!(names.len() > 20, "extracted only {names:?}");
-    assert!(names.contains(&format!("tcp.stack.{CLIENT}.conn.cwnd")));
+    // Counters, then histograms, each sorted: every count a stats struct
+    // keeps stays out of the registry.
+    let expected = [
+        "redirect.table.10.9.0.1.target_cache_hits",
+        "redirect.table.10.9.0.1.target_cache_misses",
+        "tcp.stack.10.0.1.1.conn.duplicate_segments",
+        "tcp.stack.10.0.2.1.conn.duplicate_segments",
+        "tcp.stack.10.0.1.1.ackchan.pairs_per_datagram",
+        "tcp.stack.10.0.1.1.conn.cwnd",
+        "tcp.stack.10.0.1.1.conn.gate_stall_us",
+        "tcp.stack.10.0.1.1.conn.rto_us",
+        "tcp.stack.10.0.1.1.conn.srtt_us",
+        "tcp.stack.10.0.2.1.ackchan.pairs_per_datagram",
+        "tcp.stack.10.0.2.1.conn.cwnd",
+        "tcp.stack.10.0.2.1.conn.gate_stall_us",
+        "tcp.stack.10.0.2.1.conn.rto_us",
+        "tcp.stack.10.0.2.1.conn.srtt_us",
+    ];
+    assert_eq!(names, expected);
     assert_eq!(names, metric_names(&many.telemetry_json("many")));
 
     // The two `fastpath_*` fields survive only for the `benchmark/`
