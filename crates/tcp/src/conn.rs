@@ -36,12 +36,6 @@ pub struct TcpConfig {
     /// Delay ACKs briefly (at most 40 ms) to piggyback/coalesce
     /// (ack-every-other-segment).
     pub delayed_ack: bool,
-    /// How long a backup stack may hold diverted `(SEQ, ACK)` report pairs
-    /// before flushing one coalesced ack-channel datagram to its chain
-    /// predecessor. Zero disables batching: every would-be transmission is
-    /// reported in its own datagram (the paper's §4.2 per-segment
-    /// behaviour).
-    pub ackchan_flush_delay: SimDuration,
     /// How long to linger in TIME-WAIT.
     pub time_wait: SimDuration,
 }
@@ -64,12 +58,6 @@ impl Default for TcpConfig {
             send_buf: 65_535,
             recv_buf: 65_535,
             delayed_ack: true,
-            // Same discipline as ACK_DELAY, much tighter: a held report
-            // delays the predecessor's gates, and those stack per chain
-            // stage on the client's ACK path. 4 ms is 50x under the RTO
-            // floor, so a full chain of flush delays can never race a
-            // retransmission timer.
-            ackchan_flush_delay: SimDuration::from_millis(4),
             time_wait: SimDuration::from_secs(30),
         }
     }

@@ -10,10 +10,11 @@
 //! NUMBER and ACKNOWLEDGEMENT NUMBER — sent over UDP to its predecessor.
 //!
 //! This module defines the roles, the per-port chain configuration (the
-//! `setportopt` state), the ack-channel wire format, and the deterministic
-//! ISS derivation that lets independently created replica connections share
-//! one sequence space (a prerequisite for client-transparent fail-over that
-//! the paper's single-kernel-image presentation leaves implicit).
+//! `setportopt` state), the ack-channel wire format (one encoder, one
+//! decoder), and the deterministic ISS derivation that lets independently
+//! created replica connections share one sequence space (a prerequisite for
+//! client-transparent fail-over that the paper's single-kernel-image
+//! presentation leaves implicit).
 
 use std::fmt;
 
@@ -104,8 +105,10 @@ impl ReplicatedPortConfig {
     }
 }
 
-/// One acknowledgement-channel message: the two TCP flow-control fields of
-/// a would-be packet of connection `conn`, as seen by the reporting replica.
+/// One acknowledgement-channel pair: the two TCP flow-control fields of a
+/// would-be packet of one connection, as seen by the reporting replica. On
+/// the wire pairs travel only in the frame of
+/// [`AckChanMsg::encode_batch_into`]; a lone report is a frame of one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AckChanMsg {
     /// The client endpoint of the connection.
@@ -125,16 +128,14 @@ pub struct AckChanMsg {
     pub ack: SeqNum,
 }
 
-/// Byte length of an encoded single-pair [`AckChanMsg`] (tag + one pair).
-pub const ACK_CHAN_MSG_LEN: usize = 21;
-
-/// Byte length of one `(connection, SEQ, ACK)` pair within either format.
+/// Byte length of one `(connection, SEQ, ACK)` pair within a frame.
 pub const ACK_CHAN_PAIR_LEN: usize = 20;
 
-/// Maximum pairs one batched datagram can carry (the count field is a u8).
+/// Maximum pairs one frame can carry (the count field is a u8).
 pub const ACK_CHAN_MAX_PAIRS: usize = 255;
 
-const ACK_CHAN_TAG: u8 = 0xA1;
+/// Tag of the one-pair short form, which drops the count byte.
+const ACK_CHAN_ONE_TAG: u8 = 0xA1;
 const ACK_CHAN_BATCH_TAG: u8 = 0xA2;
 
 impl AckChanMsg {
@@ -156,19 +157,6 @@ impl AckChanMsg {
         )
     }
 
-    /// Serialises to the 21-byte single-pair wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ACK_CHAN_MSG_LEN);
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// Appends the 21-byte single-pair wire format to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(ACK_CHAN_TAG);
-        self.encode_pair_into(out);
-    }
-
     /// Appends the raw 20-byte pair (no tag) to `out`.
     fn encode_pair_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.client.addr.to_bits().to_be_bytes());
@@ -179,9 +167,10 @@ impl AckChanMsg {
         out.extend_from_slice(&self.ack.raw().to_be_bytes());
     }
 
-    /// Appends the batched wire format — `0xA2 | count (1) | count × pair`
-    /// — to `out`. A batch coalesces one flush window of reports into a
-    /// single datagram; pair order is preserved.
+    /// Appends the ack-channel frame — `0xA2 | count (1) | count × pair`,
+    /// or `0xA1 | pair` for a lone pair — to `out`. A frame carries one
+    /// flush window of reports in a single datagram; pair order is
+    /// preserved.
     ///
     /// # Panics
     ///
@@ -194,8 +183,11 @@ impl AckChanMsg {
             msgs.len()
         );
         out.reserve(2 + msgs.len() * ACK_CHAN_PAIR_LEN);
-        out.push(ACK_CHAN_BATCH_TAG);
-        out.push(msgs.len() as u8);
+        if let [_] = msgs {
+            out.push(ACK_CHAN_ONE_TAG);
+        } else {
+            out.extend_from_slice(&[ACK_CHAN_BATCH_TAG, msgs.len() as u8]);
+        }
         for m in msgs {
             m.encode_pair_into(out);
         }
@@ -213,79 +205,32 @@ impl AckChanMsg {
         }
     }
 
-    /// Parses the single-pair wire format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] on truncation, trailing bytes, or a bad tag
-    /// byte.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        if bytes.len() < ACK_CHAN_MSG_LEN {
-            return Err(DecodeError::Truncated {
-                needed: ACK_CHAN_MSG_LEN,
-                got: bytes.len(),
-            });
-        }
-        if bytes.len() != ACK_CHAN_MSG_LEN {
-            return Err(DecodeError::BadLength {
-                declared: ACK_CHAN_MSG_LEN,
-                available: bytes.len(),
-            });
-        }
-        if bytes[0] != ACK_CHAN_TAG {
-            return Err(DecodeError::BadVersion(bytes[0]));
-        }
-        Ok(Self::decode_pair(&bytes[1..]))
-    }
-
-    /// Parses either wire format — a single-pair message or a batch — and
-    /// invokes `f` once per pair, in wire order. Returns the pair count.
+    /// Parses one ack-channel frame and invokes `f` once per pair, in wire
+    /// order. Returns the pair count. The frame is validated whole before
+    /// `f` first runs, so a rejected frame applies no pair.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] on truncation, an unknown tag byte, or a
-    /// batch whose declared count does not match its length.
+    /// count that is zero or does not match the length.
     pub fn decode_each(bytes: &[u8], mut f: impl FnMut(AckChanMsg)) -> Result<usize, DecodeError> {
-        match bytes.first() {
-            Some(&ACK_CHAN_TAG) => {
-                f(Self::decode(bytes)?);
-                Ok(1)
-            }
-            Some(&ACK_CHAN_BATCH_TAG) => {
-                if bytes.len() < 2 {
-                    return Err(DecodeError::Truncated {
-                        needed: 2,
-                        got: bytes.len(),
-                    });
-                }
-                let count = bytes[1] as usize;
-                let declared = 2 + count * ACK_CHAN_PAIR_LEN;
-                if count == 0 || bytes.len() != declared {
-                    return Err(DecodeError::BadLength {
-                        declared,
-                        available: bytes.len(),
-                    });
-                }
-                for i in 0..count {
-                    f(Self::decode_pair(
-                        &bytes[2 + i * ACK_CHAN_PAIR_LEN..2 + (i + 1) * ACK_CHAN_PAIR_LEN],
-                    ));
-                }
-                Ok(count)
-            }
-            Some(&tag) => Err(DecodeError::BadVersion(tag)),
-            None => Err(DecodeError::Truncated { needed: 1, got: 0 }),
+        let (count, pairs) = match bytes {
+            [ACK_CHAN_ONE_TAG, pairs @ ..] => (1, pairs),
+            [ACK_CHAN_BATCH_TAG, count, pairs @ ..] => (usize::from(*count), pairs),
+            [ACK_CHAN_BATCH_TAG] => return Err(DecodeError::Truncated { needed: 2, got: 1 }),
+            [tag, ..] => return Err(DecodeError::BadVersion(*tag)),
+            [] => return Err(DecodeError::Truncated { needed: 1, got: 0 }),
+        };
+        if count == 0 || pairs.len() != count * ACK_CHAN_PAIR_LEN {
+            return Err(DecodeError::BadLength {
+                declared: bytes.len() - pairs.len() + count * ACK_CHAN_PAIR_LEN,
+                available: bytes.len(),
+            });
         }
-    }
-}
-
-impl fmt::Display for AckChanMsg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ackchan {}@{} seq={} ack={}",
-            self.client, self.service, self.seq, self.ack
-        )
+        pairs
+            .chunks_exact(ACK_CHAN_PAIR_LEN)
+            .for_each(|pair| f(Self::decode_pair(pair)));
+        Ok(count)
     }
 }
 
@@ -315,6 +260,8 @@ pub fn deterministic_iss(quad: Quad) -> SeqNum {
 
 #[cfg(test)]
 mod tests {
+    use hydranet_netsim::rng::SimRng;
+
     use super::*;
 
     fn quad() -> Quad {
@@ -324,57 +271,37 @@ mod tests {
         )
     }
 
-    #[test]
-    fn ack_chan_roundtrip() {
-        let msg = AckChanMsg {
-            client: SockAddr::new(IpAddr::new(10, 0, 0, 9), 51_000),
+    fn pair(i: u16) -> AckChanMsg {
+        AckChanMsg {
+            client: SockAddr::new(IpAddr::new(10, 0, 0, 9), 51_000 + i),
             service: SockAddr::new(IpAddr::new(192, 20, 225, 20), 80),
-            seq: SeqNum::new(0xAABBCCDD),
-            ack: SeqNum::new(0x11223344),
-        };
-        let bytes = msg.encode();
-        assert_eq!(bytes.len(), ACK_CHAN_MSG_LEN);
-        assert_eq!(AckChanMsg::decode(&bytes).unwrap(), msg);
-        assert_eq!(msg.quad().local, msg.service);
-        assert_eq!(msg.quad().remote, msg.client);
+            seq: SeqNum::new(0xAABB_CC00 + u32::from(i)),
+            ack: SeqNum::new(0x1122_3300 + u32::from(i)),
+        }
+    }
+
+    fn frame(msgs: &[AckChanMsg]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        AckChanMsg::encode_batch_into(msgs, &mut wire);
+        wire
     }
 
     #[test]
     fn ack_chan_batch_roundtrip() {
-        let msgs: Vec<AckChanMsg> = (0..5u16)
-            .map(|i| AckChanMsg {
-                client: SockAddr::new(IpAddr::new(10, 0, 0, 9), 51_000 + i),
-                service: SockAddr::new(IpAddr::new(192, 20, 225, 20), 80),
-                seq: SeqNum::new(0x1000 + u32::from(i)),
-                ack: SeqNum::new(0x2000 + u32::from(i)),
-            })
-            .collect();
-        let mut wire = Vec::new();
-        AckChanMsg::encode_batch_into(&msgs, &mut wire);
-        assert_eq!(wire.len(), 2 + msgs.len() * ACK_CHAN_PAIR_LEN);
-        let mut back = Vec::new();
-        let n = AckChanMsg::decode_each(&wire, |m| back.push(m)).unwrap();
-        assert_eq!(n, msgs.len());
-        assert_eq!(back, msgs);
-    }
-
-    #[test]
-    fn decode_each_handles_single_pair_format() {
-        let msg = AckChanMsg {
-            client: SockAddr::new(IpAddr::new(10, 0, 0, 9), 51_000),
-            service: SockAddr::new(IpAddr::new(192, 20, 225, 20), 80),
-            seq: SeqNum::new(7),
-            ack: SeqNum::new(9),
-        };
-        let mut single = Vec::new();
-        msg.encode_into(&mut single);
-        assert_eq!(single, msg.encode());
-        let mut seen = Vec::new();
-        assert_eq!(
-            AckChanMsg::decode_each(&single, |m| seen.push(m)).unwrap(),
-            1
-        );
-        assert_eq!(seen, vec![msg]);
+        for n in [1u16, 5, ACK_CHAN_MAX_PAIRS as u16] {
+            let msgs: Vec<AckChanMsg> = (0..n).map(pair).collect();
+            let wire = frame(&msgs);
+            let header: &[u8] = if n == 1 { &[0xA1] } else { &[0xA2, n as u8] };
+            assert_eq!(wire.len(), header.len() + msgs.len() * ACK_CHAN_PAIR_LEN);
+            assert!(wire.starts_with(header));
+            let mut back = Vec::new();
+            let count = AckChanMsg::decode_each(&wire, |m| back.push(m)).unwrap();
+            assert_eq!(count, msgs.len());
+            assert_eq!(back, msgs);
+        }
+        let msg = pair(0);
+        assert_eq!(msg.quad().local, msg.service);
+        assert_eq!(msg.quad().remote, msg.client);
     }
 
     #[test]
@@ -389,25 +316,71 @@ mod tests {
         assert!(AckChanMsg::decode_each(&wire, |_| {}).is_err());
         // Unknown tag.
         assert!(AckChanMsg::decode_each(&[0x07; 21], |_| {}).is_err());
+        // A one-pair frame: short by a byte, a trailing byte, a bad tag.
+        let one = frame(&[pair(1)]);
+        assert!(AckChanMsg::decode_each(&one[..one.len() - 1], |_| {}).is_err());
+        let mut trailing = one.clone();
+        trailing.push(0);
+        assert!(AckChanMsg::decode_each(&trailing, |_| {}).is_err());
+        let mut bad_tag = one;
+        bad_tag[0] = 0x00;
+        assert!(AckChanMsg::decode_each(&bad_tag, |_| {}).is_err());
     }
 
+    /// Hostile input: valid frames of 1–32 pairs, each truncated, extended,
+    /// re-tagged, re-counted (the first pair byte of a one-pair frame) or
+    /// bit-flipped. The decoder never panics; it either rejects the frame
+    /// without applying a pair or yields exactly the declared count of
+    /// pairs, which re-encode to the same bytes.
     #[test]
-    fn ack_chan_rejects_garbage() {
-        assert!(AckChanMsg::decode(&[0u8; 5]).is_err());
-        let msg = AckChanMsg {
-            client: SockAddr::new(IpAddr::new(1, 1, 1, 1), 1),
-            service: SockAddr::new(IpAddr::new(2, 2, 2, 2), 2),
-            seq: SeqNum::new(0),
-            ack: SeqNum::new(0),
-        };
-        let mut bytes = msg.encode();
-        bytes[0] = 0x00;
-        assert!(AckChanMsg::decode(&bytes).is_err());
-        // Trailing bytes after a well-formed single-pair frame.
-        let mut trailing = msg.encode();
-        trailing.push(0);
-        assert!(AckChanMsg::decode(&trailing).is_err());
-        assert!(AckChanMsg::decode_each(&trailing, |_| {}).is_err());
+    fn prop_mutated_frames_decode_whole_or_not_at_all() {
+        let mut rng = SimRng::seed_from(0xA2);
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..4_000 {
+            // Any 20 bytes are a pair.
+            let pairs: Vec<AckChanMsg> = (0..rng.range(1, 33))
+                .map(|_| {
+                    let bytes: Vec<u8> = (0..ACK_CHAN_PAIR_LEN)
+                        .map(|_| rng.next_u64() as u8)
+                        .collect();
+                    AckChanMsg::decode_pair(&bytes)
+                })
+                .collect();
+            let mut wire = frame(&pairs);
+            match rng.range(0, 5) {
+                0 => wire.truncate(rng.range(0, wire.len() as u64) as usize),
+                1 => {
+                    let extra = rng.range(1, 2 * ACK_CHAN_PAIR_LEN as u64 + 1);
+                    wire.extend((0..extra).map(|_| rng.next_u64() as u8));
+                }
+                2 => wire[0] = rng.next_u64() as u8,
+                3 => wire[1] = rng.next_u64() as u8,
+                _ => {
+                    let at = rng.range(0, wire.len() as u64) as usize;
+                    wire[at] ^= rng.range(1, 256) as u8;
+                }
+            }
+            let mut seen = Vec::new();
+            match AckChanMsg::decode_each(&wire, |m| seen.push(m)) {
+                Ok(count) => {
+                    accepted += 1;
+                    assert_eq!(seen.len(), count);
+                    assert_eq!(frame(&seen), wire);
+                }
+                Err(_) => {
+                    rejected += 1;
+                    assert!(
+                        seen.is_empty(),
+                        "rejected frame applied {} pairs",
+                        seen.len()
+                    );
+                }
+            }
+        }
+        assert!(
+            accepted > 500 && rejected > 2_000,
+            "{accepted} / {rejected}"
+        );
     }
 
     #[test]

@@ -54,9 +54,21 @@ use crate::ft::{
 use crate::segment::{Quad, SockAddr, TcpFlags, TcpSegment};
 use crate::udp::{UdpDatagram, UDP_HEADER_LEN};
 
+/// How long a backup may hold diverted `(SEQ, ACK)` reports before
+/// flushing them as one ack-channel datagram. Same discipline as the
+/// delayed-ACK hold, much tighter: a held report delays the predecessor's
+/// gates, and those stack per chain stage on the client's ACK path. 4 ms is
+/// 50x under the RTO floor, so a full chain of flush holds can never race a
+/// retransmission timer.
+const ACKCHAN_FLUSH_DELAY: SimDuration = SimDuration::from_millis(4);
+
 /// Pending ack-channel reports (one per connection) that force a flush
 /// before the flush timer: a full batch gains nothing by waiting.
 const ACKCHAN_FLUSH_PAIRS: usize = 32;
+
+// A flush never holds more pairs than one frame carries, so every run of
+// reports bound for one predecessor fits one datagram.
+const _: () = assert!(ACKCHAN_FLUSH_PAIRS <= ACK_CHAN_MAX_PAIRS);
 
 /// Application callbacks for one TCP connection.
 ///
@@ -200,12 +212,13 @@ pub struct StackStats {
     /// RSTs emitted for segments with no matching socket.
     pub rst_sent: u64,
     /// Ack-channel (SEQ, ACK) pairs put on the wire (backup output
-    /// diversion). With batching, coalesced duplicates never count here —
-    /// in a loss-free run this equals the predecessor's `ackchan_rx`.
+    /// diversion). Coalesced duplicates never count here — in a loss-free
+    /// run this equals the predecessor's `ackchan_rx`.
     pub ackchan_tx: u64,
     /// Ack-channel pairs superseded in the pending batch before a flush
     /// (a fresher report for the same connection overwrote them). Each one
-    /// is a datagram the per-segment protocol would have sent.
+    /// is a report the paper's §4.2 protocol would have sent in a datagram
+    /// of its own.
     pub ackchan_coalesced: u64,
     /// Ack-channel pairs received and applied.
     pub ackchan_rx: u64,
@@ -1117,27 +1130,21 @@ impl TcpStack {
     /// time, but the per-segment storm of duplicate reports from a gated
     /// replica collapses to one pair per flush window.
     ///
-    /// Flushes immediately when the report carries connection-lifecycle
-    /// state (SYN/FIN/RST segments — handshakes must not wait), when the
-    /// batch reaches [`ACKCHAN_FLUSH_PAIRS`], or — `ackchan_flush_delay` of
-    /// zero — always, so every report leaves alone in its own datagram (the
-    /// paper's per-segment behaviour, used as the reference arm in
-    /// equivalence tests).
+    /// Flushes after [`ACKCHAN_FLUSH_DELAY`], or immediately when the
+    /// report carries connection-lifecycle state (SYN/FIN/RST segments —
+    /// handshakes must not wait) or the batch reaches
+    /// [`ACKCHAN_FLUSH_PAIRS`].
     ///
     /// The flush deadline is `ackchan_flush_at` itself, which
     /// [`TcpStack::next_deadline`] folds in beside the connections' heap.
     fn queue_ack_report(&mut self, quad: Quad, msg: AckChanMsg, control: bool, now: SimTime) {
-        let delay = self.cfg.ackchan_flush_delay;
         if self.ackchan_pending.insert(quad, msg).is_some() {
             self.stats.ackchan_coalesced += 1;
         }
-        if control
-            || delay == SimDuration::ZERO
-            || self.ackchan_pending.len() >= ACKCHAN_FLUSH_PAIRS
-        {
+        if control || self.ackchan_pending.len() >= ACKCHAN_FLUSH_PAIRS {
             self.flush_ackchan(now);
         } else if self.ackchan_flush_at.is_none() {
-            self.ackchan_flush_at = Some(now + delay);
+            self.ackchan_flush_at = Some(now + ACKCHAN_FLUSH_DELAY);
         }
     }
 
@@ -1166,7 +1173,7 @@ impl TcpStack {
                 continue;
             };
             let key = (quad.local.addr, pred);
-            if dest != Some(key) || batch.len() >= ACK_CHAN_MAX_PAIRS {
+            if dest != Some(key) {
                 if let Some((src, to)) = dest {
                     self.send_ack_batch(src, to, &batch, now);
                 }
@@ -1180,20 +1187,14 @@ impl TcpStack {
         }
     }
 
-    /// Encodes `batch` as one ack-channel datagram — single-pair wire
-    /// format when the batch has one report, the multi-pair format
-    /// otherwise — built in place in the packet buffer, and queues it.
+    /// Encodes `batch` as one ack-channel datagram, built in place in the
+    /// packet buffer, and queues it.
     fn send_ack_batch(&mut self, src: IpAddr, pred: IpAddr, batch: &[AckChanMsg], now: SimTime) {
-        debug_assert!(!batch.is_empty() && batch.len() <= ACK_CHAN_MAX_PAIRS);
         self.stats.ackchan_tx += batch.len() as u64;
         self.h_ackchan_pairs.record(batch.len() as u64);
         let mut wire = Vec::with_capacity(UDP_HEADER_LEN + 2 + batch.len() * ACK_CHAN_PAIR_LEN);
         UdpDatagram::encode_with(ACK_CHANNEL_PORT, ACK_CHANNEL_PORT, &mut wire, |p| {
-            if let [single] = batch {
-                single.encode_into(p);
-            } else {
-                AckChanMsg::encode_batch_into(batch, p);
-            }
+            AckChanMsg::encode_batch_into(batch, p);
         });
         self.push_packet(src, pred, Protocol::UDP, wire);
         if self.obs.tracing_enabled() {

@@ -293,10 +293,12 @@ fn ack_channel_datagrams_are_consumed_internally() {
             seq: SeqNum::new(5),
             ack: SeqNum::new(6),
         };
+        let mut frame = Vec::new();
+        AckChanMsg::encode_batch_into(&[msg], &mut frame);
         host.stack.udp_send(
             SockAddr::new(A_ADDR, ACK_CHANNEL_PORT),
             SockAddr::new(B_ADDR, ACK_CHANNEL_PORT),
-            msg.encode(),
+            frame,
         );
         host.flush(ctx);
     });
@@ -315,15 +317,15 @@ fn ack_channel_datagrams_are_consumed_internally() {
 // ---- batched ack-channel mechanics ------------------------------------
 //
 // These drive a backup stack directly (no simulator) so each flush
-// trigger — control segment, pair cap, timer, legacy zero-delay mode —
-// can be observed in isolation through `take_packets` and the stats.
+// trigger — control segment, pair cap, timer — can be observed in
+// isolation through `take_packets` and the stats.
 
 const PRED_ADDR: IpAddr = IpAddr::new(10, 0, 9, 9);
 const CLIENT_PORT: u16 = 40_000;
 const CLIENT_ISS: u32 = 1_000;
 
-fn backup_stack(cfg: TcpConfig) -> TcpStack {
-    let mut s = TcpStack::new(B_ADDR, cfg);
+fn backup_stack() -> TcpStack {
+    let mut s = TcpStack::new(B_ADDR, TcpConfig::default());
     s.listen(80, |_q| Box::new(NullApp));
     s.setportopt(
         80,
@@ -402,7 +404,7 @@ fn reports_to_pred(packets: &[hydranet_netsim::packet::IpPacket]) -> usize {
 
 #[test]
 fn ackchan_reports_coalesce_until_the_flush_timer() {
-    let mut s = backup_stack(TcpConfig::default());
+    let mut s = backup_stack();
     let t0 = SimTime::from_millis(1);
     deliver_syn(&mut s, t0);
     // Handshake report flushes immediately (control), nothing else leaves.
@@ -421,8 +423,8 @@ fn ackchan_reports_coalesce_until_the_flush_timer() {
     assert_eq!(s.stats().ackchan_coalesced, 4, "4 of 5 pairs overwritten");
     let deadline = s.next_deadline().expect("flush timer armed");
     assert!(
-        deadline <= t1 + TcpConfig::default().ackchan_flush_delay,
-        "flush deadline beyond the configured delay"
+        deadline <= t1 + SimDuration::from_millis(4),
+        "flush deadline beyond the 4 ms hold"
     );
 
     // Timer fires: one datagram, one coalesced pair.
@@ -433,7 +435,7 @@ fn ackchan_reports_coalesce_until_the_flush_timer() {
 
 #[test]
 fn ackchan_pair_cap_forces_immediate_flush() {
-    let mut s = backup_stack(TcpConfig::default());
+    let mut s = backup_stack();
     let ports: Vec<u16> = (0..32).map(|i| CLIENT_PORT + i).collect();
     for &port in &ports {
         deliver_syn_from(&mut s, port, SimTime::from_millis(1));
@@ -458,26 +460,8 @@ fn ackchan_pair_cap_forces_immediate_flush() {
 }
 
 #[test]
-fn ackchan_zero_delay_is_per_segment_legacy_mode() {
-    let cfg = TcpConfig {
-        ackchan_flush_delay: SimDuration::ZERO,
-        ..TcpConfig::default()
-    };
-    let mut s = backup_stack(cfg);
-    deliver_syn(&mut s, SimTime::from_millis(1));
-    s.take_packets();
-    for n in 0..3 {
-        deliver_data(&mut s, n, SimTime::from_millis(2));
-    }
-    // The paper's §4.2 behaviour: one datagram per diverted segment.
-    assert_eq!(reports_to_pred(&s.take_packets()), 3);
-    assert_eq!(s.stats().ackchan_tx, 4);
-    assert_eq!(s.stats().ackchan_coalesced, 0);
-}
-
-#[test]
 fn ackchan_reset_volatile_clears_pending_reports() {
-    let mut s = backup_stack(TcpConfig::default());
+    let mut s = backup_stack();
     deliver_syn(&mut s, SimTime::from_millis(1));
     deliver_data(&mut s, 0, SimTime::from_millis(2));
     s.take_packets();
@@ -491,7 +475,7 @@ fn ackchan_reset_volatile_clears_pending_reports() {
 
 #[test]
 fn ackchan_stale_predecessor_drops_pending_at_flush() {
-    let mut s = backup_stack(TcpConfig::default());
+    let mut s = backup_stack();
     deliver_syn(&mut s, SimTime::from_millis(1));
     deliver_data(&mut s, 0, SimTime::from_millis(2));
     s.take_packets();
