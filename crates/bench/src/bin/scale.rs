@@ -16,7 +16,7 @@
 //! tail-latency / per-flow-memory summary plus the event-attribution table
 //! from a profiled cell, and writes `BENCH_scale.json`: the deterministic
 //! report plus wall-clock timing (events/sec, speedups, attribution — all
-//! kept *outside* the merged report).
+//! kept *outside* the merged report) and each cell's calendar peak.
 
 use std::fmt::Write as _;
 
@@ -89,6 +89,12 @@ fn main() {
         "client per-flow memory at peak hold: {bytes_per_flow} bytes/conn aggregate (per cell: {})",
         per_flow.join(", ")
     );
+    let calendar_peak: Vec<String> = outcomes
+        .iter()
+        .map(|o| o.calendar_peak.to_string())
+        .collect();
+    let calendar_peak = calendar_peak.join(", ");
+    println!("calendar peak (most events filed at once) per cell: {calendar_peak}");
 
     // Event-attribution table from a profiled run of the base cell: where
     // the remaining wall time goes with a 10k-scale population held open.
@@ -134,6 +140,9 @@ fn main() {
     soak.finish(
         "scale",
         "BENCH_scale.json",
-        &[("attribution", &format!("[\n{attribution}\n]"))],
+        &[
+            ("calendar_peak", &format!("[{calendar_peak}]")),
+            ("attribution", &format!("[\n{attribution}\n]")),
+        ],
     );
 }

@@ -16,8 +16,8 @@
 //! - a background **cross-traffic** bulk transfer competing for the
 //!   redirector's link queues;
 //! - flows *hold their connections open* after completing, so concurrency
-//!   accumulates to the full arrival count and the stack's slab/demux/
-//!   timer-wheel paths are exercised at peak population while the hot
+//!   accumulates to the full arrival count and the stack's slab, demux and
+//!   deadline-heap paths are exercised at peak population while the hot
 //!   flows keep demuxing through the same tables.
 //!
 //! Each flow speaks a tiny framed protocol: an 8-byte big-endian length
@@ -157,6 +157,8 @@ pub struct CellOutcome {
     pub bytes: u64,
     /// Simulated events processed by the cell.
     pub events: u64,
+    /// The most events the cell's calendar held at once.
+    pub calendar_peak: u64,
     /// Arrival→receipt latency per completed flow, in completion order.
     pub completion_ns: Vec<u64>,
     /// Client-stack connection-state heap bytes, sampled at peak hold.
@@ -490,6 +492,7 @@ pub fn run_cell(
         peak_concurrent: peak,
         bytes,
         events: system.sim.stats().events_processed,
+        calendar_peak: system.sim.stats().calendar_peak,
         completion_ns,
         client_conn_bytes,
         client_conns_at_sample: client_conns,
@@ -648,6 +651,7 @@ mod tests {
             assert_eq!(o.residual_conns, 0, "cell {} leaked conns", o.seed);
             assert!(o.per_flow_bytes() > 0);
             assert!(o.events > 0);
+            assert!(o.calendar_peak > 0 && o.calendar_peak < o.events);
         }
     }
 

@@ -1,10 +1,10 @@
 //! The simulator's event calendar.
 
+use crate::calendar::{Calendar, TimerEntry};
 use crate::link::{Direction, Impairments, LinkId};
 use crate::node::NodeId;
 use crate::packet::IpPacket;
 use crate::time::SimTime;
-use crate::wheel::{TimerEntry, TimingWheel};
 
 /// What happens when an event fires.
 #[derive(Debug)]
@@ -54,12 +54,13 @@ pub(crate) enum EventKind {
 pub(crate) type Event = TimerEntry<EventKind>;
 
 /// A deterministic event calendar ordered by `(time, insertion order)`:
-/// the hierarchical timing wheel plus the insertion counter that stamps
-/// each entry's `seq`.
+/// the [`Calendar`] plus the insertion counter that stamps each entry's
+/// `seq`, and the most entries it ever held at once.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    wheel: Box<TimingWheel<EventKind>>,
+    calendar: Calendar<EventKind>,
     next_seq: u64,
+    peak: usize,
 }
 
 impl EventQueue {
@@ -70,33 +71,35 @@ impl EventQueue {
     pub fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.wheel.push(TimerEntry {
+        self.calendar.push(TimerEntry {
             time,
             seq,
             payload: kind,
         });
+        self.peak = self.peak.max(self.calendar.len());
     }
 
     pub fn pop(&mut self) -> Option<Event> {
-        self.wheel.pop()
+        self.calendar.pop()
     }
 
-    /// Pops the earliest event only if it is due at or before `deadline`;
-    /// the wheel answers most misses from its occupancy bitmaps alone.
+    /// Pops the earliest event only if it is due at or before `deadline`.
     pub fn pop_if_at_or_before(&mut self, deadline: SimTime) -> Option<Event> {
-        self.wheel.pop_if_at_or_before(deadline)
+        self.calendar.pop_if_at_or_before(deadline)
     }
 
     #[cfg(test)]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        let ev = self.pop()?;
-        let time = ev.time;
-        self.wheel.push(ev);
-        Some(time)
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.calendar.peek_time()
     }
 
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        self.calendar.len()
+    }
+
+    /// The most events filed at once so far.
+    pub fn peak(&self) -> usize {
+        self.peak
     }
 
     #[cfg(test)]
@@ -165,5 +168,22 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn peak_is_the_most_entries_filed_at_once() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peak(), 0);
+        for i in 0..3 {
+            q.push(SimTime::from_micros(i), start(0));
+        }
+        q.pop();
+        q.pop();
+        q.push(SimTime::from_micros(9), start(0));
+        assert_eq!((q.len(), q.peak()), (2, 3));
+        for _ in 0..2 {
+            q.push(SimTime::from_micros(9), start(0));
+        }
+        assert_eq!(q.peak(), 4);
     }
 }

@@ -128,7 +128,10 @@ impl Simulator {
 
     /// Whole-run counters.
     pub fn stats(&self) -> SimStats {
-        self.stats
+        SimStats {
+            calendar_peak: self.events.peak() as u64,
+            ..self.stats
+        }
     }
 
     /// Wires telemetry: fault-injection transitions (node crash/recover,

@@ -63,6 +63,8 @@ pub struct SimStats {
     /// Timers delivered to their node; a crashed node's pending timers are
     /// dropped uncounted.
     pub timers_fired: u64,
+    /// The most events the calendar held at once.
+    pub calendar_peak: u64,
 }
 
 #[cfg(test)]
