@@ -228,12 +228,7 @@ pub const DEFAULT_MAX_PARTIALS: usize = 1024;
 impl Reassembler {
     /// Creates a reassembler with the default 30 s timeout and default cap.
     pub fn new() -> Self {
-        Self::with_timeout(DEFAULT_REASSEMBLY_TIMEOUT)
-    }
-
-    /// Creates a reassembler that discards partial datagrams after `timeout`.
-    pub fn with_timeout(timeout: SimDuration) -> Self {
-        Self::with_limits(timeout, DEFAULT_MAX_PARTIALS)
+        Self::with_limits(DEFAULT_REASSEMBLY_TIMEOUT, DEFAULT_MAX_PARTIALS)
     }
 
     /// Creates a reassembler with an explicit timeout and partial-datagram
@@ -471,7 +466,7 @@ mod tests {
     fn partial_datagrams_expire() {
         let p = packet(400, 12);
         let frags = fragment_packet(p, 150).unwrap();
-        let mut r = Reassembler::with_timeout(SimDuration::from_secs(1));
+        let mut r = Reassembler::with_limits(SimDuration::from_secs(1), DEFAULT_MAX_PARTIALS);
         // Push all but the last fragment.
         for f in &frags[..frags.len() - 1] {
             assert!(r.push(SimTime::ZERO, f.clone()).is_none());

@@ -1,10 +1,11 @@
 //! A fast hasher for the simulator's integer-keyed maps.
 //!
-//! The TCP stack's demux map and the redirector's flow table key their
-//! entries by packed connection quads and engine-assigned integers,
-//! probed once per packet. Std's default SipHash is DoS-resistant but
-//! costs far more than the surrounding work; these keys are
-//! engine-internal and never attacker-controlled, so a Fibonacci multiply
+//! The TCP stack's demux map keys its entries by packed connection quads
+//! (`u128`), the redirector's service map by packed service access points
+//! (`u64`, `addr << 16 | port`); both are probed once per packet. Std's
+//! default SipHash is DoS-resistant but costs far more than the
+//! surrounding work; only the engine inserts these keys (a connection it
+//! set up, a service the redirector table names), so a Fibonacci multiply
 //! per word suffices to spread them across buckets.
 
 use std::collections::HashMap;
@@ -102,8 +103,9 @@ mod tests {
 
     #[test]
     fn high_bit_variance_reaches_the_bucket_index() {
-        // Keys shaped like a packed quad's low word: all variance in bits
-        // 16.. (an address), constant low 16 bits (a service port).
+        // Keys shaped like a packed service access point (the redirector's
+        // service map) or a quad's low word: all variance in bits 16..
+        // (an address), constant low 16 bits (a service port).
         // The low hash bits pick the bucket, so they must still spread.
         let mut low_bits = HashSet::new();
         for i in 0u64..4096 {
@@ -119,7 +121,7 @@ mod tests {
         );
     }
 
-    /// Flow-table-shaped two-word keys: the low word carries the client's
+    /// Quad-shaped two-word keys: the low word carries the client's
     /// ephemeral port in bits 48.. (plus a service address and port), the
     /// high word the client address.
     fn flow_words() -> impl Iterator<Item = (u64, u64)> {
@@ -161,9 +163,9 @@ mod tests {
 
     #[test]
     fn write_u128_is_the_two_step_fold() {
-        // The flow table's slot placement, growth and memory rest on this
-        // exact value: hash the low word, fold its product, mix in the
-        // high word and fold again.
+        // The stack's demux map, the one `u128` user, hashes its packed
+        // quads through this exact value: hash the low word, fold its
+        // product, mix in the high word and fold again.
         let fold = |n: u64| {
             let p = n.wrapping_mul(FIB);
             p ^ (p >> 32)

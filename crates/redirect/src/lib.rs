@@ -10,7 +10,7 @@
 //! - [`tunnel`] — IP-in-IP encapsulation used to deliver redirected packets
 //!   to host servers.
 //! - [`redirector`] — the sans-I/O [`RedirectorEngine`] (routing +
-//!   redirection + per-flow reassembly).
+//!   redirection + per-datagram reassembly).
 //!
 //! The replica management protocol that installs and reconfigures table
 //! entries lives in `hydranet-mgmt`; the fully managed redirector node is
@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod flow;
 pub mod redirector;
 pub mod table;
 pub mod tunnel;

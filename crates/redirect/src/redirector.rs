@@ -9,18 +9,16 @@
 //! and tunnelled to the appropriate hosts, with one copy going to the
 //! primary server and one copy to each backup server" (§4.2).
 
-use std::collections::HashMap;
-
 use hydranet_netsim::frag::Reassembler;
+use hydranet_netsim::hash::IntMap;
 use hydranet_netsim::node::IfaceId;
 use hydranet_netsim::packet::{IpAddr, IpPacket, Protocol};
 use hydranet_netsim::routing::RouteTable;
 use hydranet_netsim::time::SimTime;
 use hydranet_obs::metrics::Counter;
 use hydranet_obs::Obs;
-use hydranet_tcp::segment::{Quad, SockAddr};
+use hydranet_tcp::segment::SockAddr;
 
-use crate::flow::FlowTable;
 use crate::table::{RedirectorTable, ServiceEntry};
 use crate::tunnel::encapsulate_buf;
 
@@ -43,25 +41,6 @@ pub struct RedirectorStats {
     /// admission grace (the client retransmits; see
     /// [`RedirectorEngine::defer_new_flows_until`]).
     pub syn_deferred: u64,
-    /// Times the flow cache reached its slot cap
-    /// ([`flow::MAX_SLOTS`](crate::flow::MAX_SLOTS)) and was emptied; the
-    /// flows re-resolve on their next packet.
-    pub flow_cache_resets: u64,
-}
-
-/// What the flow cache remembers per flow quad: where the flow's packets
-/// go, small enough to sit beside the key. Everything large is per
-/// *service*, not per flow, and lives once in [`RedirectorEngine::services`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-enum Verdict {
-    /// The table matched: tunnel to the targets of this resolved service
-    /// (an index into [`RedirectorEngine::services`]).
-    Tunnel(u32),
-    /// No table match: plain routed forward out of this interface index.
-    Forward(u32),
-    /// No table match and no route: count the drop.
-    #[default]
-    NoRoute,
 }
 
 /// A table entry resolved against the routing table — the once-per-
@@ -101,24 +80,21 @@ pub struct RedirectorEngine {
     stats: RedirectorStats,
     /// TCP packets can arrive fragmented (e.g. oversized writes); the port
     /// lives only in the first fragment, so redirection operates on
-    /// reassembled packets — the redirector is a middlebox with per-flow
-    /// reassembly state, like any port-matching router.
+    /// reassembled packets — the redirector is a middlebox with
+    /// per-datagram reassembly state, like any port-matching router.
     reassembler: Reassembler,
-    /// The one per-packet cache: flow quad → [`Verdict`]. The steady-state
-    /// TCP path is one flat-table probe instead of a table lookup plus
-    /// target resolution.
-    flows: FlowTable<Verdict>,
-    /// Table entries resolved against the routes, and where each service
-    /// access point's sits; consulted only when `flows` misses.
-    services: Vec<ResolvedService>,
-    service_index: HashMap<SockAddr, u32>,
-    /// The [`RedirectorTable::generation`] the three caches above were
-    /// filled under — the single invalidation stamp. A packet arriving
-    /// under any other generation empties them first.
+    /// The one lookup cache: table entries resolved against the routes,
+    /// keyed by packed service access point ([`sap_key`]). Only a table
+    /// match inserts, so the map holds at most one entry per table entry
+    /// whatever the traffic; the redirector keeps no per-flow state.
+    services: IntMap<u64, ResolvedService>,
+    /// The [`RedirectorTable::generation`] `services` was filled under —
+    /// the single invalidation stamp. A packet arriving under any other
+    /// generation empties it first.
     cache_gen: u64,
     /// One of the two counts per redirected packet: a hit found the
-    /// service's targets already resolved (through the flow cache or, on a
-    /// flow miss, through `service_index`); a miss ran the routing lookups.
+    /// service's targets already in `services`; a miss ran the routing
+    /// lookups.
     c_target_hits: Counter,
     c_target_misses: Counter,
     /// Telemetry handle kept for causal fan-out spans; the default
@@ -144,9 +120,7 @@ impl RedirectorEngine {
             table: RedirectorTable::new(),
             stats: RedirectorStats::default(),
             reassembler: Reassembler::new(),
-            flows: FlowTable::new(),
-            services: Vec::new(),
-            service_index: HashMap::new(),
+            services: IntMap::default(),
             cache_gen: 0,
             c_target_hits: Counter::default(),
             c_target_misses: Counter::default(),
@@ -291,9 +265,9 @@ impl RedirectorEngine {
         }
     }
 
-    /// The TCP redirection path over a whole (reassembled) packet: probe
-    /// the flow cache, fall back to resolution on a miss, and commit the
-    /// verdict.
+    /// The TCP redirection path over a whole (reassembled) packet: tunnel
+    /// to the service's resolved targets, resolving them on a miss, or
+    /// route the packet plainly if the table has no entry for it.
     fn process_tcp(&mut self, whole: IpPacket, now: SimTime, out: &mut Vec<(IfaceId, IpPacket)>) {
         let Some(port) = peek_tcp_dst_port(&whole.payload) else {
             // Too short to carry ports: routed like any non-TCP packet.
@@ -301,48 +275,30 @@ impl RedirectorEngine {
         };
         if self.cache_gen != self.table.generation() {
             self.cache_gen = self.table.generation();
-            self.flows.clear();
             self.services.clear();
-            self.service_index.clear();
         }
         let sap = SockAddr::new(whole.dst(), port);
         if self.defers_syn(sap, &whole, now) {
             self.stats.syn_deferred += 1;
             return;
         }
-        let key = pack_quad(&whole, port);
-        let verdict = match self.flows.get(key) {
-            Some(verdict) => {
-                if let Verdict::Tunnel(_) = verdict {
-                    self.c_target_hits.inc();
-                }
-                verdict
-            }
-            None => {
-                let verdict = self.resolve(sap);
-                if !self.flows.insert(key, verdict) {
-                    // At the slot cap: start over. The per-service state
-                    // is bounded by the table's size and stays.
-                    self.stats.flow_cache_resets += 1;
-                    self.flows.clear();
-                    self.flows.insert(key, verdict);
-                }
-                verdict
-            }
+        let key = sap_key(sap);
+        let Err(whole) = self.tunnel(sap, key, whole, now, out) else {
+            return self.c_target_hits.inc();
         };
-        match verdict {
-            Verdict::Tunnel(i) => self.tunnel(sap, i as usize, whole, now, out),
-            Verdict::Forward(i) => {
-                self.stats.forwarded += 1;
-                out.push((IfaceId::from_index(i as usize), whole));
-            }
-            Verdict::NoRoute => self.stats.dropped_no_route += 1,
-        }
+        let Some(service) = self.resolve(sap) else {
+            return self.forward_plain(whole, out);
+        };
+        self.c_target_misses.inc();
+        self.services.insert(key, service);
+        let tunnelled = self.tunnel(sap, key, whole, now, out);
+        debug_assert!(tunnelled.is_ok(), "{sap} was just inserted");
     }
 
     /// The §4.2-promotion admission gate: a bare SYN (SYN set, ACK clear)
     /// to a fault-tolerant service inside the grace window. Checked before
-    /// any cache, so a deferred SYN warms none and counts nowhere else.
+    /// the service map, so a deferred SYN warms nothing and counts nowhere
+    /// else.
     fn defers_syn(&self, sap: SockAddr, whole: &IpPacket, now: SimTime) -> bool {
         self.admit_new_flows_after.is_some_and(|t| now < t)
             && peek_tcp_flags(&whole.payload)
@@ -353,25 +309,12 @@ impl RedirectorEngine {
             )
     }
 
-    /// The flow-cache miss path: the verdict for a service access point,
-    /// from the redirector and routing tables, resolving the service's
-    /// targets if no earlier flow did under this generation.
-    fn resolve(&mut self, sap: SockAddr) -> Verdict {
-        let Some(entry) = self.table.lookup(sap) else {
-            return match self.routes.lookup(sap.addr) {
-                Some(iface) => Verdict::Forward(
-                    u32::try_from(iface.index()).expect("a node has far fewer than 2^32 links"),
-                ),
-                None => Verdict::NoRoute,
-            };
-        };
-        if let Some(&i) = self.service_index.get(&sap) {
-            self.c_target_hits.inc();
-            return Verdict::Tunnel(i);
-        }
-        self.c_target_misses.inc();
+    /// The service-map miss path: a table entry's targets resolved
+    /// against the routing table, or `None` if the table has no entry for
+    /// `sap`.
+    fn resolve(&self, sap: SockAddr) -> Option<ResolvedService> {
         let route = |host| self.routes.lookup(host).map(|iface| (iface, host));
-        let service = match entry {
+        Some(match self.table.lookup(sap)? {
             // Nearest routable replica; the first of equals wins.
             ServiceEntry::Scaled { replicas } => {
                 let nearest = replicas
@@ -392,34 +335,34 @@ impl RedirectorEngine {
                     routed,
                 }
             }
-        };
-        let i =
-            u32::try_from(self.services.len()).expect("one per table entry: far fewer than 2^32");
-        self.services.push(service);
-        self.service_index.insert(sap, i);
-        Verdict::Tunnel(i)
+        })
     }
 
-    /// Tunnels one packet to a resolved service's targets: encode the
-    /// inner packet ONCE — each tunnelled copy is an O(1) handle onto the
-    /// same bytes, and the last routable target takes the buffer by move.
+    /// Tunnels one packet to the targets resolved under `key` in
+    /// `services`, or hands the packet back if `services` has no entry
+    /// there — the map's one probe per packet. Encodes the inner packet
+    /// ONCE: each tunnelled copy is an O(1) handle onto the same bytes,
+    /// and the last routable target takes the buffer by move.
     fn tunnel(
         &mut self,
         sap: SockAddr,
-        service: usize,
+        key: u64,
         whole: IpPacket,
         now: SimTime,
         out: &mut Vec<(IfaceId, IpPacket)>,
-    ) {
-        let ResolvedService {
+    ) -> Result<(), IpPacket> {
+        let Some(&ResolvedService {
             ft,
             unroutable,
             ref routed,
-        } = self.services[service];
+        }) = self.services.get(&key)
+        else {
+            return Err(whole);
+        };
         self.stats.redirected += 1;
         self.stats.dropped_no_route += u64::from(unroutable);
         let Some((&(last_iface, last_host), rest)) = routed.split_last() else {
-            return;
+            return Ok(());
         };
         self.stats.copies += routed.len() as u64;
         let inner_id = whole.header.id;
@@ -452,6 +395,7 @@ impl RedirectorEngine {
             last_iface,
             encapsulate_buf(encoded, inner_id, self.addr, last_host),
         ));
+        Ok(())
     }
 
     /// Plain routed forward for packets redirection has no opinion about.
@@ -466,17 +410,10 @@ impl RedirectorEngine {
     }
 }
 
-/// A whole TCP packet's flow-cache key: its connection quad as the
-/// service sees it ([`Quad::key`]), the client being the remote end. The
-/// caller has already peeked `dst_port`, which guarantees the payload
-/// holds the source port too.
-fn pack_quad(whole: &IpPacket, dst_port: u16) -> u128 {
-    let src_port = u16::from_be_bytes([whole.payload[0], whole.payload[1]]);
-    Quad::new(
-        SockAddr::new(whole.dst(), dst_port),
-        SockAddr::new(whole.src(), src_port),
-    )
-    .key()
+/// A service access point packed into one word, `addr << 16 | port`: the
+/// key of [`RedirectorEngine`]'s service map.
+fn sap_key(sap: SockAddr) -> u64 {
+    u64::from(sap.addr.to_bits()) << 16 | u64::from(sap.port)
 }
 
 /// Reads the TCP destination port from an (unfragmented) TCP payload.
@@ -687,6 +624,23 @@ mod tests {
         assert_eq!(out[0].1.protocol(), Protocol::TCP); // untouched
         assert_eq!(e.stats().forwarded, 1);
         assert_eq!(e.stats().redirected, 0);
+        // An unmatched TCP packet with no route is a counted drop, one per
+        // packet, exactly as for non-TCP traffic.
+        let nowhere = IpAddr::new(172, 16, 0, 1);
+        out.clear();
+        for port in [80, 23] {
+            let mut p = tcp_packet(port, 10);
+            p.header.dst = nowhere;
+            e.process(p, SimTime::ZERO, &mut out);
+        }
+        e.process(
+            IpPacket::new(CLIENT, nowhere, Protocol::UDP, vec![1]),
+            SimTime::ZERO,
+            &mut out,
+        );
+        assert!(out.is_empty());
+        assert_eq!(e.stats().dropped_no_route, 3);
+        assert_eq!((e.stats().forwarded, e.stats().redirected), (1, 0));
     }
 
     #[test]
@@ -845,7 +799,7 @@ mod tests {
         );
         let mut out = Vec::new();
         // 50 flows x 3 packets: one resolution (the miss), every other
-        // packet served from the service's targets or the flow's verdict.
+        // packet served from the service's resolved targets.
         for _ in 0..3 {
             for port in 0..50 {
                 e.process(
@@ -860,41 +814,10 @@ mod tests {
             (count("target_cache_misses"), count("target_cache_hits")),
             (1, 149)
         );
-        // Unmatched flows are cached too but are not target resolutions.
-        e.process(tcp_packet(23, 10), SimTime::ZERO, &mut out);
-        e.process(tcp_packet(23, 10), SimTime::ZERO, &mut out);
-        assert_eq!(e.stats().forwarded, 2);
-        assert_eq!(
-            count("target_cache_misses") + count("target_cache_hits"),
-            150
-        );
-        // Any table change is a new generation: everything re-resolves,
-        // the untouched service included.
-        e.table_mut().install(
-            SockAddr::new(SERVICE, 443),
-            ServiceEntry::FaultTolerant { chain: vec![H1] },
-        );
-        e.process(tcp_packet(80, 10), SimTime::ZERO, &mut out);
-        assert_eq!(count("target_cache_misses"), 2);
-    }
-
-    #[test]
-    fn flow_cache_is_capped_and_resets_wholesale() {
-        let obs = Obs::enabled();
-        let mut e = engine();
-        e.set_obs(&obs);
-        e.table_mut().install(
-            SockAddr::new(SERVICE, 80),
-            ServiceEntry::FaultTolerant {
-                chain: vec![H1, H2],
-            },
-        );
-        // Far more distinct flows than the cache may hold: it fills to the
-        // slot cap, is emptied, and fills again — every packet is still
-        // redirected to the whole chain.
-        let flows = 2 * crate::flow::MAX_SLOTS as u32;
-        let mut out = Vec::new();
-        let mut most = 0;
+        // 2^18 distinct flows from five clients: every packet still reaches
+        // the whole chain, and the service map still holds the one entry
+        // resolved by the one miss — nothing is kept per flow.
+        let flows = 1u32 << 18;
         for i in 0..flows {
             let src = IpAddr::from_bits(CLIENT.to_bits() + i / 60_000);
             out.clear();
@@ -903,24 +826,30 @@ mod tests {
                 SimTime::ZERO,
                 &mut out,
             );
-            assert_eq!(out.len(), 2, "flow {i}");
-            most = most.max(e.flows.len());
+            let egress: Vec<usize> = out.iter().map(|(iface, _)| iface.index()).collect();
+            assert_eq!(egress, [1, 2], "flow {i}");
         }
-        assert!(most <= crate::flow::MAX_SLOTS);
-        let resets = e.stats().flow_cache_resets;
-        assert!(
-            (1..=3).contains(&resets),
-            "{resets} resets for {flows} flows"
-        );
-        assert!(e.flows.len() < most, "a reset empties the cache");
-        assert_eq!(e.stats().redirected, u64::from(flows));
-        // The service's resolved targets are bounded by the table, not by
-        // the flows, and survive a reset: still the one miss.
+        assert_eq!(e.stats().redirected, 150 + u64::from(flows));
+        assert_eq!(count("target_cache_misses"), 1);
+        assert_eq!(e.services.len(), 1);
+        // Unmatched packets are routed plainly: not target resolutions, and
+        // the map does not grow.
+        e.process(tcp_packet(23, 10), SimTime::ZERO, &mut out);
+        e.process(tcp_packet(23, 10), SimTime::ZERO, &mut out);
+        assert_eq!(e.stats().forwarded, 2);
         assert_eq!(
-            obs.counter(&format!("redirect.table.{RD}.target_cache_misses"))
-                .get(),
-            1
+            count("target_cache_misses") + count("target_cache_hits"),
+            150 + u64::from(flows)
         );
+        assert_eq!(e.services.len(), 1);
+        // Any table change is a new generation: everything re-resolves,
+        // the untouched service included.
+        e.table_mut().install(
+            SockAddr::new(SERVICE, 443),
+            ServiceEntry::FaultTolerant { chain: vec![H1] },
+        );
+        e.process(tcp_packet(80, 10), SimTime::ZERO, &mut out);
+        assert_eq!(count("target_cache_misses"), 2);
     }
 
     #[test]

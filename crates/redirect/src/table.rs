@@ -73,8 +73,7 @@ impl RedirectorTable {
     }
 
     /// The table's resolution generation: changes whenever anything
-    /// resolved from the table (per-service targets, per-flow verdicts) may
-    /// be stale.
+    /// resolved from the table (a service's routed targets) may be stale.
     pub fn generation(&self) -> u64 {
         self.generation
     }

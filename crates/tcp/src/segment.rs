@@ -49,8 +49,7 @@ impl Quad {
 
     /// The connection's one lookup key, all 96 bits of the quad packed
     /// into a `u128`: `remote addr (32) | remote port (16) | local addr
-    /// (32) | local port (16)`. The stack demultiplexes by it, and the
-    /// redirector keys its flow cache by it with the client as remote.
+    /// (32) | local port (16)`. The stack demultiplexes by it.
     pub fn key(self) -> u128 {
         u128::from(self.remote.addr.to_bits()) << 64
             | u128::from(self.remote.port) << 48
