@@ -282,19 +282,10 @@ pub fn detector_point(threshold: u32, cfg: &DetectorGridConfig, seed: u64) -> De
 
 /// A1: sweeps the detector threshold. For each value, measures (a) crash →
 /// reconfiguration latency, and (b) reconfigurations triggered by a healthy
-/// run over a lossy primary branch (false positives).
-pub fn detector_sweep(thresholds: &[u32], seed: u64) -> Vec<DetectorPoint> {
-    let cfg = DetectorGridConfig::default();
-    thresholds
-        .iter()
-        .map(|&threshold| detector_point(threshold, &cfg, seed))
-        .collect()
-}
-
-/// [`detector_sweep`] fanned out across the experiment engine: each grid
-/// cell is an independent task, results come back in threshold order
-/// regardless of thread count.
-pub fn detector_sweep_threads(
+/// run over a lossy primary branch (false positives). Each grid cell is an
+/// independent task on the experiment engine; results come back in
+/// threshold order regardless of thread count.
+pub fn detector_sweep(
     thresholds: &[u32],
     cfg: &DetectorGridConfig,
     seed: u64,

@@ -22,8 +22,8 @@
 //!   tests here and in `determinism_guard.rs`).
 //!
 //! The pool reports [`RunnerStats`] (tasks completed, per-worker busy time,
-//! wall-clock) which can be published into an [`Obs`] registry via
-//! [`RunnerStats::publish`] under the `runner.*` metric names.
+//! wall-clock); [`Soak::finish`] writes them as the envelope's `timing`
+//! rows.
 //!
 //! [`run_soak`] is the one driver the soak binaries (`chaos`, `scale`)
 //! share: it re-runs a workload at each requested thread count, asserts the
@@ -35,8 +35,6 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-use hydranet_obs::Obs;
 
 /// One unit of parallel work: a self-contained, seeded simulation run. The
 /// closure owns everything it needs (configs are cloned in) and returns a
@@ -86,24 +84,6 @@ impl RunnerStats {
     pub fn events_per_sec(&self, events: u64) -> f64 {
         events as f64 * 1e9 / self.wall_nanos.max(1) as f64
     }
-
-    /// Publishes this run into `obs` — this crate owns the `runner.*`
-    /// series: `tasks_completed`, `worker_busy_nanos` and `wall_nanos`
-    /// accumulate across publishes; `threads`, `utilization` and
-    /// `events_per_sec` hold the latest run. `events` is the total
-    /// simulated-event count across tasks (0 if the workload does not
-    /// track events). A disabled handle records nothing.
-    pub fn publish(&self, obs: &Obs, events: u64) {
-        obs.counter("runner.tasks_completed")
-            .add(self.tasks_completed);
-        obs.counter("runner.worker_busy_nanos")
-            .add(self.worker_busy_nanos);
-        obs.counter("runner.wall_nanos").add(self.wall_nanos);
-        obs.gauge("runner.threads").set(self.threads as f64);
-        obs.gauge("runner.utilization").set(self.utilization());
-        obs.gauge("runner.events_per_sec")
-            .set(self.events_per_sec(events));
-    }
 }
 
 /// Runs every task, fanning out across up to `threads` scoped worker
@@ -115,42 +95,11 @@ impl RunnerStats {
 /// simulation) nor *where* its result lands (slot `i` of the output).
 ///
 /// `threads == 0` is treated as 1. `threads` is clamped to the task count.
+/// One worker is the same pool with one thread.
 pub fn run_tasks<R: Send>(tasks: Vec<Task<R>>, threads: usize) -> (Vec<R>, RunnerStats) {
     let n = tasks.len();
     let threads = threads.max(1).min(n.max(1));
     let started = Instant::now();
-
-    if n == 0 {
-        return (
-            Vec::new(),
-            RunnerStats {
-                threads,
-                wall_nanos: elapsed_nanos(&started),
-                per_worker_busy_nanos: vec![0; threads],
-                ..RunnerStats::default()
-            },
-        );
-    }
-
-    // Single-threaded fast path: no pool, no locks — and the reference
-    // behavior the parallel path must reproduce bit-for-bit.
-    if threads == 1 {
-        let mut busy = 0u64;
-        let mut results = Vec::with_capacity(n);
-        for task in tasks {
-            let t0 = Instant::now();
-            results.push(task.run());
-            busy += elapsed_nanos(&t0);
-        }
-        let stats = RunnerStats {
-            threads: 1,
-            tasks_completed: n as u64,
-            worker_busy_nanos: busy,
-            wall_nanos: elapsed_nanos(&started),
-            per_worker_busy_nanos: vec![busy],
-        };
-        return (results, stats);
-    }
 
     // Each task sits in its own slot; a worker claims index `i` from the
     // shared counter and takes the task out of slot `i`. `Mutex<Option<_>>`
@@ -366,9 +315,9 @@ pub fn run_soak<O: Outcome>(
 
 impl<O: Outcome> Soak<O> {
     /// Prints the speed-up table and writes the `BENCH_*.json` envelope to
-    /// `path`: `timing` rows and `runner.*` telemetry (wall-clock), any
-    /// `extra` `(name, JSON value)` sections, then the deterministic
-    /// `report` — kept apart so determinism stays checkable by `diff`.
+    /// `path`: one `timing` row per thread count (wall-clock), any `extra`
+    /// `(name, JSON value)` sections, then the deterministic `report` —
+    /// kept apart so determinism stays checkable by `diff`.
     pub fn finish(&self, bench: &str, path: &str, extra: &[(&str, &str)]) {
         let events = total_events(&self.outcomes);
         let base_wall = self.measurements[0].stats.wall_nanos.max(1) as f64;
@@ -401,11 +350,6 @@ impl<O: Outcome> Soak<O> {
         }
         println!("{}", crate::render_table(&header, &rows));
 
-        // Engine telemetry through the obs registry (runner.* metrics).
-        let obs = Obs::enabled();
-        if let Some(last) = self.measurements.last() {
-            last.stats.publish(&obs, events);
-        }
         let mut json = format!(
             "{{\n\"bench\": \"{bench}\",\n\"host_cpus\": {},\n\"timing\": [\n{timing}\n],\n",
             host_cpus()
@@ -413,12 +357,7 @@ impl<O: Outcome> Soak<O> {
         for (name, value) in extra {
             let _ = writeln!(json, "\"{name}\": {value},");
         }
-        let _ = write!(
-            json,
-            "\"runner_telemetry\": {},\n\"report\": {}\n}}\n",
-            obs.to_json().trim_end(),
-            self.report.trim_end()
-        );
+        let _ = write!(json, "\"report\": {}\n}}\n", self.report.trim_end());
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
         let counts: Vec<usize> = self.measurements.iter().map(|m| m.threads).collect();
         println!(
@@ -563,42 +502,5 @@ mod tests {
             |threads| (vec![threads as u64], RunnerStats::default()),
             |_| String::new(),
         );
-    }
-
-    #[test]
-    fn publish_lands_in_registry() {
-        let run = |threads, tasks_completed, worker_busy_nanos, wall_nanos| RunnerStats {
-            threads,
-            tasks_completed,
-            worker_busy_nanos,
-            wall_nanos,
-            per_worker_busy_nanos: Vec::new(),
-        };
-        let obs = Obs::enabled();
-        // 4 threads, 10 tasks, workers busy 6 s of an 8 s-capacity window
-        // (2 s wall), processing 1,000,000 events.
-        run(4, 10, 6_000_000_000, 2_000_000_000).publish(&obs, 1_000_000);
-        let j = obs.to_json();
-        for needle in [
-            "\"runner.tasks_completed\": 10",
-            "\"runner.worker_busy_nanos\": 6000000000",
-            "\"runner.wall_nanos\": 2000000000",
-            "\"runner.threads\": 4",
-            "\"runner.utilization\": 0.75",
-            "\"runner.events_per_sec\": 500000",
-        ] {
-            assert!(j.contains(needle), "missing {needle} in {j}");
-        }
-        // Counters accumulate across publishes; gauges take the latest.
-        run(2, 5, 1_000_000_000, 1_000_000_000).publish(&obs, 0);
-        let j = obs.to_json();
-        assert!(j.contains("\"runner.tasks_completed\": 15"), "{j}");
-        assert!(j.contains("\"runner.threads\": 2"), "{j}");
-        assert!(j.contains("\"runner.utilization\": 0.5"), "{j}");
-        assert!(j.contains("\"runner.events_per_sec\": 0"), "{j}");
-
-        let disabled = Obs::disabled();
-        run(4, 10, 1, 1).publish(&disabled, 1);
-        assert!(disabled.to_json().contains("\"counters\": {}"));
     }
 }

@@ -21,7 +21,7 @@
 //! a behaviour change. The one re-pin that rule cost is PR 13 (one wakeup
 //! per node), which dropped `events=` from the three pins that carried it.
 
-use hydranet_bench::ablations::{build_star, detector_sweep_threads, service, DetectorGridConfig};
+use hydranet_bench::ablations::{build_star, detector_sweep, service, DetectorGridConfig};
 use hydranet_bench::chaos::{self, ChaosConfig, FaultClass};
 use hydranet_bench::fig4::{run_point, Fig4Config, Fig4Params};
 use hydranet_bench::runner::{run_tasks, Task};
@@ -205,8 +205,8 @@ fn span_tree_is_thread_invariant() {
 fn ablation_grid_is_thread_count_invariant() {
     let cfg = DetectorGridConfig::quick();
     let thresholds = [3u32, 4];
-    let (seq, seq_stats) = detector_sweep_threads(&thresholds, &cfg, SEED, 1);
-    let (par, par_stats) = detector_sweep_threads(&thresholds, &cfg, SEED, 4);
+    let (seq, seq_stats) = detector_sweep(&thresholds, &cfg, SEED, 1);
+    let (par, par_stats) = detector_sweep(&thresholds, &cfg, SEED, 4);
     assert_eq!(seq, par, "A1 grid points diverged between 1 and 4 threads");
     // Both runs did all the work, whatever the worker layout.
     assert_eq!(seq_stats.tasks_completed, thresholds.len() as u64);
@@ -287,9 +287,12 @@ fn chaos_soak_is_thread_count_invariant_and_pinned() {
 /// (reports diffed against the parent commit's). Re-pinned when
 /// `Connection` lost its keepalive state and second send-gate field
 /// (640 → 616 B): `bytes_per_flow` 1712 → 1664 and `primary_conn_bytes`
-/// are again the only report fields that moved.
+/// are again the only report fields that moved. Re-pinned when the
+/// registry lost its gauges: the report's embedded registry JSON dropped
+/// its empty `"gauges": {}` member, the only byte that moved (reports
+/// diffed against the parent commit's).
 const PINNED_SCALE: &str =
-    "scale fp=0x210905abedda8c8e flows=120 completed=120 peak=120 events=25816";
+    "scale fp=0x99ce3ef94bd3a4ac flows=120 completed=120 peak=120 events=25816";
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut acc = 0xcbf2_9ce4_8422_2325u64;

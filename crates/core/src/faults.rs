@@ -3,10 +3,11 @@
 //! A [`FaultPlan`] is an ordered list of timed [`FaultAction`]s — node
 //! crashes and recoveries, link outages, and link impairments (loss,
 //! reordering, duplication, corruption). [`FaultPlan::apply`] schedules the
-//! whole script onto the system's simulator in one shot, records one
-//! `faults.injected` timeline event per action, and bumps per-class
-//! counters, so every injected fault is visible in the telemetry report
-//! alongside the recovery it provoked.
+//! whole script onto the system's simulator in one shot. The simulator
+//! records each fault when it fires (`netsim.node.crashed`,
+//! `netsim.link.down`, `netsim.link.impaired`, …), so every injected fault
+//! sits on the telemetry timeline in time order, alongside the recovery it
+//! provoked; the plan itself is the record of what was scripted.
 //!
 //! Plans are plain data: building one performs no side effects, so the same
 //! plan can be applied to many seeds (the chaos soak does exactly that).
@@ -31,7 +32,6 @@ use hydranet_netsim::link::{Impairments, LinkId};
 use hydranet_netsim::node::NodeId;
 use hydranet_netsim::sim::Simulator;
 use hydranet_netsim::time::{SimDuration, SimTime};
-use hydranet_obs::kinds;
 
 use crate::system::System;
 
@@ -54,28 +54,6 @@ pub enum FaultAction {
         /// The new impairment set.
         imp: Impairments,
     },
-}
-
-impl FaultAction {
-    /// Short class tag used in counters and timeline events.
-    pub fn class(&self) -> &'static str {
-        match self {
-            FaultAction::CrashNode(_) => "crash",
-            FaultAction::RecoverNode(_) => "recover",
-            FaultAction::LinkDown(_) => "link_down",
-            FaultAction::LinkUp(_) => "link_up",
-            FaultAction::SetImpairments { .. } => "impair",
-        }
-    }
-
-    /// Human-readable target description.
-    fn target(&self) -> String {
-        match self {
-            FaultAction::CrashNode(n) | FaultAction::RecoverNode(n) => n.to_string(),
-            FaultAction::LinkDown(l) | FaultAction::LinkUp(l) => l.to_string(),
-            FaultAction::SetImpairments { link, imp } => format!("{link} {imp}"),
-        }
-    }
 }
 
 /// A [`FaultAction`] with its injection time.
@@ -189,12 +167,9 @@ impl FaultPlan {
             .fold(self, |plan, link| plan.link_flap(link, at, heal_after))
     }
 
-    /// Schedules every action onto the system's simulator and records the
-    /// injections in telemetry: one [`kinds::FAULT_INJECTED`] timeline
-    /// event per action (stamped with its scheduled fire time) plus
-    /// `faults.injected` / `faults.injected.<class>` counters.
+    /// Schedules every action onto the system's simulator, which records
+    /// each one on the timeline when it fires.
     pub fn apply(&self, system: &mut System) {
-        let obs = system.obs().clone();
         for FaultEvent { at, action } in &self.events {
             match action {
                 FaultAction::CrashNode(node) => system.sim.schedule_crash(*node, *at),
@@ -205,16 +180,6 @@ impl FaultPlan {
                     system.sim.schedule_impairments(*link, imp.clone(), *at);
                 }
             }
-            obs.event(
-                at.as_nanos(),
-                kinds::FAULT_INJECTED,
-                &[
-                    ("class", action.class().to_string()),
-                    ("target", action.target()),
-                ],
-            );
-            obs.add("faults.injected", 1);
-            obs.add(&format!("faults.injected.{}", action.class()), 1);
         }
     }
 }
@@ -265,34 +230,6 @@ mod tests {
                 link: l,
                 imp: Impairments::NONE
             }
-        );
-    }
-
-    #[test]
-    fn class_tags_are_stable() {
-        assert_eq!(
-            FaultAction::CrashNode(NodeId::from_index(0)).class(),
-            "crash"
-        );
-        assert_eq!(
-            FaultAction::RecoverNode(NodeId::from_index(0)).class(),
-            "recover"
-        );
-        assert_eq!(
-            FaultAction::LinkDown(LinkId::from_index(0)).class(),
-            "link_down"
-        );
-        assert_eq!(
-            FaultAction::LinkUp(LinkId::from_index(0)).class(),
-            "link_up"
-        );
-        assert_eq!(
-            FaultAction::SetImpairments {
-                link: LinkId::from_index(0),
-                imp: Impairments::NONE
-            }
-            .class(),
-            "impair"
         );
     }
 }

@@ -328,8 +328,6 @@ impl HostServer {
         for p in self.pkt_buf.drain(..) {
             ctx.send(IfaceId::from_index(0), p);
         }
-        self.stack.take_events_into(&mut self.ev_buf);
-        self.ev_buf.clear();
         let deadline = self
             .stack
             .next_deadline()

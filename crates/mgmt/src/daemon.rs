@@ -161,18 +161,14 @@ impl HostDaemon {
         if self.obs.tracing_enabled() {
             // Instantaneous span recording this report's fan-out: which
             // redirectors the suspicion went to, and the duplicate count
-            // that triggered it. Keyed by report ordinal so repeated
-            // suspicions stay distinct in the flight recorder.
-            let key = format!("report:{}:{}", self.host, self.reports_sent);
-            let at = now.as_nanos();
-            self.obs
-                .span_open(&key, "mgmt", &format!("failure-report {service}"), None, at);
-            self.obs
-                .span_note(&key, at, "observed", observed.to_string());
-            for rd in &self.redirectors {
-                self.obs.span_note(&key, at, "redirector", rd.to_string());
-            }
-            self.obs.span_close(&key, at);
+            // that triggered it.
+            let redirectors = self
+                .redirectors
+                .iter()
+                .map(|rd| ("redirector", rd.to_string()));
+            let notes = std::iter::once(("observed", observed.to_string())).chain(redirectors);
+            let name = format!("failure-report {service}");
+            self.obs.span("mgmt", &name, now.as_nanos(), notes);
         }
         let msg = MgmtMsg::FailureReport {
             service,

@@ -6,7 +6,7 @@
 //! overhead, client-invisible fail-over time — so every layer of the stack
 //! records into a shared [`Obs`] handle:
 //!
-//! - a **metrics registry** ([`metrics`]) of named counters, gauges, and
+//! - a **metrics registry** ([`metrics`]) of named counters and
 //!   fixed-bucket histograms (p50/p90/p99/p999/max), cheap enough for the
 //!   event-loop hot path (handles are `Rc<Cell>`s; a disabled handle is a
 //!   no-op);
@@ -35,7 +35,7 @@ pub mod trace;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use metrics::{Counter, Gauge, Histogram, Registry};
+use metrics::{Counter, Histogram, Registry};
 use timeline::{Timeline, TimelineEvent};
 use trace::TraceData;
 
@@ -76,8 +76,6 @@ pub mod kinds {
     pub const LINK_UP: &str = "netsim.link.up";
     /// A link's impairment set was replaced (scheduled or immediate).
     pub const LINK_IMPAIRED: &str = "netsim.link.impaired";
-    /// A fault plan injected a fault (one event per plan action).
-    pub const FAULT_INJECTED: &str = "faults.injected";
     /// A standby redirector promoted itself to active after losing its peer.
     pub const REDIRECTOR_PROMOTED: &str = "mgmt.controller.redirector_promoted";
     /// An ex-active redirector demoted itself after meeting a newer epoch.
@@ -151,26 +149,12 @@ impl Obs {
         }
     }
 
-    /// Returns (creating if needed) the gauge handle for `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        match &self.inner {
-            Some(rc) => rc.borrow_mut().registry.gauge(name),
-            None => Gauge::default(),
-        }
-    }
-
     /// Returns (creating if needed) the histogram handle for `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
         match &self.inner {
             Some(rc) => rc.borrow_mut().registry.histogram(name),
             None => Histogram::default(),
         }
-    }
-
-    /// One-shot counter increment (does a name lookup; prefer holding a
-    /// [`Counter`] handle on hot paths).
-    pub fn add(&self, name: &str, delta: u64) {
-        self.counter(name).add(delta);
     }
 
     /// Appends a timeline event at `at_nanos` simulated nanoseconds.
@@ -214,27 +198,38 @@ impl Obs {
         self.tracing.get()
     }
 
-    /// Opens a span under a caller-chosen `key` (e.g. `conn:<quad>`), with
-    /// optional causal parentage via the parent's key. Returns the span id
-    /// (0 and no-op when tracing is off).
-    pub fn span_open(
+    /// Opens a span under a caller-chosen `key` (e.g. `conn:<quad>`) —
+    /// for an interval whose end comes later. No-op when tracing is off.
+    pub fn span_open(&self, key: &str, cat: &str, name: &str, at_nanos: u64) {
+        if !self.tracing.get() {
+            return;
+        }
+        if let Some(rc) = &self.inner {
+            if let Some(t) = rc.borrow_mut().trace.as_mut() {
+                t.open(key, cat, name, None, at_nanos);
+            }
+        }
+    }
+
+    /// Records an instantaneous span — one that opens, is noted and closes
+    /// at `at_nanos` — in one call, with no key: it retires straight into
+    /// the flight recorder carrying the newest [`trace::NOTES_PER_SPAN`] of
+    /// `notes`. No-op when tracing is off.
+    pub fn span<'a>(
         &self,
-        key: &str,
         cat: &str,
         name: &str,
-        parent_key: Option<&str>,
         at_nanos: u64,
-    ) -> u64 {
+        notes: impl IntoIterator<Item = (&'a str, String)>,
+    ) {
         if !self.tracing.get() {
-            return 0;
+            return;
         }
-        let Some(rc) = &self.inner else { return 0 };
-        let mut inner = rc.borrow_mut();
-        let Some(t) = inner.trace.as_mut() else {
-            return 0;
-        };
-        let parent = parent_key.and_then(|k| t.open_id(k));
-        t.open(key, cat, name, parent, at_nanos)
+        if let Some(rc) = &self.inner {
+            if let Some(t) = rc.borrow_mut().trace.as_mut() {
+                t.span(cat, name, at_nanos, notes);
+            }
+        }
     }
 
     /// Closes the open span under `key` and retires it into the flight
@@ -377,7 +372,9 @@ impl Obs {
                 inner.timeline.write_json(&mut out);
             }
             None => {
-                out.push_str("  \"metrics\": {\"counters\": {}, \"gauges\": {}, \"histograms\": {}},\n  \"timeline\": []");
+                out.push_str(
+                    "  \"metrics\": {\"counters\": {}, \"histograms\": {}},\n  \"timeline\": []",
+                );
             }
         }
         out.push_str("\n}\n");
@@ -392,7 +389,7 @@ mod tests {
     #[test]
     fn disabled_obs_is_a_noop() {
         let obs = Obs::disabled();
-        obs.add("x", 3);
+        obs.counter("x").add(3);
         obs.histogram("h").record(9);
         obs.event(5, kinds::DETECTOR_SUSPECTED, &[]);
         assert!(!obs.is_enabled());
@@ -405,8 +402,8 @@ mod tests {
     fn clones_share_state() {
         let obs = Obs::enabled();
         let clone = obs.clone();
-        clone.add("shared.counter", 2);
-        obs.add("shared.counter", 1);
+        clone.counter("shared.counter").add(2);
+        obs.counter("shared.counter").inc();
         assert!(obs.to_json().contains("\"shared.counter\": 3"));
     }
 
@@ -436,22 +433,28 @@ mod tests {
     fn spans_are_noops_until_tracing_is_enabled() {
         let obs = Obs::enabled();
         assert!(!obs.tracing_enabled());
-        assert_eq!(obs.span_open("conn:x", "conn", "x", None, 5), 0);
+        obs.span_open("conn:x", "conn", "x", 5);
         obs.span_note("conn:x", 6, "k", "v".into());
         obs.span_close("conn:x", 7);
+        obs.span("ackchan", "flush", 8, [("pairs", "1".to_string())]);
+        assert_eq!(obs.spans_opened(), 0);
         assert_eq!(obs.span_fingerprint(), 0);
         assert_eq!(obs.flight_recorder_json(&[]), "");
         assert_eq!(obs.chrome_trace_json(), "");
 
         obs.enable_tracing(16);
         assert!(obs.tracing_enabled());
-        let id = obs.span_open("conn:x", "conn", "x", None, 5);
+        obs.span_open("conn:x", "conn", "x", 5);
         obs.span_note("conn:x", 6, "last_rx_lineage", "0x1".into());
         obs.span_close("conn:x", 7);
-        assert_eq!(obs.spans_opened(), 1);
-        assert_eq!(id, 0, "first span id");
+        obs.span("ackchan", "flush", 8, [("pairs", "1".to_string())]);
+        assert_eq!(obs.spans_opened(), 2);
         let dump = obs.flight_recorder_json(&[("scenario", "t".into())]);
         assert!(dump.contains("last_rx_lineage"), "{dump}");
+        assert!(
+            dump.contains("\"start_nanos\": 8, \"end_nanos\": 8"),
+            "{dump}"
+        );
         assert_ne!(obs.span_fingerprint(), 0);
     }
 
@@ -461,7 +464,7 @@ mod tests {
         let clone = obs.clone();
         obs.enable_tracing(8);
         assert!(clone.tracing_enabled());
-        clone.span_open("k", "conn", "k", None, 1);
+        clone.span_open("k", "conn", "k", 1);
         assert_eq!(obs.spans_opened(), 1);
     }
 
@@ -470,7 +473,7 @@ mod tests {
         let obs = Obs::enabled();
         obs.enable_tracing(3);
         for i in 0..5u64 {
-            obs.span_open(&format!("s{i}"), "conn", &format!("s{i}"), None, i);
+            obs.span_open(&format!("s{i}"), "conn", &format!("s{i}"), i);
             obs.span_close(&format!("s{i}"), i + 1);
         }
         assert_eq!(obs.trace_evicted(), 2);
@@ -506,8 +509,7 @@ mod tests {
     #[test]
     fn json_has_all_sections() {
         let obs = Obs::enabled();
-        obs.add("a.b.count", 1);
-        obs.gauge("a.b.level").set(0.5);
+        obs.counter("a.b.count").inc();
         obs.histogram("a.b.lat_us").record(100);
         obs.event(9, kinds::PROMOTED, &[("host", "10.0.2.1".into())]);
         let j = obs.to_json_with_meta(&[("scenario", "test".into())]);
@@ -515,7 +517,6 @@ mod tests {
             "\"meta\"",
             "\"scenario\": \"test\"",
             "\"counters\"",
-            "\"gauges\"",
             "\"histograms\"",
             "\"timeline\"",
             "\"a.b.count\": 1",
@@ -523,5 +524,12 @@ mod tests {
         ] {
             assert!(j.contains(needle), "missing {needle} in {j}");
         }
+        // The registry has two members, and a disabled handle writes the
+        // same two, empty.
+        let metrics =
+            "\"metrics\": {\"counters\": {\"a.b.count\": 1}, \"histograms\": {\"a.b.lat_us\"";
+        assert!(j.contains(metrics), "{j}");
+        let empty = "\"metrics\": {\"counters\": {}, \"histograms\": {}}";
+        assert!(Obs::disabled().to_json().contains(empty));
     }
 }

@@ -1,4 +1,4 @@
-//! Named counters, gauges, and fixed-bucket histograms.
+//! Named counters and fixed-bucket histograms.
 //!
 //! The registry hands out `Rc`-backed handles: a component looks its
 //! metrics up **once** at wiring time and then increments through the
@@ -31,24 +31,6 @@ impl Counter {
     /// The current value (0 for a no-op handle).
     pub fn get(&self) -> u64 {
         self.0.as_ref().map_or(0, |c| c.get())
-    }
-}
-
-/// A last-value-wins gauge handle.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Option<Rc<Cell<f64>>>);
-
-impl Gauge {
-    /// Sets the current value.
-    pub fn set(&self, value: f64) {
-        if let Some(c) = &self.0 {
-            c.set(value);
-        }
-    }
-
-    /// The current value (0.0 for a no-op handle).
-    pub fn get(&self) -> f64 {
-        self.0.as_ref().map_or(0.0, |c| c.get())
     }
 }
 
@@ -240,7 +222,6 @@ impl Histogram {
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: BTreeMap<String, Rc<Cell<u64>>>,
-    gauges: BTreeMap<String, Rc<Cell<f64>>>,
     histograms: BTreeMap<String, Rc<RefCell<HistData>>>,
 }
 
@@ -254,15 +235,6 @@ impl Registry {
         Counter(Some(cell.clone()))
     }
 
-    /// Returns (creating if needed) the gauge named `name`.
-    pub fn gauge(&mut self, name: &str) -> Gauge {
-        let cell = self
-            .gauges
-            .entry(name.to_string())
-            .or_insert_with(|| Rc::new(Cell::new(0.0)));
-        Gauge(Some(cell.clone()))
-    }
-
     /// Returns (creating if needed) the histogram named `name`.
     pub fn histogram(&mut self, name: &str) -> Histogram {
         let data = self
@@ -272,8 +244,8 @@ impl Registry {
         Histogram(Some(data.clone()))
     }
 
-    /// Serialises the registry as a JSON object with `counters`, `gauges`,
-    /// and `histograms` sub-objects (names sorted, so output is stable).
+    /// Serialises the registry as a JSON object with `counters` and
+    /// `histograms` sub-objects (names sorted, so output is stable).
     pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"counters\": {");
         for (i, (name, c)) in self.counters.iter().enumerate() {
@@ -283,15 +255,6 @@ impl Registry {
             json::push_string(out, name);
             out.push_str(": ");
             json::push_u64(out, c.get());
-        }
-        out.push_str("}, \"gauges\": {");
-        for (i, (name, g)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            json::push_string(out, name);
-            out.push_str(": ");
-            json::push_f64(out, g.get());
         }
         out.push_str("}, \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
@@ -315,9 +278,6 @@ mod tests {
         let c = Counter::default();
         c.inc();
         assert_eq!(c.get(), 0);
-        let g = Gauge::default();
-        g.set(5.0);
-        assert_eq!(g.get(), 0.0);
         let h = Histogram::default();
         h.record(10);
         assert_eq!(h.count(), 0);
@@ -422,14 +382,12 @@ mod tests {
         let mut r = Registry::default();
         r.counter("b.count").inc();
         r.counter("a.count").add(2);
-        r.gauge("z.level").set(1.25);
         r.histogram("m.lat").record(3);
         let mut out = String::new();
         r.write_json(&mut out);
         let a = out.find("a.count").unwrap();
         let b = out.find("b.count").unwrap();
         assert!(a < b, "names must sort: {out}");
-        assert!(out.contains("\"z.level\": 1.25"));
         assert!(out.contains("\"p999\": 3"), "{out}");
         assert!(out.contains("\"buckets\": [[4, 1]]"), "{out}");
     }

@@ -253,9 +253,33 @@ impl TraceData {
         id
     }
 
-    /// The id of the open span under `key`, if any.
-    pub(crate) fn open_id(&self, key: &str) -> Option<u64> {
-        self.open.get(key).map(|s| s.id)
+    /// Retires an instantaneous span — start = end = `at_nanos`, no
+    /// parent — carrying the newest [`NOTES_PER_SPAN`] of `notes`. It
+    /// takes the next id but never enters the open-span map, so it cannot
+    /// force-retire a live span.
+    pub(crate) fn span<'a>(
+        &mut self,
+        cat: &str,
+        name: &str,
+        at_nanos: u64,
+        notes: impl IntoIterator<Item = (&'a str, String)>,
+    ) {
+        let mut notes: Vec<_> = notes
+            .into_iter()
+            .map(|(k, v)| (at_nanos, k.to_string(), v))
+            .collect();
+        notes.drain(..notes.len().saturating_sub(NOTES_PER_SPAN));
+        let id = self.next_id;
+        self.next_id += 1;
+        self.retire(Span {
+            id,
+            parent: None,
+            cat: cat.to_string(),
+            name: name.to_string(),
+            start_nanos: at_nanos,
+            end_nanos: Some(at_nanos),
+            notes,
+        });
     }
 
     /// Closes the span under `key` (no-op when absent) and retires it.
@@ -430,7 +454,7 @@ mod tests {
         let mut t = TraceData::new(8);
         let a = t.open("a", "conn", "a", None, 10);
         let b = t.open("b", "conn", "b", Some(a), 20);
-        assert_eq!(t.open_id("a"), Some(a));
+        assert_eq!(t.open["a"].id, a);
         t.close("a", 30);
         t.close("b", 40);
         assert_eq!(t.ring.len(), 2);
@@ -456,9 +480,14 @@ mod tests {
         assert_eq!(names, ["s3", "s4", "s5", "s6"]);
     }
 
+    /// Both ways into a span keep the newest [`NOTES_PER_SPAN`] notes: one
+    /// note at a time on an open span, and all at once on an instantaneous
+    /// one.
     #[test]
     fn notes_are_bounded_keeping_newest() {
-        let mut t = TraceData::new(4);
+        // Capacity 1: the open `conn` span fills the open-span map, so an
+        // open-then-close would force-retire it.
+        let mut t = TraceData::new(1);
         t.open("k", "conn", "k", None, 0);
         for i in 0..(NOTES_PER_SPAN as u64 + 5) {
             t.note("k", i, "seq", i.to_string());
@@ -471,6 +500,20 @@ mod tests {
             (NOTES_PER_SPAN + 4).to_string()
         );
         assert_eq!(span.notes[0].2, "5");
+        let conn = span.clone();
+
+        let notes = (0..20).map(|i| ("pair", i.to_string()));
+        t.span("ackchan", "flush", 30, notes);
+        assert_eq!(t.ring.len(), 1);
+        let flush = &t.ring[0];
+        assert_eq!(flush.id, 1, "the next id");
+        assert_eq!((flush.start_nanos, flush.end_nanos), (30, Some(30)));
+        let kept: Vec<&str> = flush.notes.iter().map(|n| n.2.as_str()).collect();
+        let newest: Vec<String> = (4..20).map(|i| i.to_string()).collect();
+        assert_eq!(kept, newest);
+        assert!(flush.notes.iter().all(|n| n.0 == 30 && n.1 == "pair"));
+        assert_eq!(t.open.get("k"), Some(&conn), "the open span is untouched");
+        assert_eq!((t.spans_opened(), t.evicted()), (2, 0));
     }
 
     #[test]
@@ -482,7 +525,7 @@ mod tests {
         assert_eq!(t.ring.len(), 1);
         assert_eq!(t.ring[0].name, "gen1");
         assert_eq!(t.ring[0].end_nanos, None, "force-retired spans stay open");
-        assert_eq!(t.open_id("k"), Some(second));
+        assert_eq!(t.open["k"].id, second);
     }
 
     #[test]

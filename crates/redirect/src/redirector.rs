@@ -100,8 +100,6 @@ pub struct RedirectorEngine {
     /// Telemetry handle kept for causal fan-out spans; the default
     /// (disabled) handle makes every span site a no-op flag check.
     obs: Obs,
-    /// Monotonic per-engine sequence keying each fan-out span.
-    fanout_seq: u64,
     /// Until this instant, bare SYNs to fault-tolerant services are dropped
     /// (`None` = no gate). Set for a grace window after a pair promotion so
     /// registrations that were blackholed during the outage — and are still
@@ -125,7 +123,6 @@ impl RedirectorEngine {
             c_target_hits: Counter::default(),
             c_target_misses: Counter::default(),
             obs: Obs::default(),
-            fanout_seq: 0,
             admit_new_flows_after: None,
         }
     }
@@ -373,17 +370,12 @@ impl RedirectorEngine {
             // of the shared inner bytes — the causal link from "the
             // redirector multicast this" back to "this is the client
             // segment it carried".
-            self.fanout_seq += 1;
-            let key = format!("redirect:{}:{}", self.addr, self.fanout_seq);
-            let at = now.as_nanos();
-            self.obs
-                .span_open(&key, "redirect", &format!("fanout {sap}"), None, at);
-            for (_, host) in routed {
-                self.obs.span_note(&key, at, "member", host.to_string());
-            }
-            let lineage = format!("{:#x}", encoded.lineage());
-            self.obs.span_note(&key, at, "lineage", lineage);
-            self.obs.span_close(&key, at);
+            let notes = routed
+                .iter()
+                .map(|(_, host)| ("member", host.to_string()))
+                .chain([("lineage", format!("{:#x}", encoded.lineage()))]);
+            let name = format!("fanout {sap}");
+            self.obs.span("redirect", &name, now.as_nanos(), notes);
         }
         for &(iface, host) in rest {
             out.push((

@@ -1117,7 +1117,7 @@ impl TcpStack {
         }
         let key = format!("conn:{quad}");
         self.obs
-            .span_open(&key, "conn", &quad.to_string(), None, now.as_nanos());
+            .span_open(&key, "conn", &quad.to_string(), now.as_nanos());
         self.obs
             .span_note(&key, now.as_nanos(), "open", how.to_string());
     }
@@ -1200,19 +1200,12 @@ impl TcpStack {
         if self.obs.tracing_enabled() {
             // An instantaneous flush span: pair count, each report, and the
             // lineage id `push_packet` just minted for the batch datagram.
-            let at = now.as_nanos();
-            let key = format!("ackchan:{src}->{pred}");
-            self.obs
-                .span_open(&key, "ackchan", &format!("flush {src}->{pred}"), None, at);
-            self.obs
-                .span_note(&key, at, "pairs", batch.len().to_string());
-            for msg in batch {
-                self.obs.span_note(&key, at, "pair", msg.brief());
-            }
             let lineage = self.out.last().map_or(0, |p| p.payload.lineage());
-            self.obs
-                .span_note(&key, at, "lineage", format!("{lineage:#x}"));
-            self.obs.span_close(&key, at);
+            let notes = std::iter::once(("pairs", batch.len().to_string()))
+                .chain(batch.iter().map(|msg| ("pair", msg.brief())))
+                .chain([("lineage", format!("{lineage:#x}"))]);
+            let name = format!("flush {src}->{pred}");
+            self.obs.span("ackchan", &name, now.as_nanos(), notes);
         }
     }
 

@@ -168,6 +168,34 @@ fn run_healthy(seed: u64, conns: usize) -> (System, NodeId, NodeId) {
     (system, client, rd)
 }
 
+/// A fault is recorded once, by the simulator, when it fires: a scripted
+/// crash and recovery leave the timeline in time order, with one
+/// `netsim.node.crashed` and one `netsim.node.recovered`.
+#[test]
+fn fault_plan_timeline_is_in_time_order() {
+    let (mut system, _, hs1) = two_replica_system();
+    let crash_at = system
+        .sim
+        .now()
+        .saturating_add(SimDuration::from_millis(50));
+    let downtime = SimDuration::from_millis(200);
+    FaultPlan::new()
+        .crash_for(hs1, crash_at, downtime)
+        .apply(&mut system);
+    system.sim.run_until(crash_at.saturating_add(downtime * 2));
+
+    let events = system.obs().events();
+    let out_of_order = events.windows(2).find(|w| w[1].at_nanos < w[0].at_nanos);
+    assert!(
+        out_of_order.is_none(),
+        "timeline out of order: {out_of_order:?}"
+    );
+    for kind in [kinds::NODE_CRASHED, kinds::NODE_RECOVERED] {
+        let n = events.iter().filter(|e| e.kind == kind).count();
+        assert_eq!(n, 1, "{kind} recorded {n} times");
+    }
+}
+
 #[test]
 fn healthy_run_records_no_failover_events() {
     let (system, _, rd) = run_healthy(13, 1);
@@ -190,7 +218,7 @@ fn healthy_run_records_no_failover_events() {
 }
 
 /// Every dotted key of the report's `metrics` object — the registry's
-/// counter, gauge and histogram names (histogram fields carry no dot).
+/// counter and histogram names (histogram fields carry no dot).
 fn metric_names(report: &str) -> Vec<String> {
     let metrics =
         &report[report.find("\"metrics\"").unwrap()..report.find("\"timeline\"").unwrap()];
