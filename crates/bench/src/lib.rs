@@ -21,6 +21,7 @@
 //! parallel engine's soak driver ([`runner::run_soak`]) and write
 //! `BENCH_*.json`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -52,6 +52,7 @@
 //! [`ManagedRedirector`]: redirector::ManagedRedirector
 //! [`SystemBuilder`]: system::SystemBuilder
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

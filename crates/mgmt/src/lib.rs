@@ -18,6 +18,7 @@
 //! [`HostDaemon`]: daemon::HostDaemon
 //! [`ReplicaController`]: failover::ReplicaController
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -8,12 +8,22 @@
 //! N-replica daisy chain with a single payload copy in total, and decoders
 //! can hand out payload views without copying them out of the packet.
 //!
+//! **One buffer per packet.** A packet's bytes are written once, where they
+//! first exist: [`with_headroom`](PacketBuf::with_headroom) allocates the
+//! backing with spare bytes in front of the payload, and every later header
+//! (TCP, IP, the redirector's tunnel) is written into that room by
+//! [`push_front`](PacketBuf::push_front). The write happens in place only
+//! when `Rc::get_mut` proves this handle is the backing's sole owner — no
+//! clone, slice or decode view can observe the bytes change. Any other
+//! handle forces one copy into a fresh backing, so a shared buffer is never
+//! written.
+//!
 //! Equality, ordering, and hashing are **content-based** (two buffers with
 //! the same visible bytes are equal regardless of backing store), so types
 //! embedding a `PacketBuf` behave exactly as they did with `Vec<u8>`.
 //!
 //! Determinism note: sharing is pure bookkeeping. The visible bytes of
-//! every buffer are identical to what the old copying path produced, so
+//! every buffer are identical to what a copying path would produce, so
 //! packet sizes — and therefore serialisation times, CPU costs, and event
 //! ordering — are bit-for-bit unchanged.
 //!
@@ -29,52 +39,115 @@
 //!
 //! let tail = mid.slice(1..);        // slices of slices compose
 //! assert_eq!(&tail[..], &[3, 4]);
+//!
+//! // Two spare bytes in front of a three-byte payload; the header lands
+//! // in them without moving the payload.
+//! let mut pkt = PacketBuf::with_headroom(2, 3, |p| p.copy_from_slice(b"abc"));
+//! pkt.push_front(2).copy_from_slice(b"h:");
+//! assert_eq!(&pkt[..], b"h:abc");
 //! ```
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::iter;
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
 
-/// A shared, immutable byte buffer with O(1) `clone` and `slice`.
+use crate::packet::IP_HEADER_LEN;
+
+/// A shared, immutable byte buffer with O(1) `clone` and `slice`, and
+/// in-place header writes into its headroom while uniquely held.
 ///
 /// See the [module docs](self) for the design rationale.
 #[derive(Clone)]
 pub struct PacketBuf {
     /// Backing store, shared between every clone and slice of this buffer.
     ///
-    /// `Arc<Vec<u8>>` rather than `Arc<[u8]>`: converting a `Vec` into an
-    /// `Arc<[u8]>` must reallocate and copy (the refcounts precede the data
-    /// in the same allocation), while `Arc::new(vec)` just moves the Vec's
-    /// pointer — so `From<Vec<u8>>` stays copy-free.
-    data: Arc<Vec<u8>>,
-    off: usize,
-    len: usize,
+    /// `Rc<[u8]>`: the refcounts and the bytes share one allocation, so a
+    /// buffer costs one allocation, not two. `Rc`, not `Arc`: a run is
+    /// single-threaded and nothing on the packet path crosses threads.
+    data: Rc<[u8]>,
+    /// Start of the visible bytes in `data`; everything before is headroom.
+    off: u32,
+    len: u32,
     /// Packet lineage id (0 = none): minted once when a stack first
     /// encodes a send, then inherited by every clone, slice, decode view,
-    /// fragment, and encapsulation of the buffer, so any delivered byte
-    /// traces back to its originating send. Pure metadata — excluded from
-    /// equality/hash and never serialised, so visible bytes, packet sizes,
-    /// and event ordering are untouched.
+    /// fragment, header push, and encapsulation of the buffer, so any
+    /// delivered byte traces back to its originating send. Pure metadata —
+    /// excluded from equality/hash and never serialised, so visible bytes,
+    /// packet sizes, and event ordering are untouched.
     lineage: u64,
 }
 
-/// All empty buffers share one backing store, so empty payloads (pure ACKs
-/// are the bulk of reverse-path traffic) never allocate.
-fn empty_backing() -> Arc<Vec<u8>> {
-    static EMPTY: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(Vec::new())).clone()
+// `Connection::memory_bytes` charges `size_of::<TcpSegment>()` per queued
+// segment and the `PINNED_SCALE` fingerprint covers that charge: a wider
+// handle (`usize` offset and length make it 40 bytes) would move the pin.
+const _: () = assert!(std::mem::size_of::<PacketBuf>() == 32);
+
+thread_local! {
+    /// All empty buffers share one backing store, so empty payloads (pure
+    /// ACKs are the bulk of reverse-path traffic) never allocate. Being
+    /// shared, it is never uniquely held, so `push_front` never writes it.
+    static EMPTY: Rc<[u8]> = Rc::from([]);
+}
+
+/// A buffer offset or length as the handle stores it.
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("PacketBuf larger than 4 GiB")
 }
 
 impl PacketBuf {
     /// Creates an empty buffer (no allocation; all empties share a backing).
     pub fn new() -> Self {
         PacketBuf {
-            data: empty_backing(),
+            data: EMPTY.with(Rc::clone),
             off: 0,
             len: 0,
             lineage: 0,
         }
+    }
+
+    /// Allocates one backing of `head + len` bytes and returns a view of
+    /// the last `len`, which `fill` writes. The `head` bytes in front are
+    /// room for headers that [`push_front`](Self::push_front) later writes
+    /// in place.
+    pub fn with_headroom(head: usize, len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        if head + len == 0 {
+            return PacketBuf::new();
+        }
+        // A `TrustedLen` iterator collects into `Rc<[u8]>` with exactly one
+        // allocation.
+        let mut data: Rc<[u8]> = iter::repeat_n(0, head + len).collect();
+        fill(&mut Rc::get_mut(&mut data).expect("a fresh backing has one owner")[head..]);
+        PacketBuf {
+            data,
+            off: to_u32(head),
+            len: to_u32(len),
+            lineage: 0,
+        }
+    }
+
+    /// Grows the view `n` bytes to the front and returns those bytes for
+    /// the caller to write (a header, typically).
+    ///
+    /// In place when this handle is the backing's only owner (proved by
+    /// `Rc::get_mut`) and the headroom holds `n` bytes. Otherwise the
+    /// visible bytes are copied once into a fresh backing that keeps
+    /// [`IP_HEADER_LEN`] spare in front of the new bytes, so one more
+    /// header (a tunnel's) still fits in place. Other handles never see a
+    /// change; the lineage is kept either way.
+    pub fn push_front(&mut self, n: usize) -> &mut [u8] {
+        if (self.off as usize) < n || Rc::get_mut(&mut self.data).is_none() {
+            let old = self.as_slice();
+            let fresh =
+                PacketBuf::with_headroom(IP_HEADER_LEN + n, old.len(), |d| d.copy_from_slice(old));
+            *self = fresh.with_lineage(self.lineage);
+        }
+        let start = self.off as usize - n;
+        self.off = to_u32(start);
+        self.len += to_u32(n);
+        let data = Rc::get_mut(&mut self.data).expect("checked unique above");
+        &mut data[start..start + n]
     }
 
     /// The buffer's lineage id (0 when never tagged).
@@ -97,7 +170,7 @@ impl PacketBuf {
 
     /// Number of visible bytes.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// Whether the buffer has no visible bytes.
@@ -107,7 +180,8 @@ impl PacketBuf {
 
     /// The visible bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.off..self.off + self.len]
+        let off = self.off as usize;
+        &self.data[off..off + self.len as usize]
     }
 
     /// Returns a view of a sub-range of this buffer — O(1), shares the
@@ -126,18 +200,26 @@ impl PacketBuf {
         let end = match range.end_bound() {
             Bound::Included(&n) => n + 1,
             Bound::Excluded(&n) => n,
-            Bound::Unbounded => self.len,
+            Bound::Unbounded => self.len(),
         };
         assert!(
-            start <= end && end <= self.len,
+            start <= end && end <= self.len(),
             "slice {start}..{end} out of bounds for PacketBuf of {} bytes",
             self.len
         );
         PacketBuf {
             data: self.data.clone(),
-            off: self.off + start,
-            len: end - start,
+            off: self.off + to_u32(start),
+            len: to_u32(end - start),
             lineage: self.lineage,
+        }
+    }
+
+    /// Shortens the view to at most `len` bytes, keeping the backing (and
+    /// so this handle's claim to it) — the O(1) `Vec::truncate`.
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.len = to_u32(len);
         }
     }
 
@@ -149,7 +231,7 @@ impl PacketBuf {
     /// Whether two buffers share one backing store (regardless of the
     /// ranges they view). This is how tests prove a path is zero-copy.
     pub fn same_backing(a: &PacketBuf, b: &PacketBuf) -> bool {
-        Arc::ptr_eq(&a.data, &b.data)
+        Rc::ptr_eq(&a.data, &b.data)
     }
 }
 
@@ -173,38 +255,31 @@ impl AsRef<[u8]> for PacketBuf {
     }
 }
 
-impl From<Vec<u8>> for PacketBuf {
-    /// Takes ownership of the Vec without copying its bytes.
-    fn from(v: Vec<u8>) -> Self {
-        if v.is_empty() {
-            return PacketBuf::new();
-        }
-        let len = v.len();
-        PacketBuf {
-            data: Arc::new(v),
-            off: 0,
-            len,
-            lineage: 0,
-        }
+impl From<&[u8]> for PacketBuf {
+    /// Copies the slice into a fresh buffer (no headroom).
+    fn from(s: &[u8]) -> Self {
+        PacketBuf::with_headroom(0, s.len(), |d| d.copy_from_slice(s))
     }
 }
 
-impl From<&[u8]> for PacketBuf {
-    /// Copies the slice into a fresh buffer.
-    fn from(s: &[u8]) -> Self {
-        PacketBuf::from(s.to_vec())
+impl From<Vec<u8>> for PacketBuf {
+    /// Copies the Vec's bytes into a fresh buffer: the refcounts must
+    /// precede the bytes in one allocation. Hot encoders build in place
+    /// with [`PacketBuf::with_headroom`] instead.
+    fn from(v: Vec<u8>) -> Self {
+        PacketBuf::from(v.as_slice())
     }
 }
 
 impl<const N: usize> From<[u8; N]> for PacketBuf {
     fn from(a: [u8; N]) -> Self {
-        PacketBuf::from(a.to_vec())
+        PacketBuf::from(a.as_slice())
     }
 }
 
 impl<const N: usize> From<&[u8; N]> for PacketBuf {
     fn from(a: &[u8; N]) -> Self {
-        PacketBuf::from(a.to_vec())
+        PacketBuf::from(a.as_slice())
     }
 }
 
@@ -267,11 +342,84 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_is_zero_copy() {
-        let v = vec![1u8, 2, 3];
-        let ptr = v.as_ptr();
-        let b = PacketBuf::from(v);
-        assert_eq!(b.as_slice().as_ptr(), ptr);
+    fn with_headroom_fills_one_backing_behind_its_headroom() {
+        let b = PacketBuf::with_headroom(4, 3, |d| d.copy_from_slice(&[7, 8, 9]));
+        assert_eq!(b.as_slice(), &[7, 8, 9]);
+        assert_eq!(b.off, 4);
+        assert_eq!(b.data.len(), 7);
+        // Nothing else holds the backing: a header write needs no copy.
+        let mut b = b;
+        assert!(Rc::get_mut(&mut b.data).is_some());
+        // Headroom alone, or nothing at all.
+        assert_eq!(PacketBuf::with_headroom(20, 0, |_| {}).data.len(), 20);
+        assert!(PacketBuf::same_backing(
+            &PacketBuf::with_headroom(0, 0, |_| {}),
+            &PacketBuf::new()
+        ));
+    }
+
+    #[test]
+    fn push_front_on_a_unique_handle_writes_in_place() {
+        let mut b =
+            PacketBuf::with_headroom(8, 3, |d| d.copy_from_slice(b"abc")).with_lineage(0x51);
+        // Views that are gone again do not count against uniqueness.
+        drop(b.clone());
+        drop(b.slice(1..));
+        let backing = b.data.as_ptr();
+        let payload_at = b.as_slice().as_ptr();
+        b.push_front(2).copy_from_slice(b"h2");
+        b.push_front(4).copy_from_slice(b"hdr4");
+        assert_eq!(b.as_slice(), b"hdr4h2abc");
+        // Same backing, payload unmoved: the headers landed in front of it.
+        assert_eq!(b.data.as_ptr(), backing);
+        assert_eq!(b.as_slice()[6..].as_ptr(), payload_at);
+        assert_eq!(b.off, 2);
+        assert_eq!(b.lineage(), 0x51);
+    }
+
+    #[test]
+    fn push_front_with_a_live_clone_copies_and_leaves_the_clone_alone() {
+        let mut b =
+            PacketBuf::with_headroom(8, 3, |d| d.copy_from_slice(b"abc")).with_lineage(0x52);
+        let clone = b.clone();
+        b.push_front(2).copy_from_slice(b"hd");
+        assert_eq!(b.as_slice(), b"hdabc");
+        assert_eq!(clone.as_slice(), b"abc");
+        assert!(!PacketBuf::same_backing(&b, &clone));
+        assert_eq!(b.lineage(), 0x52);
+        // The fresh backing keeps room for one more header in place.
+        assert_eq!(b.off as usize, IP_HEADER_LEN);
+        let at = b.as_slice().as_ptr();
+        b.push_front(IP_HEADER_LEN).fill(0xEE);
+        assert_eq!(b.as_slice()[IP_HEADER_LEN..].as_ptr(), at);
+        assert_eq!(&b[IP_HEADER_LEN..], b"hdabc");
+        assert_eq!(clone.as_slice(), b"abc");
+    }
+
+    #[test]
+    fn push_front_without_headroom_copies() {
+        // A plain `From` buffer has no headroom; a slice view's headroom
+        // is the bytes before it, which a live parent still sees.
+        let mut b = PacketBuf::from(vec![1u8, 2, 3]).with_lineage(9);
+        b.push_front(1)[0] = 0;
+        assert_eq!(b.as_slice(), &[0, 1, 2, 3]);
+        assert_eq!(b.lineage(), 9);
+        let parent = PacketBuf::from(vec![1u8, 2, 3, 4]);
+        let mut tail = parent.slice(2..);
+        tail.push_front(2).copy_from_slice(&[8, 8]);
+        assert_eq!(tail.as_slice(), &[8, 8, 3, 4]);
+        assert_eq!(parent.as_slice(), &[1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn push_front_on_an_empty_buffer() {
+        let mut b = PacketBuf::new().with_lineage(3);
+        b.push_front(4).copy_from_slice(&[1, 2, 3, 4]);
+        assert_eq!(b.as_slice(), &[1, 2, 3, 4]);
+        assert_eq!(b.lineage(), 3);
+        // The shared empty backing was not written.
+        assert!(PacketBuf::new().is_empty());
+        assert!(PacketBuf::new().data.is_empty());
     }
 
     #[test]

@@ -159,33 +159,35 @@ impl PartialDatagram {
             }
             return None;
         }
-        let mut assembled = Vec::with_capacity(total as usize);
+        // Runs are sorted; a gap before `total` leaves the datagram open.
         let mut next = 0u32;
         for (offset, payload) in &self.runs {
             if *offset > next {
                 return None; // hole
             }
-            if *offset < next {
-                // Overlap from a duplicate region; skip already-covered bytes.
-                let skip = (next - offset) as usize;
-                if skip >= payload.len() {
-                    continue;
-                }
-                assembled.extend_from_slice(&payload[skip..]);
-                next += (payload.len() - skip) as u32;
-            } else {
-                assembled.extend_from_slice(payload);
-                next += payload.len() as u32;
-            }
+            next = next.max(offset + payload.len() as u32);
         }
-        (next >= total).then(|| {
-            assembled.truncate(total as usize);
-            // The copying path loses the runs' shared backing, so carry the
-            // lineage tag forward explicitly (every run came from the same
-            // original send; the first run's tag is the datagram's).
-            let lineage = self.runs.first().map_or(0, |(_, p)| p.lineage());
-            PacketBuf::from(assembled).with_lineage(lineage)
-        })
+        if next < total {
+            return None;
+        }
+        // Gather into one buffer, each byte once: a run overlapping an
+        // earlier one (a duplicated region) contributes only what is new.
+        let assembled = PacketBuf::with_headroom(0, total as usize, |out| {
+            let mut next = 0usize;
+            for (offset, payload) in &self.runs {
+                let offset = *offset as usize;
+                let end = (offset + payload.len()).min(out.len());
+                if end > next {
+                    out[next..end].copy_from_slice(&payload[next - offset..end - offset]);
+                    next = end;
+                }
+            }
+        });
+        // The gather loses the runs' shared backing, so carry the lineage
+        // tag forward explicitly (every run came from the same original
+        // send; the first run's tag is the datagram's).
+        let lineage = self.runs.first().map_or(0, |(_, p)| p.lineage());
+        Some(assembled.with_lineage(lineage))
     }
 }
 

@@ -60,6 +60,7 @@
 //! assert_eq!(sim.node::<Counter>(counter).seen, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

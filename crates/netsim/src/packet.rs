@@ -267,7 +267,18 @@ impl IpPacket {
         self.header.protocol
     }
 
-    /// Serialises the packet to bytes (20-byte header + payload).
+    /// Serialises the packet to bytes (20-byte header + payload), leaving
+    /// `self` intact: [`into_encoded`](Self::into_encoded) on a clone, so
+    /// the payload's bytes are copied once into a fresh buffer.
+    pub fn encode(&self) -> PacketBuf {
+        self.clone().into_encoded()
+    }
+
+    /// Serialises the packet, writing the header into the payload buffer's
+    /// headroom ([`PacketBuf::push_front`]): no allocation and no copy when
+    /// the payload is uniquely held with 20 bytes spare in front, one
+    /// copy otherwise. The encoded buffer keeps the payload's lineage tag,
+    /// so a packet's wire image stays linked to the send that produced it.
     ///
     /// Layout (big-endian, 20 bytes total):
     /// `ver/ihl (1) | ttl (1) | protocol (1) | flags (1) | total_len (2) |
@@ -281,39 +292,22 @@ impl IpPacket {
     ///
     /// Panics if the payload exceeds 65515 bytes (the length field is 16
     /// bits, as in real IPv4).
-    pub fn encode(&self) -> PacketBuf {
-        // The encoded buffer carries the payload's lineage tag forward so a
-        // packet's wire image stays linked to the send that produced it.
-        PacketBuf::from(self.encode_vec()).with_lineage(self.payload.lineage())
-    }
-
-    /// [`encode`](Self::encode) into a plain `Vec` (one header-plus-payload
-    /// write; the shared-buffer conversion above is free).
-    fn encode_vec(&self) -> Vec<u8> {
+    pub fn into_encoded(self) -> PacketBuf {
         let total = self.total_len();
         assert!(
             total <= u16::MAX as usize,
             "packet too large to encode: {total} bytes"
         );
-        let mut out = Vec::with_capacity(total);
-        out.push(0x45);
-        out.push(self.header.ttl);
-        out.push(self.header.protocol.number());
-        let mut flags = 0u8;
-        if self.header.frag.more_fragments {
-            flags |= 0x01;
-        }
-        if self.header.frag.dont_fragment {
-            flags |= 0x02;
-        }
-        out.push(flags);
-        out.extend_from_slice(&(total as u16).to_be_bytes());
-        out.extend_from_slice(&self.header.id.to_be_bytes());
-        out.extend_from_slice(&self.header.frag.offset.to_be_bytes());
-        out.extend_from_slice(&self.header.src.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.header.dst.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        debug_assert_eq!(out.len(), total);
+        let h = &self.header;
+        let flags = u8::from(h.frag.more_fragments) | u8::from(h.frag.dont_fragment) << 1;
+        let mut out = self.payload;
+        let hdr = out.push_front(IP_HEADER_LEN);
+        hdr[..4].copy_from_slice(&[0x45, h.ttl, h.protocol.number(), flags]);
+        hdr[4..6].copy_from_slice(&(total as u16).to_be_bytes());
+        hdr[6..8].copy_from_slice(&h.id.to_be_bytes());
+        hdr[8..12].copy_from_slice(&h.frag.offset.to_be_bytes());
+        hdr[12..16].copy_from_slice(&h.src.to_bits().to_be_bytes());
+        hdr[16..20].copy_from_slice(&h.dst.to_bits().to_be_bytes());
         out
     }
 
@@ -581,6 +575,19 @@ mod tests {
             dont_fragment: false
         }
         .is_fragment());
+    }
+
+    #[test]
+    fn into_encoded_writes_into_the_headroom_of_a_unique_payload() {
+        let mut p = sample();
+        p.payload =
+            PacketBuf::with_headroom(IP_HEADER_LEN, 11, |d| d.copy_from_slice(b"hello world"));
+        // `encode` copies and leaves the packet's own buffer unique.
+        let expected = p.encode();
+        let at = p.payload.as_ptr();
+        let wire = p.into_encoded();
+        assert_eq!(wire, expected);
+        assert_eq!(wire[IP_HEADER_LEN..].as_ptr(), at);
     }
 
     #[test]

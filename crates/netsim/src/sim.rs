@@ -10,6 +10,7 @@ use std::any::Any;
 
 use hydranet_obs::{kinds, Obs};
 
+use crate::buf::PacketBuf;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::frag::fragment_packet;
 use crate::link::{Direction, Impairments, Link, LinkId};
@@ -541,34 +542,43 @@ impl Simulator {
             link.dirs[dir.index()].stats.dropped_down += 1;
             return;
         }
-        let fragments = match fragment_packet(packet, link.params.mtu) {
-            Ok(f) => f,
-            Err(_) => {
-                link.dirs[dir.index()].stats.dropped_mtu += 1;
-                return;
+        let mtu = link.params.mtu;
+        if packet.total_len() <= mtu {
+            self.link_push(link_id, dir, packet);
+            return;
+        }
+        match fragment_packet(packet, mtu) {
+            Ok(fragments) => {
+                for frag in fragments {
+                    self.link_push(link_id, dir, frag);
+                }
             }
-        };
-        let limit = link.params.queue_packets;
-        for frag in fragments {
-            let state = &mut link.dirs[dir.index()];
-            if state.queue.len() >= limit {
-                state.stats.dropped_queue += 1;
-                continue;
-            }
-            state.stats.enqueued += 1;
-            state.queue.push_back(frag);
-            if !state.transmitting {
-                state.transmitting = true;
-                let epoch = state.epoch;
-                self.events.push(
-                    self.now,
-                    EventKind::LinkDequeue {
-                        link: link_id,
-                        dir,
-                        epoch,
-                    },
-                );
-            }
+            Err(_) => link.dirs[dir.index()].stats.dropped_mtu += 1,
+        }
+    }
+
+    /// Queues one packet that fits the link's MTU, tail-dropping at the
+    /// queue limit, and starts the transmitter if it is idle.
+    fn link_push(&mut self, link_id: LinkId, dir: Direction, packet: IpPacket) {
+        let link = &mut self.links[link_id.index()];
+        let state = &mut link.dirs[dir.index()];
+        if state.queue.len() >= link.params.queue_packets {
+            state.stats.dropped_queue += 1;
+            return;
+        }
+        state.stats.enqueued += 1;
+        state.queue.push_back(packet);
+        if !state.transmitting {
+            state.transmitting = true;
+            let epoch = state.epoch;
+            self.events.push(
+                self.now,
+                EventKind::LinkDequeue {
+                    link: link_id,
+                    dir,
+                    epoch,
+                },
+            );
         }
     }
 
@@ -625,12 +635,14 @@ impl Simulator {
             // checksum), so corruption always lands on transport bytes the
             // TCP/UDP checksum is responsible for catching.
             let bit = self.rng.range(0, packet.payload.len() as u64 * 8) as usize;
-            let mut bytes = packet.payload.to_vec();
-            bytes[bit / 8] ^= 1 << (bit % 8);
+            let original = &packet.payload;
+            let flipped = PacketBuf::with_headroom(0, original.len(), |bytes| {
+                bytes.copy_from_slice(original);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            });
             // Rebuilding the payload loses the shared backing; keep the
             // lineage tag so even corrupted deliveries trace to their send.
-            let lineage = packet.payload.lineage();
-            packet.payload = crate::buf::PacketBuf::from(bytes).with_lineage(lineage);
+            packet.payload = flipped.with_lineage(original.lineage());
             link.dirs[dir.index()].stats.corrupted += 1;
         }
 

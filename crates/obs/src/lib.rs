@@ -24,6 +24,7 @@
 //! Metric names follow the `layer.component.name` convention documented in
 //! DESIGN.md, e.g. `tcp.stack.10.0.1.1.conn.rto_us`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -18,6 +18,7 @@
 //!
 //! [`RedirectorEngine`]: redirector::RedirectorEngine
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -338,8 +338,12 @@ impl RedirectorEngine {
     /// Tunnels one packet to the targets resolved under `key` in
     /// `services`, or hands the packet back if `services` has no entry
     /// there — the map's one probe per packet. Encodes the inner packet
-    /// ONCE: each tunnelled copy is an O(1) handle onto the same bytes,
-    /// and the last routable target takes the buffer by move.
+    /// ONCE, in place: [`IpPacket::into_encoded`] writes the inner IP
+    /// header into the headroom the client's stack left in front of its
+    /// segment, so a uniquely held segment is encoded with no allocation
+    /// and no copy (a shared one, e.g. a link's duplicate, is copied once).
+    /// Each tunnelled copy is an O(1) handle onto those bytes, and the last
+    /// routable target takes the buffer by move.
     fn tunnel(
         &mut self,
         sap: SockAddr,
@@ -363,7 +367,7 @@ impl RedirectorEngine {
         };
         self.stats.copies += routed.len() as u64;
         let inner_id = whole.header.id;
-        let encoded = whole.encode();
+        let encoded = whole.into_encoded();
         if ft && self.obs.tracing_enabled() {
             // The instantaneous multicast fan-out span: which routable
             // chain members received a tunnelled copy, and the lineage id

@@ -21,8 +21,9 @@ pub fn encapsulate(inner: &IpPacket, redirector: IpAddr, host_server: IpAddr) ->
 
 /// Encapsulates an *already-encoded* inner packet — the zero-copy fast
 /// path. The buffer becomes the outer payload as-is: no re-encode, no
-/// copy. The redirector's multicast loop encodes the inner packet once and
-/// hands each chain member a cheap clone of the same buffer.
+/// copy. The redirector's multicast loop encodes the inner packet once, in
+/// place ([`IpPacket::into_encoded`]), and hands each chain member a cheap
+/// clone of the same buffer.
 ///
 /// `inner_id` is the inner packet's IP identification field, propagated to
 /// the outer header so fragment correlation survives tunnelling.

@@ -9,14 +9,17 @@
 
 use hydranet_netsim::buf::PacketBuf;
 use hydranet_netsim::frag::{fragment_packet, Reassembler};
-use hydranet_netsim::node::IfaceId;
+use hydranet_netsim::link::{Impairments, LinkParams};
+use hydranet_netsim::node::{Context, IfaceId, Node, NodeParams};
 use hydranet_netsim::packet::{IpAddr, IpPacket, Protocol, IP_HEADER_LEN};
 use hydranet_netsim::rng::SimRng;
 use hydranet_netsim::routing::Prefix;
-use hydranet_netsim::time::SimTime;
+use hydranet_netsim::time::{SimDuration, SimTime};
+use hydranet_netsim::topology::TopologyBuilder;
 use hydranet_redirect::redirector::RedirectorEngine;
 use hydranet_redirect::table::{ReplicaLoc, ServiceEntry};
 use hydranet_redirect::tunnel::{decapsulate, encapsulate, encapsulate_buf, TUNNEL_OVERHEAD};
+use hydranet_tcp::buffer::SendBuffer;
 use hydranet_tcp::segment::{SockAddr, TcpFlags, TcpSegment, TCP_HEADER_LEN};
 use hydranet_tcp::seq::SeqNum;
 
@@ -298,4 +301,153 @@ fn prop_empty_payload_edge_cases() {
         assert_eq!(frags.len(), 1);
         assert_eq!(frags[0], inner);
     }
+}
+
+const HOST2: IpAddr = IpAddr::new(10, 0, 3, 1);
+
+/// A redirector engine multicasting port 80 of the service to a
+/// two-member chain, `HOST` then `HOST2`.
+fn chain_engine() -> RedirectorEngine {
+    let mut e = RedirectorEngine::new(REDIRECTOR);
+    e.table_mut().install(
+        SockAddr::new(SERVICE, 80),
+        ServiceEntry::FaultTolerant {
+            chain: vec![HOST, HOST2],
+        },
+    );
+    e.routes_mut()
+        .add(Prefix::host(HOST), IfaceId::from_index(1));
+    e.routes_mut()
+        .add(Prefix::host(HOST2), IfaceId::from_index(2));
+    e
+}
+
+/// A client data segment as its stack sends it: the payload copied out of
+/// the send buffer (with headroom for both headers), the TCP header
+/// written in front in place, wrapped in an IP packet to the service.
+/// Returns the segment (over a separate copy of the payload, so the wire
+/// buffer stays uniquely held) and the packet.
+fn client_packet(payload: &[u8]) -> (TcpSegment, IpPacket) {
+    let mut sendbuf = SendBuffer::new(SeqNum::new(1), 4096);
+    sendbuf.write(payload);
+    let segment = |payload| TcpSegment {
+        src_port: 40_000,
+        dst_port: 80,
+        seq: SeqNum::new(1),
+        ack: SeqNum::new(9),
+        flags: TcpFlags::ACK,
+        window: 4096,
+        payload,
+    };
+    let data = sendbuf.slice(SeqNum::new(1), payload.len());
+    let data_at = data.as_ptr();
+    let wire = segment(data).into_wire();
+    assert_eq!(
+        wire[TCP_HEADER_LEN..].as_ptr(),
+        data_at,
+        "TCP header copied"
+    );
+    let packet = IpPacket::new(CLIENT, SERVICE, Protocol::TCP, wire);
+    (segment(PacketBuf::from(payload)), packet)
+}
+
+/// A uniquely held client segment is tunnelled with no allocation and no
+/// copy: the inner IP header lands in the headroom in front of the TCP
+/// header, and every chain member's copy views that one backing.
+#[test]
+fn unique_client_segment_is_tunnelled_in_place() {
+    let payload: Vec<u8> = (0..700u32).map(|i| (i * 7) as u8).collect();
+    let (seg, packet) = client_packet(&payload);
+    let segment_at = packet.payload.as_ptr();
+    let mut e = chain_engine();
+    let mut out = Vec::new();
+    e.process(packet, SimTime::ZERO, &mut out);
+    assert_eq!(out.len(), 2, "one copy per chain member");
+    let (first, second) = (&out[0].1, &out[1].1);
+    assert_eq!((first.dst(), second.dst()), (HOST, HOST2));
+    assert!(PacketBuf::same_backing(&first.payload, &second.payload));
+    // The encoded inner packet starts one IP header before the segment the
+    // client's stack wrote: the segment's own backing, not a copy of it.
+    assert_eq!(first.payload[IP_HEADER_LEN..].as_ptr(), segment_at);
+    for (_, outer) in &out {
+        let inner = decapsulate(outer).expect("decap");
+        assert_eq!((inner.src(), inner.dst()), (CLIENT, SERVICE));
+        assert_eq!(TcpSegment::decode(&inner.payload).expect("tcp"), seg);
+    }
+}
+
+/// Forwards everything it receives through a redirector engine and keeps
+/// the tunnelled copies.
+struct RedirectorNode {
+    engine: RedirectorEngine,
+    tunnelled: Vec<IpPacket>,
+}
+
+impl Node for RedirectorNode {
+    fn on_packet(&mut self, ctx: &mut Context<'_>, _iface: IfaceId, packet: IpPacket) {
+        let mut out = Vec::new();
+        self.engine.process(packet, ctx.now(), &mut out);
+        self.tunnelled.extend(out.into_iter().map(|(_, p)| p));
+    }
+}
+
+/// Sends one packet on interface 0 at start.
+struct Client(Option<IpPacket>);
+
+impl Node for Client {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.send(IfaceId::from_index(0), self.0.take().expect("one packet"));
+    }
+
+    fn on_packet(&mut self, _ctx: &mut Context<'_>, _iface: IfaceId, _packet: IpPacket) {}
+}
+
+/// A link that duplicates a packet delivers two handles onto one backing.
+/// The redirector encodes the first while the second waits in the
+/// calendar, so the first must copy rather than write the shared bytes;
+/// both copies then tunnel byte-identical packets.
+#[test]
+fn duplicated_segment_tunnels_identical_bytes() {
+    let payload: Vec<u8> = (0..300u32).map(|i| (i * 13) as u8).collect();
+    let (seg, packet) = client_packet(&payload);
+    let mut t = TopologyBuilder::new();
+    let client = t.add_node(Client(Some(packet)), NodeParams::INSTANT);
+    let rd = t.add_node(
+        RedirectorNode {
+            engine: chain_engine(),
+            tunnelled: Vec::new(),
+        },
+        NodeParams::INSTANT,
+    );
+    let (link, _, _) = t.connect(
+        client,
+        rd,
+        LinkParams::new(10_000_000, SimDuration::from_micros(50)),
+    );
+    let mut sim = t.into_simulator(7);
+    sim.set_link_impairments(
+        link,
+        Impairments {
+            duplicate_p: 1.0,
+            ..Impairments::NONE
+        },
+    );
+    sim.run_until_idle();
+    assert_eq!(sim.link_stats(link).0.duplicated, 1);
+    let tunnelled = &sim.node::<RedirectorNode>(rd).tunnelled;
+    assert_eq!(tunnelled.len(), 4, "two deliveries, two chain members each");
+    for outer in tunnelled {
+        assert_eq!(
+            outer.payload, tunnelled[0].payload,
+            "tunnelled bytes differ"
+        );
+        let inner = decapsulate(outer).expect("decap");
+        assert_eq!((inner.src(), inner.dst()), (CLIENT, SERVICE));
+        assert_eq!(TcpSegment::decode(&inner.payload).expect("tcp"), seg);
+    }
+    // The first delivery copied; the second then held the original alone.
+    assert!(!PacketBuf::same_backing(
+        &tunnelled[0].payload,
+        &tunnelled[2].payload
+    ));
 }

@@ -10,7 +10,14 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use hydranet_netsim::buf::PacketBuf;
+use hydranet_netsim::packet::IP_HEADER_LEN;
+
+use crate::segment::TCP_HEADER_LEN;
 use crate::seq::SeqNum;
+
+/// Room a transmit payload keeps in front for its TCP and IP headers.
+const HEADROOM: usize = TCP_HEADER_LEN + IP_HEADER_LEN;
 
 /// Backing allocations at or below this many bytes are kept when a buffer
 /// drains; larger ones are returned to the allocator. The floor keeps
@@ -32,15 +39,21 @@ fn reserve_bounded(q: &mut VecDeque<u8>, extra: usize, cap: usize) {
     }
 }
 
-/// Copies `q[start..end]` out as at most two `memcpy`s (the ring's two
-/// contiguous halves) instead of one iterator step per byte.
-fn copy_range(q: &VecDeque<u8>, start: usize, end: usize) -> Vec<u8> {
+/// `q[start..end]` as the ring's two contiguous halves, so a copy out is
+/// at most two `memcpy`s instead of one iterator step per byte.
+fn ring_range(q: &VecDeque<u8>, start: usize, end: usize) -> (&[u8], &[u8]) {
     let (head, tail) = q.as_slices();
     let split = head.len();
-    let mut out = Vec::with_capacity(end - start);
-    out.extend_from_slice(&head[start.min(split)..end.min(split)]);
-    out.extend_from_slice(&tail[start.saturating_sub(split)..end.saturating_sub(split)]);
-    out
+    (
+        &head[start.min(split)..end.min(split)],
+        &tail[start.saturating_sub(split)..end.saturating_sub(split)],
+    )
+}
+
+/// Copies `q[start..end]` out into a fresh `Vec`.
+fn copy_range(q: &VecDeque<u8>, start: usize, end: usize) -> Vec<u8> {
+    let (head, tail) = ring_range(q, start, end);
+    [head, tail].concat()
 }
 
 /// Bytes accepted from the application, awaiting transmission and
@@ -119,16 +132,23 @@ impl SendBuffer {
         self.data.capacity()
     }
 
-    /// Copies up to `len` bytes starting at sequence number `from`.
+    /// Copies up to `len` bytes starting at sequence number `from` into a
+    /// fresh packet buffer — the one copy of a segment's payload on the
+    /// transmit path. The buffer keeps room in front for a TCP and an IP
+    /// header, which the stack writes in place.
     ///
-    /// Returns an empty vector if `from` is outside the held range.
-    pub fn slice(&self, from: SeqNum, len: usize) -> Vec<u8> {
+    /// Returns an empty buffer if `from` is outside the held range.
+    pub fn slice(&self, from: SeqNum, len: usize) -> PacketBuf {
         if from.before(self.base) || from.after_eq(self.end()) {
-            return Vec::new();
+            return PacketBuf::new();
         }
         let start = (from - self.base) as usize;
         let end = (start + len).min(self.data.len());
-        copy_range(&self.data, start, end)
+        let (head, tail) = ring_range(&self.data, start, end);
+        PacketBuf::with_headroom(HEADROOM, end - start, |out| {
+            out[..head.len()].copy_from_slice(head);
+            out[head.len()..].copy_from_slice(tail);
+        })
     }
 }
 
@@ -438,10 +458,17 @@ mod tests {
     fn send_buffer_slice() {
         let mut sb = SendBuffer::new(SeqNum::new(10), 64);
         sb.write(b"abcdefghij");
-        assert_eq!(sb.slice(SeqNum::new(10), 4), b"abcd");
-        assert_eq!(sb.slice(SeqNum::new(14), 100), b"efghij");
-        assert_eq!(sb.slice(SeqNum::new(9), 4), Vec::<u8>::new());
-        assert_eq!(sb.slice(SeqNum::new(20), 4), Vec::<u8>::new());
+        assert_eq!(&sb.slice(SeqNum::new(10), 4)[..], b"abcd");
+        assert_eq!(&sb.slice(SeqNum::new(14), 100)[..], b"efghij");
+        assert!(sb.slice(SeqNum::new(9), 4).is_empty());
+        assert!(sb.slice(SeqNum::new(20), 4).is_empty());
+        // The copy leaves room for both headers in front, so the stack
+        // writes them without moving the payload.
+        let mut payload = sb.slice(SeqNum::new(12), 3);
+        let at = payload.as_ptr();
+        payload.push_front(HEADROOM).fill(0);
+        assert_eq!(payload[HEADROOM..].as_ptr(), at);
+        assert_eq!(&payload[HEADROOM..], b"cde");
     }
 
     #[test]
@@ -450,7 +477,7 @@ mod tests {
         let mut sb = SendBuffer::new(base, 64);
         sb.write(b"12345678");
         assert_eq!(sb.end(), SeqNum::new(4));
-        assert_eq!(sb.slice(base + 6, 2), b"78");
+        assert_eq!(&sb.slice(base + 6, 2)[..], b"78");
         sb.ack_to(SeqNum::new(2)); // past the wrap
         assert_eq!(sb.base(), SeqNum::new(2));
         assert_eq!(sb.len(), 2);

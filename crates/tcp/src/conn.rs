@@ -1188,7 +1188,7 @@ impl Connection {
             .fin_seq
             .is_some_and(|f| f == una + data.len() as u32 && !self.gate_blocks(f));
         self.retransmit_count += 1;
-        self.emit_data_segment(una, data.into(), fin_here, now);
+        self.emit_data_segment(una, data, fin_here, now);
     }
 
     fn send_window_probe(&mut self, now: SimTime) {
@@ -1205,7 +1205,7 @@ impl Connection {
             return;
         }
         let seq = self.snd.nxt;
-        self.emit_data_segment(seq, probe.into(), false, now);
+        self.emit_data_segment(seq, probe, false, now);
         self.snd.nxt = seq + 1;
         self.arm_rto(now);
         self.persist_deadline = Some(now + self.rtt.rto());
@@ -1262,7 +1262,7 @@ impl Connection {
                 break;
             }
 
-            let payload: PacketBuf = self.sendbuf.slice(self.snd.nxt, len).into();
+            let payload = self.sendbuf.slice(self.snd.nxt, len);
             debug_assert_eq!(payload.len(), len);
             let seq = self.snd.nxt;
             let is_retransmission = self.recover.is_some_and(|r| seq.before(r));

@@ -108,7 +108,7 @@ impl ReplicatedPortConfig {
 /// One acknowledgement-channel pair: the two TCP flow-control fields of a
 /// would-be packet of one connection, as seen by the reporting replica. On
 /// the wire pairs travel only in the frame of
-/// [`AckChanMsg::encode_batch_into`]; a lone report is a frame of one.
+/// [`AckChanMsg::write_frame`]; a lone report is a frame of one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AckChanMsg {
     /// The client endpoint of the connection.
@@ -157,39 +157,61 @@ impl AckChanMsg {
         )
     }
 
-    /// Appends the raw 20-byte pair (no tag) to `out`.
-    fn encode_pair_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.client.addr.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.client.port.to_be_bytes());
-        out.extend_from_slice(&self.service.addr.to_bits().to_be_bytes());
-        out.extend_from_slice(&self.service.port.to_be_bytes());
-        out.extend_from_slice(&self.seq.raw().to_be_bytes());
-        out.extend_from_slice(&self.ack.raw().to_be_bytes());
+    /// Writes the raw 20-byte pair (no tag) into `out`.
+    fn write_pair(&self, out: &mut [u8]) {
+        out[0..4].copy_from_slice(&self.client.addr.to_bits().to_be_bytes());
+        out[4..6].copy_from_slice(&self.client.port.to_be_bytes());
+        out[6..10].copy_from_slice(&self.service.addr.to_bits().to_be_bytes());
+        out[10..12].copy_from_slice(&self.service.port.to_be_bytes());
+        out[12..16].copy_from_slice(&self.seq.raw().to_be_bytes());
+        out[16..20].copy_from_slice(&self.ack.raw().to_be_bytes());
     }
 
-    /// Appends the ack-channel frame — `0xA2 | count (1) | count × pair`,
-    /// or `0xA1 | pair` for a lone pair — to `out`. A frame carries one
-    /// flush window of reports in a single datagram; pair order is
-    /// preserved.
+    /// Byte length of the frame [`write_frame`](Self::write_frame) writes
+    /// for `pairs` pairs.
+    pub fn frame_len(pairs: usize) -> usize {
+        let tag = if pairs == 1 { 1 } else { 2 };
+        tag + pairs * ACK_CHAN_PAIR_LEN
+    }
+
+    /// Appends the ack-channel frame of `msgs` to `out`; see
+    /// [`write_frame`](Self::write_frame).
+    ///
+    /// # Panics
+    ///
+    /// As [`write_frame`](Self::write_frame).
+    pub fn encode_batch_into(msgs: &[AckChanMsg], out: &mut Vec<u8>) {
+        let base = out.len();
+        out.resize(base + Self::frame_len(msgs.len()), 0);
+        Self::write_frame(msgs, &mut out[base..]);
+    }
+
+    /// Writes the ack-channel frame — `0xA2 | count (1) | count × pair`,
+    /// or `0xA1 | pair` for a lone pair — into `out`, which must be
+    /// [`frame_len`](Self::frame_len)`(msgs.len())` bytes long. A frame
+    /// carries one flush window of reports in a single datagram; pair
+    /// order is preserved.
     ///
     /// # Panics
     ///
     /// Panics if `msgs` is empty or holds more than
-    /// [`ACK_CHAN_MAX_PAIRS`] pairs.
-    pub fn encode_batch_into(msgs: &[AckChanMsg], out: &mut Vec<u8>) {
+    /// [`ACK_CHAN_MAX_PAIRS`] pairs, or if `out` has the wrong length.
+    pub fn write_frame(msgs: &[AckChanMsg], out: &mut [u8]) {
         assert!(
             !msgs.is_empty() && msgs.len() <= ACK_CHAN_MAX_PAIRS,
             "batch of {} pairs",
             msgs.len()
         );
-        out.reserve(2 + msgs.len() * ACK_CHAN_PAIR_LEN);
-        if let [_] = msgs {
-            out.push(ACK_CHAN_ONE_TAG);
+        assert_eq!(out.len(), Self::frame_len(msgs.len()), "frame length");
+        let pairs = if let [_] = msgs {
+            out[0] = ACK_CHAN_ONE_TAG;
+            &mut out[1..]
         } else {
-            out.extend_from_slice(&[ACK_CHAN_BATCH_TAG, msgs.len() as u8]);
-        }
-        for m in msgs {
-            m.encode_pair_into(out);
+            out[..2].copy_from_slice(&[ACK_CHAN_BATCH_TAG, msgs.len() as u8]);
+            &mut out[2..]
+        };
+        for (m, pair) in msgs.iter().zip(pairs.chunks_exact_mut(ACK_CHAN_PAIR_LEN)) {
+            m.write_pair(pair);
         }
     }
 

@@ -19,6 +19,7 @@
 //! See the `hydranet-core` crate for assembling clients, redirectors, and
 //! host servers into a running system.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

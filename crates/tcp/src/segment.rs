@@ -231,31 +231,43 @@ impl TcpSegment {
         TCP_HEADER_LEN + self.payload.len()
     }
 
-    /// Serialises to bytes.
+    /// Serialises to bytes, leaving `self` intact:
+    /// [`into_wire`](Self::into_wire) on a clone, so the payload is copied
+    /// once into a fresh buffer.
+    pub fn encode(&self) -> PacketBuf {
+        self.clone().into_wire()
+    }
+
+    /// Serialises the segment, writing the header into the payload
+    /// buffer's headroom ([`PacketBuf::push_front`]). A payload from
+    /// [`SendBuffer::slice`](crate::buffer::SendBuffer::slice) is uniquely
+    /// held with room for this header and the IP header after it, so the
+    /// transmit path writes both without another allocation or copy.
     ///
     /// Layout (big-endian, 20-byte header):
     /// `src_port (2) | dst_port (2) | seq (4) | ack (4) | flags (1) |
     ///  reserved (1) | window (2) | checksum (2) | payload_len (2)`.
     ///
-    /// Header and payload are written into one contiguous buffer in a
-    /// single pass — the only payload copy on the transmit path — then the
-    /// checksum (which covers the whole segment, header included, with the
-    /// checksum field itself as zero) is patched in.
-    pub fn encode(&self) -> PacketBuf {
-        let mut out = Vec::with_capacity(self.wire_len());
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.raw().to_be_bytes());
-        out.extend_from_slice(&self.ack.raw().to_be_bytes());
-        out.push(self.flags.to_byte());
-        out.push(0);
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&(self.payload.len() as u16).to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        let sum = segment_checksum(&out);
-        out[16..18].copy_from_slice(&sum.to_be_bytes());
-        out.into()
+    /// The checksum covers the whole segment, header included, with the
+    /// checksum field itself as zero; it is summed before the header is
+    /// pushed, over the header built on the stack and then the payload.
+    pub fn into_wire(self) -> PacketBuf {
+        let mut hdr = [0u8; TCP_HEADER_LEN];
+        hdr[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        hdr[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        hdr[4..8].copy_from_slice(&self.seq.raw().to_be_bytes());
+        hdr[8..12].copy_from_slice(&self.ack.raw().to_be_bytes());
+        hdr[12] = self.flags.to_byte();
+        hdr[14..16].copy_from_slice(&self.window.to_be_bytes());
+        hdr[18..20].copy_from_slice(&(self.payload.len() as u16).to_be_bytes());
+        // The regions start on even offsets, so the partial sums compose
+        // exactly as `segment_checksum` composes them.
+        let sum = raw_sum(&hdr[18..], raw_sum(&hdr[..16], 0));
+        let sum = fold_sum(raw_sum(&self.payload, sum));
+        hdr[16..18].copy_from_slice(&sum.to_be_bytes());
+        let mut wire = self.payload;
+        wire.push_front(TCP_HEADER_LEN).copy_from_slice(&hdr);
+        wire
     }
 
     /// Parses a segment previously produced by [`encode`](Self::encode).
@@ -430,6 +442,19 @@ mod tests {
     fn roundtrip_empty() {
         let seg = sample(Vec::new());
         assert_eq!(TcpSegment::decode(&seg.encode()).unwrap(), seg);
+    }
+
+    #[test]
+    fn into_wire_writes_the_header_in_place() {
+        let mut seg = sample(Vec::new());
+        // An odd length: the checksum's trailing byte pads with zero.
+        seg.payload = PacketBuf::with_headroom(TCP_HEADER_LEN, 5, |d| d.copy_from_slice(b"odd!!"));
+        let expected = seg.encode();
+        let at = seg.payload.as_ptr();
+        let wire = seg.into_wire();
+        assert_eq!(wire, expected);
+        assert_eq!(wire[TCP_HEADER_LEN..].as_ptr(), at);
+        assert_eq!(&TcpSegment::decode(&wire).unwrap().payload[..], b"odd!!");
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::rc::Rc;
 use hydranet_netsim::buf::PacketBuf;
 use hydranet_netsim::frag::Reassembler;
 use hydranet_netsim::hash::IntMap;
-use hydranet_netsim::packet::{DecodeError, IpAddr, IpPacket, Protocol};
+use hydranet_netsim::packet::{DecodeError, IpAddr, IpPacket, Protocol, IP_HEADER_LEN};
 use hydranet_netsim::time::{SimDuration, SimTime};
 use hydranet_obs::metrics::Histogram;
 use hydranet_obs::Obs;
@@ -49,7 +49,6 @@ use crate::deadlines::Deadlines;
 use crate::detector::FailureDetector;
 use crate::ft::{
     deterministic_iss, AckChanMsg, ReplicatedPortConfig, ACK_CHANNEL_PORT, ACK_CHAN_MAX_PAIRS,
-    ACK_CHAN_PAIR_LEN,
 };
 use crate::segment::{Quad, SockAddr, TcpFlags, TcpSegment};
 use crate::udp::{UdpDatagram, UDP_HEADER_LEN};
@@ -311,6 +310,8 @@ pub struct TcpStack {
     scratch_segments: Vec<TcpSegment>,
     /// Due `(quad, slot)` pairs of one `on_timer` call, recycled likewise.
     scratch_due: Vec<(Quad, u32)>,
+    /// One datagram's run of ack-channel reports, recycled across flushes.
+    scratch_batch: Vec<AckChanMsg>,
     obs: Obs,
     /// The one set of series every connection of this stack records into.
     conn_telemetry: Option<Rc<ConnTelemetry>>,
@@ -361,6 +362,7 @@ impl TcpStack {
             stats: StackStats::default(),
             scratch_events: Vec::new(),
             scratch_segments: Vec::new(),
+            scratch_batch: Vec::new(),
             scratch_due: Vec::new(),
             obs: Obs::disabled(),
             conn_telemetry: None,
@@ -593,12 +595,12 @@ impl TcpStack {
     /// Panics in debug builds if `src.addr` is not local.
     pub fn udp_send(&mut self, src: SockAddr, dst: SockAddr, payload: Vec<u8>) {
         debug_assert!(self.is_local(src.addr), "udp_send from foreign address");
-        let datagram = UdpDatagram {
-            src_port: src.port,
-            dst_port: dst.port,
-            payload,
-        };
-        self.push_packet(src.addr, dst.addr, Protocol::UDP, datagram.encode());
+        let datagram =
+            PacketBuf::with_headroom(IP_HEADER_LEN, UDP_HEADER_LEN + payload.len(), |d| {
+                d[UDP_HEADER_LEN..].copy_from_slice(&payload);
+                UdpDatagram::write_header(src.port, dst.port, d);
+            });
+        self.push_packet(src.addr, dst.addr, Protocol::UDP, datagram);
     }
 
     /// Feeds one incoming IP packet (fragments are reassembled internally;
@@ -915,7 +917,7 @@ impl TcpStack {
                 quad.local.addr,
                 quad.remote.addr,
                 Protocol::TCP,
-                rst.encode(),
+                rst.into_wire(),
             );
         }
     }
@@ -1078,7 +1080,7 @@ impl TcpStack {
                             quad.local.addr,
                             quad.remote.addr,
                             Protocol::TCP,
-                            seg.encode(),
+                            seg.into_wire(),
                         );
                     }
                 }
@@ -1160,7 +1162,8 @@ impl TcpStack {
             return;
         }
         let pending = std::mem::take(&mut self.ackchan_pending);
-        let mut batch: Vec<AckChanMsg> = Vec::new();
+        let mut batch = std::mem::take(&mut self.scratch_batch);
+        batch.clear();
         let mut dest: Option<(IpAddr, IpAddr)> = None;
         for (quad, msg) in pending {
             let pred = self
@@ -1185,6 +1188,7 @@ impl TcpStack {
         if let Some((src, to)) = dest {
             self.send_ack_batch(src, to, &batch, now);
         }
+        self.scratch_batch = batch;
     }
 
     /// Encodes `batch` as one ack-channel datagram, built in place in the
@@ -1192,9 +1196,10 @@ impl TcpStack {
     fn send_ack_batch(&mut self, src: IpAddr, pred: IpAddr, batch: &[AckChanMsg], now: SimTime) {
         self.stats.ackchan_tx += batch.len() as u64;
         self.h_ackchan_pairs.record(batch.len() as u64);
-        let mut wire = Vec::with_capacity(UDP_HEADER_LEN + 2 + batch.len() * ACK_CHAN_PAIR_LEN);
-        UdpDatagram::encode_with(ACK_CHANNEL_PORT, ACK_CHANNEL_PORT, &mut wire, |p| {
-            AckChanMsg::encode_batch_into(batch, p);
+        let frame_len = AckChanMsg::frame_len(batch.len());
+        let wire = PacketBuf::with_headroom(IP_HEADER_LEN, UDP_HEADER_LEN + frame_len, |d| {
+            AckChanMsg::write_frame(batch, &mut d[UDP_HEADER_LEN..]);
+            UdpDatagram::write_header(ACK_CHANNEL_PORT, ACK_CHANNEL_PORT, d);
         });
         self.push_packet(src, pred, Protocol::UDP, wire);
         if self.obs.tracing_enabled() {

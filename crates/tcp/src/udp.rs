@@ -40,38 +40,33 @@ impl UdpDatagram {
         UDP_HEADER_LEN + self.payload.len()
     }
 
-    /// Serialises to bytes: `src (2) | dst (2) | len (2) | checksum (2)`.
-    /// The checksum covers the ports and length as well as the payload
-    /// (with the checksum field itself as zero), so a corrupted header is
-    /// as detectable as a corrupted payload.
+    /// Serialises to bytes: `src (2) | dst (2) | len (2) | checksum (2)`
+    /// then the payload; the header is [`write_header`](Self::write_header)'s.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_len());
-        Self::encode_with(self.src_port, self.dst_port, &mut out, |p| {
-            p.extend_from_slice(&self.payload)
-        });
+        let mut out = vec![0; self.wire_len()];
+        out[UDP_HEADER_LEN..].copy_from_slice(&self.payload);
+        Self::write_header(self.src_port, self.dst_port, &mut out);
         out
     }
 
-    /// Encodes a datagram directly into `out` with the payload appended by
-    /// `fill` — one buffer for header and payload, no intermediate payload
-    /// `Vec`. This is the ack channel's batching path: a flush writes its
-    /// coalesced pairs straight into the datagram it sends.
-    pub fn encode_with(
-        src_port: u16,
-        dst_port: u16,
-        out: &mut Vec<u8>,
-        fill: impl FnOnce(&mut Vec<u8>),
-    ) {
-        let base = out.len();
-        out.extend_from_slice(&src_port.to_be_bytes());
-        out.extend_from_slice(&dst_port.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // length placeholder
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        fill(out);
-        let payload_len = (out.len() - base - UDP_HEADER_LEN) as u16;
-        out[base + 4..base + 6].copy_from_slice(&payload_len.to_be_bytes());
-        let sum = datagram_checksum(&out[base..]);
-        out[base + 6..base + 8].copy_from_slice(&sum.to_be_bytes());
+    /// Writes the header into the first [`UDP_HEADER_LEN`] bytes of
+    /// `datagram`, whose payload is already in place after them. The
+    /// checksum covers the ports and length as well as the payload (with
+    /// the checksum field itself as zero), so a corrupted header is as
+    /// detectable as a corrupted payload. Whatever the header bytes held
+    /// before is overwritten, so a datagram can be built in a packet
+    /// buffer and sealed in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `datagram` is shorter than a header.
+    pub fn write_header(src_port: u16, dst_port: u16, datagram: &mut [u8]) {
+        let payload_len = (datagram.len() - UDP_HEADER_LEN) as u16;
+        datagram[0..2].copy_from_slice(&src_port.to_be_bytes());
+        datagram[2..4].copy_from_slice(&dst_port.to_be_bytes());
+        datagram[4..6].copy_from_slice(&payload_len.to_be_bytes());
+        let sum = datagram_checksum(datagram);
+        datagram[6..8].copy_from_slice(&sum.to_be_bytes());
     }
 
     /// Parses a datagram from bytes.
@@ -137,21 +132,18 @@ mod tests {
     }
 
     #[test]
-    fn encode_with_matches_encode() {
+    fn write_header_in_place_matches_encode() {
         let d = UdpDatagram {
             src_port: 7101,
             dst_port: 7101,
             payload: (0..37u8).collect(),
         };
-        let mut built = Vec::new();
-        UdpDatagram::encode_with(7101, 7101, &mut built, |p| p.extend_from_slice(&d.payload));
+        // Stale header bytes, a stale checksum among them, are overwritten.
+        let mut built = vec![0xEEu8; UDP_HEADER_LEN];
+        built.extend_from_slice(&d.payload);
+        UdpDatagram::write_header(7101, 7101, &mut built);
         assert_eq!(built, d.encode());
         assert_eq!(UdpDatagram::decode(&built).unwrap(), d);
-        // Appending after existing bytes leaves them untouched.
-        let mut tail = vec![0xEEu8; 3];
-        UdpDatagram::encode_with(7101, 7101, &mut tail, |p| p.extend_from_slice(&d.payload));
-        assert_eq!(&tail[..3], &[0xEE; 3]);
-        assert_eq!(&tail[3..], &built[..]);
     }
 
     #[test]

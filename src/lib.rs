@@ -18,6 +18,7 @@
 //! Start with [`core::system::SystemBuilder`] — see the `quickstart`
 //! example and the crate-level example in [`core`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
