@@ -46,8 +46,8 @@ use crate::runner::{run_tasks, Outcome, RunnerStats, Task};
 /// The `chaos` binary's number-valued flags (besides `--threads`).
 pub const VALUE_FLAGS: &[&str] = &["--seeds", "--probe-ms", "--probe-attempts"];
 
-/// Flight-recorder ring capacity for soak runs: big enough to hold the
-/// spans around a wedged transfer, small enough to keep 800 runs cheap.
+/// Retired spans a soak run's flight dump shows: enough to hold the spans
+/// around a wedged transfer.
 const FLIGHT_CAPACITY: usize = 4096;
 
 /// The scripted fault classes the soak sweeps.

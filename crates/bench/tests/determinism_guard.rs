@@ -21,12 +21,13 @@
 //! a behaviour change. The one re-pin that rule cost is PR 13 (one wakeup
 //! per node), which dropped `events=` from the three pins that carried it.
 
-use hydranet_bench::ablations::{build_star, detector_sweep, service, DetectorGridConfig};
+use hydranet_bench::ablations::{build_star, detector_sweep, service, DetectorGridConfig, Star};
 use hydranet_bench::chaos::{self, ChaosConfig, FaultClass};
 use hydranet_bench::fig4::{run_point, Fig4Config, Fig4Params};
 use hydranet_bench::runner::{run_tasks, Task};
 use hydranet_bench::scale::{merged_report as scale_report, run_scale, ScaleConfig};
 use hydranet_core::prelude::*;
+use hydranet_obs::kinds;
 
 const SEED: u64 = 21;
 
@@ -53,9 +54,15 @@ fn fig4_fingerprint(config: Fig4Config, tag: &str, write_size: usize) -> String 
     )
 }
 
-fn failover_fingerprint() -> String {
+/// The primary-crash scenario behind [`PINNED_FAILOVER`], with the causal
+/// tracer on at `trace_capacity` if given. Returns the fingerprint line and
+/// the star after the run.
+fn failover_run(trace_capacity: Option<usize>) -> (String, Star) {
     let detector = DetectorParams::new(4, SimDuration::from_secs(60));
     let mut star = build_star(2, detector, false, SEED);
+    if let Some(capacity) = trace_capacity {
+        star.system.enable_tracing(capacity);
+    }
     let total = 200_000usize;
     let payload: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
     let state = shared(SenderState::default());
@@ -72,16 +79,26 @@ fn failover_fingerprint() -> String {
     star.system.sim.run_until(SimTime::from_secs(30));
     let detect_ns = star.system.detection_latency_nanos().unwrap_or(0);
     // After the fail-over the backup (now primary) must hold the stream.
-    let survivor = star.sinks[1].borrow();
-    let bytes = survivor.len();
-    let done_ns = survivor.last_byte_at.map_or(0, SimTime::as_nanos);
+    let (bytes, done_ns) = {
+        let survivor = star.sinks[1].borrow();
+        (
+            survivor.len(),
+            survivor.last_byte_at.map_or(0, SimTime::as_nanos),
+        )
+    };
     let retx = star
         .system
         .client(star.client)
         .stack()
         .conn(quad)
         .map_or(0, |c| c.retransmit_count());
-    format!("failover detect_ns={detect_ns} bytes={bytes} retx={retx} done_ns={done_ns}")
+    let line =
+        format!("failover detect_ns={detect_ns} bytes={bytes} retx={retx} done_ns={done_ns}");
+    (line, star)
+}
+
+fn failover_fingerprint() -> String {
+    failover_run(None).0
 }
 
 #[test]
@@ -134,22 +151,7 @@ const PINNED_SPAN_TREE: &str = "spans fp=0x3be928a708bfc4e2 opened=163 evicted=0
 /// causal tracer on. Returns the span fingerprint line plus the full
 /// flight-recorder JSON for post-mortem when the pin moves.
 fn traced_failover_fingerprint() -> (String, String) {
-    let detector = DetectorParams::new(4, SimDuration::from_secs(60));
-    let mut star = build_star(2, detector, false, SEED);
-    star.system.enable_tracing(8192);
-    let total = 200_000usize;
-    let payload: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
-    let state = shared(SenderState::default());
-    let app = StreamSenderApp::new(payload, false, state);
-    star.system
-        .connect_client(star.client, service(), Box::new(app));
-    let crash_at = star
-        .system
-        .sim
-        .now()
-        .saturating_add(SimDuration::from_millis(50));
-    star.system.sim.schedule_crash(star.replicas[0], crash_at);
-    star.system.sim.run_until(SimTime::from_secs(30));
+    let (_, star) = failover_run(Some(8192));
     let obs = star.system.obs();
     let fp = format!(
         "spans fp={:#018x} opened={} evicted={}",
@@ -159,6 +161,39 @@ fn traced_failover_fingerprint() -> (String, String) {
     );
     let dump = obs.flight_recorder_json(&[("scenario", "span_determinism".into())]);
     (fp, dump)
+}
+
+/// Tracing is observational: the fail-over run untraced, traced with room
+/// for every span, and traced with a view of four must give the pinned
+/// outcome and the same facts — kind, instant and fields — in the same
+/// order. Span entries share the facts' log, so this fails on any design
+/// where they can evict a fact.
+#[test]
+fn tracing_is_observational() {
+    let facts = |star: &Star| -> Vec<_> {
+        let events = star.system.obs().events();
+        events
+            .into_iter()
+            .map(|e| (e.kind, e.at_nanos, e.fields))
+            .collect()
+    };
+    let (line, star) = failover_run(None);
+    assert_eq!(line, PINNED_FAILOVER);
+    let untraced = facts(&star);
+    assert!(
+        untraced.iter().any(|f| f.0 == kinds::PROMOTED),
+        "no fail-over"
+    );
+    for capacity in [8192, 4] {
+        let (line, star) = failover_run(Some(capacity));
+        assert_eq!(line, PINNED_FAILOVER, "traced at {capacity}");
+        assert!(star.system.obs().spans_opened() > 0, "traced at {capacity}");
+        assert_eq!(
+            facts(&star),
+            untraced,
+            "facts moved when traced at {capacity}"
+        );
+    }
 }
 
 /// The span tree is part of the determinism contract: the traced fail-over

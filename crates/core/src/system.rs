@@ -579,7 +579,7 @@ impl System {
     }
 
     /// Turns on the causal tracer (spans + flight recorder) for every node
-    /// in the system, with a ring of `capacity` retired spans. Tracing is
+    /// in the system; its views show the newest `capacity` retired spans. Tracing is
     /// purely observational: it draws nothing from the simulation RNG, so
     /// enabling it cannot perturb a deterministic run.
     pub fn enable_tracing(&self, capacity: usize) {
@@ -621,6 +621,7 @@ impl System {
                 "flight_recorder_evicted",
                 self.obs.trace_evicted().to_string(),
             ),
+            ("timeline_evicted", self.obs.timeline_evicted().to_string()),
         ])
     }
 

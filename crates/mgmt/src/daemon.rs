@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use hydranet_netsim::packet::IpAddr;
 use hydranet_netsim::time::SimTime;
-use hydranet_obs::{kinds, Obs};
+use hydranet_obs::{kinds, trace, Obs};
 use hydranet_tcp::detector::DetectorParams;
 use hydranet_tcp::ft::{ReplicaMode, ReplicatedPortConfig};
 use hydranet_tcp::segment::SockAddr;
@@ -159,16 +159,19 @@ impl HostDaemon {
             ],
         );
         if self.obs.tracing_enabled() {
-            // Instantaneous span recording this report's fan-out: which
+            // An instant span recording this report's fan-out: which
             // redirectors the suspicion went to, and the duplicate count
             // that triggered it.
+            let head = [
+                ("mgmt", format!("failure-report {service}")),
+                ("observed", observed.to_string()),
+            ];
             let redirectors = self
                 .redirectors
                 .iter()
                 .map(|rd| ("redirector", rd.to_string()));
-            let notes = std::iter::once(("observed", observed.to_string())).chain(redirectors);
-            let name = format!("failure-report {service}");
-            self.obs.span("mgmt", &name, now.as_nanos(), notes);
+            let fields = head.into_iter().chain(redirectors);
+            self.obs.trace(now.as_nanos(), trace::INSTANT, 0, fields);
         }
         let msg = MgmtMsg::FailureReport {
             service,

@@ -13,7 +13,9 @@
 //! - a **structured event timeline** ([`timeline`]) of detector state
 //!   transitions, chain reconfigurations, promotions, and redirector table
 //!   updates, stamped with simulated time, so a fail-over replays as an
-//!   ordered `detect → remove → promote → resume` narrative;
+//!   ordered `detect → remove → promote → resume` narrative — one bounded
+//!   log that, with tracing on, also holds the span entries the causal
+//!   tracer ([`trace`]) replays into spans;
 //! - **JSON export** ([`json`], [`Obs::to_json`]) of registry + timeline
 //!   per scenario run, consumed by the bench binaries.
 //!
@@ -38,7 +40,6 @@ use std::rc::Rc;
 
 use metrics::{Counter, Histogram, Registry};
 use timeline::{Timeline, TimelineEvent};
-use trace::TraceData;
 
 /// Well-known timeline event kinds (the taxonomy documented in DESIGN.md).
 pub mod kinds {
@@ -89,10 +90,10 @@ pub mod kinds {
 struct Inner {
     registry: Registry,
     timeline: Timeline,
-    /// The causal tracer + flight recorder, present only after
+    /// The span views' bound on retired spans, set by
     /// [`Obs::enable_tracing`] — tracing is off by default even on an
     /// enabled handle.
-    trace: Option<TraceData>,
+    trace_capacity: Option<usize>,
 }
 
 /// A shared telemetry handle.
@@ -118,8 +119,8 @@ struct Inner {
 pub struct Obs {
     inner: Option<Rc<RefCell<Inner>>>,
     /// Shared tracing flag, readable without borrowing `inner`: hot paths
-    /// check this one `Cell` read before building any span/note arguments,
-    /// so disabled tracing costs a load and a branch.
+    /// check this one `Cell` read before building any span entry, so
+    /// disabled tracing costs a load and a branch.
     tracing: Rc<Cell<bool>>,
 }
 
@@ -158,22 +159,15 @@ impl Obs {
         }
     }
 
-    /// Appends a timeline event at `at_nanos` simulated nanoseconds.
+    /// Appends a fact to the timeline at `at_nanos` simulated nanoseconds.
     ///
-    /// Events recorded at the same instant keep their insertion order.
-    /// When tracing is enabled, well-known fail-over kinds also drive the
-    /// crash→detect→report→promote→reconverge phase spans (see
-    /// [`trace`]), so the fail-over span tree assembles itself from the
-    /// events every layer already emits.
-    pub fn event(&self, at_nanos: u64, kind: &str, fields: &[(&str, String)]) {
+    /// Facts recorded at the same instant keep their insertion order. When
+    /// tracing is on, the well-known fail-over kinds also make up the
+    /// crash→detect→report→promote→reconverge phase spans (see [`trace`]).
+    pub fn event(&self, at_nanos: u64, kind: &'static str, fields: &[(&'static str, String)]) {
         if let Some(rc) = &self.inner {
-            let mut inner = rc.borrow_mut();
-            inner.timeline.push(at_nanos, kind, fields);
-            if self.tracing.get() {
-                if let Some(t) = inner.trace.as_mut() {
-                    t.on_event(at_nanos, kind, fields);
-                }
-            }
+            let fields = fields.to_vec();
+            rc.borrow_mut().timeline.push(at_nanos, kind, 0, fields);
         }
     }
 
@@ -181,153 +175,121 @@ impl Obs {
     // Causal tracing (spans + flight recorder)
     // ------------------------------------------------------------------
 
-    /// Turns the causal tracer on, backing it with a flight-recorder ring
-    /// of `capacity` retired spans. Tracing is off by default — even on an
-    /// enabled handle — so the data-path span sites cost one flag check
-    /// until someone asks for causality. No-op on a disabled handle.
+    /// Turns the causal tracer on: span entries are logged from here on,
+    /// and the span views show the newest `capacity` retired spans.
+    /// Tracing is off by default — even on an enabled handle — so the
+    /// data-path span sites cost one flag check until someone asks for
+    /// causality. No-op on a disabled handle.
     pub fn enable_tracing(&self, capacity: usize) {
         if let Some(rc) = &self.inner {
-            rc.borrow_mut().trace = Some(TraceData::new(capacity));
+            rc.borrow_mut().trace_capacity = Some(capacity.max(1));
             self.tracing.set(true);
         }
     }
 
-    /// Whether span calls currently record anything. One `Cell` read —
+    /// Whether span entries currently record anything. One `Cell` read —
     /// hot paths check this before formatting span names or notes.
     #[inline]
     pub fn tracing_enabled(&self) -> bool {
         self.tracing.get()
     }
 
-    /// Opens a span under a caller-chosen `key` (e.g. `conn:<quad>`) —
-    /// for an interval whose end comes later. No-op when tracing is off.
-    pub fn span_open(&self, key: &str, cat: &str, name: &str, at_nanos: u64) {
-        if !self.tracing.get() {
-            return;
-        }
-        if let Some(rc) = &self.inner {
-            if let Some(t) = rc.borrow_mut().trace.as_mut() {
-                t.open(key, cat, name, None, at_nanos);
-            }
-        }
-    }
-
-    /// Records an instantaneous span — one that opens, is noted and closes
-    /// at `at_nanos` — in one call, with no key: it retires straight into
-    /// the flight recorder carrying the newest [`trace::NOTES_PER_SPAN`] of
-    /// `notes`. No-op when tracing is off.
-    pub fn span<'a>(
+    /// Appends a span entry — [`trace::BEGIN`], [`trace::NOTE`],
+    /// [`trace::END`] or [`trace::INSTANT`] — under `key` (0 for an
+    /// instant). A begin's or an instant's first field is the span's
+    /// `(category, name)`; every other field is a note. No-op when tracing
+    /// is off.
+    pub fn trace(
         &self,
-        cat: &str,
-        name: &str,
         at_nanos: u64,
-        notes: impl IntoIterator<Item = (&'a str, String)>,
+        kind: &'static str,
+        key: u128,
+        fields: impl IntoIterator<Item = (&'static str, String)>,
     ) {
         if !self.tracing.get() {
             return;
         }
         if let Some(rc) = &self.inner {
-            if let Some(t) = rc.borrow_mut().trace.as_mut() {
-                t.span(cat, name, at_nanos, notes);
-            }
+            let fields = fields.into_iter().collect();
+            rc.borrow_mut().timeline.push(at_nanos, kind, key, fields);
         }
     }
 
-    /// Closes the open span under `key` and retires it into the flight
-    /// recorder. No-op when tracing is off or the key is not open.
-    pub fn span_close(&self, key: &str, at_nanos: u64) {
-        if !self.tracing.get() {
-            return;
-        }
-        if let Some(rc) = &self.inner {
-            if let Some(t) = rc.borrow_mut().trace.as_mut() {
-                t.close(key, at_nanos);
-            }
-        }
-    }
-
-    /// Appends a timestamped `k = v` note to the open span under `key`.
-    /// Bounded per span ([`trace::NOTES_PER_SPAN`], oldest dropped first).
-    pub fn span_note(&self, key: &str, at_nanos: u64, k: &str, v: String) {
-        if !self.tracing.get() {
-            return;
-        }
-        if let Some(rc) = &self.inner {
-            if let Some(t) = rc.borrow_mut().trace.as_mut() {
-                t.note(key, at_nanos, k, v);
-            }
-        }
-    }
-
-    /// Spans evicted from the flight-recorder ring so far (surfaced as
+    /// Spans the flight recorder no longer shows (surfaced as
     /// `flight_recorder_evicted` in `System::telemetry_json`).
     pub fn trace_evicted(&self) -> u64 {
-        self.with_trace(0, trace::TraceData::evicted)
+        self.with_spans(0, |s| s.evicted)
     }
 
-    /// Total spans opened since tracing was enabled.
+    /// Spans the log's entries have opened, counting those whose begin it
+    /// evicted. 0 when tracing is off.
     pub fn spans_opened(&self) -> u64 {
-        self.with_trace(0, trace::TraceData::spans_opened)
+        self.with_spans(0, |s| s.opened)
     }
 
     /// FNV-1a fingerprint of every recorded span (simulated time only) —
-    /// what the determinism guard pins across thread counts and calendar
-    /// backends. 0 when tracing is off.
+    /// what the determinism guard pins across thread counts. 0 when
+    /// tracing is off.
     pub fn span_fingerprint(&self) -> u64 {
-        self.with_trace(0, trace::TraceData::fingerprint)
+        self.with_spans(0, |s| s.fingerprint())
     }
 
-    /// Dumps the flight recorder (retired ring + still-open spans) as a
-    /// self-contained JSON document. Empty string when tracing is off.
+    /// Dumps the flight recorder (newest retired spans + still-open spans)
+    /// as a self-contained JSON document. Empty string when tracing is off.
     pub fn flight_recorder_json(&self, meta: &[(&str, String)]) -> String {
-        let Some(rc) = &self.inner else {
-            return String::new();
-        };
-        let inner = rc.borrow();
-        let Some(t) = inner.trace.as_ref() else {
-            return String::new();
-        };
-        let mut out = String::with_capacity(4096);
-        t.write_flight_json(&mut out, meta);
-        out
+        self.with_spans(String::new(), |s| {
+            let mut out = String::with_capacity(4096);
+            s.write_flight_json(&mut out, meta);
+            out
+        })
     }
 
     /// Exports every recorded span as Chrome trace-event JSON for
     /// chrome://tracing. Empty string when tracing is off.
     pub fn chrome_trace_json(&self) -> String {
-        let Some(rc) = &self.inner else {
-            return String::new();
-        };
-        let inner = rc.borrow();
-        let Some(t) = inner.trace.as_ref() else {
-            return String::new();
-        };
-        let mut out = String::with_capacity(4096);
-        t.write_chrome_json(&mut out);
-        out
+        self.with_spans(String::new(), |s| {
+            let mut out = String::with_capacity(4096);
+            s.write_chrome_json(&mut out);
+            out
+        })
     }
 
-    fn with_trace<R>(&self, default: R, f: impl FnOnce(&TraceData) -> R) -> R {
-        match &self.inner {
-            Some(rc) => rc.borrow().trace.as_ref().map_or(default, f),
+    /// Replays the log into its span view and applies `f`; `default` when
+    /// tracing is off.
+    fn with_spans<R>(&self, default: R, f: impl FnOnce(&trace::Spans<'_>) -> R) -> R {
+        let Some(rc) = &self.inner else {
+            return default;
+        };
+        let inner = rc.borrow();
+        match inner.trace_capacity {
+            Some(capacity) => f(&trace::Spans::replay(&inner.timeline, capacity)),
             None => default,
         }
     }
 
-    /// A snapshot of all recorded timeline events, oldest first.
+    /// A snapshot of every retained fact, oldest first.
     pub fn events(&self) -> Vec<TimelineEvent> {
         match &self.inner {
-            Some(rc) => rc.borrow().timeline.events().to_vec(),
+            Some(rc) => rc.borrow().timeline.facts().cloned().collect(),
             None => Vec::new(),
         }
     }
 
-    /// The instant of the first event with the given kind, if any.
+    /// The instant of the first retained event with the given kind, if
+    /// any.
     pub fn first_event_at(&self, kind: &str) -> Option<u64> {
         match &self.inner {
             Some(rc) => rc.borrow().timeline.first_at(kind),
             None => None,
         }
+    }
+
+    /// Entries the timeline has evicted (surfaced as `timeline_evicted` in
+    /// `System::telemetry_json`).
+    pub fn timeline_evicted(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |rc| rc.borrow().timeline.evicted())
     }
 
     /// Measured failure-detection latency in nanoseconds: the span from the
@@ -337,12 +299,11 @@ impl Obs {
         let rc = self.inner.as_ref()?;
         let inner = rc.borrow();
         let detect = inner.timeline.first_at(kinds::DETECTOR_SUSPECTED)?;
-        inner
+        let promoted = inner
             .timeline
-            .events()
-            .iter()
-            .find(|e| e.kind == kinds::PROMOTED && e.at_nanos >= detect)
-            .map(|e| e.at_nanos - detect)
+            .entries()
+            .find(|e| e.kind == kinds::PROMOTED && e.at_nanos >= detect)?;
+        Some(promoted.at_nanos - detect)
     }
 
     /// Serialises registry + timeline as a JSON document.
@@ -434,21 +395,22 @@ mod tests {
     fn spans_are_noops_until_tracing_is_enabled() {
         let obs = Obs::enabled();
         assert!(!obs.tracing_enabled());
-        obs.span_open("conn:x", "conn", "x", 5);
-        obs.span_note("conn:x", 6, "k", "v".into());
-        obs.span_close("conn:x", 7);
-        obs.span("ackchan", "flush", 8, [("pairs", "1".to_string())]);
+        let conn = || [("conn", "x".to_string())];
+        obs.trace(5, trace::BEGIN, 7, conn());
+        obs.trace(8, trace::INSTANT, 0, [("ackchan", "flush".to_string())]);
         assert_eq!(obs.spans_opened(), 0);
         assert_eq!(obs.span_fingerprint(), 0);
         assert_eq!(obs.flight_recorder_json(&[]), "");
         assert_eq!(obs.chrome_trace_json(), "");
+        assert!(obs.events().is_empty(), "nothing was logged");
 
         obs.enable_tracing(16);
         assert!(obs.tracing_enabled());
-        obs.span_open("conn:x", "conn", "x", 5);
-        obs.span_note("conn:x", 6, "last_rx_lineage", "0x1".into());
-        obs.span_close("conn:x", 7);
-        obs.span("ackchan", "flush", 8, [("pairs", "1".to_string())]);
+        obs.trace(5, trace::BEGIN, 7, conn());
+        obs.trace(6, trace::NOTE, 7, [("last_rx_lineage", "0x1".into())]);
+        obs.trace(7, trace::END, 7, []);
+        let flush = [("ackchan", "flush".to_string()), ("pairs", "1".into())];
+        obs.trace(8, trace::INSTANT, 0, flush);
         assert_eq!(obs.spans_opened(), 2);
         let dump = obs.flight_recorder_json(&[("scenario", "t".into())]);
         assert!(dump.contains("last_rx_lineage"), "{dump}");
@@ -457,6 +419,7 @@ mod tests {
             "{dump}"
         );
         assert_ne!(obs.span_fingerprint(), 0);
+        assert!(obs.events().is_empty(), "span entries are not facts");
     }
 
     #[test]
@@ -465,19 +428,21 @@ mod tests {
         let clone = obs.clone();
         obs.enable_tracing(8);
         assert!(clone.tracing_enabled());
-        clone.span_open("k", "conn", "k", 1);
+        clone.trace(1, trace::BEGIN, 1, [("conn", "k".to_string())]);
         assert_eq!(obs.spans_opened(), 1);
     }
 
     #[test]
-    fn flight_recorder_evicts_at_capacity() {
+    fn flight_recorder_shows_the_newest_capacity_spans() {
         let obs = Obs::enabled();
         obs.enable_tracing(3);
         for i in 0..5u64 {
-            obs.span_open(&format!("s{i}"), "conn", &format!("s{i}"), i);
-            obs.span_close(&format!("s{i}"), i + 1);
+            let key = u128::from(i) + 1;
+            obs.trace(i, trace::BEGIN, key, [("conn", format!("s{i}"))]);
+            obs.trace(i + 1, trace::END, key, []);
         }
         assert_eq!(obs.trace_evicted(), 2);
+        assert_eq!(obs.timeline_evicted(), 0, "the log keeps every entry");
         let dump = obs.flight_recorder_json(&[]);
         assert!(dump.contains("\"evicted\": 2"), "{dump}");
         assert!(!dump.contains("\"s0\""), "oldest span must be gone: {dump}");
@@ -500,10 +465,12 @@ mod tests {
             "promote",
             "reconverge",
             "crash→reconverge",
+            "\"start_nanos\": 100, \"end_nanos\": 400",
         ] {
             assert!(dump.contains(needle), "missing {needle} in {dump}");
         }
-        // The timeline itself is unaffected.
+        assert_eq!(obs.spans_opened(), 5);
+        // The facts themselves are unaffected.
         assert_eq!(obs.events().len(), 5);
     }
 

@@ -16,7 +16,7 @@ use hydranet_netsim::packet::{IpAddr, IpPacket, Protocol};
 use hydranet_netsim::routing::RouteTable;
 use hydranet_netsim::time::SimTime;
 use hydranet_obs::metrics::Counter;
-use hydranet_obs::Obs;
+use hydranet_obs::{trace, Obs};
 use hydranet_tcp::segment::SockAddr;
 
 use crate::table::{RedirectorTable, ServiceEntry};
@@ -374,12 +374,10 @@ impl RedirectorEngine {
             // of the shared inner bytes — the causal link from "the
             // redirector multicast this" back to "this is the client
             // segment it carried".
-            let notes = routed
-                .iter()
-                .map(|(_, host)| ("member", host.to_string()))
+            let fields = std::iter::once(("redirect", format!("fanout {sap}")))
+                .chain(routed.iter().map(|(_, host)| ("member", host.to_string())))
                 .chain([("lineage", format!("{:#x}", encoded.lineage()))]);
-            let name = format!("fanout {sap}");
-            self.obs.span("redirect", &name, now.as_nanos(), notes);
+            self.obs.trace(now.as_nanos(), trace::INSTANT, 0, fields);
         }
         for &(iface, host) in rest {
             out.push((

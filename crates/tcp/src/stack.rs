@@ -42,7 +42,7 @@ use hydranet_netsim::hash::IntMap;
 use hydranet_netsim::packet::{DecodeError, IpAddr, IpPacket, Protocol, IP_HEADER_LEN};
 use hydranet_netsim::time::{SimDuration, SimTime};
 use hydranet_obs::metrics::Histogram;
-use hydranet_obs::Obs;
+use hydranet_obs::{trace, Obs};
 
 use crate::conn::{ConnEvent, ConnTelemetry, Connection, TcpConfig, TcpState};
 use crate::deadlines::Deadlines;
@@ -837,15 +837,14 @@ impl TcpStack {
         );
         if self.obs.tracing_enabled() {
             // The decoded segment's payload is a view of the received
-            // packet, so it carries the sender's lineage id: record it on
-            // the connection span. On a wedged connection the last such
-            // note names the final packet that made causal progress.
-            self.obs.span_note(
-                &format!("conn:{quad}"),
-                now.as_nanos(),
-                "last_rx_lineage",
-                format!("{:#x} seq={}", seg.payload.lineage(), seg.seq.raw()),
-            );
+            // packet, so it carries the sender's lineage id: note it under
+            // the connection's key, for every segment, before demux. On a
+            // wedged connection the last such note names the final packet
+            // that made causal progress.
+            let lineage = format!("{:#x} seq={}", seg.payload.lineage(), seg.seq.raw());
+            let note = [("last_rx_lineage", lineage)];
+            self.obs
+                .trace(now.as_nanos(), trace::NOTE, quad.key(), note);
         }
         if let Some((slot, mut entry)) = self.take_conn(quad) {
             entry.conn.on_segment(seg, now);
@@ -1093,10 +1092,8 @@ impl TcpStack {
                 self.free_slot(slot);
             }
             if self.obs.tracing_enabled() {
-                let key = format!("conn:{quad}");
-                self.obs
-                    .span_note(&key, now.as_nanos(), "final", entry.conn.span_summary());
-                self.obs.span_close(&key, now.as_nanos());
+                let last = [("final", entry.conn.span_summary())];
+                self.obs.trace(now.as_nanos(), trace::END, quad.key(), last);
             }
             return;
         }
@@ -1111,17 +1108,16 @@ impl TcpStack {
         self.arm_conn_timer(slot);
     }
 
-    /// Opens the lifecycle span of connection `quad` (no-op when tracing
-    /// is off). `how` distinguishes active opens from (gated) accepts.
-    fn span_conn_open(&mut self, quad: Quad, how: &str, now: SimTime) {
+    /// Logs the begin entry of connection `quad`'s lifecycle span (no-op
+    /// when tracing is off). `how` distinguishes active opens from (gated)
+    /// accepts.
+    fn span_conn_open(&mut self, quad: Quad, how: &'static str, now: SimTime) {
         if !self.obs.tracing_enabled() {
             return;
         }
-        let key = format!("conn:{quad}");
+        let fields = [("conn", quad.to_string()), ("open", how.to_string())];
         self.obs
-            .span_open(&key, "conn", &quad.to_string(), now.as_nanos());
-        self.obs
-            .span_note(&key, now.as_nanos(), "open", how.to_string());
+            .trace(now.as_nanos(), trace::BEGIN, quad.key(), fields);
     }
 
     /// Accepts one diverted (SEQ, ACK) report for the ack channel. In the
@@ -1203,14 +1199,18 @@ impl TcpStack {
         });
         self.push_packet(src, pred, Protocol::UDP, wire);
         if self.obs.tracing_enabled() {
-            // An instantaneous flush span: pair count, each report, and the
+            // An instant flush span: pair count, each report, and the
             // lineage id `push_packet` just minted for the batch datagram.
             let lineage = self.out.last().map_or(0, |p| p.payload.lineage());
-            let notes = std::iter::once(("pairs", batch.len().to_string()))
+            let head = [
+                ("ackchan", format!("flush {src}->{pred}")),
+                ("pairs", batch.len().to_string()),
+            ];
+            let fields = head
+                .into_iter()
                 .chain(batch.iter().map(|msg| ("pair", msg.brief())))
                 .chain([("lineage", format!("{lineage:#x}"))]);
-            let name = format!("flush {src}->{pred}");
-            self.obs.span("ackchan", &name, now.as_nanos(), notes);
+            self.obs.trace(now.as_nanos(), trace::INSTANT, 0, fields);
         }
     }
 
