@@ -17,9 +17,14 @@ pub(crate) enum EventKind {
         iface: usize,
         packet: IpPacket,
     },
-    /// A packet has finished its CPU processing delay and is handed to the
-    /// node. Carries the node's crash epoch so work queued before a crash
-    /// does not leak into a recovered node.
+    /// The head of a node's CPU queue has finished its processing delay
+    /// and is handed to the node. Filed for the head only, under the
+    /// head's own `(done, seq)` key; the packet waits in the queue.
+    CpuDone(NodeId),
+    /// A packet that finished its CPU processing delay outside the node's
+    /// queue, because it sorts before packets still queued from before a
+    /// crash, is handed to the node. Carries the node's crash epoch so
+    /// work queued before a crash does not leak into a recovered node.
     PacketDispatch {
         node: NodeId,
         iface: usize,
@@ -69,8 +74,21 @@ impl EventQueue {
     }
 
     pub fn push(&mut self, time: SimTime, kind: EventKind) {
+        let seq = self.take_seq();
+        self.push_at(time, seq, kind);
+    }
+
+    /// Takes the `seq` the next [`push`](Self::push) would stamp, for an
+    /// entry filed later under it by [`push_at`](Self::push_at).
+    pub fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Files `kind` under a `seq` taken earlier: it pops where a
+    /// [`push`](Self::push) at the moment the `seq` was taken would have.
+    pub fn push_at(&mut self, time: SimTime, seq: u64, kind: EventKind) {
         self.calendar.push(TimerEntry {
             time,
             seq,
@@ -168,6 +186,27 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
+    }
+
+    /// An entry filed late under a `seq` taken early pops exactly where a
+    /// push at the moment of taking would have: before later pushes at the
+    /// same time, after earlier ones.
+    #[test]
+    fn push_at_a_taken_seq_keeps_the_push_order() {
+        let mut q = EventQueue::new();
+        let at = SimTime::from_micros(5);
+        q.push(at, start(0));
+        let taken = q.take_seq();
+        q.push(at, start(2));
+        q.push(SimTime::from_micros(4), start(3));
+        q.push_at(at, taken, start(1));
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| match e.payload {
+                EventKind::NodeStart(n) => (e.time.as_nanos(), n.index() as u64),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(order, vec![(4_000, 3), (5_000, 0), (5_000, 1), (5_000, 2)]);
     }
 
     #[test]

@@ -228,10 +228,15 @@ impl LinkParams {
 
     /// Time to serialise `bytes` onto the wire at this link's rate.
     pub fn tx_time(&self, bytes: usize) -> SimDuration {
-        // nanos = bytes * 8 * 1e9 / bps, computed without overflow for
-        // realistic sizes (bytes < 2^32, bps >= 1).
-        let nanos = (bytes as u128 * 8 * 1_000_000_000) / self.bandwidth_bps as u128;
-        SimDuration::from_nanos(nanos as u64)
+        // nanos = bytes * 8 * 1e9 / bps. The product fits a u64 up to
+        // ~2.3 GB, so a packet divides in u64; only a larger size pays for
+        // the u128 division. Both truncate, so they agree wherever both fit.
+        const BIT_NANOS: u64 = 8 * 1_000_000_000;
+        let nanos = match (bytes as u64).checked_mul(BIT_NANOS) {
+            Some(product) => product / self.bandwidth_bps,
+            None => (bytes as u128 * u128::from(BIT_NANOS) / u128::from(self.bandwidth_bps)) as u64,
+        };
+        SimDuration::from_nanos(nanos)
     }
 }
 
@@ -308,6 +313,27 @@ mod tests {
         // 1250 bytes = 10_000 bits at 10 Mb/s = 1 ms.
         assert_eq!(p.tx_time(1250), SimDuration::from_millis(1));
         assert_eq!(p.tx_time(0), SimDuration::ZERO);
+    }
+
+    /// The u64 division is bit-identical to the u128 formula it replaced,
+    /// at the sizes a link carries and at the bandwidths tests use
+    /// (`u64::MAX` is a zero-time wire), and the overflow fallback is too.
+    #[test]
+    fn tx_time_matches_the_u128_formula() {
+        let reference =
+            |bytes: usize, bps: u64| (bytes as u128 * 8 * 1_000_000_000 / bps as u128) as u64;
+        for bps in [1, 3, 1_000_000, 10_000_000, 999_999_937, u64::MAX] {
+            let p = LinkParams::new(bps, SimDuration::ZERO);
+            for bytes in [0, 1, 1_500, 65_535, usize::MAX] {
+                assert_eq!(
+                    p.tx_time(bytes).as_nanos(),
+                    reference(bytes, bps),
+                    "{bytes} B at {bps} b/s"
+                );
+            }
+        }
+        let wire = LinkParams::new(u64::MAX, SimDuration::ZERO);
+        assert_eq!(wire.tx_time(65_535), SimDuration::ZERO);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! [`node`](Simulator::node).
 
 use std::any::Any;
+use std::collections::VecDeque;
 
 use hydranet_obs::{kinds, Obs};
 
@@ -29,10 +30,39 @@ pub(crate) struct NodeSlot {
     /// Incremented on every crash; stale timers/dispatches are discarded.
     pub epoch: u64,
     pub cpu_free_at: SimTime,
+    /// The packets waiting for or in the CPU, in `(done, seq)` order; only
+    /// the head's [`EventKind::CpuDone`] is filed.
+    cpu: VecDeque<CpuJob>,
     /// For each interface: the link it attaches to and the direction this
     /// node transmits in on that link.
     pub ifaces: Vec<(LinkId, Direction)>,
     pub stats: NodeStats,
+}
+
+impl NodeSlot {
+    pub fn new(node: Box<dyn Node>, params: NodeParams) -> Self {
+        NodeSlot {
+            node: Some(node),
+            params,
+            crashed: false,
+            epoch: 0,
+            cpu_free_at: SimTime::ZERO,
+            cpu: VecDeque::new(),
+            ifaces: Vec::new(),
+            stats: NodeStats::default(),
+        }
+    }
+}
+
+/// A packet in a node's CPU queue: the calendar key its dispatch would
+/// have been filed under, and what the dispatch needs.
+struct CpuJob {
+    done: SimTime,
+    seq: u64,
+    iface: usize,
+    packet: IpPacket,
+    /// The node's crash epoch at arrival.
+    epoch: u64,
 }
 
 /// The discrete-event simulator.
@@ -365,12 +395,10 @@ impl Simulator {
         match kind {
             EventKind::Timer { .. } => EventCategory::Timers,
             EventKind::PacketArrival { node, packet, .. }
-            | EventKind::PacketDispatch { node, packet, .. } => {
-                if self.profiler.is_redirector(*node) {
-                    EventCategory::Redirector
-                } else {
-                    self.profiler.classify_packet(packet)
-                }
+            | EventKind::PacketDispatch { node, packet, .. } => self.classify_at(*node, packet),
+            EventKind::CpuDone(node) => {
+                let head = self.nodes[node.index()].cpu.front();
+                self.classify_at(*node, &head.expect("a filed CPU queue has a head").packet)
             }
             EventKind::LinkDequeue { link, dir, .. } => {
                 // Attribute the dequeue to the packet about to transmit
@@ -390,6 +418,15 @@ impl Simulator {
         }
     }
 
+    /// A packet's category at `node`: a redirector's packets are its own.
+    fn classify_at(&self, node: NodeId, packet: &IpPacket) -> EventCategory {
+        if self.profiler.is_redirector(node) {
+            EventCategory::Redirector
+        } else {
+            self.profiler.classify_packet(packet)
+        }
+    }
+
     fn process(&mut self, kind: EventKind) {
         match kind {
             EventKind::NodeStart(node) => {
@@ -402,22 +439,22 @@ impl Simulator {
             } => {
                 self.packet_arrival(node, iface, packet);
             }
+            EventKind::CpuDone(node) => {
+                let cpu = &mut self.nodes[node.index()].cpu;
+                let job = cpu.pop_front().expect("a filed CPU queue has a head");
+                debug_assert_eq!(job.done, self.now, "CPU head popped off its key");
+                if let Some(next) = cpu.front() {
+                    self.events
+                        .push_at(next.done, next.seq, EventKind::CpuDone(node));
+                }
+                self.packet_dispatch(node, job.iface, job.packet, job.epoch);
+            }
             EventKind::PacketDispatch {
                 node,
                 iface,
                 packet,
                 epoch,
-            } => {
-                // A crash between arrival and dispatch — even one already
-                // recovered from — discards the packet waiting for the CPU.
-                let slot = &mut self.nodes[node.index()];
-                if slot.crashed || slot.epoch != epoch {
-                    slot.stats.dropped_crashed += 1;
-                    return;
-                }
-                slot.stats.dispatched += 1;
-                self.dispatch(node, |n, ctx| n.on_packet(ctx, IfaceId(iface), packet));
-            }
+            } => self.packet_dispatch(node, iface, packet, epoch),
             EventKind::LinkDequeue { link, dir, epoch } => {
                 self.link_dequeue(link, dir, epoch);
             }
@@ -497,6 +534,19 @@ impl Simulator {
                 );
             }
         }
+    }
+
+    /// Hands a packet that has finished its CPU delay to its node. A crash
+    /// between arrival and dispatch — even one already recovered from —
+    /// discards the packet.
+    fn packet_dispatch(&mut self, node: NodeId, iface: usize, packet: IpPacket, epoch: u64) {
+        let slot = &mut self.nodes[node.index()];
+        if slot.crashed || slot.epoch != epoch {
+            slot.stats.dropped_crashed += 1;
+            return;
+        }
+        slot.stats.dispatched += 1;
+        self.dispatch(node, |n, ctx| n.on_packet(ctx, IfaceId(iface), packet));
     }
 
     /// Runs a node callback and applies the actions it recorded.
@@ -684,6 +734,15 @@ impl Simulator {
         );
     }
 
+    /// Queues an arriving packet for its node's CPU, a FIFO server like a
+    /// link's transmitter. The packet takes the `seq` a calendar entry
+    /// filed now would get, so the queue hands packets over in the
+    /// calendar's exact `(time, seq)` order: within one node `done` never
+    /// decreases and `seq` always increases, so the queue is sorted and
+    /// its filed head is its minimum. An arrival that would sort before
+    /// the queue's tail is filed on its own instead; only a recovery,
+    /// which resets `cpu_free_at` while packets queued before the crash
+    /// are still due, makes one.
     fn packet_arrival(&mut self, node: NodeId, iface: usize, packet: IpPacket) {
         let slot = &mut self.nodes[node.index()];
         if slot.crashed {
@@ -696,15 +755,30 @@ impl Simulator {
         slot.cpu_free_at = done;
         slot.stats.cpu_busy_nanos += cost.as_nanos();
         let epoch = slot.epoch;
-        self.events.push(
-            done,
-            EventKind::PacketDispatch {
+        let seq = self.events.take_seq();
+        let tail = slot.cpu.back().map(|last| (last.done, last.seq));
+        if tail.is_some_and(|tail| (done, seq) < tail) {
+            let kind = EventKind::PacketDispatch {
                 node,
                 iface,
                 packet,
                 epoch,
-            },
-        );
+            };
+            self.events.push_at(done, seq, kind);
+            return;
+        }
+        if tail.is_none() {
+            self.events.push_at(done, seq, EventKind::CpuDone(node));
+        }
+        slot.cpu.push_back(CpuJob {
+            done,
+            seq,
+            iface,
+            packet,
+            epoch,
+        });
+        let queued = slot.cpu.len() as u64;
+        slot.stats.cpu_queue_peak = slot.stats.cpu_queue_peak.max(queued);
     }
 }
 
@@ -955,6 +1029,83 @@ mod tests {
         assert_eq!(sim.node::<Blaster>(b).received.len(), 1);
         assert_eq!((stats.dispatched, stats.dropped_crashed), (1, 2));
         assert_eq!(stats.dispatched + stats.dropped_crashed, ab.delivered);
+    }
+
+    /// A 5 ms-CPU node queues four packets, crashes after the first
+    /// dispatch and recovers while the three stale ones are still due at
+    /// 10, 15 and 20 ms. Recovery resets the CPU, so of three packets sent
+    /// just after it the first is done at 17 ms, before the last stale
+    /// one: it is filed on its own, and the other two queue behind the
+    /// stale packet. Dispatch times and order, the crash drops and the
+    /// event count are exactly what one calendar entry per packet gave.
+    #[test]
+    fn crash_with_cpu_backlog_then_recovery_keeps_dispatch_order() {
+        let mut t = TopologyBuilder::new();
+        let a = t.add_node(Blaster::new(0, 0), NodeParams::INSTANT);
+        let b = t.add_node(
+            Blaster::new(0, 0),
+            NodeParams::new(SimDuration::from_millis(5), SimDuration::ZERO),
+        );
+        let (link, _, _) = t.connect(a, b, LinkParams::new(1_000_000_000, SimDuration::ZERO));
+        let mut sim = t.into_simulator(1);
+        // 120…123 wire bytes at 1 Gb/s: arrivals at 960, 1,928, 2,904 and
+        // 3,888 ns, dispatches due 5 ms apart from 5,000,960 ns.
+        blast_sizes(&mut sim, a, &[100, 101, 102, 103]);
+        sim.schedule_crash(b, SimTime::from_millis(7));
+        sim.schedule_recover(b, SimTime::from_millis(12));
+        sim.run_until(SimTime::from_millis(12));
+        assert!(!sim.is_crashed(b));
+        // 220…222 wire bytes: arrivals at 12,001,760, 12,003,528 and
+        // 12,005,304 ns; the CPU, free since the recovery, is done at
+        // 17,001,760, then 22,001,760 and 27,001,760 ns.
+        blast_sizes(&mut sim, a, &[200, 201, 202]);
+        sim.run_until_idle();
+        let ns = SimTime::from_nanos;
+        assert_eq!(
+            sim.node::<Blaster>(b).received,
+            vec![
+                (ns(5_000_960), 100),
+                (ns(17_001_760), 200),
+                (ns(22_001_760), 201),
+                (ns(27_001_760), 202),
+            ]
+        );
+        let stats = *sim.node_stats(b);
+        assert_eq!((stats.dispatched, stats.dropped_crashed), (4, 3));
+        let (ab, _) = sim.link_stats(link);
+        assert_eq!(stats.dispatched + stats.dropped_crashed, ab.delivered);
+        // 2 starts, 9 link dequeues, 7 arrivals, 7 CPU dispatches, the
+        // crash and the recovery.
+        assert_eq!(sim.stats().events_processed, 27);
+        assert_eq!(sim.now(), ns(27_001_760));
+        assert_eq!(stats.cpu_queue_peak, 4);
+    }
+
+    /// A busy CPU's backlog waits in its node's queue, not in the
+    /// calendar: 4,096 back-to-back packets into a 1 ms-CPU node keep the
+    /// calendar at a handful of entries while the queue holds them all.
+    #[test]
+    fn a_cpu_backlog_stays_out_of_the_calendar() {
+        let mut t = TopologyBuilder::new();
+        let a = t.add_node(Blaster::new(4_096, 16), NodeParams::INSTANT);
+        let b = t.add_node(
+            Blaster::new(0, 0),
+            NodeParams::new(SimDuration::from_millis(1), SimDuration::ZERO),
+        );
+        t.connect(
+            a,
+            b,
+            LinkParams::new(1_000_000_000, SimDuration::ZERO).with_queue(4_096),
+        );
+        let mut sim = t.into_simulator(1);
+        let mut filed = 0;
+        while sim.step() {
+            filed = filed.max(sim.events.len());
+        }
+        assert_eq!(sim.node::<Blaster>(b).received.len(), 4_096);
+        assert!(filed <= 4, "the calendar held {filed} entries");
+        assert_eq!(sim.stats().calendar_peak, filed as u64);
+        assert!(sim.node_stats(b).cpu_queue_peak > 4_000);
     }
 
     #[test]

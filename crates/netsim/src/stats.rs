@@ -53,6 +53,10 @@ pub struct NodeStats {
     pub dropped_crashed: u64,
     /// Accumulated CPU busy time in nanoseconds.
     pub cpu_busy_nanos: u64,
+    /// The most packets the node's CPU queue held at once: the packet in
+    /// the CPU and those waiting for it. A busy CPU's backlog waits here,
+    /// not in the calendar.
+    pub cpu_queue_peak: u64,
 }
 
 /// Whole-simulation counters.
@@ -63,7 +67,9 @@ pub struct SimStats {
     /// Timers delivered to their node; a crashed node's pending timers are
     /// dropped uncounted.
     pub timers_fired: u64,
-    /// The most events the calendar held at once.
+    /// The most entries the calendar held at once. A node's CPU backlog is
+    /// not among them: it waits in the node's CPU queue, which files one
+    /// entry for its head (see [`NodeStats::cpu_queue_peak`]).
     pub calendar_peak: u64,
 }
 

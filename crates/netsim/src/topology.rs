@@ -3,7 +3,6 @@
 use crate::link::{Link, LinkId, LinkParams};
 use crate::node::{Node, NodeId, NodeParams};
 use crate::sim::{NodeSlot, Simulator};
-use crate::time::SimTime;
 
 /// Builds a topology of nodes and links, then converts it into a running
 /// [`Simulator`].
@@ -36,15 +35,7 @@ impl TopologyBuilder {
     /// id. Nodes receive `on_start` in insertion order at time zero.
     pub fn add_node(&mut self, node: impl Node, params: NodeParams) -> NodeId {
         let id = NodeId(self.nodes.len());
-        self.nodes.push(NodeSlot {
-            node: Some(Box::new(node)),
-            params,
-            crashed: false,
-            epoch: 0,
-            cpu_free_at: SimTime::ZERO,
-            ifaces: Vec::new(),
-            stats: Default::default(),
-        });
+        self.nodes.push(NodeSlot::new(Box::new(node), params));
         id
     }
 
