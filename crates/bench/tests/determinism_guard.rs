@@ -325,9 +325,14 @@ fn chaos_soak_is_thread_count_invariant_and_pinned() {
 /// are again the only report fields that moved. Re-pinned when the
 /// registry lost its gauges: the report's embedded registry JSON dropped
 /// its empty `"gauges": {}` member, the only byte that moved (reports
-/// diffed against the parent commit's).
+/// diffed against the parent commit's). Re-pinned when received bytes
+/// became views in one run list released on drain (no 512 B readable ring
+/// kept per connection): `bytes_per_flow` and its histogram 1678 → 1645,
+/// `per_flow_client_bytes` 1678 → 1645 and `primary_conn_bytes`
+/// 105,468 / 104,636 → 98,876 / 98,876 are the only report fields that
+/// moved.
 const PINNED_SCALE: &str =
-    "scale fp=0x99ce3ef94bd3a4ac flows=120 completed=120 peak=120 events=25816";
+    "scale fp=0x92e2381d5fe3e708 flows=120 completed=120 peak=120 events=25816";
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut acc = 0xcbf2_9ce4_8422_2325u64;

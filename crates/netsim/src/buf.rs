@@ -18,6 +18,10 @@
 //! handle forces one copy into a fresh backing, so a shared buffer is never
 //! written.
 //!
+//! **Received bytes stay views until read.** [`RunList`], behind TCP's
+//! receive buffer and IP reassembly, holds them as slices of the buffers
+//! they arrived in.
+//!
 //! Equality, ordering, and hashing are **content-based** (two buffers with
 //! the same visible bytes are equal regardless of backing store), so types
 //! embedding a `PacketBuf` behave exactly as they did with `Vec<u8>`.
@@ -47,6 +51,7 @@
 //! assert_eq!(&pkt[..], b"h:abc");
 //! ```
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::iter;
@@ -330,6 +335,129 @@ impl fmt::Debug for PacketBuf {
     }
 }
 
+/// Received bytes held as offset-ordered, non-overlapping views of the
+/// buffers they arrived in (the first copy of any byte wins).
+///
+/// [`contiguous_end`](Self::contiguous_end) and
+/// [`read_into`](Self::read_into) touch only the runs they pass over, so a
+/// list holding thousands of gated runs costs a deposit or a read what the
+/// bytes moved cost. `read_into` makes the one copy; an empty list
+/// (`default`, or one read dry) has no storage.
+#[derive(Debug, Clone, Default)]
+pub struct RunList {
+    runs: VecDeque<(u64, PacketBuf)>,
+    /// Bytes held: the runs' summed lengths.
+    len: usize,
+}
+
+impl RunList {
+    /// Bytes held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no byte is held.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The held runs in offset order.
+    pub fn runs(&self) -> impl Iterator<Item = (u64, &PacketBuf)> {
+        self.runs.iter().map(|(off, buf)| (*off, buf))
+    }
+
+    /// Holds the bytes of `buf` at offsets `off..` that no run holds yet;
+    /// returns how many that was.
+    pub fn insert(&mut self, mut off: u64, mut buf: PacketBuf) -> usize {
+        let mut added = 0;
+        // The first run ending past `off`; the runs before it are untouched.
+        let mut i = self
+            .runs
+            .partition_point(|(o, b)| o + b.len() as u64 <= off);
+        while !buf.is_empty() {
+            let end = off + buf.len() as u64;
+            match self.runs.get(i).map(|(o, b)| (*o, o + b.len() as u64)) {
+                Some((lo, hi)) if lo <= off => {
+                    // Held from the left: skip what the run covers.
+                    let skip = hi.min(end) - off;
+                    off += skip;
+                    buf = buf.slice(skip as usize..);
+                }
+                Some((lo, _)) if lo < end => {
+                    // Room up to the next run.
+                    let take = (lo - off) as usize;
+                    self.runs.insert(i, (off, buf.slice(..take)));
+                    added += take;
+                    off = lo;
+                    buf = buf.slice(take..);
+                }
+                _ => {
+                    added += buf.len();
+                    self.runs.insert(i, (off, buf));
+                    break;
+                }
+            }
+            i += 1;
+        }
+        self.len += added;
+        added
+    }
+
+    /// The first offset at or after `from` that no run holds, or `limit`
+    /// if every byte up to it is held (`from` when `limit <= from`).
+    pub fn contiguous_end(&self, from: u64, limit: u64) -> u64 {
+        let mut end = from;
+        let i = self
+            .runs
+            .partition_point(|(o, b)| o + b.len() as u64 <= from);
+        for (o, b) in self.runs.range(i..) {
+            if *o > end || end >= limit {
+                break;
+            }
+            end = o + b.len() as u64;
+        }
+        end.min(limit).max(from)
+    }
+
+    /// Copies the first `out.len()` bytes held into `out` and drops them;
+    /// the storage goes back to the allocator once nothing is held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `out.len()` bytes are held. In debug builds,
+    /// also if those bytes are not contiguous.
+    pub fn read_into(&mut self, out: &mut [u8]) {
+        let mut at = 0;
+        while at < out.len() {
+            let (off, run) = self.runs.front_mut().expect("read past the held bytes");
+            let n = run.len().min(out.len() - at);
+            out[at..at + n].copy_from_slice(&run[..n]);
+            at += n;
+            if n < run.len() {
+                *off += n as u64;
+                *run = run.slice(n..);
+            } else {
+                let end = *off + n as u64;
+                self.runs.pop_front();
+                debug_assert!(
+                    at == out.len() || self.runs.front().is_some_and(|(o, _)| *o == end),
+                    "read across a hole"
+                );
+            }
+        }
+        self.len -= out.len();
+        if self.runs.is_empty() {
+            self.runs = VecDeque::new();
+        }
+    }
+
+    /// Heap bytes charged to the list: its run slots plus the bytes the
+    /// runs view (each view also pins its arriving packet's headers).
+    pub fn heap_bytes(&self) -> usize {
+        self.runs.capacity() * std::mem::size_of::<(u64, PacketBuf)>() + self.len
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,5 +645,99 @@ mod tests {
         assert_eq!(PacketBuf::from(b"ab").as_slice(), b"ab");
         let collected: PacketBuf = (0u8..4).collect();
         assert_eq!(collected.as_slice(), &[0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn run_list_keeps_the_first_copy_as_views() {
+        let mut runs = RunList::default();
+        let late = PacketBuf::from(*b"ABCDEFGH");
+        assert_eq!(runs.insert(4, PacketBuf::from(*b"efgh")), 4);
+        // Overlapping both sides of the held run: only bytes 0..4 and
+        // 8..12 are new, and they stay views of the arriving buffer.
+        let wide = PacketBuf::from(*b"abcdEFGHijkl");
+        assert_eq!(runs.insert(0, wide.clone()), 8);
+        assert_eq!(runs.insert(2, late), 0);
+        assert_eq!(runs.len(), 12);
+        let held: Vec<(u64, &[u8])> = runs.runs().map(|(o, b)| (o, b.as_slice())).collect();
+        let expect: [(u64, &[u8]); 3] = [(0, b"abcd"), (4, b"efgh"), (8, b"ijkl")];
+        assert_eq!(held, expect);
+        assert!(runs
+            .runs()
+            .all(|(o, b)| o == 4 || PacketBuf::same_backing(b, &wide)));
+    }
+
+    #[test]
+    fn run_list_contiguous_end_stops_at_holes_and_the_limit() {
+        let mut runs = RunList::default();
+        runs.insert(0, PacketBuf::from([0u8; 10]));
+        runs.insert(10, PacketBuf::from([0u8; 5]));
+        runs.insert(20, PacketBuf::from([0u8; 5]));
+        assert_eq!(runs.contiguous_end(0, u64::MAX), 15);
+        assert_eq!(runs.contiguous_end(3, 12), 12);
+        assert_eq!(runs.contiguous_end(15, u64::MAX), 15, "a hole at 15");
+        assert_eq!(runs.contiguous_end(21, 100), 25);
+        assert_eq!(runs.contiguous_end(8, 4), 8, "a limit below `from`");
+    }
+
+    #[test]
+    fn run_list_reads_across_runs_and_releases_storage_when_drained() {
+        let mut runs = RunList::default();
+        assert_eq!(runs.heap_bytes(), 0);
+        runs.insert(0, PacketBuf::from(*b"abc"));
+        runs.insert(3, PacketBuf::from(*b"defg"));
+        let mut out = [0u8; 5];
+        runs.read_into(&mut out);
+        assert_eq!(&out, b"abcde");
+        assert_eq!(runs.len(), 2);
+        assert_eq!(
+            runs.runs().next().map(|(o, b)| (o, b.to_vec())),
+            Some((5, b"fg".to_vec()))
+        );
+        let mut rest = [0u8; 2];
+        runs.read_into(&mut rest);
+        assert_eq!(&rest, b"fg");
+        assert!(runs.is_empty());
+        assert_eq!(
+            runs.heap_bytes(),
+            0,
+            "a drained list gives its storage back"
+        );
+    }
+
+    /// Random overlapping inserts, each filling its bytes with its own tag,
+    /// against a byte map where the first writer of a byte wins.
+    #[test]
+    fn run_list_matches_a_first_writer_byte_map() {
+        let mut rng = crate::rng::SimRng::seed_from(0x2e_5eed);
+        for _ in 0..64 {
+            let mut runs = RunList::default();
+            let mut bytes = [None::<u8>; 200];
+            for tag in 0..40u8 {
+                let off = rng.range(0, 190);
+                let len = rng.range(1, 200 - off);
+                let fresh = (off..off + len)
+                    .filter(|&o| bytes[o as usize].is_none())
+                    .count();
+                assert_eq!(
+                    runs.insert(off, PacketBuf::from(vec![tag; len as usize])),
+                    fresh
+                );
+                for o in off..off + len {
+                    bytes[o as usize].get_or_insert(tag);
+                }
+                let mut next = 0;
+                for (o, run) in runs.runs() {
+                    assert!(o >= next, "runs overlap or are out of order");
+                    let held = &bytes[o as usize..o as usize + run.len()];
+                    assert!(held.iter().zip(run.iter()).all(|(b, r)| *b == Some(*r)));
+                    next = o + run.len() as u64;
+                }
+                assert_eq!(runs.len(), bytes.iter().flatten().count());
+                let from = rng.range(0, 200);
+                let gap = bytes[from as usize..].iter().position(Option::is_none);
+                let end = gap.map_or(200, |g| from + g as u64);
+                assert_eq!(runs.contiguous_end(from, 200), end);
+            }
+        }
     }
 }

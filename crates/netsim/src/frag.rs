@@ -3,7 +3,9 @@
 //! Links have an MTU; a packet whose on-wire size exceeds the egress MTU is
 //! split into fragments (unless its *don't fragment* flag is set, in which
 //! case it is dropped, as a router would). The receiving host reassembles
-//! fragments keyed by `(src, dst, protocol, id)`.
+//! fragments keyed by `(src, dst, protocol, id)`, holding their payloads
+//! as views in a [`RunList`] (first copy of a byte wins) and copying a
+//! datagram at most once, when it joins several runs.
 //!
 //! The paper's Figure 4 notes that throughput drops again for writes larger
 //! than the MTU "due to the fragmentation of packets"; this module is what
@@ -11,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use crate::buf::PacketBuf;
+use crate::buf::{PacketBuf, RunList};
 use crate::packet::{FragInfo, IpAddr, IpPacket, IP_HEADER_LEN};
 use crate::time::{SimDuration, SimTime};
 
@@ -126,10 +128,8 @@ struct DatagramKey {
 
 #[derive(Debug)]
 struct PartialDatagram {
-    /// Received `(offset, payload)` runs, kept sorted and non-overlapping.
-    /// Each run is a shared view of the fragment it arrived in; bytes are
-    /// copied exactly once, into the assembled datagram.
-    runs: Vec<(u32, PacketBuf)>,
+    /// Received payload bytes, as views of the fragments they arrived in.
+    runs: RunList,
     /// Total payload length, known once the final fragment arrives.
     total_len: Option<u32>,
     /// Header template from the first fragment seen.
@@ -139,55 +139,23 @@ struct PartialDatagram {
 }
 
 impl PartialDatagram {
-    fn insert(&mut self, offset: u32, payload: PacketBuf) {
-        // Drop exact duplicates; keep it simple for partial overlaps by
-        // accepting the first copy of any byte (fragments in this simulator
-        // are never partially overlapping because they come from one source).
-        match self.runs.binary_search_by_key(&offset, |(o, _)| *o) {
-            Ok(_) => {}
-            Err(pos) => self.runs.insert(pos, (offset, payload)),
-        }
-    }
-
-    fn try_assemble(&self) -> Option<PacketBuf> {
-        let total = self.total_len?;
-        // Single-run fast path: the whole datagram arrived in one piece,
-        // so its payload can be returned as-is without assembly.
-        if let [(0, payload)] = self.runs.as_slice() {
-            if payload.len() as u32 >= total {
-                return Some(payload.slice(..total as usize));
-            }
-            return None;
-        }
-        // Runs are sorted; a gap before `total` leaves the datagram open.
-        let mut next = 0u32;
-        for (offset, payload) in &self.runs {
-            if *offset > next {
-                return None; // hole
-            }
-            next = next.max(offset + payload.len() as u32);
-        }
-        if next < total {
-            return None;
-        }
-        // Gather into one buffer, each byte once: a run overlapping an
-        // earlier one (a duplicated region) contributes only what is new.
-        let assembled = PacketBuf::with_headroom(0, total as usize, |out| {
-            let mut next = 0usize;
-            for (offset, payload) in &self.runs {
-                let offset = *offset as usize;
-                let end = (offset + payload.len()).min(out.len());
-                if end > next {
-                    out[next..end].copy_from_slice(&payload[next - offset..end - offset]);
-                    next = end;
-                }
-            }
-        });
-        // The gather loses the runs' shared backing, so carry the lineage
-        // tag forward explicitly (every run came from the same original
-        // send; the first run's tag is the datagram's).
-        let lineage = self.runs.first().map_or(0, |(_, p)| p.lineage());
-        Some(assembled.with_lineage(lineage))
+    /// The whole datagram, once its `total` payload bytes have arrived: the
+    /// payload is the first run itself when that run covers it, else one
+    /// gather copy (which carries the first run's lineage tag forward).
+    fn into_packet(mut self, total: usize) -> IpPacket {
+        let first = self
+            .runs
+            .runs()
+            .next()
+            .map_or_else(PacketBuf::new, |(_, run)| run.clone());
+        self.template.payload = if first.len() >= total {
+            first.slice(..total)
+        } else {
+            PacketBuf::with_headroom(0, total, |out| self.runs.read_into(out))
+                .with_lineage(first.lineage())
+        };
+        self.template.header.frag = FragInfo::UNFRAGMENTED;
+        self.template
     }
 }
 
@@ -265,7 +233,7 @@ impl Reassembler {
             self.evict_oldest();
         }
         let entry = self.partials.entry(key).or_insert_with(|| PartialDatagram {
-            runs: Vec::new(),
+            runs: RunList::default(),
             total_len: None,
             template: IpPacket {
                 header: packet.header.clone(),
@@ -277,12 +245,13 @@ impl Reassembler {
         if !frag.more_fragments {
             entry.total_len = Some(frag.offset + packet.payload.len() as u32);
         }
-        entry.insert(frag.offset, packet.payload);
-        let assembled = entry.try_assemble()?;
-        let mut whole = self.partials.remove(&key).expect("entry exists").template;
-        whole.header.frag = FragInfo::UNFRAGMENTED;
-        whole.payload = assembled;
-        Some(whole)
+        entry.runs.insert(u64::from(frag.offset), packet.payload);
+        let total = u64::from(entry.total_len?);
+        if entry.runs.contiguous_end(0, total) < total {
+            return None;
+        }
+        let partial = self.partials.remove(&key)?;
+        Some(partial.into_packet(total as usize))
     }
 
     /// Number of datagrams currently awaiting more fragments.

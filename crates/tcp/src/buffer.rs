@@ -1,16 +1,18 @@
 //! Socket buffers: retransmittable send data and receive-side reassembly.
 //!
-//! The receive buffer distinguishes *staged* bytes (arrived, possibly out of
-//! order, not yet acknowledged to the application) from *deposited* bytes
-//! (readable by the application and covered by our ACKs). HydraNet-FT's
-//! atomicity rule — replica `Sᵢ` may deposit byte `k` only after its
-//! successor reported an acknowledgement number greater than `k` (paper
-//! §4.3) — is implemented by the deposit limit: staged bytes cross into the
-//! readable queue only up to the limit.
+//! The receive buffer holds received bytes as views of the segments they
+//! came in, in one [`RunList`], and copies a byte once, when the
+//! application reads it. It distinguishes *staged* bytes (arrived, possibly
+//! out of order, not yet acknowledged to the application) from *deposited*
+//! bytes (readable by the application and covered by our ACKs).
+//! HydraNet-FT's atomicity rule — replica `Sᵢ` may deposit byte `k` only
+//! after its successor reported an acknowledgement number greater than `k`
+//! (paper §4.3) — is implemented by the deposit limit: `RCV.NXT` moves over
+//! staged bytes only up to the limit.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use hydranet_netsim::buf::PacketBuf;
+use hydranet_netsim::buf::{PacketBuf, RunList};
 use hydranet_netsim::packet::IP_HEADER_LEN;
 
 use crate::segment::TCP_HEADER_LEN;
@@ -19,7 +21,7 @@ use crate::seq::SeqNum;
 /// Room a transmit payload keeps in front for its TCP and IP headers.
 const HEADROOM: usize = TCP_HEADER_LEN + IP_HEADER_LEN;
 
-/// Backing allocations at or below this many bytes are kept when a buffer
+/// Send-ring allocations at or below this many bytes are kept when the ring
 /// drains; larger ones are returned to the allocator. The floor keeps
 /// small-write request/response flows from re-allocating on every
 /// drain/refill cycle, while letting a bulk flow's multi-KiB ring go as
@@ -48,12 +50,6 @@ fn ring_range(q: &VecDeque<u8>, start: usize, end: usize) -> (&[u8], &[u8]) {
         &head[start.min(split)..end.min(split)],
         &tail[start.saturating_sub(split)..end.saturating_sub(split)],
     )
-}
-
-/// Copies `q[start..end]` out into a fresh `Vec`.
-fn copy_range(q: &VecDeque<u8>, start: usize, end: usize) -> Vec<u8> {
-    let (head, tail) = ring_range(q, start, end);
-    [head, tail].concat()
 }
 
 /// Bytes accepted from the application, awaiting transmission and
@@ -152,25 +148,38 @@ impl SendBuffer {
     }
 }
 
-/// Receive-side reassembly buffer with a deposit gate.
+/// What [`RecvBuffer::offer`] did with a segment's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Offer {
+    /// New bytes arrived and `RCV.NXT` advanced over them.
+    Deposited,
+    /// New bytes arrived but wait behind a hole or the deposit gate.
+    Held,
+    /// Every byte in the window was already held or deposited: the peer
+    /// retransmitted.
+    Duplicate,
+    /// The segment starts at or past the window's right edge (a
+    /// zero-window probe, or a peer ignoring the window); nothing is held.
+    PastWindow,
+}
+
+/// Receive-side reassembly buffer with a deposit gate: one run list holding
+/// every byte from the first unread one on, and two cursors into it.
 #[derive(Debug, Clone)]
 pub struct RecvBuffer {
     /// Next sequence number to deposit (`RCV.NXT`).
     nxt_seq: SeqNum,
-    /// Absolute stream offset corresponding to `nxt_seq` (monotonic, never
-    /// wraps — used as the key space for staging).
+    /// Stream offset of `nxt_seq`: monotonic and never wrapping, the key
+    /// space of the run list. It counts data bytes only; a consumed FIN
+    /// advances `nxt_seq` alone.
     nxt_off: u64,
-    /// Deposit gate: staged bytes with stream offset `< limit` may become
-    /// readable. `None` means ungated (plain TCP, or the last replica in a
+    /// Stream offset of the first unread byte, where the list begins.
+    read_off: u64,
+    /// Deposit gate: bytes with stream offset `< limit` may be deposited.
+    /// `None` means ungated (plain TCP, or the last replica in a
     /// HydraNet-FT chain).
     deposit_limit: Option<u64>,
-    /// Deposited, application-readable bytes.
-    readable: VecDeque<u8>,
-    /// Staged runs keyed by absolute stream offset.
-    staged: BTreeMap<u64, Vec<u8>>,
-    /// Sum of the staged runs' lengths, kept current at every insert and
-    /// removal: each segment asks several times, the tree walk is O(runs).
-    staged_len: usize,
+    runs: RunList,
     capacity: usize,
 }
 
@@ -180,10 +189,9 @@ impl RecvBuffer {
         RecvBuffer {
             nxt_seq: nxt,
             nxt_off: 0,
+            read_off: 0,
             deposit_limit: None,
-            readable: VecDeque::new(),
-            staged: BTreeMap::new(),
-            staged_len: 0,
+            runs: RunList::default(),
             capacity,
         }
     }
@@ -194,35 +202,28 @@ impl RecvBuffer {
         self.nxt_seq
     }
 
-    /// The receive window to advertise: free space after readable and
-    /// staged bytes are accounted for.
+    /// The receive window to advertise: free space after deposited and
+    /// held bytes are accounted for.
     pub fn window(&self) -> u32 {
-        let used = self.readable.len() + self.staged_bytes();
-        self.capacity.saturating_sub(used) as u32
+        self.capacity.saturating_sub(self.runs.len()) as u32
     }
 
     /// Number of bytes ready for the application.
     pub fn readable_len(&self) -> usize {
-        self.readable.len()
+        (self.nxt_off - self.read_off) as usize
     }
 
-    /// Total bytes staged awaiting deposit (in-order but gated, or out of
-    /// order).
+    /// Bytes held awaiting deposit (in order but gated, or out of order).
     pub fn staged_bytes(&self) -> usize {
-        debug_assert_eq!(self.staged_len, self.staged.values().map(Vec::len).sum());
-        self.staged_len
+        self.runs.len() - self.readable_len()
     }
 
     /// Sets the deposit gate from a successor-reported acknowledgement
     /// number: bytes strictly before `upto` may be deposited. The gate only
     /// ever moves forward.
     pub fn gate_deposits_below(&mut self, upto: SeqNum) {
-        let diff = self.seq_to_off(upto);
-        let new_limit = diff.max(self.nxt_off);
-        self.deposit_limit = Some(match self.deposit_limit {
-            Some(old) => old.max(new_limit),
-            None => new_limit,
-        });
+        let limit = self.seq_to_off(upto).max(self.nxt_off);
+        self.deposit_limit = Some(self.deposit_limit.map_or(limit, |old| old.max(limit)));
     }
 
     /// Enables gating with nothing yet permitted (used when a replica port
@@ -244,102 +245,54 @@ impl RecvBuffer {
         self.deposit_limit.is_some()
     }
 
-    /// Offers segment data starting at `seq`. Data outside the receive
-    /// window is clipped; duplicates are ignored. Returns `true` if
-    /// `RCV.NXT` advanced (i.e. new bytes were deposited).
-    pub fn offer(&mut self, seq: SeqNum, data: &[u8]) -> bool {
-        // In-order fast path: exactly at RCV.NXT, nothing staged, no gate.
-        // stage() would insert a single run at nxt_off (clipped to the
-        // window) and deposit() would immediately drain all of it, so the
-        // straight-line append below is byte-for-byte equivalent — without
-        // a BTreeMap insert/remove and run copy per segment.
-        if seq == self.nxt_seq
-            && !data.is_empty()
-            && self.staged.is_empty()
-            && self.deposit_limit.is_none()
-        {
-            let take = data.len().min(self.capacity);
-            if take == 0 {
-                return false;
-            }
-            reserve_bounded(&mut self.readable, take, self.capacity);
-            self.readable.extend(&data[..take]);
-            self.nxt_off += take as u64;
-            self.nxt_seq += take as u32;
-            return true;
+    /// Offers a segment's payload, starting at `seq`, and keeps a view of
+    /// its new bytes: those from `RCV.NXT` on that fall short of the first
+    /// unread byte + capacity and that no earlier segment delivered. The
+    /// bound counts unread bytes, so a sender that ignores the window
+    /// cannot grow the buffer past its capacity.
+    pub fn offer(&mut self, seq: SeqNum, data: PacketBuf) -> Offer {
+        let start = self.seq_to_off(seq);
+        let edge = self.read_off + self.capacity as u64;
+        if start >= edge {
+            return Offer::PastWindow;
         }
-        if !data.is_empty() {
-            self.stage(seq, data);
+        let lo = start.max(self.nxt_off);
+        let hi = (start + data.len() as u64).min(edge);
+        if lo >= hi {
+            return Offer::Duplicate;
         }
-        self.deposit()
+        let view = data.slice((lo - start) as usize..(hi - start) as usize);
+        if self.runs.insert(lo, view) == 0 {
+            Offer::Duplicate
+        } else if self.deposit() {
+            Offer::Deposited
+        } else {
+            Offer::Held
+        }
     }
 
-    /// Reads up to `max` deposited bytes.
+    /// Reads up to `max` deposited bytes: the one copy of a received byte.
     pub fn read(&mut self, max: usize) -> Vec<u8> {
-        let n = max.min(self.readable.len());
-        let out = copy_range(&self.readable, 0, n);
-        self.readable.drain(..n);
-        if self.readable.is_empty() && self.readable.capacity() > SHRINK_RETAIN {
-            self.readable = VecDeque::new();
-        }
+        let mut out = vec![0; max.min(self.readable_len())];
+        self.runs.read_into(&mut out);
+        self.read_off += out.len() as u64;
         out
     }
 
-    /// Attempts to move staged bytes into the readable queue, honouring the
-    /// deposit gate. Returns `true` if `RCV.NXT` advanced.
+    /// Moves `RCV.NXT` over the held bytes that are contiguous with it and
+    /// below the deposit gate. Returns `true` if it advanced.
     pub fn deposit(&mut self) -> bool {
-        let mut advanced = false;
-        while let Some((&off, run)) = self.staged.first_key_value() {
-            if off > self.nxt_off {
-                break; // hole
-            }
-            let run_end = off + run.len() as u64;
-            if run_end <= self.nxt_off {
-                self.staged_len -= run.len();
-                self.staged.pop_first();
-                continue; // fully duplicate
-            }
-            let limit = self.deposit_limit.unwrap_or(u64::MAX);
-            if self.nxt_off >= limit {
-                break; // gate closed
-            }
-            let take_end = run_end.min(limit);
-            let skip = (self.nxt_off - off) as usize;
-            let take = (take_end - self.nxt_off) as usize;
-            let run = self.staged.pop_first().expect("first exists").1;
-            self.staged_len -= run.len();
-            reserve_bounded(&mut self.readable, take, self.capacity);
-            self.readable.extend(&run[skip..skip + take]);
-            self.nxt_off += take as u64;
-            self.nxt_seq += take as u32;
-            advanced = true;
-            if take_end < run_end {
-                // Re-stage the gated tail.
-                let rest = run[skip + take..].to_vec();
-                self.staged_len += rest.len();
-                self.staged.insert(take_end, rest);
-                break;
-            }
-        }
-        advanced
+        let limit = self.deposit_limit.unwrap_or(u64::MAX);
+        let end = self.runs.contiguous_end(self.nxt_off, limit);
+        let n = end - self.nxt_off;
+        self.nxt_off = end;
+        self.nxt_seq += n as u32;
+        n > 0
     }
 
-    /// Heap bytes held by this buffer's backing storage: the readable
-    /// queue's capacity plus every staged run's capacity (plus a nominal
-    /// per-node charge for the staging tree).
+    /// Heap bytes held by this buffer's run list.
     pub fn heap_bytes(&self) -> usize {
-        self.readable.capacity()
-            + self
-                .staged
-                .values()
-                .map(|run| run.capacity() + 3 * std::mem::size_of::<usize>())
-                .sum::<usize>()
-    }
-
-    /// Total distinct stream bytes received so far (deposited plus staged).
-    /// Used to distinguish fresh data from peer retransmissions.
-    pub fn coverage(&self) -> u64 {
-        self.nxt_off + self.staged_bytes() as u64
+        self.runs.heap_bytes()
     }
 
     /// Whether the deposit gate would permit at least one more sequence
@@ -358,78 +311,20 @@ impl RecvBuffer {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if undeposited data is staged at the slot.
+    /// Panics in debug builds if undeposited data is held at the slot.
     pub fn consume_slot(&mut self) {
-        debug_assert!(
-            self.staged
-                .first_key_value()
-                .is_none_or(|(&o, _)| o > self.nxt_off),
-            "consume_slot with staged data pending at RCV.NXT"
+        debug_assert_eq!(
+            self.runs.contiguous_end(self.nxt_off, u64::MAX),
+            self.nxt_off,
+            "consume_slot with held data pending at RCV.NXT"
         );
         self.nxt_seq += 1;
-        self.nxt_off += 1;
     }
 
     /// Converts a sequence number near `RCV.NXT` to an absolute offset.
     fn seq_to_off(&self, seq: SeqNum) -> u64 {
         let d = (seq - self.nxt_seq) as i32 as i64;
         self.nxt_off.saturating_add_signed(d)
-    }
-
-    fn stage(&mut self, seq: SeqNum, data: &[u8]) {
-        let start = self.seq_to_off(seq);
-        let end = start + data.len() as u64;
-        // Clip to the receive window: [nxt_off, nxt_off + capacity).
-        let win_lo = self.nxt_off;
-        let win_hi = self.nxt_off + self.capacity as u64;
-        let clip_lo = start.max(win_lo);
-        let clip_hi = end.min(win_hi);
-        if clip_lo >= clip_hi {
-            return;
-        }
-        let data = &data[(clip_lo - start) as usize..(clip_hi - start) as usize];
-        self.insert_run(clip_lo, data);
-    }
-
-    /// Inserts a run, trimming against existing staged runs (first copy of
-    /// any byte wins).
-    fn insert_run(&mut self, mut start: u64, mut data: &[u8]) {
-        while !data.is_empty() {
-            // Find the first existing run overlapping or after `start`.
-            let next_existing = self
-                .staged
-                .range(..=start)
-                .next_back()
-                .filter(|(&o, run)| o + run.len() as u64 > start)
-                .map(|(&o, run)| (o, o + run.len() as u64))
-                .or_else(|| {
-                    self.staged
-                        .range(start..)
-                        .next()
-                        .map(|(&o, run)| (o, o + run.len() as u64))
-                });
-            match next_existing {
-                Some((ex_start, ex_end)) if ex_start <= start => {
-                    // Overlap from the left: skip bytes already held.
-                    let skip = (ex_end - start).min(data.len() as u64) as usize;
-                    start += skip as u64;
-                    data = &data[skip..];
-                }
-                Some((ex_start, _)) if ex_start < start + data.len() as u64 => {
-                    // Partial room before the next run.
-                    let take = (ex_start - start) as usize;
-                    self.staged_len += take;
-                    self.staged.insert(start, data[..take].to_vec());
-                    start += take as u64;
-                    data = &data[take..];
-                }
-                _ => {
-                    self.staged_len += data.len();
-                    self.staged.insert(start, data.to_vec());
-                    return;
-                }
-            }
-        }
     }
 }
 
@@ -486,8 +381,8 @@ mod tests {
     #[test]
     fn recv_in_order() {
         let mut rb = RecvBuffer::new(SeqNum::new(1), 1024);
-        assert!(rb.offer(SeqNum::new(1), b"hello "));
-        assert!(rb.offer(SeqNum::new(7), b"world"));
+        assert_eq!(rb.offer(SeqNum::new(1), b"hello ".into()), Offer::Deposited);
+        assert_eq!(rb.offer(SeqNum::new(7), b"world".into()), Offer::Deposited);
         assert_eq!(rb.rcv_nxt(), SeqNum::new(12));
         assert_eq!(rb.read(100), b"hello world");
         assert_eq!(rb.read(100), Vec::<u8>::new());
@@ -496,10 +391,10 @@ mod tests {
     #[test]
     fn recv_out_of_order_reassembles() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 1024);
-        assert!(!rb.offer(SeqNum::new(6), b"world"));
+        assert_eq!(rb.offer(SeqNum::new(6), b"world".into()), Offer::Held);
         assert_eq!(rb.rcv_nxt(), SeqNum::new(0));
         assert_eq!(rb.staged_bytes(), 5);
-        assert!(rb.offer(SeqNum::new(0), b"hello "));
+        assert_eq!(rb.offer(SeqNum::new(0), b"hello ".into()), Offer::Deposited);
         assert_eq!(rb.rcv_nxt(), SeqNum::new(11));
         assert_eq!(rb.read(100), b"hello world");
     }
@@ -507,9 +402,9 @@ mod tests {
     #[test]
     fn recv_duplicates_ignored() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 1024);
-        rb.offer(SeqNum::new(0), b"abcd");
-        assert!(!rb.offer(SeqNum::new(0), b"abcd"));
-        assert!(!rb.offer(SeqNum::new(2), b"cd"));
+        rb.offer(SeqNum::new(0), b"abcd".into());
+        assert_eq!(rb.offer(SeqNum::new(0), b"abcd".into()), Offer::Duplicate);
+        assert_eq!(rb.offer(SeqNum::new(2), b"cd".into()), Offer::Duplicate);
         assert_eq!(rb.rcv_nxt(), SeqNum::new(4));
         assert_eq!(rb.read(100), b"abcd");
     }
@@ -517,8 +412,8 @@ mod tests {
     #[test]
     fn recv_overlapping_segments() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 1024);
-        rb.offer(SeqNum::new(4), b"efgh");
-        rb.offer(SeqNum::new(0), b"abcdef"); // overlaps staged run
+        rb.offer(SeqNum::new(4), b"efgh".into());
+        rb.offer(SeqNum::new(0), b"abcdef".into()); // overlaps staged run
         assert_eq!(rb.rcv_nxt(), SeqNum::new(8));
         assert_eq!(rb.read(100), b"abcdefgh");
     }
@@ -527,9 +422,9 @@ mod tests {
     fn recv_window_shrinks_with_staged_and_readable() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 100);
         assert_eq!(rb.window(), 100);
-        rb.offer(SeqNum::new(0), &[1u8; 30]);
+        rb.offer(SeqNum::new(0), [1u8; 30].into());
         assert_eq!(rb.window(), 70);
-        rb.offer(SeqNum::new(50), &[2u8; 20]); // out of order, staged
+        rb.offer(SeqNum::new(50), [2u8; 20].into()); // out of order, staged
         assert_eq!(rb.window(), 50);
         rb.read(30);
         assert_eq!(rb.window(), 80);
@@ -538,17 +433,50 @@ mod tests {
     #[test]
     fn recv_clips_beyond_window() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 10);
-        rb.offer(SeqNum::new(0), &[1u8; 50]);
+        rb.offer(SeqNum::new(0), [1u8; 50].into());
         assert_eq!(rb.rcv_nxt(), SeqNum::new(10));
         assert_eq!(rb.read(100).len(), 10);
+    }
+
+    /// Unread bytes count against the window: a sender that ignores it
+    /// cannot grow the buffer past its capacity, and a segment starting at
+    /// or past the edge is refused as a whole.
+    #[test]
+    fn unread_bytes_bound_what_a_sender_can_add() {
+        let mut rb = RecvBuffer::new(SeqNum::new(0), 100);
+        assert_eq!(rb.offer(SeqNum::new(0), [1u8; 60].into()), Offer::Deposited);
+        // Clipped at the first unread byte + 100, not at RCV.NXT + 100.
+        assert_eq!(
+            rb.offer(SeqNum::new(60), [2u8; 60].into()),
+            Offer::Deposited
+        );
+        assert_eq!(rb.readable_len(), 100);
+        assert_eq!(rb.window(), 0);
+        let heap = rb.heap_bytes();
+        for i in 0..4 {
+            let seq = SeqNum::new(100 + 100 * i);
+            assert_eq!(rb.offer(seq, [3u8; 100].into()), Offer::PastWindow);
+        }
+        assert_eq!(rb.readable_len(), 100);
+        assert_eq!(rb.heap_bytes(), heap);
+        // Reading opens the window again.
+        assert_eq!(rb.read(30).len(), 30);
+        assert_eq!(
+            rb.offer(SeqNum::new(100), [4u8; 100].into()),
+            Offer::Deposited
+        );
+        assert_eq!(rb.readable_len(), 100);
     }
 
     #[test]
     fn recv_clips_stale_data_before_nxt() {
         let mut rb = RecvBuffer::new(SeqNum::new(100), 64);
-        rb.offer(SeqNum::new(100), b"abcd");
+        rb.offer(SeqNum::new(100), b"abcd".into());
         // Retransmission covering old + new bytes.
-        assert!(rb.offer(SeqNum::new(100), b"abcdEF"));
+        assert_eq!(
+            rb.offer(SeqNum::new(100), b"abcdEF".into()),
+            Offer::Deposited
+        );
         assert_eq!(rb.read(100), b"abcdEF");
     }
 
@@ -557,7 +485,7 @@ mod tests {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 1024);
         rb.enable_gate();
         assert!(rb.is_gated());
-        assert!(!rb.offer(SeqNum::new(0), b"abcdefgh"));
+        assert_eq!(rb.offer(SeqNum::new(0), b"abcdefgh".into()), Offer::Held);
         assert_eq!(rb.rcv_nxt(), SeqNum::new(0));
         assert_eq!(rb.staged_bytes(), 8);
         // Successor acked up to byte 4: bytes 0..4 may deposit.
@@ -577,7 +505,7 @@ mod tests {
         rb.enable_gate();
         rb.gate_deposits_below(SeqNum::new(10));
         rb.gate_deposits_below(SeqNum::new(5)); // stale successor report
-        rb.offer(SeqNum::new(0), &[7u8; 10]);
+        rb.offer(SeqNum::new(0), [7u8; 10].into());
         assert_eq!(rb.rcv_nxt(), SeqNum::new(10));
     }
 
@@ -585,7 +513,7 @@ mod tests {
     fn clear_gate_releases_everything() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 64);
         rb.enable_gate();
-        rb.offer(SeqNum::new(0), b"payload");
+        rb.offer(SeqNum::new(0), b"payload".into());
         assert_eq!(rb.readable_len(), 0);
         rb.clear_gate();
         assert!(rb.deposit());
@@ -596,10 +524,10 @@ mod tests {
     fn recv_across_seq_wrap() {
         let start = SeqNum::new(u32::MAX - 2);
         let mut rb = RecvBuffer::new(start, 1024);
-        assert!(rb.offer(start, b"abcdef")); // crosses the wrap
+        assert_eq!(rb.offer(start, b"abcdef".into()), Offer::Deposited); // crosses the wrap
         assert_eq!(rb.rcv_nxt(), SeqNum::new(3));
         assert_eq!(rb.read(100), b"abcdef");
-        assert!(rb.offer(SeqNum::new(3), b"gh"));
+        assert_eq!(rb.offer(SeqNum::new(3), b"gh".into()), Offer::Deposited);
         assert_eq!(rb.read(100), b"gh");
     }
 
@@ -640,7 +568,7 @@ mod tests {
             let base = SeqNum::new(0xfff0_0000); // force a wrap mid-stream sometimes
             let mut rb = RecvBuffer::new(base, total + 64);
             for (o, data) in wire {
-                rb.offer(base + o as u32, &data);
+                rb.offer(base + o as u32, data.into());
             }
             assert_eq!(rb.rcv_nxt(), base + total as u32);
             assert_eq!(rb.read(total + 1), stream);
@@ -671,7 +599,7 @@ mod tests {
     fn recv_buffer_releases_backing_when_read_dry() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 8192);
         assert_eq!(rb.heap_bytes(), 0, "buffers grow on demand from zero");
-        rb.offer(SeqNum::new(0), &[3u8; 8192]);
+        rb.offer(SeqNum::new(0), [3u8; 8192].into());
         assert!(rb.heap_bytes() >= 8192);
         assert!(rb.heap_bytes() < 16384, "got {}", rb.heap_bytes());
         rb.read(8192);
@@ -679,15 +607,15 @@ mod tests {
     }
 
     /// Random offers (overlapping, out of order, clipped by the window),
-    /// gate moves and partial reads on a small buffer whose ring wraps many
-    /// times: after every operation the running `staged_len` equals the
-    /// recomputed sum, and `read` returns what a byte-at-a-time drain of the
-    /// ring would have — which is also the stream itself, in order.
+    /// gate moves and partial reads on small buffers: after every operation
+    /// the run list's held count equals the runs' summed lengths and stays
+    /// within the capacity, and `read` returns the stream itself, in order,
+    /// including reads that gather from several runs.
     #[test]
     fn staged_counter_and_reads_match_bytewise_reference() {
         let byte_at = |off: u64| (off % 251) as u8;
         let mut rng = SimRng::seed_from(0x57a6ed);
-        let mut wrapped_reads = 0;
+        let mut multi_run_reads = 0;
         for round in 0..32u32 {
             let base = SeqNum::new(0xffff_f000u32.wrapping_add(round * 97));
             let cap = rng.range(64, 300) as usize;
@@ -703,7 +631,7 @@ mod tests {
                         let off = rng.range(lo, rb.nxt_off + cap as u64 + 20);
                         let len = rng.range(1, 40);
                         let data: Vec<u8> = (off..off + len).map(byte_at).collect();
-                        rb.offer(base + off as u32, &data);
+                        rb.offer(base + off as u32, data.into());
                     }
                     4 | 5 => {
                         let upto = rb.nxt_off + rng.range(0, 64);
@@ -712,13 +640,12 @@ mod tests {
                     }
                     6 => {
                         let max = rng.range(0, 50) as usize;
-                        let expect: Vec<u8> = rb.readable.iter().take(max).copied().collect();
-                        let (head, _) = rb.readable.as_slices();
-                        wrapped_reads += usize::from(head.len() < expect.len());
+                        let end = read_off + max.min(rb.readable_len()) as u64;
+                        let spanned = rb.runs.runs().take_while(|&(o, _)| o < end).count();
+                        multi_run_reads += usize::from(spanned >= 2);
                         let got = rb.read(max);
-                        assert_eq!(got, expect);
-                        assert!(got.iter().zip(read_off..).all(|(&b, o)| b == byte_at(o)));
-                        read_off += got.len() as u64;
+                        assert_eq!(got, (read_off..end).map(byte_at).collect::<Vec<u8>>());
+                        read_off = end;
                     }
                     _ if rb.is_gated() => {
                         rb.clear_gate();
@@ -726,17 +653,23 @@ mod tests {
                     }
                     _ => rb.enable_gate(),
                 }
-                assert_eq!(
-                    rb.staged_bytes(),
-                    rb.staged.values().map(Vec::len).sum::<usize>()
-                );
-                assert_eq!(rb.coverage(), rb.nxt_off + rb.staged_bytes() as u64);
+                let held = rb.runs.runs().map(|(_, run)| run.len()).sum::<usize>();
+                assert_eq!(rb.runs.len(), held);
+                assert!(held <= cap, "{held} bytes held in a {cap}-byte buffer");
                 assert_eq!(read_off + rb.readable_len() as u64, rb.nxt_off);
+                // Ordered, disjoint runs from the first unread byte on, and
+                // no hole below `RCV.NXT`.
+                let mut next = read_off;
+                for (off, run) in rb.runs.runs() {
+                    assert!(off >= next, "run at {off} overlaps or precedes {next}");
+                    next = off + run.len() as u64;
+                }
+                assert_eq!(rb.runs.contiguous_end(read_off, rb.nxt_off), rb.nxt_off);
             }
         }
         assert!(
-            wrapped_reads > 50,
-            "only {wrapped_reads} reads crossed the ring seam"
+            multi_run_reads > 50,
+            "only {multi_run_reads} reads spanned two or more runs"
         );
     }
 
@@ -779,7 +712,7 @@ mod tests {
                 let off = rng.range(0, 64) as u32;
                 let len = rng.range(1, 16) as usize;
                 let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
-                rb.offer(base + off, &data);
+                rb.offer(base + off, data.into());
             }
             // rcv_nxt never passes the gate.
             assert!((rb.rcv_nxt() - base) <= limit);

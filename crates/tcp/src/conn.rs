@@ -18,7 +18,7 @@ use hydranet_netsim::time::{SimDuration, SimTime};
 use hydranet_obs::metrics::{Counter, Histogram};
 use hydranet_obs::{kinds, Obs};
 
-use crate::buffer::{RecvBuffer, SendBuffer};
+use crate::buffer::{Offer, RecvBuffer, SendBuffer};
 use crate::cc::CongestionControl;
 use crate::rto::{RttEstimator, DEFAULT_MAX_RTO, DEFAULT_MIN_RTO};
 use crate::segment::{Quad, TcpFlags, TcpSegment};
@@ -895,24 +895,26 @@ impl Connection {
 
         // --- data processing ------------------------------------------
         if !seg.payload.is_empty() {
-            let coverage_before = self.coverage();
-            let advanced = self.recvbuf.offer(seg.seq, &seg.payload);
-            let is_duplicate = self.coverage() == coverage_before;
-            if is_duplicate {
-                self.duplicate_data_count += 1;
-                if let Some(t) = self.telemetry.as_deref() {
-                    t.c_duplicates.inc();
+            match self.recvbuf.offer(seg.seq, seg.payload.clone()) {
+                Offer::Deposited => {
+                    self.events.push(ConnEvent::DataReadable);
+                    self.schedule_ack(now);
                 }
-                self.events.push(ConnEvent::DuplicateData);
-                // Duplicates get an immediate ACK to resynchronise.
-                self.send_pure_ack(now);
-            } else if advanced {
-                self.events.push(ConnEvent::DataReadable);
-                self.schedule_ack(now);
-            } else {
+                Offer::Duplicate => {
+                    self.duplicate_data_count += 1;
+                    if let Some(t) = self.telemetry.as_deref() {
+                        t.c_duplicates.inc();
+                    }
+                    self.events.push(ConnEvent::DuplicateData);
+                    // Duplicates get an immediate ACK to resynchronise.
+                    self.send_pure_ack(now);
+                }
                 // Out of order (or gated): immediate duplicate ACK so the
-                // sender's fast-retransmit machinery sees it.
-                self.send_pure_ack(now);
+                // sender's fast-retransmit machinery sees it. Past the
+                // window (a zero-window probe): the ACK restates the window,
+                // and a full buffer is no sign of a broken chain, so no
+                // `DuplicateData`.
+                Offer::Held | Offer::PastWindow => self.send_pure_ack(now),
             }
             if self.telemetry.is_some()
                 && self.gate_stall_since.is_none()
@@ -989,13 +991,10 @@ impl Connection {
         if self.rcv_nxt() != fin_slot {
             return false;
         }
-        if self.recvbuf.is_gated() {
-            // The FIN may only be consumed once the successor has seen it:
-            // successor reports ack > fin_slot once it processed the FIN.
-            self.recvbuf.gate_deposits_below(self.rcv_nxt()); // no-op keep-monotonic
-            if !self.fin_gate_open() {
-                return false;
-            }
+        // The FIN may only be consumed once the successor has seen it: its
+        // report then acks past the FIN slot.
+        if !self.recvbuf.gate_allows_one_more() {
+            return false;
         }
         // Consume the FIN slot.
         self.recvbuf.consume_slot();
@@ -1013,15 +1012,6 @@ impl Connection {
         }
         self.send_pure_ack(now);
         true
-    }
-
-    fn fin_gate_open(&self) -> bool {
-        // The deposit gate stores a byte-offset limit; the FIN occupies one
-        // sequence slot past the data. The successor's ack passes the FIN
-        // once it reports ack > fin_slot, which gate_deposits_below records
-        // as limit >= fin_slot + 1. We approximate by asking the recv
-        // buffer whether one more slot could deposit.
-        self.recvbuf.gate_allows_one_more()
     }
 
     // ------------------------------------------------------------------
@@ -1362,10 +1352,6 @@ impl Connection {
 
     fn advertised_window(&self) -> u16 {
         self.recvbuf.window().min(u32::from(u16::MAX)) as u16
-    }
-
-    fn coverage(&self) -> u64 {
-        self.recvbuf.coverage()
     }
 
     /// A segment from this connection's port pair at `seq`, carrying
@@ -1849,6 +1835,52 @@ mod tests {
                 .count(),
             2
         );
+    }
+
+    /// A probe into a full receive buffer takes no byte and is answered
+    /// with an ACK that restates the zero window, but it is no
+    /// `DuplicateData`: a full replica's failure estimator must not count
+    /// a client's zero-window probes as retransmissions.
+    #[test]
+    fn zero_window_probe_to_a_full_buffer_is_acked_not_duplicate() {
+        let server_cfg = TcpConfig {
+            recv_buf: 2048,
+            ..TcpConfig::default()
+        };
+        let mut p = Pair::new(TcpConfig::default(), server_cfg);
+        p.auto_read = false;
+        p.run_until(SimTime::from_millis(100));
+        p.client_write(&pattern(4000));
+        // Long enough for the client's persist timer to probe repeatedly.
+        p.run_until(p.now + SimDuration::from_secs(3));
+        assert_eq!(p.server().readable_len(), 2048);
+        let rcv_nxt = p.server().rcv_nxt();
+        let probe = TcpSegment {
+            src_port: 40_000,
+            dst_port: 80,
+            seq: rcv_nxt,
+            ack: p.client.rcv_nxt(),
+            flags: TcpFlags::ACK,
+            window: 65535,
+            payload: vec![0u8].into(),
+        };
+        let now = p.now;
+        p.server().on_segment(probe, now);
+        let acks = p.server().take_segments();
+        assert_eq!(acks.len(), 1, "the probe is answered at once");
+        assert_eq!((acks[0].ack, acks[0].window), (rcv_nxt, 0));
+        assert_eq!(
+            p.server().readable_len(),
+            2048,
+            "the probe byte is not taken"
+        );
+        assert_eq!(p.server().duplicate_data_count(), 0);
+        let events = p.server().take_events();
+        assert!(!p
+            .server_events
+            .iter()
+            .chain(&events)
+            .any(|e| *e == ConnEvent::DuplicateData));
     }
 
     #[test]
