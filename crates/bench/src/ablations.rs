@@ -9,7 +9,7 @@
 use hydranet_core::prelude::*;
 use hydranet_netsim::link::LinkId;
 
-use crate::runner::{run_tasks, RunnerStats, Task};
+use crate::runner::{run_tasks, Task};
 
 const CLIENT: IpAddr = IpAddr::new(10, 0, 1, 1);
 const RD: IpAddr = IpAddr::new(10, 9, 0, 1);
@@ -290,12 +290,12 @@ pub fn detector_sweep(
     cfg: &DetectorGridConfig,
     seed: u64,
     threads: usize,
-) -> (Vec<DetectorPoint>, RunnerStats) {
-    let tasks: Vec<Task<DetectorPoint>> = thresholds
+) -> Vec<DetectorPoint> {
+    let tasks = thresholds
         .iter()
-        .map(|&threshold| {
+        .map(|&threshold| -> Task<DetectorPoint> {
             let cfg = cfg.clone();
-            Task::new(move || detector_point(threshold, &cfg, seed))
+            Box::new(move || detector_point(threshold, &cfg, seed))
         })
         .collect();
     run_tasks(tasks, threads)

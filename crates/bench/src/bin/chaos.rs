@@ -9,7 +9,7 @@
 //!
 //! - `--smoke`     scaled-down soak for CI (4 seeds per fault class);
 //! - `--seeds N`   override the per-class seed count;
-//! - `--threads N` measure at 1 and N threads (default: 1, 2, and 4);
+//! - `--threads N` run at 1 and N threads (default: 1 and 2);
 //! - `--trace`     additionally export one traced primary-crash run as
 //!   Chrome trace-event JSON (`TRACE_chaos.json`);
 //! - `--probe-ms N` / `--probe-attempts N` redirector-pair peer-probe
@@ -27,7 +27,7 @@ use hydranet_bench::chaos::{
     chrome_trace_json, merged_report, run_chaos_soak, violations, ChaosConfig, ChaosOutcome,
     FaultClass, CLASSES, VALUE_FLAGS,
 };
-use hydranet_bench::runner::{host_cpus, run_soak, SoakArgs};
+use hydranet_bench::runner::{run_soak, SoakArgs};
 use hydranet_bench::{quantile, render_table};
 use hydranet_netsim::time::SimDuration;
 
@@ -79,11 +79,10 @@ fn main() {
     }
 
     println!(
-        "chaos soak: {} classes x {} seeds, threshold {}, host has {} cpu(s)",
+        "chaos soak: {} classes x {} seeds, threshold {}",
         CLASSES.len(),
         cfg.seeds_per_class,
-        cfg.threshold,
-        host_cpus()
+        cfg.threshold
     );
     let soak = run_soak(
         &args.thread_counts(),

@@ -10,7 +10,7 @@ fn main() {
         "false-positive scenario: healthy run, 3% loss on the redirector→primary link (60 s)\n"
     );
     let thresholds = [1, 2, 3, 4, 5, 6, 8, 10];
-    let (points, _) = detector_sweep(&thresholds, &DetectorGridConfig::default(), 11, 1);
+    let points = detector_sweep(&thresholds, &DetectorGridConfig::default(), 11, 1);
     let header = vec![
         "threshold".to_string(),
         "detection latency".to_string(),

@@ -2,33 +2,31 @@
 //! redirectors, fanned out one cell per task across the experiment engine.
 //!
 //! ```text
-//! scale [--smoke] [--cells N] [--flows N] [--threads N] [--no-profile]
+//! scale [--smoke] [--cells N] [--flows N] [--threads N]
 //! ```
 //!
 //! - `--smoke`      reduced flow-count configuration for CI;
 //! - `--cells N`    override the cell count;
 //! - `--flows N`    override flows per cell;
-//! - `--threads N`  measure at 1 and N threads (default: 1, 2, and 4);
-//! - `--no-profile` skip the profiled attribution run.
+//! - `--threads N`  run at 1 and N threads (default: 1 and 2).
 //!
 //! The workload runs once per thread count, asserts every merged report is
 //! **byte-identical** to the single-threaded one, prints the concurrency /
-//! tail-latency / per-flow-memory summary plus the event-attribution table
-//! from a profiled cell, and writes `BENCH_scale.json`: the deterministic
-//! report plus wall-clock timing (events/sec, speedups, attribution — all
-//! kept *outside* the merged report) and each cell's calendar peak.
+//! tail-latency / per-flow-memory summary, and writes `BENCH_scale.json`:
+//! the deterministic report and each cell's calendar peak, the same bytes
+//! at any thread count. Wall time and per-subsystem shares of this code mix
+//! are `benchmark/`'s (`wall_s`, `netsim.events_per_sec` and the
+//! `*.profile.*_share` metrics on `flows_3k` / `flows_20k`).
 
-use std::fmt::Write as _;
-
-use hydranet_bench::runner::{host_cpus, run_soak, total_events, SoakArgs};
+use hydranet_bench::quantile;
+use hydranet_bench::runner::{run_soak, SoakArgs};
 use hydranet_bench::scale::{
-    aggregate_bytes_per_flow, merged_report, run_cell, run_scale, total_bytes, ScaleConfig,
+    aggregate_bytes_per_flow, merged_report, run_scale, total_bytes, total_events, ScaleConfig,
     VALUE_FLAGS,
 };
-use hydranet_bench::{quantile, render_table};
 
 fn main() {
-    let args = SoakArgs::from_env(&["--no-profile"], VALUE_FLAGS);
+    let args = SoakArgs::from_env(&[], VALUE_FLAGS);
     let mut cfg = if args.switch("--smoke") {
         ScaleConfig::smoke()
     } else {
@@ -42,11 +40,8 @@ fn main() {
     }
 
     println!(
-        "scale workload: {} cells x {} flows ({} services/cell), host has {} cpu(s)",
-        cfg.cells,
-        cfg.flows_per_cell,
-        cfg.services,
-        host_cpus()
+        "scale workload: {} cells x {} flows ({} services/cell)",
+        cfg.cells, cfg.flows_per_cell, cfg.services
     );
     let soak = run_soak(
         &args.thread_counts(),
@@ -96,53 +91,10 @@ fn main() {
     let calendar_peak = calendar_peak.join(", ");
     println!("calendar peak (most events filed at once) per cell: {calendar_peak}");
 
-    // Event-attribution table from a profiled run of the base cell: where
-    // the remaining wall time goes with a 10k-scale population held open.
-    let mut attribution = String::new();
-    if !args.switch("--no-profile") {
-        let (outcome, snap) = run_cell(&cfg, cfg.base_seed, true);
-        let total_wall: u64 = snap.iter().map(|(_, s)| s.wall_nanos).sum();
-        let header = ["category", "events", "wall ms", "share"].map(String::from);
-        let rows: Vec<Vec<String>> = snap
-            .iter()
-            .filter(|(_, s)| s.events > 0)
-            .map(|(name, s)| {
-                vec![
-                    name.to_string(),
-                    s.events.to_string(),
-                    format!("{:.2}", s.wall_nanos as f64 / 1e6),
-                    format!(
-                        "{:.1}%",
-                        s.wall_nanos as f64 * 100.0 / total_wall.max(1) as f64
-                    ),
-                ]
-            })
-            .collect();
-        println!();
-        println!(
-            "event attribution (profiled cell, seed {}, {} events):",
-            outcome.seed, outcome.events
-        );
-        println!("{}", render_table(&header, &rows));
-        for (i, (name, s)) in snap.iter().filter(|(_, s)| s.events > 0).enumerate() {
-            if i > 0 {
-                attribution.push_str(",\n");
-            }
-            let _ = write!(
-                attribution,
-                "  {{\"category\": \"{name}\", \"events\": {}, \"wall_nanos\": {}}}",
-                s.events, s.wall_nanos
-            );
-        }
-    }
-
     println!();
     soak.finish(
         "scale",
         "BENCH_scale.json",
-        &[
-            ("calendar_peak", &format!("[{calendar_peak}]")),
-            ("attribution", &format!("[\n{attribution}\n]")),
-        ],
+        &[("calendar_peak", &format!("[{calendar_peak}]"))],
     );
 }

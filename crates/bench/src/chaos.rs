@@ -41,7 +41,7 @@ use hydranet_netsim::link::{Impairments, LinkId};
 use hydranet_obs::{json, kinds, Obs};
 
 use crate::ablations::{build_star, deploy_echo_chain, pattern, service, stream_echo, Star};
-use crate::runner::{run_tasks, Outcome, RunnerStats, Task};
+use crate::runner::{run_tasks, Task};
 
 /// The `chaos` binary's number-valued flags (besides `--threads`).
 pub const VALUE_FLAGS: &[&str] = &["--seeds", "--probe-ms", "--probe-attempts"];
@@ -365,12 +365,6 @@ impl ChaosOutcome {
     }
 }
 
-impl Outcome for ChaosOutcome {
-    fn events(&self) -> u64 {
-        self.events
-    }
-}
-
 /// Runs one `(class, seed)` chaos run. Pure function of its arguments —
 /// the unit of parallel work.
 pub fn chaos_point(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> ChaosOutcome {
@@ -611,14 +605,14 @@ fn build_pair_rig(n: usize, detector: DetectorParams, seed: u64, probe: ProbePar
 /// Runs the full soak (every class × every seed) across the experiment
 /// engine. Outcomes come back in (class, seed) order regardless of
 /// `threads`.
-pub fn run_chaos_soak(cfg: &ChaosConfig, threads: usize) -> (Vec<ChaosOutcome>, RunnerStats) {
-    let tasks: Vec<Task<ChaosOutcome>> = CLASSES
+pub fn run_chaos_soak(cfg: &ChaosConfig, threads: usize) -> Vec<ChaosOutcome> {
+    let tasks = CLASSES
         .iter()
         .flat_map(|&class| (0..cfg.seeds_per_class).map(move |i| (class, i)))
-        .map(|(class, i)| {
+        .map(|(class, i)| -> Task<ChaosOutcome> {
             let seed = cfg.base_seed + 1000 * class_index(class) + i;
             let cfg = cfg.clone();
-            Task::new(move || chaos_point(&cfg, class, seed))
+            Box::new(move || chaos_point(&cfg, class, seed))
         })
         .collect();
     run_tasks(tasks, threads)
@@ -738,9 +732,10 @@ mod tests {
     #[test]
     fn every_class_passes_invariants_for_one_seed() {
         let cfg = tiny();
-        let (outcomes, stats) = run_chaos_soak(&cfg, 2);
-        assert_eq!(outcomes.len(), CLASSES.len());
-        assert_eq!(stats.tasks_completed, CLASSES.len() as u64);
+        let outcomes = run_chaos_soak(&cfg, 2);
+        let classes: Vec<&str> = outcomes.iter().map(|o| o.class).collect();
+        let expected: Vec<&str> = CLASSES.iter().map(|c| c.name()).collect();
+        assert_eq!(classes, expected, "one run per class, in class order");
         let bad = violations(&outcomes);
         assert!(bad.is_empty(), "invariant violations: {bad:#?}");
     }
@@ -792,8 +787,8 @@ mod tests {
     #[test]
     fn outcomes_are_thread_count_invariant() {
         let cfg = tiny();
-        let (seq, _) = run_chaos_soak(&cfg, 1);
-        let (par, _) = run_chaos_soak(&cfg, 4);
+        let seq = run_chaos_soak(&cfg, 1);
+        let par = run_chaos_soak(&cfg, 4);
         assert_eq!(seq, par);
         assert_eq!(merged_report(&cfg, &seq), merged_report(&cfg, &par));
     }
@@ -866,7 +861,7 @@ mod tests {
     #[test]
     fn report_has_per_class_distributions() {
         let cfg = tiny();
-        let (outcomes, _) = run_chaos_soak(&cfg, 2);
+        let outcomes = run_chaos_soak(&cfg, 2);
         let report = merged_report(&cfg, &outcomes);
         for needle in [
             "\"workload\": \"chaos_soak\"",

@@ -13,13 +13,14 @@
 //!   alarms absorbed) and the fail-over latency distributions.
 //! - [`scale`] — many-flow engine scaling: open-loop Poisson arrivals with
 //!   heavy-tailed flow sizes across replicated services through shared
-//!   redirectors, reporting events/sec, per-flow memory, and completion
-//!   tail latency.
+//!   redirectors, reporting events per byte, per-flow memory, and
+//!   completion tail latency.
 //!
 //! Binaries (`fig4`, `detector_sweep`, `failover_latency`, `chain_scaling`,
 //! `ackchan_loss`) print paper-style tables; `chaos` and `scale` run on the
 //! parallel engine's soak driver ([`runner::run_soak`]) and write
-//! `BENCH_*.json`.
+//! `BENCH_*.json`. Everything this crate prints or writes is a function of
+//! seeds and flags; wall-clock figures are the `benchmark/` harness's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +32,7 @@ pub mod fig4;
 pub mod runner;
 pub mod scale;
 
-pub use runner::{run_tasks, RunnerStats, Task};
+pub use runner::{run_tasks, Task};
 
 /// Nearest-rank `p`-quantile (`0..=1`) of an ascending slice; 0 when empty.
 pub fn quantile(sorted: &[u64], p: f64) -> u64 {

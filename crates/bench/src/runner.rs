@@ -17,77 +17,29 @@
 //!   indices from a shared `AtomicUsize` — classic work stealing without a
 //!   queue, since the task list is fixed up front.
 //! - Results are merged **by task index**: worker interleaving affects only
-//!   wall-clock, never output order. `run_tasks(tasks, 1)` and
+//!   when a task runs, never output order. `run_tasks(tasks, 1)` and
 //!   `run_tasks(tasks, n)` return bit-identical `Vec<R>`s (enforced by
 //!   tests here and in `determinism_guard.rs`).
-//!
-//! The pool reports [`RunnerStats`] (tasks completed, per-worker busy time,
-//! wall-clock); [`Soak::finish`] writes them as the envelope's `timing`
-//! rows.
 //!
 //! [`run_soak`] is the one driver the soak binaries (`chaos`, `scale`)
 //! share: it re-runs a workload at each requested thread count, asserts the
 //! determinism contract above on outcomes and merged report, and
-//! [`Soak::finish`] prints the speed-up table and writes the `BENCH_*.json`
-//! envelope. [`SoakArgs`] is their command line.
+//! [`Soak::finish`] writes the `BENCH_*.json` envelope. [`SoakArgs`] is
+//! their command line. Nothing here reads a clock: every byte a soak
+//! writes is a function of its seeds, and wall-clock figures come from the
+//! `benchmark/` harness alone.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// One unit of parallel work: a self-contained, seeded simulation run. The
 /// closure owns everything it needs (configs are cloned in) and returns a
 /// plain-data result.
-pub struct Task<R>(Box<dyn FnOnce() -> R + Send>);
-
-impl<R> Task<R> {
-    /// Wraps a builder closure.
-    pub fn new(run: impl FnOnce() -> R + Send + 'static) -> Self {
-        Task(Box::new(run))
-    }
-
-    /// Runs the task, consuming it.
-    pub fn run(self) -> R {
-        (self.0)()
-    }
-}
-
-/// What the worker pool measured about itself during one [`run_tasks`] call.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RunnerStats {
-    /// Worker threads used (after clamping to the task count).
-    pub threads: usize,
-    /// Tasks completed (always the full task count; the pool never drops).
-    pub tasks_completed: u64,
-    /// Summed busy wall-clock nanoseconds across all workers.
-    pub worker_busy_nanos: u64,
-    /// Wall-clock nanoseconds from pool start to last join.
-    pub wall_nanos: u64,
-    /// Busy nanoseconds per worker, indexed by worker id.
-    pub per_worker_busy_nanos: Vec<u64>,
-}
-
-impl RunnerStats {
-    /// Pool utilization in `[0, 1]`: busy time over `wall × threads`.
-    pub fn utilization(&self) -> f64 {
-        let capacity = self.wall_nanos.saturating_mul(self.threads as u64);
-        if capacity == 0 {
-            0.0
-        } else {
-            self.worker_busy_nanos as f64 / capacity as f64
-        }
-    }
-
-    /// Simulated events per wall-clock second for `events` processed over
-    /// this run's wall time.
-    pub fn events_per_sec(&self, events: u64) -> f64 {
-        events as f64 * 1e9 / self.wall_nanos.max(1) as f64
-    }
-}
+pub type Task<R> = Box<dyn FnOnce() -> R + Send>;
 
 /// Runs every task, fanning out across up to `threads` scoped worker
-/// threads, and returns the results **in task order** plus pool stats.
+/// threads, and returns the results **in task order**.
 ///
 /// Determinism contract: for a fixed task list, the returned `Vec<R>` is
 /// identical for every `threads` value — workers only decide *when* a task
@@ -96,10 +48,9 @@ impl RunnerStats {
 ///
 /// `threads == 0` is treated as 1. `threads` is clamped to the task count.
 /// One worker is the same pool with one thread.
-pub fn run_tasks<R: Send>(tasks: Vec<Task<R>>, threads: usize) -> (Vec<R>, RunnerStats) {
+pub fn run_tasks<R: Send>(tasks: Vec<Task<R>>, threads: usize) -> Vec<R> {
     let n = tasks.len();
     let threads = threads.max(1).min(n.max(1));
-    let started = Instant::now();
 
     // Each task sits in its own slot; a worker claims index `i` from the
     // shared counter and takes the task out of slot `i`. `Mutex<Option<_>>`
@@ -108,14 +59,13 @@ pub fn run_tasks<R: Send>(tasks: Vec<Task<R>>, threads: usize) -> (Vec<R>, Runne
         tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let next = AtomicUsize::new(0);
 
-    let (mut indexed, per_worker_busy_nanos) = std::thread::scope(|scope| {
+    let mut indexed = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
             let slots = &slots;
             let next = &next;
             handles.push(scope.spawn(move || {
                 let mut local: Vec<(usize, R)> = Vec::new();
-                let mut busy = 0u64;
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= slots.len() {
@@ -126,59 +76,24 @@ pub fn run_tasks<R: Send>(tasks: Vec<Task<R>>, threads: usize) -> (Vec<R>, Runne
                         .unwrap_or_else(|e| e.into_inner())
                         .take()
                         .expect("task slot claimed twice");
-                    let t0 = Instant::now();
-                    local.push((i, task.run()));
-                    busy += elapsed_nanos(&t0);
+                    local.push((i, task()));
                 }
-                (local, busy)
+                local
             }));
         }
         let mut indexed: Vec<(usize, R)> = Vec::with_capacity(n);
-        let mut busies = Vec::with_capacity(threads);
         for h in handles {
             // A worker panic means a task panicked; propagate it.
-            let (local, busy) = h.join().expect("experiment worker panicked");
-            indexed.extend(local);
-            busies.push(busy);
+            indexed.extend(h.join().expect("experiment worker panicked"));
         }
-        (indexed, busies)
+        indexed
     });
 
     // Merge by task index: output order is the task-list order, independent
     // of which worker ran what when.
     indexed.sort_by_key(|(i, _)| *i);
     debug_assert!(indexed.iter().enumerate().all(|(k, (i, _))| k == *i));
-    let results: Vec<R> = indexed.into_iter().map(|(_, r)| r).collect();
-
-    let stats = RunnerStats {
-        threads,
-        tasks_completed: n as u64,
-        worker_busy_nanos: per_worker_busy_nanos.iter().sum(),
-        wall_nanos: elapsed_nanos(&started),
-        per_worker_busy_nanos,
-    };
-    (results, stats)
-}
-
-fn elapsed_nanos(t: &Instant) -> u64 {
-    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// A plain-data experiment result: comparable across thread counts and
-/// priced in simulated events.
-pub trait Outcome: PartialEq + std::fmt::Debug {
-    /// Simulated events the run processed.
-    fn events(&self) -> u64;
-}
-
-/// Total simulated events across a set of outcomes.
-pub fn total_events<O: Outcome>(outcomes: &[O]) -> u64 {
-    outcomes.iter().map(Outcome::events).sum()
-}
-
-/// CPUs the host offers — read every speed-up against this.
-pub fn host_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Command line of a soak binary: `--smoke` and `--threads N` everywhere,
@@ -241,34 +156,25 @@ impl SoakArgs {
         found.and_then(|&(_, n)| n)
     }
 
-    /// Thread counts to measure at: 1, 2 and 4, or 1 and N after
-    /// `--threads N`.
+    /// Thread counts to run at: 1 and 2, or 1 and N after `--threads N`.
     pub fn thread_counts(&self) -> Vec<usize> {
         match self.value("--threads") {
-            None => vec![1, 2, 4],
+            None => vec![1, 2],
             Some(n) if n <= 1 => vec![1],
             Some(n) => vec![1, usize::try_from(n).unwrap_or(usize::MAX)],
         }
     }
 }
 
-/// One thread count's wall-clock reading of a soak.
-#[derive(Debug)]
-struct Measurement {
-    /// Threads requested (the pool clamps to the task count).
-    threads: usize,
-    stats: RunnerStats,
-}
-
-/// A finished soak: outcomes and merged report — identical at every
-/// measured thread count — plus one wall-clock reading per count.
+/// A finished soak: outcomes and merged report, identical at every thread
+/// count it ran at.
 #[derive(Debug)]
 pub struct Soak<O> {
     /// Outcomes in task order.
     pub outcomes: Vec<O>,
-    /// The deterministic merged report (no wall-clock data).
+    /// The deterministic merged report.
     pub report: String,
-    measurements: Vec<Measurement>,
+    thread_counts: Vec<usize>,
 }
 
 /// Runs a workload once per thread count and enforces the determinism
@@ -279,17 +185,15 @@ pub struct Soak<O> {
 ///
 /// Panics if any thread count produces different outcomes or a different
 /// report, or if `thread_counts` is empty.
-pub fn run_soak<O: Outcome>(
+pub fn run_soak<O: PartialEq + std::fmt::Debug>(
     thread_counts: &[usize],
-    run: impl Fn(usize) -> (Vec<O>, RunnerStats),
+    run: impl Fn(usize) -> Vec<O>,
     merged_report: impl Fn(&[O]) -> String,
 ) -> Soak<O> {
     let mut reference: Option<(Vec<O>, String)> = None;
-    let mut measurements = Vec::with_capacity(thread_counts.len());
     for &threads in thread_counts {
-        let (outcomes, stats) = run(threads);
+        let outcomes = run(threads);
         let report = merged_report(&outcomes);
-        measurements.push(Measurement { threads, stats });
         match &reference {
             None => reference = Some((outcomes, report)),
             Some((ref_outcomes, ref_report)) => {
@@ -309,60 +213,26 @@ pub fn run_soak<O: Outcome>(
     Soak {
         outcomes,
         report,
-        measurements,
+        thread_counts: thread_counts.to_vec(),
     }
 }
 
-impl<O: Outcome> Soak<O> {
-    /// Prints the speed-up table and writes the `BENCH_*.json` envelope to
-    /// `path`: one `timing` row per thread count (wall-clock), any `extra`
-    /// `(name, JSON value)` sections, then the deterministic `report` —
-    /// kept apart so determinism stays checkable by `diff`.
+impl<O> Soak<O> {
+    /// Writes the `BENCH_*.json` envelope to `path`: the bench name, any
+    /// `extra` `(name, JSON value)` sections, then the merged `report`.
+    /// None of it depends on the thread counts, so two runs at different
+    /// counts write the same bytes.
     pub fn finish(&self, bench: &str, path: &str, extra: &[(&str, &str)]) {
-        let events = total_events(&self.outcomes);
-        let base_wall = self.measurements[0].stats.wall_nanos.max(1) as f64;
-        let header = ["threads", "wall ms", "events/sec", "speedup", "util"].map(String::from);
-        let mut rows = Vec::new();
-        let mut timing = String::new();
-        for m in &self.measurements {
-            let wall = m.stats.wall_nanos.max(1) as f64;
-            let events_per_sec = m.stats.events_per_sec(events);
-            rows.push(vec![
-                m.threads.to_string(),
-                format!("{:.1}", wall / 1e6),
-                format!("{events_per_sec:.0}"),
-                format!("{:.2}x", base_wall / wall),
-                format!("{:.2}", m.stats.utilization()),
-            ]);
-            if !timing.is_empty() {
-                timing.push_str(",\n");
-            }
-            let _ = write!(
-                timing,
-                "  {{\"threads\": {}, \"wall_nanos\": {}, \"worker_busy_nanos\": {}, \"tasks\": {}, \"events\": {events}, \"events_per_sec\": {events_per_sec:.1}, \"speedup_vs_1\": {:.3}, \"utilization\": {:.3}}}",
-                m.threads,
-                m.stats.wall_nanos,
-                m.stats.worker_busy_nanos,
-                m.stats.tasks_completed,
-                base_wall / wall,
-                m.stats.utilization()
-            );
-        }
-        println!("{}", crate::render_table(&header, &rows));
-
-        let mut json = format!(
-            "{{\n\"bench\": \"{bench}\",\n\"host_cpus\": {},\n\"timing\": [\n{timing}\n],\n",
-            host_cpus()
-        );
+        let mut json = format!("{{\n\"bench\": \"{bench}\",\n");
         for (name, value) in extra {
             let _ = writeln!(json, "\"{name}\": {value},");
         }
         let _ = write!(json, "\"report\": {}\n}}\n", self.report.trim_end());
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        let counts: Vec<usize> = self.measurements.iter().map(|m| m.threads).collect();
         println!(
-            "wrote {path} ({} tasks, byte-identical across {counts:?} threads)",
-            self.outcomes.len()
+            "wrote {path} ({} tasks, byte-identical across {:?} threads)",
+            self.outcomes.len(),
+            self.thread_counts
         );
     }
 }
@@ -374,17 +244,16 @@ mod tests {
     use std::rc::Rc;
 
     fn squares(n: u64) -> Vec<Task<u64>> {
-        (0..n).map(|i| Task::new(move || i * i)).collect()
+        (0..n)
+            .map(|i| -> Task<u64> { Box::new(move || i * i) })
+            .collect()
     }
 
     #[test]
     fn results_are_in_task_order_at_any_thread_count() {
         for threads in [1, 2, 4, 7, 64] {
-            let (results, stats) = run_tasks(squares(20), threads);
+            let results = run_tasks(squares(20), threads);
             assert_eq!(results, (0..20).map(|i| i * i).collect::<Vec<_>>());
-            assert_eq!(stats.tasks_completed, 20);
-            assert_eq!(stats.threads, threads.min(20));
-            assert_eq!(stats.per_worker_busy_nanos.len(), stats.threads);
         }
     }
 
@@ -395,8 +264,8 @@ mod tests {
         // worker. The merged output must be identical at every width.
         let make = || {
             (0..16u64)
-                .map(|i| {
-                    Task::new(move || {
+                .map(|i| -> Task<u64> {
+                    Box::new(move || {
                         let rng = Rc::new(std::cell::RefCell::new(SimRng::seed_from(i)));
                         let mut acc = 0u64;
                         for _ in 0..1000 {
@@ -407,42 +276,21 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let (seq, _) = run_tasks(make(), 1);
+        let seq = run_tasks(make(), 1);
         for threads in [2, 3, 4, 8] {
-            let (par, _) = run_tasks(make(), threads);
+            let par = run_tasks(make(), threads);
             assert_eq!(seq, par, "threads={threads} diverged from threads=1");
         }
     }
 
     #[test]
     fn empty_task_list_is_fine() {
-        let (results, stats) = run_tasks(Vec::<Task<u8>>::new(), 4);
-        assert!(results.is_empty());
-        assert_eq!(stats.tasks_completed, 0);
+        assert!(run_tasks(Vec::<Task<u8>>::new(), 4).is_empty());
     }
 
     #[test]
     fn zero_threads_means_one() {
-        let (results, stats) = run_tasks(squares(3), 0);
-        assert_eq!(results, vec![0, 1, 4]);
-        assert_eq!(stats.threads, 1);
-    }
-
-    #[test]
-    fn stats_account_for_all_work() {
-        let (_, stats) = run_tasks(squares(50), 4);
-        assert_eq!(
-            stats.worker_busy_nanos,
-            stats.per_worker_busy_nanos.iter().sum::<u64>()
-        );
-        assert!(stats.utilization() <= 1.0 + f64::EPSILON);
-        assert!(stats.wall_nanos > 0);
-    }
-
-    impl Outcome for u64 {
-        fn events(&self) -> u64 {
-            *self
-        }
+        assert_eq!(run_tasks(squares(3), 0), vec![0, 1, 4]);
     }
 
     /// Every value-taking flag of both soak binaries: missing its value
@@ -450,7 +298,7 @@ mod tests {
     /// out-of-bounds index.
     #[test]
     fn value_flag_without_a_number_is_a_usage_error() {
-        let switches = ["--trace", "--no-profile"];
+        let switches = ["--trace"];
         let valued: Vec<&str> = crate::chaos::VALUE_FLAGS
             .iter()
             .chain(crate::scale::VALUE_FLAGS)
@@ -464,7 +312,7 @@ mod tests {
                 assert!(err.contains("--threads N"), "no usage in {err}");
             }
             let ok = SoakArgs::parse(&argv(&[flag, "3", "--trace"]), &switches, &valued).unwrap();
-            assert!(ok.switch("--trace") && !ok.switch("--no-profile") && !ok.switch("--smoke"));
+            assert!(ok.switch("--trace") && !ok.switch("--smoke"));
             assert_eq!(ok.value(flag), Some(3));
         }
         let err = SoakArgs::parse(&argv(&["--bogus"]), &switches, &valued).unwrap_err();
@@ -474,7 +322,7 @@ mod tests {
                 .unwrap()
                 .thread_counts()
         };
-        assert_eq!(threads(&[]), vec![1, 2, 4]);
+        assert_eq!(threads(&[]), vec![1, 2]);
         assert_eq!(threads(&["--threads", "1"]), vec![1]);
         assert_eq!(threads(&["--smoke", "--threads", "3"]), vec![1, 3]);
     }
@@ -488,8 +336,6 @@ mod tests {
         );
         assert_eq!(soak.outcomes, vec![0, 1, 4, 9, 16]);
         assert_eq!(soak.report, "[0, 1, 4, 9, 16]");
-        assert_eq!(soak.measurements.len(), 2);
-        assert_eq!(total_events(&soak.outcomes), 30);
     }
 
     /// The driver's reason to exist: a workload whose result depends on the
@@ -497,10 +343,31 @@ mod tests {
     #[test]
     #[should_panic(expected = "outcomes diverged between threads=1 and threads=2")]
     fn soak_panics_when_outcomes_depend_on_thread_count() {
-        run_soak(
-            &[1, 2],
-            |threads| (vec![threads as u64], RunnerStats::default()),
-            |_| String::new(),
+        run_soak(&[1, 2], |threads| vec![threads as u64], |_| String::new());
+    }
+
+    /// The envelope names no thread count, so a soak run at other counts
+    /// writes the same bytes.
+    #[test]
+    fn envelope_is_the_same_at_any_thread_counts() {
+        let dir = std::env::temp_dir();
+        let write = |counts: &[usize], name: &str| {
+            let soak = run_soak(counts, |t| run_tasks(squares(4), t), |o| format!("{o:?}"));
+            let path = dir.join(format!(
+                "runner-envelope-{}-{name}.json",
+                std::process::id()
+            ));
+            let path = path.to_str().expect("utf-8 temp path").to_string();
+            soak.finish("squares", &path, &[("extra", "7")]);
+            let bytes = std::fs::read_to_string(&path).expect("envelope written");
+            let _ = std::fs::remove_file(&path);
+            bytes
+        };
+        let one = write(&[1], "one");
+        assert_eq!(one, write(&[1, 3], "three"));
+        assert_eq!(
+            one,
+            "{\n\"bench\": \"squares\",\n\"extra\": 7,\n\"report\": [0, 1, 4, 9]\n}\n"
         );
     }
 }

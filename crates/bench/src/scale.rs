@@ -28,21 +28,20 @@
 //!
 //! The merged report is **byte-identical at any runner thread count**:
 //! every number in it derives from simulated time or seed-determined state.
-//! Wall-clock throughput (events/sec) lives in the `scale` binary's timing
-//! section, outside the report.
+//! Its wall-clock throughput is measured by `benchmark/`'s `flows_*`
+//! workloads.
 //!
 //! [`SimRng`]: hydranet_netsim::rng::SimRng
 
 use std::fmt::Write as _;
 
 use hydranet_core::prelude::*;
-use hydranet_netsim::profile::CategoryStats;
 use hydranet_netsim::rng::SimRng;
 use hydranet_obs::Obs;
 use hydranet_tcp::stack::{SocketApp, SocketIo};
 
 use crate::quantile;
-use crate::runner::{run_tasks, total_events, Outcome, RunnerStats, Task};
+use crate::runner::{run_tasks, Task};
 
 /// The `scale` binary's number-valued flags (besides `--threads`).
 pub const VALUE_FLAGS: &[&str] = &["--cells", "--flows"];
@@ -177,12 +176,6 @@ impl CellOutcome {
         self.client_conn_bytes
             .checked_div(self.client_conns_at_sample)
             .unwrap_or(0)
-    }
-}
-
-impl Outcome for CellOutcome {
-    fn events(&self) -> u64 {
-        self.events
     }
 }
 
@@ -332,17 +325,8 @@ fn bounded_pareto(rng: &mut SimRng, lo: u64, hi: u64, alpha: f64) -> u64 {
 }
 
 /// Runs one cell. Pure function of `(cfg, seed)` — the unit of parallel
-/// work — returned with the cell's [`EventProfiler`] attribution snapshot.
-/// `profile` turns the profiler on; it only measures wall time, so the
-/// outcome is identical either way, but the snapshot is wall-clock data and
-/// must stay out of the deterministic report (all zeros when off).
-///
-/// [`EventProfiler`]: hydranet_netsim::profile::EventProfiler
-pub fn run_cell(
-    cfg: &ScaleConfig,
-    seed: u64,
-    profile: bool,
-) -> (CellOutcome, Vec<(&'static str, CategoryStats)>) {
+/// work.
+pub fn run_cell(cfg: &ScaleConfig, seed: u64) -> CellOutcome {
     let tcp = TcpConfig {
         send_buf: cfg.buf_bytes,
         recv_buf: cfg.buf_bytes,
@@ -385,9 +369,6 @@ pub fn run_cell(
     let cross_spec = FtServiceSpec::new(cross_service(), vec![hs1], detector);
     b.deploy_ft_service(&cross_spec, |_quad| Box::new(ReceiptApp::default()));
     let mut system = b.build(seed);
-    if profile {
-        system.enable_profiler();
-    }
 
     // Converge every chain before traffic starts.
     let deadline = SimTime::from_secs(10);
@@ -484,7 +465,7 @@ pub fn run_cell(
         let b = board.borrow();
         (b.completion_ns.clone(), b.bytes)
     };
-    let outcome = CellOutcome {
+    CellOutcome {
         seed,
         flows: cfg.flows_per_cell as u64,
         connected,
@@ -498,18 +479,17 @@ pub fn run_cell(
         client_conns_at_sample: client_conns,
         primary_conn_bytes,
         residual_conns: system.client(client).stack().conn_count() as u64,
-    };
-    (outcome, system.sim.profiler().snapshot())
+    }
 }
 
 /// Runs the scale workload across the experiment engine. Outcomes come
 /// back in cell order regardless of `threads`.
-pub fn run_scale(cfg: &ScaleConfig, threads: usize) -> (Vec<CellOutcome>, RunnerStats) {
-    let tasks: Vec<Task<CellOutcome>> = (0..cfg.cells)
-        .map(|i| {
+pub fn run_scale(cfg: &ScaleConfig, threads: usize) -> Vec<CellOutcome> {
+    let tasks = (0..cfg.cells)
+        .map(|i| -> Task<CellOutcome> {
             let seed = cfg.base_seed + i as u64;
             let cfg = cfg.clone();
-            Task::new(move || run_cell(&cfg, seed, false).0)
+            Box::new(move || run_cell(&cfg, seed))
         })
         .collect();
     run_tasks(tasks, threads)
@@ -518,6 +498,11 @@ pub fn run_scale(cfg: &ScaleConfig, threads: usize) -> (Vec<CellOutcome>, Runner
 /// Total payload bytes delivered across a set of outcomes.
 pub fn total_bytes(outcomes: &[CellOutcome]) -> u64 {
     outcomes.iter().map(|o| o.bytes).sum()
+}
+
+/// Total simulated events across a set of outcomes.
+pub fn total_events(outcomes: &[CellOutcome]) -> u64 {
+    outcomes.iter().map(|o| o.events).sum()
 }
 
 /// Aggregate client-side per-flow memory at peak hold: total sampled
@@ -634,9 +619,10 @@ mod tests {
     #[test]
     fn tiny_cells_complete_and_hold_concurrency() {
         let cfg = ScaleConfig::tiny();
-        let (outcomes, stats) = run_scale(&cfg, 1);
-        assert_eq!(outcomes.len(), cfg.cells);
-        assert_eq!(stats.tasks_completed, cfg.cells as u64);
+        let outcomes = run_scale(&cfg, 1);
+        let seeds: Vec<u64> = outcomes.iter().map(|o| o.seed).collect();
+        let expected: Vec<u64> = (0..cfg.cells as u64).map(|i| cfg.base_seed + i).collect();
+        assert_eq!(seeds, expected, "one outcome per cell, in cell order");
         for o in &outcomes {
             assert_eq!(o.connected, o.flows, "cell {} refused connects", o.seed);
             assert_eq!(o.completed, o.flows, "cell {} lost flows", o.seed);
@@ -658,8 +644,8 @@ mod tests {
     #[test]
     fn merged_report_is_thread_count_invariant() {
         let cfg = ScaleConfig::tiny();
-        let (seq, _) = run_scale(&cfg, 1);
-        let (par, _) = run_scale(&cfg, 3);
+        let seq = run_scale(&cfg, 1);
+        let par = run_scale(&cfg, 3);
         assert_eq!(seq, par);
         assert_eq!(merged_report(&cfg, &seq), merged_report(&cfg, &par));
     }
@@ -667,7 +653,7 @@ mod tests {
     #[test]
     fn merged_report_has_scale_metrics() {
         let cfg = ScaleConfig::tiny();
-        let (outcomes, _) = run_scale(&cfg, 2);
+        let outcomes = run_scale(&cfg, 2);
         let report = merged_report(&cfg, &outcomes);
         for needle in [
             "\"workload\": \"scale\"",

@@ -65,9 +65,11 @@ fn unreplicated_cells_match_the_bottleneck_router_model() {
         .collect();
     let tasks = cells
         .iter()
-        .map(|&(config, s)| Task::new(move || run_point(config, s, &Fig4Params::default(), 42)))
+        .map(|&(config, s)| -> Task<_> {
+            Box::new(move || run_point(config, s, &Fig4Params::default(), 42))
+        })
         .collect();
-    let (points, _) = run_tasks(tasks, 2);
+    let points = run_tasks(tasks, 2);
     assert_eq!(points.len(), 30);
     let p = Fig4Params::default();
     let mut worst = (0.0, "", 0);

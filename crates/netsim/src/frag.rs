@@ -20,6 +20,10 @@ use crate::time::{SimDuration, SimTime};
 /// Fragments align on 8-byte boundaries, as in real IP.
 const FRAG_ALIGN: usize = 8;
 
+/// The largest payload a datagram can carry: its 16-bit total length
+/// counts the header too (see [`IpPacket::into_encoded`]).
+const MAX_DATAGRAM_PAYLOAD: u64 = u16::MAX as u64 - IP_HEADER_LEN as u64;
+
 /// Splits `packet` into fragments that each fit within `mtu` bytes on the
 /// wire (header included).
 ///
@@ -131,7 +135,7 @@ struct PartialDatagram {
     /// Received payload bytes, as views of the fragments they arrived in.
     runs: RunList,
     /// Total payload length, known once the final fragment arrives.
-    total_len: Option<u32>,
+    total_len: Option<u64>,
     /// Header template from the first fragment seen.
     template: IpPacket,
     /// Deadline after which the partial datagram is discarded.
@@ -184,6 +188,7 @@ pub struct Reassembler {
     timeout: SimDuration,
     max_partials: usize,
     evicted: u64,
+    oversized: u64,
 }
 
 /// Default time a partial datagram is retained before being dropped.
@@ -211,17 +216,25 @@ impl Reassembler {
             timeout,
             max_partials: max_partials.max(1),
             evicted: 0,
+            oversized: 0,
         }
     }
 
     /// Offers a packet; returns a fully reassembled packet when complete.
     ///
-    /// Unfragmented packets pass straight through. Stale partial datagrams
-    /// are garbage-collected on every call.
+    /// Unfragmented packets pass straight through. A fragment reaching past
+    /// the largest datagram payload is dropped and counted. Stale partial
+    /// datagrams are garbage-collected on every call.
     pub fn push(&mut self, now: SimTime, packet: IpPacket) -> Option<IpPacket> {
         self.expire(now);
-        if !packet.header.frag.is_fragment() {
+        let frag = packet.header.frag;
+        if !frag.is_fragment() {
             return Some(packet);
+        }
+        let end = u64::from(frag.offset) + packet.payload.len() as u64;
+        if end > MAX_DATAGRAM_PAYLOAD {
+            self.oversized += 1;
+            return None;
         }
         let key = DatagramKey {
             src: packet.src(),
@@ -241,12 +254,11 @@ impl Reassembler {
             },
             expires_at: now.saturating_add(self.timeout),
         });
-        let frag = packet.header.frag;
         if !frag.more_fragments {
-            entry.total_len = Some(frag.offset + packet.payload.len() as u32);
+            entry.total_len = Some(end);
         }
         entry.runs.insert(u64::from(frag.offset), packet.payload);
-        let total = u64::from(entry.total_len?);
+        let total = entry.total_len?;
         if entry.runs.contiguous_end(0, total) < total {
             return None;
         }
@@ -262,6 +274,12 @@ impl Reassembler {
     /// Number of partial datagrams evicted because the cap was reached.
     pub fn evicted(&self) -> u64 {
         self.evicted
+    }
+
+    /// Number of fragments dropped because they reached past the largest
+    /// datagram payload.
+    pub fn oversized(&self) -> u64 {
+        self.oversized
     }
 
     fn expire(&mut self, now: SimTime) {
@@ -486,6 +504,44 @@ mod tests {
         assert!(r.push(SimTime::ZERO, frags[0].clone()).is_none());
         assert_eq!(r.evicted(), 0);
         assert_eq!(r.pending(), 1);
+    }
+
+    /// A last fragment near the top of the 32-bit offset space: its end
+    /// does not fit a `u32`, and no datagram reaches that far anyway.
+    #[test]
+    fn fragment_past_the_datagram_limit_is_dropped_and_counted() {
+        let mut frag = packet(8, 40);
+        frag.header.frag = FragInfo {
+            offset: u32::MAX - 3,
+            more_fragments: false,
+            dont_fragment: false,
+        };
+        let mut r = Reassembler::new();
+        assert!(r.push(SimTime::ZERO, frag).is_none());
+        assert_eq!(r.oversized(), 1);
+        assert_eq!(r.pending(), 0);
+    }
+
+    /// Scattered 8-byte fragments of one datagram that never completes:
+    /// only those inside the datagram limit are held, so one partial keeps
+    /// at most one view per aligned unit of a maximal payload.
+    #[test]
+    fn scattered_fragments_fill_at_most_one_datagram() {
+        let mut r = Reassembler::new();
+        let n = 50_000u32;
+        for i in 0..n {
+            let mut frag = packet(8, 41);
+            frag.header.frag = FragInfo {
+                offset: 8 + 16 * i,
+                more_fragments: true,
+                dont_fragment: false,
+            };
+            assert!(r.push(SimTime::ZERO, frag).is_none());
+        }
+        let held: usize = r.partials.values().map(|p| p.runs.runs().count()).sum();
+        assert!(held as u64 <= MAX_DATAGRAM_PAYLOAD / 8, "{held} views held");
+        assert_eq!(held as u64 + r.oversized(), u64::from(n));
+        assert_eq!((r.pending(), r.evicted()), (1, 0));
     }
 
     #[test]

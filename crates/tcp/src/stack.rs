@@ -804,25 +804,14 @@ impl TcpStack {
     /// Allocates an ephemeral port such that `(local, remote)` is not a
     /// live connection: the cursor hands out ports sequentially (wrapping
     /// at the top of the range) and steps past held ones, giving up after
-    /// one full lap. A quad still parked in the table but fully `Closed`
-    /// does not pin its port: the stale entry is reaped and the port
-    /// reused.
+    /// one full lap.
     fn alloc_ephemeral(&mut self, remote: SockAddr) -> Result<u16, EphemeralPortsExhausted> {
         let (lo, hi) = self.ephemeral_range;
         for _ in lo..=hi {
             let port = self.next_ephemeral;
             self.next_ephemeral = if port >= hi { lo } else { port + 1 };
             let quad = Quad::new(SockAddr::new(self.addrs[0], port), remote);
-            let Some(slot) = self.lookup_slot(quad) else {
-                return Ok(port);
-            };
-            let closed = self.slots[slot as usize]
-                .occ
-                .as_ref()
-                .and_then(|o| o.entry.as_ref())
-                .is_some_and(|e| e.conn.state() == TcpState::Closed);
-            if closed {
-                self.free_slot(slot);
+            if self.lookup_slot(quad).is_none() {
                 return Ok(port);
             }
         }
