@@ -9,6 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hydranet_bench::fig4::{run_point, Fig4Config, Fig4Params};
+use hydranet_bench::scale::{aggregate_bytes_per_flow, run_scale, ScaleConfig};
 use hydranet_netsim::buf::PacketBuf;
 use hydranet_netsim::link::LinkParams;
 use hydranet_netsim::node::{Context, IfaceId, Node, NodeId, NodeParams};
@@ -18,6 +19,7 @@ use hydranet_netsim::time::SimDuration;
 use hydranet_netsim::topology::TopologyBuilder;
 use hydranet_tcp::buffer::{Offer, RecvBuffer};
 use hydranet_tcp::seq::SeqNum;
+use hydranet_tcp::stack::TcpStack;
 
 thread_local! {
     /// Allocator calls (alloc, zeroed alloc, realloc) made on this thread.
@@ -165,16 +167,18 @@ fn fig4_primary_backup(write: usize) -> (u64, u64) {
 }
 
 /// Allocations per simulator event of the 512-byte transfer. Measured
-/// 0.3935 (1,289 allocations over 3,276 events), down from 0.4255 (1,394)
-/// when a gated replica copied each held segment into a staging tree and
-/// then again into a readable ring; before each packet owned one buffer
-/// it was 0.981 (3,214). The bound leaves 5 % above the measured value for
-/// drift in set-up code, so one more allocation per client data segment
-/// breaks it (with no room for the IP header in the send buffer's copy,
-/// the redirector copies each segment again).
+/// 0.3529 (1,156 allocations over 3,276 events) since a received run is
+/// held inline until a second one arrives, down from 0.3935 (1,289) when
+/// every run took a deque slot, 0.4255 (1,394) when a gated replica copied
+/// each held segment into a staging tree and then again into a readable
+/// ring, and 0.981 (3,214) before each packet owned one buffer. The bound
+/// leaves 5 % above the measured value for drift in set-up code, so one
+/// more allocation per client data segment breaks it (with no room for the
+/// IP header in the send buffer's copy, the redirector copies each segment
+/// again).
 #[test]
 fn fig4_primary_backup_allocations_per_event_stay_bounded() {
-    const BOUND: f64 = 0.413;
+    const BOUND: f64 = 0.371;
     let (allocs, events) = fig4_primary_backup(512);
     let per_event = allocs as f64 / events as f64;
     assert!(
@@ -232,4 +236,25 @@ fn held_segments_are_views_not_copies() {
         }
     });
     assert_eq!(allocs, 0, "offering held segments allocated {allocs} times");
+}
+
+/// Per-connection memory of the tiny scale run (what `bytes_per_flow`
+/// reports), bounded at 2 % above the measured 1,206 B. A parked
+/// connection costs its record (`TcpStack::CONN_RECORD_BYTES`, printed
+/// with it) and the heap behind its buffers, and nothing it needs only
+/// while the stack processes it: before the stack lent its outbox and
+/// event queue at check-out and the record shrank 704 → 584 B, this read
+/// 1,645.
+#[test]
+fn scale_tiny_bytes_per_conn_stay_bounded() {
+    const MEASURED: u64 = 1_206;
+    let per_conn = aggregate_bytes_per_flow(&run_scale(&ScaleConfig::tiny(), 1));
+    println!(
+        "scale tiny: {per_conn} B/conn, connection record {} B",
+        TcpStack::CONN_RECORD_BYTES
+    );
+    assert!(
+        per_conn <= MEASURED * 102 / 100,
+        "{per_conn} B/conn (measured {MEASURED}, bound +2 %)"
+    );
 }

@@ -3,6 +3,7 @@
 //! guarantee the README advertises.
 
 use hydranet_core::prelude::*;
+use hydranet_netsim::profile::EventCategory;
 
 const CLIENT: IpAddr = IpAddr::new(10, 0, 1, 1);
 const RD: IpAddr = IpAddr::new(10, 9, 0, 1);
@@ -198,13 +199,13 @@ fn traced_run_surfaces_evictions_and_attribution() {
         d.system.sim.stats().events_processed - events_before_profiling,
         "profiler lost or double-counted events"
     );
-    let snapshot = profiler.snapshot();
     for subsystem in ["tcp_data", "tcp_ack", "ack_channel", "timers", "redirector"] {
-        let (_, stats) = snapshot
-            .iter()
-            .find(|(name, _)| *name == subsystem)
+        let cat = EventCategory::ALL
+            .into_iter()
+            .find(|c| c.name() == subsystem)
             .expect("category present");
-        assert!(stats.events > 0, "no events attributed to {subsystem}");
+        let events = profiler.stats(cat).events;
+        assert!(events > 0, "no events attributed to {subsystem}");
     }
 
     // The instrumented engine is the shipped engine: the same seed with

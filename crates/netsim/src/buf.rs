@@ -341,42 +341,79 @@ impl fmt::Debug for PacketBuf {
 /// [`contiguous_end`](Self::contiguous_end) and
 /// [`read_into`](Self::read_into) touch only the runs they pass over, so a
 /// list holding thousands of gated runs costs a deposit or a read what the
-/// bytes moved cost. `read_into` makes the one copy; an empty list
-/// (`default`, or one read dry) has no storage.
+/// bytes moved cost. `read_into` makes the one copy. A lone run is held
+/// inline, so a reader that takes each buffer as it lands never allocates:
+/// a deque exists only from a second run on, until the list reads dry.
 #[derive(Debug, Clone, Default)]
-pub struct RunList {
-    runs: VecDeque<(u64, PacketBuf)>,
-    /// Bytes held: the runs' summed lengths.
-    len: usize,
+pub struct RunList(Runs);
+
+/// One run: the stream offset of its first byte, and a view of its bytes.
+type Run = (u64, PacketBuf);
+
+#[derive(Debug, Clone, Default)]
+enum Runs {
+    #[default]
+    Empty,
+    One(Run),
+    /// The runs, and the bytes they hold.
+    Many(VecDeque<Run>, usize),
 }
 
 impl RunList {
     /// Bytes held.
     pub fn len(&self) -> usize {
-        self.len
+        match &self.0 {
+            Runs::Empty => 0,
+            Runs::One((_, buf)) => buf.len(),
+            Runs::Many(_, len) => *len,
+        }
     }
 
     /// Whether no byte is held.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The held runs in offset order.
     pub fn runs(&self) -> impl Iterator<Item = (u64, &PacketBuf)> {
-        self.runs.iter().map(|(off, buf)| (*off, buf))
+        self.runs_from(0).map(|(off, buf)| (*off, buf))
+    }
+
+    /// The held runs that end past `from`, in offset order.
+    fn runs_from(&self, from: u64) -> impl Iterator<Item = &Run> {
+        let (one, many) = match &self.0 {
+            Runs::Empty => (None, None),
+            Runs::One(run) => (Some(run).filter(|(o, b)| o + b.len() as u64 > from), None),
+            Runs::Many(runs, _) => {
+                let i = runs.partition_point(|(o, b)| o + b.len() as u64 <= from);
+                (None, Some(runs.range(i..)))
+            }
+        };
+        one.into_iter().chain(many.into_iter().flatten())
     }
 
     /// Holds the bytes of `buf` at offsets `off..` that no run holds yet;
     /// returns how many that was.
     pub fn insert(&mut self, mut off: u64, mut buf: PacketBuf) -> usize {
+        match &self.0 {
+            _ if buf.is_empty() => return 0,
+            Runs::Empty => {
+                let added = buf.len();
+                self.0 = Runs::One((off, buf));
+                return added;
+            }
+            Runs::One((o, b)) if *o <= off && off + buf.len() as u64 <= o + b.len() as u64 => {
+                return 0;
+            }
+            _ => {}
+        }
+        let (runs, len) = self.deque();
         let mut added = 0;
         // The first run ending past `off`; the runs before it are untouched.
-        let mut i = self
-            .runs
-            .partition_point(|(o, b)| o + b.len() as u64 <= off);
+        let mut i = runs.partition_point(|(o, b)| o + b.len() as u64 <= off);
         while !buf.is_empty() {
             let end = off + buf.len() as u64;
-            match self.runs.get(i).map(|(o, b)| (*o, o + b.len() as u64)) {
+            match runs.get(i).map(|(o, b)| (*o, o + b.len() as u64)) {
                 Some((lo, hi)) if lo <= off => {
                     // Held from the left: skip what the run covers.
                     let skip = hi.min(end) - off;
@@ -386,31 +423,45 @@ impl RunList {
                 Some((lo, _)) if lo < end => {
                     // Room up to the next run.
                     let take = (lo - off) as usize;
-                    self.runs.insert(i, (off, buf.slice(..take)));
+                    runs.insert(i, (off, buf.slice(..take)));
                     added += take;
                     off = lo;
                     buf = buf.slice(take..);
                 }
                 _ => {
                     added += buf.len();
-                    self.runs.insert(i, (off, buf));
+                    runs.insert(i, (off, buf));
                     break;
                 }
             }
             i += 1;
         }
-        self.len += added;
+        *len += added;
         added
+    }
+
+    /// The runs as a deque and their byte count, moving a lone inline run
+    /// into a new deque first.
+    fn deque(&mut self) -> (&mut VecDeque<Run>, &mut usize) {
+        if let Runs::Empty | Runs::One(_) = self.0 {
+            let mut runs = VecDeque::new();
+            let len = self.len();
+            if let Runs::One(run) = std::mem::take(&mut self.0) {
+                runs.push_back(run);
+            }
+            self.0 = Runs::Many(runs, len);
+        }
+        match &mut self.0 {
+            Runs::Many(runs, len) => (runs, len),
+            _ => unreachable!("just made a deque"),
+        }
     }
 
     /// The first offset at or after `from` that no run holds, or `limit`
     /// if every byte up to it is held (`from` when `limit <= from`).
     pub fn contiguous_end(&self, from: u64, limit: u64) -> u64 {
         let mut end = from;
-        let i = self
-            .runs
-            .partition_point(|(o, b)| o + b.len() as u64 <= from);
-        for (o, b) in self.runs.range(i..) {
+        for (o, b) in self.runs_from(from) {
             if *o > end || end >= limit {
                 break;
             }
@@ -429,7 +480,7 @@ impl RunList {
     pub fn read_into(&mut self, out: &mut [u8]) {
         let mut at = 0;
         while at < out.len() {
-            let (off, run) = self.runs.front_mut().expect("read past the held bytes");
+            let (off, run) = self.front_mut().expect("read past the held bytes");
             let n = run.len().min(out.len() - at);
             out[at..at + n].copy_from_slice(&run[..n]);
             at += n;
@@ -438,23 +489,43 @@ impl RunList {
                 *run = run.slice(n..);
             } else {
                 let end = *off + n as u64;
-                self.runs.pop_front();
+                self.pop_front();
                 debug_assert!(
-                    at == out.len() || self.runs.front().is_some_and(|(o, _)| *o == end),
+                    at == out.len() || self.runs().next().is_some_and(|(o, _)| o == end),
                     "read across a hole"
                 );
             }
         }
-        self.len -= out.len();
-        if self.runs.is_empty() {
-            self.runs = VecDeque::new();
+        // Only a deque that still holds runs counts its bytes itself.
+        if let Runs::Many(_, len) = &mut self.0 {
+            *len -= out.len();
         }
     }
 
-    /// Heap bytes charged to the list: its run slots plus the bytes the
-    /// runs view (each view also pins its arriving packet's headers).
+    fn front_mut(&mut self) -> Option<&mut Run> {
+        match &mut self.0 {
+            Runs::Empty => None,
+            Runs::One(run) => Some(run),
+            Runs::Many(runs, _) => runs.front_mut(),
+        }
+    }
+
+    /// Drops the first run; the list is `Empty` once none is left.
+    fn pop_front(&mut self) {
+        match &mut self.0 {
+            Runs::Many(runs, _) if runs.len() > 1 => drop(runs.pop_front()),
+            _ => self.0 = Runs::Empty,
+        }
+    }
+
+    /// Heap bytes charged to the list: its deque's run slots plus the
+    /// bytes the runs view (each view also pins its arriving packet's
+    /// headers).
     pub fn heap_bytes(&self) -> usize {
-        self.runs.capacity() * std::mem::size_of::<(u64, PacketBuf)>() + self.len
+        match &self.0 {
+            Runs::Many(runs, len) => runs.capacity() * std::mem::size_of::<Run>() + len,
+            _ => self.len(),
+        }
     }
 }
 
@@ -702,6 +773,30 @@ mod tests {
             0,
             "a drained list gives its storage back"
         );
+    }
+
+    #[test]
+    fn run_list_holds_a_lone_run_inline() {
+        let mut runs = RunList::default();
+        let mut out = [0u8; 3];
+        for (off, bytes) in [(0, b"abc"), (3, b"def")] {
+            assert_eq!(runs.insert(off, PacketBuf::from(*bytes)), 3);
+            assert_eq!(runs.heap_bytes(), 3, "one run needs no run slot");
+            assert_eq!(runs.insert(off + 1, PacketBuf::from(*b"xy")), 0);
+            assert_eq!(runs.heap_bytes(), 3, "a covered insert adds no slot");
+            runs.read_into(&mut out);
+            assert_eq!(&out, bytes);
+            assert!(runs.is_empty());
+        }
+        // A second run moves both into a deque until the list reads dry.
+        runs.insert(6, PacketBuf::from(*b"ghi"));
+        runs.insert(12, PacketBuf::from(*b"mno"));
+        assert!(runs.heap_bytes() > runs.len());
+        runs.insert(9, PacketBuf::from(*b"jkl"));
+        let mut all = [0u8; 9];
+        runs.read_into(&mut all);
+        assert_eq!(&all, b"ghijklmno");
+        assert_eq!(runs.heap_bytes(), 0);
     }
 
     /// Random overlapping inserts, each filling its bytes with its own tag,

@@ -142,14 +142,6 @@ impl EventProfiler {
         self.buckets[cat.index()]
     }
 
-    /// Snapshot of all categories as `(name, stats)` rows in table order.
-    pub fn snapshot(&self) -> Vec<(&'static str, CategoryStats)> {
-        EventCategory::ALL
-            .iter()
-            .map(|&c| (c.name(), self.stats(c)))
-            .collect()
-    }
-
     /// Total events attributed across all categories.
     pub fn total_events(&self) -> u64 {
         self.buckets.iter().map(|b| b.events).sum()
@@ -346,9 +338,7 @@ mod tests {
         assert_eq!(p.stats(EventCategory::Timers).events, 2);
         assert_eq!(p.stats(EventCategory::Timers).wall_nanos, 15);
         assert_eq!(p.total_events(), 3);
-        let snap = p.snapshot();
-        assert_eq!(snap.len(), CATEGORY_COUNT);
-        assert_eq!(snap[0].0, "tcp_data");
-        assert_eq!(snap[0].1.events, 1);
+        assert_eq!(EventCategory::ALL[0].name(), "tcp_data");
+        assert_eq!(p.stats(EventCategory::ALL[0]).events, 1);
     }
 }

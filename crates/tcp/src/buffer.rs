@@ -180,11 +180,16 @@ pub struct RecvBuffer {
     /// HydraNet-FT chain).
     deposit_limit: Option<u64>,
     runs: RunList,
-    capacity: usize,
+    /// The configured buffer size; `u32` packs beside `nxt_seq`.
+    capacity: u32,
 }
 
 impl RecvBuffer {
     /// Creates a buffer expecting its first data byte at `nxt`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` exceeds `u32::MAX` bytes.
     pub fn new(nxt: SeqNum, capacity: usize) -> Self {
         RecvBuffer {
             nxt_seq: nxt,
@@ -192,7 +197,7 @@ impl RecvBuffer {
             read_off: 0,
             deposit_limit: None,
             runs: RunList::default(),
-            capacity,
+            capacity: u32::try_from(capacity).expect("receive buffer larger than 4 GiB"),
         }
     }
 
@@ -205,7 +210,7 @@ impl RecvBuffer {
     /// The receive window to advertise: free space after deposited and
     /// held bytes are accounted for.
     pub fn window(&self) -> u32 {
-        self.capacity.saturating_sub(self.runs.len()) as u32
+        self.capacity.saturating_sub(self.runs.len() as u32)
     }
 
     /// Number of bytes ready for the application.
@@ -252,7 +257,7 @@ impl RecvBuffer {
     /// cannot grow the buffer past its capacity.
     pub fn offer(&mut self, seq: SeqNum, data: PacketBuf) -> Offer {
         let start = self.seq_to_off(seq);
-        let edge = self.read_off + self.capacity as u64;
+        let edge = self.read_off + u64::from(self.capacity);
         if start >= edge {
             return Offer::PastWindow;
         }

@@ -20,7 +20,7 @@ use hydranet_obs::{kinds, Obs};
 
 use crate::buffer::{Offer, RecvBuffer, SendBuffer};
 use crate::cc::CongestionControl;
-use crate::rto::{RttEstimator, DEFAULT_MAX_RTO, DEFAULT_MIN_RTO};
+use crate::rto::RttEstimator;
 use crate::segment::{Quad, TcpFlags, TcpSegment};
 use crate::seq::SeqNum;
 
@@ -41,9 +41,9 @@ pub struct TcpConfig {
 }
 
 /// How long a delayed ACK may be held. Well under the RTO floor
-/// (`DEFAULT_MIN_RTO`): a delayed ACK must never race the sender's
-/// retransmission timer (BSD used 200 ms against a 1 s RTO floor; this
-/// keeps the same 5x margin).
+/// ([`MIN_RTO`](crate::rto::MIN_RTO)): a delayed ACK must never race the
+/// sender's retransmission timer (BSD used 200 ms against a 1 s RTO floor;
+/// this keeps the same 5x margin).
 const ACK_DELAY: SimDuration = SimDuration::from_millis(40);
 
 /// Consecutive retransmission timeouts of the same data before the
@@ -134,6 +134,33 @@ pub enum ConnEvent {
     GateStarved,
 }
 
+/// An optional instant in 8 bytes where `Option<SimTime>` takes 16:
+/// `u64::MAX` nanoseconds (585 years of simulated time) stands for unset,
+/// so unset also sorts after every set instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct OptTime(u64);
+
+impl OptTime {
+    const NONE: OptTime = OptTime(u64::MAX);
+
+    fn some(t: SimTime) -> OptTime {
+        debug_assert!(t != SimTime::MAX, "SimTime::MAX reads as unset");
+        OptTime(t.as_nanos())
+    }
+
+    fn get(self) -> Option<SimTime> {
+        (self != OptTime::NONE).then_some(SimTime::from_nanos(self.0))
+    }
+
+    fn is_none(self) -> bool {
+        self == OptTime::NONE
+    }
+
+    fn take(&mut self) -> Option<SimTime> {
+        std::mem::replace(self, OptTime::NONE).get()
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct SendState {
     una: SeqNum,
@@ -204,16 +231,18 @@ pub struct Connection {
     send_gate: Option<SeqNum>,
     /// Starvation watchdog for the send gate: armed while the gate blocks
     /// ready work, fires [`ConnEvent::GateStarved`] once per RTO of stall.
-    gate_starved_deadline: Option<SimTime>,
+    gate_starved_deadline: OptTime,
     gate_starved_count: u64,
 
-    rto_deadline: Option<SimTime>,
-    delack_deadline: Option<SimTime>,
-    timewait_deadline: Option<SimTime>,
-    persist_deadline: Option<SimTime>,
+    rto_deadline: OptTime,
+    delack_deadline: OptTime,
+    timewait_deadline: OptTime,
+    persist_deadline: OptTime,
 
-    /// RTT probe per Karn: (covers-up-to, sent-at).
-    rtt_probe: Option<(SeqNum, SimTime)>,
+    /// RTT probe per Karn: when it was sent (unset: no probe out), and the
+    /// sequence slot an ACK must reach to cover it.
+    rtt_probe_at: OptTime,
+    rtt_probe_cover: SeqNum,
     /// Highest sequence slot ever transmitted (`SND.MAX` in BSD terms).
     /// After a go-back-N rollback, ACK validity is judged against this,
     /// not against the rolled-back `SND.NXT`.
@@ -224,7 +253,7 @@ pub struct Connection {
     recover: Option<SeqNum>,
     /// When the active-open SYN was first sent (for the handshake RTT
     /// sample).
-    syn_sent_at: Option<SimTime>,
+    syn_sent_at: OptTime,
     retries: u32,
     /// Window space previously reported as exhausted (for SendSpace edge).
     send_was_full: bool,
@@ -245,7 +274,7 @@ pub struct Connection {
     telemetry: Option<Rc<ConnTelemetry>>,
     /// When data first became staged behind the deposit gate with nothing
     /// depositable — the start of an ack-channel gating stall.
-    gate_stall_since: Option<SimTime>,
+    gate_stall_since: OptTime,
     /// Sum of the stalls that ended (reported in the span's closing note).
     gate_stall_total: SimDuration,
 }
@@ -256,7 +285,7 @@ impl Connection {
         let mut conn = Self::new(quad, cfg, iss, SeqNum::new(0), TcpState::SynSent);
         conn.emit(conn.segment(iss, TcpFlags::SYN, PacketBuf::new()), now);
         conn.snd.nxt = iss + 1;
-        conn.syn_sent_at = Some(now);
+        conn.syn_sent_at = OptTime::some(now);
         conn.arm_rto(now);
         conn
     }
@@ -333,7 +362,7 @@ impl Connection {
         let sendbuf = SendBuffer::new(iss + 1, cfg.send_buf);
         let recvbuf = RecvBuffer::new(rcv_nxt, cfg.recv_buf);
         let cc = CongestionControl::new(cfg.mss as u32);
-        let rtt = RttEstimator::new(DEFAULT_MIN_RTO, DEFAULT_MAX_RTO);
+        let rtt = RttEstimator::new();
         let last_advertised_window = recvbuf.window();
         Connection {
             state,
@@ -355,16 +384,17 @@ impl Connection {
             peer_fin: None,
             peer_fin_processed: false,
             send_gate: None,
-            gate_starved_deadline: None,
+            gate_starved_deadline: OptTime::NONE,
             gate_starved_count: 0,
-            rto_deadline: None,
-            delack_deadline: None,
-            timewait_deadline: None,
-            persist_deadline: None,
-            rtt_probe: None,
+            rto_deadline: OptTime::NONE,
+            delack_deadline: OptTime::NONE,
+            timewait_deadline: OptTime::NONE,
+            persist_deadline: OptTime::NONE,
+            rtt_probe_at: OptTime::NONE,
+            rtt_probe_cover: iss,
             max_sent: iss,
             recover: None,
-            syn_sent_at: None,
+            syn_sent_at: OptTime::NONE,
             retries: 0,
             send_was_full: false,
             last_advertised_window,
@@ -377,7 +407,7 @@ impl Connection {
             retransmit_count: 0,
             duplicate_data_count: 0,
             telemetry: None,
-            gate_stall_since: None,
+            gate_stall_since: OptTime::NONE,
             gate_stall_total: SimDuration::ZERO,
             cfg,
         }
@@ -561,10 +591,10 @@ impl Connection {
     fn update_gate_starvation(&mut self, now: SimTime) {
         if self.gate_blocked_work() {
             if self.gate_starved_deadline.is_none() {
-                self.gate_starved_deadline = Some(now + self.rtt.rto());
+                self.gate_starved_deadline = OptTime::some(now + self.rtt.rto());
             }
         } else {
-            self.gate_starved_deadline = None;
+            self.gate_starved_deadline = OptTime::NONE;
         }
     }
 
@@ -683,24 +713,50 @@ impl Connection {
         std::mem::take(&mut self.events)
     }
 
-    /// Drains queued outgoing segments into `out` by swapping backing
-    /// stores: the connection inherits `out`'s (cleared) allocation, so a
-    /// caller-owned scratch vector is recycled across every segment the
-    /// stack processes instead of each connection re-growing its outbox.
-    pub fn take_segments_into(&mut self, out: &mut Vec<TcpSegment>) {
-        out.clear();
-        std::mem::swap(&mut self.outbox, out);
-    }
-
-    /// Drains queued application events into `out`; see
-    /// [`take_segments_into`](Self::take_segments_into).
+    /// Drains queued application events into `out` by swapping backing
+    /// stores: the connection goes on queueing into `out`'s (cleared)
+    /// allocation, so a caller walking the drained events while callbacks
+    /// queue more needs no fresh vector.
     pub fn take_events_into(&mut self, out: &mut Vec<ConnEvent>) {
         out.clear();
         std::mem::swap(&mut self.events, out);
     }
 
+    /// Takes a caller's empty vectors as this connection's outbox and event
+    /// queue, keeping anything already queued (a new connection's SYN).
+    /// The owning stack lends its scratch vectors this way at every
+    /// check-out and takes them back with
+    /// [`return_queues`](Self::return_queues) before parking the
+    /// connection, so a parked connection holds no queue allocation.
+    pub(crate) fn borrow_queues(
+        &mut self,
+        mut outbox: Vec<TcpSegment>,
+        mut events: Vec<ConnEvent>,
+    ) {
+        outbox.append(&mut self.outbox);
+        events.append(&mut self.events);
+        self.outbox = outbox;
+        self.events = events;
+    }
+
+    /// Capacity of the outbox and the event queue, in elements: 0 on every
+    /// connection its stack has parked.
+    pub(crate) fn queue_capacity(&self) -> usize {
+        self.outbox.capacity() + self.events.capacity()
+    }
+
+    /// Hands back the outbox, with its queued segments, and the event
+    /// queue; see [`borrow_queues`](Self::borrow_queues).
+    pub(crate) fn return_queues(&mut self) -> (Vec<TcpSegment>, Vec<ConnEvent>) {
+        (
+            std::mem::take(&mut self.outbox),
+            std::mem::take(&mut self.events),
+        )
+    }
+
     /// The earliest pending timer deadline, if any.
     pub fn next_deadline(&self) -> Option<SimTime> {
+        // Unset sorts last, so the minimum is unset only if all are.
         [
             self.rto_deadline,
             self.delack_deadline,
@@ -709,8 +765,8 @@ impl Connection {
             self.gate_starved_deadline,
         ]
         .into_iter()
-        .flatten()
         .min()
+        .and_then(OptTime::get)
     }
 
     /// Approximate memory footprint of this connection in bytes: the
@@ -785,7 +841,7 @@ impl Connection {
         // Karn: only sample the SYN round trip if the SYN was never
         // retransmitted.
         if self.retries == 0 {
-            if let Some(sent_at) = self.syn_sent_at {
+            if let Some(sent_at) = self.syn_sent_at.get() {
                 self.rtt.sample(now.duration_since(sent_at));
             }
         }
@@ -840,10 +896,10 @@ impl Connection {
                 self.events.push(ConnEvent::AckProgress);
             }
             // RTT sample (Karn: only if the probe range is fully covered).
-            if let Some((cover, sent_at)) = self.rtt_probe {
-                if ack.after_eq(cover) {
+            if let Some(sent_at) = self.rtt_probe_at.get() {
+                if ack.after_eq(self.rtt_probe_cover) {
                     self.rtt.sample(now.duration_since(sent_at));
-                    self.rtt_probe = None;
+                    self.rtt_probe_at = OptTime::NONE;
                 }
             }
             if self.state == TcpState::SynRcvd {
@@ -881,7 +937,7 @@ impl Connection {
             self.snd.wl1 = seg.seq;
             self.snd.wl2 = ack;
             if was_zero && self.snd.wnd > 0 {
-                self.persist_deadline = None;
+                self.persist_deadline = OptTime::NONE;
             }
         }
 
@@ -921,7 +977,7 @@ impl Connection {
                 && self.recvbuf.is_gated()
                 && self.recvbuf.staged_bytes() > 0
             {
-                self.gate_stall_since = Some(now);
+                self.gate_stall_since = OptTime::some(now);
             }
         }
 
@@ -1020,34 +1076,34 @@ impl Connection {
 
     /// Advances connection timers to `now`.
     pub fn on_tick(&mut self, now: SimTime) {
-        if let Some(t) = self.timewait_deadline {
+        if let Some(t) = self.timewait_deadline.get() {
             if now >= t {
-                self.timewait_deadline = None;
+                self.timewait_deadline = OptTime::NONE;
                 self.enter_closed(ConnEvent::Closed);
                 return;
             }
         }
-        if let Some(t) = self.delack_deadline {
+        if let Some(t) = self.delack_deadline.get() {
             if now >= t {
-                self.delack_deadline = None;
+                self.delack_deadline = OptTime::NONE;
                 self.send_pure_ack(now);
             }
         }
-        if let Some(t) = self.persist_deadline {
+        if let Some(t) = self.persist_deadline.get() {
             if now >= t {
-                self.persist_deadline = None;
+                self.persist_deadline = OptTime::NONE;
                 self.send_window_probe(now);
             }
         }
-        if let Some(t) = self.rto_deadline {
+        if let Some(t) = self.rto_deadline.get() {
             if now >= t {
-                self.rto_deadline = None;
+                self.rto_deadline = OptTime::NONE;
                 self.on_rto(now);
             }
         }
-        if let Some(t) = self.gate_starved_deadline {
+        if let Some(t) = self.gate_starved_deadline.get() {
             if now >= t {
-                self.gate_starved_deadline = None;
+                self.gate_starved_deadline = OptTime::NONE;
                 if self.gate_blocked_work() {
                     self.gate_starved_count += 1;
                     self.events.push(ConnEvent::GateStarved);
@@ -1075,7 +1131,7 @@ impl Connection {
                     }
                     // Keep firing once per RTO while the stall persists so
                     // the failure estimator can accumulate to its threshold.
-                    self.gate_starved_deadline = Some(now + self.rtt.rto());
+                    self.gate_starved_deadline = OptTime::some(now + self.rtt.rto());
                 }
             }
         }
@@ -1099,7 +1155,7 @@ impl Connection {
         }
         self.rtt.on_timeout();
         self.cc.on_timeout();
-        self.rtt_probe = None; // Karn: never sample retransmitted data
+        self.rtt_probe_at = OptTime::NONE; // Karn: never sample retransmitted data
         match self.state {
             TcpState::SynSent => {
                 self.retransmit_count += 1;
@@ -1139,7 +1195,7 @@ impl Connection {
     }
 
     fn fast_retransmit(&mut self, now: SimTime) {
-        self.rtt_probe = None;
+        self.rtt_probe_at = OptTime::NONE;
         self.retransmit_segment_at_una(now);
         self.arm_rto(now);
     }
@@ -1187,7 +1243,7 @@ impl Connection {
         // will accept and acknowledge it. The ft send gate applies to
         // probes like any other transmission (§4.3's ordering invariant).
         if self.gate_blocks(self.snd.nxt) {
-            self.persist_deadline = Some(now + self.rtt.rto());
+            self.persist_deadline = OptTime::some(now + self.rtt.rto());
             return;
         }
         let probe = self.sendbuf.slice(self.snd.nxt, 1);
@@ -1198,7 +1254,7 @@ impl Connection {
         self.emit_data_segment(seq, probe, false, now);
         self.snd.nxt = seq + 1;
         self.arm_rto(now);
-        self.persist_deadline = Some(now + self.rtt.rto());
+        self.persist_deadline = OptTime::some(now + self.rtt.rto());
     }
 
     // ------------------------------------------------------------------
@@ -1242,7 +1298,7 @@ impl Connection {
             // Zero-window handling: arm the persist timer.
             if len == 0 && pending > 0 && self.snd.wnd == 0 && in_flight == 0 {
                 if self.persist_deadline.is_none() {
-                    self.persist_deadline = Some(now + self.rtt.rto());
+                    self.persist_deadline = OptTime::some(now + self.rtt.rto());
                 }
                 break;
             }
@@ -1258,9 +1314,10 @@ impl Connection {
             let is_retransmission = self.recover.is_some_and(|r| seq.before(r));
             if is_retransmission {
                 self.retransmit_count += 1;
-            } else if self.rtt_probe.is_none() && len > 0 {
+            } else if self.rtt_probe_at.is_none() && len > 0 {
                 // Karn: only probe data that has never been retransmitted.
-                self.rtt_probe = Some((seq + len as u32, now));
+                self.rtt_probe_at = OptTime::some(now);
+                self.rtt_probe_cover = seq + len as u32;
             }
             self.emit_data_segment(seq, payload, fin_now, now);
             self.snd.nxt = seq + len as u32 + fin_now as u32;
@@ -1304,7 +1361,7 @@ impl Connection {
     fn emit_data_segment(&mut self, seq: SeqNum, payload: PacketBuf, fin: bool, now: SimTime) {
         self.bytes_sent += payload.len() as u64;
         let psh = !payload.is_empty();
-        self.delack_deadline = None; // this segment carries our ACK
+        self.delack_deadline = OptTime::NONE; // this segment carries our ACK
         let flags = TcpFlags {
             ack: true,
             psh,
@@ -1315,7 +1372,7 @@ impl Connection {
     }
 
     fn send_pure_ack(&mut self, now: SimTime) {
-        self.delack_deadline = None;
+        self.delack_deadline = OptTime::NONE;
         self.last_advertised_window = self.recvbuf.window();
         self.emit(
             self.segment(self.snd.nxt, TcpFlags::ACK, PacketBuf::new()),
@@ -1328,14 +1385,11 @@ impl Connection {
             self.send_pure_ack(now);
             return;
         }
-        match self.delack_deadline {
-            Some(_) => {
-                // Second in-order segment: ack immediately (RFC 1122).
-                self.send_pure_ack(now);
-            }
-            None => {
-                self.delack_deadline = Some(now + ACK_DELAY);
-            }
+        if self.delack_deadline.is_none() {
+            self.delack_deadline = OptTime::some(now + ACK_DELAY);
+        } else {
+            // Second in-order segment: ack immediately (RFC 1122).
+            self.send_pure_ack(now);
         }
     }
 
@@ -1377,26 +1431,26 @@ impl Connection {
     }
 
     fn arm_rto(&mut self, now: SimTime) {
-        self.rto_deadline = Some(now + self.rtt.rto());
+        self.rto_deadline = OptTime::some(now + self.rtt.rto());
     }
 
     fn clear_rto(&mut self) {
-        self.rto_deadline = None;
+        self.rto_deadline = OptTime::NONE;
         self.retries = 0;
     }
 
     fn enter_time_wait(&mut self, now: SimTime) {
         self.state = TcpState::TimeWait;
         self.clear_rto();
-        self.timewait_deadline = Some(now + self.cfg.time_wait);
+        self.timewait_deadline = OptTime::some(now + self.cfg.time_wait);
     }
 
     fn enter_closed(&mut self, event: ConnEvent) {
         self.state = TcpState::Closed;
-        self.rto_deadline = None;
-        self.delack_deadline = None;
-        self.timewait_deadline = None;
-        self.persist_deadline = None;
+        self.rto_deadline = OptTime::NONE;
+        self.delack_deadline = OptTime::NONE;
+        self.timewait_deadline = OptTime::NONE;
+        self.persist_deadline = OptTime::NONE;
         self.events.push(event);
     }
 }

@@ -53,6 +53,10 @@ impl Default for DetectorParams {
 }
 
 /// Per-connection retransmission counter implementing the estimator.
+///
+/// It keeps no telemetry handle or connection name of its own: the stack
+/// passes both with each observation, so a detector costs a replicated
+/// connection only its counters.
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
     params: DetectorParams,
@@ -61,12 +65,6 @@ pub struct FailureDetector {
     /// Latched once the threshold is crossed, until [`reset`](Self::reset).
     suspected: bool,
     duplicates_total: u64,
-    /// Telemetry sink; disabled (no-op) unless wired via [`set_obs`](Self::set_obs).
-    obs: Obs,
-    /// The watched connection, formatted as the telemetry `scope` only
-    /// when an event is emitted (events fire on duplicates, not per
-    /// connection).
-    quad: Option<Quad>,
 }
 
 impl FailureDetector {
@@ -77,20 +75,7 @@ impl FailureDetector {
             recent: Vec::new(),
             suspected: false,
             duplicates_total: 0,
-            obs: Obs::disabled(),
-            quad: None,
         }
-    }
-
-    /// Wires telemetry: every duplicate observation, suspicion, and clear
-    /// is recorded on the timeline with `quad` as its `scope`.
-    pub fn set_obs(&mut self, obs: Obs, quad: Quad) {
-        self.obs = obs;
-        self.quad = Some(quad);
-    }
-
-    fn scope(&self) -> String {
-        self.quad.map_or_else(String::new, |q| q.to_string())
     }
 
     /// The parameters in force.
@@ -98,18 +83,20 @@ impl FailureDetector {
         self.params
     }
 
-    /// Records one observed client retransmission. Returns `true` exactly
-    /// once when the threshold is crossed (latched afterwards).
-    pub fn on_duplicate(&mut self, now: SimTime) -> bool {
+    /// Records one observed client retransmission on connection `quad`.
+    /// Returns `true` exactly once when the threshold is crossed (latched
+    /// afterwards). Every observation and the suspicion go on `obs`'s
+    /// timeline with `quad` as their `scope`.
+    pub fn on_duplicate(&mut self, now: SimTime, obs: &Obs, quad: Quad) -> bool {
         self.duplicates_total += 1;
         self.expire(now);
         self.recent.push(now);
-        if self.obs.is_enabled() {
-            self.obs.event(
+        if obs.is_enabled() {
+            obs.event(
                 now.as_nanos(),
                 kinds::DETECTOR_DUPLICATE,
                 &[
-                    ("scope", self.scope()),
+                    ("scope", quad.to_string()),
                     ("total", self.duplicates_total.to_string()),
                     ("in_window", self.recent.len().to_string()),
                 ],
@@ -117,11 +104,11 @@ impl FailureDetector {
         }
         if !self.suspected && self.recent.len() as u32 >= self.params.threshold {
             self.suspected = true;
-            self.obs.event(
+            obs.event(
                 now.as_nanos(),
                 kinds::DETECTOR_SUSPECTED,
                 &[
-                    ("scope", self.scope()),
+                    ("scope", quad.to_string()),
                     ("observed", self.duplicates_total.to_string()),
                     ("threshold", self.params.threshold.to_string()),
                 ],
@@ -131,15 +118,16 @@ impl FailureDetector {
         false
     }
 
-    /// Records forward progress (new data or new ACKs): clears accumulated
-    /// duplicates since the loop is evidently working.
-    pub fn on_progress(&mut self, now: SimTime) {
-        if !self.recent.is_empty() && self.obs.is_enabled() {
-            self.obs.event(
+    /// Records forward progress (new data or new ACKs) on connection
+    /// `quad`: clears accumulated duplicates since the loop is evidently
+    /// working, noting the clear on `obs`'s timeline.
+    pub fn on_progress(&mut self, now: SimTime, obs: &Obs, quad: Quad) {
+        if !self.recent.is_empty() && obs.is_enabled() {
+            obs.event(
                 now.as_nanos(),
                 kinds::DETECTOR_CLEARED,
                 &[
-                    ("scope", self.scope()),
+                    ("scope", quad.to_string()),
                     ("cleared", self.recent.len().to_string()),
                 ],
             );
@@ -179,46 +167,58 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    fn quad() -> Quad {
+        Quad::new(
+            SockAddr::new(IpAddr::new(10, 0, 2, 1), 80),
+            SockAddr::new(IpAddr::new(10, 0, 1, 1), 40000),
+        )
+    }
+
+    /// One duplicate, observed with telemetry off.
+    fn dup(d: &mut FailureDetector, ms: u64) -> bool {
+        d.on_duplicate(at(ms), &Obs::disabled(), quad())
+    }
+
     #[test]
     fn fires_exactly_once_at_threshold() {
         let mut d = FailureDetector::new(DetectorParams::new(3, SimDuration::from_secs(10)));
-        assert!(!d.on_duplicate(at(0)));
-        assert!(!d.on_duplicate(at(10)));
-        assert!(d.on_duplicate(at(20)));
+        assert!(!dup(&mut d, 0));
+        assert!(!dup(&mut d, 10));
+        assert!(dup(&mut d, 20));
         assert!(d.is_suspected());
         // Latched: no double-fire.
-        assert!(!d.on_duplicate(at(30)));
+        assert!(!dup(&mut d, 30));
         assert_eq!(d.duplicates_total(), 4);
     }
 
     #[test]
     fn progress_resets_accumulation() {
         let mut d = FailureDetector::new(DetectorParams::new(3, SimDuration::from_secs(10)));
-        d.on_duplicate(at(0));
-        d.on_duplicate(at(10));
-        d.on_progress(at(15));
-        assert!(!d.on_duplicate(at(20)));
-        assert!(!d.on_duplicate(at(30)));
-        assert!(d.on_duplicate(at(40)));
+        dup(&mut d, 0);
+        dup(&mut d, 10);
+        d.on_progress(at(15), &Obs::disabled(), quad());
+        assert!(!dup(&mut d, 20));
+        assert!(!dup(&mut d, 30));
+        assert!(dup(&mut d, 40));
     }
 
     #[test]
     fn old_duplicates_expire() {
         let mut d = FailureDetector::new(DetectorParams::new(3, SimDuration::from_millis(100)));
-        d.on_duplicate(at(0));
-        d.on_duplicate(at(10));
+        dup(&mut d, 0);
+        dup(&mut d, 10);
         // Third duplicate long after the window: the first two expired.
-        assert!(!d.on_duplicate(at(500)));
+        assert!(!dup(&mut d, 500));
         assert!(!d.is_suspected());
     }
 
     #[test]
     fn reset_unlatches() {
         let mut d = FailureDetector::new(DetectorParams::new(1, SimDuration::from_secs(1)));
-        assert!(d.on_duplicate(at(0)));
+        assert!(dup(&mut d, 0));
         d.reset();
         assert!(!d.is_suspected());
-        assert!(d.on_duplicate(at(10)));
+        assert!(dup(&mut d, 10));
     }
 
     #[test]
@@ -238,14 +238,9 @@ mod tests {
     fn telemetry_counts_each_duplicate_observation() {
         let obs = Obs::enabled();
         let mut d = FailureDetector::new(DetectorParams::new(3, SimDuration::from_secs(10)));
-        let quad = Quad::new(
-            SockAddr::new(IpAddr::new(10, 0, 2, 1), 80),
-            SockAddr::new(IpAddr::new(10, 0, 1, 1), 40000),
-        );
-        d.set_obs(obs.clone(), quad);
-        d.on_duplicate(at(0));
-        d.on_duplicate(at(10));
-        d.on_duplicate(at(20)); // crosses the threshold
+        d.on_duplicate(at(0), &obs, quad());
+        d.on_duplicate(at(10), &obs, quad());
+        d.on_duplicate(at(20), &obs, quad()); // crosses the threshold
         assert_eq!(d.duplicates_total(), 3);
         let events = obs.events();
         let duplicates: Vec<_> = events
@@ -267,7 +262,7 @@ mod tests {
         assert_eq!(suspected.len(), 1);
         assert_eq!(suspected[0].at_nanos, at(20).as_nanos());
         // Progress after suspicion records the clear.
-        d.on_progress(at(30));
+        d.on_progress(at(30), &obs, quad());
         assert_eq!(
             obs.first_event_at(kinds::DETECTOR_CLEARED),
             Some(at(30).as_nanos())

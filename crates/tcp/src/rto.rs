@@ -21,12 +21,12 @@ use hydranet_netsim::time::SimDuration;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
-    srtt: Option<SimDuration>,
+    /// Meaningful once `samples_taken > 0`; that count, not a wider
+    /// `Option`, says whether a sample exists.
+    srtt: SimDuration,
     rttvar: SimDuration,
     rto: SimDuration,
     backoff_shift: u32,
-    min_rto: SimDuration,
-    max_rto: SimDuration,
     samples_taken: u64,
     timeouts: u64,
 }
@@ -35,28 +35,20 @@ pub struct RttEstimator {
 /// the paper's vintage used coarser timers; the bench configs raise this).
 pub const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
 
-/// Default RTO floor.
-pub const DEFAULT_MIN_RTO: SimDuration = SimDuration::from_millis(200);
+/// RTO floor. Every connection shares it, so the estimator keeps no copy.
+pub const MIN_RTO: SimDuration = SimDuration::from_millis(200);
 
-/// Default RTO ceiling.
-pub const DEFAULT_MAX_RTO: SimDuration = SimDuration::from_secs(64);
+/// RTO ceiling, shared like [`MIN_RTO`].
+pub const MAX_RTO: SimDuration = SimDuration::from_secs(64);
 
 impl RttEstimator {
-    /// Creates an estimator with the given RTO floor and ceiling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_rto > max_rto` or `min_rto` is zero.
-    pub fn new(min_rto: SimDuration, max_rto: SimDuration) -> Self {
-        assert!(!min_rto.is_zero(), "min_rto must be positive");
-        assert!(min_rto <= max_rto, "min_rto must not exceed max_rto");
+    /// Creates an estimator at [`INITIAL_RTO`], with no sample yet.
+    pub fn new() -> Self {
         RttEstimator {
-            srtt: None,
+            srtt: SimDuration::ZERO,
             rttvar: SimDuration::ZERO,
-            rto: INITIAL_RTO.max(min_rto).min(max_rto),
+            rto: INITIAL_RTO,
             backoff_shift: 0,
-            min_rto,
-            max_rto,
             samples_taken: 0,
             timeouts: 0,
         }
@@ -65,20 +57,20 @@ impl RttEstimator {
     /// The current retransmission timeout, including any backoff.
     pub fn rto(&self) -> SimDuration {
         let backed_off = self.rto * (1u64 << self.backoff_shift.min(16));
-        backed_off.min(self.max_rto)
+        backed_off.min(MAX_RTO)
     }
 
     /// The smoothed RTT, if at least one sample has been taken.
     pub fn srtt(&self) -> Option<SimDuration> {
-        self.srtt
+        (self.samples_taken > 0).then_some(self.srtt)
     }
 
     /// Feeds one RTT measurement (callers must apply Karn's rule: never
     /// sample a retransmitted segment). Resets any timeout backoff.
     pub fn sample(&mut self, rtt: SimDuration) {
-        match self.srtt {
+        match self.srtt() {
             None => {
-                self.srtt = Some(rtt);
+                self.srtt = rtt;
                 self.rttvar = rtt / 2;
             }
             Some(srtt) => {
@@ -86,12 +78,11 @@ impl RttEstimator {
                 // RTTVAR = 3/4 RTTVAR + 1/4 |err|
                 self.rttvar = (self.rttvar * 3 + err) / 4;
                 // SRTT = 7/8 SRTT + 1/8 RTT
-                self.srtt = Some((srtt * 7 + rtt) / 8);
+                self.srtt = (srtt * 7 + rtt) / 8;
             }
         }
-        let srtt = self.srtt.expect("just set");
-        let candidate = srtt + (self.rttvar * 4).max(SimDuration::from_millis(10));
-        self.rto = candidate.max(self.min_rto).min(self.max_rto);
+        let candidate = self.srtt + (self.rttvar * 4).max(SimDuration::from_millis(10));
+        self.rto = candidate.max(MIN_RTO).min(MAX_RTO);
         self.backoff_shift = 0;
         self.samples_taken += 1;
     }
@@ -120,7 +111,7 @@ impl RttEstimator {
 
 impl Default for RttEstimator {
     fn default() -> Self {
-        RttEstimator::new(DEFAULT_MIN_RTO, DEFAULT_MAX_RTO)
+        RttEstimator::new()
     }
 }
 
@@ -147,7 +138,7 @@ mod tests {
             "srtt = {srtt}"
         );
         // With no variance, RTO collapses to the floor.
-        assert_eq!(est.rto(), DEFAULT_MIN_RTO);
+        assert_eq!(est.rto(), MIN_RTO);
     }
 
     #[test]
@@ -181,26 +172,33 @@ mod tests {
 
     #[test]
     fn rto_respects_ceiling() {
-        let mut est = RttEstimator::new(SimDuration::from_millis(100), SimDuration::from_secs(4));
-        est.sample(SimDuration::from_secs(3));
+        let mut est = RttEstimator::new();
+        est.sample(SimDuration::from_secs(20));
         for _ in 0..10 {
             est.on_timeout();
         }
-        assert_eq!(est.rto(), SimDuration::from_secs(4));
+        assert_eq!(est.rto(), MAX_RTO);
     }
 
     #[test]
     fn rto_respects_floor() {
-        let mut est = RttEstimator::new(SimDuration::from_millis(500), SimDuration::from_secs(64));
+        let mut est = RttEstimator::new();
         for _ in 0..20 {
             est.sample(SimDuration::from_millis(1));
         }
-        assert_eq!(est.rto(), SimDuration::from_millis(500));
+        assert_eq!(est.rto(), MIN_RTO);
     }
 
     #[test]
-    #[should_panic(expected = "min_rto must not exceed")]
-    fn bad_bounds_rejected() {
-        RttEstimator::new(SimDuration::from_secs(2), SimDuration::from_secs(1));
+    fn a_zero_rtt_sample_is_a_sample() {
+        let mut est = RttEstimator::new();
+        est.sample(SimDuration::ZERO);
+        assert_eq!(est.srtt(), Some(SimDuration::ZERO));
+        est.sample(SimDuration::from_millis(80));
+        assert_eq!(
+            est.srtt(),
+            Some(SimDuration::from_millis(10)),
+            "smoothed, not reset"
+        );
     }
 }

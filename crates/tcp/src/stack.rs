@@ -236,6 +236,13 @@ struct ConnEntry {
     detector: Option<FailureDetector>,
 }
 
+// `conn_memory_bytes` charges `size_of::<ConnEntry>()` per parked
+// connection and the `PINNED_SCALE` fingerprint covers that charge, so any
+// change to the record moves the pin; the many-flow runs also pay it once
+// per live connection per replica (about 72 KiB of `flows_20k` peak RSS
+// per byte).
+const _: () = assert!(std::mem::size_of::<ConnEntry>() == 584);
+
 type AppFactory = Box<dyn FnMut(Quad) -> Box<dyn SocketApp>>;
 
 /// One slab slot.
@@ -303,11 +310,16 @@ pub struct TcpStack {
     /// Deadline of the armed ack-channel flush timer, if any.
     ackchan_flush_at: Option<SimTime>,
     stats: StackStats,
-    /// Scratch stores recycled through the per-connection drain loop in
-    /// `finish_entry`: the connection inherits the cleared allocation on
-    /// every swap, so steady-state segment processing allocates nothing.
+    /// The outbox and event queue lent to whichever connection is checked
+    /// out: every check-out hands them over and `finish_entry` takes them
+    /// back before it parks or reaps the connection. A parked connection
+    /// therefore holds neither allocation, and steady-state segment
+    /// processing allocates none.
+    lent_segments: Vec<TcpSegment>,
+    lent_events: Vec<ConnEvent>,
+    /// The event vector `finish_entry`'s drain loop trades with the
+    /// connection's queue each round, recycled likewise.
     scratch_events: Vec<ConnEvent>,
-    scratch_segments: Vec<TcpSegment>,
     /// Due `(quad, slot)` pairs of one `on_timer` call, recycled likewise.
     scratch_due: Vec<(Quad, u32)>,
     /// One datagram's run of ack-channel reports, recycled across flushes.
@@ -330,6 +342,11 @@ impl std::fmt::Debug for TcpStack {
 }
 
 impl TcpStack {
+    /// Bytes of one parked connection's record: its state machine,
+    /// application handle and failure detector, before the heap behind its
+    /// buffers. [`TcpStack::conn_memory_bytes`] charges it per connection.
+    pub const CONN_RECORD_BYTES: usize = std::mem::size_of::<ConnEntry>();
+
     /// Creates a stack owning `addr`, with `cfg` as the default connection
     /// configuration.
     pub fn new(addr: IpAddr, cfg: TcpConfig) -> Self {
@@ -360,8 +377,9 @@ impl TcpStack {
             ackchan_pending: BTreeMap::new(),
             ackchan_flush_at: None,
             stats: StackStats::default(),
+            lent_segments: Vec::new(),
+            lent_events: Vec::new(),
             scratch_events: Vec::new(),
-            scratch_segments: Vec::new(),
             scratch_batch: Vec::new(),
             scratch_due: Vec::new(),
             obs: Obs::disabled(),
@@ -384,9 +402,6 @@ impl TcpStack {
         for occ in self.slots.iter_mut().filter_map(|s| s.occ.as_mut()) {
             if let Some(entry) = occ.entry.as_mut() {
                 entry.conn.set_telemetry(self.conn_telemetry.clone());
-                if let Some(d) = entry.detector.as_mut() {
-                    d.set_obs(obs.clone(), occ.quad);
-                }
             }
         }
         self.obs = obs;
@@ -482,12 +497,12 @@ impl TcpStack {
         let mut conn = Connection::connect(quad, Rc::clone(&self.cfg), iss, now);
         conn.set_telemetry(self.conn_telemetry.clone());
         self.span_conn_open(quad, "connect", now);
-        let entry = Box::new(ConnEntry {
+        let entry = ConnEntry {
             conn,
             app,
             detector: None,
-        });
-        self.finish_entry(None, entry, now);
+        };
+        self.finish_new(entry, now);
         Ok(quad)
     }
 
@@ -680,8 +695,7 @@ impl TcpStack {
         }
         due.sort_unstable();
         for &(_, slot) in &due {
-            let occ = self.slots[slot as usize].occ.as_mut();
-            if let Some(mut entry) = occ.and_then(|o| o.entry.take()) {
+            if let Some(mut entry) = self.check_out(slot) {
                 entry.conn.on_tick(now);
                 self.finish_entry(Some(slot), entry, now);
             }
@@ -736,7 +750,30 @@ impl TcpStack {
     /// handed the slot back, parks the connection again or reaps it.
     fn take_conn(&mut self, quad: Quad) -> Option<(u32, Box<ConnEntry>)> {
         let slot = self.lookup_slot(quad)?;
-        Some((slot, self.slots[slot as usize].occ.as_mut()?.entry.take()?))
+        Some((slot, self.check_out(slot)?))
+    }
+
+    /// Checks out the connection parked in `slot`, lending it the queues.
+    fn check_out(&mut self, slot: u32) -> Option<Box<ConnEntry>> {
+        let mut entry = self.slots[slot as usize].occ.as_mut()?.entry.take()?;
+        self.lend_queues(&mut entry);
+        Some(entry)
+    }
+
+    /// Lends the stack's outbox and event queue to a connection about to
+    /// be processed; `finish_entry` takes them back.
+    fn lend_queues(&mut self, entry: &mut ConnEntry) {
+        let segments = std::mem::take(&mut self.lent_segments);
+        let events = std::mem::take(&mut self.lent_events);
+        entry.conn.borrow_queues(segments, events);
+    }
+
+    /// Finishes a just-opened connection's first interaction, as a
+    /// check-out would: lent the queues, then parked in a new slot.
+    fn finish_new(&mut self, entry: ConnEntry, now: SimTime) {
+        let mut entry = Box::new(entry);
+        self.lend_queues(&mut entry);
+        self.finish_entry(None, entry, now);
     }
 
     fn insert_conn(&mut self, quad: Quad, entry: Box<ConnEntry>) -> u32 {
@@ -860,17 +897,12 @@ impl TcpStack {
                 .listeners
                 .get_mut(&seg.dst_port)
                 .expect("listener checked above")(quad);
-            let detector = replication.as_ref().map(|r| {
-                let mut d = FailureDetector::new(r.detector);
-                d.set_obs(self.obs.clone(), quad);
-                d
-            });
-            let entry = Box::new(ConnEntry {
+            let entry = ConnEntry {
                 conn,
                 app,
-                detector,
-            });
-            self.finish_entry(None, entry, now);
+                detector: replication.map(|r| FailureDetector::new(r.detector)),
+            };
+            self.finish_new(entry, now);
             return;
         }
         // No socket. A replica that (re)joined a chain after a connection
@@ -937,22 +969,25 @@ impl TcpStack {
         }
     }
 
-    /// Common post-processing after any interaction with a connection:
-    /// dispatch events to the application, route outgoing segments, reap it
-    /// if closed, else park it in `slot` (`None`: a new slot) and re-arm.
+    /// Common post-processing after any interaction with a checked-out
+    /// connection: dispatch events to the application, take the lent
+    /// queues back, route outgoing segments, reap it if closed, else park
+    /// it in `slot` (`None`: a new slot) and re-arm.
     fn finish_entry(&mut self, slot: Option<u32>, mut entry: Box<ConnEntry>, now: SimTime) {
         let quad = entry.conn.quad();
         // Event/application loop: app actions may produce more events. The
         // iteration cap is a runaway-app backstop; hitting it is counted
         // rather than silently swallowed.
         let mut rounds = 0;
-        // The scratch store is swapped into the connection each round, so
-        // steady-state event dispatch recycles one allocation forever.
+        // Each round the connection's queue trades places with this one, so
+        // callbacks queue into one vector while the loop walks the other.
         let mut events = std::mem::take(&mut self.scratch_events);
         loop {
             rounds += 1;
             if rounds > 64 {
-                self.stats.dropped += entry.conn.take_events().len() as u64;
+                entry.conn.take_events_into(&mut events);
+                self.stats.dropped += events.len() as u64;
+                events.clear();
                 debug_assert!(false, "application event loop did not settle for {quad}");
                 break;
             }
@@ -971,7 +1006,7 @@ impl TcpStack {
                     }
                     ConnEvent::DataReadable => {
                         if let Some(d) = entry.detector.as_mut() {
-                            d.on_progress(now);
+                            d.on_progress(now, &self.obs, quad);
                         }
                         let mut io = SocketIo {
                             conn: &mut entry.conn,
@@ -1001,7 +1036,7 @@ impl TcpStack {
                     }
                     ConnEvent::AckProgress => {
                         if let Some(d) = entry.detector.as_mut() {
-                            d.on_progress(now);
+                            d.on_progress(now, &self.obs, quad);
                         }
                     }
                     ConnEvent::DuplicateData
@@ -1019,7 +1054,7 @@ impl TcpStack {
                         // leaves every client byte acknowledged and no
                         // retransmission ever reaches the estimator).
                         if let Some(d) = entry.detector.as_mut() {
-                            if d.on_duplicate(now) {
+                            if d.on_duplicate(now, &self.obs, quad) {
                                 self.events.push(StackEvent::FailureSuspected {
                                     port: quad.local.port,
                                     quad,
@@ -1032,9 +1067,10 @@ impl TcpStack {
             }
         }
         self.scratch_events = events;
-        // Route outgoing segments (same scratch-recycling discipline).
-        let mut segments = std::mem::take(&mut self.scratch_segments);
-        entry.conn.take_segments_into(&mut segments);
+        // The connection gives the lent queues back before it parks or is
+        // reaped; its outbox still holds the segments to route.
+        let (mut segments, lent_events) = entry.conn.return_queues();
+        self.lent_events = lent_events;
         if !segments.is_empty() {
             let divert = self
                 .replicated
@@ -1074,7 +1110,12 @@ impl TcpStack {
                 }
             }
         }
-        self.scratch_segments = segments;
+        self.lent_segments = segments;
+        debug_assert_eq!(
+            entry.conn.queue_capacity(),
+            0,
+            "{quad} parks holding a queue"
+        );
         if entry.conn.state() == TcpState::Closed {
             // Reaped; events already delivered.
             if let Some(slot) = slot {
@@ -1222,5 +1263,186 @@ impl TcpStack {
             packet.payload.set_lineage(id);
         }
         self.out.push(packet);
+    }
+}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::detector::DetectorParams;
+    use crate::ft::ReplicaMode;
+    use crate::seq::SeqNum;
+
+    const CLIENT: IpAddr = IpAddr::new(10, 0, 1, 1);
+    const SERVICE: IpAddr = IpAddr::new(192, 20, 225, 20);
+    const PRIMARY: IpAddr = IpAddr::new(10, 0, 2, 1);
+    const BACKUP: IpAddr = IpAddr::new(10, 0, 3, 1);
+
+    /// Queue capacity (outbox and events) held by `stack`'s parked
+    /// connections.
+    fn parked_queue_capacity(stack: &TcpStack) -> usize {
+        let entries = stack
+            .slots
+            .iter()
+            .filter_map(|s| s.occ.as_ref()?.entry.as_ref());
+        entries.map(|e| e.conn.queue_capacity()).sum()
+    }
+
+    /// Writes its payload once established.
+    struct Writer(&'static [u8]);
+
+    impl SocketApp for Writer {
+        fn on_established(&mut self, io: &mut SocketIo<'_>) {
+            io.write(self.0);
+        }
+    }
+
+    /// Reads everything, and closes when the peer does.
+    struct Drain;
+
+    impl SocketApp for Drain {
+        fn on_data(&mut self, io: &mut SocketIo<'_>) {
+            io.read_all();
+        }
+
+        fn on_peer_fin(&mut self, io: &mut SocketIo<'_>) {
+            io.close();
+        }
+    }
+
+    /// Runs two directly wired stacks until `until`, checking after every
+    /// call that no parked connection holds a queue. Returns how many
+    /// `on_timer` calls ticked a connection that then stayed parked.
+    fn run_checked(a: &mut TcpStack, b: &mut TcpStack, mut now: SimTime, until: SimTime) -> usize {
+        let mut parked_after_tick = 0;
+        loop {
+            let (to_b, to_a) = (a.take_packets(), b.take_packets());
+            if !(to_a.is_empty() && to_b.is_empty()) {
+                for (to, packets) in [(&mut *a, to_a), (&mut *b, to_b)] {
+                    for packet in packets {
+                        to.handle_packet(packet, now);
+                        assert_eq!(parked_queue_capacity(to), 0);
+                    }
+                }
+                continue;
+            }
+            let next = a.next_deadline().into_iter().chain(b.next_deadline()).min();
+            match next {
+                Some(t) if t <= until => now = t,
+                _ => return parked_after_tick,
+            }
+            for stack in [&mut *a, &mut *b] {
+                let ticks_conn = stack.deadlines.peek().is_some_and(|t| t <= now);
+                if stack.next_deadline().is_some_and(|t| t <= now) {
+                    stack.on_timer(now);
+                    assert_eq!(parked_queue_capacity(stack), 0);
+                    if ticks_conn && stack.conn_count() > 0 {
+                        parked_after_tick += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parked_connections_hold_no_queue_after_a_transfer_and_close() {
+        let mut client = TcpStack::new(CLIENT, TcpConfig::default());
+        let mut server = TcpStack::new(SERVICE, TcpConfig::default());
+        server.listen(80, |_| Box::new(Drain));
+        let remote = SockAddr::new(SERVICE, 80);
+        let quad = client.connect(remote, Box::new(Writer(&[7; 3000])), SimTime::ZERO);
+        let quad = quad.expect("port free");
+        assert_eq!(
+            parked_queue_capacity(&client),
+            0,
+            "a new connection parks bare"
+        );
+        // Slow start sends a lone first segment, whose ACK the server holds
+        // until the delayed-ACK timer ticks the connection; it parks again.
+        let ticked = run_checked(
+            &mut client,
+            &mut server,
+            SimTime::ZERO,
+            SimTime::from_secs(1),
+        );
+        assert!(ticked > 0, "no timer tick left a connection parked");
+        assert_eq!(server.conn_count(), 1);
+        let conn = server.conn(quad.flipped()).expect("server side");
+        assert_eq!(conn.bytes_acked(), 0);
+        assert_eq!(client.conn(quad).map(Connection::bytes_acked), Some(3000));
+        client.with_io(quad, SimTime::from_secs(1), |io| io.close());
+        let end = SimTime::from_secs(100);
+        run_checked(&mut client, &mut server, SimTime::from_secs(1), end);
+        assert_eq!(
+            client.conn_count() + server.conn_count(),
+            0,
+            "TIME-WAIT ended"
+        );
+    }
+
+    /// A client segment to `SERVICE:80` from port `port`.
+    fn from_client(port: u16, seq: SeqNum, ack: SeqNum, flags: TcpFlags, data: &[u8]) -> IpPacket {
+        let seg = TcpSegment {
+            src_port: port,
+            dst_port: 80,
+            seq,
+            ack,
+            flags,
+            window: u16::MAX,
+            payload: PacketBuf::from(data.to_vec()),
+        };
+        IpPacket::new(CLIENT, SERVICE, Protocol::TCP, seg.into_wire())
+    }
+
+    /// Reports from more connections than one flush carries, all inside
+    /// one flush window: the batch never holds more than a frame's worth,
+    /// and every report leaves, in datagrams of at most that many pairs.
+    #[test]
+    fn ackchan_pending_is_flushed_at_the_pair_limit() {
+        let mut backup = TcpStack::new(BACKUP, TcpConfig::default());
+        backup.add_local_addr(SERVICE);
+        backup.listen(80, |_| Box::new(NullApp));
+        let port_cfg = ReplicatedPortConfig {
+            mode: ReplicaMode::Backup { index: 1 },
+            predecessor: Some(PRIMARY),
+            has_successor: false,
+            detector: DetectorParams::DEFAULT,
+        };
+        backup.setportopt(80, port_cfg, SimTime::ZERO);
+        let conns = ACKCHAN_FLUSH_PAIRS as u16 + 8;
+        let ports = 40_000..40_000 + conns;
+        let client_iss = SeqNum::new(1_000);
+        for port in ports.clone() {
+            let iss = deterministic_iss(Quad::new(
+                SockAddr::new(SERVICE, 80),
+                SockAddr::new(CLIENT, port),
+            ));
+            let syn = from_client(port, client_iss, SeqNum::new(0), TcpFlags::SYN, b"");
+            backup.handle_packet(syn, SimTime::ZERO);
+            let ack = from_client(port, client_iss + 1, iss + 1, TcpFlags::ACK, b"");
+            backup.handle_packet(ack, SimTime::ZERO);
+        }
+        assert_eq!(backup.conn_count(), usize::from(conns));
+        backup.take_packets(); // the handshakes' reports
+        let at = SimTime::from_millis(10);
+        for port in ports {
+            let iss = deterministic_iss(Quad::new(
+                SockAddr::new(SERVICE, 80),
+                SockAddr::new(CLIENT, port),
+            ));
+            let data = from_client(port, client_iss + 1, iss + 1, TcpFlags::ACK, b"data");
+            backup.handle_packet(data, at);
+            assert!(backup.ackchan_pending.len() <= ACKCHAN_FLUSH_PAIRS);
+        }
+        backup.on_timer(at + ACKCHAN_FLUSH_DELAY);
+        assert!(backup.ackchan_pending.is_empty());
+        let mut pairs = Vec::new();
+        for packet in backup.take_packets() {
+            assert_eq!(packet.dst(), PRIMARY);
+            let dgram = UdpDatagram::decode(&packet.payload).expect("a datagram");
+            let n = AckChanMsg::decode_each(&dgram.payload, |m| pairs.push(m.client.port));
+            assert!(n.expect("a frame") <= ACKCHAN_FLUSH_PAIRS);
+        }
+        pairs.sort_unstable();
+        assert_eq!(pairs, (40_000..40_000 + conns).collect::<Vec<_>>());
     }
 }
