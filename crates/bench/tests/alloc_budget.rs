@@ -2,29 +2,37 @@
 //! buffer, allocated where its bytes first exist, and no later hop, header
 //! or tunnel allocates another.
 //!
-//! The file installs its own counting allocator. Counts are kept per
-//! thread, so tests running in parallel cannot add to each other's.
+//! The file installs its own counting allocator. It counts allocator calls
+//! and tracks live and peak-live requested bytes, all per thread, so tests
+//! running in parallel cannot add to each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use hydranet_bench::fig4::{run_point, Fig4Config, Fig4Params};
-use hydranet_bench::scale::{aggregate_bytes_per_flow, run_scale, ScaleConfig};
+use hydranet_bench::scale::{aggregate_bytes_per_flow, run_cell, run_scale, ScaleConfig};
 use hydranet_netsim::buf::PacketBuf;
 use hydranet_netsim::link::LinkParams;
 use hydranet_netsim::node::{Context, IfaceId, Node, NodeId, NodeParams};
 use hydranet_netsim::packet::{IpAddr, IpPacket, Protocol, IP_HEADER_LEN};
 use hydranet_netsim::routing::{Prefix, RouterNode};
-use hydranet_netsim::time::SimDuration;
+use hydranet_netsim::time::{SimDuration, SimTime};
 use hydranet_netsim::topology::TopologyBuilder;
 use hydranet_tcp::buffer::{Offer, RecvBuffer};
+use hydranet_tcp::conn::TcpConfig;
+use hydranet_tcp::segment::SockAddr;
 use hydranet_tcp::seq::SeqNum;
-use hydranet_tcp::stack::TcpStack;
+use hydranet_tcp::stack::{SocketApp, TcpStack};
 
 thread_local! {
     /// Allocator calls (alloc, zeroed alloc, realloc) made on this thread.
     /// Const-initialised with no destructor, so touching it never allocates.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Requested bytes allocated and not yet freed on this thread. Signed:
+    /// a block another thread allocated may be freed here.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` has reached since `peak_heap` last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn bump() {
@@ -32,18 +40,36 @@ fn bump() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
+/// Moves this thread's live byte count by `delta`, raising its peak.
+fn track(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+/// `size` as a signed byte count.
+fn bytes(size: usize) -> i64 {
+    i64::try_from(size).expect("allocation larger than i64::MAX bytes")
+}
+
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter never touches the memory.
+// upholds the `GlobalAlloc` contract; the counters never touch the memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();
         // SAFETY: the caller's obligations are exactly `System::alloc`'s.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            track(bytes(layout.size()));
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-bytes(layout.size()));
         // SAFETY: `ptr` came from `System` through this shim with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -51,13 +77,21 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         bump();
         // SAFETY: the caller's obligations are exactly `System::alloc_zeroed`'s.
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            track(bytes(layout.size()));
+        }
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump();
         // SAFETY: `ptr` came from `System` through this shim with `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            track(bytes(new_size) - bytes(layout.size()));
+        }
+        moved
     }
 }
 
@@ -69,6 +103,19 @@ fn count<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCS.with(Cell::get);
     let r = f();
     (r, ALLOCS.with(Cell::get) - before)
+}
+
+/// Runs `f` and returns its result with the most requested bytes it held
+/// live at once on this thread, above what was live when it started.
+fn peak_heap<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    let r = f();
+    let peak = PEAK.with(Cell::get) - base;
+    (
+        r,
+        u64::try_from(peak).expect("the peak is at least the base"),
+    )
 }
 
 #[test]
@@ -167,18 +214,19 @@ fn fig4_primary_backup(write: usize) -> (u64, u64) {
 }
 
 /// Allocations per simulator event of the 512-byte transfer. Measured
-/// 0.3529 (1,156 allocations over 3,276 events) since a received run is
-/// held inline until a second one arrives, down from 0.3935 (1,289) when
-/// every run took a deque slot, 0.4255 (1,394) when a gated replica copied
-/// each held segment into a staging tree and then again into a readable
-/// ring, and 0.981 (3,214) before each packet owned one buffer. The bound
+/// 0.3523 (1,154 allocations over 3,276 events) since a connection queues
+/// its SYN or SYN-ACK straight into its stack's queue, down from 0.3529
+/// (1,156) when each opened connection allocated an outbox of its own,
+/// 0.3935 (1,289) when every received run took a deque slot, 0.4255
+/// (1,394) when a gated replica copied each held segment into a staging
+/// tree and then again into a readable ring, and 0.981 (3,214) before each packet owned one buffer. The bound
 /// leaves 5 % above the measured value for drift in set-up code, so one
 /// more allocation per client data segment breaks it (with no room for the
 /// IP header in the send buffer's copy, the redirector copies each segment
 /// again).
 #[test]
 fn fig4_primary_backup_allocations_per_event_stay_bounded() {
-    const BOUND: f64 = 0.371;
+    const BOUND: f64 = 0.370;
     let (allocs, events) = fig4_primary_backup(512);
     let per_event = allocs as f64 / events as f64;
     assert!(
@@ -239,15 +287,16 @@ fn held_segments_are_views_not_copies() {
 }
 
 /// Per-connection memory of the tiny scale run (what `bytes_per_flow`
-/// reports), bounded at 2 % above the measured 1,206 B. A parked
-/// connection costs its record (`TcpStack::CONN_RECORD_BYTES`, printed
-/// with it) and the heap behind its buffers, and nothing it needs only
-/// while the stack processes it: before the stack lent its outbox and
-/// event queue at check-out and the record shrank 704 → 584 B, this read
-/// 1,645.
+/// reports), bounded at 2 % above the measured 542 B. A parked connection
+/// costs its record (`TcpStack::CONN_RECORD_BYTES`, printed with it), its
+/// slab slot and the heap behind its buffers, and nothing it needs only
+/// while the stack processes it. This read 1,645 before the stack lent its
+/// outbox and event queue at check-out and the record shrank 704 → 584 B,
+/// and 1,206 before the record lost its queues and test-only counters
+/// (584 → 440 B) and stopped being charged twice.
 #[test]
 fn scale_tiny_bytes_per_conn_stay_bounded() {
-    const MEASURED: u64 = 1_206;
+    const MEASURED: u64 = 542;
     let per_conn = aggregate_bytes_per_flow(&run_scale(&ScaleConfig::tiny(), 1));
     println!(
         "scale tiny: {per_conn} B/conn, connection record {} B",
@@ -257,4 +306,59 @@ fn scale_tiny_bytes_per_conn_stay_bounded() {
         per_conn <= MEASURED * 102 / 100,
         "{per_conn} B/conn (measured {MEASURED}, bound +2 %)"
     );
+}
+
+/// Peak live heap of one many-flow cell, per connection the client holds
+/// at peak: every byte the run requests (simulator, redirector, both
+/// replicas' stacks, applications), sampled by this file's allocator, so
+/// the figure is the same on every host. Bounded at 2 % above the
+/// measured 2,970 B (3,426 before the record shrank 584 → 440 B); printed
+/// for the log.
+#[test]
+fn scale_peak_heap_per_conn_stays_bounded() {
+    const MEASURED: u64 = 2_970;
+    let cfg = ScaleConfig {
+        cells: 1,
+        flows_per_cell: 1_000,
+        ..ScaleConfig::smoke()
+    };
+    let (cell, peak) = peak_heap(|| run_cell(&cfg, cfg.base_seed));
+    let held = cell.client_conns_at_sample;
+    assert!(held >= 1_000, "only {held} flows held");
+    let per_conn = peak / held;
+    println!("scale 1 x 1,000 flows: peak live heap {peak} B, {per_conn} B per held connection");
+    assert!(
+        per_conn <= MEASURED * 102 / 100,
+        "{per_conn} B/conn (measured {MEASURED}, bound +2 %)"
+    );
+}
+
+/// An application with state, so its box is a real allocation.
+struct Held(#[allow(dead_code)] u64);
+
+impl SocketApp for Held {}
+
+/// On a warmed stack, a connect allocates the connection's record box, the
+/// application's box and the SYN's one packet buffer: the SYN goes
+/// straight into the stack's queue. Each connect also allocated and freed
+/// an outbox of its own before connections wrote into their stack's
+/// queues.
+#[test]
+fn a_connect_allocates_its_record_app_and_syn() {
+    let mut stack = TcpStack::new(IpAddr::new(10, 0, 1, 1), TcpConfig::default());
+    let remote = SockAddr::new(IpAddr::new(10, 0, 2, 1), 80);
+    let mut packets = Vec::new();
+    let mut connect = |stack: &mut TcpStack| {
+        let quad = stack.connect(remote, Box::new(Held(0)), SimTime::ZERO);
+        stack.take_packets_into(&mut packets);
+        quad.expect("a free port")
+    };
+    // Warm the slab, demux, deadline heap and queues: a close in SYN-SENT
+    // reaps the connection at once, freeing its slot for the next.
+    for _ in 0..8 {
+        let quad = connect(&mut stack);
+        stack.with_io(quad, SimTime::ZERO, |io| io.close());
+    }
+    let (_, allocs) = count(|| connect(&mut stack));
+    assert_eq!(allocs, 3, "record, app and SYN; got {allocs} allocations");
 }

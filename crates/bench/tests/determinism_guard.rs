@@ -336,9 +336,15 @@ fn chaos_soak_is_thread_count_invariant_and_pinned() {
 /// shrank (`ConnEntry` 704 → 584 B, `Connection` 600 → 512 B): of every
 /// report field only `bytes_per_flow` and its histogram 1631 → 1193,
 /// `per_flow_client_bytes` 1631 → 1193 and `primary_conn_bytes`
-/// 653,712 / 653,712 → 478,808 / 478,808 moved.
+/// 653,712 / 653,712 → 478,808 / 478,808 moved. Re-pinned when the record
+/// lost its queues and test-only counters (`ConnEntry` 584 → 440 B, the
+/// slab slot 48 → 40 B) and `conn_memory_bytes` stopped charging each
+/// parked connection's `Connection` twice: of every report field only
+/// `bytes_per_flow` and its histogram 1206 → 542 (bucket 2048 → 1024),
+/// `per_flow_client_bytes` 1206 → 542 and `primary_conn_bytes`
+/// 73,572 / 73,572 → 33,044 / 33,044 moved.
 const PINNED_SCALE: &str =
-    "scale fp=0x4a36da6216cb6248 flows=120 completed=120 peak=120 events=25816";
+    "scale fp=0x463d7be58b275949 flows=120 completed=120 peak=120 events=25816";
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut acc = 0xcbf2_9ce4_8422_2325u64;

@@ -96,7 +96,7 @@ fn finish_ttcp(
     let (client_retransmits, client_segments) = client_host
         .stack()
         .conn(quad)
-        .map(|c| (c.retransmit_count(), c.segments_sent()))
+        .map(|c| (c.retransmit_count(), u64::from(c.segments_sent())))
         .unwrap_or((0, 0));
     TtcpResult {
         bytes_received: bytes,

@@ -1,7 +1,7 @@
 //! "A form of reliable UDP" (§4.4): acknowledged, retransmitted,
 //! duplicate-suppressed message exchange for the management daemons.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use hydranet_netsim::packet::IpAddr;
 use hydranet_netsim::time::{SimDuration, SimTime};
@@ -15,7 +15,9 @@ pub type Outgoing = (IpAddr, Vec<u8>);
 #[derive(Debug)]
 pub struct ReliableEndpoint {
     next_id: u64,
-    pending: Vec<Pending>,
+    /// Unacknowledged reliable sends, oldest first; at most
+    /// [`MAX_PENDING`].
+    pending: VecDeque<Pending>,
     /// Recently seen `(peer, id)` pairs for duplicate suppression.
     seen: HashMap<(IpAddr, u64), SimTime>,
     seen_ttl: SimDuration,
@@ -25,6 +27,9 @@ pub struct ReliableEndpoint {
     seen_sweep_at: usize,
     /// Reliable sends abandoned after [`DEFAULT_MAX_ATTEMPTS`] (diagnostics).
     abandoned: u64,
+    /// Reliable sends evicted unacknowledged to keep `pending` within
+    /// [`MAX_PENDING`] (diagnostics).
+    evicted: u64,
 }
 
 #[derive(Debug)]
@@ -42,6 +47,13 @@ pub const DEFAULT_RETRY_INTERVAL: SimDuration = SimDuration::from_millis(250);
 /// Transmissions of a reliable send before it is abandoned.
 pub const DEFAULT_MAX_ATTEMPTS: u32 = 8;
 
+/// Unacknowledged reliable sends one endpoint keeps retransmitting. A send
+/// past the cap evicts the oldest, which gets no more retransmissions. A
+/// daemon keeps a handful in flight (registrations, probes, reports), so
+/// the cap only binds when a peer stays silent through a send storm, and
+/// then bounds the memory and the per-poll scan.
+pub const MAX_PENDING: usize = 1024;
+
 /// The duplicate filter is not swept while it holds at most this many pairs.
 const SEEN_SWEEP_MIN: usize = 1024;
 
@@ -51,11 +63,12 @@ impl ReliableEndpoint {
     pub fn new() -> Self {
         ReliableEndpoint {
             next_id: 1,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             seen: HashMap::new(),
             seen_ttl: SimDuration::from_secs(120),
             seen_sweep_at: SEEN_SWEEP_MIN,
             abandoned: 0,
+            evicted: 0,
         }
     }
 
@@ -67,8 +80,9 @@ impl ReliableEndpoint {
         self
     }
 
-    /// Sends `msg` reliably to `dst`: it is retransmitted until acked.
-    /// Returns the datagram to transmit now.
+    /// Sends `msg` reliably to `dst`: it is retransmitted until acked, or
+    /// until [`MAX_PENDING`] newer sends evict it. Returns the datagram to
+    /// transmit now.
     pub fn send_reliable(&mut self, dst: IpAddr, msg: MgmtMsg, now: SimTime) -> Outgoing {
         let id = self.next_id;
         self.next_id += 1;
@@ -78,7 +92,11 @@ impl ReliableEndpoint {
             msg,
         }
         .encode();
-        self.pending.push(Pending {
+        if self.pending.len() == MAX_PENDING {
+            self.pending.pop_front();
+            self.evicted += 1;
+        }
+        self.pending.push_back(Pending {
             id,
             dst,
             bytes: bytes.clone(),
@@ -167,6 +185,12 @@ impl ReliableEndpoint {
         self.abandoned
     }
 
+    /// Reliable sends evicted unacknowledged by newer ones at
+    /// [`MAX_PENDING`].
+    pub fn evicted(&self) -> u64 {
+        self.evicted
+    }
+
     fn gc_seen(&mut self, now: SimTime) {
         if self.seen.len() > self.seen_sweep_at {
             let ttl = self.seen_ttl;
@@ -226,6 +250,27 @@ mod tests {
         assert_eq!(total, DEFAULT_MAX_ATTEMPTS as usize);
         assert_eq!(ep.pending_count(), 0);
         assert_eq!(ep.abandoned(), 1);
+    }
+
+    /// Sends past the cap with no ack: the table stays at the cap, each
+    /// overflowing send evicts the oldest and is counted, and the newest
+    /// sends are the ones still retransmitted.
+    #[test]
+    fn pending_is_capped_by_evicting_the_oldest() {
+        const OVERFLOW: usize = 300;
+        let mut ep = ReliableEndpoint::new();
+        let mut sent = Vec::new();
+        for i in 0..MAX_PENDING + OVERFLOW {
+            let (_, bytes) = ep.send_reliable(PEER, probe(i as u64), SimTime::ZERO);
+            sent.push(bytes);
+            assert!(ep.pending_count() <= MAX_PENDING);
+        }
+        assert_eq!(ep.pending_count(), MAX_PENDING);
+        assert_eq!(ep.evicted(), OVERFLOW as u64);
+        let retx = ep.poll(SimTime::ZERO + DEFAULT_RETRY_INTERVAL);
+        let retx: Vec<Vec<u8>> = retx.into_iter().map(|(_, bytes)| bytes).collect();
+        assert_eq!(retx, sent[OVERFLOW..], "the newest sends, in send order");
+        assert_eq!(ep.abandoned(), 0);
     }
 
     #[test]

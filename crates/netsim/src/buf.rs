@@ -84,9 +84,10 @@ pub struct PacketBuf {
     lineage: u64,
 }
 
-// `Connection::memory_bytes` charges `size_of::<TcpSegment>()` per queued
-// segment and the `PINNED_SCALE` fingerprint covers that charge: a wider
-// handle (`usize` offset and length make it 40 bytes) would move the pin.
+// A run list holds a lone run's handle inline, so every TCP connection
+// record carries one and the `PINNED_SCALE` fingerprint covers its size: a
+// wider handle (`usize` offset and length make it 40 bytes) would move the
+// pin.
 const _: () = assert!(std::mem::size_of::<PacketBuf>() == 32);
 
 thread_local! {

@@ -328,8 +328,8 @@ fn chain_engine() -> RedirectorEngine {
 /// Returns the segment (over a separate copy of the payload, so the wire
 /// buffer stays uniquely held) and the packet.
 fn client_packet(payload: &[u8]) -> (TcpSegment, IpPacket) {
-    let mut sendbuf = SendBuffer::new(SeqNum::new(1), 4096);
-    sendbuf.write(payload);
+    let mut sendbuf = SendBuffer::new(SeqNum::new(1));
+    sendbuf.write(payload, 4096);
     let segment = |payload| TcpSegment {
         src_port: 40_000,
         dst_port: 80,

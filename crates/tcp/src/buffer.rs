@@ -54,29 +54,29 @@ fn ring_range(q: &VecDeque<u8>, start: usize, end: usize) -> (&[u8], &[u8]) {
 
 /// Bytes accepted from the application, awaiting transmission and
 /// acknowledgement. The buffer's base tracks the lowest unacknowledged
-/// sequence number.
+/// sequence number. Its capacity is the owner's configured send-buffer
+/// size, passed to the calls that need it rather than copied into every
+/// buffer.
 #[derive(Debug, Clone)]
 pub struct SendBuffer {
     base: SeqNum,
     data: VecDeque<u8>,
-    capacity: usize,
 }
 
 impl SendBuffer {
     /// Creates a buffer whose first byte will carry sequence number `base`.
-    pub fn new(base: SeqNum, capacity: usize) -> Self {
+    pub fn new(base: SeqNum) -> Self {
         SendBuffer {
             base,
             data: VecDeque::new(),
-            capacity,
         }
     }
 
-    /// Appends as much of `data` as fits; returns the number of bytes taken.
-    pub fn write(&mut self, data: &[u8]) -> usize {
-        let room = self.capacity.saturating_sub(self.data.len());
-        let take = room.min(data.len());
-        reserve_bounded(&mut self.data, take, self.capacity);
+    /// Appends as much of `data` as fits in `capacity` bytes; returns the
+    /// number of bytes taken.
+    pub fn write(&mut self, data: &[u8], capacity: usize) -> usize {
+        let take = self.room(capacity).min(data.len());
+        reserve_bounded(&mut self.data, take, capacity);
         self.data.extend(&data[..take]);
         take
     }
@@ -101,9 +101,9 @@ impl SendBuffer {
         self.data.is_empty()
     }
 
-    /// Free space in bytes.
-    pub fn room(&self) -> usize {
-        self.capacity.saturating_sub(self.data.len())
+    /// Free space in bytes, out of `capacity`.
+    pub fn room(&self, capacity: usize) -> usize {
+        capacity.saturating_sub(self.data.len())
     }
 
     /// Releases bytes acknowledged up to (not including) `upto`.
@@ -163,6 +163,10 @@ pub enum Offer {
     PastWindow,
 }
 
+/// The deposit limit of an ungated receive buffer. A stream offset never
+/// reaches it: the offsets count received bytes from 0.
+const UNGATED: u64 = u64::MAX;
+
 /// Receive-side reassembly buffer with a deposit gate: one run list holding
 /// every byte from the first unread one on, and two cursors into it.
 #[derive(Debug, Clone)]
@@ -176,9 +180,9 @@ pub struct RecvBuffer {
     /// Stream offset of the first unread byte, where the list begins.
     read_off: u64,
     /// Deposit gate: bytes with stream offset `< limit` may be deposited.
-    /// `None` means ungated (plain TCP, or the last replica in a
-    /// HydraNet-FT chain).
-    deposit_limit: Option<u64>,
+    /// [`UNGATED`] (plain TCP, or the last replica in a HydraNet-FT chain)
+    /// lets every byte through.
+    deposit_limit: u64,
     runs: RunList,
     /// The configured buffer size; `u32` packs beside `nxt_seq`.
     capacity: u32,
@@ -195,7 +199,7 @@ impl RecvBuffer {
             nxt_seq: nxt,
             nxt_off: 0,
             read_off: 0,
-            deposit_limit: None,
+            deposit_limit: UNGATED,
             runs: RunList::default(),
             capacity: u32::try_from(capacity).expect("receive buffer larger than 4 GiB"),
         }
@@ -228,26 +232,30 @@ impl RecvBuffer {
     /// ever moves forward.
     pub fn gate_deposits_below(&mut self, upto: SeqNum) {
         let limit = self.seq_to_off(upto).max(self.nxt_off);
-        self.deposit_limit = Some(self.deposit_limit.map_or(limit, |old| old.max(limit)));
+        if self.is_gated() {
+            self.deposit_limit = self.deposit_limit.max(limit);
+        } else {
+            self.deposit_limit = limit;
+        }
     }
 
     /// Enables gating with nothing yet permitted (used when a replica port
     /// gains a successor).
     pub fn enable_gate(&mut self) {
-        if self.deposit_limit.is_none() {
-            self.deposit_limit = Some(self.nxt_off);
+        if !self.is_gated() {
+            self.deposit_limit = self.nxt_off;
         }
     }
 
     /// Removes the deposit gate entirely (plain TCP behaviour, or a replica
     /// that became the last in its chain).
     pub fn clear_gate(&mut self) {
-        self.deposit_limit = None;
+        self.deposit_limit = UNGATED;
     }
 
     /// Whether a deposit gate is active.
     pub fn is_gated(&self) -> bool {
-        self.deposit_limit.is_some()
+        self.deposit_limit != UNGATED
     }
 
     /// Offers a segment's payload, starting at `seq`, and keeps a view of
@@ -287,8 +295,7 @@ impl RecvBuffer {
     /// Moves `RCV.NXT` over the held bytes that are contiguous with it and
     /// below the deposit gate. Returns `true` if it advanced.
     pub fn deposit(&mut self) -> bool {
-        let limit = self.deposit_limit.unwrap_or(u64::MAX);
-        let end = self.runs.contiguous_end(self.nxt_off, limit);
+        let end = self.runs.contiguous_end(self.nxt_off, self.deposit_limit);
         let n = end - self.nxt_off;
         self.nxt_off = end;
         self.nxt_seq += n as u32;
@@ -305,10 +312,7 @@ impl RecvBuffer {
     /// no bytes — is gated: the successor's acknowledgement must pass the
     /// FIN slot before we consume it.
     pub fn gate_allows_one_more(&self) -> bool {
-        match self.deposit_limit {
-            None => true,
-            Some(limit) => limit > self.nxt_off,
-        }
+        self.deposit_limit > self.nxt_off
     }
 
     /// Consumes one sequence slot that carries no data (a peer FIN),
@@ -340,11 +344,11 @@ mod tests {
 
     #[test]
     fn send_buffer_write_and_ack() {
-        let mut sb = SendBuffer::new(SeqNum::new(1000), 16);
-        assert_eq!(sb.write(b"hello world"), 11);
-        assert_eq!(sb.write(b"overflowing!!"), 5); // only 5 fit
+        let mut sb = SendBuffer::new(SeqNum::new(1000));
+        assert_eq!(sb.write(b"hello world", 16), 11);
+        assert_eq!(sb.write(b"overflowing!!", 16), 5); // only 5 fit
         assert_eq!(sb.len(), 16);
-        assert_eq!(sb.room(), 0);
+        assert_eq!(sb.room(16), 0);
         assert_eq!(sb.end(), SeqNum::new(1016));
         sb.ack_to(SeqNum::new(1006));
         assert_eq!(sb.base(), SeqNum::new(1006));
@@ -356,8 +360,8 @@ mod tests {
 
     #[test]
     fn send_buffer_slice() {
-        let mut sb = SendBuffer::new(SeqNum::new(10), 64);
-        sb.write(b"abcdefghij");
+        let mut sb = SendBuffer::new(SeqNum::new(10));
+        sb.write(b"abcdefghij", 64);
         assert_eq!(&sb.slice(SeqNum::new(10), 4)[..], b"abcd");
         assert_eq!(&sb.slice(SeqNum::new(14), 100)[..], b"efghij");
         assert!(sb.slice(SeqNum::new(9), 4).is_empty());
@@ -374,8 +378,8 @@ mod tests {
     #[test]
     fn send_buffer_across_wrap() {
         let base = SeqNum::new(u32::MAX - 3);
-        let mut sb = SendBuffer::new(base, 64);
-        sb.write(b"12345678");
+        let mut sb = SendBuffer::new(base);
+        sb.write(b"12345678", 64);
         assert_eq!(sb.end(), SeqNum::new(4));
         assert_eq!(&sb.slice(base + 6, 2)[..], b"78");
         sb.ack_to(SeqNum::new(2)); // past the wrap
@@ -582,9 +586,9 @@ mod tests {
 
     #[test]
     fn send_buffer_releases_backing_when_drained() {
-        let mut sb = SendBuffer::new(SeqNum::new(0), 8192);
+        let mut sb = SendBuffer::new(SeqNum::new(0));
         assert_eq!(sb.heap_bytes(), 0, "buffers grow on demand from zero");
-        sb.write(&[7u8; 8192]);
+        sb.write(&[7u8; 8192], 8192);
         // Growth is bounded by the configured capacity, not the allocator's
         // doubling overshoot.
         assert!(sb.heap_bytes() >= 8192);
@@ -593,11 +597,11 @@ mod tests {
         assert_eq!(sb.heap_bytes(), 0, "drained bulk ring is released");
         // A small buffer keeps its allocation across drain/refill cycles, so
         // 16 B request/response flows do not churn the allocator.
-        let mut small = SendBuffer::new(SeqNum::new(0), 64);
-        small.write(&[1u8; 16]);
+        let mut small = SendBuffer::new(SeqNum::new(0));
+        small.write(&[1u8; 16], 64);
         small.ack_to(SeqNum::new(16));
         assert!(small.heap_bytes() > 0);
-        assert_eq!(small.write(b"again"), 5);
+        assert_eq!(small.write(b"again", 64), 5);
     }
 
     #[test]
@@ -683,13 +687,13 @@ mod tests {
     #[test]
     fn send_slice_matches_bytewise_reference_across_wrap() {
         let mut rng = SimRng::seed_from(0x511ce);
-        let mut sb = SendBuffer::new(SeqNum::new(u32::MAX - 500), 96);
+        let mut sb = SendBuffer::new(SeqNum::new(u32::MAX - 500));
         let (mut written, mut wrapped) = (0u64, 0);
         for _ in 0..2000 {
             let chunk: Vec<u8> = (written..written + rng.range(1, 60))
                 .map(|i| (i % 253) as u8)
                 .collect();
-            written += sb.write(&chunk) as u64;
+            written += sb.write(&chunk, 96) as u64;
             let start = rng.range(0, sb.len() as u64 + 1) as usize;
             let len = rng.range(0, 80) as usize;
             let end = (start + len).min(sb.len());

@@ -22,8 +22,7 @@ pub struct CongestionControl {
     /// Bytes of cwnd credit accumulated toward the next +MSS in congestion
     /// avoidance.
     avoid_acc: u32,
-    fast_recoveries: u64,
-    timeouts: u64,
+    fast_recoveries: u32,
 }
 
 impl CongestionControl {
@@ -44,7 +43,6 @@ impl CongestionControl {
             in_fast_recovery: false,
             avoid_acc: 0,
             fast_recoveries: 0,
-            timeouts: 0,
         }
     }
 
@@ -118,7 +116,7 @@ impl CongestionControl {
         self.cwnd = self.ssthresh + DUPACK_THRESHOLD * self.mss;
         self.in_fast_recovery = true;
         self.avoid_acc = 0;
-        self.fast_recoveries += 1;
+        self.fast_recoveries = self.fast_recoveries.saturating_add(1);
     }
 
     /// Handles a retransmission timeout: collapse to one MSS and restart in
@@ -129,17 +127,11 @@ impl CongestionControl {
         self.dup_acks = 0;
         self.in_fast_recovery = false;
         self.avoid_acc = 0;
-        self.timeouts += 1;
     }
 
-    /// Fast-recovery episodes entered so far (telemetry).
-    pub fn fast_recoveries(&self) -> u64 {
+    /// Fast-recovery episodes entered so far (telemetry; saturating).
+    pub fn fast_recoveries(&self) -> u32 {
         self.fast_recoveries
-    }
-
-    /// Window collapses from retransmission timeouts so far (telemetry).
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts
     }
 }
 
@@ -230,7 +222,6 @@ mod tests {
         assert_eq!(cc.ssthresh(), cwnd / 2);
         assert!(cc.in_slow_start());
         assert_eq!(cc.dup_acks(), 0);
-        assert_eq!(cc.timeouts(), 1);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! [`Connection`] is a sans-I/O state machine: the owning stack feeds it
 //! segments ([`Connection::on_segment`]) and clock ticks
 //! ([`Connection::on_tick`]), the application reads/writes through it, and
-//! it queues outgoing segments ([`Connection::take_segments`]) and
-//! application events ([`Connection::take_events`]).
+//! every call that can produce output queues its outgoing segments and
+//! application events into the caller's [`ConnQueues`]. The connection
+//! keeps no queue of its own, so a parked one holds none.
 //!
 //! HydraNet-FT hooks: the *deposit gate* (receive side) and *send gate*
 //! (transmit side) implement the paper's §4.3 synchronisation rules. Both
@@ -134,21 +135,33 @@ pub enum ConnEvent {
     GateStarved,
 }
 
+/// Where a connection call queues its output: the segments to transmit
+/// and the events for the application, in order. The caller owns both
+/// vectors and drains them after the call; the owning stack passes the
+/// same pair to every connection it processes.
+#[derive(Debug, Default)]
+pub struct ConnQueues {
+    /// Outgoing segments.
+    pub segments: Vec<TcpSegment>,
+    /// Application events.
+    pub events: Vec<ConnEvent>,
+}
+
 /// An optional instant in 8 bytes where `Option<SimTime>` takes 16:
 /// `u64::MAX` nanoseconds (585 years of simulated time) stands for unset,
 /// so unset also sorts after every set instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct OptTime(u64);
+pub(crate) struct OptTime(u64);
 
 impl OptTime {
-    const NONE: OptTime = OptTime(u64::MAX);
+    pub(crate) const NONE: OptTime = OptTime(u64::MAX);
 
-    fn some(t: SimTime) -> OptTime {
+    pub(crate) fn some(t: SimTime) -> OptTime {
         debug_assert!(t != SimTime::MAX, "SimTime::MAX reads as unset");
         OptTime(t.as_nanos())
     }
 
-    fn get(self) -> Option<SimTime> {
+    pub(crate) fn get(self) -> Option<SimTime> {
         (self != OptTime::NONE).then_some(SimTime::from_nanos(self.0))
     }
 
@@ -156,8 +169,46 @@ impl OptTime {
         self == OptTime::NONE
     }
 
-    fn take(&mut self) -> Option<SimTime> {
+    pub(crate) fn take(&mut self) -> Option<SimTime> {
         std::mem::replace(self, OptTime::NONE).get()
+    }
+}
+
+impl From<Option<SimTime>> for OptTime {
+    fn from(t: Option<SimTime>) -> OptTime {
+        t.map_or(OptTime::NONE, OptTime::some)
+    }
+}
+
+/// An optional sequence slot in 5 bytes of alignment 1 where
+/// `Option<SeqNum>` takes 8 of alignment 4: every `u32` is a valid slot,
+/// so there is no sentinel, but the flag and the byte-array slot pack
+/// beside the record's other one-byte fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OptSeq {
+    set: bool,
+    raw: [u8; 4],
+}
+
+impl OptSeq {
+    const NONE: OptSeq = OptSeq {
+        set: false,
+        raw: [0; 4],
+    };
+
+    fn some(seq: SeqNum) -> OptSeq {
+        OptSeq {
+            set: true,
+            raw: seq.raw().to_ne_bytes(),
+        }
+    }
+
+    fn get(self) -> Option<SeqNum> {
+        self.set.then(|| SeqNum::new(u32::from_ne_bytes(self.raw)))
+    }
+
+    fn is_none(self) -> bool {
+        !self.set
     }
 }
 
@@ -219,20 +270,20 @@ pub struct Connection {
     /// App called close: a FIN should follow the buffered data.
     fin_queued: bool,
     /// Sequence slot our FIN occupies once reserved.
-    fin_seq: Option<SeqNum>,
+    fin_seq: OptSeq,
     /// Peer FIN slot awaiting in-order processing (it may arrive before all
     /// data, or be held back by the deposit gate).
-    peer_fin: Option<SeqNum>,
+    peer_fin: OptSeq,
     peer_fin_processed: bool,
 
     /// ft-TCP send gate: the chain successor's send progress — only slots
-    /// before it may go out; `None` when ungated. Set at accept, then only
+    /// before it may go out; unset when ungated. Set at accept, then only
     /// ever raised or removed.
-    send_gate: Option<SeqNum>,
+    send_gate: OptSeq,
     /// Starvation watchdog for the send gate: armed while the gate blocks
     /// ready work, fires [`ConnEvent::GateStarved`] once per RTO of stall.
     gate_starved_deadline: OptTime,
-    gate_starved_count: u64,
+    gate_starved_count: u32,
 
     rto_deadline: OptTime,
     delack_deadline: OptTime,
@@ -250,7 +301,7 @@ pub struct Connection {
     /// Go-back-N recovery point: after an RTO, `SND.NXT` rolls back to
     /// `SND.UNA` and sequence numbers below this are retransmissions
     /// (never RTT-sampled, per Karn). Cleared once `SND.UNA` passes it.
-    recover: Option<SeqNum>,
+    recover: OptSeq,
     /// When the active-open SYN was first sent (for the handshake RTT
     /// sample).
     syn_sent_at: OptTime,
@@ -259,16 +310,9 @@ pub struct Connection {
     send_was_full: bool,
     last_advertised_window: u32,
 
-    outbox: Vec<TcpSegment>,
-    events: Vec<ConnEvent>,
-
-    // Counters for diagnostics and benches.
-    segments_sent: u64,
-    segments_received: u64,
-    bytes_sent: u64,
-    bytes_acked_total: u64,
-    retransmit_count: u64,
-    duplicate_data_count: u64,
+    // Counters for diagnostics and benches (saturating).
+    segments_sent: u32,
+    retransmit_count: u32,
 
     /// The owning stack's shared handles (absent without a registry).
     telemetry: Option<Rc<ConnTelemetry>>,
@@ -280,10 +324,16 @@ pub struct Connection {
 }
 
 impl Connection {
-    /// Opens a connection actively (client side): queues a SYN.
-    pub fn connect(quad: Quad, cfg: impl Into<Rc<TcpConfig>>, iss: SeqNum, now: SimTime) -> Self {
+    /// Opens a connection actively (client side): queues a SYN into `q`.
+    pub fn connect(
+        quad: Quad,
+        cfg: impl Into<Rc<TcpConfig>>,
+        iss: SeqNum,
+        now: SimTime,
+        q: &mut ConnQueues,
+    ) -> Self {
         let mut conn = Self::new(quad, cfg, iss, SeqNum::new(0), TcpState::SynSent);
-        conn.emit(conn.segment(iss, TcpFlags::SYN, PacketBuf::new()), now);
+        conn.emit(conn.segment(iss, TcpFlags::SYN, PacketBuf::new()), q);
         conn.snd.nxt = iss + 1;
         conn.syn_sent_at = OptTime::some(now);
         conn.arm_rto(now);
@@ -291,11 +341,11 @@ impl Connection {
     }
 
     /// Opens a connection passively (server side) in response to `syn`.
-    /// The SYN-ACK is queued immediately unless the connection is `gated`:
-    /// a replica with a chain successor gets both HydraNet-FT gates
-    /// *before* the SYN-ACK can be emitted, so it does not answer the
-    /// client's SYN until its successor has reported (the paper's §4.3
-    /// rules apply from the handshake onwards).
+    /// The SYN-ACK is queued into `q` at once unless the connection is
+    /// `gated`: a replica with a chain successor gets both HydraNet-FT
+    /// gates *before* the SYN-ACK can be emitted, so it does not answer
+    /// the client's SYN until its successor has reported (the paper's
+    /// §4.3 rules apply from the handshake onwards).
     ///
     /// # Panics
     ///
@@ -307,6 +357,7 @@ impl Connection {
         syn: &TcpSegment,
         now: SimTime,
         gated: bool,
+        q: &mut ConnQueues,
     ) -> Self {
         assert!(syn.flags.syn, "accept requires a SYN segment");
         let irs = syn.seq;
@@ -314,13 +365,12 @@ impl Connection {
         conn.snd.wnd = u32::from(syn.window);
         conn.snd.wl1 = syn.seq;
         conn.snd.nxt = iss + 1;
-        conn.segments_received += 1;
         if gated {
             // Nothing from ISS on is covered until the successor reports.
-            conn.send_gate = Some(iss);
+            conn.send_gate = OptSeq::some(iss);
             conn.recvbuf.enable_gate();
         }
-        conn.try_send_synack(now);
+        conn.try_send_synack(now, q);
         conn.arm_rto(now);
         conn
     }
@@ -329,25 +379,25 @@ impl Connection {
     /// primary): advertises current state with a pure ACK and transmits
     /// whatever the windows allow, so the client resynchronises without
     /// waiting a full client-side RTO.
-    pub fn kick(&mut self, now: SimTime) {
+    pub fn kick(&mut self, now: SimTime, q: &mut ConnQueues) {
         if self.state == TcpState::SynRcvd {
-            self.try_send_synack(now);
+            self.try_send_synack(now, q);
             return;
         }
         if self.state.is_open()
             || self.state == TcpState::LastAck
             || self.state == TcpState::Closing
         {
-            self.send_pure_ack(now);
+            self.send_pure_ack(q);
             // Anything between SND.UNA and SND.NXT was "sent" while we were
             // a backup — i.e. diverted into the ack channel and never
             // delivered. Retransmit it immediately rather than waiting out
             // a (possibly backed-off) RTO.
             if self.snd.una != self.snd.nxt {
-                self.retransmit_segment_at_una(now);
+                self.retransmit_segment_at_una(now, q);
                 self.arm_rto(now);
             }
-            self.pump(now);
+            self.pump(now, q);
         }
     }
 
@@ -359,7 +409,7 @@ impl Connection {
         state: TcpState,
     ) -> Self {
         let cfg = cfg.into();
-        let sendbuf = SendBuffer::new(iss + 1, cfg.send_buf);
+        let sendbuf = SendBuffer::new(iss + 1);
         let recvbuf = RecvBuffer::new(rcv_nxt, cfg.recv_buf);
         let cc = CongestionControl::new(cfg.mss as u32);
         let rtt = RttEstimator::new();
@@ -380,10 +430,10 @@ impl Connection {
             cc,
             rtt,
             fin_queued: false,
-            fin_seq: None,
-            peer_fin: None,
+            fin_seq: OptSeq::NONE,
+            peer_fin: OptSeq::NONE,
             peer_fin_processed: false,
-            send_gate: None,
+            send_gate: OptSeq::NONE,
             gate_starved_deadline: OptTime::NONE,
             gate_starved_count: 0,
             rto_deadline: OptTime::NONE,
@@ -393,19 +443,13 @@ impl Connection {
             rtt_probe_at: OptTime::NONE,
             rtt_probe_cover: iss,
             max_sent: iss,
-            recover: None,
+            recover: OptSeq::NONE,
             syn_sent_at: OptTime::NONE,
             retries: 0,
             send_was_full: false,
             last_advertised_window,
-            outbox: Vec::new(),
-            events: Vec::new(),
             segments_sent: 0,
-            segments_received: 0,
-            bytes_sent: 0,
-            bytes_acked_total: 0,
             retransmit_count: 0,
-            duplicate_data_count: 0,
             telemetry: None,
             gate_stall_since: OptTime::NONE,
             gate_stall_total: SimDuration::ZERO,
@@ -450,7 +494,7 @@ impl Connection {
 
     /// Free space in the send buffer.
     pub fn send_room(&self) -> usize {
-        self.sendbuf.room()
+        self.sendbuf.room(self.cfg.send_buf)
     }
 
     /// `SND.UNA` — lowest unacknowledged sequence number.
@@ -473,40 +517,21 @@ impl Connection {
         self.snd.iss
     }
 
-    /// Total payload bytes sent (including retransmissions).
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
-    /// Total bytes of our data the peer has acknowledged.
-    pub fn bytes_acked(&self) -> u64 {
-        self.bytes_acked_total
-    }
-
-    /// Segments transmitted.
-    pub fn segments_sent(&self) -> u64 {
+    /// Segments transmitted (saturating).
+    pub fn segments_sent(&self) -> u32 {
         self.segments_sent
     }
 
-    /// Segments received.
-    pub fn segments_received(&self) -> u64 {
-        self.segments_received
-    }
-
-    /// Retransmissions performed (timeout and fast retransmit).
+    /// Retransmissions performed (timeout and fast retransmit; saturating
+    /// at `u32::MAX`).
     pub fn retransmit_count(&self) -> u64 {
-        self.retransmit_count
-    }
-
-    /// Fully duplicate data segments observed from the peer — the failure
-    /// estimator's raw signal.
-    pub fn duplicate_data_count(&self) -> u64 {
-        self.duplicate_data_count
+        u64::from(self.retransmit_count)
     }
 
     /// Times the send-gate starvation watchdog fired: the gate blocked
-    /// ready-to-transmit work for a full RTO without successor progress.
-    pub fn gate_starved_count(&self) -> u64 {
+    /// ready-to-transmit work for a full RTO without successor progress
+    /// (saturating).
+    pub fn gate_starved_count(&self) -> u32 {
         self.gate_starved_count
     }
 
@@ -526,39 +551,39 @@ impl Connection {
 
     /// Disables the send gate (connection became last in chain or the port
     /// is no longer replicated with a successor).
-    pub fn disable_send_gate(&mut self, now: SimTime) {
-        self.send_gate = None;
-        self.try_send_synack(now);
-        self.pump(now);
+    pub fn disable_send_gate(&mut self, now: SimTime, q: &mut ConnQueues) {
+        self.send_gate = OptSeq::NONE;
+        self.try_send_synack(now, q);
+        self.pump(now, q);
     }
 
     /// Raises the send gate to at least `seq` (successor reported it); an
     /// ungated connection stays ungated.
-    pub fn raise_send_gate(&mut self, seq: SeqNum, now: SimTime) {
-        if let Some(g) = &mut self.send_gate {
-            *g = g.max_seq(seq);
+    pub fn raise_send_gate(&mut self, seq: SeqNum, now: SimTime, q: &mut ConnQueues) {
+        if let Some(g) = self.send_gate.get() {
+            self.send_gate = OptSeq::some(g.max_seq(seq));
         }
-        self.try_send_synack(now);
-        self.pump(now);
+        self.try_send_synack(now, q);
+        self.pump(now, q);
     }
 
     /// Disables the deposit gate and releases staged data.
-    pub fn disable_deposit_gate(&mut self, now: SimTime) {
+    pub fn disable_deposit_gate(&mut self, now: SimTime, q: &mut ConnQueues) {
         self.recvbuf.clear_gate();
-        self.after_deposit_progress(now);
+        self.after_deposit_progress(now, q);
     }
 
     /// Raises the deposit gate: bytes before `upto` may be deposited.
-    pub fn raise_deposit_gate(&mut self, upto: SeqNum, now: SimTime) {
+    pub fn raise_deposit_gate(&mut self, upto: SeqNum, now: SimTime, q: &mut ConnQueues) {
         self.recvbuf.gate_deposits_below(upto);
-        self.after_deposit_progress(now);
+        self.after_deposit_progress(now, q);
     }
 
     /// How many sequence slots from `seq` on the send gate lets out. The
     /// gate value is the successor's send *progress* (first slot it has not
     /// covered), so slot `seq` may go out only when `seq < gate`.
     fn gate_room(&self, seq: SeqNum) -> usize {
-        match self.send_gate {
+        match self.send_gate.get() {
             None => usize::MAX,
             Some(g) if seq.before(g) => (g - seq) as usize,
             Some(_) => 0,
@@ -598,11 +623,11 @@ impl Connection {
         }
     }
 
-    fn after_deposit_progress(&mut self, now: SimTime) {
+    fn after_deposit_progress(&mut self, now: SimTime, q: &mut ConnQueues) {
         let advanced = self.recvbuf.deposit();
-        let fin_done = self.try_process_peer_fin(now);
+        let fin_done = self.try_process_peer_fin(now, q);
         if advanced {
-            self.events.push(ConnEvent::DataReadable);
+            q.events.push(ConnEvent::DataReadable);
             if let Some(t) = self.telemetry.as_deref() {
                 if let Some(since) = self.gate_stall_since.take() {
                     let stalled = now.duration_since(since);
@@ -626,7 +651,7 @@ impl Connection {
             }
         }
         if advanced || fin_done {
-            self.schedule_ack(now);
+            self.schedule_ack(now, q);
         }
     }
 
@@ -636,7 +661,7 @@ impl Connection {
 
     /// Writes application data; returns how many bytes were accepted.
     /// Writing on a connection that cannot send (closed, closing) returns 0.
-    pub fn write(&mut self, data: &[u8], now: SimTime) -> usize {
+    pub fn write(&mut self, data: &[u8], now: SimTime, q: &mut ConnQueues) -> usize {
         if !matches!(self.state, TcpState::Established | TcpState::CloseWait)
             && self.state != TcpState::SynSent
             && self.state != TcpState::SynRcvd
@@ -646,25 +671,25 @@ impl Connection {
         if self.fin_queued {
             return 0;
         }
-        let n = self.sendbuf.write(data);
+        let n = self.sendbuf.write(data, self.cfg.send_buf);
         if n < data.len() {
             self.send_was_full = true;
         }
-        self.pump(now);
+        self.pump(now, q);
         n
     }
 
     /// Reads up to `max` bytes of in-order received data.
-    pub fn read(&mut self, max: usize, now: SimTime) -> Vec<u8> {
+    pub fn read(&mut self, max: usize, q: &mut ConnQueues) -> Vec<u8> {
         let data = self.recvbuf.read(max);
         if !data.is_empty() {
-            self.maybe_send_window_update(now);
+            self.maybe_send_window_update(q);
         }
         data
     }
 
     /// Initiates a graceful close: a FIN follows any buffered data.
-    pub fn close(&mut self, now: SimTime) {
+    pub fn close(&mut self, now: SimTime, q: &mut ConnQueues) {
         if self.fin_queued {
             return;
         }
@@ -679,15 +704,15 @@ impl Connection {
             }
             TcpState::SynSent => {
                 self.state = TcpState::Closed;
-                self.events.push(ConnEvent::Closed);
+                q.events.push(ConnEvent::Closed);
             }
             _ => {}
         }
-        self.pump(now);
+        self.pump(now, q);
     }
 
     /// Aborts the connection with a RST.
-    pub fn abort(&mut self, now: SimTime) {
+    pub fn abort(&mut self, q: &mut ConnQueues) {
         if self.state != TcpState::Closed {
             let flags = TcpFlags {
                 rst: true,
@@ -698,60 +723,9 @@ impl Connection {
                 window: 0,
                 ..self.segment(self.snd.nxt, flags, PacketBuf::new())
             };
-            self.emit(rst, now);
-            self.enter_closed(ConnEvent::Reset);
+            self.emit(rst, q);
+            self.enter_closed(ConnEvent::Reset, q);
         }
-    }
-
-    /// Drains queued outgoing segments.
-    pub fn take_segments(&mut self) -> Vec<TcpSegment> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Drains queued application events.
-    pub fn take_events(&mut self) -> Vec<ConnEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Drains queued application events into `out` by swapping backing
-    /// stores: the connection goes on queueing into `out`'s (cleared)
-    /// allocation, so a caller walking the drained events while callbacks
-    /// queue more needs no fresh vector.
-    pub fn take_events_into(&mut self, out: &mut Vec<ConnEvent>) {
-        out.clear();
-        std::mem::swap(&mut self.events, out);
-    }
-
-    /// Takes a caller's empty vectors as this connection's outbox and event
-    /// queue, keeping anything already queued (a new connection's SYN).
-    /// The owning stack lends its scratch vectors this way at every
-    /// check-out and takes them back with
-    /// [`return_queues`](Self::return_queues) before parking the
-    /// connection, so a parked connection holds no queue allocation.
-    pub(crate) fn borrow_queues(
-        &mut self,
-        mut outbox: Vec<TcpSegment>,
-        mut events: Vec<ConnEvent>,
-    ) {
-        outbox.append(&mut self.outbox);
-        events.append(&mut self.events);
-        self.outbox = outbox;
-        self.events = events;
-    }
-
-    /// Capacity of the outbox and the event queue, in elements: 0 on every
-    /// connection its stack has parked.
-    pub(crate) fn queue_capacity(&self) -> usize {
-        self.outbox.capacity() + self.events.capacity()
-    }
-
-    /// Hands back the outbox, with its queued segments, and the event
-    /// queue; see [`borrow_queues`](Self::borrow_queues).
-    pub(crate) fn return_queues(&mut self) -> (Vec<TcpSegment>, Vec<ConnEvent>) {
-        (
-            std::mem::take(&mut self.outbox),
-            std::mem::take(&mut self.events),
-        )
     }
 
     /// The earliest pending timer deadline, if any.
@@ -769,16 +743,12 @@ impl Connection {
         .and_then(OptTime::get)
     }
 
-    /// Approximate memory footprint of this connection in bytes: the
-    /// structure itself plus the heap behind its socket buffers and queues.
-    /// Depends only on the deterministic schedule (never on wall-clock), so
-    /// scale benches can report per-flow memory reproducibly.
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.sendbuf.heap_bytes()
-            + self.recvbuf.heap_bytes()
-            + self.outbox.capacity() * std::mem::size_of::<TcpSegment>()
-            + self.events.capacity() * std::mem::size_of::<ConnEvent>()
+    /// Heap bytes behind this connection's socket buffers, beyond the
+    /// structure itself. Depends only on the deterministic schedule (never
+    /// on wall-clock), so scale benches can report per-flow memory
+    /// reproducibly.
+    pub fn heap_bytes(&self) -> usize {
+        self.sendbuf.heap_bytes() + self.recvbuf.heap_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -786,16 +756,15 @@ impl Connection {
     // ------------------------------------------------------------------
 
     /// Feeds one incoming segment.
-    pub fn on_segment(&mut self, seg: TcpSegment, now: SimTime) {
-        self.segments_received += 1;
+    pub fn on_segment(&mut self, seg: TcpSegment, now: SimTime, q: &mut ConnQueues) {
         if seg.flags.rst {
-            self.on_rst(&seg);
+            self.on_rst(&seg, q);
             return;
         }
         match self.state {
             TcpState::Closed => {}
-            TcpState::SynSent => self.on_segment_syn_sent(seg, now),
-            _ => self.on_segment_synchronized(seg, now),
+            TcpState::SynSent => self.on_segment_syn_sent(seg, now, q),
+            _ => self.on_segment_synchronized(seg, now, q),
         }
         self.sample_telemetry();
     }
@@ -812,7 +781,7 @@ impl Connection {
         t.h_cwnd.record(u64::from(self.cc.cwnd()));
     }
 
-    fn on_rst(&mut self, seg: &TcpSegment) {
+    fn on_rst(&mut self, seg: &TcpSegment, q: &mut ConnQueues) {
         // Only accept RSTs that plausibly belong to this connection.
         let ok = match self.state {
             TcpState::SynSent => seg.flags.ack && seg.ack == self.snd.nxt,
@@ -821,11 +790,11 @@ impl Connection {
                 .in_window(self.rcv_nxt(), self.recvbuf.window().max(1)),
         };
         if ok {
-            self.enter_closed(ConnEvent::Reset);
+            self.enter_closed(ConnEvent::Reset, q);
         }
     }
 
-    fn on_segment_syn_sent(&mut self, seg: TcpSegment, now: SimTime) {
+    fn on_segment_syn_sent(&mut self, seg: TcpSegment, now: SimTime, q: &mut ConnQueues) {
         if !(seg.flags.syn && seg.flags.ack) {
             return;
         }
@@ -848,20 +817,20 @@ impl Connection {
         self.state = TcpState::Established;
         self.clear_rto();
         self.retries = 0;
-        self.events.push(ConnEvent::Established);
+        q.events.push(ConnEvent::Established);
         // ACK the SYN-ACK (third step of the handshake), then any data.
-        self.send_pure_ack(now);
-        self.pump(now);
+        self.send_pure_ack(q);
+        self.pump(now, q);
     }
 
-    fn on_segment_synchronized(&mut self, seg: TcpSegment, now: SimTime) {
+    fn on_segment_synchronized(&mut self, seg: TcpSegment, now: SimTime, q: &mut ConnQueues) {
         // Duplicate SYN (e.g. retransmitted by the client because our
         // gated SYN-ACK is still held back): re-answer it.
         if seg.flags.syn {
             if self.state == TcpState::SynRcvd {
-                self.try_send_synack(now);
+                self.try_send_synack(now, q);
             } else {
-                self.send_pure_ack(now);
+                self.send_pure_ack(q);
             }
             return;
         }
@@ -874,7 +843,7 @@ impl Connection {
         let ack = seg.ack;
         if ack.after(self.max_sent) {
             // Acks something we have not sent: challenge.
-            self.send_pure_ack(now);
+            self.send_pure_ack(q);
             return;
         }
         if ack.after(self.snd.una) {
@@ -886,14 +855,13 @@ impl Connection {
                 // A pre-rollback transmission was delivered after all.
                 self.snd.nxt = ack;
             }
-            if self.recover.is_some_and(|r| ack.after_eq(r)) {
-                self.recover = None;
+            if self.recover.get().is_some_and(|r| ack.after_eq(r)) {
+                self.recover = OptSeq::NONE;
             }
-            self.bytes_acked_total += u64::from(data_acked);
             self.cc.on_new_ack(data_acked.max(1));
             self.retries = 0;
             if data_acked > 0 {
-                self.events.push(ConnEvent::AckProgress);
+                q.events.push(ConnEvent::AckProgress);
             }
             // RTT sample (Karn: only if the probe range is fully covered).
             if let Some(sent_at) = self.rtt_probe_at.get() {
@@ -904,18 +872,18 @@ impl Connection {
             }
             if self.state == TcpState::SynRcvd {
                 self.state = TcpState::Established;
-                self.events.push(ConnEvent::Established);
+                q.events.push(ConnEvent::Established);
             }
-            self.on_fin_acked_if_complete(ack, now);
+            self.on_fin_acked_if_complete(ack, now, q);
             // Re-arm or clear the retransmission timer.
             if self.snd.una == self.snd.nxt {
                 self.clear_rto();
             } else {
                 self.arm_rto(now);
             }
-            if self.send_was_full && self.sendbuf.room() > 0 {
+            if self.send_was_full && self.send_room() > 0 {
                 self.send_was_full = false;
-                self.events.push(ConnEvent::SendSpace);
+                q.events.push(ConnEvent::SendSpace);
             }
         } else if ack == self.snd.una
             && seg.payload.is_empty()
@@ -925,7 +893,7 @@ impl Connection {
         {
             // Pure duplicate ACK while data is outstanding.
             if self.cc.on_dup_ack() {
-                self.fast_retransmit(now);
+                self.fast_retransmit(now, q);
             }
         }
 
@@ -946,31 +914,30 @@ impl Connection {
         // with a plain ACK so the prober sees life. A normal ACK carries
         // seq == RCV.NXT and is not affected.
         if seg.payload.is_empty() && !seg.flags.fin && seg.seq.before(self.rcv_nxt()) {
-            self.send_pure_ack(now);
+            self.send_pure_ack(q);
         }
 
         // --- data processing ------------------------------------------
         if !seg.payload.is_empty() {
             match self.recvbuf.offer(seg.seq, seg.payload.clone()) {
                 Offer::Deposited => {
-                    self.events.push(ConnEvent::DataReadable);
-                    self.schedule_ack(now);
+                    q.events.push(ConnEvent::DataReadable);
+                    self.schedule_ack(now, q);
                 }
                 Offer::Duplicate => {
-                    self.duplicate_data_count += 1;
                     if let Some(t) = self.telemetry.as_deref() {
                         t.c_duplicates.inc();
                     }
-                    self.events.push(ConnEvent::DuplicateData);
+                    q.events.push(ConnEvent::DuplicateData);
                     // Duplicates get an immediate ACK to resynchronise.
-                    self.send_pure_ack(now);
+                    self.send_pure_ack(q);
                 }
                 // Out of order (or gated): immediate duplicate ACK so the
                 // sender's fast-retransmit machinery sees it. Past the
                 // window (a zero-window probe): the ACK restates the window,
                 // and a full buffer is no sign of a broken chain, so no
                 // `DuplicateData`.
-                Offer::Held | Offer::PastWindow => self.send_pure_ack(now),
+                Offer::Held | Offer::PastWindow => self.send_pure_ack(q),
             }
             if self.telemetry.is_some()
                 && self.gate_stall_since.is_none()
@@ -985,20 +952,20 @@ impl Connection {
         if seg.flags.fin {
             let fin_slot = seg.seq + seg.payload.len() as u32;
             if self.peer_fin.is_none() && !self.peer_fin_processed {
-                self.peer_fin = Some(fin_slot);
+                self.peer_fin = OptSeq::some(fin_slot);
             }
-            if !self.try_process_peer_fin(now) {
+            if !self.try_process_peer_fin(now, q) {
                 // FIN not yet processable (data missing or gate closed):
                 // ack what we have.
-                self.send_pure_ack(now);
+                self.send_pure_ack(q);
             }
         }
 
         // Send whatever the new window/ack state allows.
-        self.pump(now);
+        self.pump(now, q);
         if self.state == TcpState::TimeWait && seg.flags.fin {
             // Retransmitted FIN in TIME-WAIT: re-ack it.
-            self.send_pure_ack(now);
+            self.send_pure_ack(q);
         }
     }
 
@@ -1009,7 +976,7 @@ impl Connection {
         if self.snd.una == self.snd.iss {
             data = data.saturating_sub(1);
         }
-        if let Some(fin) = self.fin_seq {
+        if let Some(fin) = self.fin_seq.get() {
             if ack.after(fin) {
                 data = data.saturating_sub(1);
             }
@@ -1017,8 +984,8 @@ impl Connection {
         data
     }
 
-    fn on_fin_acked_if_complete(&mut self, ack: SeqNum, now: SimTime) {
-        let Some(fin) = self.fin_seq else {
+    fn on_fin_acked_if_complete(&mut self, ack: SeqNum, now: SimTime, q: &mut ConnQueues) {
+        let Some(fin) = self.fin_seq.get() else {
             return;
         };
         if !ack.after(fin) {
@@ -1032,7 +999,7 @@ impl Connection {
                 self.enter_time_wait(now);
             }
             TcpState::LastAck => {
-                self.enter_closed(ConnEvent::Closed);
+                self.enter_closed(ConnEvent::Closed, q);
             }
             _ => {}
         }
@@ -1040,8 +1007,8 @@ impl Connection {
 
     /// Processes the peer's FIN once all data before it is deposited and
     /// the deposit gate (if any) permits the FIN slot itself.
-    fn try_process_peer_fin(&mut self, now: SimTime) -> bool {
-        let Some(fin_slot) = self.peer_fin else {
+    fn try_process_peer_fin(&mut self, now: SimTime, q: &mut ConnQueues) -> bool {
+        let Some(fin_slot) = self.peer_fin.get() else {
             return false;
         };
         if self.rcv_nxt() != fin_slot {
@@ -1054,9 +1021,9 @@ impl Connection {
         }
         // Consume the FIN slot.
         self.recvbuf.consume_slot();
-        self.peer_fin = None;
+        self.peer_fin = OptSeq::NONE;
         self.peer_fin_processed = true;
-        self.events.push(ConnEvent::PeerFin);
+        q.events.push(ConnEvent::PeerFin);
         match self.state {
             TcpState::Established => self.state = TcpState::CloseWait,
             TcpState::FinWait1 => {
@@ -1066,7 +1033,7 @@ impl Connection {
             TcpState::FinWait2 => self.enter_time_wait(now),
             _ => {}
         }
-        self.send_pure_ack(now);
+        self.send_pure_ack(q);
         true
     }
 
@@ -1075,38 +1042,38 @@ impl Connection {
     // ------------------------------------------------------------------
 
     /// Advances connection timers to `now`.
-    pub fn on_tick(&mut self, now: SimTime) {
+    pub fn on_tick(&mut self, now: SimTime, q: &mut ConnQueues) {
         if let Some(t) = self.timewait_deadline.get() {
             if now >= t {
                 self.timewait_deadline = OptTime::NONE;
-                self.enter_closed(ConnEvent::Closed);
+                self.enter_closed(ConnEvent::Closed, q);
                 return;
             }
         }
         if let Some(t) = self.delack_deadline.get() {
             if now >= t {
                 self.delack_deadline = OptTime::NONE;
-                self.send_pure_ack(now);
+                self.send_pure_ack(q);
             }
         }
         if let Some(t) = self.persist_deadline.get() {
             if now >= t {
                 self.persist_deadline = OptTime::NONE;
-                self.send_window_probe(now);
+                self.send_window_probe(now, q);
             }
         }
         if let Some(t) = self.rto_deadline.get() {
             if now >= t {
                 self.rto_deadline = OptTime::NONE;
-                self.on_rto(now);
+                self.on_rto(now, q);
             }
         }
         if let Some(t) = self.gate_starved_deadline.get() {
             if now >= t {
                 self.gate_starved_deadline = OptTime::NONE;
                 if self.gate_blocked_work() {
-                    self.gate_starved_count += 1;
-                    self.events.push(ConnEvent::GateStarved);
+                    self.gate_starved_count = self.gate_starved_count.saturating_add(1);
+                    q.events.push(ConnEvent::GateStarved);
                     if let Some(t) = self.telemetry.as_deref() {
                         t.obs.event(
                             now.as_nanos(),
@@ -1127,7 +1094,7 @@ impl Connection {
                     // them on its own) and the whole chain deadlocks on a
                     // quiescent connection.
                     if self.state.is_open() && self.state != TcpState::SynRcvd {
-                        self.send_keepalive_probe(now);
+                        self.send_keepalive_probe(q);
                     }
                     // Keep firing once per RTO while the stall persists so
                     // the failure estimator can accumulate to its threshold.
@@ -1139,18 +1106,16 @@ impl Connection {
 
     /// The gate watchdog's keepalive-shaped probe: a zero-length segment
     /// one slot below SND.NXT; a live peer answers with a plain ACK.
-    fn send_keepalive_probe(&mut self, now: SimTime) {
-        self.emit(
-            self.segment(self.snd.nxt - 1, TcpFlags::ACK, PacketBuf::new()),
-            now,
-        );
+    fn send_keepalive_probe(&mut self, q: &mut ConnQueues) {
+        let probe = self.segment(self.snd.nxt - 1, TcpFlags::ACK, PacketBuf::new());
+        self.emit(probe, q);
     }
 
-    fn on_rto(&mut self, now: SimTime) {
+    fn on_rto(&mut self, now: SimTime, q: &mut ConnQueues) {
         self.retries += 1;
-        self.events.push(ConnEvent::RetransmitTimeout);
+        q.events.push(ConnEvent::RetransmitTimeout);
         if self.retries > MAX_RETRIES {
-            self.abort(now);
+            self.abort(q);
             return;
         }
         self.rtt.on_timeout();
@@ -1158,16 +1123,14 @@ impl Connection {
         self.rtt_probe_at = OptTime::NONE; // Karn: never sample retransmitted data
         match self.state {
             TcpState::SynSent => {
-                self.retransmit_count += 1;
+                self.count_retransmit();
                 // RCV.NXT is still zero: a SYN carries no ACK.
-                self.emit(
-                    self.segment(self.snd.iss, TcpFlags::SYN, PacketBuf::new()),
-                    now,
-                );
+                let syn = self.segment(self.snd.iss, TcpFlags::SYN, PacketBuf::new());
+                self.emit(syn, q);
             }
             TcpState::SynRcvd => {
-                self.retransmit_count += 1;
-                self.try_send_synack(now);
+                self.count_retransmit();
+                self.try_send_synack(now, q);
             }
             _ => {
                 // Go-back-N: treat everything past SND.UNA as lost. Roll
@@ -1175,38 +1138,36 @@ impl Connection {
                 // again; pump() re-sends from the buffer.
                 let old_nxt = self.snd.nxt;
                 if old_nxt != self.snd.una {
-                    if let Some(fin) = self.fin_seq {
+                    if let Some(fin) = self.fin_seq.get() {
                         if self.snd.una.before_eq(fin) {
                             // The FIN slot rolls back too; pump re-reserves
                             // the same slot when it drains the buffer.
-                            self.fin_seq = None;
+                            self.fin_seq = OptSeq::NONE;
                         }
                     }
                     self.snd.nxt = self.snd.una;
-                    self.recover = Some(match self.recover {
-                        Some(r) => r.max_seq(old_nxt),
-                        None => old_nxt,
-                    });
-                    self.pump(now);
+                    let recover = self.recover.get().map_or(old_nxt, |r| r.max_seq(old_nxt));
+                    self.recover = OptSeq::some(recover);
+                    self.pump(now, q);
                 }
             }
         }
         self.arm_rto(now);
     }
 
-    fn fast_retransmit(&mut self, now: SimTime) {
+    fn fast_retransmit(&mut self, now: SimTime, q: &mut ConnQueues) {
         self.rtt_probe_at = OptTime::NONE;
-        self.retransmit_segment_at_una(now);
+        self.retransmit_segment_at_una(now, q);
         self.arm_rto(now);
     }
 
-    fn retransmit_segment_at_una(&mut self, now: SimTime) {
+    fn retransmit_segment_at_una(&mut self, now: SimTime, q: &mut ConnQueues) {
         let una = self.snd.una;
         // Handshake slots first.
         if una == self.snd.iss {
             match self.state {
                 TcpState::SynRcvd | TcpState::Established => {
-                    self.try_send_synack(now);
+                    self.try_send_synack(now, q);
                     return;
                 }
                 _ => {}
@@ -1215,10 +1176,10 @@ impl Connection {
         let mut data = self.sendbuf.slice(una, self.cfg.mss);
         if data.is_empty() {
             // Only a FIN may be outstanding.
-            if let Some(fin) = self.fin_seq {
+            if let Some(fin) = self.fin_seq.get() {
                 if una.before_eq(fin) && !self.gate_blocks(fin) {
-                    self.retransmit_count += 1;
-                    self.emit_data_segment(fin, PacketBuf::new(), true, now);
+                    self.count_retransmit();
+                    self.emit_data_segment(fin, PacketBuf::new(), true, q);
                 }
             }
             return;
@@ -1232,12 +1193,17 @@ impl Connection {
         }
         let fin_here = self
             .fin_seq
+            .get()
             .is_some_and(|f| f == una + data.len() as u32 && !self.gate_blocks(f));
-        self.retransmit_count += 1;
-        self.emit_data_segment(una, data, fin_here, now);
+        self.count_retransmit();
+        self.emit_data_segment(una, data, fin_here, q);
     }
 
-    fn send_window_probe(&mut self, now: SimTime) {
+    fn count_retransmit(&mut self) {
+        self.retransmit_count = self.retransmit_count.saturating_add(1);
+    }
+
+    fn send_window_probe(&mut self, now: SimTime, q: &mut ConnQueues) {
         // One byte beyond the advertised window keeps the loop alive. The
         // byte counts as sent: if the window has silently reopened the peer
         // will accept and acknowledge it. The ft send gate applies to
@@ -1251,7 +1217,7 @@ impl Connection {
             return;
         }
         let seq = self.snd.nxt;
-        self.emit_data_segment(seq, probe, false, now);
+        self.emit_data_segment(seq, probe, false, q);
         self.snd.nxt = seq + 1;
         self.arm_rto(now);
         self.persist_deadline = OptTime::some(now + self.rtt.rto());
@@ -1263,7 +1229,7 @@ impl Connection {
 
     /// Attempts to transmit everything permitted by the windows, Nagle, and
     /// the send gate.
-    pub fn pump(&mut self, now: SimTime) {
+    pub fn pump(&mut self, now: SimTime, q: &mut ConnQueues) {
         if !matches!(
             self.state,
             TcpState::Established
@@ -1311,18 +1277,18 @@ impl Connection {
             let payload = self.sendbuf.slice(self.snd.nxt, len);
             debug_assert_eq!(payload.len(), len);
             let seq = self.snd.nxt;
-            let is_retransmission = self.recover.is_some_and(|r| seq.before(r));
+            let is_retransmission = self.recover.get().is_some_and(|r| seq.before(r));
             if is_retransmission {
-                self.retransmit_count += 1;
+                self.count_retransmit();
             } else if self.rtt_probe_at.is_none() && len > 0 {
                 // Karn: only probe data that has never been retransmitted.
                 self.rtt_probe_at = OptTime::some(now);
                 self.rtt_probe_cover = seq + len as u32;
             }
-            self.emit_data_segment(seq, payload, fin_now, now);
+            self.emit_data_segment(seq, payload, fin_now, q);
             self.snd.nxt = seq + len as u32 + fin_now as u32;
             if fin_now {
-                self.fin_seq = Some(seq + len as u32);
+                self.fin_seq = OptSeq::some(seq + len as u32);
             }
             self.arm_rto(now);
             if fin_now {
@@ -1334,7 +1300,7 @@ impl Connection {
 
     /// Whether the FIN can ride after `extra` bytes we are about to send.
     fn fin_ready(&self, extra: u32) -> bool {
-        if !self.fin_queued || self.fin_seq.is_some() {
+        if !self.fin_queued || self.fin_seq.get().is_some() {
             return false;
         }
         let after = self.snd.nxt + extra;
@@ -1344,7 +1310,7 @@ impl Connection {
         !self.gate_blocks(after)
     }
 
-    fn try_send_synack(&mut self, now: SimTime) {
+    fn try_send_synack(&mut self, now: SimTime, q: &mut ConnQueues) {
         if self.state != TcpState::SynRcvd {
             return;
         }
@@ -1352,14 +1318,17 @@ impl Connection {
         if self.gate_blocks(self.snd.iss) {
             return; // held until the chain successor reports its SYN-ACK
         }
-        self.emit(
-            self.segment(self.snd.iss, TcpFlags::SYN_ACK, PacketBuf::new()),
-            now,
-        );
+        let synack = self.segment(self.snd.iss, TcpFlags::SYN_ACK, PacketBuf::new());
+        self.emit(synack, q);
     }
 
-    fn emit_data_segment(&mut self, seq: SeqNum, payload: PacketBuf, fin: bool, now: SimTime) {
-        self.bytes_sent += payload.len() as u64;
+    fn emit_data_segment(
+        &mut self,
+        seq: SeqNum,
+        payload: PacketBuf,
+        fin: bool,
+        q: &mut ConnQueues,
+    ) {
         let psh = !payload.is_empty();
         self.delack_deadline = OptTime::NONE; // this segment carries our ACK
         let flags = TcpFlags {
@@ -1368,39 +1337,39 @@ impl Connection {
             fin,
             ..TcpFlags::default()
         };
-        self.emit(self.segment(seq, flags, payload), now);
+        self.emit(self.segment(seq, flags, payload), q);
     }
 
-    fn send_pure_ack(&mut self, now: SimTime) {
+    fn send_pure_ack(&mut self, q: &mut ConnQueues) {
         self.delack_deadline = OptTime::NONE;
         self.last_advertised_window = self.recvbuf.window();
         self.emit(
             self.segment(self.snd.nxt, TcpFlags::ACK, PacketBuf::new()),
-            now,
+            q,
         );
     }
 
-    fn schedule_ack(&mut self, now: SimTime) {
+    fn schedule_ack(&mut self, now: SimTime, q: &mut ConnQueues) {
         if !self.cfg.delayed_ack {
-            self.send_pure_ack(now);
+            self.send_pure_ack(q);
             return;
         }
         if self.delack_deadline.is_none() {
             self.delack_deadline = OptTime::some(now + ACK_DELAY);
         } else {
             // Second in-order segment: ack immediately (RFC 1122).
-            self.send_pure_ack(now);
+            self.send_pure_ack(q);
         }
     }
 
-    fn maybe_send_window_update(&mut self, now: SimTime) {
+    fn maybe_send_window_update(&mut self, q: &mut ConnQueues) {
         // Only volunteer a window update when the previously advertised
         // window was too small to make progress (silly-window avoidance);
         // ordinary openings ride on the next regular ACK.
         let current = self.recvbuf.window();
         let starved = self.last_advertised_window < self.cfg.mss as u32;
         if starved && current >= self.cfg.mss as u32 {
-            self.send_pure_ack(now);
+            self.send_pure_ack(q);
         }
     }
 
@@ -1422,12 +1391,12 @@ impl Connection {
         }
     }
 
-    fn emit(&mut self, seg: TcpSegment, _now: SimTime) {
-        self.segments_sent += 1;
+    fn emit(&mut self, seg: TcpSegment, q: &mut ConnQueues) {
+        self.segments_sent = self.segments_sent.saturating_add(1);
         if seg.seq_len() > 0 {
             self.max_sent = self.max_sent.max_seq(seg.seq_end());
         }
-        self.outbox.push(seg);
+        q.segments.push(seg);
     }
 
     fn arm_rto(&mut self, now: SimTime) {
@@ -1445,13 +1414,13 @@ impl Connection {
         self.timewait_deadline = OptTime::some(now + self.cfg.time_wait);
     }
 
-    fn enter_closed(&mut self, event: ConnEvent) {
+    fn enter_closed(&mut self, event: ConnEvent, q: &mut ConnQueues) {
         self.state = TcpState::Closed;
         self.rto_deadline = OptTime::NONE;
         self.delack_deadline = OptTime::NONE;
         self.timewait_deadline = OptTime::NONE;
         self.persist_deadline = OptTime::NONE;
-        self.events.push(event);
+        q.events.push(event);
     }
 }
 
@@ -1462,6 +1431,43 @@ mod tests {
     use hydranet_netsim::packet::IpAddr;
 
     const LATENCY: SimDuration = SimDuration::from_millis(5);
+
+    impl ConnQueues {
+        pub(super) fn take_segments(&mut self) -> Vec<TcpSegment> {
+            std::mem::take(&mut self.segments)
+        }
+
+        pub(super) fn take_events(&mut self) -> Vec<ConnEvent> {
+            std::mem::take(&mut self.events)
+        }
+    }
+
+    /// A connection and the queues its calls write into.
+    pub(super) struct End {
+        pub(super) c: Connection,
+        pub(super) q: ConnQueues,
+    }
+
+    impl End {
+        pub(super) fn connect(quad: Quad, cfg: TcpConfig, iss: u32) -> End {
+            let mut q = ConnQueues::default();
+            let c = Connection::connect(quad, cfg, SeqNum::new(iss), SimTime::ZERO, &mut q);
+            End { c, q }
+        }
+
+        pub(super) fn accept(
+            quad: Quad,
+            cfg: TcpConfig,
+            iss: u32,
+            syn: &TcpSegment,
+            gated: bool,
+        ) -> End {
+            let mut q = ConnQueues::default();
+            let iss = SeqNum::new(iss);
+            let c = Connection::accept(quad, cfg, iss, syn, SimTime::ZERO, gated, &mut q);
+            End { c, q }
+        }
+    }
 
     fn quads() -> (Quad, Quad) {
         let c = SockAddr::new(IpAddr::new(10, 0, 0, 1), 40_000);
@@ -1476,6 +1482,9 @@ mod tests {
     struct Pair {
         client: Connection,
         server: Option<Connection>,
+        /// Each side's output, moved onto the wire by `collect`.
+        client_q: ConnQueues,
+        server_q: ConnQueues,
         server_cfg: TcpConfig,
         now: SimTime,
         /// (arrival time, destined-to-server, segment)
@@ -1496,10 +1505,12 @@ mod tests {
         fn new(client_cfg: TcpConfig, server_cfg: TcpConfig) -> Self {
             let (cq, _) = quads();
             let now = SimTime::ZERO;
-            let client = Connection::connect(cq, client_cfg, SeqNum::new(1000), now);
+            let End { c: client, q } = End::connect(cq, client_cfg, 1000);
             let mut pair = Pair {
                 client,
                 server: None,
+                client_q: q,
+                server_q: ConnQueues::default(),
                 server_cfg,
                 now,
                 wire: Vec::new(),
@@ -1522,7 +1533,8 @@ mod tests {
             p.server_gated = true;
             p.run_until(SimTime::from_millis(100));
             let (iss, now) = (p.server().iss(), p.now);
-            p.server().raise_send_gate(iss + 1, now);
+            let (server, q) = p.server_io();
+            server.raise_send_gate(iss + 1, now, q);
             p.collect(true);
             p.run_until(SimTime::from_millis(200));
             assert_eq!(p.server().state(), TcpState::Established);
@@ -1537,28 +1549,20 @@ mod tests {
             self
         }
 
-        /// Gathers outbox segments from one side onto the wire.
+        /// Gathers one side's queued segments onto the wire and its events
+        /// into its log.
         fn collect(&mut self, from_server: bool) {
-            let segs = if from_server {
-                self.server
-                    .as_mut()
-                    .map(|s| s.take_segments())
-                    .unwrap_or_default()
+            let (q, log) = if from_server {
+                (&mut self.server_q, &mut self.server_events)
             } else {
-                self.client.take_segments()
+                (&mut self.client_q, &mut self.client_events)
             };
-            for seg in segs {
+            log.append(&mut q.events);
+            for seg in q.take_segments() {
                 if (self.drop_fn)(!from_server, &seg) {
                     continue;
                 }
                 self.wire.push((self.now + LATENCY, !from_server, seg));
-            }
-            if from_server {
-                if let Some(s) = self.server.as_mut() {
-                    self.server_events.extend(s.take_events());
-                }
-            } else {
-                self.client_events.extend(self.client.take_events());
             }
         }
 
@@ -1587,7 +1591,7 @@ mod tests {
                         if to_server {
                             self.deliver_to_server(seg);
                         } else {
-                            self.client.on_segment(seg, self.now);
+                            self.client.on_segment(seg, self.now, &mut self.client_q);
                             self.collect(false);
                             self.drain_client_reads();
                         }
@@ -1596,10 +1600,10 @@ mod tests {
                     }
                 }
                 // Fire timers.
-                self.client.on_tick(self.now);
+                self.client.on_tick(self.now, &mut self.client_q);
                 self.collect(false);
                 if let Some(s) = self.server.as_mut() {
-                    s.on_tick(self.now);
+                    s.on_tick(self.now, &mut self.server_q);
                     self.collect(true);
                 }
                 self.drain_reads();
@@ -1611,7 +1615,7 @@ mod tests {
 
         fn deliver_to_server(&mut self, seg: TcpSegment) {
             if let Some(server) = self.server.as_mut() {
-                server.on_segment(seg, self.now);
+                server.on_segment(seg, self.now, &mut self.server_q);
             } else {
                 assert!(seg.flags.syn, "first server segment must be SYN, got {seg}");
                 let (_, sq) = quads();
@@ -1622,6 +1626,7 @@ mod tests {
                     &seg,
                     self.now,
                     self.server_gated,
+                    &mut self.server_q,
                 ));
             }
             self.collect(true);
@@ -1634,7 +1639,7 @@ mod tests {
             }
             if let Some(s) = self.server.as_mut() {
                 loop {
-                    let data = s.read(4096, self.now);
+                    let data = s.read(4096, &mut self.server_q);
                     if data.is_empty() {
                         break;
                     }
@@ -1650,7 +1655,7 @@ mod tests {
                 return;
             }
             loop {
-                let data = self.client.read(4096, self.now);
+                let data = self.client.read(4096, &mut self.client_q);
                 if data.is_empty() {
                     break;
                 }
@@ -1660,23 +1665,26 @@ mod tests {
         }
 
         fn client_write(&mut self, data: &[u8]) -> usize {
-            let n = self.client.write(data, self.now);
+            let n = self.client.write(data, self.now, &mut self.client_q);
             self.collect(false);
             n
         }
 
         fn server_write(&mut self, data: &[u8]) -> usize {
-            let n = self
-                .server
-                .as_mut()
-                .expect("server up")
-                .write(data, self.now);
+            let now = self.now;
+            let (server, q) = self.server_io();
+            let n = server.write(data, now, q);
             self.collect(true);
             n
         }
 
         fn server(&mut self) -> &mut Connection {
             self.server.as_mut().expect("server up")
+        }
+
+        /// The server and its queues, for a direct call.
+        fn server_io(&mut self) -> (&mut Connection, &mut ConnQueues) {
+            (self.server.as_mut().expect("server up"), &mut self.server_q)
         }
     }
 
@@ -1787,14 +1795,15 @@ mod tests {
         let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
         p.run_until(SimTime::from_millis(100));
         p.client_write(b"bye");
-        p.client.close(p.now);
+        p.client.close(p.now, &mut p.client_q);
         p.collect(false);
         p.run_until(p.now + SimDuration::from_millis(100));
         assert_eq!(p.server_received, b"bye");
         assert!(p.server_events.contains(&ConnEvent::PeerFin));
         assert_eq!(p.server().state(), TcpState::CloseWait);
         let now = p.now;
-        p.server().close(now);
+        let (server, q) = p.server_io();
+        server.close(now, q);
         p.collect(true);
         p.run_until(p.now + SimDuration::from_millis(200));
         assert!(p.client_events.contains(&ConnEvent::PeerFin));
@@ -1812,7 +1821,7 @@ mod tests {
     fn abort_resets_peer() {
         let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
         p.run_until(SimTime::from_millis(100));
-        p.client.abort(p.now);
+        p.client.abort(&mut p.client_q);
         p.collect(false);
         p.run_until(p.now + SimDuration::from_millis(100));
         assert_eq!(p.client.state(), TcpState::Closed);
@@ -1878,10 +1887,10 @@ mod tests {
             payload: b"payload!".to_vec().into(),
         };
         let now = p.now;
-        p.server().on_segment(dup.clone(), now);
-        p.server().on_segment(dup, now);
-        assert_eq!(p.server().duplicate_data_count(), 2);
-        let events = p.server().take_events();
+        let (server, q) = p.server_io();
+        server.on_segment(dup.clone(), now, q);
+        server.on_segment(dup, now, q);
+        let events = q.take_events();
         assert_eq!(
             events
                 .iter()
@@ -1919,8 +1928,9 @@ mod tests {
             payload: vec![0u8].into(),
         };
         let now = p.now;
-        p.server().on_segment(probe, now);
-        let acks = p.server().take_segments();
+        let (server, q) = p.server_io();
+        server.on_segment(probe, now, q);
+        let acks = q.take_segments();
         assert_eq!(acks.len(), 1, "the probe is answered at once");
         assert_eq!((acks[0].ack, acks[0].window), (rcv_nxt, 0));
         assert_eq!(
@@ -1928,8 +1938,7 @@ mod tests {
             2048,
             "the probe byte is not taken"
         );
-        assert_eq!(p.server().duplicate_data_count(), 0);
-        let events = p.server().take_events();
+        let events = p.server_q.take_events();
         assert!(!p
             .server_events
             .iter()
@@ -1941,29 +1950,24 @@ mod tests {
     fn send_gate_holds_synack_until_raised() {
         let (cq, sq) = quads();
         let now = SimTime::ZERO;
-        let mut client = Connection::connect(cq, TcpConfig::default(), SeqNum::new(500), now);
-        let syn = client.take_segments().remove(0);
-        let mut server = Connection::accept(
-            sq,
-            TcpConfig::default(),
-            SeqNum::new(9000),
-            &syn,
-            now,
-            false,
-        );
+        let mut client = End::connect(cq, TcpConfig::default(), 500);
+        let syn = client.q.take_segments().remove(0);
+        let mut server = End::accept(sq, TcpConfig::default(), 9000, &syn, false);
         // Not gated: SYN-ACK flows immediately.
-        assert_eq!(server.take_segments().len(), 1);
+        assert_eq!(server.q.take_segments().len(), 1);
 
-        let mut gated =
-            Connection::accept(sq, TcpConfig::default(), SeqNum::new(9000), &syn, now, true);
-        assert!(gated.take_segments().is_empty(), "gated SYN-ACK leaked");
+        let End {
+            c: mut gated,
+            mut q,
+        } = End::accept(sq, TcpConfig::default(), 9000, &syn, true);
+        assert!(q.take_segments().is_empty(), "gated SYN-ACK leaked");
         // A retransmitted SYN while gated must not produce a SYN-ACK.
-        gated.on_segment(syn, now);
-        assert!(gated.take_segments().is_empty(), "gated SYN-ACK leaked");
+        gated.on_segment(syn, now, &mut q);
+        assert!(q.take_segments().is_empty(), "gated SYN-ACK leaked");
         // Successor reports its SYN-ACK progress: seq_end = ISS + 1 (same
         // ISS by construction).
-        gated.raise_send_gate(SeqNum::new(9001), now);
-        let out = gated.take_segments();
+        gated.raise_send_gate(SeqNum::new(9001), now, &mut q);
+        let out = q.take_segments();
         assert_eq!(out.len(), 1);
         assert!(out[0].flags.syn && out[0].flags.ack);
     }
@@ -1978,13 +1982,15 @@ mod tests {
         // Successor reports progress past the first 500 bytes.
         let base = p.server().snd_una();
         let now2 = p.now;
-        p.server().raise_send_gate(base + 500, now2);
+        let (server, q) = p.server_io();
+        server.raise_send_gate(base + 500, now2, q);
         p.collect(true);
         p.run_until(p.now + SimDuration::from_millis(50));
         assert_eq!(p.client_received.len(), 500); // bytes una..una+500
                                                   // Open fully.
         let now3 = p.now;
-        p.server().disable_send_gate(now3);
+        let (server, q) = p.server_io();
+        server.disable_send_gate(now3, q);
         p.collect(true);
         p.run_until(p.now + SimDuration::from_millis(100));
         assert_eq!(p.client_received.len(), 1000);
@@ -2007,43 +2013,43 @@ mod tests {
     /// A client and a gated server past the handshake, the server's send
     /// gate raised over its SYN-ACK and nothing more, as the stack sets up
     /// a replica with a chain successor.
-    fn gated_established() -> (Connection, Connection) {
+    fn gated_established() -> (End, End) {
         let (cq, sq) = quads();
         let now = SimTime::ZERO;
-        let mut client = Connection::connect(cq, TcpConfig::default(), SeqNum::new(1000), now);
-        let syn = client.take_segments().remove(0);
-        let mut server = Connection::accept(
-            sq,
-            TcpConfig::default(),
-            SeqNum::new(77_000),
-            &syn,
-            now,
-            true,
-        );
-        assert!(server.take_segments().is_empty(), "gated SYN-ACK leaked");
-        server.raise_send_gate(server.iss() + 1, now);
-        let synack = server.take_segments().remove(0);
-        client.on_segment(synack, now);
-        for seg in client.take_segments() {
-            server.on_segment(seg, now);
+        let mut client = End::connect(cq, TcpConfig::default(), 1000);
+        let syn = client.q.take_segments().remove(0);
+        let mut server = End::accept(sq, TcpConfig::default(), 77_000, &syn, true);
+        assert!(server.q.take_segments().is_empty(), "gated SYN-ACK leaked");
+        let iss = server.c.iss();
+        server.c.raise_send_gate(iss + 1, now, &mut server.q);
+        let synack = server.q.take_segments().remove(0);
+        client.c.on_segment(synack, now, &mut client.q);
+        for seg in client.q.take_segments() {
+            server.c.on_segment(seg, now, &mut server.q);
         }
-        assert_eq!(server.state(), TcpState::Established);
+        assert_eq!(server.c.state(), TcpState::Established);
         (client, server)
     }
 
     #[test]
     fn retransmissions_never_pass_the_send_gate() {
-        let (client, mut server) = gated_established();
+        let (
+            client,
+            End {
+                c: mut server,
+                mut q,
+            },
+        ) = gated_established();
         let t = SimTime::from_millis(1);
         let start = server.snd_nxt();
         // The successor has covered 700 of 3,000 buffered bytes, not the
         // FIN: a full MSS from SND.UNA would run past the gate.
         let mut gate = start + 700;
-        server.raise_send_gate(gate, t);
-        server.write(&pattern(3000), t);
-        server.close(t);
-        let sent = |server: &mut Connection, gate: SeqNum| {
-            let segs = server.take_segments();
+        server.raise_send_gate(gate, t, &mut q);
+        server.write(&pattern(3000), t, &mut q);
+        server.close(t, &mut q);
+        let sent = |q: &mut ConnQueues, gate: SeqNum| {
+            let segs = q.take_segments();
             for s in &segs {
                 assert!(s.seq_end().before_eq(gate), "{s} passes the gate {gate}");
             }
@@ -2053,45 +2059,42 @@ mod tests {
             segs.iter()
                 .any(|s| s.seq == seq && (!s.payload.is_empty() || s.flags.fin))
         };
-        assert!(resent_at(&sent(&mut server, gate), start));
+        assert!(resent_at(&sent(&mut q, gate), start));
 
         // RTO: go-back-N re-sends from SND.UNA.
         let rto = server.next_deadline().expect("RTO armed");
-        server.on_tick(rto);
-        assert!(resent_at(&sent(&mut server, gate), start), "RTO");
+        server.on_tick(rto, &mut q);
+        assert!(resent_at(&sent(&mut q, gate), start), "RTO");
 
         // Fast retransmit: three duplicate ACKs at SND.UNA.
         let dup_ack = TcpSegment {
             src_port: 40_000,
             dst_port: 80,
-            seq: client.snd_nxt(),
+            seq: client.c.snd_nxt(),
             ack: start,
             flags: TcpFlags::ACK,
             window: u16::MAX,
             payload: PacketBuf::new(),
         };
         for _ in 0..3 {
-            server.on_segment(dup_ack.clone(), rto);
+            server.on_segment(dup_ack.clone(), rto, &mut q);
         }
-        assert!(
-            resent_at(&sent(&mut server, gate), start),
-            "fast retransmit"
-        );
+        assert!(resent_at(&sent(&mut q, gate), start), "fast retransmit");
 
         // FIN: the successor covers everything, the client acknowledges
         // the data but not the FIN, then repeats that ACK three times.
         gate = start + 3001;
-        server.raise_send_gate(gate, rto);
-        assert!(sent(&mut server, gate).iter().any(|s| s.flags.fin));
+        server.raise_send_gate(gate, rto, &mut q);
+        assert!(sent(&mut q, gate).iter().any(|s| s.flags.fin));
         let fin = start + 3000;
         let data_ack = TcpSegment {
             ack: fin,
             ..dup_ack
         };
         for _ in 0..4 {
-            server.on_segment(data_ack.clone(), rto);
+            server.on_segment(data_ack.clone(), rto, &mut q);
         }
-        assert!(resent_at(&sent(&mut server, gate), fin), "FIN retransmit");
+        assert!(resent_at(&sent(&mut q, gate), fin), "FIN retransmit");
     }
 
     /// The gate watchdog's probe sits at `SND.NXT - 1`, below the peer's
@@ -2099,24 +2102,26 @@ mod tests {
     #[test]
     fn live_peer_answers_probe_and_conn_survives() {
         let (mut client, mut server) = gated_established();
-        server.write(b"held behind the gate", SimTime::ZERO);
-        assert!(server.take_segments().is_empty());
-        let starved = server.next_deadline().expect("watchdog armed");
-        server.on_tick(starved);
-        assert!(server.take_events().contains(&ConnEvent::GateStarved));
-        let probe = server.take_segments().remove(0);
+        server
+            .c
+            .write(b"held behind the gate", SimTime::ZERO, &mut server.q);
+        assert!(server.q.take_segments().is_empty());
+        let starved = server.c.next_deadline().expect("watchdog armed");
+        server.c.on_tick(starved, &mut server.q);
+        assert!(server.q.take_events().contains(&ConnEvent::GateStarved));
+        let probe = server.q.take_segments().remove(0);
         assert!(probe.payload.is_empty());
-        assert_eq!(probe.seq, server.snd_nxt() - 1);
-        client.on_segment(probe, starved);
-        let answers = client.take_segments();
+        assert_eq!(probe.seq, server.c.snd_nxt() - 1);
+        client.c.on_segment(probe, starved, &mut client.q);
+        let answers = client.q.take_segments();
         assert_eq!(answers.len(), 1, "probe unanswered: {answers:?}");
         let answer = &answers[0];
         assert!(answer.payload.is_empty() && answer.flags == TcpFlags::ACK);
-        assert_eq!(answer.ack, server.snd_nxt());
-        server.on_segment(answer.clone(), starved);
-        assert!(server.take_segments().is_empty());
-        assert_eq!(server.state(), TcpState::Established);
-        assert_eq!(client.state(), TcpState::Established);
+        assert_eq!(answer.ack, server.c.snd_nxt());
+        server.c.on_segment(answer.clone(), starved, &mut server.q);
+        assert!(server.q.take_segments().is_empty());
+        assert_eq!(server.c.state(), TcpState::Established);
+        assert_eq!(client.c.state(), TcpState::Established);
     }
 
     #[test]
@@ -2131,11 +2136,13 @@ mod tests {
         let client_start = p.client.snd_una();
         let now2 = p.now;
         // Successor acked 5 bytes past start.
-        p.server().raise_deposit_gate(client_start + 5, now2);
+        let (server, q) = p.server_io();
+        server.raise_deposit_gate(client_start + 5, now2, q);
         p.drain_reads();
         assert_eq!(p.server_received, b"gated");
         let now3 = p.now;
-        p.server().disable_deposit_gate(now3);
+        let (server, q) = p.server_io();
+        server.disable_deposit_gate(now3, q);
         p.drain_reads();
         assert_eq!(p.server_received, b"gated-bytes");
     }
@@ -2249,24 +2256,31 @@ mod tests {
         let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
         p.run_until(SimTime::from_millis(100));
         let now = p.now;
-        p.client.close(now);
-        assert_eq!(p.client.write(b"late", now), 0);
+        p.client.close(now, &mut p.client_q);
+        assert_eq!(p.client.write(b"late", now, &mut p.client_q), 0);
     }
 
     #[test]
-    fn counters_track_bytes() {
+    fn transfer_is_acked_and_counted() {
         let mut p = Pair::new(TcpConfig::default(), TcpConfig::default());
         p.run_until(SimTime::from_millis(100));
+        let sent = p.client.segments_sent();
         p.client_write(&pattern(5000));
         p.run_until(p.now + SimDuration::from_secs(2));
-        assert_eq!(p.client.bytes_acked(), 5000);
-        assert!(p.client.bytes_sent() >= 5000);
+        // Everything after the SYN's slot is acknowledged.
+        assert_eq!(p.client.snd_una(), p.client.iss() + 1 + 5000);
+        assert!(
+            p.client.segments_sent() >= sent + 4,
+            "5,000 B in 1,460 B segments"
+        );
+        assert_eq!(p.client.retransmit_count(), 0);
         assert_eq!(p.server_received.len(), 5000);
     }
 }
 
 #[cfg(test)]
 mod close_tests {
+    use super::tests::End;
     use super::*;
     use crate::segment::SockAddr;
     use hydranet_netsim::packet::IpAddr;
@@ -2277,7 +2291,7 @@ mod close_tests {
         (Quad::new(a, b), Quad::new(b, a))
     }
 
-    fn established() -> (Connection, Connection) {
+    fn established() -> (End, End) {
         let (aq, bq) = quads();
         let now = SimTime::ZERO;
         let cfg = TcpConfig {
@@ -2285,32 +2299,32 @@ mod close_tests {
             time_wait: SimDuration::from_secs(1),
             ..TcpConfig::default()
         };
-        let mut a = Connection::connect(aq, cfg.clone(), SeqNum::new(10), now);
-        let syn = a.take_segments().remove(0);
-        let mut b = Connection::accept(bq, cfg, SeqNum::new(20), &syn, now, false);
-        let synack = b.take_segments().remove(0);
-        a.on_segment(synack, now);
-        for seg in a.take_segments() {
-            b.on_segment(seg, now);
+        let mut a = End::connect(aq, cfg.clone(), 10);
+        let syn = a.q.take_segments().remove(0);
+        let mut b = End::accept(bq, cfg, 20, &syn, false);
+        let synack = b.q.take_segments().remove(0);
+        a.c.on_segment(synack, now, &mut a.q);
+        for seg in a.q.take_segments() {
+            b.c.on_segment(seg, now, &mut b.q);
         }
-        for seg in b.take_segments() {
-            a.on_segment(seg, now);
+        for seg in b.q.take_segments() {
+            a.c.on_segment(seg, now, &mut a.q);
         }
         (a, b)
     }
 
-    fn shuttle(a: &mut Connection, b: &mut Connection, t: SimTime) {
+    fn shuttle(a: &mut End, b: &mut End, t: SimTime) {
         for _ in 0..16 {
-            let ab = a.take_segments();
-            let ba = b.take_segments();
+            let ab = a.q.take_segments();
+            let ba = b.q.take_segments();
             if ab.is_empty() && ba.is_empty() {
                 break;
             }
             for seg in ab {
-                b.on_segment(seg, t);
+                b.c.on_segment(seg, t, &mut b.q);
             }
             for seg in ba {
-                a.on_segment(seg, t);
+                a.c.on_segment(seg, t, &mut a.q);
             }
         }
     }
@@ -2320,37 +2334,37 @@ mod close_tests {
         let (mut a, mut b) = established();
         let t = SimTime::from_millis(10);
         // Both sides close before either FIN crosses the wire.
-        a.close(t);
-        b.close(t);
-        let a_fins = a.take_segments();
-        let b_fins = b.take_segments();
+        a.c.close(t, &mut a.q);
+        b.c.close(t, &mut b.q);
+        let a_fins = a.q.take_segments();
+        let b_fins = b.q.take_segments();
         assert!(a_fins.iter().any(|s| s.flags.fin));
         assert!(b_fins.iter().any(|s| s.flags.fin));
         for seg in a_fins {
-            b.on_segment(seg, t);
+            b.c.on_segment(seg, t, &mut b.q);
         }
         for seg in b_fins {
-            a.on_segment(seg, t);
+            a.c.on_segment(seg, t, &mut a.q);
         }
         shuttle(&mut a, &mut b, t);
         // Both went through CLOSING into TIME-WAIT.
-        assert_eq!(a.state(), TcpState::TimeWait, "a: {:?}", a.state());
-        assert_eq!(b.state(), TcpState::TimeWait, "b: {:?}", b.state());
+        assert_eq!(a.c.state(), TcpState::TimeWait, "a: {:?}", a.c.state());
+        assert_eq!(b.c.state(), TcpState::TimeWait, "b: {:?}", b.c.state());
         let expiry = SimTime::from_secs(2);
-        a.on_tick(expiry);
-        b.on_tick(expiry);
-        assert_eq!(a.state(), TcpState::Closed);
-        assert_eq!(b.state(), TcpState::Closed);
+        a.c.on_tick(expiry, &mut a.q);
+        b.c.on_tick(expiry, &mut b.q);
+        assert_eq!(a.c.state(), TcpState::Closed);
+        assert_eq!(b.c.state(), TcpState::Closed);
     }
 
     #[test]
     fn fin_with_outstanding_data_flushes_first() {
         let (mut a, mut b) = established();
         let t = SimTime::from_millis(5);
-        a.write(b"last words", t);
-        a.close(t);
+        a.c.write(b"last words", t, &mut a.q);
+        a.c.close(t, &mut a.q);
         // The FIN must ride with/after the data, never before it.
-        let segs = a.take_segments();
+        let segs = a.q.take_segments();
         let data_seg = segs
             .iter()
             .find(|s| !s.payload.is_empty())
@@ -2358,31 +2372,31 @@ mod close_tests {
         let fin_seg = segs.iter().find(|s| s.flags.fin).expect("fin sent");
         assert!(fin_seg.seq_end().after_eq(data_seg.seq_end()));
         for seg in segs {
-            b.on_segment(seg, t);
+            b.c.on_segment(seg, t, &mut b.q);
         }
         shuttle(&mut a, &mut b, t);
-        assert_eq!(b.read(100, t), b"last words");
-        assert_eq!(b.state(), TcpState::CloseWait);
+        assert_eq!(b.c.read(100, &mut b.q), b"last words");
+        assert_eq!(b.c.state(), TcpState::CloseWait);
     }
 
     #[test]
     fn time_wait_reacks_retransmitted_fin() {
         let (mut a, mut b) = established();
         let t = SimTime::from_millis(5);
-        a.close(t);
+        a.c.close(t, &mut a.q);
         shuttle(&mut a, &mut b, t);
-        b.close(t);
-        let fin = b
-            .take_segments()
-            .into_iter()
-            .find(|s| s.flags.fin)
-            .expect("b fin");
-        a.on_segment(fin.clone(), t);
-        a.take_segments();
-        assert_eq!(a.state(), TcpState::TimeWait);
+        b.c.close(t, &mut b.q);
+        let fin =
+            b.q.take_segments()
+                .into_iter()
+                .find(|s| s.flags.fin)
+                .expect("b fin");
+        a.c.on_segment(fin.clone(), t, &mut a.q);
+        a.q.take_segments();
+        assert_eq!(a.c.state(), TcpState::TimeWait);
         // The last ACK was lost; b retransmits its FIN into TIME-WAIT.
-        a.on_segment(fin, SimTime::from_millis(300));
-        let reack = a.take_segments();
+        a.c.on_segment(fin, SimTime::from_millis(300), &mut a.q);
+        let reack = a.q.take_segments();
         assert!(
             reack.iter().any(|s| s.flags.ack && !s.flags.fin),
             "TIME-WAIT must re-ack a retransmitted FIN: {reack:?}"

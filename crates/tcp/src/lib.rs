@@ -37,7 +37,7 @@ pub mod udp;
 
 /// Convenient glob-import of the crate's primary types.
 pub mod prelude {
-    pub use crate::conn::{ConnEvent, Connection, TcpConfig, TcpState};
+    pub use crate::conn::{ConnEvent, ConnQueues, Connection, TcpConfig, TcpState};
     pub use crate::detector::{DetectorParams, FailureDetector};
     pub use crate::ft::{
         deterministic_iss, AckChanMsg, ReplicaMode, ReplicatedPortConfig, ACK_CHANNEL_PORT,

@@ -27,8 +27,8 @@ pub struct RttEstimator {
     rttvar: SimDuration,
     rto: SimDuration,
     backoff_shift: u32,
-    samples_taken: u64,
-    timeouts: u64,
+    samples_taken: u32,
+    timeouts: u32,
 }
 
 /// Initial RTO before any sample, per RFC 6298 (adapted: BSD-era stacks of
@@ -84,13 +84,13 @@ impl RttEstimator {
         let candidate = self.srtt + (self.rttvar * 4).max(SimDuration::from_millis(10));
         self.rto = candidate.max(MIN_RTO).min(MAX_RTO);
         self.backoff_shift = 0;
-        self.samples_taken += 1;
+        self.samples_taken = self.samples_taken.saturating_add(1);
     }
 
     /// Doubles the RTO after a retransmission timeout (capped).
     pub fn on_timeout(&mut self) {
         self.backoff_shift = (self.backoff_shift + 1).min(16);
-        self.timeouts += 1;
+        self.timeouts = self.timeouts.saturating_add(1);
     }
 
     /// Current backoff exponent (0 when no consecutive timeouts).
@@ -98,13 +98,13 @@ impl RttEstimator {
         self.backoff_shift
     }
 
-    /// RTT measurements fed so far (telemetry).
-    pub fn samples_taken(&self) -> u64 {
+    /// RTT measurements fed so far (telemetry; saturating).
+    pub fn samples_taken(&self) -> u32 {
         self.samples_taken
     }
 
-    /// Retransmission timeouts suffered so far (telemetry).
-    pub fn timeouts(&self) -> u64 {
+    /// Retransmission timeouts suffered so far (telemetry; saturating).
+    pub fn timeouts(&self) -> u32 {
         self.timeouts
     }
 }

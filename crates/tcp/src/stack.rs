@@ -44,7 +44,7 @@ use hydranet_netsim::time::{SimDuration, SimTime};
 use hydranet_obs::metrics::Histogram;
 use hydranet_obs::{trace, Obs};
 
-use crate::conn::{ConnEvent, ConnTelemetry, Connection, TcpConfig, TcpState};
+use crate::conn::{ConnEvent, ConnQueues, ConnTelemetry, Connection, OptTime, TcpConfig, TcpState};
 use crate::deadlines::Deadlines;
 use crate::detector::FailureDetector;
 use crate::ft::{
@@ -112,33 +112,35 @@ impl std::fmt::Display for EphemeralPortsExhausted {
 
 impl std::error::Error for EphemeralPortsExhausted {}
 
-/// The application's handle to its connection during a callback.
+/// The application's handle to its connection during a callback: the
+/// connection and the stack's queues its output goes to.
 #[derive(Debug)]
 pub struct SocketIo<'a> {
     conn: &'a mut Connection,
+    q: &'a mut ConnQueues,
     now: SimTime,
 }
 
 impl<'a> SocketIo<'a> {
     /// Reads up to `max` bytes of in-order data.
     pub fn read(&mut self, max: usize) -> Vec<u8> {
-        self.conn.read(max, self.now)
+        self.conn.read(max, self.q)
     }
 
     /// Reads everything currently available.
     pub fn read_all(&mut self) -> Vec<u8> {
         let n = self.conn.readable_len();
-        self.conn.read(n, self.now)
+        self.conn.read(n, self.q)
     }
 
     /// Writes data; returns the number of bytes accepted.
     pub fn write(&mut self, data: &[u8]) -> usize {
-        self.conn.write(data, self.now)
+        self.conn.write(data, self.now, self.q)
     }
 
     /// Initiates a graceful close.
     pub fn close(&mut self) {
-        self.conn.close(self.now);
+        self.conn.close(self.now, self.q);
     }
 
     /// The connection four-tuple.
@@ -239,19 +241,19 @@ struct ConnEntry {
 // `conn_memory_bytes` charges `size_of::<ConnEntry>()` per parked
 // connection and the `PINNED_SCALE` fingerprint covers that charge, so any
 // change to the record moves the pin; the many-flow runs also pay it once
-// per live connection per replica (about 72 KiB of `flows_20k` peak RSS
-// per byte).
-const _: () = assert!(std::mem::size_of::<ConnEntry>() == 584);
+// per live connection per replica (about 55 KiB of `flows_20k` peak RSS
+// per byte). The slab slot is charged per slot likewise.
+const _: () = assert!(std::mem::size_of::<ConnEntry>() == 440);
+const _: () = assert!(std::mem::size_of::<ConnSlot>() == 40);
 
 type AppFactory = Box<dyn FnMut(Quad) -> Box<dyn SocketApp>>;
 
 /// One slab slot.
-#[derive(Default)]
 struct ConnSlot {
     /// The deadline this slot has filed in the stack's deadline heap; kept
     /// equal to `conn.next_deadline()` after every interaction, so a
     /// re-arm that leaves it unchanged never touches the heap.
-    armed: Option<SimTime>,
+    armed: OptTime,
     occ: Option<Occupant>,
 }
 
@@ -310,15 +312,13 @@ pub struct TcpStack {
     /// Deadline of the armed ack-channel flush timer, if any.
     ackchan_flush_at: Option<SimTime>,
     stats: StackStats,
-    /// The outbox and event queue lent to whichever connection is checked
-    /// out: every check-out hands them over and `finish_entry` takes them
-    /// back before it parks or reaps the connection. A parked connection
-    /// therefore holds neither allocation, and steady-state segment
-    /// processing allocates none.
-    lent_segments: Vec<TcpSegment>,
-    lent_events: Vec<ConnEvent>,
-    /// The event vector `finish_entry`'s drain loop trades with the
-    /// connection's queue each round, recycled likewise.
+    /// The queues every connection call writes its segments and events
+    /// into; `finish_entry` drains both before the connection parks, so
+    /// they are empty between calls. No connection holds a queue, and
+    /// steady-state segment processing allocates none.
+    queues: ConnQueues,
+    /// The event vector `finish_entry`'s drain loop trades with
+    /// `queues.events` each round, recycled likewise.
     scratch_events: Vec<ConnEvent>,
     /// Due `(quad, slot)` pairs of one `on_timer` call, recycled likewise.
     scratch_due: Vec<(Quad, u32)>,
@@ -377,8 +377,7 @@ impl TcpStack {
             ackchan_pending: BTreeMap::new(),
             ackchan_flush_at: None,
             stats: StackStats::default(),
-            lent_segments: Vec::new(),
-            lent_events: Vec::new(),
+            queues: ConnQueues::default(),
             scratch_events: Vec::new(),
             scratch_batch: Vec::new(),
             scratch_due: Vec::new(),
@@ -456,12 +455,13 @@ impl TcpStack {
             // backup); connection-state transfer on re-commissioning is
             // future work in the paper (§6), so live connections are
             // grandfathered with their current chain discipline.
+            let q = &mut self.queues;
             if !gated {
-                entry.conn.disable_send_gate(now);
-                entry.conn.disable_deposit_gate(now);
+                entry.conn.disable_send_gate(now, q);
+                entry.conn.disable_deposit_gate(now, q);
             }
             if promoted {
-                entry.conn.kick(now);
+                entry.conn.kick(now, q);
             }
             // A role change means a reconfiguration happened: clear the
             // failure estimator's latch so a *subsequent* failure on this
@@ -494,7 +494,8 @@ impl TcpStack {
         let local = SockAddr::new(self.addrs[0], self.alloc_ephemeral(remote)?);
         let quad = Quad::new(local, remote);
         let iss = deterministic_iss(quad);
-        let mut conn = Connection::connect(quad, Rc::clone(&self.cfg), iss, now);
+        let cfg = Rc::clone(&self.cfg);
+        let mut conn = Connection::connect(quad, cfg, iss, now, &mut self.queues);
         conn.set_telemetry(self.conn_telemetry.clone());
         self.span_conn_open(quad, "connect", now);
         let entry = ConnEntry {
@@ -502,7 +503,7 @@ impl TcpStack {
             app,
             detector: None,
         };
-        self.finish_new(entry, now);
+        self.finish_entry(None, Box::new(entry), now);
         Ok(quad)
     }
 
@@ -566,16 +567,17 @@ impl TcpStack {
     }
 
     /// Approximate heap footprint of per-connection state in bytes: the
-    /// slab, the demux table, and every parked connection (including its
-    /// socket buffers). Deterministic — it depends only on the schedule —
-    /// so scale benches can report per-flow memory without reading RSS.
+    /// slab, the demux table, and every parked connection — its record
+    /// once, plus the heap behind its socket buffers. Deterministic — it
+    /// depends only on the schedule — so scale benches can report per-flow
+    /// memory without reading RSS.
     pub fn conn_memory_bytes(&self) -> usize {
         let mut total = self.slots.capacity() * std::mem::size_of::<ConnSlot>()
             + self.free_slots.capacity() * std::mem::size_of::<u32>()
             + self.demux.capacity() * std::mem::size_of::<(u128, u32)>();
         for slot in &self.slots {
             if let Some(entry) = slot.occ.as_ref().and_then(|o| o.entry.as_ref()) {
-                total += std::mem::size_of::<ConnEntry>() + entry.conn.memory_bytes();
+                total += std::mem::size_of::<ConnEntry>() + entry.conn.heap_bytes();
             }
         }
         total
@@ -591,13 +593,11 @@ impl TcpStack {
         f: impl FnOnce(&mut SocketIo<'_>) -> R,
     ) -> Option<R> {
         let (slot, mut entry) = self.take_conn(quad)?;
-        let result = {
-            let mut io = SocketIo {
-                conn: &mut entry.conn,
-                now,
-            };
-            f(&mut io)
-        };
+        let result = f(&mut SocketIo {
+            conn: &mut entry.conn,
+            q: &mut self.queues,
+            now,
+        });
         self.finish_entry(Some(slot), entry, now);
         Some(result)
     }
@@ -688,7 +688,7 @@ impl TcpStack {
             // The entry is consumed; `finish_entry` re-arms from the
             // connection's post-tick deadline.
             let s = &mut self.slots[slot as usize];
-            s.armed = None;
+            s.armed = OptTime::NONE;
             if let Some(occ) = &s.occ {
                 due.push((occ.quad, slot));
             }
@@ -696,7 +696,7 @@ impl TcpStack {
         due.sort_unstable();
         for &(_, slot) in &due {
             if let Some(mut entry) = self.check_out(slot) {
-                entry.conn.on_tick(now);
+                entry.conn.on_tick(now, &mut self.queues);
                 self.finish_entry(Some(slot), entry, now);
             }
         }
@@ -753,34 +753,19 @@ impl TcpStack {
         Some((slot, self.check_out(slot)?))
     }
 
-    /// Checks out the connection parked in `slot`, lending it the queues.
+    /// Checks out the connection parked in `slot`.
     fn check_out(&mut self, slot: u32) -> Option<Box<ConnEntry>> {
-        let mut entry = self.slots[slot as usize].occ.as_mut()?.entry.take()?;
-        self.lend_queues(&mut entry);
-        Some(entry)
-    }
-
-    /// Lends the stack's outbox and event queue to a connection about to
-    /// be processed; `finish_entry` takes them back.
-    fn lend_queues(&mut self, entry: &mut ConnEntry) {
-        let segments = std::mem::take(&mut self.lent_segments);
-        let events = std::mem::take(&mut self.lent_events);
-        entry.conn.borrow_queues(segments, events);
-    }
-
-    /// Finishes a just-opened connection's first interaction, as a
-    /// check-out would: lent the queues, then parked in a new slot.
-    fn finish_new(&mut self, entry: ConnEntry, now: SimTime) {
-        let mut entry = Box::new(entry);
-        self.lend_queues(&mut entry);
-        self.finish_entry(None, entry, now);
+        self.slots[slot as usize].occ.as_mut()?.entry.take()
     }
 
     fn insert_conn(&mut self, quad: Quad, entry: Box<ConnEntry>) -> u32 {
         let slot = match self.free_slots.pop() {
             Some(s) => s,
             None => {
-                self.slots.push(ConnSlot::default());
+                self.slots.push(ConnSlot {
+                    armed: OptTime::NONE,
+                    occ: None,
+                });
                 (self.slots.len() - 1) as u32
             }
         };
@@ -828,8 +813,8 @@ impl TcpStack {
             return;
         };
         let next = entry.conn.next_deadline();
-        if next != s.armed {
-            s.armed = next;
+        if next != s.armed.get() {
+            s.armed = OptTime::from(next);
             self.deadlines.set(slot, next);
         }
     }
@@ -873,7 +858,7 @@ impl TcpStack {
                 .trace(now.as_nanos(), trace::NOTE, quad.key(), note);
         }
         if let Some((slot, mut entry)) = self.take_conn(quad) {
-            entry.conn.on_segment(seg, now);
+            entry.conn.on_segment(seg, now, &mut self.queues);
             self.stats.fastpath_misses += 1;
             self.finish_entry(Some(slot), entry, now);
             return;
@@ -890,7 +875,8 @@ impl TcpStack {
             } else {
                 Rc::clone(&self.cfg)
             };
-            let mut conn = Connection::accept(quad, conn_cfg, iss, &seg, now, gated);
+            let q = &mut self.queues;
+            let mut conn = Connection::accept(quad, conn_cfg, iss, &seg, now, gated, q);
             conn.set_telemetry(self.conn_telemetry.clone());
             self.span_conn_open(quad, if gated { "accept-gated" } else { "accept" }, now);
             let app = self
@@ -902,7 +888,7 @@ impl TcpStack {
                 app,
                 detector: replication.map(|r| FailureDetector::new(r.detector)),
             };
-            self.finish_new(entry, now);
+            self.finish_entry(None, Box::new(entry), now);
             return;
         }
         // No socket. A replica that (re)joined a chain after a connection
@@ -963,35 +949,36 @@ impl TcpStack {
     fn on_ack_chan(&mut self, msg: AckChanMsg, now: SimTime) {
         self.stats.ackchan_rx += 1;
         if let Some((slot, mut entry)) = self.take_conn(msg.quad()) {
-            entry.conn.raise_send_gate(msg.seq, now);
-            entry.conn.raise_deposit_gate(msg.ack, now);
+            let q = &mut self.queues;
+            entry.conn.raise_send_gate(msg.seq, now, q);
+            entry.conn.raise_deposit_gate(msg.ack, now, q);
             self.finish_entry(Some(slot), entry, now);
         }
     }
 
     /// Common post-processing after any interaction with a checked-out
-    /// connection: dispatch events to the application, take the lent
-    /// queues back, route outgoing segments, reap it if closed, else park
-    /// it in `slot` (`None`: a new slot) and re-arm.
+    /// connection: dispatch the queued events to the application, route
+    /// the queued segments, reap it if closed, else park it in `slot`
+    /// (`None`: a new slot) and re-arm. Leaves both queues empty.
     fn finish_entry(&mut self, slot: Option<u32>, mut entry: Box<ConnEntry>, now: SimTime) {
         let quad = entry.conn.quad();
         // Event/application loop: app actions may produce more events. The
         // iteration cap is a runaway-app backstop; hitting it is counted
         // rather than silently swallowed.
         let mut rounds = 0;
-        // Each round the connection's queue trades places with this one, so
+        // Each round the event queue trades places with this one, so
         // callbacks queue into one vector while the loop walks the other.
         let mut events = std::mem::take(&mut self.scratch_events);
         loop {
             rounds += 1;
+            events.clear();
+            std::mem::swap(&mut events, &mut self.queues.events);
             if rounds > 64 {
-                entry.conn.take_events_into(&mut events);
                 self.stats.dropped += events.len() as u64;
                 events.clear();
                 debug_assert!(false, "application event loop did not settle for {quad}");
                 break;
             }
-            entry.conn.take_events_into(&mut events);
             if events.is_empty() {
                 break;
             }
@@ -1000,6 +987,7 @@ impl TcpStack {
                     ConnEvent::Established => {
                         let mut io = SocketIo {
                             conn: &mut entry.conn,
+                            q: &mut self.queues,
                             now,
                         };
                         entry.app.on_established(&mut io);
@@ -1010,6 +998,7 @@ impl TcpStack {
                         }
                         let mut io = SocketIo {
                             conn: &mut entry.conn,
+                            q: &mut self.queues,
                             now,
                         };
                         entry.app.on_data(&mut io);
@@ -1017,6 +1006,7 @@ impl TcpStack {
                     ConnEvent::SendSpace => {
                         let mut io = SocketIo {
                             conn: &mut entry.conn,
+                            q: &mut self.queues,
                             now,
                         };
                         entry.app.on_send_space(&mut io);
@@ -1024,6 +1014,7 @@ impl TcpStack {
                     ConnEvent::PeerFin => {
                         let mut io = SocketIo {
                             conn: &mut entry.conn,
+                            q: &mut self.queues,
                             now,
                         };
                         entry.app.on_peer_fin(&mut io);
@@ -1067,10 +1058,7 @@ impl TcpStack {
             }
         }
         self.scratch_events = events;
-        // The connection gives the lent queues back before it parks or is
-        // reaped; its outbox still holds the segments to route.
-        let (mut segments, lent_events) = entry.conn.return_queues();
-        self.lent_events = lent_events;
+        let mut segments = std::mem::take(&mut self.queues.segments);
         if !segments.is_empty() {
             let divert = self
                 .replicated
@@ -1110,12 +1098,7 @@ impl TcpStack {
                 }
             }
         }
-        self.lent_segments = segments;
-        debug_assert_eq!(
-            entry.conn.queue_capacity(),
-            0,
-            "{quad} parks holding a queue"
-        );
+        self.queues.segments = segments;
         if entry.conn.state() == TcpState::Closed {
             // Reaped; events already delivered.
             if let Some(slot) = slot {
@@ -1277,14 +1260,11 @@ mod tests {
     const PRIMARY: IpAddr = IpAddr::new(10, 0, 2, 1);
     const BACKUP: IpAddr = IpAddr::new(10, 0, 3, 1);
 
-    /// Queue capacity (outbox and events) held by `stack`'s parked
-    /// connections.
-    fn parked_queue_capacity(stack: &TcpStack) -> usize {
-        let entries = stack
-            .slots
-            .iter()
-            .filter_map(|s| s.occ.as_ref()?.entry.as_ref());
-        entries.map(|e| e.conn.queue_capacity()).sum()
+    /// Whether `stack`'s connection queues are empty, as every call must
+    /// leave them: a segment or event left behind would go out as the
+    /// next processed connection's.
+    fn queues_drained(stack: &TcpStack) -> bool {
+        stack.queues.segments.is_empty() && stack.queues.events.is_empty()
     }
 
     /// Writes its payload once established.
@@ -1310,7 +1290,7 @@ mod tests {
     }
 
     /// Runs two directly wired stacks until `until`, checking after every
-    /// call that no parked connection holds a queue. Returns how many
+    /// call that the stack's queues are drained. Returns how many
     /// `on_timer` calls ticked a connection that then stayed parked.
     fn run_checked(a: &mut TcpStack, b: &mut TcpStack, mut now: SimTime, until: SimTime) -> usize {
         let mut parked_after_tick = 0;
@@ -1320,7 +1300,7 @@ mod tests {
                 for (to, packets) in [(&mut *a, to_a), (&mut *b, to_b)] {
                     for packet in packets {
                         to.handle_packet(packet, now);
-                        assert_eq!(parked_queue_capacity(to), 0);
+                        assert!(queues_drained(to));
                     }
                 }
                 continue;
@@ -1334,7 +1314,7 @@ mod tests {
                 let ticks_conn = stack.deadlines.peek().is_some_and(|t| t <= now);
                 if stack.next_deadline().is_some_and(|t| t <= now) {
                     stack.on_timer(now);
-                    assert_eq!(parked_queue_capacity(stack), 0);
+                    assert!(queues_drained(stack));
                     if ticks_conn && stack.conn_count() > 0 {
                         parked_after_tick += 1;
                     }
@@ -1344,18 +1324,14 @@ mod tests {
     }
 
     #[test]
-    fn parked_connections_hold_no_queue_after_a_transfer_and_close() {
+    fn queues_are_drained_after_every_call_through_a_transfer_and_close() {
         let mut client = TcpStack::new(CLIENT, TcpConfig::default());
         let mut server = TcpStack::new(SERVICE, TcpConfig::default());
         server.listen(80, |_| Box::new(Drain));
         let remote = SockAddr::new(SERVICE, 80);
         let quad = client.connect(remote, Box::new(Writer(&[7; 3000])), SimTime::ZERO);
         let quad = quad.expect("port free");
-        assert_eq!(
-            parked_queue_capacity(&client),
-            0,
-            "a new connection parks bare"
-        );
+        assert!(queues_drained(&client), "the SYN went out");
         // Slow start sends a lone first segment, whose ACK the server holds
         // until the delayed-ACK timer ticks the connection; it parks again.
         let ticked = run_checked(
@@ -1367,8 +1343,9 @@ mod tests {
         assert!(ticked > 0, "no timer tick left a connection parked");
         assert_eq!(server.conn_count(), 1);
         let conn = server.conn(quad.flipped()).expect("server side");
-        assert_eq!(conn.bytes_acked(), 0);
-        assert_eq!(client.conn(quad).map(Connection::bytes_acked), Some(3000));
+        assert_eq!(conn.snd_una(), conn.iss() + 1, "the server sent no data");
+        let conn = client.conn(quad).expect("client side");
+        assert_eq!(conn.snd_una(), conn.iss() + 1 + 3000, "all 3,000 B acked");
         client.with_io(quad, SimTime::from_secs(1), |io| io.close());
         let end = SimTime::from_secs(100);
         run_checked(&mut client, &mut server, SimTime::from_secs(1), end);

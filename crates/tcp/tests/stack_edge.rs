@@ -248,7 +248,11 @@ fn replica_connections_ack_every_segment() {
         sim.run_until(sim.now().saturating_add(SimDuration::from_secs(5)));
         let client = sim.node::<StackHost>(a);
         let conn = client.stack.conn(quad).expect("conn alive");
-        counts.push((conn.segments_sent(), conn.segments_received()));
+        // What the server sent is what the client received: the link is
+        // loss-free.
+        let server = sim.node::<StackHost>(b);
+        let replies = server.stack.conn(quad.flipped()).expect("server alive");
+        counts.push((conn.segments_sent(), replies.segments_sent()));
     }
     // The replicated-port server (ack per segment) sends noticeably more
     // segments back than the plain-port server (delayed acks).
