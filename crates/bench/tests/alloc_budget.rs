@@ -19,7 +19,7 @@ use hydranet_netsim::routing::{Prefix, RouterNode};
 use hydranet_netsim::time::{SimDuration, SimTime};
 use hydranet_netsim::topology::TopologyBuilder;
 use hydranet_tcp::buffer::{Offer, RecvBuffer};
-use hydranet_tcp::conn::TcpConfig;
+use hydranet_tcp::conn::{Connection, TcpConfig};
 use hydranet_tcp::segment::SockAddr;
 use hydranet_tcp::seq::SeqNum;
 use hydranet_tcp::stack::{SocketApp, TcpStack};
@@ -287,20 +287,23 @@ fn held_segments_are_views_not_copies() {
 }
 
 /// Per-connection memory of the tiny scale run (what `bytes_per_flow`
-/// reports), bounded at 2 % above the measured 542 B. A parked connection
-/// costs its record (`TcpStack::CONN_RECORD_BYTES`, printed with it), its
-/// slab slot and the heap behind its buffers, and nothing it needs only
-/// while the stack processes it. This read 1,645 before the stack lent its
-/// outbox and event queue at check-out and the record shrank 704 → 584 B,
-/// and 1,206 before the record lost its queues and test-only counters
-/// (584 → 440 B) and stopped being charged twice.
+/// reports), bounded at 2 % above the measured 526 B. A parked connection
+/// costs its record (`TcpStack::CONN_RECORD_BYTES`, printed with it and
+/// with the `Connection` inside it), its slab slot and the heap behind its
+/// buffers, and nothing it needs only while the stack processes it. This
+/// read 1,645 before the stack lent its outbox and event queue at
+/// check-out and the record shrank 704 → 584 B, 1,206 before the record
+/// lost its queues and test-only counters (584 → 440 B) and stopped being
+/// charged twice, and 542 before `Connection` stopped pointing at the
+/// stack's config and telemetry (440 → 424 B).
 #[test]
 fn scale_tiny_bytes_per_conn_stay_bounded() {
-    const MEASURED: u64 = 542;
+    const MEASURED: u64 = 526;
     let per_conn = aggregate_bytes_per_flow(&run_scale(&ScaleConfig::tiny(), 1));
     println!(
-        "scale tiny: {per_conn} B/conn, connection record {} B",
-        TcpStack::CONN_RECORD_BYTES
+        "scale tiny: {per_conn} B/conn, connection record {} B, Connection {} B",
+        TcpStack::CONN_RECORD_BYTES,
+        std::mem::size_of::<Connection>()
     );
     assert!(
         per_conn <= MEASURED * 102 / 100,
@@ -312,11 +315,11 @@ fn scale_tiny_bytes_per_conn_stay_bounded() {
 /// at peak: every byte the run requests (simulator, redirector, both
 /// replicas' stacks, applications), sampled by this file's allocator, so
 /// the figure is the same on every host. Bounded at 2 % above the
-/// measured 2,970 B (3,426 before the record shrank 584 → 440 B); printed
-/// for the log.
+/// measured 2,921 B (3,426 before the record shrank 584 → 440 B, 2,970
+/// before it shrank 440 → 424 B); printed for the log.
 #[test]
 fn scale_peak_heap_per_conn_stays_bounded() {
-    const MEASURED: u64 = 2_970;
+    const MEASURED: u64 = 2_921;
     let cfg = ScaleConfig {
         cells: 1,
         flows_per_cell: 1_000,

@@ -3,16 +3,15 @@
 //! [`Connection`] is a sans-I/O state machine: the owning stack feeds it
 //! segments ([`Connection::on_segment`]) and clock ticks
 //! ([`Connection::on_tick`]), the application reads/writes through it, and
-//! every call that can produce output queues its outgoing segments and
-//! application events into the caller's [`ConnQueues`]. The connection
-//! keeps no queue of its own, so a parked one holds none.
+//! every call takes the stack's [`ConnQueues`]: the configuration and
+//! telemetry its connections share, and the queues each call's outgoing
+//! segments and application events go to. A connection holds none of
+//! these, so its record carries only per-connection state.
 //!
 //! HydraNet-FT hooks: the *deposit gate* (receive side) and *send gate*
 //! (transmit side) implement the paper's §4.3 synchronisation rules. Both
 //! are inert (`None`/cleared) for ordinary connections; the `ft` module and
 //! the stack manage them for connections on replicated ports.
-
-use std::rc::Rc;
 
 use hydranet_netsim::buf::PacketBuf;
 use hydranet_netsim::time::{SimDuration, SimTime};
@@ -135,16 +134,32 @@ pub enum ConnEvent {
     GateStarved,
 }
 
-/// Where a connection call queues its output: the segments to transmit
-/// and the events for the application, in order. The caller owns both
-/// vectors and drains them after the call; the owning stack passes the
-/// same pair to every connection it processes.
-#[derive(Debug, Default)]
+/// What every connection of one stack shares, passed into each
+/// connection call: the configuration, the telemetry series, and the
+/// queues the call's output goes to — the segments to transmit and the
+/// events for the application, in order. The caller drains both queues
+/// after the call; the owning stack passes its one value to every
+/// connection it processes.
+#[derive(Debug)]
 pub struct ConnQueues {
     /// Outgoing segments.
     pub segments: Vec<TcpSegment>,
     /// Application events.
     pub events: Vec<ConnEvent>,
+    pub(crate) cfg: TcpConfig,
+    /// Absent without a registry.
+    pub(crate) telemetry: Option<ConnTelemetry>,
+}
+
+impl ConnQueues {
+    pub(crate) fn new(cfg: TcpConfig) -> Self {
+        ConnQueues {
+            segments: Vec::new(),
+            events: Vec::new(),
+            cfg,
+            telemetry: None,
+        }
+    }
 }
 
 /// An optional instant in 8 bytes where `Option<SimTime>` takes 16:
@@ -241,16 +256,14 @@ pub(crate) struct ConnTelemetry {
 
 impl ConnTelemetry {
     /// Registers the series under `<scope>.conn.*` (`None` when disabled).
-    pub(crate) fn new(obs: &Obs, scope: &str) -> Option<Rc<Self>> {
-        obs.is_enabled().then(|| {
-            Rc::new(ConnTelemetry {
-                h_srtt_us: obs.histogram(&format!("{scope}.conn.srtt_us")),
-                h_rto_us: obs.histogram(&format!("{scope}.conn.rto_us")),
-                h_cwnd: obs.histogram(&format!("{scope}.conn.cwnd")),
-                h_gate_stall_us: obs.histogram(&format!("{scope}.conn.gate_stall_us")),
-                c_duplicates: obs.counter(&format!("{scope}.conn.duplicate_segments")),
-                obs: obs.clone(),
-            })
+    pub(crate) fn new(obs: &Obs, scope: &str) -> Option<Self> {
+        obs.is_enabled().then(|| ConnTelemetry {
+            h_srtt_us: obs.histogram(&format!("{scope}.conn.srtt_us")),
+            h_rto_us: obs.histogram(&format!("{scope}.conn.rto_us")),
+            h_cwnd: obs.histogram(&format!("{scope}.conn.cwnd")),
+            h_gate_stall_us: obs.histogram(&format!("{scope}.conn.gate_stall_us")),
+            c_duplicates: obs.counter(&format!("{scope}.conn.duplicate_segments")),
+            obs: obs.clone(),
         })
     }
 }
@@ -259,7 +272,6 @@ impl ConnTelemetry {
 #[derive(Debug)]
 pub struct Connection {
     state: TcpState,
-    cfg: Rc<TcpConfig>,
     quad: Quad,
     snd: SendState,
     sendbuf: SendBuffer,
@@ -291,7 +303,8 @@ pub struct Connection {
     persist_deadline: OptTime,
 
     /// RTT probe per Karn: when it was sent (unset: no probe out), and the
-    /// sequence slot an ACK must reach to cover it.
+    /// sequence slot an ACK must reach to cover it. An active open's SYN is
+    /// its first probe.
     rtt_probe_at: OptTime,
     rtt_probe_cover: SeqNum,
     /// Highest sequence slot ever transmitted (`SND.MAX` in BSD terms).
@@ -302,20 +315,18 @@ pub struct Connection {
     /// `SND.UNA` and sequence numbers below this are retransmissions
     /// (never RTT-sampled, per Karn). Cleared once `SND.UNA` passes it.
     recover: OptSeq,
-    /// When the active-open SYN was first sent (for the handshake RTT
-    /// sample).
-    syn_sent_at: OptTime,
     retries: u32,
     /// Window space previously reported as exhausted (for SendSpace edge).
     send_was_full: bool,
+    /// Whether received data may wait [`ACK_DELAY`] for a second segment
+    /// to ack together; fixed when the connection opens.
+    delayed_ack: bool,
     last_advertised_window: u32,
 
     // Counters for diagnostics and benches (saturating).
     segments_sent: u32,
     retransmit_count: u32,
 
-    /// The owning stack's shared handles (absent without a registry).
-    telemetry: Option<Rc<ConnTelemetry>>,
     /// When data first became staged behind the deposit gate with nothing
     /// depositable — the start of an ack-channel gating stall.
     gate_stall_since: OptTime,
@@ -325,17 +336,13 @@ pub struct Connection {
 
 impl Connection {
     /// Opens a connection actively (client side): queues a SYN into `q`.
-    pub fn connect(
-        quad: Quad,
-        cfg: impl Into<Rc<TcpConfig>>,
-        iss: SeqNum,
-        now: SimTime,
-        q: &mut ConnQueues,
-    ) -> Self {
-        let mut conn = Self::new(quad, cfg, iss, SeqNum::new(0), TcpState::SynSent);
+    pub fn connect(quad: Quad, iss: SeqNum, now: SimTime, q: &mut ConnQueues) -> Self {
+        let delayed_ack = q.cfg.delayed_ack;
+        let mut conn = Self::new(quad, iss, SeqNum::new(0), TcpState::SynSent, delayed_ack, q);
         conn.emit(conn.segment(iss, TcpFlags::SYN, PacketBuf::new()), q);
         conn.snd.nxt = iss + 1;
-        conn.syn_sent_at = OptTime::some(now);
+        conn.rtt_probe_at = OptTime::some(now);
+        conn.rtt_probe_cover = iss + 1;
         conn.arm_rto(now);
         conn
     }
@@ -345,23 +352,24 @@ impl Connection {
     /// `gated`: a replica with a chain successor gets both HydraNet-FT
     /// gates *before* the SYN-ACK can be emitted, so it does not answer
     /// the client's SYN until its successor has reported (the paper's
-    /// §4.3 rules apply from the handshake onwards).
+    /// §4.3 rules apply from the handshake onwards). `delayed_ack` sets
+    /// the connection's ack policy for its lifetime.
     ///
     /// # Panics
     ///
     /// Panics if `syn` does not have the SYN flag set.
     pub fn accept(
         quad: Quad,
-        cfg: impl Into<Rc<TcpConfig>>,
         iss: SeqNum,
         syn: &TcpSegment,
         now: SimTime,
         gated: bool,
+        delayed_ack: bool,
         q: &mut ConnQueues,
     ) -> Self {
         assert!(syn.flags.syn, "accept requires a SYN segment");
         let irs = syn.seq;
-        let mut conn = Self::new(quad, cfg, iss, irs + 1, TcpState::SynRcvd);
+        let mut conn = Self::new(quad, iss, irs + 1, TcpState::SynRcvd, delayed_ack, q);
         conn.snd.wnd = u32::from(syn.window);
         conn.snd.wl1 = syn.seq;
         conn.snd.nxt = iss + 1;
@@ -403,15 +411,15 @@ impl Connection {
 
     fn new(
         quad: Quad,
-        cfg: impl Into<Rc<TcpConfig>>,
         iss: SeqNum,
         rcv_nxt: SeqNum,
         state: TcpState,
+        delayed_ack: bool,
+        q: &ConnQueues,
     ) -> Self {
-        let cfg = cfg.into();
         let sendbuf = SendBuffer::new(iss + 1);
-        let recvbuf = RecvBuffer::new(rcv_nxt, cfg.recv_buf);
-        let cc = CongestionControl::new(cfg.mss as u32);
+        let recvbuf = RecvBuffer::new(rcv_nxt, q.cfg.recv_buf);
+        let cc = CongestionControl::new(q.cfg.mss as u32);
         let rtt = RttEstimator::new();
         let last_advertised_window = recvbuf.window();
         Connection {
@@ -444,22 +452,15 @@ impl Connection {
             rtt_probe_cover: iss,
             max_sent: iss,
             recover: OptSeq::NONE,
-            syn_sent_at: OptTime::NONE,
             retries: 0,
             send_was_full: false,
+            delayed_ack,
             last_advertised_window,
             segments_sent: 0,
             retransmit_count: 0,
-            telemetry: None,
             gate_stall_since: OptTime::NONE,
             gate_stall_total: SimDuration::ZERO,
-            cfg,
         }
-    }
-
-    /// Attaches the owning stack's shared telemetry handles.
-    pub(crate) fn set_telemetry(&mut self, telemetry: Option<Rc<ConnTelemetry>>) {
-        self.telemetry = telemetry;
     }
 
     /// Closing note of the trace span: what the aggregated series leave out.
@@ -493,8 +494,8 @@ impl Connection {
     }
 
     /// Free space in the send buffer.
-    pub fn send_room(&self) -> usize {
-        self.sendbuf.room(self.cfg.send_buf)
+    pub fn send_room(&self, q: &ConnQueues) -> usize {
+        self.sendbuf.room(q.cfg.send_buf)
     }
 
     /// `SND.UNA` — lowest unacknowledged sequence number.
@@ -628,7 +629,7 @@ impl Connection {
         let fin_done = self.try_process_peer_fin(now, q);
         if advanced {
             q.events.push(ConnEvent::DataReadable);
-            if let Some(t) = self.telemetry.as_deref() {
+            if let Some(t) = q.telemetry.as_ref() {
                 if let Some(since) = self.gate_stall_since.take() {
                     let stalled = now.duration_since(since);
                     self.gate_stall_total += stalled;
@@ -671,7 +672,7 @@ impl Connection {
         if self.fin_queued {
             return 0;
         }
-        let n = self.sendbuf.write(data, self.cfg.send_buf);
+        let n = self.sendbuf.write(data, q.cfg.send_buf);
         if n < data.len() {
             self.send_was_full = true;
         }
@@ -766,12 +767,12 @@ impl Connection {
             TcpState::SynSent => self.on_segment_syn_sent(seg, now, q),
             _ => self.on_segment_synchronized(seg, now, q),
         }
-        self.sample_telemetry();
+        self.sample_telemetry(q);
     }
 
     /// Samples the srtt/rto/cwnd trajectory once per processed segment.
-    fn sample_telemetry(&self) {
-        let Some(t) = self.telemetry.as_deref() else {
+    fn sample_telemetry(&self, q: &ConnQueues) {
+        let Some(t) = q.telemetry.as_ref() else {
             return;
         };
         if let Some(srtt) = self.rtt.srtt() {
@@ -801,18 +802,16 @@ impl Connection {
         if seg.ack != self.snd.nxt {
             return; // does not ack our SYN
         }
-        self.recvbuf = RecvBuffer::new(seg.seq + 1, self.cfg.recv_buf);
+        self.recvbuf = RecvBuffer::new(seg.seq + 1, q.cfg.recv_buf);
         self.last_advertised_window = self.recvbuf.window();
         self.snd.una = seg.ack;
         self.snd.wnd = u32::from(seg.window);
         self.snd.wl1 = seg.seq;
         self.snd.wl2 = seg.ack;
-        // Karn: only sample the SYN round trip if the SYN was never
-        // retransmitted.
-        if self.retries == 0 {
-            if let Some(sent_at) = self.syn_sent_at.get() {
-                self.rtt.sample(now.duration_since(sent_at));
-            }
+        // The SYN probe survives only if the SYN was never retransmitted
+        // (Karn); taking it leaves the first data probe to start fresh.
+        if let Some(sent_at) = self.rtt_probe_at.take() {
+            self.rtt.sample(now.duration_since(sent_at));
         }
         self.state = TcpState::Established;
         self.clear_rto();
@@ -881,7 +880,7 @@ impl Connection {
             } else {
                 self.arm_rto(now);
             }
-            if self.send_was_full && self.send_room() > 0 {
+            if self.send_was_full && self.send_room(q) > 0 {
                 self.send_was_full = false;
                 q.events.push(ConnEvent::SendSpace);
             }
@@ -925,7 +924,7 @@ impl Connection {
                     self.schedule_ack(now, q);
                 }
                 Offer::Duplicate => {
-                    if let Some(t) = self.telemetry.as_deref() {
+                    if let Some(t) = q.telemetry.as_ref() {
                         t.c_duplicates.inc();
                     }
                     q.events.push(ConnEvent::DuplicateData);
@@ -939,7 +938,7 @@ impl Connection {
                 // `DuplicateData`.
                 Offer::Held | Offer::PastWindow => self.send_pure_ack(q),
             }
-            if self.telemetry.is_some()
+            if q.telemetry.is_some()
                 && self.gate_stall_since.is_none()
                 && self.recvbuf.is_gated()
                 && self.recvbuf.staged_bytes() > 0
@@ -996,7 +995,7 @@ impl Connection {
                 self.state = TcpState::FinWait2;
             }
             TcpState::Closing => {
-                self.enter_time_wait(now);
+                self.enter_time_wait(now, q);
             }
             TcpState::LastAck => {
                 self.enter_closed(ConnEvent::Closed, q);
@@ -1030,7 +1029,7 @@ impl Connection {
                 // Our FIN not yet acked: simultaneous close.
                 self.state = TcpState::Closing;
             }
-            TcpState::FinWait2 => self.enter_time_wait(now),
+            TcpState::FinWait2 => self.enter_time_wait(now, q),
             _ => {}
         }
         self.send_pure_ack(q);
@@ -1074,7 +1073,7 @@ impl Connection {
                 if self.gate_blocked_work() {
                     self.gate_starved_count = self.gate_starved_count.saturating_add(1);
                     q.events.push(ConnEvent::GateStarved);
-                    if let Some(t) = self.telemetry.as_deref() {
+                    if let Some(t) = q.telemetry.as_ref() {
                         t.obs.event(
                             now.as_nanos(),
                             kinds::GATE_STALL,
@@ -1173,7 +1172,7 @@ impl Connection {
                 _ => {}
             }
         }
-        let mut data = self.sendbuf.slice(una, self.cfg.mss);
+        let mut data = self.sendbuf.slice(una, q.cfg.mss);
         if data.is_empty() {
             // Only a FIN may be outstanding.
             if let Some(fin) = self.fin_seq.get() {
@@ -1252,12 +1251,12 @@ impl Connection {
             } else {
                 0
             };
-            let len = (usable.min(pending).min(self.cfg.mss as u32) as usize)
+            let len = (usable.min(pending).min(q.cfg.mss as u32) as usize)
                 .min(self.gate_room(self.snd.nxt));
 
             // Nagle: hold sub-MSS segments while data is in flight, unless
             // a FIN is ready to ride along (closing flushes).
-            if len > 0 && len < self.cfg.mss && in_flight > 0 && !self.fin_ready(len as u32) {
+            if len > 0 && len < q.cfg.mss && in_flight > 0 && !self.fin_ready(len as u32) {
                 break;
             }
 
@@ -1350,7 +1349,7 @@ impl Connection {
     }
 
     fn schedule_ack(&mut self, now: SimTime, q: &mut ConnQueues) {
-        if !self.cfg.delayed_ack {
+        if !self.delayed_ack {
             self.send_pure_ack(q);
             return;
         }
@@ -1367,8 +1366,8 @@ impl Connection {
         // window was too small to make progress (silly-window avoidance);
         // ordinary openings ride on the next regular ACK.
         let current = self.recvbuf.window();
-        let starved = self.last_advertised_window < self.cfg.mss as u32;
-        if starved && current >= self.cfg.mss as u32 {
+        let starved = self.last_advertised_window < q.cfg.mss as u32;
+        if starved && current >= q.cfg.mss as u32 {
             self.send_pure_ack(q);
         }
     }
@@ -1408,10 +1407,10 @@ impl Connection {
         self.retries = 0;
     }
 
-    fn enter_time_wait(&mut self, now: SimTime) {
+    fn enter_time_wait(&mut self, now: SimTime, q: &ConnQueues) {
         self.state = TcpState::TimeWait;
         self.clear_rto();
-        self.timewait_deadline = OptTime::some(now + self.cfg.time_wait);
+        self.timewait_deadline = OptTime::some(now + q.cfg.time_wait);
     }
 
     fn enter_closed(&mut self, event: ConnEvent, q: &mut ConnQueues) {
@@ -1450,8 +1449,8 @@ mod tests {
 
     impl End {
         pub(super) fn connect(quad: Quad, cfg: TcpConfig, iss: u32) -> End {
-            let mut q = ConnQueues::default();
-            let c = Connection::connect(quad, cfg, SeqNum::new(iss), SimTime::ZERO, &mut q);
+            let mut q = ConnQueues::new(cfg);
+            let c = Connection::connect(quad, SeqNum::new(iss), SimTime::ZERO, &mut q);
             End { c, q }
         }
 
@@ -1462,9 +1461,10 @@ mod tests {
             syn: &TcpSegment,
             gated: bool,
         ) -> End {
-            let mut q = ConnQueues::default();
+            let delayed_ack = cfg.delayed_ack;
+            let mut q = ConnQueues::new(cfg);
             let iss = SeqNum::new(iss);
-            let c = Connection::accept(quad, cfg, iss, syn, SimTime::ZERO, gated, &mut q);
+            let c = Connection::accept(quad, iss, syn, SimTime::ZERO, gated, delayed_ack, &mut q);
             End { c, q }
         }
     }
@@ -1485,7 +1485,6 @@ mod tests {
         /// Each side's output, moved onto the wire by `collect`.
         client_q: ConnQueues,
         server_q: ConnQueues,
-        server_cfg: TcpConfig,
         now: SimTime,
         /// (arrival time, destined-to-server, segment)
         wire: Vec<(SimTime, bool, TcpSegment)>,
@@ -1510,8 +1509,7 @@ mod tests {
                 client,
                 server: None,
                 client_q: q,
-                server_q: ConnQueues::default(),
-                server_cfg,
+                server_q: ConnQueues::new(server_cfg),
                 now,
                 wire: Vec::new(),
                 drop_fn: Box::new(|_, _| false),
@@ -1621,11 +1619,11 @@ mod tests {
                 let (_, sq) = quads();
                 self.server = Some(Connection::accept(
                     sq,
-                    self.server_cfg.clone(),
                     SeqNum::new(77_000),
                     &seg,
                     self.now,
                     self.server_gated,
+                    self.server_q.cfg.delayed_ack,
                     &mut self.server_q,
                 ));
             }
@@ -1700,6 +1698,27 @@ mod tests {
         assert_eq!(p.server().state(), TcpState::Established);
         assert!(p.client_events.contains(&ConnEvent::Established));
         assert!(p.server_events.contains(&ConnEvent::Established));
+        // The SYN is the active opener's first RTT probe; the passive side
+        // does not time its SYN-ACK, and no data moved.
+        assert_eq!(p.client.rtt().srtt(), Some(LATENCY * 2));
+        assert_eq!(p.client.rtt().samples_taken(), 1);
+        assert_eq!(p.server().rtt().srtt(), None);
+    }
+
+    /// The SYN-ACK consumes the SYN's probe, so the first data segment is
+    /// timed from its own send, not from the SYN's.
+    #[test]
+    fn first_data_probe_is_timed_from_its_own_send() {
+        let server_cfg = TcpConfig {
+            delayed_ack: false,
+            ..TcpConfig::default()
+        };
+        let mut p = Pair::new(TcpConfig::default(), server_cfg);
+        p.run_until(SimTime::from_millis(100));
+        p.client_write(b"ping");
+        p.run_until(SimTime::from_millis(200));
+        assert_eq!(p.client.rtt().samples_taken(), 2);
+        assert_eq!(p.client.rtt().srtt(), Some(LATENCY * 2));
     }
 
     #[test]
@@ -2213,6 +2232,8 @@ mod tests {
         p.run_until(SimTime::from_secs(5));
         assert_eq!(p.client.state(), TcpState::Established);
         assert!(p.client.retransmit_count() >= 1);
+        // Karn: a retransmitted SYN's round trip is ambiguous, so unsampled.
+        assert_eq!(p.client.rtt().samples_taken(), 0);
     }
 
     #[test]

@@ -34,7 +34,6 @@
 //! schedule-invisible: pinned fingerprints do not move.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use hydranet_netsim::buf::PacketBuf;
 use hydranet_netsim::frag::Reassembler;
@@ -50,7 +49,7 @@ use crate::detector::FailureDetector;
 use crate::ft::{
     deterministic_iss, AckChanMsg, ReplicatedPortConfig, ACK_CHANNEL_PORT, ACK_CHAN_MAX_PAIRS,
 };
-use crate::segment::{Quad, SockAddr, TcpFlags, TcpSegment};
+use crate::segment::{Quad, SockAddr, TcpFlags, TcpSegment, TCP_HEADER_LEN};
 use crate::udp::{UdpDatagram, UDP_HEADER_LEN};
 
 /// How long a backup may hold diverted `(SEQ, ACK)` reports before
@@ -68,6 +67,10 @@ const ACKCHAN_FLUSH_PAIRS: usize = 32;
 // A flush never holds more pairs than one frame carries, so every run of
 // reports bound for one predecessor fits one datagram.
 const _: () = assert!(ACKCHAN_FLUSH_PAIRS <= ACK_CHAN_MAX_PAIRS);
+
+/// The largest MSS whose segment still fits one IP datagram: a larger
+/// payload overflows the 16-bit length fields of both headers.
+const MAX_MSS: usize = u16::MAX as usize - IP_HEADER_LEN - TCP_HEADER_LEN;
 
 /// Application callbacks for one TCP connection.
 ///
@@ -155,7 +158,7 @@ impl<'a> SocketIo<'a> {
 
     /// Free send-buffer space.
     pub fn send_room(&self) -> usize {
-        self.conn.send_room()
+        self.conn.send_room(self.q)
     }
 
     /// Current connection state.
@@ -242,8 +245,11 @@ struct ConnEntry {
 // connection and the `PINNED_SCALE` fingerprint covers that charge, so any
 // change to the record moves the pin; the many-flow runs also pay it once
 // per live connection per replica (about 55 KiB of `flows_20k` peak RSS
-// per byte). The slab slot is charged per slot likewise.
-const _: () = assert!(std::mem::size_of::<ConnEntry>() == 440);
+// per byte). The `Connection` inside the record is pinned too, so a size
+// change names the type that moved. The slab slot is charged per slot
+// likewise.
+const _: () = assert!(std::mem::size_of::<ConnEntry>() == 424);
+const _: () = assert!(std::mem::size_of::<Connection>() == 352);
 const _: () = assert!(std::mem::size_of::<ConnSlot>() == 40);
 
 type AppFactory = Box<dyn FnMut(Quad) -> Box<dyn SocketApp>>;
@@ -268,14 +274,6 @@ struct Occupant {
 /// The per-host TCP/UDP protocol engine.
 pub struct TcpStack {
     addrs: Vec<IpAddr>,
-    /// Default connection configuration, shared by reference with every
-    /// connection (a refcount bump per accept instead of a struct copy
-    /// held inline in each connection).
-    cfg: Rc<TcpConfig>,
-    /// `cfg` with `delayed_ack` off — the variant every replica-port
-    /// connection uses — pre-built so accepts on replicated ports share
-    /// one allocation too.
-    replica_cfg: Rc<TcpConfig>,
     // Listener and replicated-port tables stay BTree: they are small,
     // iterated rarely, and their order is schedule-visible.
     listeners: BTreeMap<u16, AppFactory>,
@@ -312,10 +310,11 @@ pub struct TcpStack {
     /// Deadline of the armed ack-channel flush timer, if any.
     ackchan_flush_at: Option<SimTime>,
     stats: StackStats,
-    /// The queues every connection call writes its segments and events
-    /// into; `finish_entry` drains both before the connection parks, so
-    /// they are empty between calls. No connection holds a queue, and
-    /// steady-state segment processing allocates none.
+    /// The configuration and telemetry every connection shares, and the
+    /// queues every connection call writes its segments and events into;
+    /// `finish_entry` drains both before the connection parks, so they are
+    /// empty between calls. No connection holds a queue, and steady-state
+    /// segment processing allocates none.
     queues: ConnQueues,
     /// The event vector `finish_entry`'s drain loop trades with
     /// `queues.events` each round, recycled likewise.
@@ -325,8 +324,6 @@ pub struct TcpStack {
     /// One datagram's run of ack-channel reports, recycled across flushes.
     scratch_batch: Vec<AckChanMsg>,
     obs: Obs,
-    /// The one set of series every connection of this stack records into.
-    conn_telemetry: Option<Rc<ConnTelemetry>>,
     h_ackchan_pairs: Histogram,
 }
 
@@ -347,19 +344,27 @@ impl TcpStack {
     /// buffers. [`TcpStack::conn_memory_bytes`] charges it per connection.
     pub const CONN_RECORD_BYTES: usize = std::mem::size_of::<ConnEntry>();
 
-    /// Creates a stack owning `addr`, with `cfg` as the default connection
-    /// configuration.
+    /// Creates a stack owning `addr`, with `cfg` as the configuration of
+    /// every connection it opens or accepts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.mss` is 0 or larger than 65,495 (the payload of a
+    /// full-size IP datagram), or if `cfg.recv_buf` exceeds `u32::MAX`.
     pub fn new(addr: IpAddr, cfg: TcpConfig) -> Self {
-        // Replica connections forward their flow-control fields along the
-        // ack channel the moment they would ack; delaying those reports
-        // would stack a delayed-ack timer per chain stage onto the
-        // client's ACK path and race its RTO.
-        let mut replica_cfg = cfg.clone();
-        replica_cfg.delayed_ack = false;
+        assert!(cfg.mss > 0, "TcpConfig::mss must be at least 1");
+        assert!(
+            cfg.mss <= MAX_MSS,
+            "TcpConfig::mss {} exceeds {MAX_MSS}",
+            cfg.mss
+        );
+        assert!(
+            u32::try_from(cfg.recv_buf).is_ok(),
+            "TcpConfig::recv_buf {} exceeds u32::MAX",
+            cfg.recv_buf
+        );
         TcpStack {
             addrs: vec![addr],
-            cfg: Rc::new(cfg),
-            replica_cfg: Rc::new(replica_cfg),
             listeners: BTreeMap::new(),
             replicated: BTreeMap::new(),
             slots: Vec::new(),
@@ -377,32 +382,25 @@ impl TcpStack {
             ackchan_pending: BTreeMap::new(),
             ackchan_flush_at: None,
             stats: StackStats::default(),
-            queues: ConnQueues::default(),
+            queues: ConnQueues::new(cfg),
             scratch_events: Vec::new(),
             scratch_batch: Vec::new(),
             scratch_due: Vec::new(),
             obs: Obs::disabled(),
-            conn_telemetry: None,
             h_ackchan_pairs: Histogram::default(),
         }
     }
 
-    /// Wires telemetry for this stack and every connection it creates from
-    /// now on: the ack-channel batch-size histogram under
-    /// `tcp.stack.<addr>.*`, the connections' srtt/rto/cwnd/gate-stall
-    /// histograms and duplicate
-    /// counter aggregated under `tcp.stack.<addr>.conn.*` (one set per
-    /// stack, whatever the connection count), and detector timeline
-    /// events. Existing connections are re-wired too.
+    /// Wires telemetry for this stack and its connections, live ones
+    /// included from their next call: the ack-channel batch-size histogram
+    /// under `tcp.stack.<addr>.*`, the connections' srtt/rto/cwnd/gate-stall
+    /// histograms and duplicate counter aggregated under
+    /// `tcp.stack.<addr>.conn.*` (one set per stack, whatever the
+    /// connection count), and detector timeline events.
     pub fn set_obs(&mut self, obs: Obs) {
         let scope = format!("tcp.stack.{}", self.addrs[0]);
         self.h_ackchan_pairs = obs.histogram(&format!("{scope}.ackchan.pairs_per_datagram"));
-        self.conn_telemetry = ConnTelemetry::new(&obs, &scope);
-        for occ in self.slots.iter_mut().filter_map(|s| s.occ.as_mut()) {
-            if let Some(entry) = occ.entry.as_mut() {
-                entry.conn.set_telemetry(self.conn_telemetry.clone());
-            }
-        }
+        self.queues.telemetry = ConnTelemetry::new(&obs, &scope);
         self.obs = obs;
     }
 
@@ -494,9 +492,7 @@ impl TcpStack {
         let local = SockAddr::new(self.addrs[0], self.alloc_ephemeral(remote)?);
         let quad = Quad::new(local, remote);
         let iss = deterministic_iss(quad);
-        let cfg = Rc::clone(&self.cfg);
-        let mut conn = Connection::connect(quad, cfg, iss, now, &mut self.queues);
-        conn.set_telemetry(self.conn_telemetry.clone());
+        let conn = Connection::connect(quad, iss, now, &mut self.queues);
         self.span_conn_open(quad, "connect", now);
         let entry = ConnEntry {
             conn,
@@ -870,14 +866,13 @@ impl TcpStack {
             let gated = replication
                 .as_ref()
                 .is_some_and(ReplicatedPortConfig::gated);
-            let conn_cfg = if replication.is_some() {
-                Rc::clone(&self.replica_cfg)
-            } else {
-                Rc::clone(&self.cfg)
-            };
+            // Replica connections forward their flow-control fields along
+            // the ack channel the moment they would ack; delaying those
+            // reports would stack a delayed-ack timer per chain stage onto
+            // the client's ACK path and race its RTO.
             let q = &mut self.queues;
-            let mut conn = Connection::accept(quad, conn_cfg, iss, &seg, now, gated, q);
-            conn.set_telemetry(self.conn_telemetry.clone());
+            let delayed_ack = q.cfg.delayed_ack && replication.is_none();
+            let conn = Connection::accept(quad, iss, &seg, now, gated, delayed_ack, q);
             self.span_conn_open(quad, if gated { "accept-gated" } else { "accept" }, now);
             let app = self
                 .listeners
@@ -983,53 +978,25 @@ impl TcpStack {
                 break;
             }
             for &ev in events.iter() {
+                // The detector hears of progress before the application.
+                if matches!(ev, ConnEvent::DataReadable | ConnEvent::AckProgress) {
+                    if let Some(d) = entry.detector.as_mut() {
+                        d.on_progress(now, &self.obs, quad);
+                    }
+                }
+                let mut io = SocketIo {
+                    conn: &mut entry.conn,
+                    q: &mut self.queues,
+                    now,
+                };
                 match ev {
-                    ConnEvent::Established => {
-                        let mut io = SocketIo {
-                            conn: &mut entry.conn,
-                            q: &mut self.queues,
-                            now,
-                        };
-                        entry.app.on_established(&mut io);
-                    }
-                    ConnEvent::DataReadable => {
-                        if let Some(d) = entry.detector.as_mut() {
-                            d.on_progress(now, &self.obs, quad);
-                        }
-                        let mut io = SocketIo {
-                            conn: &mut entry.conn,
-                            q: &mut self.queues,
-                            now,
-                        };
-                        entry.app.on_data(&mut io);
-                    }
-                    ConnEvent::SendSpace => {
-                        let mut io = SocketIo {
-                            conn: &mut entry.conn,
-                            q: &mut self.queues,
-                            now,
-                        };
-                        entry.app.on_send_space(&mut io);
-                    }
-                    ConnEvent::PeerFin => {
-                        let mut io = SocketIo {
-                            conn: &mut entry.conn,
-                            q: &mut self.queues,
-                            now,
-                        };
-                        entry.app.on_peer_fin(&mut io);
-                    }
-                    ConnEvent::Reset => {
-                        entry.app.on_reset(quad);
-                    }
-                    ConnEvent::Closed => {
-                        entry.app.on_closed(quad);
-                    }
-                    ConnEvent::AckProgress => {
-                        if let Some(d) = entry.detector.as_mut() {
-                            d.on_progress(now, &self.obs, quad);
-                        }
-                    }
+                    ConnEvent::Established => entry.app.on_established(&mut io),
+                    ConnEvent::DataReadable => entry.app.on_data(&mut io),
+                    ConnEvent::SendSpace => entry.app.on_send_space(&mut io),
+                    ConnEvent::PeerFin => entry.app.on_peer_fin(&mut io),
+                    ConnEvent::Reset => entry.app.on_reset(quad),
+                    ConnEvent::Closed => entry.app.on_closed(quad),
+                    ConnEvent::AckProgress => {}
                     ConnEvent::DuplicateData
                     | ConnEvent::RetransmitTimeout
                     | ConnEvent::GateStarved => {
@@ -1421,5 +1388,78 @@ mod tests {
         }
         pairs.sort_unstable();
         assert_eq!(pairs, (40_000..40_000 + conns).collect::<Vec<_>>());
+    }
+
+    /// Telemetry wired after a connection opened reaches it: from its next
+    /// segment on, the connection records into the stack's one set of
+    /// `conn.*` series.
+    #[test]
+    fn set_obs_reaches_a_connection_opened_before_it() {
+        let mut client = TcpStack::new(CLIENT, TcpConfig::default());
+        let mut server = TcpStack::new(SERVICE, TcpConfig::default());
+        server.listen(80, |_| Box::new(Drain));
+        let remote = SockAddr::new(SERVICE, 80);
+        let quad = client.connect(remote, Box::new(NullApp), SimTime::ZERO);
+        let quad = quad.expect("port free");
+        let t = SimTime::from_secs(1);
+        run_checked(&mut client, &mut server, SimTime::ZERO, t);
+        assert_eq!(server.conn_count(), 1, "established before set_obs");
+        let obs = Obs::enabled();
+        server.set_obs(obs.clone());
+        let rx_before = server.stats().tcp_rx;
+        client.with_io(quad, t, |io| io.write(&[7; 3000]));
+        run_checked(&mut client, &mut server, t, SimTime::from_secs(2));
+        let segments = server.stats().tcp_rx - rx_before;
+        assert!(segments >= 3, "3,000 B take at least three segments");
+        for series in ["cwnd", "rto_us"] {
+            let h = obs.histogram(&format!("tcp.stack.{SERVICE}.conn.{series}"));
+            assert_eq!(h.count(), segments, "one {series} sample per segment");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "TcpConfig::mss must be at least 1")]
+    fn a_zero_mss_is_rejected() {
+        TcpStack::new(
+            CLIENT,
+            TcpConfig {
+                mss: 0,
+                ..TcpConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "TcpConfig::mss 65496 exceeds 65495")]
+    fn an_mss_past_one_ip_datagram_is_rejected() {
+        let cfg = TcpConfig {
+            mss: MAX_MSS,
+            ..TcpConfig::default()
+        };
+        TcpStack::new(CLIENT, cfg.clone());
+        TcpStack::new(
+            CLIENT,
+            TcpConfig {
+                mss: MAX_MSS + 1,
+                ..cfg
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "TcpConfig::recv_buf 4294967296 exceeds u32::MAX")]
+    fn a_recv_buf_past_u32_is_rejected() {
+        let cfg = TcpConfig {
+            recv_buf: u32::MAX as usize,
+            ..TcpConfig::default()
+        };
+        TcpStack::new(CLIENT, cfg.clone());
+        TcpStack::new(
+            CLIENT,
+            TcpConfig {
+                recv_buf: u32::MAX as usize + 1,
+                ..cfg
+            },
+        );
     }
 }
