@@ -6,9 +6,12 @@
 //! *every* flush. `Context::set_timer_at` has no replace, so each packet
 //! left a stale entry behind, each stale entry's wakeup flushed and filed
 //! another, and the chains never died: simulator events per payload byte
-//! grew with transfer length. The shipping nodes now keep at most one
-//! useful entry pending; [`Reference`] below is the old behaviour, kept as
-//! test code so the equivalence stays executable.
+//! grew with transfer length. The shipping nodes now ask for their next
+//! deadline through `Context::wake_at`, and the simulator, which holds each
+//! node's earliest pending wakeup, files an entry only for a deadline
+//! earlier than that one. [`Reference`] below is the old behaviour, raw
+//! `set_timer_at` on every callback, kept as test code so the equivalence
+//! stays executable.
 
 use hydranet_bench::fig4::{run_point, Fig4Config, Fig4Params};
 use hydranet_core::prelude::*;
@@ -24,7 +27,8 @@ const SEED: u64 = 21;
 /// A fig4 primary+backup transfer must cost the same simulator events per
 /// payload kB at 1 MiB as at 8 MiB, and almost none of them may be timer
 /// wakeups. With a chain per packet the 8 MiB transfer ran ~76 events/kB
-/// (77 % of them wakeups) against ~18 with one wakeup per node.
+/// (77 % of them wakeups) against ~18 with one wakeup per node. Prints
+/// both figures and the wakeup share (run with `--nocapture`).
 #[test]
 fn events_per_payload_kb_do_not_grow_with_transfer_length() {
     let events_per_kb = |total_bytes: usize| {
@@ -34,13 +38,22 @@ fn events_per_payload_kb_do_not_grow_with_transfer_length() {
         };
         let p = run_point(Fig4Config::PrimaryBackup, 1024, &params, SEED);
         assert!(p.completed, "{total_bytes} B transfer did not complete");
+        let per_kb = p.events as f64 / (total_bytes as f64 / 1000.0);
+        println!(
+            "fig4 primary+backup, 1,024 B writes, {} KiB: {} events, \
+             {per_kb:.2} per payload kB, {} timer wakeups ({:.2} % of events)",
+            total_bytes >> 10,
+            p.events,
+            p.timers_fired,
+            100.0 * p.timers_fired as f64 / p.events as f64
+        );
         assert!(
             p.timers_fired * 20 <= p.events,
             "{total_bytes} B: {} of {} events are timer wakeups (> 5 %)",
             p.timers_fired,
             p.events
         );
-        p.events as f64 / (total_bytes as f64 / 1000.0)
+        per_kb
     };
     let short = events_per_kb(1 << 20);
     let long = events_per_kb(8 << 20);

@@ -11,17 +11,16 @@ use hydranet_tcp::detector::DetectorParams;
 use hydranet_tcp::segment::{Quad, SockAddr};
 use hydranet_tcp::stack::{EphemeralPortsExhausted, SocketApp, StackEvent, TcpStack};
 
-use crate::timer::NodeTimer;
-
 /// An ordinary, unmodified client host: one interface, one [`TcpStack`],
 /// no HydraNet software at all — "neither the client application, nor the
 /// client TCP stack are aware of service management, server failures, and
 /// server recoveries" (§1).
 ///
-/// Like every node in this crate it keeps at most one useful simulator
-/// wakeup pending: a flush files a calendar entry only when the stack's
-/// next deadline is earlier than the one already pending, and a deadline
-/// that moved later is picked up when that entry fires (DESIGN.md §5c).
+/// Every flush asks for a wakeup at the stack's next deadline through
+/// [`Context::wake_at`], which files a calendar entry only when that
+/// deadline is earlier than the one already pending; a deadline that moved
+/// later is picked up when that entry fires (DESIGN.md §5c). A crash drops
+/// the host's connections, as it does a host server's.
 pub struct ClientHost {
     stack: TcpStack,
     name: String,
@@ -29,7 +28,6 @@ pub struct ClientHost {
     /// a flush costs no allocation once the high-water mark is reached.
     pkt_buf: Vec<IpPacket>,
     ev_buf: Vec<StackEvent>,
-    timer: NodeTimer,
 }
 
 impl std::fmt::Debug for ClientHost {
@@ -49,7 +47,6 @@ impl ClientHost {
             name: name.into(),
             pkt_buf: Vec::new(),
             ev_buf: Vec::new(),
-            timer: NodeTimer::default(),
         }
     }
 
@@ -88,7 +85,7 @@ impl ClientHost {
     }
 
     /// Sends queued packets, drops the stack's events (a client routes
-    /// none), and (re)arms the stack timer.
+    /// none), and asks for a wakeup at the stack's next deadline.
     pub fn flush(&mut self, ctx: &mut Context<'_>) {
         self.stack.take_packets_into(&mut self.pkt_buf);
         for p in self.pkt_buf.drain(..) {
@@ -96,7 +93,7 @@ impl ClientHost {
         }
         self.stack.take_events_into(&mut self.ev_buf);
         self.ev_buf.clear();
-        self.timer.arm(ctx, self.stack.next_deadline());
+        ctx.wake_at(self.stack.next_deadline());
     }
 }
 
@@ -107,14 +104,13 @@ impl Node for ClientHost {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>) {
-        self.timer.fired(ctx.now());
         self.stack.on_timer(ctx.now());
         self.flush(ctx);
     }
 
     fn on_crash(&mut self) {
-        // The simulator discards a crashed node's pending timers.
-        self.timer.reset();
+        // Connections are volatile and die with the host.
+        self.stack.reset_volatile();
     }
 
     fn name(&self) -> &str {
@@ -142,7 +138,6 @@ pub struct HostServer {
     /// Scratch buffers recycled through the stack's `take_*_into` drains.
     pkt_buf: Vec<IpPacket>,
     ev_buf: Vec<StackEvent>,
-    timer: NodeTimer,
     /// The earlier of the daemon's deadline and the first registration
     /// still to fire, as of the last management pass; `ZERO` (due at once)
     /// forces the next drive through that pass.
@@ -180,7 +175,6 @@ impl HostServer {
             obs: Obs::disabled(),
             pkt_buf: Vec::new(),
             ev_buf: Vec::new(),
-            timer: NodeTimer::default(),
             mgmt_deadline: Some(SimTime::ZERO),
         }
     }
@@ -333,7 +327,7 @@ impl HostServer {
             .next_deadline()
             .into_iter()
             .chain(self.mgmt_deadline);
-        self.timer.arm(ctx, deadline.min());
+        ctx.wake_at(deadline.min());
     }
 }
 
@@ -347,8 +341,6 @@ impl Node for HostServer {
         for p in &mut self.pending {
             p.registered = false;
         }
-        // The simulator discards a crashed node's pending timers.
-        self.timer.reset();
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_>) {
@@ -386,7 +378,6 @@ impl Node for HostServer {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>) {
-        self.timer.fired(ctx.now());
         self.stack.on_timer(ctx.now());
         self.drive(ctx);
     }
@@ -430,23 +421,70 @@ mod tests {
         let pending = t0.saturating_add(ms(2));
         system
             .sim
-            .with_node_ctx::<HostServer, _>(hs, |h, ctx| h.timer.arm(ctx, Some(pending)));
-        assert_eq!(system.host_server(hs).timer.armed_at(), Some(pending));
+            .with_node_ctx::<HostServer, _>(hs, |_, ctx| ctx.wake_at(Some(pending)));
+        assert_eq!(system.sim.pending_wakeup(hs), Some(pending));
 
         system.sim.schedule_crash(hs, t0.saturating_add(ms(1)));
         let back = t0.saturating_add(ms(100));
         system.sim.schedule_recover(hs, back);
         system.sim.run_until(t0.saturating_add(ms(50)));
-        assert_eq!(system.host_server(hs).timer.armed_at(), None);
+        assert_eq!(system.sim.pending_wakeup(hs), None);
 
         // Recovery re-registers; the registration's retransmit deadline is
         // the host's next wakeup, filed because the mark was cleared.
         system.sim.run_until(back);
-        let rearmed = system.host_server(hs).timer.armed_at();
+        let rearmed = system.sim.pending_wakeup(hs);
         assert!(rearmed.is_some_and(|t| t > back), "{rearmed:?}");
         let fired = system.sim.stats().timers_fired;
         system.sim.run_until(rearmed.unwrap());
         assert!(system.sim.stats().timers_fired > fired);
+    }
+
+    /// A crash is fail-stop for a client too: its connections die with it,
+    /// and the recovered client sends nothing more on them.
+    #[test]
+    fn crashed_client_drops_its_connections() {
+        let rd_addr = IpAddr::new(10, 9, 0, 1);
+        let service = SockAddr::new(IpAddr::new(192, 20, 225, 20), 80);
+        let mut b = SystemBuilder::new(TcpConfig::default());
+        let rd = b.add_redirector("rd", rd_addr);
+        let hs = b.add_host_server("hs", IpAddr::new(10, 0, 2, 1), rd_addr);
+        let client = b.add_client("client", IpAddr::new(10, 0, 1, 1));
+        b.link(client, rd, LinkParams::default());
+        b.link(rd, hs, LinkParams::default());
+        let sink = shared(SinkState::default());
+        let spec = FtServiceSpec::new(service, vec![hs], DetectorParams::DEFAULT);
+        let s = sink.clone();
+        b.deploy_ft_service(&spec, move |_q| Box::new(EchoApp::sink(s.clone())));
+        let mut system = b.build(3);
+        assert!(system.wait_for_chain(rd, service, 1, SimTime::from_secs(2)));
+
+        let total = 4 << 20;
+        let app = StreamSenderApp::new(vec![7; total], false, shared(SenderState::default()));
+        let quad = system.connect_client(client, service, Box::new(app));
+        let t0 = system.sim.now();
+        let at = |ms| t0.saturating_add(SimDuration::from_millis(ms));
+        system.sim.schedule_crash(client, at(200));
+        system.sim.schedule_recover(client, at(300));
+        system.sim.run_until(at(250));
+        assert_eq!(system.client(client).stack().conn_count(), 0);
+
+        // What was in flight at the crash has landed by the recovery.
+        system.sim.run_until(at(300));
+        let received = sink.borrow().data.len();
+        assert!(
+            received > 0 && received < total,
+            "{received} B before the crash"
+        );
+        system.sim.run_until(at(5_000));
+        let stack = system.client(client).stack();
+        assert_eq!(stack.conn_count(), 0);
+        assert!(stack.conn(quad).is_none());
+        assert_eq!(
+            sink.borrow().data.len(),
+            received,
+            "no byte after the crash"
+        );
     }
 
     /// Stands in for the redirector: never answers, records when each

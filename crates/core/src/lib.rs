@@ -62,7 +62,6 @@ pub mod host;
 pub mod redirector;
 pub mod scenario;
 pub mod system;
-mod timer;
 
 /// Convenient glob-import of everything a deployment needs.
 pub mod prelude {

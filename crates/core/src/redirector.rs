@@ -13,8 +13,6 @@ use hydranet_redirect::redirector::{Disposition, RedirectorEngine};
 use hydranet_redirect::table::ServiceEntry;
 use hydranet_tcp::udp::UdpDatagram;
 
-use crate::timer::NodeTimer;
-
 /// How long a freshly promoted pair member defers brand-new fault-tolerant
 /// flows: one mgmt reliable retransmit period
 /// (`hydranet_mgmt::reliable::DEFAULT_RETRY_INTERVAL`, 250 ms) plus
@@ -31,7 +29,6 @@ pub struct ManagedRedirector {
     name: String,
     out_scratch: Vec<(IfaceId, IpPacket)>,
     obs: Obs,
-    timer: NodeTimer,
     /// The controller's deadline as of the last `drive` (`ZERO`: due now).
     ctl_deadline: Option<SimTime>,
     /// Interfaces a promotion floods `ROUTE_ANNOUNCE` packets out of.
@@ -56,7 +53,6 @@ impl ManagedRedirector {
             name: name.into(),
             out_scratch: Vec::new(),
             obs: Obs::disabled(),
-            timer: NodeTimer::default(),
             ctl_deadline: Some(SimTime::ZERO),
             announce_ifaces: Vec::new(),
         }
@@ -180,7 +176,7 @@ impl ManagedRedirector {
         }
         self.out_scratch = out;
         self.ctl_deadline = self.controller.next_deadline();
-        self.timer.arm(ctx, self.ctl_deadline);
+        ctx.wake_at(self.ctl_deadline);
     }
 }
 
@@ -225,22 +221,18 @@ impl Node for ManagedRedirector {
         }
         self.out_scratch = out;
         // A packet the engine handled leaves the controller untouched:
-        // before its deadline, and while a pending wakeup covers it (a
-        // crash clears that one), `drive` would do nothing.
+        // before its deadline `drive` would only ask for the wakeup again
+        // (a crash clears the pending one).
         let idle = self.ctl_deadline.is_none_or(|t| ctx.now() < t);
-        if !(handled && idle && self.timer.covers(self.ctl_deadline)) {
+        if handled && idle {
+            ctx.wake_at(self.ctl_deadline);
+        } else {
             self.drive(ctx);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>) {
-        self.timer.fired(ctx.now());
         self.drive(ctx);
-    }
-
-    fn on_crash(&mut self) {
-        // The simulator discards a crashed node's pending timers.
-        self.timer.reset();
     }
 
     fn name(&self) -> &str {
@@ -259,9 +251,9 @@ mod tests {
     use crate::prelude::*;
 
     /// A crash discards the pending wakeup, and a solo redirector does not
-    /// drive on recovery. Data packets skip `drive` only while a pending
-    /// wakeup covers the controller's deadline, so the first one after
-    /// recovery must file it again.
+    /// drive on recovery. A data packet skips `drive` but still asks for a
+    /// wakeup at the controller's deadline, so the first one after recovery
+    /// must file it again.
     #[test]
     fn solo_redirector_refiles_its_wakeup_on_the_first_packet_after_recovery() {
         let rd_addr = IpAddr::new(10, 9, 0, 1);
@@ -296,21 +288,21 @@ mod tests {
         deliver(&mut system, host, rd_addr, datagram.encode());
         let pending = system.redirector(rd).controller().next_deadline();
         assert!(pending.is_some());
-        assert_eq!(system.redirector(rd).timer.armed_at(), pending);
+        assert_eq!(system.sim.pending_wakeup(rd), pending);
 
         let t0 = system.sim.now();
         let ms = SimDuration::from_millis;
         system.sim.schedule_crash(rd, t0.saturating_add(ms(1)));
         system.sim.schedule_recover(rd, t0.saturating_add(ms(2)));
         system.sim.run_until(t0.saturating_add(ms(3)));
-        assert_eq!(system.redirector(rd).timer.armed_at(), None);
+        assert_eq!(system.sim.pending_wakeup(rd), None);
         assert_eq!(system.redirector(rd).controller().next_deadline(), pending);
 
         // A packet the engine handles (routed nowhere, dropped), well
         // before the controller's deadline.
         let client = IpAddr::new(10, 0, 1, 1);
         deliver(&mut system, client, IpAddr::new(10, 0, 3, 1), vec![0; 8]);
-        assert_eq!(system.redirector(rd).timer.armed_at(), pending);
+        assert_eq!(system.sim.pending_wakeup(rd), pending);
     }
 
     /// A standby pair member lives on its probe timer: after a crash and
@@ -331,22 +323,22 @@ mod tests {
 
         let ms = SimTime::from_millis;
         system.sim.run_until(ms(50));
-        let before = system.redirector(rd_b).timer.armed_at();
+        let before = system.sim.pending_wakeup(rd_b);
         assert!(before.is_some_and(|t| t > ms(50)), "{before:?}");
 
         system.sim.schedule_crash(rd_b, ms(60));
         system.sim.schedule_recover(rd_b, ms(2_000));
         system.sim.run_until(ms(1_000));
-        assert_eq!(system.redirector(rd_b).timer.armed_at(), None);
+        assert_eq!(system.sim.pending_wakeup(rd_b), None);
 
         system.sim.run_until(ms(2_000));
-        let rearmed = system.redirector(rd_b).timer.armed_at();
+        let rearmed = system.sim.pending_wakeup(rd_b);
         assert!(rearmed.is_some_and(|t| t > ms(2_000)), "{rearmed:?}");
         let fired = system.sim.stats().timers_fired;
         system.sim.run_until(ms(4_000));
         // rdA's own probe timers fire too; rdB's mark moving on shows its
         // wakeups are live calendar entries.
         assert!(system.sim.stats().timers_fired > fired);
-        assert!(system.redirector(rd_b).timer.armed_at() > rearmed);
+        assert!(system.sim.pending_wakeup(rd_b) > rearmed);
     }
 }

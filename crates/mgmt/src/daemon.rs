@@ -13,7 +13,7 @@ use hydranet_netsim::packet::IpAddr;
 use hydranet_netsim::time::SimTime;
 use hydranet_obs::{kinds, trace, Obs};
 use hydranet_tcp::detector::DetectorParams;
-use hydranet_tcp::ft::{ReplicaMode, ReplicatedPortConfig};
+use hydranet_tcp::ft::ReplicatedPortConfig;
 use hydranet_tcp::segment::SockAddr;
 
 use crate::proto::MgmtMsg;
@@ -204,16 +204,17 @@ impl HostDaemon {
                 predecessor,
                 has_successor,
             } => {
+                // Only index 0 follows no one. A directive where the two
+                // disagree would make a second primary, or a backup that
+                // follows no one, so it is dropped.
+                if (index == 0) != predecessor.is_none() {
+                    return;
+                }
                 let detector = self
                     .registered
                     .get(&service)
                     .copied()
                     .unwrap_or(DetectorParams::DEFAULT);
-                let mode = if index == 0 {
-                    ReplicaMode::Primary
-                } else {
-                    ReplicaMode::Backup { index }
-                };
                 // A backup stepping into index 0 is the paper's promotion
                 // moment; the initial primary assignment is not.
                 let was_backup = self.roles.insert(service, index).is_some_and(|i| i != 0);
@@ -230,7 +231,6 @@ impl HostDaemon {
                 self.actions.push(DaemonAction::ApplyPortOpt {
                     port: service.port,
                     config: ReplicatedPortConfig {
-                        mode,
                         predecessor,
                         has_successor,
                         detector,
@@ -352,10 +352,33 @@ mod tests {
             })
             .expect("portopt applied");
         assert_eq!(opt.0, 80);
-        assert_eq!(opt.1.mode, ReplicaMode::Backup { index: 1 });
         assert_eq!(opt.1.predecessor, Some(IpAddr::new(10, 0, 9, 9)));
         assert!(opt.1.has_successor);
         assert_eq!(opt.1.detector, custom, "detector params from setportopt");
+    }
+
+    #[test]
+    fn set_role_with_index_and_predecessor_disagreeing_is_dropped() {
+        let bad = [(1, None), (0, Some(IpAddr::new(10, 0, 9, 9)))];
+        for (index, predecessor) in bad {
+            let mut d = HostDaemon::new(HOST, vec![RD], 1);
+            d.register_service(service(), DetectorParams::DEFAULT, SimTime::ZERO);
+            d.take_actions();
+            let msg = MgmtMsg::SetRole {
+                service: service(),
+                index,
+                predecessor,
+                has_successor: false,
+            };
+            d.on_datagram(RD, &payload(msg), SimTime::ZERO);
+            let actions = d.take_actions();
+            assert!(
+                !actions
+                    .iter()
+                    .any(|a| matches!(a, DaemonAction::ApplyPortOpt { .. })),
+                "index {index}, predecessor {predecessor:?}: {actions:?}"
+            );
+        }
     }
 
     #[test]

@@ -114,13 +114,17 @@ pub(crate) enum Action {
 ///
 /// Provides the current simulated time, deterministic randomness, packet
 /// transmission, and timer management. All effects are buffered and applied
-/// by the simulator when the callback returns.
+/// by the simulator when the callback returns, except the node's wakeup
+/// mark, which [`wake_at`](Self::wake_at) reads and moves at once.
 #[derive(Debug)]
 pub struct Context<'a> {
     now: SimTime,
     node: NodeId,
     rng: &'a mut SimRng,
     actions: &'a mut Vec<Action>,
+    /// The node's earliest pending [`wake_at`](Self::wake_at) instant,
+    /// held by the simulator.
+    wake: &'a mut Option<SimTime>,
 }
 
 impl<'a> Context<'a> {
@@ -129,12 +133,14 @@ impl<'a> Context<'a> {
         node: NodeId,
         rng: &'a mut SimRng,
         actions: &'a mut Vec<Action>,
+        wake: &'a mut Option<SimTime>,
     ) -> Self {
         Context {
             now,
             node,
             rng,
             actions,
+            wake,
         }
     }
 
@@ -161,9 +167,25 @@ impl<'a> Context<'a> {
         self.actions.push(Action::Send { iface, packet });
     }
 
+    /// Ensures a wakeup is pending at or before `deadline`: files a timer
+    /// only when `deadline` is strictly earlier than the node's earliest
+    /// pending one, or none is pending; `None` files nothing. A deadline
+    /// that moved later is picked up when the pending wakeup fires and the
+    /// node asks again, so a node that asks on every callback keeps at most
+    /// one useful timer pending (DESIGN.md §5c). The simulator clears the
+    /// mark when a timer fires at or after it and when the node crashes.
+    pub fn wake_at(&mut self, deadline: Option<SimTime>) {
+        let Some(t) = deadline else { return };
+        if self.wake.is_none_or(|w| t < w) {
+            self.set_timer_at(t);
+            *self.wake = Some(t);
+        }
+    }
+
     /// Schedules a timer to fire after `delay`, calling [`Node::on_timer`].
     /// A filed timer always fires unless the node crashes first; a node
-    /// that no longer wants the wake-up ignores it.
+    /// that no longer wants the wake-up ignores it. Leaves the
+    /// [`wake_at`](Self::wake_at) mark alone.
     pub fn set_timer(&mut self, delay: SimDuration) {
         self.set_timer_at(self.now.saturating_add(delay));
     }
@@ -194,9 +216,11 @@ pub trait Node: Any {
     /// Called when a timer set by this node fires.
     fn on_timer(&mut self, _ctx: &mut Context<'_>) {}
 
-    /// Called when the node crashes (fail-stop). Pending packets and timers
-    /// are discarded by the simulator; implementations should drop volatile
-    /// state here.
+    /// Called when the node crashes (fail-stop). The simulator discards the
+    /// node's pending packets and timers and clears its
+    /// [`Context::wake_at`] mark; implementations drop volatile protocol
+    /// state here, and a node whose only volatile state is its wakeup needs
+    /// no override.
     fn on_crash(&mut self) {}
 
     /// Called when a crashed node is brought back. The node restarts with
@@ -225,7 +249,14 @@ mod tests {
     fn context_buffers_actions() {
         let mut rng = SimRng::seed_from(0);
         let mut actions = Vec::new();
-        let mut ctx = Context::new(SimTime::from_secs(1), NodeId(3), &mut rng, &mut actions);
+        let mut wake = None;
+        let mut ctx = Context::new(
+            SimTime::from_secs(1),
+            NodeId(3),
+            &mut rng,
+            &mut actions,
+            &mut wake,
+        );
         assert_eq!(ctx.now(), SimTime::from_secs(1));
         assert_eq!(ctx.node_id(), NodeId(3));
         ctx.set_timer(SimDuration::from_millis(5));

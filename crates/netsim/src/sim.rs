@@ -29,6 +29,9 @@ pub(crate) struct NodeSlot {
     pub crashed: bool,
     /// Incremented on every crash; stale timers/dispatches are discarded.
     pub epoch: u64,
+    /// The node's earliest pending [`Context::wake_at`] instant: cleared
+    /// when a timer fires at or after it, and on a crash.
+    pub wake: Option<SimTime>,
     pub cpu_free_at: SimTime,
     /// The packets waiting for or in the CPU, in `(done, seq)` order; only
     /// the head's [`EventKind::CpuDone`] is filed.
@@ -46,6 +49,7 @@ impl NodeSlot {
             params,
             crashed: false,
             epoch: 0,
+            wake: None,
             cpu_free_at: SimTime::ZERO,
             cpu: VecDeque::new(),
             ifaces: Vec::new(),
@@ -249,6 +253,12 @@ impl Simulator {
         self.nodes[node.index()].crashed
     }
 
+    /// The earliest wakeup `node` has pending through
+    /// [`Context::wake_at`], if any.
+    pub fn pending_wakeup(&self, node: NodeId) -> Option<SimTime> {
+        self.nodes[node.index()].wake
+    }
+
     /// Immediately replaces the full impairment set of `link` (both
     /// directions).
     ///
@@ -343,8 +353,9 @@ impl Simulator {
             .take()
             .expect("node callback reentrancy");
         let mut actions = std::mem::take(&mut self.actions_scratch);
+        let wake = &mut self.nodes[id.index()].wake;
         let result = {
-            let mut ctx = Context::new(self.now, id, &mut self.rng, &mut actions);
+            let mut ctx = Context::new(self.now, id, &mut self.rng, &mut actions, wake);
             let node = (boxed.as_mut() as &mut dyn Any)
                 .downcast_mut::<T>()
                 .unwrap_or_else(|| panic!("node {id} is not a {}", std::any::type_name::<T>()));
@@ -459,9 +470,14 @@ impl Simulator {
                 self.link_dequeue(link, dir, epoch);
             }
             EventKind::Timer { node, epoch } => {
-                let slot = &self.nodes[node.index()];
+                let slot = &mut self.nodes[node.index()];
                 if slot.crashed || slot.epoch != epoch {
                     return;
+                }
+                // An entry superseded by an earlier one fires with the mark
+                // already cleared or moved past it, and leaves it alone.
+                if slot.wake.is_some_and(|w| w <= self.now) {
+                    slot.wake = None;
                 }
                 self.stats.timers_fired += 1;
                 self.dispatch(node, |n, ctx| n.on_timer(ctx));
@@ -473,6 +489,7 @@ impl Simulator {
                 }
                 slot.crashed = true;
                 slot.epoch += 1;
+                slot.wake = None;
                 slot.node
                     .as_mut()
                     .expect("node callback reentrancy")
@@ -560,7 +577,8 @@ impl Simulator {
             .expect("node callback reentrancy");
         let mut actions = std::mem::take(&mut self.actions_scratch);
         {
-            let mut ctx = Context::new(self.now, id, &mut self.rng, &mut actions);
+            let wake = &mut self.nodes[id.index()].wake;
+            let mut ctx = Context::new(self.now, id, &mut self.rng, &mut actions, wake);
             f(boxed.as_mut(), &mut ctx);
         }
         self.nodes[id.index()].node = Some(boxed);

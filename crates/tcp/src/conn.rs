@@ -1,12 +1,14 @@
 //! The TCP connection state machine.
 //!
 //! [`Connection`] is a sans-I/O state machine: the owning stack feeds it
-//! segments ([`Connection::on_segment`]) and clock ticks
-//! ([`Connection::on_tick`]), the application reads/writes through it, and
-//! every call takes the stack's [`ConnQueues`]: the configuration and
-//! telemetry its connections share, and the queues each call's outgoing
-//! segments and application events go to. A connection holds none of
-//! these, so its record carries only per-connection state.
+//! segments (`on_segment`) and clock ticks (`on_tick`), the application
+//! reads/writes through it, and every call takes the stack's `ConnQueues`:
+//! the configuration and telemetry its connections share, and the queues
+//! each call's outgoing segments and application events go to. A
+//! connection holds none of these, so its record carries only
+//! per-connection state. Only the stack drives a connection, so those calls
+//! are crate-private; the read accessors behind
+//! [`TcpStack::conn`](crate::stack::TcpStack::conn) are public.
 //!
 //! HydraNet-FT hooks: the *deposit gate* (receive side) and *send gate*
 //! (transmit side) implement the paper's §4.3 synchronisation rules. Both
@@ -141,11 +143,11 @@ pub enum ConnEvent {
 /// after the call; the owning stack passes its one value to every
 /// connection it processes.
 #[derive(Debug)]
-pub struct ConnQueues {
+pub(crate) struct ConnQueues {
     /// Outgoing segments.
-    pub segments: Vec<TcpSegment>,
+    pub(crate) segments: Vec<TcpSegment>,
     /// Application events.
-    pub events: Vec<ConnEvent>,
+    pub(crate) events: Vec<ConnEvent>,
     pub(crate) cfg: TcpConfig,
     /// Absent without a registry.
     pub(crate) telemetry: Option<ConnTelemetry>,
@@ -336,7 +338,7 @@ pub struct Connection {
 
 impl Connection {
     /// Opens a connection actively (client side): queues a SYN into `q`.
-    pub fn connect(quad: Quad, iss: SeqNum, now: SimTime, q: &mut ConnQueues) -> Self {
+    pub(crate) fn connect(quad: Quad, iss: SeqNum, now: SimTime, q: &mut ConnQueues) -> Self {
         let delayed_ack = q.cfg.delayed_ack;
         let mut conn = Self::new(quad, iss, SeqNum::new(0), TcpState::SynSent, delayed_ack, q);
         conn.emit(conn.segment(iss, TcpFlags::SYN, PacketBuf::new()), q);
@@ -358,7 +360,7 @@ impl Connection {
     /// # Panics
     ///
     /// Panics if `syn` does not have the SYN flag set.
-    pub fn accept(
+    pub(crate) fn accept(
         quad: Quad,
         iss: SeqNum,
         syn: &TcpSegment,
@@ -387,7 +389,7 @@ impl Connection {
     /// primary): advertises current state with a pure ACK and transmits
     /// whatever the windows allow, so the client resynchronises without
     /// waiting a full client-side RTO.
-    pub fn kick(&mut self, now: SimTime, q: &mut ConnQueues) {
+    pub(crate) fn kick(&mut self, now: SimTime, q: &mut ConnQueues) {
         if self.state == TcpState::SynRcvd {
             self.try_send_synack(now, q);
             return;
@@ -494,7 +496,7 @@ impl Connection {
     }
 
     /// Free space in the send buffer.
-    pub fn send_room(&self, q: &ConnQueues) -> usize {
+    pub(crate) fn send_room(&self, q: &ConnQueues) -> usize {
         self.sendbuf.room(q.cfg.send_buf)
     }
 
@@ -552,7 +554,7 @@ impl Connection {
 
     /// Disables the send gate (connection became last in chain or the port
     /// is no longer replicated with a successor).
-    pub fn disable_send_gate(&mut self, now: SimTime, q: &mut ConnQueues) {
+    pub(crate) fn disable_send_gate(&mut self, now: SimTime, q: &mut ConnQueues) {
         self.send_gate = OptSeq::NONE;
         self.try_send_synack(now, q);
         self.pump(now, q);
@@ -560,7 +562,7 @@ impl Connection {
 
     /// Raises the send gate to at least `seq` (successor reported it); an
     /// ungated connection stays ungated.
-    pub fn raise_send_gate(&mut self, seq: SeqNum, now: SimTime, q: &mut ConnQueues) {
+    pub(crate) fn raise_send_gate(&mut self, seq: SeqNum, now: SimTime, q: &mut ConnQueues) {
         if let Some(g) = self.send_gate.get() {
             self.send_gate = OptSeq::some(g.max_seq(seq));
         }
@@ -569,13 +571,13 @@ impl Connection {
     }
 
     /// Disables the deposit gate and releases staged data.
-    pub fn disable_deposit_gate(&mut self, now: SimTime, q: &mut ConnQueues) {
+    pub(crate) fn disable_deposit_gate(&mut self, now: SimTime, q: &mut ConnQueues) {
         self.recvbuf.clear_gate();
         self.after_deposit_progress(now, q);
     }
 
     /// Raises the deposit gate: bytes before `upto` may be deposited.
-    pub fn raise_deposit_gate(&mut self, upto: SeqNum, now: SimTime, q: &mut ConnQueues) {
+    pub(crate) fn raise_deposit_gate(&mut self, upto: SeqNum, now: SimTime, q: &mut ConnQueues) {
         self.recvbuf.gate_deposits_below(upto);
         self.after_deposit_progress(now, q);
     }
@@ -662,7 +664,7 @@ impl Connection {
 
     /// Writes application data; returns how many bytes were accepted.
     /// Writing on a connection that cannot send (closed, closing) returns 0.
-    pub fn write(&mut self, data: &[u8], now: SimTime, q: &mut ConnQueues) -> usize {
+    pub(crate) fn write(&mut self, data: &[u8], now: SimTime, q: &mut ConnQueues) -> usize {
         if !matches!(self.state, TcpState::Established | TcpState::CloseWait)
             && self.state != TcpState::SynSent
             && self.state != TcpState::SynRcvd
@@ -681,7 +683,7 @@ impl Connection {
     }
 
     /// Reads up to `max` bytes of in-order received data.
-    pub fn read(&mut self, max: usize, q: &mut ConnQueues) -> Vec<u8> {
+    pub(crate) fn read(&mut self, max: usize, q: &mut ConnQueues) -> Vec<u8> {
         let data = self.recvbuf.read(max);
         if !data.is_empty() {
             self.maybe_send_window_update(q);
@@ -690,7 +692,7 @@ impl Connection {
     }
 
     /// Initiates a graceful close: a FIN follows any buffered data.
-    pub fn close(&mut self, now: SimTime, q: &mut ConnQueues) {
+    pub(crate) fn close(&mut self, now: SimTime, q: &mut ConnQueues) {
         if self.fin_queued {
             return;
         }
@@ -713,7 +715,7 @@ impl Connection {
     }
 
     /// Aborts the connection with a RST.
-    pub fn abort(&mut self, q: &mut ConnQueues) {
+    pub(crate) fn abort(&mut self, q: &mut ConnQueues) {
         if self.state != TcpState::Closed {
             let flags = TcpFlags {
                 rst: true,
@@ -757,7 +759,7 @@ impl Connection {
     // ------------------------------------------------------------------
 
     /// Feeds one incoming segment.
-    pub fn on_segment(&mut self, seg: TcpSegment, now: SimTime, q: &mut ConnQueues) {
+    pub(crate) fn on_segment(&mut self, seg: TcpSegment, now: SimTime, q: &mut ConnQueues) {
         if seg.flags.rst {
             self.on_rst(&seg, q);
             return;
@@ -1041,7 +1043,7 @@ impl Connection {
     // ------------------------------------------------------------------
 
     /// Advances connection timers to `now`.
-    pub fn on_tick(&mut self, now: SimTime, q: &mut ConnQueues) {
+    pub(crate) fn on_tick(&mut self, now: SimTime, q: &mut ConnQueues) {
         if let Some(t) = self.timewait_deadline.get() {
             if now >= t {
                 self.timewait_deadline = OptTime::NONE;
@@ -1228,7 +1230,7 @@ impl Connection {
 
     /// Attempts to transmit everything permitted by the windows, Nagle, and
     /// the send gate.
-    pub fn pump(&mut self, now: SimTime, q: &mut ConnQueues) {
+    pub(crate) fn pump(&mut self, now: SimTime, q: &mut ConnQueues) {
         if !matches!(
             self.state,
             TcpState::Established

@@ -9,14 +9,12 @@
 //! channel** messages carrying the two flow-control fields — SEQUENCE
 //! NUMBER and ACKNOWLEDGEMENT NUMBER — sent over UDP to its predecessor.
 //!
-//! This module defines the roles, the per-port chain configuration (the
-//! `setportopt` state), the ack-channel wire format (one encoder, one
+//! This module defines the per-port chain configuration (the `setportopt`
+//! state, whose predecessor is the replica's role), the ack-channel wire format (one encoder, one
 //! decoder), and the deterministic ISS derivation that lets independently
 //! created replica connections share one sequence space (a prerequisite for
 //! client-transparent fail-over that the paper's single-kernel-image
 //! presentation leaves implicit).
-
-use std::fmt;
 
 use hydranet_netsim::packet::{DecodeError, IpAddr};
 
@@ -27,52 +25,14 @@ use crate::seq::SeqNum;
 /// The well-known UDP port of the ack channel (kernel-to-kernel).
 pub const ACK_CHANNEL_PORT: u16 = 7101;
 
-/// A replica's role for one replicated port — the `mode` argument of the
-/// paper's `setportopt` system call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReplicaMode {
-    /// `S₀`: the only replica that transmits to clients.
-    Primary,
-    /// `Sᵢ, i ≥ 1`: hot-standby; transmissions are diverted into the ack
-    /// channel. `index` is the position in the daisy chain (1-based).
-    Backup {
-        /// 1-based position in the daisy chain.
-        index: u32,
-    },
-}
-
-impl ReplicaMode {
-    /// Whether this replica answers clients directly.
-    pub fn is_primary(self) -> bool {
-        matches!(self, ReplicaMode::Primary)
-    }
-
-    /// A short static label for metric scopes ("primary" / "backup").
-    pub fn label(self) -> &'static str {
-        match self {
-            ReplicaMode::Primary => "primary",
-            ReplicaMode::Backup { .. } => "backup",
-        }
-    }
-}
-
-impl fmt::Display for ReplicaMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReplicaMode::Primary => write!(f, "primary"),
-            ReplicaMode::Backup { index } => write!(f, "backup#{index}"),
-        }
-    }
-}
-
 /// Per-port replication state installed via
 /// [`TcpStack::setportopt`](crate::stack::TcpStack::setportopt).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplicatedPortConfig {
-    /// This replica's role.
-    pub mode: ReplicaMode,
     /// Where to send ack-channel messages: the predecessor in the chain
-    /// (`Sᵢ₋₁`). `None` for the primary.
+    /// (`Sᵢ₋₁`). `None` exactly for the primary `S₀`, the only replica
+    /// that transmits to clients; a backup's transmissions are diverted
+    /// into the ack channel to it.
     pub predecessor: Option<IpAddr>,
     /// Whether a successor (`Sᵢ₊₁`) exists. When `true`, the send and
     /// deposit gates are enforced; the last replica in the chain (and a
@@ -87,7 +47,6 @@ impl ReplicatedPortConfig {
     /// Configuration for a sole primary (no backups yet).
     pub fn sole_primary(detector: DetectorParams) -> Self {
         ReplicatedPortConfig {
-            mode: ReplicaMode::Primary,
             predecessor: None,
             has_successor: false,
             detector,
@@ -97,11 +56,6 @@ impl ReplicatedPortConfig {
     /// Whether connections on this port must run the §4.3 gates.
     pub fn gated(&self) -> bool {
         self.has_successor
-    }
-
-    /// Whether outgoing segments are diverted into the ack channel.
-    pub fn diverts_output(&self) -> bool {
-        !self.mode.is_primary()
     }
 }
 
@@ -434,30 +388,20 @@ mod tests {
     #[test]
     fn replicated_port_config_predicates() {
         let sole = ReplicatedPortConfig::sole_primary(DetectorParams::DEFAULT);
-        assert!(sole.mode.is_primary());
+        assert_eq!(sole.predecessor, None);
         assert!(!sole.gated());
-        assert!(!sole.diverts_output());
 
         let first_backup = ReplicatedPortConfig {
-            mode: ReplicaMode::Backup { index: 1 },
             predecessor: Some(IpAddr::new(10, 0, 0, 1)),
             has_successor: true,
             detector: DetectorParams::DEFAULT,
         };
         assert!(first_backup.gated());
-        assert!(first_backup.diverts_output());
 
         let last_backup = ReplicatedPortConfig {
             has_successor: false,
             ..first_backup
         };
         assert!(!last_backup.gated());
-        assert!(last_backup.diverts_output());
-    }
-
-    #[test]
-    fn mode_display() {
-        assert_eq!(ReplicaMode::Primary.to_string(), "primary");
-        assert_eq!(ReplicaMode::Backup { index: 2 }.to_string(), "backup#2");
     }
 }

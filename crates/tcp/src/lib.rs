@@ -37,11 +37,9 @@ pub mod udp;
 
 /// Convenient glob-import of the crate's primary types.
 pub mod prelude {
-    pub use crate::conn::{ConnEvent, ConnQueues, Connection, TcpConfig, TcpState};
+    pub use crate::conn::{ConnEvent, Connection, TcpConfig, TcpState};
     pub use crate::detector::{DetectorParams, FailureDetector};
-    pub use crate::ft::{
-        deterministic_iss, AckChanMsg, ReplicaMode, ReplicatedPortConfig, ACK_CHANNEL_PORT,
-    };
+    pub use crate::ft::{deterministic_iss, AckChanMsg, ReplicatedPortConfig, ACK_CHANNEL_PORT};
     pub use crate::segment::{Quad, SockAddr, TcpFlags, TcpSegment};
     pub use crate::seq::SeqNum;
     pub use crate::stack::{NullApp, SocketApp, SocketIo, StackEvent, TcpStack};

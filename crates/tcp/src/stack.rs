@@ -441,7 +441,7 @@ impl TcpStack {
     /// are re-geared immediately (promotion, chain membership changes).
     pub fn setportopt(&mut self, port: u16, config: ReplicatedPortConfig, now: SimTime) {
         let gated = config.gated();
-        let promoted = config.mode.is_primary();
+        let promoted = config.predecessor.is_none();
         self.replicated.insert(port, config);
         for quad in self.quads_on_port(port) {
             let Some((slot, mut entry)) = self.take_conn(quad) else {
@@ -1030,38 +1030,27 @@ impl TcpStack {
             let divert = self
                 .replicated
                 .get(&quad.local.port)
-                .filter(|r| r.diverts_output())
-                .map(|r| r.predecessor);
+                .is_some_and(|r| r.predecessor.is_some());
             for seg in segments.drain(..) {
-                match divert {
-                    Some(Some(_)) => {
-                        // Backup: strip to (SEQ, ACK) and forward along the
-                        // acknowledgement channel; discard the contents
-                        // (§4.3). The predecessor is resolved again at
-                        // flush time.
-                        let msg = AckChanMsg {
-                            client: quad.remote,
-                            service: quad.local,
-                            seq: seg.seq_end(),
-                            ack: seg.ack,
-                        };
-                        let control = seg.flags.syn || seg.flags.fin || seg.flags.rst;
-                        self.queue_ack_report(quad, msg, control, now);
-                    }
-                    Some(None) => {
-                        // Backup with no predecessor configured yet: the
-                        // report has nowhere to go; drop it (the management
-                        // protocol will re-chain shortly).
-                        self.stats.dropped += 1;
-                    }
-                    None => {
-                        self.push_packet(
-                            quad.local.addr,
-                            quad.remote.addr,
-                            Protocol::TCP,
-                            seg.into_wire(),
-                        );
-                    }
+                if divert {
+                    // Backup: strip to (SEQ, ACK) and forward along the
+                    // acknowledgement channel; discard the contents (§4.3).
+                    // The predecessor is resolved again at flush time.
+                    let msg = AckChanMsg {
+                        client: quad.remote,
+                        service: quad.local,
+                        seq: seg.seq_end(),
+                        ack: seg.ack,
+                    };
+                    let control = seg.flags.syn || seg.flags.fin || seg.flags.rst;
+                    self.queue_ack_report(quad, msg, control, now);
+                } else {
+                    self.push_packet(
+                        quad.local.addr,
+                        quad.remote.addr,
+                        Protocol::TCP,
+                        seg.into_wire(),
+                    );
                 }
             }
         }
@@ -1130,8 +1119,8 @@ impl TcpStack {
     /// consecutive connections that share a (local address, predecessor)
     /// pair into single batched datagrams. The predecessor is resolved
     /// *now*, not at queue time: if the chain was reconfigured while a
-    /// report waited (promotion, re-chaining), the stale report is dropped
-    /// exactly as `Some(None)` diversion drops it.
+    /// report waited, it goes to the new predecessor, and a report whose
+    /// port has none any more (promotion) is dropped.
     fn flush_ackchan(&mut self, now: SimTime) {
         self.ackchan_flush_at = None;
         if self.ackchan_pending.is_empty() {
@@ -1145,7 +1134,6 @@ impl TcpStack {
             let pred = self
                 .replicated
                 .get(&quad.local.port)
-                .filter(|r| r.diverts_output())
                 .and_then(|r| r.predecessor);
             let Some(pred) = pred else {
                 self.stats.dropped += 1;
@@ -1219,7 +1207,6 @@ impl TcpStack {
 mod tests {
     use super::*;
     use crate::detector::DetectorParams;
-    use crate::ft::ReplicaMode;
     use crate::seq::SeqNum;
 
     const CLIENT: IpAddr = IpAddr::new(10, 0, 1, 1);
@@ -1346,7 +1333,6 @@ mod tests {
         backup.add_local_addr(SERVICE);
         backup.listen(80, |_| Box::new(NullApp));
         let port_cfg = ReplicatedPortConfig {
-            mode: ReplicaMode::Backup { index: 1 },
             predecessor: Some(PRIMARY),
             has_successor: false,
             detector: DetectorParams::DEFAULT,

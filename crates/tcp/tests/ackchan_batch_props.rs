@@ -41,7 +41,6 @@ fn gated_primary(rx: common::Collected) -> TcpStack {
     s.setportopt(
         PORT,
         ReplicatedPortConfig {
-            mode: ReplicaMode::Primary,
             predecessor: None,
             has_successor: true,
             detector: DetectorParams::DEFAULT,
@@ -312,14 +311,12 @@ fn build_lossy_chain(link: LinkParams, seed: u64) -> Chain {
         });
         let config = if i == 0 {
             ReplicatedPortConfig {
-                mode: ReplicaMode::Primary,
                 predecessor: None,
                 has_successor: true,
                 detector: DetectorParams::DEFAULT,
             }
         } else {
             ReplicatedPortConfig {
-                mode: ReplicaMode::Backup { index: i as u32 },
                 predecessor: Some(real_addrs[i - 1]),
                 has_successor: false,
                 detector: DetectorParams::DEFAULT,

@@ -78,14 +78,12 @@ fn build_chain(n_replicas: usize, echo: bool, detector: DetectorParams) -> Chain
         });
         let config = if i == 0 {
             ReplicatedPortConfig {
-                mode: ReplicaMode::Primary,
                 predecessor: None,
                 has_successor: n_replicas > 1,
                 detector,
             }
         } else {
             ReplicatedPortConfig {
-                mode: ReplicaMode::Backup { index: i as u32 },
                 predecessor: Some(real_addrs[i - 1]),
                 has_successor: i + 1 < n_replicas,
                 detector,

@@ -334,7 +334,6 @@ fn backup_stack() -> TcpStack {
     s.setportopt(
         80,
         ReplicatedPortConfig {
-            mode: ReplicaMode::Backup { index: 1 },
             predecessor: Some(PRED_ADDR),
             has_successor: false,
             detector: DetectorParams::DEFAULT,
