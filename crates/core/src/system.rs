@@ -651,7 +651,8 @@ impl System {
     ///
     /// Panics if the client's ephemeral-port space to `remote` is
     /// exhausted; use [`try_connect_client`](Self::try_connect_client) to
-    /// handle that recoverably.
+    /// handle that recoverably. Panics if `client` is crashed, as
+    /// [`Simulator::with_node_ctx`] does.
     pub fn connect_client(
         &mut self,
         client: NodeId,
@@ -669,6 +670,11 @@ impl System {
     /// # Errors
     ///
     /// Returns [`EphemeralPortsExhausted`] without creating any state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `client` is crashed, as [`Simulator::with_node_ctx`]
+    /// does.
     pub fn try_connect_client(
         &mut self,
         client: NodeId,

@@ -20,17 +20,9 @@ pub(crate) enum EventKind {
     /// The head of a node's CPU queue has finished its processing delay
     /// and is handed to the node. Filed for the head only, under the
     /// head's own `(done, seq)` key; the packet waits in the queue.
-    CpuDone(NodeId),
-    /// A packet that finished its CPU processing delay outside the node's
-    /// queue, because it sorts before packets still queued from before a
-    /// crash, is handed to the node. Carries the node's crash epoch so
-    /// work queued before a crash does not leak into a recovered node.
-    PacketDispatch {
-        node: NodeId,
-        iface: usize,
-        packet: IpPacket,
-        epoch: u64,
-    },
+    /// `epoch` is the node's crash epoch when it was filed: a crash empties
+    /// the queue, so an entry from an older epoch is ignored.
+    CpuDone { node: NodeId, epoch: u64 },
     /// The transmitter of one link direction is free to send the next
     /// packet. `epoch` invalidates events scheduled before a link outage.
     LinkDequeue {

@@ -3,13 +3,16 @@
 //! Hosts, routers, redirectors, and host servers are all nodes. The
 //! simulator calls into a node when a packet is dispatched to it or one of
 //! its timers fires; the node reacts through the [`Context`] it is handed,
-//! which records sends and timer operations for the simulator to apply.
+//! whose sends and timers take effect when the node makes them.
 
 use std::any::Any;
 use std::fmt;
 
+use crate::event::{EventKind, EventQueue};
+use crate::link::Link;
 use crate::packet::IpPacket;
 use crate::rng::SimRng;
+use crate::sim::{link_enqueue, NodeSlot, Simulator};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a node within a simulation.
@@ -102,45 +105,42 @@ impl Default for NodeParams {
     }
 }
 
-/// An action recorded by a node for the simulator to apply after the
-/// callback returns.
-#[derive(Debug)]
-pub(crate) enum Action {
-    Send { iface: IfaceId, packet: IpPacket },
-    SetTimer { at: SimTime },
-}
-
 /// The environment a node callback runs in.
 ///
 /// Provides the current simulated time, deterministic randomness, packet
-/// transmission, and timer management. All effects are buffered and applied
-/// by the simulator when the callback returns, except the node's wakeup
-/// mark, which [`wake_at`](Self::wake_at) reads and moves at once.
-#[derive(Debug)]
+/// transmission, and timer management. It borrows the node's slot, the
+/// link table and the calendar, so every effect lands when the node makes
+/// it: a send enters its link's queue and a timer is filed in the calendar
+/// before the call returns.
 pub struct Context<'a> {
     now: SimTime,
     node: NodeId,
     rng: &'a mut SimRng,
-    actions: &'a mut Vec<Action>,
-    /// The node's earliest pending [`wake_at`](Self::wake_at) instant,
-    /// held by the simulator.
-    wake: &'a mut Option<SimTime>,
+    slot: &'a mut NodeSlot,
+    links: &'a mut [Link],
+    events: &'a mut EventQueue,
+}
+
+impl fmt::Debug for Context<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Context")
+            .field("now", &self.now)
+            .field("node", &self.node)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<'a> Context<'a> {
-    pub(crate) fn new(
-        now: SimTime,
-        node: NodeId,
-        rng: &'a mut SimRng,
-        actions: &'a mut Vec<Action>,
-        wake: &'a mut Option<SimTime>,
-    ) -> Self {
+    /// A context for `node`, whose callback object the caller has taken
+    /// out of its slot.
+    pub(crate) fn new(sim: &'a mut Simulator, node: NodeId) -> Self {
         Context {
-            now,
+            now: sim.now,
             node,
-            rng,
-            actions,
-            wake,
+            rng: &mut sim.rng,
+            slot: &mut sim.nodes[node.index()],
+            links: &mut sim.links,
+            events: &mut sim.events,
         }
     }
 
@@ -161,10 +161,17 @@ impl<'a> Context<'a> {
 
     /// Transmits `packet` on the given interface.
     ///
-    /// The packet enters the link's queue; it may later be dropped by the
-    /// queue limit, the loss model, or a link outage.
+    /// The packet enters the link's queue at once, or is dropped by the
+    /// queue limit or a link outage; the loss model may drop it later.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node has no interface `iface`.
     pub fn send(&mut self, iface: IfaceId, packet: IpPacket) {
-        self.actions.push(Action::Send { iface, packet });
+        let Some(&(link, dir)) = self.slot.ifaces.get(iface.index()) else {
+            panic!("{} sent on nonexistent interface {iface}", self.node);
+        };
+        link_enqueue(self.links, self.events, self.now, link, dir, packet);
     }
 
     /// Ensures a wakeup is pending at or before `deadline`: files a timer
@@ -176,9 +183,9 @@ impl<'a> Context<'a> {
     /// mark when a timer fires at or after it and when the node crashes.
     pub fn wake_at(&mut self, deadline: Option<SimTime>) {
         let Some(t) = deadline else { return };
-        if self.wake.is_none_or(|w| t < w) {
+        if self.slot.wake.is_none_or(|w| t < w) {
             self.set_timer_at(t);
-            *self.wake = Some(t);
+            self.slot.wake = Some(t);
         }
     }
 
@@ -195,7 +202,8 @@ impl<'a> Context<'a> {
     /// An instant in the past fires immediately (at the current time).
     pub fn set_timer_at(&mut self, at: SimTime) {
         let at = at.max(self.now);
-        self.actions.push(Action::SetTimer { at });
+        let (node, epoch) = (self.node, self.slot.epoch);
+        self.events.push(at, EventKind::Timer { node, epoch });
     }
 }
 
@@ -245,36 +253,59 @@ mod tests {
         assert_eq!(NodeParams::INSTANT.cost_for(1500), SimDuration::ZERO);
     }
 
+    struct Quiet;
+
+    impl Node for Quiet {
+        fn on_packet(&mut self, _ctx: &mut Context<'_>, _iface: IfaceId, _p: IpPacket) {}
+    }
+
+    /// A timer, a send and a past-due timer reach the calendar in call
+    /// order, each under the next `seq`, before the callback returns.
     #[test]
-    fn context_buffers_actions() {
-        let mut rng = SimRng::seed_from(0);
-        let mut actions = Vec::new();
-        let mut wake = None;
-        let mut ctx = Context::new(
-            SimTime::from_secs(1),
-            NodeId(3),
-            &mut rng,
-            &mut actions,
-            &mut wake,
-        );
-        assert_eq!(ctx.now(), SimTime::from_secs(1));
-        assert_eq!(ctx.node_id(), NodeId(3));
+    fn context_files_effects_in_call_order() {
+        use crate::link::LinkParams;
+        use crate::packet::{IpAddr, Protocol};
+        use crate::topology::TopologyBuilder;
+
+        let mut t = TopologyBuilder::new();
+        let a = t.add_node(Quiet, NodeParams::INSTANT);
+        let b = t.add_node(Quiet, NodeParams::INSTANT);
+        let (link, _, _) = t.connect(a, b, LinkParams::default());
+        let mut sim = t.into_simulator(0);
+        let now = SimTime::from_secs(1);
+        sim.run_until(now);
+        let mut ctx = Context::new(&mut sim, a);
+        assert_eq!(ctx.now(), now);
+        assert_eq!(ctx.node_id(), a);
         ctx.set_timer(SimDuration::from_millis(5));
+        let p = IpPacket::new(
+            IpAddr::new(10, 0, 0, 1),
+            IpAddr::new(10, 0, 0, 2),
+            Protocol::UDP,
+            vec![0u8; 10],
+        );
+        ctx.send(IfaceId(0), p);
         ctx.set_timer_at(SimTime::ZERO); // in the past
-        #[allow(clippy::drop_non_drop)] // end the borrow of `actions`
-        drop(ctx);
-        assert_eq!(actions.len(), 2);
-        match &actions[0] {
-            Action::SetTimer { at } => {
-                assert_eq!(*at, SimTime::from_secs(1) + SimDuration::from_millis(5));
-            }
-            other => panic!("unexpected action {other:?}"),
-        }
-        match &actions[1] {
-            // Past deadlines are clamped to now.
-            Action::SetTimer { at } => assert_eq!(*at, SimTime::from_secs(1)),
-            other => panic!("unexpected action {other:?}"),
-        }
+        let mut filed: Vec<_> = std::iter::from_fn(|| sim.events.pop()).collect();
+        filed.sort_by_key(|e| e.seq);
+        assert!(filed.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+        let filed: Vec<(SimTime, &str)> = filed
+            .iter()
+            .map(|e| match e.payload {
+                EventKind::Timer { node, epoch: 0 } if node == a => (e.time, "timer"),
+                EventKind::LinkDequeue { link: l, .. } if l == link => (e.time, "dequeue"),
+                ref other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            filed,
+            vec![
+                (now + SimDuration::from_millis(5), "timer"),
+                (now, "dequeue"),
+                // Past deadlines are clamped to now.
+                (now, "timer"),
+            ]
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::buf::PacketBuf;
 use crate::event::{Event, EventKind, EventQueue};
 use crate::frag::fragment_packet;
 use crate::link::{Direction, Impairments, Link, LinkId};
-use crate::node::{Action, Context, IfaceId, Node, NodeId, NodeParams};
+use crate::node::{Context, IfaceId, Node, NodeId, NodeParams};
 use crate::packet::IpPacket;
 use crate::profile::{EventCategory, EventProfiler};
 use crate::rng::SimRng;
@@ -27,14 +27,15 @@ pub(crate) struct NodeSlot {
     pub node: Option<Box<dyn Node>>,
     pub params: NodeParams,
     pub crashed: bool,
-    /// Incremented on every crash; stale timers/dispatches are discarded.
+    /// Incremented on every crash; timers and CPU dispatches filed under
+    /// an older epoch are discarded.
     pub epoch: u64,
     /// The node's earliest pending [`Context::wake_at`] instant: cleared
     /// when a timer fires at or after it, and on a crash.
     pub wake: Option<SimTime>,
     pub cpu_free_at: SimTime,
     /// The packets waiting for or in the CPU, in `(done, seq)` order; only
-    /// the head's [`EventKind::CpuDone`] is filed.
+    /// the head's [`EventKind::CpuDone`] is filed. A crash empties it.
     cpu: VecDeque<CpuJob>,
     /// For each interface: the link it attaches to and the direction this
     /// node transmits in on that link.
@@ -65,8 +66,6 @@ struct CpuJob {
     seq: u64,
     iface: usize,
     packet: IpPacket,
-    /// The node's crash epoch at arrival.
-    epoch: u64,
 }
 
 /// The discrete-event simulator.
@@ -104,15 +103,14 @@ struct CpuJob {
 /// assert!(sim.node::<Pinger>(a).got_reply);
 /// ```
 pub struct Simulator {
-    now: SimTime,
-    events: EventQueue,
+    pub(crate) now: SimTime,
+    pub(crate) events: EventQueue,
     pub(crate) nodes: Vec<NodeSlot>,
     pub(crate) links: Vec<Link>,
-    rng: SimRng,
+    pub(crate) rng: SimRng,
     stats: SimStats,
     profiler: EventProfiler,
     obs: Obs,
-    actions_scratch: Vec<Action>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -137,7 +135,6 @@ impl Simulator {
             stats: SimStats::default(),
             profiler: EventProfiler::default(),
             obs: Obs::disabled(),
-            actions_scratch: Vec::new(),
         };
         for i in 0..sim.nodes.len() {
             sim.events
@@ -186,8 +183,8 @@ impl Simulator {
         &self.profiler
     }
 
-    /// Processes events until the calendar is exhausted or `limit` events
-    /// have run. Returns the number of events processed.
+    /// Processes events until the calendar is exhausted. Returns the number
+    /// of events processed.
     pub fn run_until_idle(&mut self) -> u64 {
         self.run_until_idle_capped(u64::MAX)
     }
@@ -342,29 +339,21 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if called from within a node callback on the same node.
+    /// Panics if `id` is crashed (a fail-stop node neither computes nor
+    /// sends), if it is not of type `T`, or if called from within a node
+    /// callback on the same node.
     pub fn with_node_ctx<T: Node, R>(
         &mut self,
         id: NodeId,
         f: impl FnOnce(&mut T, &mut Context<'_>) -> R,
     ) -> R {
-        let mut boxed = self.nodes[id.index()]
-            .node
-            .take()
-            .expect("node callback reentrancy");
-        let mut actions = std::mem::take(&mut self.actions_scratch);
-        let wake = &mut self.nodes[id.index()].wake;
-        let result = {
-            let mut ctx = Context::new(self.now, id, &mut self.rng, &mut actions, wake);
-            let node = (boxed.as_mut() as &mut dyn Any)
+        assert!(!self.is_crashed(id), "node {id} is crashed");
+        self.dispatch(id, |node, ctx| {
+            let node = (node as &mut dyn Any)
                 .downcast_mut::<T>()
                 .unwrap_or_else(|| panic!("node {id} is not a {}", std::any::type_name::<T>()));
-            f(node, &mut ctx)
-        };
-        self.nodes[id.index()].node = Some(boxed);
-        self.apply_actions(id, &mut actions);
-        self.actions_scratch = actions;
-        result
+            f(node, ctx)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -405,11 +394,14 @@ impl Simulator {
     fn classify_event(&self, kind: &EventKind) -> EventCategory {
         match kind {
             EventKind::Timer { .. } => EventCategory::Timers,
-            EventKind::PacketArrival { node, packet, .. }
-            | EventKind::PacketDispatch { node, packet, .. } => self.classify_at(*node, packet),
-            EventKind::CpuDone(node) => {
-                let head = self.nodes[node.index()].cpu.front();
-                self.classify_at(*node, &head.expect("a filed CPU queue has a head").packet)
+            EventKind::PacketArrival { node, packet, .. } => self.classify_at(*node, packet),
+            EventKind::CpuDone { node, epoch } => {
+                let slot = &self.nodes[node.index()];
+                match slot.cpu.front() {
+                    Some(head) if slot.epoch == *epoch => self.classify_at(*node, &head.packet),
+                    // Filed before a crash emptied the queue: a no-op.
+                    _ => EventCategory::Other,
+                }
             }
             EventKind::LinkDequeue { link, dir, .. } => {
                 // Attribute the dequeue to the packet about to transmit
@@ -450,22 +442,21 @@ impl Simulator {
             } => {
                 self.packet_arrival(node, iface, packet);
             }
-            EventKind::CpuDone(node) => {
-                let cpu = &mut self.nodes[node.index()].cpu;
-                let job = cpu.pop_front().expect("a filed CPU queue has a head");
-                debug_assert_eq!(job.done, self.now, "CPU head popped off its key");
-                if let Some(next) = cpu.front() {
-                    self.events
-                        .push_at(next.done, next.seq, EventKind::CpuDone(node));
+            EventKind::CpuDone { node, epoch } => {
+                let slot = &mut self.nodes[node.index()];
+                if slot.epoch != epoch {
+                    return; // the crash that emptied the queue dropped it
                 }
-                self.packet_dispatch(node, job.iface, job.packet, job.epoch);
+                let job = slot.cpu.pop_front().expect("a filed CPU queue has a head");
+                debug_assert_eq!(job.done, self.now, "CPU head popped off its key");
+                if let Some(next) = slot.cpu.front() {
+                    self.events
+                        .push_at(next.done, next.seq, EventKind::CpuDone { node, epoch });
+                }
+                slot.stats.dispatched += 1;
+                let iface = IfaceId(job.iface);
+                self.dispatch(node, |n, ctx| n.on_packet(ctx, iface, job.packet));
             }
-            EventKind::PacketDispatch {
-                node,
-                iface,
-                packet,
-                epoch,
-            } => self.packet_dispatch(node, iface, packet, epoch),
             EventKind::LinkDequeue { link, dir, epoch } => {
                 self.link_dequeue(link, dir, epoch);
             }
@@ -490,6 +481,8 @@ impl Simulator {
                 slot.crashed = true;
                 slot.epoch += 1;
                 slot.wake = None;
+                slot.stats.dropped_crashed += slot.cpu.len() as u64;
+                slot.cpu.clear();
                 slot.node
                     .as_mut()
                     .expect("node callback reentrancy")
@@ -553,101 +546,22 @@ impl Simulator {
         }
     }
 
-    /// Hands a packet that has finished its CPU delay to its node. A crash
-    /// between arrival and dispatch — even one already recovered from —
-    /// discards the packet.
-    fn packet_dispatch(&mut self, node: NodeId, iface: usize, packet: IpPacket, epoch: u64) {
-        let slot = &mut self.nodes[node.index()];
-        if slot.crashed || slot.epoch != epoch {
-            slot.stats.dropped_crashed += 1;
-            return;
-        }
-        slot.stats.dispatched += 1;
-        self.dispatch(node, |n, ctx| n.on_packet(ctx, IfaceId(iface), packet));
-    }
-
-    /// Runs a node callback and applies the actions it recorded.
-    fn dispatch(&mut self, id: NodeId, f: impl FnOnce(&mut dyn Node, &mut Context<'_>)) {
-        if self.nodes[id.index()].crashed {
-            return;
-        }
+    /// Runs `f` on node `id` with a [`Context`] whose effects land as it
+    /// makes them. The node is up: every start runs before any crash, and
+    /// every other caller checks.
+    fn dispatch<R>(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut dyn Node, &mut Context<'_>) -> R,
+    ) -> R {
+        debug_assert!(!self.nodes[id.index()].crashed, "{id} runs crashed");
         let mut boxed = self.nodes[id.index()]
             .node
             .take()
             .expect("node callback reentrancy");
-        let mut actions = std::mem::take(&mut self.actions_scratch);
-        {
-            let wake = &mut self.nodes[id.index()].wake;
-            let mut ctx = Context::new(self.now, id, &mut self.rng, &mut actions, wake);
-            f(boxed.as_mut(), &mut ctx);
-        }
+        let result = f(boxed.as_mut(), &mut Context::new(self, id));
         self.nodes[id.index()].node = Some(boxed);
-        self.apply_actions(id, &mut actions);
-        self.actions_scratch = actions;
-    }
-
-    fn apply_actions(&mut self, id: NodeId, actions: &mut Vec<Action>) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { iface, packet } => {
-                    let slot = &self.nodes[id.index()];
-                    let Some(&(link, dir)) = slot.ifaces.get(iface.index()) else {
-                        panic!("{id} sent on nonexistent interface {iface}");
-                    };
-                    self.link_enqueue(link, dir, packet);
-                }
-                Action::SetTimer { at } => {
-                    let epoch = self.nodes[id.index()].epoch;
-                    self.events.push(at, EventKind::Timer { node: id, epoch });
-                }
-            }
-        }
-    }
-
-    fn link_enqueue(&mut self, link_id: LinkId, dir: Direction, packet: IpPacket) {
-        let link = &mut self.links[link_id.index()];
-        if !link.up {
-            link.dirs[dir.index()].stats.dropped_down += 1;
-            return;
-        }
-        let mtu = link.params.mtu;
-        if packet.total_len() <= mtu {
-            self.link_push(link_id, dir, packet);
-            return;
-        }
-        match fragment_packet(packet, mtu) {
-            Ok(fragments) => {
-                for frag in fragments {
-                    self.link_push(link_id, dir, frag);
-                }
-            }
-            Err(_) => link.dirs[dir.index()].stats.dropped_mtu += 1,
-        }
-    }
-
-    /// Queues one packet that fits the link's MTU, tail-dropping at the
-    /// queue limit, and starts the transmitter if it is idle.
-    fn link_push(&mut self, link_id: LinkId, dir: Direction, packet: IpPacket) {
-        let link = &mut self.links[link_id.index()];
-        let state = &mut link.dirs[dir.index()];
-        if state.queue.len() >= link.params.queue_packets {
-            state.stats.dropped_queue += 1;
-            return;
-        }
-        state.stats.enqueued += 1;
-        state.queue.push_back(packet);
-        if !state.transmitting {
-            state.transmitting = true;
-            let epoch = state.epoch;
-            self.events.push(
-                self.now,
-                EventKind::LinkDequeue {
-                    link: link_id,
-                    dir,
-                    epoch,
-                },
-            );
-        }
+        result
     }
 
     fn link_dequeue(&mut self, link_id: LinkId, dir: Direction, epoch: u64) {
@@ -757,10 +671,8 @@ impl Simulator {
     /// filed now would get, so the queue hands packets over in the
     /// calendar's exact `(time, seq)` order: within one node `done` never
     /// decreases and `seq` always increases, so the queue is sorted and
-    /// its filed head is its minimum. An arrival that would sort before
-    /// the queue's tail is filed on its own instead; only a recovery,
-    /// which resets `cpu_free_at` while packets queued before the crash
-    /// are still due, makes one.
+    /// its filed head is its minimum. A recovery resets `cpu_free_at`, but
+    /// the crash before it emptied the queue.
     fn packet_arrival(&mut self, node: NodeId, iface: usize, packet: IpPacket) {
         let slot = &mut self.nodes[node.index()];
         if slot.crashed {
@@ -772,31 +684,67 @@ impl Simulator {
         let done = start.saturating_add(cost);
         slot.cpu_free_at = done;
         slot.stats.cpu_busy_nanos += cost.as_nanos();
-        let epoch = slot.epoch;
         let seq = self.events.take_seq();
-        let tail = slot.cpu.back().map(|last| (last.done, last.seq));
-        if tail.is_some_and(|tail| (done, seq) < tail) {
-            let kind = EventKind::PacketDispatch {
-                node,
-                iface,
-                packet,
-                epoch,
-            };
-            self.events.push_at(done, seq, kind);
-            return;
-        }
-        if tail.is_none() {
-            self.events.push_at(done, seq, EventKind::CpuDone(node));
+        debug_assert!(
+            slot.cpu
+                .back()
+                .is_none_or(|last| (last.done, last.seq) < (done, seq)),
+            "CPU queue out of (done, seq) order"
+        );
+        if slot.cpu.is_empty() {
+            let epoch = slot.epoch;
+            self.events
+                .push_at(done, seq, EventKind::CpuDone { node, epoch });
         }
         slot.cpu.push_back(CpuJob {
             done,
             seq,
             iface,
             packet,
-            epoch,
         });
         let queued = slot.cpu.len() as u64;
         slot.stats.cpu_queue_peak = slot.stats.cpu_queue_peak.max(queued);
+    }
+}
+
+/// Queues `packet` on one direction of link `link_id`, fragmenting it to
+/// the link's MTU and tail-dropping at the queue limit, and starts the
+/// transmitter if it is idle; a link that is down drops it.
+pub(crate) fn link_enqueue(
+    links: &mut [Link],
+    events: &mut EventQueue,
+    now: SimTime,
+    link_id: LinkId,
+    dir: Direction,
+    packet: IpPacket,
+) {
+    let link = &mut links[link_id.index()];
+    let (mtu, limit) = (link.params.mtu, link.params.queue_packets);
+    let state = &mut link.dirs[dir.index()];
+    if !link.up {
+        state.stats.dropped_down += 1;
+        return;
+    }
+    let mut push = |packet: IpPacket| {
+        if state.queue.len() >= limit {
+            state.stats.dropped_queue += 1;
+            return;
+        }
+        state.stats.enqueued += 1;
+        state.queue.push_back(packet);
+        if !state.transmitting {
+            state.transmitting = true;
+            let (link, epoch) = (link_id, state.epoch);
+            events.push(now, EventKind::LinkDequeue { link, dir, epoch });
+        }
+    };
+    if packet.total_len() <= mtu {
+        push(packet);
+        return;
+    }
+    match fragment_packet(packet, mtu) {
+        Ok(fragments) => fragments.into_iter().for_each(push),
+        Err(_) => state.stats.dropped_mtu += 1,
     }
 }
 
@@ -1023,9 +971,9 @@ mod tests {
     }
 
     /// A packet waiting for the CPU when its node crashes is lost to the
-    /// crash — whether the node is still down when the dispatch falls due
-    /// or has recovered by then — and the node counters account for every
-    /// arrival: dispatched or dropped as crashed.
+    /// crash, even one whose dispatch would fall due after the recovery,
+    /// and the node counters account for every arrival: dispatched or
+    /// dropped as crashed.
     #[test]
     fn packets_waiting_for_the_cpu_at_a_crash_count_as_crash_drops() {
         let mut t = TopologyBuilder::new();
@@ -1037,8 +985,8 @@ mod tests {
         let (link, _, _) = t.connect(a, b, LinkParams::new(1_000_000_000, SimDuration::ZERO));
         let mut sim = t.into_simulator(1);
         // All three arrive within microseconds and queue for b's CPU:
-        // dispatches fall due just after 5, 10 and 15 ms. The second finds
-        // b crashed, the third finds it recovered under a new epoch.
+        // dispatches fall due just after 5, 10 and 15 ms. The crash at 7 ms
+        // drops the second and the third.
         sim.schedule_crash(b, SimTime::from_millis(7));
         sim.schedule_recover(b, SimTime::from_millis(12));
         sim.run_until_idle();
@@ -1049,15 +997,13 @@ mod tests {
         assert_eq!(stats.dispatched + stats.dropped_crashed, ab.delivered);
     }
 
-    /// A 5 ms-CPU node queues four packets, crashes after the first
-    /// dispatch and recovers while the three stale ones are still due at
-    /// 10, 15 and 20 ms. Recovery resets the CPU, so of three packets sent
-    /// just after it the first is done at 17 ms, before the last stale
-    /// one: it is filed on its own, and the other two queue behind the
-    /// stale packet. Dispatch times and order, the crash drops and the
-    /// event count are exactly what one calendar entry per packet gave.
-    #[test]
-    fn crash_with_cpu_backlog_then_recovery_keeps_dispatch_order() {
+    /// A 5 ms-CPU node queues four packets and crashes after the first
+    /// dispatch, which drops the three still queued; the head entry filed
+    /// for the second, due at 10 ms, fires as a no-op. Recovery resets the
+    /// CPU, so of three packets sent just after it the first is done at
+    /// 17 ms. Dispatch times and order and the crash drops are exactly what
+    /// one calendar entry per packet gave.
+    fn crash_with_cpu_backlog_then_recovery(profile: bool) -> (Simulator, NodeId, LinkId) {
         let mut t = TopologyBuilder::new();
         let a = t.add_node(Blaster::new(0, 0), NodeParams::INSTANT);
         let b = t.add_node(
@@ -1066,6 +1012,7 @@ mod tests {
         );
         let (link, _, _) = t.connect(a, b, LinkParams::new(1_000_000_000, SimDuration::ZERO));
         let mut sim = t.into_simulator(1);
+        sim.profiler_mut().set_enabled(profile);
         // 120…123 wire bytes at 1 Gb/s: arrivals at 960, 1,928, 2,904 and
         // 3,888 ns, dispatches due 5 ms apart from 5,000,960 ns.
         blast_sizes(&mut sim, a, &[100, 101, 102, 103]);
@@ -1078,6 +1025,12 @@ mod tests {
         // 17,001,760, then 22,001,760 and 27,001,760 ns.
         blast_sizes(&mut sim, a, &[200, 201, 202]);
         sim.run_until_idle();
+        (sim, b, link)
+    }
+
+    #[test]
+    fn crash_with_cpu_backlog_then_recovery_keeps_dispatch_order() {
+        let (sim, b, link) = crash_with_cpu_backlog_then_recovery(false);
         let ns = SimTime::from_nanos;
         assert_eq!(
             sim.node::<Blaster>(b).received,
@@ -1092,11 +1045,42 @@ mod tests {
         assert_eq!((stats.dispatched, stats.dropped_crashed), (4, 3));
         let (ab, _) = sim.link_stats(link);
         assert_eq!(stats.dispatched + stats.dropped_crashed, ab.delivered);
-        // 2 starts, 9 link dequeues, 7 arrivals, 7 CPU dispatches, the
-        // crash and the recovery.
-        assert_eq!(sim.stats().events_processed, 27);
+        // 2 starts, 9 link dequeues, 7 arrivals, 4 CPU dispatches, the
+        // no-op head entry from before the crash, the crash and the
+        // recovery.
+        assert_eq!(sim.stats().events_processed, 25);
         assert_eq!(sim.now(), ns(27_001_760));
         assert_eq!(stats.cpu_queue_peak, 4);
+    }
+
+    /// The head entry a crash leaves behind is attributed to `Other`, and
+    /// profiling the rig changes no dispatch.
+    #[test]
+    fn stale_cpu_head_entry_is_profiled_as_other() {
+        let (plain, b, _) = crash_with_cpu_backlog_then_recovery(false);
+        let (profiled, _, _) = crash_with_cpu_backlog_then_recovery(true);
+        assert_eq!(
+            plain.node::<Blaster>(b).received,
+            profiled.node::<Blaster>(b).received
+        );
+        let p = profiled.profiler();
+        assert_eq!(p.total_events(), 25);
+        // The raw UDP packets classify as management traffic. The 2
+        // starts, the crash, the recovery, the 2 dequeues that find their
+        // queue empty and the stale head are `Other`.
+        assert_eq!(p.stats(EventCategory::Mgmt).events, 18);
+        assert_eq!(p.stats(EventCategory::Other).events, 7);
+    }
+
+    /// A crashed node takes no work from scenario code: its packets would
+    /// leave a dead node.
+    #[test]
+    #[should_panic(expected = "is crashed")]
+    fn with_node_ctx_on_a_crashed_node_panics() {
+        let (mut sim, a, _b, _link) = two_nodes(LinkParams::default());
+        sim.schedule_crash(a, SimTime::from_millis(1));
+        sim.run_until(SimTime::from_millis(2));
+        blast_sizes(&mut sim, a, &[10]);
     }
 
     /// A busy CPU's backlog waits in its node's queue, not in the

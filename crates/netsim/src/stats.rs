@@ -47,9 +47,9 @@ pub struct NodeStats {
     /// Packets handed to the node's handler, counted when the handler runs
     /// (after the CPU delay).
     pub dispatched: u64,
-    /// Packets discarded because the node was crashed: on arrival, or while
-    /// they waited for the CPU. Every arrival is dispatched, dropped here,
-    /// or still waiting for its dispatch.
+    /// Packets discarded because the node was crashed: on arrival, or
+    /// waiting for the CPU when it crashed. Every arrival is dispatched,
+    /// dropped here, or still waiting for its dispatch.
     pub dropped_crashed: u64,
     /// Accumulated CPU busy time in nanoseconds.
     pub cpu_busy_nanos: u64,
