@@ -287,18 +287,20 @@ fn held_segments_are_views_not_copies() {
 }
 
 /// Per-connection memory of the tiny scale run (what `bytes_per_flow`
-/// reports), bounded at 2 % above the measured 526 B. A parked connection
+/// reports), bounded at 2 % above the measured 454 B. A parked connection
 /// costs its record (`TcpStack::CONN_RECORD_BYTES`, printed with it and
 /// with the `Connection` inside it), its slab slot and the heap behind its
 /// buffers, and nothing it needs only while the stack processes it. This
 /// read 1,645 before the stack lent its outbox and event queue at
 /// check-out and the record shrank 704 → 584 B, 1,206 before the record
 /// lost its queues and test-only counters (584 → 440 B) and stopped being
-/// charged twice, and 542 before `Connection` stopped pointing at the
-/// stack's config and telemetry (440 → 424 B).
+/// charged twice, 542 before `Connection` stopped pointing at the stack's
+/// config and telemetry (440 → 424 B), and 526 before the slab slot
+/// became the parked box (40 → 8 B), the demux bucket shrank 32 → 16 B
+/// and the detector 56 → 48 B (record 424 → 416 B).
 #[test]
 fn scale_tiny_bytes_per_conn_stay_bounded() {
-    const MEASURED: u64 = 526;
+    const MEASURED: u64 = 454;
     let per_conn = aggregate_bytes_per_flow(&run_scale(&ScaleConfig::tiny(), 1));
     println!(
         "scale tiny: {per_conn} B/conn, connection record {} B, Connection {} B",
@@ -315,11 +317,13 @@ fn scale_tiny_bytes_per_conn_stay_bounded() {
 /// at peak: every byte the run requests (simulator, redirector, both
 /// replicas' stacks, applications), sampled by this file's allocator, so
 /// the figure is the same on every host. Bounded at 2 % above the
-/// measured 2,921 B (3,426 before the record shrank 584 → 440 B, 2,970
-/// before it shrank 440 → 424 B); printed for the log.
+/// measured 2,616 B (3,426 before the record shrank 584 → 440 B, 2,970
+/// before it shrank 440 → 424 B, 2,839 before the slab slot, the demux
+/// bucket, the detector and the hosts' second packet and event vectors
+/// shrank or went); printed for the log.
 #[test]
 fn scale_peak_heap_per_conn_stays_bounded() {
-    const MEASURED: u64 = 2_921;
+    const MEASURED: u64 = 2_616;
     let cfg = ScaleConfig {
         cells: 1,
         flows_per_cell: 1_000,

@@ -24,10 +24,6 @@ use hydranet_tcp::stack::{EphemeralPortsExhausted, SocketApp, StackEvent, TcpSta
 pub struct ClientHost {
     stack: TcpStack,
     name: String,
-    /// Scratch buffers recycled through the stack's `take_*_into` drains so
-    /// a flush costs no allocation once the high-water mark is reached.
-    pkt_buf: Vec<IpPacket>,
-    ev_buf: Vec<StackEvent>,
 }
 
 impl std::fmt::Debug for ClientHost {
@@ -45,8 +41,6 @@ impl ClientHost {
         ClientHost {
             stack: TcpStack::new(addr, cfg),
             name: name.into(),
-            pkt_buf: Vec::new(),
-            ev_buf: Vec::new(),
         }
     }
 
@@ -87,12 +81,10 @@ impl ClientHost {
     /// Sends queued packets, drops the stack's events (a client routes
     /// none), and asks for a wakeup at the stack's next deadline.
     pub fn flush(&mut self, ctx: &mut Context<'_>) {
-        self.stack.take_packets_into(&mut self.pkt_buf);
-        for p in self.pkt_buf.drain(..) {
+        for p in self.stack.drain_packets() {
             ctx.send(IfaceId::from_index(0), p);
         }
-        self.stack.take_events_into(&mut self.ev_buf);
-        self.ev_buf.clear();
+        self.stack.drain_events();
         ctx.wake_at(self.stack.next_deadline());
     }
 }
@@ -135,9 +127,6 @@ pub struct HostServer {
     name: String,
     /// Kept so a daemon recreated on recovery can be re-wired.
     obs: Obs,
-    /// Scratch buffers recycled through the stack's `take_*_into` drains.
-    pkt_buf: Vec<IpPacket>,
-    ev_buf: Vec<StackEvent>,
     /// The earlier of the daemon's deadline and the first registration
     /// still to fire, as of the last management pass; `ZERO` (due at once)
     /// forces the next drive through that pass.
@@ -173,8 +162,6 @@ impl HostServer {
             pending: Vec::new(),
             name: name.into(),
             obs: Obs::disabled(),
-            pkt_buf: Vec::new(),
-            ev_buf: Vec::new(),
             mgmt_deadline: Some(SimTime::ZERO),
         }
     }
@@ -261,9 +248,7 @@ impl HostServer {
         }
         // Route stack events: management datagrams to the daemon, failure
         // suspicions into failure reports; nothing else is kept.
-        let mut events = std::mem::take(&mut self.ev_buf);
-        self.stack.take_events_into(&mut events);
-        for event in events.drain(..) {
+        for event in self.stack.drain_events() {
             match event {
                 StackEvent::UdpDelivery {
                     local,
@@ -285,7 +270,6 @@ impl HostServer {
                 _ => {}
             }
         }
-        self.ev_buf = events;
         if mgmt {
             // Daemon reactions may have produced more actions (e.g. probe
             // answers); run one more application pass.
@@ -318,8 +302,7 @@ impl HostServer {
     }
 
     fn flush(&mut self, ctx: &mut Context<'_>) {
-        self.stack.take_packets_into(&mut self.pkt_buf);
-        for p in self.pkt_buf.drain(..) {
+        for p in self.stack.drain_packets() {
             ctx.send(IfaceId::from_index(0), p);
         }
         let deadline = self

@@ -1,9 +1,10 @@
 //! Assembling a HydraNet internetwork: clients, routers, redirectors, host
 //! servers, and service deployment, with automatic route configuration.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use hydranet_mgmt::failover::{PairConfig, ProbeParams};
+use hydranet_netsim::hash::IntMap;
 use hydranet_netsim::link::{LinkId, LinkParams};
 use hydranet_netsim::node::{IfaceId, NodeId, NodeParams};
 use hydranet_netsim::packet::IpAddr;
@@ -398,7 +399,7 @@ impl SystemBuilder {
         let obs = Obs::enabled();
 
         // Adjacency: node -> [(neighbor, local iface)], in link order.
-        let mut adj: HashMap<NodeId, Vec<(NodeId, IfaceId)>> = HashMap::new();
+        let mut adj: IntMap<NodeId, Vec<(NodeId, IfaceId)>> = IntMap::default();
         for &(a, b, ia, ib) in &links {
             adj.entry(a).or_default().push((b, ia));
             adj.entry(b).or_default().push((a, ib));
@@ -419,7 +420,7 @@ impl SystemBuilder {
             if !matches!(info.kind, NodeKind::Router | NodeKind::Redirector) {
                 continue;
             }
-            let mut first_hop: HashMap<NodeId, IfaceId> = HashMap::new();
+            let mut first_hop: IntMap<NodeId, IfaceId> = IntMap::default();
             let mut queue = VecDeque::new();
             for &(n, iface) in adj.get(&router_id).into_iter().flatten() {
                 if first_hop.insert(n, iface).is_none() {

@@ -7,8 +7,7 @@
 //!
 //! [`TcpStack`]: hydranet_tcp::stack::TcpStack
 
-use std::collections::HashMap;
-
+use hydranet_netsim::hash::IntMap;
 use hydranet_netsim::packet::IpAddr;
 use hydranet_netsim::time::SimTime;
 use hydranet_obs::{kinds, trace, Obs};
@@ -42,9 +41,9 @@ pub struct HostDaemon {
     redirectors: Vec<IpAddr>,
     endpoint: ReliableEndpoint,
     /// Services this host has registered, with their detector tuning.
-    registered: HashMap<SockAddr, DetectorParams>,
+    registered: IntMap<SockAddr, DetectorParams>,
     /// Last chain index applied per service (for promotion detection).
-    roles: HashMap<SockAddr, u32>,
+    roles: IntMap<SockAddr, u32>,
     actions: Vec<DaemonAction>,
     /// Failure reports sent (diagnostics).
     reports_sent: u64,
@@ -79,8 +78,8 @@ impl HostDaemon {
             host,
             redirectors,
             endpoint: ReliableEndpoint::new().with_id_base(id_base),
-            registered: HashMap::new(),
-            roles: HashMap::new(),
+            registered: IntMap::default(),
+            roles: IntMap::default(),
             actions: Vec::new(),
             reports_sent: 0,
             obs: Obs::disabled(),

@@ -1,8 +1,9 @@
 //! "A form of reliable UDP" (§4.4): acknowledged, retransmitted,
 //! duplicate-suppressed message exchange for the management daemons.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use hydranet_netsim::hash::IntMap;
 use hydranet_netsim::packet::IpAddr;
 use hydranet_netsim::time::{SimDuration, SimTime};
 
@@ -19,7 +20,7 @@ pub struct ReliableEndpoint {
     /// [`MAX_PENDING`].
     pending: VecDeque<Pending>,
     /// Recently seen `(peer, id)` pairs for duplicate suppression.
-    seen: HashMap<(IpAddr, u64), SimTime>,
+    seen: IntMap<(IpAddr, u64), SimTime>,
     seen_ttl: SimDuration,
     /// `seen` is swept of expired pairs when it outgrows this: twice what
     /// the last sweep left (at least [`SEEN_SWEEP_MIN`]), so a sweep's
@@ -64,7 +65,7 @@ impl ReliableEndpoint {
         ReliableEndpoint {
             next_id: 1,
             pending: VecDeque::new(),
-            seen: HashMap::new(),
+            seen: IntMap::default(),
             seen_ttl: SimDuration::from_secs(120),
             seen_sweep_at: SEEN_SWEEP_MIN,
             abandoned: 0,

@@ -11,9 +11,8 @@
 //! than the MTU "due to the fragmentation of packets"; this module is what
 //! produces that effect in the reproduction.
 
-use std::collections::HashMap;
-
 use crate::buf::{PacketBuf, RunList};
+use crate::hash::IntMap;
 use crate::packet::{FragInfo, IpAddr, IpPacket, IP_HEADER_LEN};
 use crate::time::{SimDuration, SimTime};
 
@@ -184,7 +183,7 @@ impl PartialDatagram {
 /// ```
 #[derive(Debug)]
 pub struct Reassembler {
-    partials: HashMap<DatagramKey, PartialDatagram>,
+    partials: IntMap<DatagramKey, PartialDatagram>,
     timeout: SimDuration,
     max_partials: usize,
     evicted: u64,
@@ -212,7 +211,7 @@ impl Reassembler {
     /// key) and the eviction counter bumped.
     pub fn with_limits(timeout: SimDuration, max_partials: usize) -> Self {
         Reassembler {
-            partials: HashMap::new(),
+            partials: IntMap::default(),
             timeout,
             max_partials: max_partials.max(1),
             evicted: 0,

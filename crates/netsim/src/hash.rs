@@ -1,12 +1,15 @@
 //! A fast hasher for the simulator's integer-keyed maps.
 //!
-//! The TCP stack's demux map keys its entries by packed connection quads
-//! (`u128`), the redirector's service map by packed service access points
-//! (`u64`, `addr << 16 | port`); both are probed once per packet. Std's
-//! default SipHash is DoS-resistant but costs far more than the
-//! surrounding work; only the engine inserts these keys (a connection it
-//! set up, a service the redirector table names), so a Fibonacci multiply
-//! per word suffices to spread them across buckets.
+//! The TCP stack's demux map keys its entries by connection quads packed
+//! into 12 bytes (hashed as a `u64` and a `u32`), the redirector's service
+//! map by packed service access points (`u64`, `addr << 16 | port`); both
+//! are probed once per packet. Std's default SipHash is DoS-resistant but
+//! costs far more than the surrounding work; only the engine inserts these
+//! keys (a connection it set up, a service the redirector table names), so
+//! a Fibonacci multiply per word suffices to spread them across buckets.
+//! Every other map of the product uses it too: std's default hasher seeds
+//! each process differently, so a map's iteration order would vary from
+//! run to run.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -22,10 +25,10 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// Built for one-word keys. Chaining `write_u64` calls is *not* a mix of
 /// the words: a multiply only carries differences upward and
-/// [`finish`](Hasher::finish) folds once, so a difference in bits 32.. of an
-/// earlier word never reaches the low 32 bits of the result.
-/// [`write_u128`](Hasher::write_u128) folds between its two words instead,
-/// so a `u128` key (a packed connection quad) mixes all its bits.
+/// [`finish`](Hasher::finish) folds once by 32 bits, so a difference in
+/// bit `k >= 32` of an earlier word reaches only bits `k - 32` and up of
+/// the result. A composite key therefore writes last the word whose
+/// variance it most needs spread.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IntHasher(u64);
 
@@ -62,14 +65,6 @@ impl Hasher for IntHasher {
     fn write_u32(&mut self, n: u32) {
         self.write_u64(u64::from(n));
     }
-
-    fn write_u128(&mut self, n: u128) {
-        // Fold the low word's product before the high word goes in, so the
-        // low word's high bits (a quad's remote port) reach the index too.
-        self.write_u64(n as u64);
-        self.0 = self.finish();
-        self.write_u64((n >> 64) as u64);
-    }
 }
 
 /// [`BuildHasher`](std::hash::BuildHasher) for [`IntHasher`].
@@ -82,7 +77,6 @@ pub type IntMap<K, V> = HashMap<K, V, IntBuildHasher>;
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::hash::BuildHasher;
 
     #[test]
     fn consecutive_keys_spread_across_buckets() {
@@ -147,32 +141,6 @@ mod tests {
             })
             .collect();
         assert!(low_bits.len() <= 8, "{} indices", low_bits.len());
-    }
-
-    fn hash_u128(lo: u64, hi: u64) -> u64 {
-        IntBuildHasher::default().hash_one(u128::from(hi) << 64 | u128::from(lo))
-    }
-
-    #[test]
-    fn write_u128_mixes_every_bit() {
-        let low_bits: HashSet<u64> = flow_words()
-            .map(|(lo, hi)| hash_u128(lo, hi) & 0xFFF)
-            .collect();
-        assert!(low_bits.len() > 2500, "{} indices", low_bits.len());
-    }
-
-    #[test]
-    fn write_u128_is_the_two_step_fold() {
-        // The stack's demux map, the one `u128` user, hashes its packed
-        // quads through this exact value: hash the low word, fold its
-        // product, mix in the high word and fold again.
-        let fold = |n: u64| {
-            let p = n.wrapping_mul(FIB);
-            p ^ (p >> 32)
-        };
-        for (lo, hi) in flow_words() {
-            assert_eq!(hash_u128(lo, hi), fold(fold(lo) ^ hi), "{lo:#x} {hi:#x}");
-        }
     }
 
     #[test]

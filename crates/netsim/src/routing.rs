@@ -5,8 +5,7 @@
 //! [`RouteTable`] here provides that base forwarding behaviour; the
 //! `hydranet-redirect` crate layers redirection on top of it.
 
-use std::collections::HashMap;
-
+use crate::hash::IntMap;
 use crate::node::{Context, IfaceId, Node};
 use crate::packet::{IpAddr, IpPacket, Protocol};
 
@@ -189,7 +188,7 @@ pub struct RouterNode {
     /// announcement arriving on one of them retargets the whole group.
     anycast_group: Vec<IfaceId>,
     /// Highest announcement sequence seen per origin, for dedup.
-    announce_seen: HashMap<IpAddr, u64>,
+    announce_seen: IntMap<IpAddr, u64>,
     flips: u64,
 }
 
@@ -202,7 +201,7 @@ impl RouterNode {
             forwarded: 0,
             dropped: 0,
             anycast_group: Vec::new(),
-            announce_seen: HashMap::new(),
+            announce_seen: IntMap::default(),
             flips: 0,
         }
     }

@@ -7,8 +7,7 @@
 //! the entry holds the whole replica chain: "the redirector maintains the
 //! location of the primary server and of all the backup servers" (§4.2).
 
-use std::collections::HashMap;
-
+use hydranet_netsim::hash::IntMap;
 use hydranet_netsim::packet::IpAddr;
 use hydranet_tcp::segment::SockAddr;
 
@@ -56,7 +55,7 @@ pub enum ServiceEntry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RedirectorTable {
-    entries: HashMap<SockAddr, ServiceEntry>,
+    entries: IntMap<SockAddr, ServiceEntry>,
     /// Monotonic counter bumped by anything that could change how a packet
     /// resolves: installs, removes, and
     /// [`invalidate`](Self::invalidate) (which route changes are required

@@ -26,12 +26,16 @@ impl Deadlines {
         self.heap.first().map(|&(t, _)| t)
     }
 
-    /// Files `slot`'s deadline, moves it, or (`None`) removes it.
+    /// Files `slot`'s deadline, moves it, or (`None`) removes it. An
+    /// unchanged deadline, or `None` for a slot with none filed, returns at
+    /// once: the stack re-arms after every interaction, mostly to the same
+    /// deadline, and keeps no copy of its own to compare against.
     pub(crate) fn set(&mut self, slot: u32, at: Option<SimTime>) {
         let s = slot as usize;
         let i = self.pos.get(s).copied().unwrap_or(ABSENT);
         match (i, at) {
-            (ABSENT, None) => {}
+            (ABSENT, None) => return,
+            (i, Some(t)) if i != ABSENT && self.heap[i as usize].0 == t => return,
             (ABSENT, Some(t)) => {
                 self.pos.resize(self.pos.len().max(s + 1), ABSENT);
                 self.heap.push((t, slot));
@@ -43,7 +47,7 @@ impl Deadlines {
                 let old = std::mem::replace(&mut self.heap[i].0, t);
                 if t < old {
                     self.sift_up(i);
-                } else if t > old {
+                } else {
                     self.sift_down(i);
                 }
             }

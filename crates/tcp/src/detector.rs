@@ -56,31 +56,43 @@ impl Default for DetectorParams {
 ///
 /// It keeps no telemetry handle or connection name of its own: the stack
 /// passes both with each observation, so a detector costs a replicated
-/// connection only its counters.
+/// connection only its counters. [`DetectorParams`]' two fields sit beside
+/// a `u32` total rather than in a padded copy of the struct, so the
+/// detector is 48 B.
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
-    params: DetectorParams,
+    window: SimDuration,
     /// Timestamps of recent duplicates, oldest first.
     recent: Vec<SimTime>,
+    threshold: u32,
+    /// Saturates rather than wraps: four billion duplicates on one
+    /// connection is far past any report it could still inform.
+    duplicates_total: u32,
     /// Latched once the threshold is crossed, until [`reset`](Self::reset).
     suspected: bool,
-    duplicates_total: u64,
 }
+
+// The stack's record holds one per replicated connection.
+const _: () = assert!(std::mem::size_of::<FailureDetector>() == 48);
 
 impl FailureDetector {
     /// Creates a detector with the given parameters.
     pub fn new(params: DetectorParams) -> Self {
         FailureDetector {
-            params,
+            window: params.window,
             recent: Vec::new(),
-            suspected: false,
+            threshold: params.threshold,
             duplicates_total: 0,
+            suspected: false,
         }
     }
 
     /// The parameters in force.
     pub fn params(&self) -> DetectorParams {
-        self.params
+        DetectorParams {
+            threshold: self.threshold,
+            window: self.window,
+        }
     }
 
     /// Records one observed client retransmission on connection `quad`.
@@ -88,7 +100,7 @@ impl FailureDetector {
     /// afterwards). Every observation and the suspicion go on `obs`'s
     /// timeline with `quad` as their `scope`.
     pub fn on_duplicate(&mut self, now: SimTime, obs: &Obs, quad: Quad) -> bool {
-        self.duplicates_total += 1;
+        self.duplicates_total = self.duplicates_total.saturating_add(1);
         self.expire(now);
         self.recent.push(now);
         if obs.is_enabled() {
@@ -102,7 +114,7 @@ impl FailureDetector {
                 ],
             );
         }
-        if !self.suspected && self.recent.len() as u32 >= self.params.threshold {
+        if !self.suspected && self.recent.len() as u32 >= self.threshold {
             self.suspected = true;
             obs.event(
                 now.as_nanos(),
@@ -110,7 +122,7 @@ impl FailureDetector {
                 &[
                     ("scope", quad.to_string()),
                     ("observed", self.duplicates_total.to_string()),
-                    ("threshold", self.params.threshold.to_string()),
+                    ("threshold", self.threshold.to_string()),
                 ],
             );
             return true;
@@ -142,7 +154,7 @@ impl FailureDetector {
 
     /// Total duplicates ever observed (diagnostics).
     pub fn duplicates_total(&self) -> u64 {
-        self.duplicates_total
+        u64::from(self.duplicates_total)
     }
 
     /// Clears the latch and counters (after a reconfiguration).
@@ -152,7 +164,7 @@ impl FailureDetector {
     }
 
     fn expire(&mut self, now: SimTime) {
-        let cutoff = self.params.window;
+        let cutoff = self.window;
         self.recent.retain(|&t| now.duration_since(t) <= cutoff);
     }
 }
@@ -189,6 +201,15 @@ mod tests {
         // Latched: no double-fire.
         assert!(!dup(&mut d, 30));
         assert_eq!(d.duplicates_total(), 4);
+    }
+
+    #[test]
+    fn the_duplicate_total_saturates() {
+        let mut d = FailureDetector::new(DetectorParams::new(3, SimDuration::from_secs(10)));
+        d.duplicates_total = u32::MAX - 1;
+        dup(&mut d, 0);
+        dup(&mut d, 10);
+        assert_eq!(d.duplicates_total(), u64::from(u32::MAX));
     }
 
     #[test]

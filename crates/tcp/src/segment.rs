@@ -383,16 +383,41 @@ pub fn segment_checksum(bytes: &[u8]) -> u16 {
 
 /// Accumulates the unfolded ones'-complement word sum of `data` onto `acc`.
 /// Only the final region of a composed sum may have odd length.
+///
+/// Sums eight bytes per step (RFC 1071 §2): each little-endian `u64` load
+/// adds into one `u64` whose carries are counted and added back once at
+/// the end, the total folds to 16 bits, and one byte swap turns the
+/// little-endian word sum into the big-endian one (the ones'-complement
+/// sum is byte-order independent). The result may differ from the
+/// word-at-a-time sum, but it folds ([`fold_sum`]) to the same checksum,
+/// and it is zero exactly when `data` and `acc` are.
 pub(crate) fn raw_sum(data: &[u8], acc: u32) -> u32 {
-    let mut sum = acc;
-    let mut chunks = data.chunks_exact(2);
-    for pair in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([pair[0], pair[1]]));
+    let mut sum = 0u64;
+    let mut carries = 0u64;
+    let mut add = |word: u64| {
+        let (s, carry) = sum.overflowing_add(word);
+        sum = s;
+        carries += u64::from(carry);
+    };
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
     }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+    let rest = chunks.remainder();
+    if !rest.is_empty() {
+        // Zero padding after the bytes keeps each byte in its lane, so an
+        // odd trailing byte pads as the high byte of its word.
+        let mut word = [0u8; 8];
+        word[..rest.len()].copy_from_slice(rest);
+        add(u64::from_le_bytes(word));
     }
-    sum
+    // End-around carries: a carry out of bit 63 re-enters at bit 0.
+    let (s, carry) = sum.overflowing_add(carries);
+    let sum = s + u64::from(carry);
+    let (s, carry) = (sum as u32).overflowing_add((sum >> 32) as u32);
+    let sum = s + u32::from(carry);
+    let (s, carry) = (sum as u16).overflowing_add((sum >> 16) as u16);
+    acc + u32::from((s + u16::from(carry)).swap_bytes())
 }
 
 /// Folds carries and complements, finishing an RFC 1071 sum.
@@ -500,6 +525,60 @@ mod tests {
     fn checksum_is_order_sensitive() {
         assert_ne!(checksum(&[1, 2, 3, 4]), checksum(&[4, 3, 2, 1]));
         assert_eq!(checksum(&[]), 0xffff);
+    }
+
+    /// The word-at-a-time sum `raw_sum` replaced, kept as its oracle: one
+    /// big-endian `u16` per step, an odd trailing byte padded low.
+    fn raw_sum_by_words(data: &[u8], acc: u32) -> u32 {
+        let mut sum = acc;
+        let mut chunks = data.chunks_exact(2);
+        for pair in &mut chunks {
+            sum += u32::from(u16::from_be_bytes([pair[0], pair[1]]));
+        }
+        if let [last] = chunks.remainder() {
+            sum += u32::from(u16::from_be_bytes([*last, 0]));
+        }
+        sum
+    }
+
+    /// `raw_sum` folds to the oracle's checksum, and is zero exactly when
+    /// the oracle is, over random lengths (odd ones included), even split
+    /// points composed the way the codecs compose header and payload, and
+    /// incoming accumulators. All-zero and all-ones data cover the two
+    /// ones'-complement zeros; a maximal segment of ones covers the most
+    /// carries.
+    #[test]
+    fn raw_sum_folds_to_the_word_at_a_time_checksum() {
+        let mut rng = SimRng::seed_from(0xC5_0A);
+        let mut cases: Vec<(Vec<u8>, u32)> = vec![(vec![0xff; 65_515], 0), (vec![0; 7], 0)];
+        for _ in 0..2_000 {
+            let len = rng.range(0, 1_600) as usize;
+            let fill = rng.range(0, 3);
+            let data = (0..len)
+                .map(|_| match fill {
+                    0 => 0,
+                    1 => 0xff,
+                    _ => rng.next_u64() as u8,
+                })
+                .collect();
+            let acc = if rng.chance(0.25) {
+                0
+            } else {
+                rng.range(0, 1 << 31) as u32
+            };
+            cases.push((data, acc));
+        }
+        for (case, (data, acc)) in cases.iter().enumerate() {
+            let (len, acc) = (data.len(), *acc);
+            let want = raw_sum_by_words(data, acc);
+            let got = raw_sum(data, acc);
+            assert_eq!(fold_sum(got), fold_sum(want), "case {case}: len {len}");
+            assert_eq!(got == 0, want == 0, "case {case}: len {len}");
+            let split = rng.range(0, len as u64 / 2 + 1) as usize * 2;
+            let composed = raw_sum(&data[split..], raw_sum(&data[..split], acc));
+            let at = format!("case {case}: len {len} split {split}");
+            assert_eq!(fold_sum(composed), fold_sum(want), "{at}");
+        }
     }
 
     #[test]

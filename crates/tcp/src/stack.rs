@@ -20,11 +20,11 @@
 //!
 //! # Many-flow scaling
 //!
-//! Connection state lives in a slab (`Vec` of recycled slots)
-//! demultiplexed through a flat integer-hashed table keyed by the whole
-//! quad packed into one `u128` ([`Quad::key`], the redirector's flow key
-//! too), and each connection's earliest deadline is one entry in a
-//! per-stack indexed min-heap, moved in place whenever it changes.
+//! Connection state lives in a slab (`Vec` of recycled slots, each the
+//! parked connection's box) demultiplexed through a flat integer-hashed
+//! table keyed by the whole quad packed into 12 bytes (`DemuxKey`), and
+//! each connection's earliest deadline is one entry in a per-stack indexed
+//! min-heap, moved in place whenever it changes.
 //! Segment demux costs `O(1)`, [`TcpStack::next_deadline`] `O(1)`, and
 //! [`TcpStack::on_timer`] `O(due · log n)` — never
 //! `O(#connections)`. Everywhere iteration order is schedule-visible
@@ -43,7 +43,7 @@ use hydranet_netsim::time::{SimDuration, SimTime};
 use hydranet_obs::metrics::Histogram;
 use hydranet_obs::{trace, Obs};
 
-use crate::conn::{ConnEvent, ConnQueues, ConnTelemetry, Connection, OptTime, TcpConfig, TcpState};
+use crate::conn::{ConnEvent, ConnQueues, ConnTelemetry, Connection, TcpConfig, TcpState};
 use crate::deadlines::Deadlines;
 use crate::detector::FailureDetector;
 use crate::ft::{
@@ -241,35 +241,56 @@ struct ConnEntry {
     detector: Option<FailureDetector>,
 }
 
+/// One slab slot: the parked connection, or `None` while the slot is free
+/// or its connection is checked out for processing. Boxed so the
+/// check-out/check-in dance per segment moves one pointer, not the whole
+/// multi-hundred-byte connection, and so a slot is one pointer. The quad
+/// lives in the connection and the deadline in the stack's heap, so the
+/// slot repeats neither.
+type ConnSlot = Option<Box<ConnEntry>>;
+
+/// The demux key: a quad's 96 bits as `[remote addr, local addr, remote
+/// port << 16 | local port]`. Its bucket in the demux table is 16 B where a
+/// `u128` key ([`Quad::key`], which trace ids keep) made it 32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DemuxKey([u32; 3]);
+
+impl DemuxKey {
+    fn of(quad: Quad) -> Self {
+        let ports = u32::from(quad.remote.port) << 16 | u32::from(quad.local.port);
+        DemuxKey([quad.remote.addr.to_bits(), quad.local.addr.to_bits(), ports])
+    }
+}
+
+impl std::hash::Hash for DemuxKey {
+    /// Two integer writes, one multiply each: the addresses as one `u64`,
+    /// then the ports. `IntHasher`'s final fold brings the first word's
+    /// high half (the local address) down to the bucket index, and
+    /// `demux_key_distinguishes_every_quad_field` checks that flows spread.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let [remote, local, ports] = self.0;
+        state.write_u64(u64::from(local) << 32 | u64::from(remote));
+        state.write_u32(ports);
+    }
+}
+
 // `conn_memory_bytes` charges `size_of::<ConnEntry>()` per parked
 // connection and the `PINNED_SCALE` fingerprint covers that charge, so any
-// change to the record moves the pin; the many-flow runs also pay it once
-// per live connection per replica (about 55 KiB of `flows_20k` peak RSS
-// per byte). The `Connection` inside the record is pinned too, so a size
-// change names the type that moved. The slab slot is charged per slot
-// likewise.
-const _: () = assert!(std::mem::size_of::<ConnEntry>() == 424);
+// change to the record moves the pin. The many-flow runs also pay it once
+// per live connection per replica, 60,002 records at `flows_20k`'s peak,
+// but peak RSS moves in steps of the allocator's chunk, not per byte:
+// glibc rounds the box plus its 8 B header up to 16 B, so a 416 B and a
+// 424 B record both take 432 B (the 424 → 416 B cut left `flows_20k`
+// `peak_rss_mib` unmoved), and each 16 B step is about 0.9 MiB there. The
+// `Connection` inside the record is pinned too, so a size change names
+// the type that moved. The slab slot and the demux bucket are charged per
+// slot and per bucket likewise.
+const _: () = assert!(std::mem::size_of::<ConnEntry>() == 416);
 const _: () = assert!(std::mem::size_of::<Connection>() == 352);
-const _: () = assert!(std::mem::size_of::<ConnSlot>() == 40);
+const _: () = assert!(std::mem::size_of::<ConnSlot>() == 8);
+const _: () = assert!(std::mem::size_of::<(DemuxKey, u32)>() == 16);
 
 type AppFactory = Box<dyn FnMut(Quad) -> Box<dyn SocketApp>>;
-
-/// One slab slot.
-struct ConnSlot {
-    /// The deadline this slot has filed in the stack's deadline heap; kept
-    /// equal to `conn.next_deadline()` after every interaction, so a
-    /// re-arm that leaves it unchanged never touches the heap.
-    armed: OptTime,
-    occ: Option<Occupant>,
-}
-
-struct Occupant {
-    quad: Quad,
-    /// `None` while the entry is checked out for processing. Boxed so the
-    /// check-out/check-in dance per segment moves one pointer, not the
-    /// whole multi-hundred-byte connection, and so slab slots stay small.
-    entry: Option<Box<ConnEntry>>,
-}
 
 /// The per-host TCP/UDP protocol engine.
 pub struct TcpStack {
@@ -281,8 +302,8 @@ pub struct TcpStack {
     /// Connection slab: slots are recycled through `free_slots`.
     slots: Vec<ConnSlot>,
     free_slots: Vec<u32>,
-    /// Flat demux table: [`Quad::key`] → slab slot.
-    demux: IntMap<u128, u32>,
+    /// Flat demux table: [`DemuxKey`] → slab slot.
+    demux: IntMap<DemuxKey, u32>,
     live_conns: usize,
     /// Exactly one entry per connection with a deadline, keyed by slot.
     /// The ack-channel flush deadline is `ackchan_flush_at`, not an entry.
@@ -443,7 +464,7 @@ impl TcpStack {
         let gated = config.gated();
         let promoted = config.predecessor.is_none();
         self.replicated.insert(port, config);
-        for quad in self.quads_on_port(port) {
+        for quad in self.parked_quads(|q| q.local.port == port) {
             let Some((slot, mut entry)) = self.take_conn(quad) else {
                 continue;
             };
@@ -543,23 +564,12 @@ impl TcpStack {
     /// Read-only view of a connection.
     pub fn conn(&self, quad: Quad) -> Option<&Connection> {
         let slot = self.lookup_slot(quad)?;
-        self.slots[slot as usize]
-            .occ
-            .as_ref()?
-            .entry
-            .as_ref()
-            .map(|e| &e.conn)
+        self.slots[slot as usize].as_ref().map(|e| &e.conn)
     }
 
     /// Iterates over the quads of live connections, in ascending order.
     pub fn quads(&self) -> impl Iterator<Item = Quad> + '_ {
-        let mut quads: Vec<Quad> = self
-            .slots
-            .iter()
-            .filter_map(|s| s.occ.as_ref().map(|o| o.quad))
-            .collect();
-        quads.sort_unstable();
-        quads.into_iter()
+        self.parked_quads(|_| true).into_iter()
     }
 
     /// Approximate heap footprint of per-connection state in bytes: the
@@ -570,11 +580,9 @@ impl TcpStack {
     pub fn conn_memory_bytes(&self) -> usize {
         let mut total = self.slots.capacity() * std::mem::size_of::<ConnSlot>()
             + self.free_slots.capacity() * std::mem::size_of::<u32>()
-            + self.demux.capacity() * std::mem::size_of::<(u128, u32)>();
-        for slot in &self.slots {
-            if let Some(entry) = slot.occ.as_ref().and_then(|o| o.entry.as_ref()) {
-                total += std::mem::size_of::<ConnEntry>() + entry.conn.heap_bytes();
-            }
+            + self.demux.capacity() * std::mem::size_of::<(DemuxKey, u32)>();
+        for entry in self.slots.iter().flatten() {
+            total += std::mem::size_of::<ConnEntry>() + entry.conn.heap_bytes();
         }
         total
     }
@@ -683,15 +691,13 @@ impl TcpStack {
         while let Some(slot) = self.deadlines.pop_due(now) {
             // The entry is consumed; `finish_entry` re-arms from the
             // connection's post-tick deadline.
-            let s = &mut self.slots[slot as usize];
-            s.armed = OptTime::NONE;
-            if let Some(occ) = &s.occ {
-                due.push((occ.quad, slot));
+            if let Some(entry) = &self.slots[slot as usize] {
+                due.push((entry.conn.quad(), slot));
             }
         }
         due.sort_unstable();
         for &(_, slot) in &due {
-            if let Some(mut entry) = self.check_out(slot) {
+            if let Some(mut entry) = self.slots[slot as usize].take() {
                 entry.conn.on_tick(now, &mut self.queues);
                 self.finish_entry(Some(slot), entry, now);
             }
@@ -720,17 +726,27 @@ impl TcpStack {
 
     /// Drains queued outgoing IP packets into `buf` (cleared first) by
     /// swapping buffers, so the stack keeps the caller's old allocation as
-    /// its next queue and no fresh `Vec` is grown per flush.
+    /// its next queue and no fresh `Vec` is grown per flush. For a caller
+    /// that holds the packets across further calls into the stack (the
+    /// frozen `benchmark/` ladder); hosts drain in place
+    /// ([`TcpStack::drain_packets`]) and keep no second vector.
     pub fn take_packets_into(&mut self, buf: &mut Vec<IpPacket>) {
         buf.clear();
         std::mem::swap(buf, &mut self.out);
     }
 
-    /// Drains queued stack events into `buf` (cleared first) by swapping
-    /// buffers; same recycling contract as [`TcpStack::take_packets_into`].
-    pub fn take_events_into(&mut self, buf: &mut Vec<StackEvent>) {
-        buf.clear();
-        std::mem::swap(buf, &mut self.events);
+    /// Drains queued outgoing IP packets in place: the stack keeps its one
+    /// queue's allocation, so the caller needs no buffer of its own. The
+    /// stack must not be fed while the drain is alive (the borrow checker
+    /// sees to that).
+    pub fn drain_packets(&mut self) -> std::vec::Drain<'_, IpPacket> {
+        self.out.drain(..)
+    }
+
+    /// Drains queued stack events in place, as
+    /// [`TcpStack::drain_packets`] drains packets.
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, StackEvent> {
+        self.events.drain(..)
     }
 
     // ------------------------------------------------------------------
@@ -738,81 +754,58 @@ impl TcpStack {
     // ------------------------------------------------------------------
 
     fn lookup_slot(&self, quad: Quad) -> Option<u32> {
-        self.demux.get(&quad.key()).copied()
+        self.demux.get(&DemuxKey::of(quad)).copied()
     }
 
     /// Checks out a parked connection and names its slot. The slot stays
-    /// occupied (its quad remains visible to demux) until `finish_entry`,
-    /// handed the slot back, parks the connection again or reaps it.
+    /// taken (its quad remains in demux, the slot off the free list) until
+    /// `finish_entry`, handed the slot back, parks the connection again or
+    /// reaps it.
     fn take_conn(&mut self, quad: Quad) -> Option<(u32, Box<ConnEntry>)> {
         let slot = self.lookup_slot(quad)?;
-        Some((slot, self.check_out(slot)?))
+        Some((slot, self.slots[slot as usize].take()?))
     }
 
-    /// Checks out the connection parked in `slot`.
-    fn check_out(&mut self, slot: u32) -> Option<Box<ConnEntry>> {
-        self.slots[slot as usize].occ.as_mut()?.entry.take()
-    }
-
-    fn insert_conn(&mut self, quad: Quad, entry: Box<ConnEntry>) -> u32 {
+    /// Parks a new connection in a free slot and links it into demux.
+    fn insert_conn(&mut self, entry: Box<ConnEntry>) -> u32 {
+        let key = DemuxKey::of(entry.conn.quad());
         let slot = match self.free_slots.pop() {
-            Some(s) => s,
+            Some(s) => {
+                self.slots[s as usize] = Some(entry);
+                s
+            }
             None => {
-                self.slots.push(ConnSlot {
-                    armed: OptTime::NONE,
-                    occ: None,
-                });
+                self.slots.push(Some(entry));
                 (self.slots.len() - 1) as u32
             }
         };
-        self.slots[slot as usize].occ = Some(Occupant {
-            quad,
-            entry: Some(entry),
-        });
-        self.demux.insert(quad.key(), slot);
+        self.demux.insert(key, slot);
         self.live_conns += 1;
         slot
     }
 
-    /// Frees a slot: deadline withdrawn, demux unlinked.
-    fn free_slot(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        let Some(occ) = s.occ.take() else {
-            return;
-        };
-        if s.armed.take().is_some() {
-            self.deadlines.set(slot, None);
-        }
+    /// Frees the slot of checked-out connection `quad`: deadline
+    /// withdrawn, demux unlinked.
+    fn free_slot(&mut self, slot: u32, quad: Quad) {
+        debug_assert!(self.slots[slot as usize].is_none(), "slot still parked");
+        self.deadlines.set(slot, None);
         self.free_slots.push(slot);
         self.live_conns -= 1;
-        self.demux.remove(&occ.quad.key());
+        self.demux.remove(&DemuxKey::of(quad));
     }
 
-    /// Live connection quads on `port`, ascending — the schedule-visible
-    /// order role changes walk connections in.
-    fn quads_on_port(&self, port: u16) -> Vec<Quad> {
+    /// Quads of the parked connections that `keep` accepts, ascending — the
+    /// schedule-visible order role changes walk connections in.
+    fn parked_quads(&self, keep: impl Fn(&Quad) -> bool) -> Vec<Quad> {
         let mut quads: Vec<Quad> = self
             .slots
             .iter()
-            .filter_map(|s| s.occ.as_ref().map(|o| o.quad))
-            .filter(|q| q.local.port == port)
+            .flatten()
+            .map(|e| e.conn.quad())
+            .filter(keep)
             .collect();
         quads.sort_unstable();
         quads
-    }
-
-    /// Moves the connection's heap entry to its current deadline (filing
-    /// or withdrawing it as needed) if that changed since last armed.
-    fn arm_conn_timer(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        let Some(entry) = s.occ.as_ref().and_then(|o| o.entry.as_ref()) else {
-            return;
-        };
-        let next = entry.conn.next_deadline();
-        if next != s.armed.get() {
-            s.armed = OptTime::from(next);
-            self.deadlines.set(slot, next);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1058,7 +1051,7 @@ impl TcpStack {
         if entry.conn.state() == TcpState::Closed {
             // Reaped; events already delivered.
             if let Some(slot) = slot {
-                self.free_slot(slot);
+                self.free_slot(slot, quad);
             }
             if self.obs.tracing_enabled() {
                 let last = [("final", entry.conn.span_summary())];
@@ -1066,15 +1059,18 @@ impl TcpStack {
             }
             return;
         }
+        // Files, moves or withdraws the heap entry; an unchanged deadline
+        // leaves the heap untouched.
+        let next = entry.conn.next_deadline();
         let slot = match slot {
             Some(s) => {
-                let occ = self.slots[s as usize].occ.as_mut();
-                occ.expect("checked-out slot is occupied").entry = Some(entry);
+                let parked = self.slots[s as usize].replace(entry);
+                debug_assert!(parked.is_none(), "checked-out slot was refilled");
                 s
             }
-            None => self.insert_conn(quad, entry),
+            None => self.insert_conn(entry),
         };
-        self.arm_conn_timer(slot);
+        self.deadlines.set(slot, next);
     }
 
     /// Logs the begin entry of connection `quad`'s lifecycle span (no-op
@@ -1205,6 +1201,11 @@ impl TcpStack {
 }
 #[cfg(test)]
 mod tests {
+    use std::hash::BuildHasher;
+
+    use hydranet_netsim::hash::IntBuildHasher;
+    use hydranet_netsim::rng::SimRng;
+
     use super::*;
     use crate::detector::DetectorParams;
     use crate::seq::SeqNum;
@@ -1308,6 +1309,102 @@ mod tests {
             0,
             "TIME-WAIT ended"
         );
+    }
+
+    /// Asserts `stack` holds nothing for any connection: every slot free
+    /// and on the free list, demux and the deadline heap empty.
+    fn assert_no_conn_state(stack: &TcpStack) {
+        assert_eq!(stack.conn_count(), 0);
+        assert_eq!(stack.quads().count(), 0);
+        assert!(stack.slots.iter().all(Option::is_none), "a slot is parked");
+        assert_eq!(stack.free_slots.len(), stack.slots.len(), "a slot leaked");
+        assert!(stack.demux.is_empty(), "demux still links a quad");
+        assert_eq!(stack.deadlines.peek(), None, "a deadline is still filed");
+    }
+
+    #[test]
+    fn a_reaped_connection_leaves_no_slot_demux_or_deadline() {
+        // Closed through `with_io` in SYN-SENT: reaped inside the call,
+        // with the SYN's retransmission deadline filed.
+        let mut client = TcpStack::new(CLIENT, TcpConfig::default());
+        let remote = SockAddr::new(SERVICE, 80);
+        let quad = client.connect(remote, Box::new(NullApp), SimTime::ZERO);
+        let quad = quad.expect("port free");
+        assert!(client.deadlines.peek().is_some(), "the SYN is armed");
+        client.with_io(quad, SimTime::ZERO, |io| io.close());
+        assert!(client.conn(quad).is_none());
+        assert_no_conn_state(&client);
+        // A transfer closed by both ends: one side is reaped by a segment,
+        // the other by its TIME-WAIT timer. The next connect reuses the
+        // freed slot.
+        let mut server = TcpStack::new(SERVICE, TcpConfig::default());
+        server.listen(80, |_| Box::new(Drain));
+        let app = Box::new(Writer(&[7; 3000]));
+        let quad = client.connect(remote, app, SimTime::ZERO);
+        let quad = quad.expect("port free");
+        assert_eq!(client.slots.len(), 1, "the freed slot was reused");
+        let t = SimTime::from_secs(1);
+        run_checked(&mut client, &mut server, SimTime::ZERO, t);
+        assert_eq!(server.conn_count(), 1);
+        client.with_io(quad, t, |io| io.close());
+        run_checked(&mut client, &mut server, t, SimTime::from_secs(100));
+        assert_no_conn_state(&client);
+        assert_no_conn_state(&server);
+    }
+
+    /// Seeded quads that differ from another in any one field get a
+    /// different demux key; a quad built again from the same fields gets
+    /// the same key and hash.
+    #[test]
+    fn demux_key_distinguishes_every_quad_field() {
+        let hasher = IntBuildHasher::default();
+        let mut rng = SimRng::seed_from(0xDE_3A);
+        let addr = |rng: &mut SimRng| IpAddr::from_bits(rng.next_u64() as u32);
+        for _ in 0..1_000 {
+            let local = SockAddr::new(addr(&mut rng), rng.next_u64() as u16);
+            let remote = SockAddr::new(addr(&mut rng), rng.next_u64() as u16);
+            let q = Quad::new(local, remote);
+            let key = DemuxKey::of(q);
+            let again = DemuxKey::of(Quad::new(
+                SockAddr::new(local.addr, local.port),
+                SockAddr::new(remote.addr, remote.port),
+            ));
+            assert_eq!(key, again);
+            assert_eq!(hasher.hash_one(key), hasher.hash_one(again));
+            // Each field flipped in one random bit, so it surely differs.
+            let mut flip16 = |v: u16| v ^ 1 << rng.range(0, 16);
+            let (lp, rp) = (flip16(local.port), flip16(remote.port));
+            let mut flip32 = |v: IpAddr| IpAddr::from_bits(v.to_bits() ^ 1 << rng.range(0, 32));
+            let (la, ra) = (flip32(local.addr), flip32(remote.addr));
+            let variants = [
+                Quad::new(SockAddr::new(la, local.port), remote),
+                Quad::new(SockAddr::new(local.addr, lp), remote),
+                Quad::new(local, SockAddr::new(ra, remote.port)),
+                Quad::new(local, SockAddr::new(remote.addr, rp)),
+            ];
+            for v in variants {
+                assert_ne!(DemuxKey::of(v), key, "{v} and {q} share a key");
+            }
+        }
+        // The bucket index comes from the hash's low bits: 4,096 flows of
+        // a client (consecutive local ports) and of a replica (consecutive
+        // remote ports, eight service addresses) must spread across them.
+        for replica in [false, true] {
+            let low: std::collections::BTreeSet<u64> = (0..4_096u16)
+                .map(|i| {
+                    let client = SockAddr::new(CLIENT, 40_000 + i);
+                    let vip = IpAddr::new(192, 20, 225, 20 + (i % 8) as u8);
+                    let q = if replica {
+                        Quad::new(SockAddr::new(vip, 80), client)
+                    } else {
+                        Quad::new(client, SockAddr::new(SERVICE, 80))
+                    };
+                    hasher.hash_one(DemuxKey::of(q)) & 0xFFF
+                })
+                .collect();
+            let n = low.len();
+            assert!(n > 2_500, "replica {replica}: {n} of 4,096 bucket indices");
+        }
     }
 
     /// A client segment to `SERVICE:80` from port `port`.

@@ -29,9 +29,7 @@ impl StackHost {
         for p in self.stack.take_packets() {
             ctx.send(IfaceId::from_index(0), p);
         }
-        let mut events = Vec::new();
-        self.stack.take_events_into(&mut events);
-        self.events.extend(events);
+        self.events.extend(self.stack.drain_events());
         if let Some(t) = self.stack.next_deadline() {
             ctx.set_timer_at(t);
         }

@@ -88,7 +88,7 @@ impl PolicyHost {
             ));
             ctx.send(IfaceId::from_index(0), p);
         }
-        self.stack.take_events_into(&mut Vec::new());
+        self.stack.drain_events();
         let indexed = self.stack.next_deadline();
         let scanned: Option<SimTime> = self
             .stack

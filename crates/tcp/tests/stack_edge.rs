@@ -665,16 +665,14 @@ fn tunnelled_udp(layers: usize) -> IpPacket {
 #[test]
 fn one_tunnel_layer_is_unwrapped_and_a_second_is_dropped() {
     let mut s = TcpStack::new(A_ADDR, TcpConfig::default());
-    let mut events = Vec::new();
     s.handle_packet(tunnelled_udp(1), SimTime::ZERO);
     assert_eq!((s.stats().decapsulated, s.stats().dropped), (1, 0));
-    s.take_events_into(&mut events);
+    let events: Vec<_> = s.drain_events().collect();
     assert!(matches!(events[..], [StackEvent::UdpDelivery { .. }]));
     // Redirectors tunnel once; a tunnel inside a tunnel is not unwrapped.
     s.handle_packet(tunnelled_udp(2), SimTime::ZERO);
     assert_eq!((s.stats().decapsulated, s.stats().dropped), (1, 1));
-    s.take_events_into(&mut events);
-    assert!(events.is_empty(), "two-layer tunnel delivered");
+    assert_eq!(s.drain_events().count(), 0, "two-layer tunnel delivered");
 }
 
 #[test]
@@ -687,7 +685,5 @@ fn deepest_nested_tunnel_is_dropped_without_recursing() {
     let mut s = TcpStack::new(A_ADDR, TcpConfig::default());
     s.handle_packet(packet, SimTime::ZERO);
     assert_eq!((s.stats().decapsulated, s.stats().dropped), (0, 1));
-    let mut events = Vec::new();
-    s.take_events_into(&mut events);
-    assert!(events.is_empty());
+    assert_eq!(s.drain_events().count(), 0);
 }
