@@ -21,13 +21,6 @@ use crate::seq::SeqNum;
 /// Room a transmit payload keeps in front for its TCP and IP headers.
 const HEADROOM: usize = TCP_HEADER_LEN + IP_HEADER_LEN;
 
-/// Send-ring allocations at or below this many bytes are kept when the ring
-/// drains; larger ones are returned to the allocator. The floor keeps
-/// small-write request/response flows from re-allocating on every
-/// drain/refill cycle, while letting a bulk flow's multi-KiB ring go as
-/// soon as it empties — which is what bounds idle per-flow memory at scale.
-const SHRINK_RETAIN: usize = 512;
-
 /// Reserves backing storage for `need` total bytes, growing geometrically
 /// but never past `cap` (the configured socket-buffer size): the allocator
 /// charge is bounded by the buffer's limit instead of the doubling
@@ -106,7 +99,10 @@ impl SendBuffer {
         capacity.saturating_sub(self.data.len())
     }
 
-    /// Releases bytes acknowledged up to (not including) `upto`.
+    /// Releases bytes acknowledged up to (not including) `upto`. A ring
+    /// left empty goes back to the allocator, as a drained receive buffer's
+    /// runs do: an idle connection holds no send storage, which is what
+    /// bounds parked per-flow memory at scale.
     ///
     /// Sequence numbers outside the held range are clamped, so duplicate or
     /// stale ACKs are harmless.
@@ -117,7 +113,7 @@ impl SendBuffer {
         let n = (upto - self.base).min(self.data.len() as u32) as usize;
         self.data.drain(..n);
         self.base += n as u32;
-        if self.data.is_empty() && self.data.capacity() > SHRINK_RETAIN {
+        if self.data.is_empty() {
             self.data = VecDeque::new();
         }
     }
@@ -584,24 +580,30 @@ mod tests {
         }
     }
 
+    /// A fully acknowledged ring is released at every size, down to the
+    /// one byte a receipt or an echo leaves: a parked connection holds no
+    /// send storage. A partial acknowledgement keeps the ring, and a
+    /// released one grows again on the next write.
     #[test]
     fn send_buffer_releases_backing_when_drained() {
-        let mut sb = SendBuffer::new(SeqNum::new(0));
-        assert_eq!(sb.heap_bytes(), 0, "buffers grow on demand from zero");
-        sb.write(&[7u8; 8192], 8192);
-        // Growth is bounded by the configured capacity, not the allocator's
-        // doubling overshoot.
-        assert!(sb.heap_bytes() >= 8192);
-        assert!(sb.heap_bytes() < 16384, "got {}", sb.heap_bytes());
-        sb.ack_to(SeqNum::new(8192));
-        assert_eq!(sb.heap_bytes(), 0, "drained bulk ring is released");
-        // A small buffer keeps its allocation across drain/refill cycles, so
-        // 16 B request/response flows do not churn the allocator.
-        let mut small = SendBuffer::new(SeqNum::new(0));
-        small.write(&[1u8; 16], 64);
-        small.ack_to(SeqNum::new(16));
-        assert!(small.heap_bytes() > 0);
-        assert_eq!(small.write(b"again", 64), 5);
+        for capacity in [1, 16, 64, 512, 513, 8192] {
+            let mut sb = SendBuffer::new(SeqNum::new(0));
+            assert_eq!(sb.heap_bytes(), 0, "buffers grow on demand from zero");
+            let data = vec![7u8; capacity];
+            assert_eq!(sb.write(&data, capacity), capacity);
+            // Growth is bounded by the configured capacity, not the
+            // allocator's doubling overshoot.
+            let heap = sb.heap_bytes();
+            assert!(heap >= capacity && heap < 2 * capacity.max(8), "got {heap}");
+            if capacity > 1 {
+                sb.ack_to(SeqNum::new(1));
+                assert!(sb.heap_bytes() > 0, "{capacity} B: bytes still held");
+            }
+            sb.ack_to(SeqNum::new(capacity as u32));
+            assert_eq!(sb.heap_bytes(), 0, "{capacity} B: drained ring kept");
+            assert_eq!(sb.write(b"again", capacity), 5.min(capacity));
+            assert!(sb.heap_bytes() > 0);
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ const ACK_DELAY: SimDuration = SimDuration::from_millis(40);
 /// Consecutive retransmission timeouts of the same data before the
 /// connection is aborted. With the RTO doubling from 1 s to its 64 s cap,
 /// an unanswered SYN gives up 511 s after it was first sent.
-const MAX_RETRIES: u32 = 12;
+const MAX_RETRIES: u8 = 12;
 
 impl Default for TcpConfig {
     fn default() -> Self {
@@ -317,12 +317,17 @@ pub struct Connection {
     /// `SND.UNA` and sequence numbers below this are retransmissions
     /// (never RTT-sampled, per Karn). Cleared once `SND.UNA` passes it.
     recover: OptSeq,
-    retries: u32,
+    /// Consecutive RTOs; the connection aborts past [`MAX_RETRIES`].
+    retries: u8,
     /// Window space previously reported as exhausted (for SendSpace edge).
     send_was_full: bool,
     /// Whether received data may wait [`ACK_DELAY`] for a second segment
     /// to ack together; fixed when the connection opens.
     delayed_ack: bool,
+    /// Accepted on a replicated port: the stack's failure estimator counts
+    /// this connection's broken-loop signals. Set once, at accept; it sits
+    /// in padding the other fields leave, so it costs no byte.
+    watched: bool,
     last_advertised_window: u32,
 
     // Counters for diagnostics and benches (saturating).
@@ -457,6 +462,7 @@ impl Connection {
             retries: 0,
             send_was_full: false,
             delayed_ack,
+            watched: false,
             last_advertised_window,
             segments_sent: 0,
             retransmit_count: 0,
@@ -551,6 +557,17 @@ impl Connection {
     // ------------------------------------------------------------------
     // ft-TCP gates (driven by the stack for replicated ports)
     // ------------------------------------------------------------------
+
+    /// Marks the connection as one the failure estimator watches (it was
+    /// accepted on a replicated port).
+    pub(crate) fn watch(&mut self) {
+        self.watched = true;
+    }
+
+    /// Whether the failure estimator watches this connection.
+    pub(crate) fn is_watched(&self) -> bool {
+        self.watched
+    }
 
     /// Disables the send gate (connection became last in chain or the port
     /// is no longer replicated with a successor).

@@ -58,7 +58,10 @@ impl Default for DetectorParams {
 /// passes both with each observation, so a detector costs a replicated
 /// connection only its counters. [`DetectorParams`]' two fields sit beside
 /// a `u32` total rather than in a padded copy of the struct, so the
-/// detector is 48 B.
+/// detector is 48 B. The stack builds one per replicated connection at its
+/// first broken-loop signal; until then the connection holds none, which
+/// behaves as a fresh detector: progress and [`reset`](Self::reset) on a
+/// detector that has seen no duplicate change nothing.
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
     window: SimDuration,
@@ -72,7 +75,7 @@ pub struct FailureDetector {
     suspected: bool,
 }
 
-// The stack's record holds one per replicated connection.
+// The stack boxes one per replicated connection that saw a duplicate.
 const _: () = assert!(std::mem::size_of::<FailureDetector>() == 48);
 
 impl FailureDetector {
@@ -161,6 +164,13 @@ impl FailureDetector {
     pub fn reset(&mut self) {
         self.recent.clear();
         self.suspected = false;
+    }
+
+    /// Heap bytes behind the detector, beyond the structure itself: its
+    /// list of recent duplicates (capacity, which is what the allocator
+    /// charges).
+    pub fn heap_bytes(&self) -> usize {
+        self.recent.capacity() * std::mem::size_of::<SimTime>()
     }
 
     fn expire(&mut self, now: SimTime) {

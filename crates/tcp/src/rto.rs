@@ -26,10 +26,15 @@ pub struct RttEstimator {
     srtt: SimDuration,
     rttvar: SimDuration,
     rto: SimDuration,
-    backoff_shift: u32,
-    samples_taken: u32,
     timeouts: u32,
+    /// Capped at 16. It and the sample count share the padding after
+    /// `timeouts`, so the estimator is 32 B.
+    backoff_shift: u8,
+    samples_taken: u16,
 }
+
+// Every connection record holds one.
+const _: () = assert!(std::mem::size_of::<RttEstimator>() == 32);
 
 /// Initial RTO before any sample, per RFC 6298 (adapted: BSD-era stacks of
 /// the paper's vintage used coarser timers; the bench configs raise this).
@@ -48,9 +53,9 @@ impl RttEstimator {
             srtt: SimDuration::ZERO,
             rttvar: SimDuration::ZERO,
             rto: INITIAL_RTO,
+            timeouts: 0,
             backoff_shift: 0,
             samples_taken: 0,
-            timeouts: 0,
         }
     }
 
@@ -95,12 +100,12 @@ impl RttEstimator {
 
     /// Current backoff exponent (0 when no consecutive timeouts).
     pub fn backoff(&self) -> u32 {
-        self.backoff_shift
+        u32::from(self.backoff_shift)
     }
 
-    /// RTT measurements fed so far (telemetry; saturating).
+    /// RTT measurements fed so far (telemetry; saturating at 65,535).
     pub fn samples_taken(&self) -> u32 {
-        self.samples_taken
+        u32::from(self.samples_taken)
     }
 
     /// Retransmission timeouts suffered so far (telemetry; saturating).
@@ -168,6 +173,16 @@ mod tests {
         assert!(est.rto() <= base * 2);
         assert_eq!(est.samples_taken(), 2);
         assert_eq!(est.timeouts(), 2);
+    }
+
+    #[test]
+    fn the_sample_count_saturates() {
+        let mut est = RttEstimator::new();
+        est.samples_taken = u16::MAX - 1;
+        est.sample(SimDuration::from_millis(80));
+        est.sample(SimDuration::from_millis(80));
+        assert_eq!(est.samples_taken(), u32::from(u16::MAX));
+        assert!(est.srtt().is_some());
     }
 
     #[test]

@@ -238,7 +238,11 @@ pub struct StackStats {
 struct ConnEntry {
     conn: Connection,
     app: Box<dyn SocketApp>,
-    detector: Option<FailureDetector>,
+    /// The failure estimator of a watched connection (see
+    /// [`Connection::is_watched`]), built at its first broken-loop signal:
+    /// most replicated connections never see one, so they pay 8 B for the
+    /// pointer rather than a detector each.
+    detector: Option<Box<FailureDetector>>,
 }
 
 /// One slab slot: the parked connection, or `None` while the slot is free
@@ -279,14 +283,16 @@ impl std::hash::Hash for DemuxKey {
 // change to the record moves the pin. The many-flow runs also pay it once
 // per live connection per replica, 60,002 records at `flows_20k`'s peak,
 // but peak RSS moves in steps of the allocator's chunk, not per byte:
-// glibc rounds the box plus its 8 B header up to 16 B, so a 416 B and a
-// 424 B record both take 432 B (the 424 → 416 B cut left `flows_20k`
-// `peak_rss_mib` unmoved), and each 16 B step is about 0.9 MiB there. The
-// `Connection` inside the record is pinned too, so a size change names
-// the type that moved. The slab slot and the demux bucket are charged per
-// slot and per bucket likewise.
-const _: () = assert!(std::mem::size_of::<ConnEntry>() == 416);
-const _: () = assert!(std::mem::size_of::<Connection>() == 352);
+// glibc rounds the box plus its 8 B header up to a multiple of 16 B, so
+// every record of 353 to 360 B, this one included, takes a 368 B chunk.
+// Each 16 B step is about 0.9 MiB of `flows_20k` peak RSS, and a cut that
+// stays within one step moves none (the 424 → 416 B cut left
+// `peak_rss_mib` unmoved, both in a 432 B chunk). The `Connection` inside
+// the record is pinned too, so a size change names the type that moved.
+// The slab slot and the demux bucket are charged per slot and per bucket
+// likewise.
+const _: () = assert!(std::mem::size_of::<ConnEntry>() == 360);
+const _: () = assert!(std::mem::size_of::<Connection>() == 336);
 const _: () = assert!(std::mem::size_of::<ConnSlot>() == 8);
 const _: () = assert!(std::mem::size_of::<(DemuxKey, u32)>() == 16);
 
@@ -361,8 +367,9 @@ impl std::fmt::Debug for TcpStack {
 
 impl TcpStack {
     /// Bytes of one parked connection's record: its state machine,
-    /// application handle and failure detector, before the heap behind its
-    /// buffers. [`TcpStack::conn_memory_bytes`] charges it per connection.
+    /// application handle and failure-detector pointer, before the heap
+    /// behind its buffers and detector. [`TcpStack::conn_memory_bytes`]
+    /// charges it per connection.
     pub const CONN_RECORD_BYTES: usize = std::mem::size_of::<ConnEntry>();
 
     /// Creates a stack owning `addr`, with `cfg` as the configuration of
@@ -460,6 +467,11 @@ impl TcpStack {
     /// `setportopt(port, mode, detector-parameters)` system call — or
     /// updates its chain configuration. Existing connections on the port
     /// are re-geared immediately (promotion, chain membership changes).
+    /// Re-gearing covers the failure estimator: a connection builds its
+    /// detector at its first broken-loop signal, from the port's
+    /// parameters in force then, so new `DetectorParams` reach every
+    /// connection that has seen none yet. A detector already built keeps
+    /// its parameters and is only unlatched.
     pub fn setportopt(&mut self, port: u16, config: ReplicatedPortConfig, now: SimTime) {
         let gated = config.gated();
         let promoted = config.predecessor.is_none();
@@ -574,7 +586,8 @@ impl TcpStack {
 
     /// Approximate heap footprint of per-connection state in bytes: the
     /// slab, the demux table, and every parked connection — its record
-    /// once, plus the heap behind its socket buffers. Deterministic — it
+    /// once, plus the heap behind its socket buffers and, once built, its
+    /// failure detector's box and recent-duplicate list. Deterministic — it
     /// depends only on the schedule — so scale benches can report per-flow
     /// memory without reading RSS.
     pub fn conn_memory_bytes(&self) -> usize {
@@ -583,6 +596,9 @@ impl TcpStack {
             + self.demux.capacity() * std::mem::size_of::<(DemuxKey, u32)>();
         for entry in self.slots.iter().flatten() {
             total += std::mem::size_of::<ConnEntry>() + entry.conn.heap_bytes();
+            if let Some(d) = &entry.detector {
+                total += std::mem::size_of::<FailureDetector>() + d.heap_bytes();
+            }
         }
         total
     }
@@ -865,7 +881,10 @@ impl TcpStack {
             // the client's ACK path and race its RTO.
             let q = &mut self.queues;
             let delayed_ack = q.cfg.delayed_ack && replication.is_none();
-            let conn = Connection::accept(quad, iss, &seg, now, gated, delayed_ack, q);
+            let mut conn = Connection::accept(quad, iss, &seg, now, gated, delayed_ack, q);
+            if replication.is_some() {
+                conn.watch();
+            }
             self.span_conn_open(quad, if gated { "accept-gated" } else { "accept" }, now);
             let app = self
                 .listeners
@@ -874,7 +893,7 @@ impl TcpStack {
             let entry = ConnEntry {
                 conn,
                 app,
-                detector: replication.map(|r| FailureDetector::new(r.detector)),
+                detector: None,
             };
             self.finish_entry(None, Box::new(entry), now);
             return;
@@ -1004,7 +1023,14 @@ impl TcpStack {
                         // client-invisible failure mode, since a dead tail
                         // leaves every client byte acknowledged and no
                         // retransmission ever reaches the estimator).
-                        if let Some(d) = entry.detector.as_mut() {
+                        if entry.conn.is_watched() {
+                            let d = entry.detector.get_or_insert_with(|| {
+                                // A port stays replicated while connections
+                                // accepted on it live: only `reset_volatile`
+                                // forgets one, and it drops them all.
+                                let port = &self.replicated[&quad.local.port];
+                                Box::new(FailureDetector::new(port.detector))
+                            });
                             if d.on_duplicate(now, &self.obs, quad) {
                                 self.events.push(StackEvent::FailureSuspected {
                                     port: quad.local.port,
@@ -1205,6 +1231,7 @@ mod tests {
 
     use hydranet_netsim::hash::IntBuildHasher;
     use hydranet_netsim::rng::SimRng;
+    use hydranet_obs::kinds;
 
     use super::*;
     use crate::detector::DetectorParams;
@@ -1471,6 +1498,153 @@ mod tests {
         }
         pairs.sort_unstable();
         assert_eq!(pairs, (40_000..40_000 + conns).collect::<Vec<_>>());
+    }
+
+    const CLIENT_ISS: SeqNum = SeqNum::new(1_000);
+
+    /// A service stack listening on port 80, replicated with `params` as
+    /// a sole primary when given, that accepted one connection from
+    /// `CLIENT:40000` and saw its handshake complete. Returns the stack
+    /// and the connection's quad.
+    fn accepted(params: Option<DetectorParams>) -> (TcpStack, Quad) {
+        let mut stack = TcpStack::new(SERVICE, TcpConfig::default());
+        stack.listen(80, |_| Box::new(NullApp));
+        if let Some(params) = params {
+            let cfg = ReplicatedPortConfig::sole_primary(params);
+            stack.setportopt(80, cfg, SimTime::ZERO);
+        }
+        let quad = Quad::new(SockAddr::new(SERVICE, 80), SockAddr::new(CLIENT, 40_000));
+        let syn = from_client(40_000, CLIENT_ISS, SeqNum::new(0), TcpFlags::SYN, b"");
+        stack.handle_packet(syn, SimTime::ZERO);
+        let ack = client_data(quad, 0, b"");
+        stack.handle_packet(ack, SimTime::ZERO);
+        let state = stack.conn(quad).map(Connection::state);
+        assert_eq!(state, Some(TcpState::Established));
+        stack.take_packets();
+        (stack, quad)
+    }
+
+    /// A client segment on `quad` carrying `data` at stream offset `off`.
+    fn client_data(quad: Quad, off: u32, data: &[u8]) -> IpPacket {
+        let (seq, ack) = (CLIENT_ISS + 1 + off, deterministic_iss(quad) + 1);
+        from_client(quad.remote.port, seq, ack, TcpFlags::ACK, data)
+    }
+
+    /// The failure detector parked with connection `quad`, if built.
+    fn detector_of(stack: &TcpStack, quad: Quad) -> Option<&FailureDetector> {
+        let slot = stack.lookup_slot(quad)?;
+        stack.slots[slot as usize].as_ref()?.detector.as_deref()
+    }
+
+    /// A connection accepted on a replicated port holds no detector through
+    /// new data, and builds one at its first duplicate; `conn_memory_bytes`
+    /// charges the box and the heap behind its duplicate list from then on.
+    /// A connection on a plain port never builds one.
+    #[test]
+    fn a_watched_connection_builds_its_detector_at_its_first_duplicate() {
+        for replicated in [true, false] {
+            let (mut stack, quad) = accepted(replicated.then_some(DetectorParams::DEFAULT));
+            let watched = stack.conn(quad).map(Connection::is_watched);
+            assert_eq!(watched, Some(replicated));
+            stack.handle_packet(client_data(quad, 0, b"hello"), SimTime::from_millis(1));
+            let built = detector_of(&stack, quad).is_some();
+            assert!(!built, "built before a duplicate");
+            let before = stack.conn_memory_bytes();
+            stack.handle_packet(client_data(quad, 0, b"hello"), SimTime::from_millis(2));
+            let charged = stack.conn_memory_bytes() - before;
+            match detector_of(&stack, quad) {
+                Some(d) => {
+                    assert!(replicated, "a plain connection built a detector");
+                    assert_eq!(d.duplicates_total(), 1);
+                    assert!(d.heap_bytes() >= std::mem::size_of::<SimTime>());
+                    let detector = std::mem::size_of::<FailureDetector>() + d.heap_bytes();
+                    assert_eq!(charged, detector, "the detector's charge");
+                }
+                None => {
+                    assert!(!replicated, "no detector after a duplicate");
+                    assert_eq!(charged, 0);
+                }
+            }
+        }
+    }
+
+    /// One seeded stream of new data, duplicates and re-gearing, fed to a
+    /// connection whose detector is built at its first duplicate and to one
+    /// given a detector at accept, as the record once held: both raise the
+    /// same suspicions with the same `observed` counts and log the same
+    /// timeline.
+    #[test]
+    fn a_lazy_detector_reports_what_an_eager_one_does() {
+        let params = DetectorParams::new(3, SimDuration::from_millis(150));
+        let run = |eager: bool| {
+            let (mut stack, quad) = accepted(Some(params));
+            if eager {
+                let slot = stack.lookup_slot(quad).expect("parked") as usize;
+                let entry = stack.slots[slot].as_mut().expect("parked");
+                entry.detector = Some(Box::new(FailureDetector::new(params)));
+            }
+            let obs = Obs::enabled();
+            stack.set_obs(obs.clone());
+            let mut rng = SimRng::seed_from(0x1A2_7D37);
+            let mut now = SimTime::ZERO;
+            let mut sent = 0u32;
+            let mut suspicions = Vec::new();
+            for step in 0..600 {
+                now += SimDuration::from_millis(rng.range(1, 60));
+                if step % 97 == 96 {
+                    let cfg = ReplicatedPortConfig::sole_primary(params);
+                    stack.setportopt(80, cfg, now);
+                } else if sent == 0 || rng.chance(0.3) {
+                    stack.handle_packet(client_data(quad, sent, &[7; 16]), now);
+                    sent += 16;
+                } else {
+                    let off = 16 * rng.range(0, u64::from(sent / 16)) as u32;
+                    stack.handle_packet(client_data(quad, off, &[7; 16]), now);
+                }
+                stack.take_packets();
+                suspicions.extend(stack.drain_events());
+            }
+            let observed = detector_of(&stack, quad).map(FailureDetector::duplicates_total);
+            (suspicions, observed, obs.events())
+        };
+        let (suspicions, observed, timeline) = run(false);
+        let eager = run(true);
+        assert!(
+            suspicions.len() >= 3,
+            "only {} suspicions",
+            suspicions.len()
+        );
+        let cleared = timeline
+            .iter()
+            .filter(|e| e.kind == kinds::DETECTOR_CLEARED);
+        assert!(cleared.count() > 0, "progress cleared no duplicate");
+        assert_eq!(suspicions, eager.0, "suspicions differ");
+        assert_eq!(observed, eager.1, "duplicate totals differ");
+        assert_eq!(timeline, eager.2, "timelines differ");
+    }
+
+    /// `setportopt` with new detector parameters reaches a live connection
+    /// that has seen no duplicate yet: its detector, built at the first
+    /// one, takes the parameters in force then.
+    #[test]
+    fn new_detector_params_reach_a_live_connection_from_its_first_duplicate() {
+        let (mut stack, quad) = accepted(Some(DetectorParams::DEFAULT));
+        stack.handle_packet(client_data(quad, 0, b"hello"), SimTime::from_millis(1));
+        let eager = DetectorParams::new(1, SimDuration::from_secs(1));
+        let cfg = ReplicatedPortConfig::sole_primary(eager);
+        stack.setportopt(80, cfg, SimTime::from_millis(2));
+        stack.handle_packet(client_data(quad, 0, b"hello"), SimTime::from_millis(3));
+        let events: Vec<StackEvent> = stack.drain_events().collect();
+        let suspected = StackEvent::FailureSuspected {
+            port: 80,
+            quad,
+            observed: 1,
+        };
+        assert_eq!(events, [suspected]);
+        assert_eq!(
+            detector_of(&stack, quad).map(FailureDetector::params),
+            Some(eager)
+        );
     }
 
     /// Telemetry wired after a connection opened reaches it: from its next
