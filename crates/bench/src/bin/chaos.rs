@@ -23,6 +23,8 @@
 //! `(class, seed)` run, prints the per-class distributions of the fail-over
 //! window (EXPERIMENTS.md S1 and C1), and writes `BENCH_chaos.json`.
 
+use std::collections::BTreeMap;
+
 use hydranet_bench::chaos::{
     chrome_trace_json, merged_report, run_chaos_soak, violations, ChaosConfig, ChaosOutcome,
     FaultClass, CLASSES, VALUE_FLAGS,
@@ -30,6 +32,7 @@ use hydranet_bench::chaos::{
 use hydranet_bench::runner::{run_soak, SoakArgs};
 use hydranet_bench::{quantile, render_table};
 use hydranet_netsim::time::SimDuration;
+use hydranet_tcp::detector::Signal;
 
 /// One optional nanosecond reading of a run.
 type Reading = fn(&ChaosOutcome) -> Option<u64>;
@@ -59,6 +62,37 @@ fn print_latency_table(title: &str, outcomes: &[ChaosOutcome], reading: Reading)
         println!("{title}:");
         println!("{}", render_table(&header, &rows));
     }
+}
+
+/// Prints fault → first suspicion split by the signal that raised it and
+/// the replica that reported it: one row per (class, signal, reporter).
+fn print_suspicion_split(outcomes: &[ChaosOutcome]) {
+    let mut groups: BTreeMap<(usize, Signal, &str), Vec<u64>> = BTreeMap::new();
+    for o in outcomes {
+        let (Some(ns), Some((signal, reporter))) = (o.crash_to_detect_ns, &o.first_suspicion)
+        else {
+            continue;
+        };
+        let class = CLASSES.iter().position(|c| c.name() == o.class);
+        let key = (class.expect("known class"), *signal, reporter.as_str());
+        groups.entry(key).or_default().push(ns);
+    }
+    let header = [
+        "class", "signal", "reporter", "runs", "p50 ms", "p99 ms", "max ms",
+    ];
+    let rows: Vec<Vec<String>> = groups
+        .into_iter()
+        .map(|((class, signal, reporter), mut vals)| {
+            vals.sort_unstable();
+            let ms = |p: f64| format!("{:.1}", quantile(&vals, p) as f64 / 1e6);
+            let (name, signal) = (CLASSES[class].name(), signal.name());
+            let runs = vals.len().to_string();
+            let cells = [name, signal, reporter, &runs, &ms(0.5), &ms(0.99), &ms(1.0)];
+            cells.map(String::from).to_vec()
+        })
+        .collect();
+    println!("fault -> first suspicion, by signal and reporter:");
+    println!("{}", render_table(&header.map(String::from), &rows));
 }
 
 fn main() {
@@ -130,6 +164,7 @@ fn main() {
     for (title, reading) in tables {
         print_latency_table(title, outcomes, reading);
     }
+    print_suspicion_split(outcomes);
     let false_reports: Vec<u64> = outcomes.iter().filter_map(|o| o.false_reports).collect();
     println!(
         "lossy_healthy: {} false report(s) over {} of {} runs, every one absorbed by the probe round\n",

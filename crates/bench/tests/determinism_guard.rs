@@ -145,7 +145,7 @@ fn failover_is_thread_invariant() {
 /// name, causal parent, simulated open/close instants, and notes. Tracing
 /// is observational, so this pin moves only when the span taxonomy itself
 /// changes — and must be bit-identical across thread counts.
-const PINNED_SPAN_TREE: &str = "spans fp=0x3be928a708bfc4e2 opened=163 evicted=0";
+const PINNED_SPAN_TREE: &str = "spans fp=0x3c603170005eb9f6 opened=163 evicted=0";
 
 /// The traced variant of [`failover_fingerprint`]: same scenario with the
 /// causal tracer on. Returns the span fingerprint line plus the full

@@ -52,6 +52,45 @@ impl Default for DetectorParams {
     }
 }
 
+/// Which face of the broken flow-control loop an observation came from.
+/// The estimator counts all four alike; the name goes on the timeline, so
+/// a run can say which signal raised each suspicion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Signal {
+    /// A fully duplicate data segment: the client retransmitted, so the
+    /// primary stopped delivering (the paper's §4.3 signal).
+    ClientDuplicate,
+    /// A retransmission timeout on the replica's own data: the primary that
+    /// delivers it to the client is gone.
+    OwnRto,
+    /// The send gate held ready work for a full RTO: the chain successor
+    /// stopped reporting its send progress.
+    SendGate,
+    /// The deposit gate held in-order client bytes for a full RTO: the
+    /// chain successor stopped reporting its acknowledgements.
+    DepositGate,
+}
+
+impl Signal {
+    /// Every signal, in the order reports list them.
+    pub const ALL: [Signal; 4] = [
+        Signal::ClientDuplicate,
+        Signal::OwnRto,
+        Signal::SendGate,
+        Signal::DepositGate,
+    ];
+
+    /// The name the timeline's `signal` field carries.
+    pub fn name(self) -> &'static str {
+        match self {
+            Signal::ClientDuplicate => "client_duplicate",
+            Signal::OwnRto => "own_rto",
+            Signal::SendGate => "send_gate",
+            Signal::DepositGate => "deposit_gate",
+        }
+    }
+}
+
 /// Per-connection retransmission counter implementing the estimator.
 ///
 /// It keeps no telemetry handle or connection name of its own: the stack
@@ -98,11 +137,12 @@ impl FailureDetector {
         }
     }
 
-    /// Records one observed client retransmission on connection `quad`.
+    /// Records one broken-loop `signal` observed on connection `quad`.
     /// Returns `true` exactly once when the threshold is crossed (latched
     /// afterwards). Every observation and the suspicion go on `obs`'s
-    /// timeline with `quad` as their `scope`.
-    pub fn on_duplicate(&mut self, now: SimTime, obs: &Obs, quad: Quad) -> bool {
+    /// timeline with `quad` as their `scope` and the signal's name as their
+    /// `signal`; the suspicion names the signal that crossed the threshold.
+    pub fn on_duplicate(&mut self, now: SimTime, signal: Signal, obs: &Obs, quad: Quad) -> bool {
         self.duplicates_total = self.duplicates_total.saturating_add(1);
         self.expire(now);
         self.recent.push(now);
@@ -112,6 +152,7 @@ impl FailureDetector {
                 kinds::DETECTOR_DUPLICATE,
                 &[
                     ("scope", quad.to_string()),
+                    ("signal", signal.name().to_string()),
                     ("total", self.duplicates_total.to_string()),
                     ("in_window", self.recent.len().to_string()),
                 ],
@@ -124,6 +165,7 @@ impl FailureDetector {
                 kinds::DETECTOR_SUSPECTED,
                 &[
                     ("scope", quad.to_string()),
+                    ("signal", signal.name().to_string()),
                     ("observed", self.duplicates_total.to_string()),
                     ("threshold", self.threshold.to_string()),
                 ],
@@ -196,9 +238,9 @@ mod tests {
         )
     }
 
-    /// One duplicate, observed with telemetry off.
+    /// One client duplicate, observed with telemetry off.
     fn dup(d: &mut FailureDetector, ms: u64) -> bool {
-        d.on_duplicate(at(ms), &Obs::disabled(), quad())
+        d.on_duplicate(at(ms), Signal::ClientDuplicate, &Obs::disabled(), quad())
     }
 
     #[test]
@@ -269,9 +311,9 @@ mod tests {
     fn telemetry_counts_each_duplicate_observation() {
         let obs = Obs::enabled();
         let mut d = FailureDetector::new(DetectorParams::new(3, SimDuration::from_secs(10)));
-        d.on_duplicate(at(0), &obs, quad());
-        d.on_duplicate(at(10), &obs, quad());
-        d.on_duplicate(at(20), &obs, quad()); // crosses the threshold
+        d.on_duplicate(at(0), Signal::ClientDuplicate, &obs, quad());
+        d.on_duplicate(at(10), Signal::OwnRto, &obs, quad());
+        d.on_duplicate(at(20), Signal::DepositGate, &obs, quad()); // crosses the threshold
         assert_eq!(d.duplicates_total(), 3);
         let events = obs.events();
         let duplicates: Vec<_> = events
@@ -285,6 +327,12 @@ mod tests {
             .map(|e| e.field("total").unwrap())
             .collect();
         assert_eq!(totals, ["1", "2", "3"]);
+        // Each observation names its signal.
+        let signals: Vec<&str> = duplicates
+            .iter()
+            .map(|e| e.field("signal").unwrap())
+            .collect();
+        assert_eq!(signals, ["client_duplicate", "own_rto", "deposit_gate"]);
         // Suspicion fired exactly once, at the third duplicate's instant.
         let suspected: Vec<_> = events
             .iter()
@@ -292,6 +340,8 @@ mod tests {
             .collect();
         assert_eq!(suspected.len(), 1);
         assert_eq!(suspected[0].at_nanos, at(20).as_nanos());
+        // The suspicion names the signal that crossed the threshold.
+        assert_eq!(suspected[0].field("signal"), Some("deposit_gate"));
         // Progress after suspicion records the clear.
         d.on_progress(at(30), &obs, quad());
         assert_eq!(
