@@ -223,15 +223,14 @@ impl RecvBuffer {
         self.runs.len() - self.readable_len()
     }
 
-    /// Sets the deposit gate from a successor-reported acknowledgement
+    /// Raises the deposit gate from a successor-reported acknowledgement
     /// number: bytes strictly before `upto` may be deposited. The gate only
-    /// ever moves forward.
+    /// ever moves forward, and an ungated buffer stays ungated: a report
+    /// that reaches a replica after it lost its successor (one the shed
+    /// successor sent late) must not close a gate no report will open.
     pub fn gate_deposits_below(&mut self, upto: SeqNum) {
-        let limit = self.seq_to_off(upto).max(self.nxt_off);
         if self.is_gated() {
-            self.deposit_limit = self.deposit_limit.max(limit);
-        } else {
-            self.deposit_limit = limit;
+            self.deposit_limit = self.deposit_limit.max(self.seq_to_off(upto));
         }
     }
 
@@ -252,6 +251,13 @@ impl RecvBuffer {
     /// Whether a deposit gate is active.
     pub fn is_gated(&self) -> bool {
         self.deposit_limit != UNGATED
+    }
+
+    /// Whether in-order bytes wait at the deposit gate: the byte at
+    /// `RCV.NXT` has arrived, so only the gate holds it. Reads the one run
+    /// that could hold that byte, never the list behind it.
+    pub fn holds_at_gate(&self) -> bool {
+        self.is_gated() && self.runs.contiguous_end(self.nxt_off, self.nxt_off + 1) > self.nxt_off
     }
 
     /// Offers a segment's payload, starting at `seq`, and keeps a view of
@@ -512,6 +518,16 @@ mod tests {
         rb.gate_deposits_below(SeqNum::new(5)); // stale successor report
         rb.offer(SeqNum::new(0), [7u8; 10].into());
         assert_eq!(rb.rcv_nxt(), SeqNum::new(10));
+    }
+
+    #[test]
+    fn a_report_never_gates_an_ungated_buffer() {
+        let mut rb = RecvBuffer::new(SeqNum::new(0), 64);
+        rb.offer(SeqNum::new(0), b"before".into());
+        rb.gate_deposits_below(SeqNum::new(2)); // a late successor report
+        assert!(!rb.is_gated());
+        assert_eq!(rb.offer(SeqNum::new(6), b"after".into()), Offer::Deposited);
+        assert_eq!(rb.read(100), b"beforeafter");
     }
 
     #[test]

@@ -16,8 +16,10 @@ pub struct CongestionControl {
     mss: u32,
     cwnd: u32,
     ssthresh: u32,
-    /// Duplicate-ACK counter toward fast retransmit.
-    dup_acks: u32,
+    /// Duplicate-ACK counter toward fast retransmit: it stops at
+    /// [`DUPACK_THRESHOLD`] until a new ACK or a timeout clears it, so a
+    /// byte holds it.
+    dup_acks: u8,
     in_fast_recovery: bool,
     /// Bytes of cwnd credit accumulated toward the next +MSS in congestion
     /// avoidance.
@@ -68,7 +70,7 @@ impl CongestionControl {
 
     /// Current duplicate-ACK count.
     pub fn dup_acks(&self) -> u32 {
-        self.dup_acks
+        u32::from(self.dup_acks)
     }
 
     /// Handles an ACK that advances `SND.UNA` by `acked` bytes.
@@ -103,7 +105,7 @@ impl CongestionControl {
             return false;
         }
         self.dup_acks += 1;
-        if self.dup_acks == DUPACK_THRESHOLD {
+        if u32::from(self.dup_acks) == DUPACK_THRESHOLD {
             self.enter_fast_recovery();
             true
         } else {

@@ -257,6 +257,54 @@ fn reconfiguration_after_backup_failure_resumes_service() {
     assert_eq!(*chain.rx[0].borrow(), payload, "service did not resume");
 }
 
+/// A backup shed from the chain does not know it: it keeps reporting to
+/// its old predecessor until it hears otherwise. Those late reports reach a
+/// primary that now runs alone and must not gate its deposits again, or
+/// the stream wedges at the first report once the backup falls silent.
+#[test]
+fn a_shed_backups_late_report_never_regates_the_sole_primary() {
+    let detector = DetectorParams::new(4, SimDuration::from_secs(60));
+    let mut chain = build_chain(2, false, detector);
+    let payload = pattern(600_000);
+    let _ = start_client(&mut chain, payload.clone());
+    chain.sim.run_until(SimTime::from_millis(60));
+    let primary = chain.replicas[0];
+    chain
+        .sim
+        .with_node_ctx::<StackHost, _>(primary, |host, ctx| {
+            host.stack.setportopt(
+                PORT,
+                ReplicatedPortConfig::sole_primary(detector),
+                ctx.now(),
+            );
+            host.flush(ctx);
+        });
+    // The backup, still configured with its predecessor, reports on.
+    let reports_before = chain
+        .sim
+        .node::<StackHost>(primary)
+        .stack
+        .stats()
+        .ackchan_rx;
+    chain.sim.run_until(SimTime::from_millis(80));
+    let reports = chain
+        .sim
+        .node::<StackHost>(primary)
+        .stack
+        .stats()
+        .ackchan_rx;
+    assert!(
+        reports > reports_before,
+        "no late report reached the primary"
+    );
+    chain
+        .sim
+        .schedule_crash(chain.replicas[1], SimTime::from_millis(80));
+    chain.sim.run_until(SimTime::from_secs(30));
+    assert_eq!(chain.rx[0].borrow().len(), payload.len(), "stream wedged");
+    assert_eq!(*chain.rx[0].borrow(), payload);
+}
+
 #[test]
 fn primary_failure_with_promotion_is_client_transparent() {
     let detector = DetectorParams::new(4, SimDuration::from_secs(60));
