@@ -20,6 +20,7 @@ use hydranet_netsim::time::{SimDuration, SimTime};
 use hydranet_netsim::topology::TopologyBuilder;
 use hydranet_tcp::buffer::{Offer, RecvBuffer};
 use hydranet_tcp::conn::{Connection, TcpConfig};
+use hydranet_tcp::ft::ChainGate;
 use hydranet_tcp::segment::SockAddr;
 use hydranet_tcp::seq::SeqNum;
 use hydranet_tcp::stack::{SocketApp, TcpStack};
@@ -260,27 +261,27 @@ fn held_segments_are_views_not_copies() {
         .map(|i| PacketBuf::from([i; 16]))
         .collect();
     let mut rb = RecvBuffer::new(base, 64 * 1024);
-    rb.enable_gate();
+    let gated = ChainGate::closed(base, base).deposit_limit();
     // Warm the run list to the slots it will need, then drain it, gate
     // and all, keeping its storage by leaving one held run behind.
     for (i, seg) in segments.iter().enumerate() {
-        rb.offer(base + 16 * i as u32, seg.clone());
+        rb.offer(base + 16 * i as u32, seg.clone(), gated);
     }
-    rb.clear_gate();
-    rb.deposit();
+    rb.deposit(None);
     rb.read(16 * (2 * SEGMENTS as usize - 1));
-    rb.enable_gate();
     let next = base + 16 * 2 * SEGMENTS;
+    let gated = ChainGate::closed(next, next).deposit_limit();
     let ((), allocs) = count(|| {
         // Gated, in order: every segment is held behind the gate.
         for i in 0..SEGMENTS {
-            let offer = rb.offer(next + 16 * i, segments[i as usize].clone());
+            let offer = rb.offer(next + 16 * i, segments[i as usize].clone(), gated);
             assert_eq!(offer, Offer::Held);
         }
         // Out of order: every other segment past a hole.
         for i in (1..SEGMENTS).step_by(2) {
             let seq = next + 16 * (SEGMENTS + i);
-            assert_eq!(rb.offer(seq, segments[i as usize].clone()), Offer::Held);
+            let offer = rb.offer(seq, segments[i as usize].clone(), gated);
+            assert_eq!(offer, Offer::Held);
         }
     });
     assert_eq!(allocs, 0, "offering held segments allocated {allocs} times");

@@ -7,7 +7,8 @@
 //! bytes (readable by the application and covered by our ACKs).
 //! HydraNet-FT's atomicity rule — replica `Sᵢ` may deposit byte `k` only
 //! after its successor reported an acknowledgement number greater than `k`
-//! (paper §4.3) — is implemented by the deposit limit: `RCV.NXT` moves over
+//! (paper §4.3) — arrives as the deposit limit its
+//! [`ChainGate`](crate::ft::ChainGate) passes in: `RCV.NXT` moves over
 //! staged bytes only up to the limit.
 
 use std::collections::VecDeque;
@@ -159,12 +160,8 @@ pub enum Offer {
     PastWindow,
 }
 
-/// The deposit limit of an ungated receive buffer. A stream offset never
-/// reaches it: the offsets count received bytes from 0.
-const UNGATED: u64 = u64::MAX;
-
-/// Receive-side reassembly buffer with a deposit gate: one run list holding
-/// every byte from the first unread one on, and two cursors into it.
+/// Receive-side reassembly buffer: one run list holding every byte from
+/// the first unread one on, and two cursors into it.
 #[derive(Debug, Clone)]
 pub struct RecvBuffer {
     /// Next sequence number to deposit (`RCV.NXT`).
@@ -175,10 +172,6 @@ pub struct RecvBuffer {
     nxt_off: u64,
     /// Stream offset of the first unread byte, where the list begins.
     read_off: u64,
-    /// Deposit gate: bytes with stream offset `< limit` may be deposited.
-    /// [`UNGATED`] (plain TCP, or the last replica in a HydraNet-FT chain)
-    /// lets every byte through.
-    deposit_limit: u64,
     runs: RunList,
     /// The configured buffer size; `u32` packs beside `nxt_seq`.
     capacity: u32,
@@ -195,7 +188,6 @@ impl RecvBuffer {
             nxt_seq: nxt,
             nxt_off: 0,
             read_off: 0,
-            deposit_limit: UNGATED,
             runs: RunList::default(),
             capacity: u32::try_from(capacity).expect("receive buffer larger than 4 GiB"),
         }
@@ -223,49 +215,20 @@ impl RecvBuffer {
         self.runs.len() - self.readable_len()
     }
 
-    /// Raises the deposit gate from a successor-reported acknowledgement
-    /// number: bytes strictly before `upto` may be deposited. The gate only
-    /// ever moves forward, and an ungated buffer stays ungated: a report
-    /// that reaches a replica after it lost its successor (one the shed
-    /// successor sent late) must not close a gate no report will open.
-    pub fn gate_deposits_below(&mut self, upto: SeqNum) {
-        if self.is_gated() {
-            self.deposit_limit = self.deposit_limit.max(self.seq_to_off(upto));
-        }
-    }
-
-    /// Enables gating with nothing yet permitted (used when a replica port
-    /// gains a successor).
-    pub fn enable_gate(&mut self) {
-        if !self.is_gated() {
-            self.deposit_limit = self.nxt_off;
-        }
-    }
-
-    /// Removes the deposit gate entirely (plain TCP behaviour, or a replica
-    /// that became the last in its chain).
-    pub fn clear_gate(&mut self) {
-        self.deposit_limit = UNGATED;
-    }
-
-    /// Whether a deposit gate is active.
-    pub fn is_gated(&self) -> bool {
-        self.deposit_limit != UNGATED
-    }
-
-    /// Whether in-order bytes wait at the deposit gate: the byte at
-    /// `RCV.NXT` has arrived, so only the gate holds it. Reads the one run
-    /// that could hold that byte, never the list behind it.
-    pub fn holds_at_gate(&self) -> bool {
-        self.is_gated() && self.runs.contiguous_end(self.nxt_off, self.nxt_off + 1) > self.nxt_off
+    /// Whether the byte at `RCV.NXT` has arrived but is not deposited: only
+    /// the deposit limit holds it. Reads the one run that could hold that
+    /// byte, never the list behind it.
+    pub fn next_held(&self) -> bool {
+        self.runs.contiguous_end(self.nxt_off, self.nxt_off + 1) > self.nxt_off
     }
 
     /// Offers a segment's payload, starting at `seq`, and keeps a view of
     /// its new bytes: those from `RCV.NXT` on that fall short of the first
     /// unread byte + capacity and that no earlier segment delivered. The
     /// bound counts unread bytes, so a sender that ignores the window
-    /// cannot grow the buffer past its capacity.
-    pub fn offer(&mut self, seq: SeqNum, data: PacketBuf) -> Offer {
+    /// cannot grow the buffer past its capacity. New bytes deposit up to
+    /// `limit` (see [`deposit`](Self::deposit)).
+    pub fn offer(&mut self, seq: SeqNum, data: PacketBuf, limit: Option<SeqNum>) -> Offer {
         let start = self.seq_to_off(seq);
         let edge = self.read_off + u64::from(self.capacity);
         if start >= edge {
@@ -279,7 +242,7 @@ impl RecvBuffer {
         let view = data.slice((lo - start) as usize..(hi - start) as usize);
         if self.runs.insert(lo, view) == 0 {
             Offer::Duplicate
-        } else if self.deposit() {
+        } else if self.deposit(limit) {
             Offer::Deposited
         } else {
             Offer::Held
@@ -295,9 +258,11 @@ impl RecvBuffer {
     }
 
     /// Moves `RCV.NXT` over the held bytes that are contiguous with it and
-    /// below the deposit gate. Returns `true` if it advanced.
-    pub fn deposit(&mut self) -> bool {
-        let end = self.runs.contiguous_end(self.nxt_off, self.deposit_limit);
+    /// before `limit` (every one of them when `None`). Returns `true` if it
+    /// advanced.
+    pub fn deposit(&mut self, limit: Option<SeqNum>) -> bool {
+        let limit = limit.map_or(u64::MAX, |l| self.seq_to_off(l));
+        let end = self.runs.contiguous_end(self.nxt_off, limit);
         let n = end - self.nxt_off;
         self.nxt_off = end;
         self.nxt_seq += n as u32;
@@ -307,14 +272,6 @@ impl RecvBuffer {
     /// Heap bytes held by this buffer's run list.
     pub fn heap_bytes(&self) -> usize {
         self.runs.heap_bytes()
-    }
-
-    /// Whether the deposit gate would permit at least one more sequence
-    /// slot. This is how a FIN — which occupies sequence space but carries
-    /// no bytes — is gated: the successor's acknowledgement must pass the
-    /// FIN slot before we consume it.
-    pub fn gate_allows_one_more(&self) -> bool {
-        self.deposit_limit > self.nxt_off
     }
 
     /// Consumes one sequence slot that carries no data (a peer FIN),
@@ -342,6 +299,7 @@ impl RecvBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ft::ChainGate;
     use hydranet_netsim::rng::SimRng;
 
     #[test]
@@ -392,8 +350,14 @@ mod tests {
     #[test]
     fn recv_in_order() {
         let mut rb = RecvBuffer::new(SeqNum::new(1), 1024);
-        assert_eq!(rb.offer(SeqNum::new(1), b"hello ".into()), Offer::Deposited);
-        assert_eq!(rb.offer(SeqNum::new(7), b"world".into()), Offer::Deposited);
+        assert_eq!(
+            rb.offer(SeqNum::new(1), b"hello ".into(), None),
+            Offer::Deposited
+        );
+        assert_eq!(
+            rb.offer(SeqNum::new(7), b"world".into(), None),
+            Offer::Deposited
+        );
         assert_eq!(rb.rcv_nxt(), SeqNum::new(12));
         assert_eq!(rb.read(100), b"hello world");
         assert_eq!(rb.read(100), Vec::<u8>::new());
@@ -402,10 +366,13 @@ mod tests {
     #[test]
     fn recv_out_of_order_reassembles() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 1024);
-        assert_eq!(rb.offer(SeqNum::new(6), b"world".into()), Offer::Held);
+        assert_eq!(rb.offer(SeqNum::new(6), b"world".into(), None), Offer::Held);
         assert_eq!(rb.rcv_nxt(), SeqNum::new(0));
         assert_eq!(rb.staged_bytes(), 5);
-        assert_eq!(rb.offer(SeqNum::new(0), b"hello ".into()), Offer::Deposited);
+        assert_eq!(
+            rb.offer(SeqNum::new(0), b"hello ".into(), None),
+            Offer::Deposited
+        );
         assert_eq!(rb.rcv_nxt(), SeqNum::new(11));
         assert_eq!(rb.read(100), b"hello world");
     }
@@ -413,9 +380,15 @@ mod tests {
     #[test]
     fn recv_duplicates_ignored() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 1024);
-        rb.offer(SeqNum::new(0), b"abcd".into());
-        assert_eq!(rb.offer(SeqNum::new(0), b"abcd".into()), Offer::Duplicate);
-        assert_eq!(rb.offer(SeqNum::new(2), b"cd".into()), Offer::Duplicate);
+        rb.offer(SeqNum::new(0), b"abcd".into(), None);
+        assert_eq!(
+            rb.offer(SeqNum::new(0), b"abcd".into(), None),
+            Offer::Duplicate
+        );
+        assert_eq!(
+            rb.offer(SeqNum::new(2), b"cd".into(), None),
+            Offer::Duplicate
+        );
         assert_eq!(rb.rcv_nxt(), SeqNum::new(4));
         assert_eq!(rb.read(100), b"abcd");
     }
@@ -423,8 +396,8 @@ mod tests {
     #[test]
     fn recv_overlapping_segments() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 1024);
-        rb.offer(SeqNum::new(4), b"efgh".into());
-        rb.offer(SeqNum::new(0), b"abcdef".into()); // overlaps staged run
+        rb.offer(SeqNum::new(4), b"efgh".into(), None);
+        rb.offer(SeqNum::new(0), b"abcdef".into(), None); // overlaps staged run
         assert_eq!(rb.rcv_nxt(), SeqNum::new(8));
         assert_eq!(rb.read(100), b"abcdefgh");
     }
@@ -433,9 +406,9 @@ mod tests {
     fn recv_window_shrinks_with_staged_and_readable() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 100);
         assert_eq!(rb.window(), 100);
-        rb.offer(SeqNum::new(0), [1u8; 30].into());
+        rb.offer(SeqNum::new(0), [1u8; 30].into(), None);
         assert_eq!(rb.window(), 70);
-        rb.offer(SeqNum::new(50), [2u8; 20].into()); // out of order, staged
+        rb.offer(SeqNum::new(50), [2u8; 20].into(), None); // out of order, staged
         assert_eq!(rb.window(), 50);
         rb.read(30);
         assert_eq!(rb.window(), 80);
@@ -444,7 +417,7 @@ mod tests {
     #[test]
     fn recv_clips_beyond_window() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 10);
-        rb.offer(SeqNum::new(0), [1u8; 50].into());
+        rb.offer(SeqNum::new(0), [1u8; 50].into(), None);
         assert_eq!(rb.rcv_nxt(), SeqNum::new(10));
         assert_eq!(rb.read(100).len(), 10);
     }
@@ -455,10 +428,13 @@ mod tests {
     #[test]
     fn unread_bytes_bound_what_a_sender_can_add() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 100);
-        assert_eq!(rb.offer(SeqNum::new(0), [1u8; 60].into()), Offer::Deposited);
+        assert_eq!(
+            rb.offer(SeqNum::new(0), [1u8; 60].into(), None),
+            Offer::Deposited
+        );
         // Clipped at the first unread byte + 100, not at RCV.NXT + 100.
         assert_eq!(
-            rb.offer(SeqNum::new(60), [2u8; 60].into()),
+            rb.offer(SeqNum::new(60), [2u8; 60].into(), None),
             Offer::Deposited
         );
         assert_eq!(rb.readable_len(), 100);
@@ -466,14 +442,14 @@ mod tests {
         let heap = rb.heap_bytes();
         for i in 0..4 {
             let seq = SeqNum::new(100 + 100 * i);
-            assert_eq!(rb.offer(seq, [3u8; 100].into()), Offer::PastWindow);
+            assert_eq!(rb.offer(seq, [3u8; 100].into(), None), Offer::PastWindow);
         }
         assert_eq!(rb.readable_len(), 100);
         assert_eq!(rb.heap_bytes(), heap);
         // Reading opens the window again.
         assert_eq!(rb.read(30).len(), 30);
         assert_eq!(
-            rb.offer(SeqNum::new(100), [4u8; 100].into()),
+            rb.offer(SeqNum::new(100), [4u8; 100].into(), None),
             Offer::Deposited
         );
         assert_eq!(rb.readable_len(), 100);
@@ -482,73 +458,26 @@ mod tests {
     #[test]
     fn recv_clips_stale_data_before_nxt() {
         let mut rb = RecvBuffer::new(SeqNum::new(100), 64);
-        rb.offer(SeqNum::new(100), b"abcd".into());
+        rb.offer(SeqNum::new(100), b"abcd".into(), None);
         // Retransmission covering old + new bytes.
         assert_eq!(
-            rb.offer(SeqNum::new(100), b"abcdEF".into()),
+            rb.offer(SeqNum::new(100), b"abcdEF".into(), None),
             Offer::Deposited
         );
         assert_eq!(rb.read(100), b"abcdEF");
     }
 
     #[test]
-    fn gate_blocks_until_raised() {
-        let mut rb = RecvBuffer::new(SeqNum::new(0), 1024);
-        rb.enable_gate();
-        assert!(rb.is_gated());
-        assert_eq!(rb.offer(SeqNum::new(0), b"abcdefgh".into()), Offer::Held);
-        assert_eq!(rb.rcv_nxt(), SeqNum::new(0));
-        assert_eq!(rb.staged_bytes(), 8);
-        // Successor acked up to byte 4: bytes 0..4 may deposit.
-        rb.gate_deposits_below(SeqNum::new(4));
-        assert!(rb.deposit());
-        assert_eq!(rb.rcv_nxt(), SeqNum::new(4));
-        assert_eq!(rb.read(100), b"abcd");
-        // Raise fully.
-        rb.gate_deposits_below(SeqNum::new(8));
-        assert!(rb.deposit());
-        assert_eq!(rb.read(100), b"efgh");
-    }
-
-    #[test]
-    fn gate_never_moves_backwards() {
-        let mut rb = RecvBuffer::new(SeqNum::new(0), 64);
-        rb.enable_gate();
-        rb.gate_deposits_below(SeqNum::new(10));
-        rb.gate_deposits_below(SeqNum::new(5)); // stale successor report
-        rb.offer(SeqNum::new(0), [7u8; 10].into());
-        assert_eq!(rb.rcv_nxt(), SeqNum::new(10));
-    }
-
-    #[test]
-    fn a_report_never_gates_an_ungated_buffer() {
-        let mut rb = RecvBuffer::new(SeqNum::new(0), 64);
-        rb.offer(SeqNum::new(0), b"before".into());
-        rb.gate_deposits_below(SeqNum::new(2)); // a late successor report
-        assert!(!rb.is_gated());
-        assert_eq!(rb.offer(SeqNum::new(6), b"after".into()), Offer::Deposited);
-        assert_eq!(rb.read(100), b"beforeafter");
-    }
-
-    #[test]
-    fn clear_gate_releases_everything() {
-        let mut rb = RecvBuffer::new(SeqNum::new(0), 64);
-        rb.enable_gate();
-        rb.offer(SeqNum::new(0), b"payload".into());
-        assert_eq!(rb.readable_len(), 0);
-        rb.clear_gate();
-        assert!(rb.deposit());
-        assert_eq!(rb.read(100), b"payload");
-    }
-
-    #[test]
     fn recv_across_seq_wrap() {
         let start = SeqNum::new(u32::MAX - 2);
         let mut rb = RecvBuffer::new(start, 1024);
-        assert_eq!(rb.offer(start, b"abcdef".into()), Offer::Deposited); // crosses the wrap
+        assert_eq!(rb.offer(start, b"abcdef".into(), None), Offer::Deposited); // crosses the wrap
         assert_eq!(rb.rcv_nxt(), SeqNum::new(3));
         assert_eq!(rb.read(100), b"abcdef");
-        assert_eq!(rb.offer(SeqNum::new(3), b"gh".into()), Offer::Deposited);
+        assert_eq!(
+            rb.offer(SeqNum::new(3), b"gh".into(), None),
+            Offer::Deposited
+        );
         assert_eq!(rb.read(100), b"gh");
     }
 
@@ -589,7 +518,7 @@ mod tests {
             let base = SeqNum::new(0xfff0_0000); // force a wrap mid-stream sometimes
             let mut rb = RecvBuffer::new(base, total + 64);
             for (o, data) in wire {
-                rb.offer(base + o as u32, data.into());
+                rb.offer(base + o as u32, data.into(), None);
             }
             assert_eq!(rb.rcv_nxt(), base + total as u32);
             assert_eq!(rb.read(total + 1), stream);
@@ -626,7 +555,7 @@ mod tests {
     fn recv_buffer_releases_backing_when_read_dry() {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 8192);
         assert_eq!(rb.heap_bytes(), 0, "buffers grow on demand from zero");
-        rb.offer(SeqNum::new(0), [3u8; 8192].into());
+        rb.offer(SeqNum::new(0), [3u8; 8192].into(), None);
         assert!(rb.heap_bytes() >= 8192);
         assert!(rb.heap_bytes() < 16384, "got {}", rb.heap_bytes());
         rb.read(8192);
@@ -647,9 +576,10 @@ mod tests {
             let base = SeqNum::new(0xffff_f000u32.wrapping_add(round * 97));
             let cap = rng.range(64, 300) as usize;
             let mut rb = RecvBuffer::new(base, cap);
-            if round % 2 == 0 {
-                rb.enable_gate();
-            }
+            let mut gate = match round % 2 {
+                0 => ChainGate::closed(base, base),
+                _ => ChainGate::OPEN,
+            };
             let mut read_off = 0u64;
             for _ in 0..600 {
                 match rng.range(0, 8) {
@@ -658,12 +588,12 @@ mod tests {
                         let off = rng.range(lo, rb.nxt_off + cap as u64 + 20);
                         let len = rng.range(1, 40);
                         let data: Vec<u8> = (off..off + len).map(byte_at).collect();
-                        rb.offer(base + off as u32, data.into());
+                        rb.offer(base + off as u32, data.into(), gate.deposit_limit());
                     }
                     4 | 5 => {
                         let upto = rb.nxt_off + rng.range(0, 64);
-                        rb.gate_deposits_below(base + upto as u32);
-                        rb.deposit();
+                        gate.on_report(base, base + upto as u32);
+                        rb.deposit(gate.deposit_limit());
                     }
                     6 => {
                         let max = rng.range(0, 50) as usize;
@@ -674,11 +604,11 @@ mod tests {
                         assert_eq!(got, (read_off..end).map(byte_at).collect::<Vec<u8>>());
                         read_off = end;
                     }
-                    _ if rb.is_gated() => {
-                        rb.clear_gate();
-                        rb.deposit();
+                    _ if gate.deposit_limit().is_some() => {
+                        gate.open();
+                        rb.deposit(None);
                     }
-                    _ => rb.enable_gate(),
+                    _ => gate = ChainGate::closed(base, rb.rcv_nxt()),
                 }
                 let held = rb.runs.runs().map(|(_, run)| run.len()).sum::<usize>();
                 assert_eq!(rb.runs.len(), held);
@@ -722,28 +652,5 @@ mod tests {
             sb.ack_to(sb.base() + rng.range(0, sb.len() as u64 + 1) as u32);
         }
         assert!(wrapped > 50, "only {wrapped} slices crossed the ring seam");
-    }
-
-    /// The gate: no byte at offset >= limit ever becomes readable.
-    #[test]
-    fn gate_invariant() {
-        let mut rng = SimRng::seed_from(0x9a7e);
-        for _ in 0..128 {
-            let limit = rng.range(0, 64) as u32;
-            let n_offers = rng.range(1, 16) as usize;
-            let base = SeqNum::new(500);
-            let mut rb = RecvBuffer::new(base, 4096);
-            rb.enable_gate();
-            rb.gate_deposits_below(base + limit);
-            for _ in 0..n_offers {
-                let off = rng.range(0, 64) as u32;
-                let len = rng.range(1, 16) as usize;
-                let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
-                rb.offer(base + off, data.into());
-            }
-            // rcv_nxt never passes the gate.
-            assert!((rb.rcv_nxt() - base) <= limit);
-            assert!(rb.readable_len() as u32 <= limit);
-        }
     }
 }

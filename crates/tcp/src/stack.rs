@@ -473,7 +473,7 @@ impl TcpStack {
     /// connection that has seen none yet. A detector already built keeps
     /// its parameters and is only unlatched.
     pub fn setportopt(&mut self, port: u16, config: ReplicatedPortConfig, now: SimTime) {
-        let gated = config.gated();
+        let gated = config.has_successor;
         let promoted = config.predecessor.is_none();
         self.replicated.insert(port, config);
         for quad in self.parked_quads(|q| q.local.port == port) {
@@ -488,8 +488,7 @@ impl TcpStack {
             // grandfathered with their current chain discipline.
             let q = &mut self.queues;
             if !gated {
-                entry.conn.disable_send_gate(now, q);
-                entry.conn.disable_deposit_gate(now, q);
+                entry.conn.open_gate(now, q);
             }
             if promoted {
                 entry.conn.kick(now, q);
@@ -872,9 +871,7 @@ impl TcpStack {
         if seg.flags.syn && !seg.flags.ack && self.listeners.contains_key(&seg.dst_port) {
             let replication = self.replicated.get(&seg.dst_port).cloned();
             let iss = deterministic_iss(quad);
-            let gated = replication
-                .as_ref()
-                .is_some_and(ReplicatedPortConfig::gated);
+            let gated = replication.as_ref().is_some_and(|r| r.has_successor);
             // Replica connections forward their flow-control fields along
             // the ack channel the moment they would ack; delaying those
             // reports would stack a delayed-ack timer per chain stage onto
@@ -951,14 +948,14 @@ impl TcpStack {
         });
     }
 
-    /// Applies an ack-channel report from the chain successor: raises the
-    /// matching connection's send gate (SEQ) and deposit gate (ACK).
+    /// Applies an ack-channel report from the chain successor to the
+    /// matching connection's gate: SEQ raises its send limit, ACK its
+    /// deposit limit.
     fn on_ack_chan(&mut self, msg: AckChanMsg, now: SimTime) {
         self.stats.ackchan_rx += 1;
         if let Some((slot, mut entry)) = self.take_conn(msg.quad()) {
             let q = &mut self.queues;
-            entry.conn.raise_send_gate(msg.seq, now, q);
-            entry.conn.raise_deposit_gate(msg.ack, now, q);
+            entry.conn.on_report(msg.seq, msg.ack, now, q);
             self.finish_entry(Some(slot), entry, now);
         }
     }
@@ -1009,9 +1006,7 @@ impl TcpStack {
                     ConnEvent::Reset => entry.app.on_reset(quad),
                     ConnEvent::Closed => entry.app.on_closed(quad),
                     ConnEvent::AckProgress => {}
-                    ConnEvent::DuplicateData
-                    | ConnEvent::RetransmitTimeout
-                    | ConnEvent::GateStarved(_) => {
+                    ConnEvent::BrokenLoop(signal) => {
                         // The §4.3 broken-loop signals feed one suspicion
                         // counter: a duplicate segment (the client
                         // retransmitted, so the primary stopped
@@ -1035,7 +1030,6 @@ impl TcpStack {
                                 let port = &self.replicated[&quad.local.port];
                                 Box::new(FailureDetector::new(port.detector))
                             });
-                            let signal = ev.signal().expect("a broken-loop event");
                             if d.on_duplicate(now, signal, &self.obs, quad) {
                                 self.events.push(StackEvent::FailureSuspected {
                                     port: quad.local.port,
