@@ -396,14 +396,54 @@ impl ChaosOutcome {
 /// Runs one `(class, seed)` chaos run. Pure function of its arguments —
 /// the unit of parallel work.
 pub fn chaos_point(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> ChaosOutcome {
-    chaos_point_run(cfg, class, seed).0
+    ChaosRun::build(cfg, class, seed).run()
 }
 
 /// Chrome trace-event JSON of one traced `(class, seed)` run — the
 /// `--trace` export of the `chaos` binary, loadable in chrome://tracing.
 pub fn chrome_trace_json(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> String {
-    let (_, system) = chaos_point_run(cfg, class, seed);
+    let (_, system) = run_deployed(ChaosRun::build(cfg, class, seed));
     system.obs().chrome_trace_json()
+}
+
+/// One `(class, seed)` chaos run split where its set-up ends, so the two
+/// phases can be measured apart: [`build`](Self::build) deploys the rig,
+/// converges its registrations and arms the fault plan; [`run`](Self::run)
+/// streams the echo through the faults and judges it. [`chaos_point`] is
+/// the two in a row.
+pub struct ChaosRun<'a> {
+    cfg: &'a ChaosConfig,
+    class: FaultClass,
+    seed: u64,
+    rig: Rig,
+    plan: FaultPlan,
+    /// When the plan's first fault lands.
+    t0: SimTime,
+}
+
+impl<'a> ChaosRun<'a> {
+    /// Builds the run's deployment up to its first client byte.
+    pub fn build(cfg: &'a ChaosConfig, class: FaultClass, seed: u64) -> Self {
+        let (rig, plan, t0) = deploy(cfg, class, seed);
+        ChaosRun {
+            cfg,
+            class,
+            seed,
+            rig,
+            plan,
+            t0,
+        }
+    }
+
+    /// Simulated events the set-up processed.
+    pub fn events(&self) -> u64 {
+        self.rig.star.system.sim.stats().events_processed
+    }
+
+    /// Streams the echo through the faults and checks the invariants.
+    pub fn run(self) -> ChaosOutcome {
+        run_deployed(self).0
+    }
 }
 
 /// A chaos deployment: the solo-redirector [`Star`], or the redirector pair
@@ -460,11 +500,18 @@ fn deploy(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (Rig, FaultPlan, S
     (rig, plan, t0)
 }
 
-/// One `(class, seed)` run: stream an echo transfer through the deployment,
-/// apply the class's plan, and check the chaos invariants (for pair classes
-/// also measuring the standby's promotion latency).
-fn chaos_point_run(cfg: &ChaosConfig, class: FaultClass, seed: u64) -> (ChaosOutcome, System) {
-    let (rig, plan, t0) = deploy(cfg, class, seed);
+/// Streams an echo transfer through a built run, applies the class's plan,
+/// and checks the chaos invariants (for pair classes also measuring the
+/// standby's promotion latency); hands back the system for export.
+fn run_deployed(run: ChaosRun<'_>) -> (ChaosOutcome, System) {
+    let ChaosRun {
+        cfg,
+        class,
+        seed,
+        rig,
+        plan,
+        t0,
+    } = run;
     let Star {
         mut system,
         client,

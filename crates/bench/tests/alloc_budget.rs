@@ -9,9 +9,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use hydranet_bench::chaos::{ChaosConfig, ChaosRun, FaultClass};
 use hydranet_bench::fig4::{run_point, Fig4Config, Fig4Params};
 use hydranet_bench::scale::{aggregate_bytes_per_flow, run_cell, run_scale, ScaleConfig};
 use hydranet_netsim::buf::PacketBuf;
+use hydranet_netsim::frag::{fragment_packet, Reassembler};
 use hydranet_netsim::link::LinkParams;
 use hydranet_netsim::node::{Context, IfaceId, Node, NodeId, NodeParams};
 use hydranet_netsim::packet::{IpAddr, IpPacket, Protocol, IP_HEADER_LEN};
@@ -24,6 +26,7 @@ use hydranet_tcp::ft::ChainGate;
 use hydranet_tcp::segment::SockAddr;
 use hydranet_tcp::seq::SeqNum;
 use hydranet_tcp::stack::{SocketApp, TcpStack};
+use hydranet_tcp::udp::UdpDatagram;
 
 thread_local! {
     /// Allocator calls (alloc, zeroed alloc, realloc) made on this thread.
@@ -146,12 +149,14 @@ impl Node for Sink {
 }
 
 /// Allocations spent delivering one 1000-byte packet from a source
-/// through `k` plain forwarding routers to a sink. A first packet walks
-/// the path beforehand, so every queue, the calendar and the dispatch
-/// scratch have grown to what one packet in flight needs.
-fn allocs_over_hops(k: usize) -> u64 {
+/// through `k` plain forwarding routers to a sink over links of `mtu`
+/// bytes, and the packets (fragments, past a small MTU) the sink got per
+/// send. A first packet walks the path beforehand, so every queue, the
+/// calendar and the dispatch scratch have grown to what one packet in
+/// flight needs.
+fn allocs_over_hops(k: usize, mtu: usize) -> (u64, u64) {
     const DST: IpAddr = IpAddr::new(10, 0, 9, 1);
-    let link = LinkParams::new(10_000_000, SimDuration::from_micros(100));
+    let link = LinkParams::new(10_000_000, SimDuration::from_micros(100)).with_mtu(mtu);
     let mut t = TopologyBuilder::new();
     let src = t.add_node(Sink::default(), NodeParams::INSTANT);
     let mut prev = src;
@@ -183,22 +188,113 @@ fn allocs_over_hops(k: usize) -> u64 {
         sim.run_until_idle();
     };
     send(&mut sim);
+    let pieces = sim.node::<Sink>(dst).got;
     let ((), allocs) = count(|| send(&mut sim));
     assert_eq!(
         sim.node::<Sink>(dst).got,
-        2,
+        2 * pieces,
         "both packets crossed {k} hops"
     );
-    allocs
+    (allocs, pieces)
 }
 
 /// A hop costs no allocation: a packet that fits the MTU is queued on
 /// each link as it is, so four routers cost what one does.
 #[test]
 fn a_forwarding_hop_allocates_nothing() {
-    let one = allocs_over_hops(1);
-    let four = allocs_over_hops(4);
+    let (one, _) = allocs_over_hops(1, 1500);
+    let (four, _) = allocs_over_hops(4, 1500);
     assert_eq!(one, four, "1 hop: {one} allocations, 4 hops: {four}");
+}
+
+/// Nor does a hop over a link whose MTU splits the packet: the first link
+/// queues each fragment, a view of the packet's payload, as it is cut,
+/// and the fragments cross the later links as they are.
+#[test]
+fn a_hop_over_an_mtu_limited_link_allocates_nothing() {
+    for k in [1, 4] {
+        let (allocs, pieces) = allocs_over_hops(k, 600);
+        assert_eq!(pieces, 2, "600 B links split a 1,020 B packet in two");
+        assert_eq!(allocs, 0, "{k} hops at MTU 600: {allocs} allocations");
+    }
+}
+
+/// A 2,000-byte UDP packet, id `id`, and its fragments at a 1,500-byte
+/// MTU, in order.
+fn mtu_split(id: u16) -> (IpPacket, Vec<IpPacket>) {
+    let payload: Vec<u8> = (0..2_000u32).map(|i| (i % 251) as u8).collect();
+    let mut packet = IpPacket::new(
+        IpAddr::new(10, 0, 1, 1),
+        IpAddr::new(10, 0, 2, 1),
+        Protocol::UDP,
+        payload,
+    );
+    packet.header.id = id;
+    let fragments: Vec<IpPacket> = fragment_packet(packet.clone(), 1500)
+        .expect("fragments")
+        .collect();
+    assert_eq!(fragments.len(), 2);
+    (packet, fragments)
+}
+
+/// Offers `fragments` to `r` and returns the datagram they complete.
+fn reassemble(r: &mut Reassembler, fragments: Vec<IpPacket>) -> IpPacket {
+    let mut whole = None;
+    for f in fragments {
+        whole = r.push(SimTime::ZERO, f).or(whole);
+    }
+    whole.expect("the train completes")
+}
+
+/// In-order fragments of one datagram (the redirector's tunnelled
+/// full-size segment, split at the 1,500 B MTU) rejoin as one view of the
+/// payload they were cut from: reassembly copies nothing and allocates
+/// nothing.
+#[test]
+fn in_order_fragments_reassemble_as_a_view_with_no_allocation() {
+    let mut r = Reassembler::new();
+    // Warm the partial-datagram table with one train.
+    reassemble(&mut r, mtu_split(1).1);
+    let (packet, fragments) = mtu_split(2);
+    let (whole, allocs) = count(|| reassemble(&mut r, fragments));
+    assert_eq!(whole.payload, packet.payload);
+    assert!(PacketBuf::same_backing(&whole.payload, &packet.payload));
+    assert_eq!(allocs, 0, "reassembly allocated {allocs} times");
+}
+
+/// A train whose pieces are views of different backings (reversed, or
+/// one fragment re-backed by in-flight corruption) is gathered with one
+/// copy, byte for byte what arrived.
+#[test]
+fn reversed_and_corrupted_trains_reassemble_byte_exact() {
+    let mut r = Reassembler::new();
+    let (packet, mut fragments) = mtu_split(3);
+    fragments.reverse();
+    let whole = reassemble(&mut r, fragments);
+    assert_eq!(whole.payload, packet.payload);
+
+    let (packet, mut fragments) = mtu_split(4);
+    // Corruption copies the fragment's payload and flips a bit in it.
+    let mut bytes = fragments[1].payload.to_vec();
+    bytes[7] ^= 0x10;
+    fragments[1].payload = PacketBuf::from(bytes);
+    let mut expect = packet.payload.to_vec();
+    expect[fragments[0].payload.len() + 7] ^= 0x10;
+    let whole = reassemble(&mut r, fragments);
+    assert_eq!(whole.payload, expect);
+    assert!(!PacketBuf::same_backing(&whole.payload, &packet.payload));
+}
+
+/// Decoding a datagram, as the ack channel and the management plane do
+/// with each one they receive, allocates nothing: the payload is a view
+/// of the packet.
+#[test]
+fn udp_decode_allocates_nothing() {
+    let wire = UdpDatagram::encode_parts(7101, 7101, &[9u8; 48]);
+    let (datagram, allocs) = count(|| UdpDatagram::decode(&wire).expect("a datagram"));
+    assert_eq!(allocs, 0, "decode allocated {allocs} times");
+    assert_eq!(datagram.payload, [9u8; 48][..]);
+    assert!(PacketBuf::same_backing(&datagram.payload, &wire));
 }
 
 /// Allocations and events of a Figure 4 primary+backup transfer of 64 KiB
@@ -215,7 +311,11 @@ fn fig4_primary_backup(write: usize) -> (u64, u64) {
 }
 
 /// Allocations per simulator event of the 512-byte transfer. Measured
-/// 0.3523 (1,154 allocations over 3,276 events) since a connection queues
+/// 0.2683 (879 allocations over 3,276 events) since in-order fragments
+/// rejoin as a view, UDP payloads are views, the fragmenter fills no
+/// vector, the core apps read into their own buffers and timeline facts
+/// keep their fields instead of cloning them, down from 0.3471 (1,137);
+/// 0.3523 (1,154) since a connection queues
 /// its SYN or SYN-ACK straight into its stack's queue, down from 0.3529
 /// (1,156) when each opened connection allocated an outbox of its own,
 /// 0.3935 (1,289) when every received run took a deque slot, 0.4255
@@ -227,7 +327,7 @@ fn fig4_primary_backup(write: usize) -> (u64, u64) {
 /// again).
 #[test]
 fn fig4_primary_backup_allocations_per_event_stay_bounded() {
-    const BOUND: f64 = 0.370;
+    const BOUND: f64 = 0.282;
     let (allocs, events) = fig4_primary_backup(512);
     let per_event = allocs as f64 / events as f64;
     assert!(
@@ -251,6 +351,42 @@ fn fig4_primary_backup_allocation_counts() {
     }
 }
 
+/// Allocations, peak live heap and events of a chaos echo run, seed 7001,
+/// for four fail-over classes, each with set-up (rig build, registration,
+/// fault plan) and run (the 90 KB echo through the faults) apart, so a
+/// change's counts on the fail-over path can be read from the test log.
+/// Each class runs on a fresh thread, so none inherits another's
+/// thread-local set-up.
+#[test]
+fn chaos_echo_allocation_counts() {
+    let classes = [
+        FaultClass::PrimaryCrash,
+        FaultClass::TailCrash,
+        FaultClass::AckChannelBurst,
+        FaultClass::RedirectorFailover,
+    ];
+    for class in classes {
+        let [build, run] = std::thread::spawn(move || {
+            let cfg = ChaosConfig::default();
+            let ((built, build_allocs), build_peak) =
+                peak_heap(|| count(|| ChaosRun::build(&cfg, class, 7001)));
+            let build_events = built.events();
+            let ((outcome, run_allocs), run_peak) = peak_heap(|| count(|| built.run()));
+            assert!(outcome.invariants_hold(), "{} seed 7001", outcome.class);
+            [
+                (build_allocs, build_peak, build_events),
+                (run_allocs, run_peak, outcome.events - build_events),
+            ]
+        })
+        .join()
+        .expect("class ran");
+        let name = class.name();
+        for ((allocs, peak, events), phase) in [(build, "build"), (run, "run")] {
+            println!("chaos {name:<14} seed 7001 {phase:<5}: {allocs} allocations, peak live heap {peak} B, {events} events");
+        }
+    }
+}
+
 /// A warmed receive buffer holds gated and out-of-order segments as views
 /// of the segments themselves: offering one allocates nothing.
 #[test]
@@ -268,7 +404,7 @@ fn held_segments_are_views_not_copies() {
         rb.offer(base + 16 * i as u32, seg.clone(), gated);
     }
     rb.deposit(None);
-    rb.read(16 * (2 * SEGMENTS as usize - 1));
+    rb.read(&mut Vec::new(), 16 * (2 * SEGMENTS as usize - 1));
     let next = base + 16 * 2 * SEGMENTS;
     let gated = ChainGate::closed(next, next).deposit_limit();
     let ((), allocs) = count(|| {

@@ -53,7 +53,9 @@ impl SinkState {
         self.max_gap.map(|(a, b)| b.duration_since(a))
     }
 
-    fn record_arrival(&mut self, now: SimTime, bytes: &[u8]) {
+    /// Notes a delivery at `now`, whose bytes the reader has appended to
+    /// `data` already.
+    fn record_arrival(&mut self, now: SimTime) {
         if self.first_byte_at.is_none() {
             self.first_byte_at = Some(now);
         }
@@ -67,8 +69,20 @@ impl SinkState {
             }
         }
         self.last_byte_at = Some(now);
-        self.data.extend_from_slice(bytes);
     }
+}
+
+/// Writes `bytes` until the socket takes no more; returns how many it took.
+fn write_until_full(io: &mut SocketIo<'_>, bytes: &[u8]) -> usize {
+    let mut at = 0;
+    while at < bytes.len() {
+        let n = io.write(&bytes[at..]);
+        if n == 0 {
+            break;
+        }
+        at += n;
+    }
+    at
 }
 
 /// A server/client app that collects everything it receives and optionally
@@ -101,24 +115,32 @@ impl EchoApp {
     }
 
     fn flush_backlog(&mut self, io: &mut SocketIo<'_>) {
-        while !self.backlog.is_empty() {
-            let n = io.write(&self.backlog);
-            if n == 0 {
-                break;
-            }
-            self.backlog.drain(..n);
-        }
+        let n = write_until_full(io, &self.backlog);
+        self.backlog.drain(..n);
     }
 }
 
 impl SocketApp for EchoApp {
+    /// Reads straight into the sink's record; an echo writes the fresh
+    /// bytes from there and queues only what the socket refuses (behind
+    /// an older backlog, all of them, so the echo stays in order).
     fn on_data(&mut self, io: &mut SocketIo<'_>) {
-        let data = io.read_all();
-        if self.echo {
-            self.backlog.extend_from_slice(&data);
+        let mut st = self.state.borrow_mut();
+        let start = st.data.len();
+        io.read_to_end(&mut st.data);
+        st.record_arrival(io.now());
+        if !self.echo {
+            return;
+        }
+        let fresh = &st.data[start..];
+        if self.backlog.is_empty() {
+            let sent = write_until_full(io, fresh);
+            self.backlog.extend_from_slice(&fresh[sent..]);
+        } else {
+            self.backlog.extend_from_slice(fresh);
+            drop(st);
             self.flush_backlog(io);
         }
-        self.state.borrow_mut().record_arrival(io.now(), &data);
     }
 
     fn on_send_space(&mut self, io: &mut SocketIo<'_>) {
@@ -174,13 +196,7 @@ impl StreamSenderApp {
     }
 
     fn pump(&mut self, io: &mut SocketIo<'_>) {
-        while self.cursor < self.payload.len() {
-            let n = io.write(&self.payload[self.cursor..]);
-            if n == 0 {
-                break;
-            }
-            self.cursor += n;
-        }
+        self.cursor += write_until_full(io, &self.payload[self.cursor..]);
         let mut st = self.state.borrow_mut();
         st.written = self.cursor;
         if self.cursor == self.payload.len() && !st.finished_writing {
@@ -204,9 +220,9 @@ impl SocketApp for StreamSenderApp {
     }
 
     fn on_data(&mut self, io: &mut SocketIo<'_>) {
-        let data = io.read_all();
-        let now = io.now();
-        self.state.borrow_mut().replies.record_arrival(now, &data);
+        let replies = &mut self.state.borrow_mut().replies;
+        io.read_to_end(&mut replies.data);
+        replies.record_arrival(io.now());
     }
 
     fn on_reset(&mut self, _quad: Quad) {
@@ -238,13 +254,8 @@ impl LineReplyApp {
     }
 
     fn flush_backlog(&mut self, io: &mut SocketIo<'_>) {
-        while !self.backlog.is_empty() {
-            let n = io.write(&self.backlog);
-            if n == 0 {
-                break;
-            }
-            self.backlog.drain(..n);
-        }
+        let n = write_until_full(io, &self.backlog);
+        self.backlog.drain(..n);
     }
 }
 
@@ -356,10 +367,10 @@ mod tests {
     #[test]
     fn sink_state_tracks_gaps() {
         let mut s = SinkState::default();
-        s.record_arrival(SimTime::from_millis(10), b"a");
-        s.record_arrival(SimTime::from_millis(20), b"b");
-        s.record_arrival(SimTime::from_millis(500), b"c");
-        s.record_arrival(SimTime::from_millis(510), b"d");
+        for (ms, byte) in [(10, b'a'), (20, b'b'), (500, b'c'), (510, b'd')] {
+            s.data.push(byte);
+            s.record_arrival(SimTime::from_millis(ms));
+        }
         assert_eq!(s.len(), 4);
         assert_eq!(s.first_byte_at, Some(SimTime::from_millis(10)));
         assert_eq!(s.last_byte_at, Some(SimTime::from_millis(510)));

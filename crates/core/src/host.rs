@@ -374,6 +374,7 @@ impl Node for HostServer {
 mod tests {
     use hydranet_mgmt::proto::MGMT_PORT;
     use hydranet_mgmt::reliable::DEFAULT_RETRY_INTERVAL;
+    use hydranet_netsim::buf::PacketBuf;
     use hydranet_netsim::node::{Context, IfaceId, Node};
     use hydranet_netsim::packet::{IpPacket, Protocol};
     use hydranet_netsim::topology::TopologyBuilder;
@@ -496,7 +497,7 @@ mod tests {
             let data = UdpDatagram {
                 src_port: 7000,
                 dst_port: 7001,
-                payload: vec![0; 64],
+                payload: PacketBuf::from([0; 64]),
             };
             let packet = IpPacket::new(RD, HS, Protocol::UDP, data.encode());
             ctx.send(IfaceId::from_index(0), packet);

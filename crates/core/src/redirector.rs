@@ -98,11 +98,7 @@ impl ManagedRedirector {
         for action in self.controller.take_actions() {
             match action {
                 ControllerAction::Send(dst, payload) => {
-                    let datagram = UdpDatagram {
-                        src_port: MGMT_PORT,
-                        dst_port: MGMT_PORT,
-                        payload,
-                    };
+                    let datagram = UdpDatagram::encode_parts(MGMT_PORT, MGMT_PORT, &payload);
                     // Host daemons are configured with the pair's VIP and
                     // match replies by source address, so anything bound
                     // for a host must be sourced from the VIP. Peer
@@ -113,7 +109,7 @@ impl ManagedRedirector {
                     } else {
                         self.engine.virtual_addr().unwrap_or(self.engine.addr())
                     };
-                    let packet = IpPacket::new(src, dst, Protocol::UDP, datagram.encode());
+                    let packet = IpPacket::new(src, dst, Protocol::UDP, datagram);
                     self.engine.route_own(packet, out);
                 }
                 // The controller only emits updates at its own epoch, which
@@ -126,7 +122,7 @@ impl ManagedRedirector {
                         self.obs.event(
                             now.as_nanos(),
                             kinds::TABLE_REMOVED,
-                            &[redirector, service_field],
+                            [redirector, service_field],
                         );
                     } else {
                         let chain_desc = describe(&chain);
@@ -136,7 +132,7 @@ impl ManagedRedirector {
                         self.obs.event(
                             now.as_nanos(),
                             kinds::TABLE_INSTALLED,
-                            &[redirector, service_field, ("chain", chain_desc)],
+                            [redirector, service_field, ("chain", chain_desc)],
                         );
                     }
                 }
@@ -243,6 +239,7 @@ impl Node for ManagedRedirector {
 #[cfg(test)]
 mod tests {
     use hydranet_mgmt::proto::{Envelope, MgmtMsg, MGMT_PORT};
+    use hydranet_netsim::buf::PacketBuf;
     use hydranet_netsim::node::{IfaceId, Node};
     use hydranet_netsim::packet::{IpPacket, Protocol};
     use hydranet_tcp::udp::UdpDatagram;
@@ -261,7 +258,7 @@ mod tests {
         let mut b = SystemBuilder::new(TcpConfig::default());
         let rd = b.add_redirector("rd", rd_addr);
         let mut system = b.build(3);
-        let deliver = |system: &mut System, src: IpAddr, dst: IpAddr, payload: Vec<u8>| {
+        let deliver = |system: &mut System, src: IpAddr, dst: IpAddr, payload: PacketBuf| {
             let packet = IpPacket::new(src, dst, Protocol::UDP, payload);
             system
                 .sim
@@ -280,12 +277,8 @@ mod tests {
                 host,
             },
         };
-        let datagram = UdpDatagram {
-            src_port: MGMT_PORT,
-            dst_port: MGMT_PORT,
-            payload: register.encode(),
-        };
-        deliver(&mut system, host, rd_addr, datagram.encode());
+        let datagram = UdpDatagram::encode_parts(MGMT_PORT, MGMT_PORT, &register.encode());
+        deliver(&mut system, host, rd_addr, datagram);
         let pending = system.redirector(rd).controller().next_deadline();
         assert!(pending.is_some());
         assert_eq!(system.sim.pending_wakeup(rd), pending);
@@ -301,7 +294,12 @@ mod tests {
         // A packet the engine handles (routed nowhere, dropped), well
         // before the controller's deadline.
         let client = IpAddr::new(10, 0, 1, 1);
-        deliver(&mut system, client, IpAddr::new(10, 0, 3, 1), vec![0; 8]);
+        deliver(
+            &mut system,
+            client,
+            IpAddr::new(10, 0, 3, 1),
+            PacketBuf::from([0; 8]),
+        );
         assert_eq!(system.sim.pending_wakeup(rd), pending);
     }
 

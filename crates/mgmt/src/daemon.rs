@@ -120,7 +120,7 @@ impl HostDaemon {
         self.obs.event(
             now.as_nanos(),
             kinds::REPLICA_REGISTERED,
-            &[
+            [
                 ("host", self.host.to_string()),
                 ("service", service.to_string()),
             ],
@@ -151,7 +151,7 @@ impl HostDaemon {
         self.obs.event(
             now.as_nanos(),
             kinds::FAILURE_REPORTED,
-            &[
+            [
                 ("reporter", self.host.to_string()),
                 ("service", service.to_string()),
                 ("observed", observed.to_string()),
@@ -221,7 +221,7 @@ impl HostDaemon {
                     self.obs.event(
                         now.as_nanos(),
                         kinds::PROMOTED,
-                        &[
+                        [
                             ("host", self.host.to_string()),
                             ("service", service.to_string()),
                         ],

@@ -325,13 +325,13 @@ impl ReplicaController {
             self.obs.event(
                 now.as_nanos(),
                 kinds::HOST_REMOVED,
-                &[("service", service.to_string()), ("host", host.to_string())],
+                [("service", service.to_string()), ("host", host.to_string())],
             );
         }
         self.obs.event(
             now.as_nanos(),
             kinds::CHAIN_RECONFIGURED,
-            &[
+            [
                 ("service", service.to_string()),
                 ("chain", describe(&new)),
                 ("length", new.len().to_string()),
@@ -385,7 +385,7 @@ impl ReplicaController {
         self.obs.event(
             now.as_nanos(),
             kinds::PROBE_STARTED,
-            &[
+            [
                 ("service", service.to_string()),
                 ("nonce", nonce.to_string()),
                 ("targets", count.to_string()),
@@ -508,7 +508,7 @@ impl ReplicaController {
         self.obs.event(
             now.as_nanos(),
             kinds::REDIRECTOR_PROMOTED,
-            &[("peer", peer.to_string()), ("term", term.to_string())],
+            [("peer", peer.to_string()), ("term", term.to_string())],
         );
         self.actions
             .push(ControllerAction::AnnounceRoutes { seq: term as u64 });
@@ -544,7 +544,7 @@ impl ReplicaController {
         self.obs.event(
             now.as_nanos(),
             kinds::REDIRECTOR_DEMOTED,
-            &[("peer", peer.to_string()), ("epoch", epoch.to_string())],
+            [("peer", peer.to_string()), ("epoch", epoch.to_string())],
         );
     }
 
@@ -579,7 +579,7 @@ impl ReplicaController {
             self.obs.event(
                 now.as_nanos(),
                 kinds::STALE_EPOCH_REJECTED,
-                &[
+                [
                     ("from", src.to_string()),
                     ("stale", incoming.to_string()),
                     ("current", current.to_string()),

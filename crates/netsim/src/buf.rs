@@ -239,6 +239,16 @@ impl PacketBuf {
     pub fn same_backing(a: &PacketBuf, b: &PacketBuf) -> bool {
         Rc::ptr_eq(&a.data, &b.data)
     }
+
+    /// Grows this view over `next` when `next` views the bytes right after
+    /// it in the same backing; returns whether it did.
+    fn join(&mut self, next: &PacketBuf) -> bool {
+        let adjacent = PacketBuf::same_backing(self, next) && self.off + self.len == next.off;
+        if adjacent {
+            self.len += next.len;
+        }
+        adjacent
+    }
 }
 
 impl Default for PacketBuf {
@@ -339,12 +349,14 @@ impl fmt::Debug for PacketBuf {
 /// Received bytes held as offset-ordered, non-overlapping views of the
 /// buffers they arrived in (the first copy of any byte wins).
 ///
-/// [`contiguous_end`](Self::contiguous_end) and
-/// [`read_into`](Self::read_into) touch only the runs they pass over, so a
-/// list holding thousands of gated runs costs a deposit or a read what the
-/// bytes moved cost. `read_into` makes the one copy. A lone run is held
-/// inline, so a reader that takes each buffer as it lands never allocates:
-/// a deque exists only from a second run on, until the list reads dry.
+/// [`contiguous_end`](Self::contiguous_end) and the reads touch only the
+/// runs they pass over, so a list holding thousands of gated runs costs a
+/// deposit or a read what the bytes moved cost. A read makes the one copy.
+/// A lone run is held inline, so a reader that takes each buffer as it
+/// lands never allocates: a deque exists only from a second run on, until
+/// the list reads dry. A view that continues the run before it in the same
+/// backing (the next in-order fragment of one datagram) grows that run
+/// instead of starting one, so such a train stays one inline view.
 #[derive(Debug, Clone, Default)]
 pub struct RunList(Runs);
 
@@ -408,6 +420,11 @@ impl RunList {
             }
             _ => {}
         }
+        if let Runs::One((o, b)) = &mut self.0 {
+            if *o + b.len() as u64 == off && b.join(&buf) {
+                return buf.len();
+            }
+        }
         let (runs, len) = self.deque();
         let mut added = 0;
         // The first run ending past `off`; the runs before it are untouched.
@@ -420,25 +437,38 @@ impl RunList {
                     let skip = hi.min(end) - off;
                     off += skip;
                     buf = buf.slice(skip as usize..);
+                    i += 1;
                 }
                 Some((lo, _)) if lo < end => {
                     // Room up to the next run.
                     let take = (lo - off) as usize;
-                    runs.insert(i, (off, buf.slice(..take)));
+                    i += Self::place(runs, i, off, buf.slice(..take));
                     added += take;
                     off = lo;
                     buf = buf.slice(take..);
                 }
                 _ => {
                     added += buf.len();
-                    runs.insert(i, (off, buf));
+                    Self::place(runs, i, off, buf);
                     break;
                 }
             }
-            i += 1;
         }
         *len += added;
         added
+    }
+
+    /// Holds `buf` at `off`, just before `runs[i]`: as more of the run
+    /// before it when `buf` continues that run's view, else as a new run.
+    /// Returns the runs added (0 or 1).
+    fn place(runs: &mut VecDeque<Run>, i: usize, off: u64, buf: PacketBuf) -> usize {
+        if let Some((o, prev)) = i.checked_sub(1).and_then(|j| runs.get_mut(j)) {
+            if *o + prev.len() as u64 == off && prev.join(&buf) {
+                return 0;
+            }
+        }
+        runs.insert(i, (off, buf));
+        1
     }
 
     /// The runs as a deque and their byte count, moving a lone inline run
@@ -471,8 +501,7 @@ impl RunList {
         end.min(limit).max(from)
     }
 
-    /// Copies the first `out.len()` bytes held into `out` and drops them;
-    /// the storage goes back to the allocator once nothing is held.
+    /// Copies the first `out.len()` bytes held into `out` and drops them.
     ///
     /// # Panics
     ///
@@ -480,26 +509,49 @@ impl RunList {
     /// also if those bytes are not contiguous.
     pub fn read_into(&mut self, out: &mut [u8]) {
         let mut at = 0;
-        while at < out.len() {
+        self.read(out.len(), |run| {
+            out[at..at + run.len()].copy_from_slice(run);
+            at += run.len();
+        });
+    }
+
+    /// Appends the first `n` bytes held to `out` and drops them: one copy
+    /// per byte, into room `out` grows once, with nothing zero-filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` bytes are held. In debug builds, also if
+    /// those bytes are not contiguous.
+    pub fn append_to(&mut self, out: &mut Vec<u8>, n: usize) {
+        out.reserve(n);
+        self.read(n, |run| out.extend_from_slice(run));
+    }
+
+    /// Hands the first `n` bytes held to `take`, a run's bytes at a time,
+    /// and drops them; the storage goes back to the allocator once nothing
+    /// is held. The public reads' panics are this one's.
+    fn read(&mut self, n: usize, mut take: impl FnMut(&[u8])) {
+        let mut left = n;
+        while left > 0 {
             let (off, run) = self.front_mut().expect("read past the held bytes");
-            let n = run.len().min(out.len() - at);
-            out[at..at + n].copy_from_slice(&run[..n]);
-            at += n;
-            if n < run.len() {
-                *off += n as u64;
-                *run = run.slice(n..);
+            let k = run.len().min(left);
+            take(&run[..k]);
+            left -= k;
+            if k < run.len() {
+                *off += k as u64;
+                *run = run.slice(k..);
             } else {
-                let end = *off + n as u64;
+                let end = *off + k as u64;
                 self.pop_front();
                 debug_assert!(
-                    at == out.len() || self.runs().next().is_some_and(|(o, _)| o == end),
+                    left == 0 || self.runs().next().is_some_and(|(o, _)| o == end),
                     "read across a hole"
                 );
             }
         }
         // Only a deque that still holds runs counts its bytes itself.
         if let Runs::Many(_, len) = &mut self.0 {
-            *len -= out.len();
+            *len -= n;
         }
     }
 
@@ -800,27 +852,72 @@ mod tests {
         assert_eq!(runs.heap_bytes(), 0);
     }
 
-    /// Random overlapping inserts, each filling its bytes with its own tag,
+    #[test]
+    fn run_list_joins_a_view_that_continues_a_run_in_its_backing() {
+        let whole = PacketBuf::from((0u8..30).collect::<Vec<u8>>());
+        let thirds = [(0, 10), (10, 20), (20, 30)];
+        let mut in_order = RunList::default();
+        for (lo, hi) in thirds {
+            assert_eq!(in_order.insert(lo as u64, whole.slice(lo..hi)), 10);
+        }
+        let held: Vec<(u64, &PacketBuf)> = in_order.runs().collect();
+        assert_eq!(held.len(), 1, "one inline run");
+        assert_eq!((held[0].0, held[0].1), (0, &whole));
+        assert!(PacketBuf::same_backing(held[0].1, &whole));
+        assert_eq!(in_order.heap_bytes(), 30, "no run slot");
+        // Out of order, each view starts before the held run: no joining.
+        let mut reversed = RunList::default();
+        for (lo, hi) in thirds.into_iter().rev() {
+            reversed.insert(lo as u64, whole.slice(lo..hi));
+        }
+        assert_eq!(reversed.runs().count(), 3);
+        // A copy (another backing) starts a run, and so does the view after
+        // it, whose backing is not the copy's.
+        let mut copied = RunList::default();
+        copied.insert(0, whole.slice(0..10));
+        copied.insert(10, PacketBuf::from(&whole[10..20]));
+        copied.insert(20, whole.slice(20..30));
+        assert_eq!(copied.runs().count(), 3);
+        // Filling a hole between runs: the filler joins the run before it.
+        let mut holed = RunList::default();
+        holed.insert(0, whole.slice(0..10));
+        holed.insert(20, whole.slice(20..30));
+        assert_eq!(holed.insert(10, whole.slice(10..20)), 10);
+        let offs: Vec<(u64, usize)> = holed.runs().map(|(o, b)| (o, b.len())).collect();
+        assert_eq!(offs, [(0, 20), (20, 10)]);
+        for mut runs in [in_order, reversed, copied, holed] {
+            let mut out = Vec::new();
+            runs.append_to(&mut out, 30);
+            assert_eq!(out, whole);
+            assert_eq!(runs.heap_bytes(), 0);
+        }
+    }
+
+    /// Random overlapping inserts, each filling its bytes with its own tag
+    /// or, half the time, viewing one shared backing (whose views join),
     /// against a byte map where the first writer of a byte wins.
     #[test]
     fn run_list_matches_a_first_writer_byte_map() {
         let mut rng = crate::rng::SimRng::seed_from(0x2e_5eed);
+        // Byte `o` of the shared backing is `50 + o`, never a tag.
+        let shared: PacketBuf = (50..250u8).collect();
         for _ in 0..64 {
             let mut runs = RunList::default();
             let mut bytes = [None::<u8>; 200];
             for tag in 0..40u8 {
                 let off = rng.range(0, 190);
                 let len = rng.range(1, 200 - off);
-                let fresh = (off..off + len)
-                    .filter(|&o| bytes[o as usize].is_none())
-                    .count();
-                assert_eq!(
-                    runs.insert(off, PacketBuf::from(vec![tag; len as usize])),
-                    fresh
-                );
-                for o in off..off + len {
-                    bytes[o as usize].get_or_insert(tag);
+                let (lo, hi) = (off as usize, (off + len) as usize);
+                let buf = if rng.chance(0.5) {
+                    shared.slice(lo..hi)
+                } else {
+                    PacketBuf::from(vec![tag; hi - lo])
+                };
+                let fresh = bytes[lo..hi].iter().filter(|b| b.is_none()).count();
+                for (o, byte) in (lo..hi).zip(buf.iter()) {
+                    bytes[o].get_or_insert(*byte);
                 }
+                assert_eq!(runs.insert(off, buf), fresh);
                 let mut next = 0;
                 for (o, run) in runs.runs() {
                     assert!(o >= next, "runs overlap or are out of order");

@@ -2,10 +2,15 @@
 //!
 //! Links have an MTU; a packet whose on-wire size exceeds the egress MTU is
 //! split into fragments (unless its *don't fragment* flag is set, in which
-//! case it is dropped, as a router would). The receiving host reassembles
-//! fragments keyed by `(src, dst, protocol, id)`, holding their payloads
-//! as views in a [`RunList`] (first copy of a byte wins) and copying a
-//! datagram at most once, when it joins several runs.
+//! case it is dropped, as a router would). [`fragment_packet`] yields the
+//! fragments one at a time as views of the packet's payload, so a link
+//! queues a train with no copy and no vector. The receiving host
+//! reassembles fragments keyed by `(src, dst, protocol, id)`, holding their
+//! payloads as views in a [`RunList`] (first copy of a byte wins). In-order
+//! fragments of one payload join into one view of it there, so the usual
+//! train reassembles with no copy at all; a datagram that arrives as views
+//! of several backings (out of order, overlapping, corrupted in flight) is
+//! copied once, when it completes.
 //!
 //! The paper's Figure 4 notes that throughput drops again for writes larger
 //! than the MTU "due to the fragmentation of packets"; this module is what
@@ -24,11 +29,12 @@ const FRAG_ALIGN: usize = 8;
 const MAX_DATAGRAM_PAYLOAD: u64 = u16::MAX as u64 - IP_HEADER_LEN as u64;
 
 /// Splits `packet` into fragments that each fit within `mtu` bytes on the
-/// wire (header included).
+/// wire (header included), yielded in offset order.
 ///
-/// Returns the original packet unchanged (as a single-element vector) when it
-/// already fits. Fragment payload sizes are multiples of 8 bytes except for
-/// the final fragment, mirroring real IP.
+/// Yields the original packet unchanged (as the only item) when it already
+/// fits. Fragment payload sizes are multiples of 8 bytes except for the
+/// final fragment, mirroring real IP. Each fragment's payload is a view of
+/// the packet's: nothing is copied.
 ///
 /// # Errors
 ///
@@ -46,49 +52,82 @@ const MAX_DATAGRAM_PAYLOAD: u64 = u16::MAX as u64 - IP_HEADER_LEN as u64;
 ///                       Protocol::UDP, vec![0u8; 100]);
 /// let frags = fragment_packet(p, 68).unwrap();
 /// assert!(frags.len() > 1);
-/// assert!(frags.iter().all(|f| f.total_len() <= 68));
+/// assert!(frags.into_iter().all(|f| f.total_len() <= 68));
 /// ```
-pub fn fragment_packet(packet: IpPacket, mtu: usize) -> Result<Vec<IpPacket>, FragError> {
-    if packet.total_len() <= mtu {
-        return Ok(vec![packet]);
-    }
-    if packet.header.frag.dont_fragment {
+pub fn fragment_packet(packet: IpPacket, mtu: usize) -> Result<Fragments, FragError> {
+    let unit = if packet.total_len() <= mtu {
+        // One piece: the packet itself.
+        packet.payload.len().max(1)
+    } else if packet.header.frag.dont_fragment {
         return Err(FragError::DontFragment {
             size: packet.total_len(),
             mtu,
         });
-    }
-    let room = mtu.saturating_sub(IP_HEADER_LEN);
-    let unit = room / FRAG_ALIGN * FRAG_ALIGN;
+    } else {
+        mtu.saturating_sub(IP_HEADER_LEN) / FRAG_ALIGN * FRAG_ALIGN
+    };
     if unit == 0 {
         return Err(FragError::MtuTooSmall { mtu });
     }
+    Ok(Fragments {
+        packet: Some(packet),
+        unit,
+        cursor: 0,
+    })
+}
 
-    let base_offset = packet.header.frag.offset;
-    let trailing_more = packet.header.frag.more_fragments;
-    let payload = packet.payload;
-    let mut fragments = Vec::with_capacity(payload.len() / unit + 1);
-    let mut cursor = 0usize;
-    while cursor < payload.len() {
-        let end = (cursor + unit).min(payload.len());
-        let last = end == payload.len();
-        let mut frag = IpPacket {
-            header: packet.header.clone(),
-            // O(1) view into the original payload: fragmentation shares
-            // the backing store instead of copying each piece.
-            payload: payload.slice(cursor..end),
-        };
-        frag.header.frag = FragInfo {
-            offset: base_offset + cursor as u32,
-            // A middle fragment of an already-fragmented packet keeps MF set.
-            more_fragments: !last || trailing_more,
+/// The fragments of one packet, from [`fragment_packet`].
+#[derive(Debug)]
+pub struct Fragments {
+    /// The packet being cut; `None` once its last piece is out.
+    packet: Option<IpPacket>,
+    /// Payload bytes per fragment.
+    unit: usize,
+    /// Payload offset of the next fragment.
+    cursor: usize,
+}
+
+impl Iterator for Fragments {
+    type Item = IpPacket;
+
+    fn next(&mut self) -> Option<IpPacket> {
+        let packet = self.packet.as_ref()?;
+        let (start, len) = (self.cursor, packet.payload.len());
+        self.cursor = (start + self.unit).min(len);
+        if self.cursor == len {
+            // The last piece is the packet itself, its payload cut to the
+            // tail; it keeps the packet's more-fragments flag, as the last
+            // piece of a fragment must.
+            let mut last = self.packet.take()?;
+            if start > 0 {
+                last.payload = last.payload.slice(start..);
+                last.header.frag.offset += start as u32;
+            }
+            return Some(last);
+        }
+        let mut header = packet.header.clone();
+        header.frag = FragInfo {
+            offset: packet.header.frag.offset + start as u32,
+            more_fragments: true,
             dont_fragment: false,
         };
-        fragments.push(frag);
-        cursor = end;
+        Some(IpPacket {
+            header,
+            // O(1) view into the original payload: fragmentation shares
+            // the backing store instead of copying each piece.
+            payload: packet.payload.slice(start..self.cursor),
+        })
     }
-    Ok(fragments)
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.packet.as_ref().map_or(0, |p| {
+            (p.payload.len() - self.cursor).div_ceil(self.unit).max(1)
+        });
+        (n, Some(n))
+    }
 }
+
+impl ExactSizeIterator for Fragments {}
 
 /// Error returned by [`fragment_packet`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -319,6 +358,11 @@ mod tests {
     use super::*;
     use crate::packet::Protocol;
 
+    /// The fragments of `p` at `mtu`, collected.
+    fn pieces(p: IpPacket, mtu: usize) -> Vec<IpPacket> {
+        fragment_packet(p, mtu).unwrap().collect()
+    }
+
     fn packet(len: usize, id: u16) -> IpPacket {
         let mut p = IpPacket::new(
             IpAddr::new(10, 0, 0, 1),
@@ -333,14 +377,14 @@ mod tests {
     #[test]
     fn small_packet_passes_through() {
         let p = packet(40, 1);
-        let frags = fragment_packet(p.clone(), 1500).unwrap();
+        let frags = pieces(p.clone(), 1500);
         assert_eq!(frags, vec![p]);
     }
 
     #[test]
     fn fragments_respect_mtu_and_alignment() {
         let p = packet(1000, 2);
-        let frags = fragment_packet(p, 300).unwrap();
+        let frags = pieces(p, 300);
         assert!(frags.len() >= 4);
         for (i, f) in frags.iter().enumerate() {
             assert!(f.total_len() <= 300, "fragment {i} oversized");
@@ -356,7 +400,7 @@ mod tests {
     #[test]
     fn offsets_are_contiguous() {
         let p = packet(500, 3);
-        let frags = fragment_packet(p, 128).unwrap();
+        let frags = pieces(p, 128);
         let mut next = 0u32;
         for f in &frags {
             assert_eq!(f.header.frag.offset, next);
@@ -398,6 +442,8 @@ mod tests {
         }
         let whole = out.expect("reassembled");
         assert_eq!(whole.payload, p.payload);
+        // The in-order pieces rejoined as one view: nothing was copied.
+        assert!(PacketBuf::same_backing(&whole.payload, &p.payload));
         assert!(!whole.header.frag.is_fragment());
         assert_eq!(r.pending(), 0);
     }
@@ -405,7 +451,7 @@ mod tests {
     #[test]
     fn reassembly_out_of_order() {
         let p = packet(700, 7);
-        let mut frags = fragment_packet(p.clone(), 200).unwrap();
+        let mut frags = pieces(p.clone(), 200);
         frags.reverse();
         let mut r = Reassembler::new();
         let mut out = None;
@@ -418,7 +464,7 @@ mod tests {
     #[test]
     fn duplicate_fragments_are_harmless() {
         let p = packet(300, 8);
-        let frags = fragment_packet(p.clone(), 128).unwrap();
+        let frags = pieces(p.clone(), 128);
         let mut r = Reassembler::new();
         let mut out = None;
         for f in frags.iter().chain(frags.iter()) {
@@ -433,8 +479,8 @@ mod tests {
     fn interleaved_datagrams_do_not_mix() {
         let a = packet(400, 10);
         let b = packet(400, 11);
-        let fa = fragment_packet(a.clone(), 150).unwrap();
-        let fb = fragment_packet(b.clone(), 150).unwrap();
+        let fa = pieces(a.clone(), 150);
+        let fb = pieces(b.clone(), 150);
         let mut r = Reassembler::new();
         let mut done = Vec::new();
         for (x, y) in fa.into_iter().zip(fb) {
@@ -453,7 +499,7 @@ mod tests {
     #[test]
     fn partial_datagrams_expire() {
         let p = packet(400, 12);
-        let frags = fragment_packet(p, 150).unwrap();
+        let frags = pieces(p, 150);
         let mut r = Reassembler::with_limits(SimDuration::from_secs(1), DEFAULT_MAX_PARTIALS);
         // Push all but the last fragment.
         for f in &frags[..frags.len() - 1] {
@@ -472,21 +518,21 @@ mod tests {
         // Two orphaned fragment trains occupy both slots, staggered in time
         // so their expiry deadlines (and thus eviction order) differ.
         for (i, at) in [(20u16, 0u64), (21, 1)] {
-            let frags = fragment_packet(packet(400, i), 150).unwrap();
+            let frags = pieces(packet(400, i), 150);
             assert!(r.push(SimTime::from_secs(at), frags[0].clone()).is_none());
         }
         assert_eq!(r.pending(), 2);
         assert_eq!(r.evicted(), 0);
         // A third train arrives: the oldest partial (id 20) is evicted.
-        let frags = fragment_packet(packet(400, 22), 150).unwrap();
+        let frags = pieces(packet(400, 22), 150);
         assert!(r.push(SimTime::from_secs(2), frags[0].clone()).is_none());
         assert_eq!(r.pending(), 2);
         assert_eq!(r.evicted(), 1);
         // The survivor (id 21) can still complete.
         let rest = fragment_packet(packet(400, 21), 150).unwrap();
         let mut out = None;
-        for f in rest.iter().skip(1) {
-            if let Some(w) = r.push(SimTime::from_secs(2), f.clone()) {
+        for f in rest.skip(1) {
+            if let Some(w) = r.push(SimTime::from_secs(2), f) {
                 out = Some(w);
             }
         }
@@ -496,7 +542,7 @@ mod tests {
     #[test]
     fn duplicate_fragment_of_tracked_datagram_does_not_evict() {
         let mut r = Reassembler::with_limits(SimDuration::from_secs(30), 1);
-        let frags = fragment_packet(packet(400, 30), 150).unwrap();
+        let frags = pieces(packet(400, 30), 150);
         assert!(r.push(SimTime::ZERO, frags[0].clone()).is_none());
         // Re-offering a fragment of the datagram already being tracked must
         // not count as "new" and evict the very entry it belongs to.
@@ -549,7 +595,7 @@ mod tests {
         p.payload.set_lineage(0xCAFE);
         let mut r = Reassembler::new();
         let mut out = None;
-        for f in fragment_packet(p, 200).unwrap() {
+        for f in pieces(p, 200).into_iter().rev() {
             // Slicing during fragmentation inherits the tag…
             assert_eq!(f.payload.lineage(), 0xCAFE);
             out = r.push(SimTime::ZERO, f);

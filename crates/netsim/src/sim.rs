@@ -490,7 +490,7 @@ impl Simulator {
                 self.obs.event(
                     self.now.as_nanos(),
                     kinds::NODE_CRASHED,
-                    &[("node", node.to_string())],
+                    [("node", node.to_string())],
                 );
             }
             EventKind::Recover(node) => {
@@ -503,7 +503,7 @@ impl Simulator {
                 self.obs.event(
                     self.now.as_nanos(),
                     kinds::NODE_RECOVERED,
-                    &[("node", node.to_string())],
+                    [("node", node.to_string())],
                 );
                 self.dispatch(node, |n, ctx| n.on_recover(ctx));
             }
@@ -523,7 +523,7 @@ impl Simulator {
                 self.obs.event(
                     self.now.as_nanos(),
                     kinds::LINK_DOWN,
-                    &[("link", link.to_string())],
+                    [("link", link.to_string())],
                 );
             }
             EventKind::LinkUp(link) => {
@@ -531,7 +531,7 @@ impl Simulator {
                 self.obs.event(
                     self.now.as_nanos(),
                     kinds::LINK_UP,
-                    &[("link", link.to_string())],
+                    [("link", link.to_string())],
                 );
             }
             EventKind::SetImpairments { link, imp } => {
@@ -540,7 +540,7 @@ impl Simulator {
                 self.obs.event(
                     self.now.as_nanos(),
                     kinds::LINK_IMPAIRED,
-                    &[("link", link.to_string()), ("impairments", desc)],
+                    [("link", link.to_string()), ("impairments", desc)],
                 );
             }
         }
@@ -743,7 +743,7 @@ pub(crate) fn link_enqueue(
         return;
     }
     match fragment_packet(packet, mtu) {
-        Ok(fragments) => fragments.into_iter().for_each(push),
+        Ok(fragments) => fragments.for_each(push),
         Err(_) => state.stats.dropped_mtu += 1,
     }
 }

@@ -112,7 +112,7 @@ struct Inner {
 /// let obs = Obs::enabled();
 /// let c = obs.counter("tcp.stack.segments_rx");
 /// c.inc();
-/// obs.event(1_000, "tcp.detector.suspected", &[("quad", "a-b".into())]);
+/// obs.event(1_000, "tcp.detector.suspected", [("quad", "a-b".into())]);
 /// assert!(obs.to_json().contains("tcp.detector.suspected"));
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -164,9 +164,24 @@ impl Obs {
     /// Facts recorded at the same instant keep their insertion order. When
     /// tracing is on, the well-known fail-over kinds also make up the
     /// crash→detect→report→promote→reconverge phase spans (see [`trace`]).
-    pub fn event(&self, at_nanos: u64, kind: &'static str, fields: &[(&'static str, String)]) {
+    /// The log keeps `fields` themselves; nothing is cloned.
+    pub fn event(
+        &self,
+        at_nanos: u64,
+        kind: &'static str,
+        fields: impl IntoIterator<Item = (&'static str, String)>,
+    ) {
         if let Some(rc) = &self.inner {
-            let fields = fields.to_vec();
+            // The log keeps a fact for the whole run, so each value is kept
+            // at its length: one formatted by `to_string` can carry up to
+            // half its capacity spare. Shrinking an exact one is free.
+            let fields = fields
+                .into_iter()
+                .map(|(name, mut value)| {
+                    value.shrink_to_fit();
+                    (name, value)
+                })
+                .collect();
             rc.borrow_mut().timeline.push(at_nanos, kind, 0, fields);
         }
     }
@@ -353,7 +368,7 @@ mod tests {
         let obs = Obs::disabled();
         obs.counter("x").add(3);
         obs.histogram("h").record(9);
-        obs.event(5, kinds::DETECTOR_SUSPECTED, &[]);
+        obs.event(5, kinds::DETECTOR_SUSPECTED, []);
         assert!(!obs.is_enabled());
         assert!(obs.events().is_empty());
         assert_eq!(obs.detection_latency_nanos(), None);
@@ -372,22 +387,22 @@ mod tests {
     #[test]
     fn detection_latency_spans_detect_to_promote() {
         let obs = Obs::enabled();
-        obs.event(1_000, kinds::DETECTOR_DUPLICATE, &[]);
-        obs.event(2_000, kinds::DETECTOR_SUSPECTED, &[]);
-        obs.event(3_000, kinds::HOST_REMOVED, &[]);
-        obs.event(7_500, kinds::PROMOTED, &[]);
+        obs.event(1_000, kinds::DETECTOR_DUPLICATE, []);
+        obs.event(2_000, kinds::DETECTOR_SUSPECTED, []);
+        obs.event(3_000, kinds::HOST_REMOVED, []);
+        obs.event(7_500, kinds::PROMOTED, []);
         assert_eq!(obs.detection_latency_nanos(), Some(5_500));
     }
 
     #[test]
     fn detection_latency_requires_both_events() {
         let obs = Obs::enabled();
-        obs.event(2_000, kinds::DETECTOR_SUSPECTED, &[]);
+        obs.event(2_000, kinds::DETECTOR_SUSPECTED, []);
         assert_eq!(obs.detection_latency_nanos(), None);
         // A promotion *before* the suspicion does not count.
         let obs = Obs::enabled();
-        obs.event(1_000, kinds::PROMOTED, &[]);
-        obs.event(2_000, kinds::DETECTOR_SUSPECTED, &[]);
+        obs.event(1_000, kinds::PROMOTED, []);
+        obs.event(2_000, kinds::DETECTOR_SUSPECTED, []);
         assert_eq!(obs.detection_latency_nanos(), None);
     }
 
@@ -453,11 +468,11 @@ mod tests {
     fn timeline_events_drive_failover_spans_when_tracing() {
         let obs = Obs::enabled();
         obs.enable_tracing(32);
-        obs.event(100, kinds::NODE_CRASHED, &[("node", "n2".into())]);
-        obs.event(200, kinds::DETECTOR_SUSPECTED, &[]);
-        obs.event(250, kinds::FAILURE_REPORTED, &[]);
-        obs.event(300, kinds::PROMOTED, &[]);
-        obs.event(400, kinds::CHAIN_RECONFIGURED, &[]);
+        obs.event(100, kinds::NODE_CRASHED, [("node", "n2".into())]);
+        obs.event(200, kinds::DETECTOR_SUSPECTED, []);
+        obs.event(250, kinds::FAILURE_REPORTED, []);
+        obs.event(300, kinds::PROMOTED, []);
+        obs.event(400, kinds::CHAIN_RECONFIGURED, []);
         let dump = obs.flight_recorder_json(&[]);
         for needle in [
             "detect",
@@ -479,7 +494,7 @@ mod tests {
         let obs = Obs::enabled();
         obs.counter("a.b.count").inc();
         obs.histogram("a.b.lat_us").record(100);
-        obs.event(9, kinds::PROMOTED, &[("host", "10.0.2.1".into())]);
+        obs.event(9, kinds::PROMOTED, [("host", "10.0.2.1".into())]);
         let j = obs.to_json_with_meta(&[("scenario", "test".into())]);
         for needle in [
             "\"meta\"",

@@ -898,7 +898,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         let tunnel = out[0].1.clone();
         // …which a small-MTU link splits into a fragment train.
-        let frags = fragment_packet(tunnel, 600).expect("fragments");
+        let frags: Vec<IpPacket> = fragment_packet(tunnel, 600).expect("fragments").collect();
         assert!(frags.len() > 1);
 
         // The redirector crashes after fragment 1: the chain member is left
@@ -918,8 +918,8 @@ mod tests {
         for id in [91u16, 92, 93] {
             let mut p = tcp_packet(80, 2000);
             p.header.id = id;
-            let f = fragment_packet(p, 600).unwrap();
-            assert!(member.push(later, f[0].clone()).is_none());
+            let first = fragment_packet(p, 600).unwrap().next().expect("a fragment");
+            assert!(member.push(later, first).is_none());
         }
         assert_eq!(member.pending(), 2);
         assert_eq!(member.evicted(), 1);

@@ -90,7 +90,9 @@ fn prop_fragment_reassemble_roundtrip() {
         let mut packet = IpPacket::new(CLIENT, SERVICE, Protocol::TCP, bytes.clone());
         packet.header.id = i as u16;
         let mtu = rng.range(100, 2000) as usize;
-        let frags = fragment_packet(packet.clone(), mtu).expect("fragment");
+        let frags: Vec<IpPacket> = fragment_packet(packet.clone(), mtu)
+            .expect("fragment")
+            .collect();
         // Every fragment fits the MTU and slices the original payload
         // without copying it.
         let mut covered = 0usize;
@@ -112,6 +114,10 @@ fn prop_fragment_reassemble_roundtrip() {
         }
         let whole = whole.expect("reassembled");
         assert_eq!(whole.payload, bytes);
+        // In-order fragments rejoin as a view of the original payload.
+        if !bytes.is_empty() {
+            assert!(PacketBuf::same_backing(&packet.payload, &whole.payload));
+        }
         assert_eq!(whole.src(), CLIENT);
         assert_eq!(whole.dst(), SERVICE);
     }
@@ -297,9 +303,10 @@ fn prop_empty_payload_edge_cases() {
         assert_eq!(decapsulate(&outer).expect("decap"), inner);
 
         // Fragmenting an empty-payload packet is a no-op single "fragment".
-        let frags = fragment_packet(inner.clone(), 1500).expect("fragment");
-        assert_eq!(frags.len(), 1);
-        assert_eq!(frags[0], inner);
+        let frags: Vec<IpPacket> = fragment_packet(inner.clone(), 1500)
+            .expect("fragment")
+            .collect();
+        assert_eq!(frags, [inner]);
     }
 }
 

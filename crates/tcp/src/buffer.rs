@@ -249,12 +249,13 @@ impl RecvBuffer {
         }
     }
 
-    /// Reads up to `max` deposited bytes: the one copy of a received byte.
-    pub fn read(&mut self, max: usize) -> Vec<u8> {
-        let mut out = vec![0; max.min(self.readable_len())];
-        self.runs.read_into(&mut out);
-        self.read_off += out.len() as u64;
-        out
+    /// Appends up to `max` deposited bytes to `out`, the one copy of a
+    /// received byte, and returns how many.
+    pub fn read(&mut self, out: &mut Vec<u8>, max: usize) -> usize {
+        let n = max.min(self.readable_len());
+        self.runs.append_to(out, n);
+        self.read_off += n as u64;
+        n
     }
 
     /// Moves `RCV.NXT` over the held bytes that are contiguous with it and
@@ -297,10 +298,17 @@ impl RecvBuffer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::ft::ChainGate;
     use hydranet_netsim::rng::SimRng;
+
+    /// Reads up to `max` deposited bytes into a fresh vector.
+    pub(crate) fn read(rb: &mut RecvBuffer, max: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        rb.read(&mut out, max);
+        out
+    }
 
     #[test]
     fn send_buffer_write_and_ack() {
@@ -359,8 +367,8 @@ mod tests {
             Offer::Deposited
         );
         assert_eq!(rb.rcv_nxt(), SeqNum::new(12));
-        assert_eq!(rb.read(100), b"hello world");
-        assert_eq!(rb.read(100), Vec::<u8>::new());
+        assert_eq!(read(&mut rb, 100), b"hello world");
+        assert_eq!(read(&mut rb, 100), Vec::<u8>::new());
     }
 
     #[test]
@@ -374,7 +382,7 @@ mod tests {
             Offer::Deposited
         );
         assert_eq!(rb.rcv_nxt(), SeqNum::new(11));
-        assert_eq!(rb.read(100), b"hello world");
+        assert_eq!(read(&mut rb, 100), b"hello world");
     }
 
     #[test]
@@ -390,7 +398,7 @@ mod tests {
             Offer::Duplicate
         );
         assert_eq!(rb.rcv_nxt(), SeqNum::new(4));
-        assert_eq!(rb.read(100), b"abcd");
+        assert_eq!(read(&mut rb, 100), b"abcd");
     }
 
     #[test]
@@ -399,7 +407,7 @@ mod tests {
         rb.offer(SeqNum::new(4), b"efgh".into(), None);
         rb.offer(SeqNum::new(0), b"abcdef".into(), None); // overlaps staged run
         assert_eq!(rb.rcv_nxt(), SeqNum::new(8));
-        assert_eq!(rb.read(100), b"abcdefgh");
+        assert_eq!(read(&mut rb, 100), b"abcdefgh");
     }
 
     #[test]
@@ -410,7 +418,7 @@ mod tests {
         assert_eq!(rb.window(), 70);
         rb.offer(SeqNum::new(50), [2u8; 20].into(), None); // out of order, staged
         assert_eq!(rb.window(), 50);
-        rb.read(30);
+        read(&mut rb, 30);
         assert_eq!(rb.window(), 80);
     }
 
@@ -419,7 +427,7 @@ mod tests {
         let mut rb = RecvBuffer::new(SeqNum::new(0), 10);
         rb.offer(SeqNum::new(0), [1u8; 50].into(), None);
         assert_eq!(rb.rcv_nxt(), SeqNum::new(10));
-        assert_eq!(rb.read(100).len(), 10);
+        assert_eq!(read(&mut rb, 100).len(), 10);
     }
 
     /// Unread bytes count against the window: a sender that ignores it
@@ -447,7 +455,7 @@ mod tests {
         assert_eq!(rb.readable_len(), 100);
         assert_eq!(rb.heap_bytes(), heap);
         // Reading opens the window again.
-        assert_eq!(rb.read(30).len(), 30);
+        assert_eq!(read(&mut rb, 30).len(), 30);
         assert_eq!(
             rb.offer(SeqNum::new(100), [4u8; 100].into(), None),
             Offer::Deposited
@@ -464,7 +472,7 @@ mod tests {
             rb.offer(SeqNum::new(100), b"abcdEF".into(), None),
             Offer::Deposited
         );
-        assert_eq!(rb.read(100), b"abcdEF");
+        assert_eq!(read(&mut rb, 100), b"abcdEF");
     }
 
     #[test]
@@ -473,12 +481,12 @@ mod tests {
         let mut rb = RecvBuffer::new(start, 1024);
         assert_eq!(rb.offer(start, b"abcdef".into(), None), Offer::Deposited); // crosses the wrap
         assert_eq!(rb.rcv_nxt(), SeqNum::new(3));
-        assert_eq!(rb.read(100), b"abcdef");
+        assert_eq!(read(&mut rb, 100), b"abcdef");
         assert_eq!(
             rb.offer(SeqNum::new(3), b"gh".into(), None),
             Offer::Deposited
         );
-        assert_eq!(rb.read(100), b"gh");
+        assert_eq!(read(&mut rb, 100), b"gh");
     }
 
     fn shuffle<T>(items: &mut [T], rng: &mut SimRng) {
@@ -521,7 +529,7 @@ mod tests {
                 rb.offer(base + o as u32, data.into(), None);
             }
             assert_eq!(rb.rcv_nxt(), base + total as u32);
-            assert_eq!(rb.read(total + 1), stream);
+            assert_eq!(read(&mut rb, total + 1), stream);
         }
     }
 
@@ -558,7 +566,7 @@ mod tests {
         rb.offer(SeqNum::new(0), [3u8; 8192].into(), None);
         assert!(rb.heap_bytes() >= 8192);
         assert!(rb.heap_bytes() < 16384, "got {}", rb.heap_bytes());
-        rb.read(8192);
+        read(&mut rb, 8192);
         assert_eq!(rb.heap_bytes(), 0, "drained readable queue is released");
     }
 
@@ -600,7 +608,7 @@ mod tests {
                         let end = read_off + max.min(rb.readable_len()) as u64;
                         let spanned = rb.runs.runs().take_while(|&(o, _)| o < end).count();
                         multi_run_reads += usize::from(spanned >= 2);
-                        let got = rb.read(max);
+                        let got = read(&mut rb, max);
                         assert_eq!(got, (read_off..end).map(byte_at).collect::<Vec<u8>>());
                         read_off = end;
                     }

@@ -628,7 +628,7 @@ impl Connection {
                         t.obs.event(
                             now.as_nanos(),
                             kinds::GATE_STALL,
-                            &[
+                            [
                                 ("quad", self.quad.to_string()),
                                 ("stalled_us", (stalled.as_nanos() / 1_000).to_string()),
                             ],
@@ -666,13 +666,14 @@ impl Connection {
         n
     }
 
-    /// Reads up to `max` bytes of in-order received data.
-    pub(crate) fn read(&mut self, max: usize, q: &mut ConnQueues) -> Vec<u8> {
-        let data = self.recvbuf.read(max);
-        if !data.is_empty() {
+    /// Appends up to `max` bytes of in-order received data to `out`;
+    /// returns how many.
+    pub(crate) fn read(&mut self, out: &mut Vec<u8>, max: usize, q: &mut ConnQueues) -> usize {
+        let n = self.recvbuf.read(out, max);
+        if n > 0 {
             self.maybe_send_window_update(q);
         }
-        data
+        n
     }
 
     /// Initiates a graceful close: a FIN follows any buffered data.
@@ -1091,7 +1092,7 @@ impl Connection {
             t.obs.event(
                 now.as_nanos(),
                 kinds::GATE_STALL,
-                &[
+                [
                     ("quad", self.quad.to_string()),
                     ("starved", signal.name().to_string()),
                 ],
@@ -1632,13 +1633,7 @@ mod tests {
                 return;
             }
             if let Some(s) = self.server.as_mut() {
-                loop {
-                    let data = s.read(4096, &mut self.server_q);
-                    if data.is_empty() {
-                        break;
-                    }
-                    self.server_received.extend(data);
-                }
+                while s.read(&mut self.server_received, 4096, &mut self.server_q) > 0 {}
                 self.collect(true);
             }
             self.drain_client_reads();
@@ -1648,13 +1643,8 @@ mod tests {
             if !self.auto_read {
                 return;
             }
-            loop {
-                let data = self.client.read(4096, &mut self.client_q);
-                if data.is_empty() {
-                    break;
-                }
-                self.client_received.extend(data);
-            }
+            let (client, q) = (&mut self.client, &mut self.client_q);
+            while client.read(&mut self.client_received, 4096, q) > 0 {}
             self.collect(false);
         }
 
@@ -2602,7 +2592,9 @@ mod close_tests {
             b.c.on_segment(seg, t, &mut b.q);
         }
         shuttle(&mut a, &mut b, t);
-        assert_eq!(b.c.read(100, &mut b.q), b"last words");
+        let mut got = Vec::new();
+        b.c.read(&mut got, 100, &mut b.q);
+        assert_eq!(got, b"last words");
         assert_eq!(b.c.state(), TcpState::CloseWait);
     }
 

@@ -150,7 +150,7 @@ impl FailureDetector {
             obs.event(
                 now.as_nanos(),
                 kinds::DETECTOR_DUPLICATE,
-                &[
+                [
                     ("scope", quad.to_string()),
                     ("signal", signal.name().to_string()),
                     ("total", self.duplicates_total.to_string()),
@@ -163,7 +163,7 @@ impl FailureDetector {
             obs.event(
                 now.as_nanos(),
                 kinds::DETECTOR_SUSPECTED,
-                &[
+                [
                     ("scope", quad.to_string()),
                     ("signal", signal.name().to_string()),
                     ("observed", self.duplicates_total.to_string()),
@@ -183,7 +183,7 @@ impl FailureDetector {
             obs.event(
                 now.as_nanos(),
                 kinds::DETECTOR_CLEARED,
-                &[
+                [
                     ("scope", quad.to_string()),
                     ("cleared", self.recent.len().to_string()),
                 ],

@@ -359,6 +359,7 @@ mod tests {
     use hydranet_netsim::time::SimDuration;
 
     use super::*;
+    use crate::buffer::tests::read;
     use crate::buffer::{Offer, RecvBuffer};
 
     fn quad() -> Quad {
@@ -533,12 +534,12 @@ mod tests {
         gate.on_report(base + 3, base + 4);
         assert!(rb.deposit(gate.deposit_limit()));
         assert_eq!(rb.rcv_nxt(), base + 4);
-        assert_eq!(rb.read(100), b"abcd");
+        assert_eq!(read(&mut rb, 100), b"abcd");
         assert_eq!((gate.send_room(base), gate.send_room(base + 3)), (3, 0));
         // Raise fully.
         gate.on_report(base, base + 8);
         assert!(rb.deposit(gate.deposit_limit()));
-        assert_eq!(rb.read(100), b"efgh");
+        assert_eq!(read(&mut rb, 100), b"efgh");
     }
 
     #[test]
@@ -565,7 +566,7 @@ mod tests {
         assert_eq!(gate.send_room(base + 2), usize::MAX);
         let after = rb.offer(base + 6, b"after".into(), gate.deposit_limit());
         assert_eq!(after, Offer::Deposited);
-        assert_eq!(rb.read(100), b"beforeafter");
+        assert_eq!(read(&mut rb, 100), b"beforeafter");
     }
 
     /// Opening releases every held byte and disarms both watchdogs for good.
@@ -582,7 +583,7 @@ mod tests {
         assert_eq!(gate.watchdogs(), [Some(now + rto); 2]);
         gate.open();
         assert!(rb.deposit(gate.deposit_limit()));
-        assert_eq!(rb.read(100), b"payload");
+        assert_eq!(read(&mut rb, 100), b"payload");
         gate.watch_send(true, now + rto);
         gate.watch_deposit(true, true, now + rto);
         assert_eq!(gate.watchdogs(), [None; 2]);

@@ -125,15 +125,25 @@ pub struct SocketIo<'a> {
 }
 
 impl<'a> SocketIo<'a> {
-    /// Reads up to `max` bytes of in-order data.
-    pub fn read(&mut self, max: usize) -> Vec<u8> {
-        self.conn.read(max, self.q)
+    /// Appends everything readable to `out` and returns how many bytes
+    /// that was: each byte is copied once, from the packet it arrived in,
+    /// into room `out` grows once and nothing zero-fills.
+    pub fn read_to_end(&mut self, out: &mut Vec<u8>) -> usize {
+        self.conn.read(out, usize::MAX, self.q)
     }
 
-    /// Reads everything currently available.
+    /// Reads up to `max` bytes of in-order data into a new vector.
+    pub fn read(&mut self, max: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.conn.read(&mut out, max, self.q);
+        out
+    }
+
+    /// Reads everything currently available into a new vector.
     pub fn read_all(&mut self) -> Vec<u8> {
-        let n = self.conn.readable_len();
-        self.conn.read(n, self.q)
+        let mut out = Vec::new();
+        self.read_to_end(&mut out);
+        out
     }
 
     /// Writes data; returns the number of bytes accepted.
@@ -182,8 +192,8 @@ pub enum StackEvent {
         local: SockAddr,
         /// Sender endpoint.
         remote: SockAddr,
-        /// Datagram payload.
-        payload: Vec<u8>,
+        /// Datagram payload: a view of the packet it arrived in.
+        payload: PacketBuf,
     },
     /// The failure estimator on a replicated port crossed its threshold:
     /// the flow-control loop appears broken (§4.3). The host should report
@@ -629,11 +639,7 @@ impl TcpStack {
     /// Panics in debug builds if `src.addr` is not local.
     pub fn udp_send(&mut self, src: SockAddr, dst: SockAddr, payload: Vec<u8>) {
         debug_assert!(self.is_local(src.addr), "udp_send from foreign address");
-        let datagram =
-            PacketBuf::with_headroom(IP_HEADER_LEN, UDP_HEADER_LEN + payload.len(), |d| {
-                d[UDP_HEADER_LEN..].copy_from_slice(&payload);
-                UdpDatagram::write_header(src.port, dst.port, d);
-            });
+        let datagram = UdpDatagram::encode_parts(src.port, dst.port, &payload);
         self.push_packet(src.addr, dst.addr, Protocol::UDP, datagram);
     }
 

@@ -8,7 +8,8 @@
 //! other using UDP for idempotent operations and a form of reliable UDP for
 //! the message exchanges", §4.4).
 
-use hydranet_netsim::packet::DecodeError;
+use hydranet_netsim::buf::PacketBuf;
+use hydranet_netsim::packet::{DecodeError, IP_HEADER_LEN};
 
 /// Size in bytes of the UDP header.
 pub const UDP_HEADER_LEN: usize = 8;
@@ -18,10 +19,15 @@ pub const UDP_HEADER_LEN: usize = 8;
 /// # Examples
 ///
 /// ```
+/// use hydranet_netsim::buf::PacketBuf;
 /// use hydranet_tcp::udp::UdpDatagram;
 ///
-/// let d = UdpDatagram { src_port: 5000, dst_port: 53, payload: vec![1, 2, 3] };
-/// assert_eq!(UdpDatagram::decode(&d.encode())?, d);
+/// let d = UdpDatagram { src_port: 5000, dst_port: 53, payload: PacketBuf::from([1, 2, 3]) };
+/// let wire = d.encode();
+/// let back = UdpDatagram::decode(&wire)?;
+/// assert_eq!(back, d);
+/// // The decoded payload is a view of the wire bytes, not a copy.
+/// assert!(PacketBuf::same_backing(&back.payload, &wire));
 /// # Ok::<(), hydranet_netsim::packet::DecodeError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -30,8 +36,8 @@ pub struct UdpDatagram {
     pub src_port: u16,
     /// Destination port.
     pub dst_port: u16,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
+    /// Payload bytes; a decoded datagram's are a view of the packet.
+    pub payload: PacketBuf,
 }
 
 impl UdpDatagram {
@@ -41,12 +47,19 @@ impl UdpDatagram {
     }
 
     /// Serialises to bytes: `src (2) | dst (2) | len (2) | checksum (2)`
-    /// then the payload; the header is [`write_header`](Self::write_header)'s.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![0; self.wire_len()];
-        out[UDP_HEADER_LEN..].copy_from_slice(&self.payload);
-        Self::write_header(self.src_port, self.dst_port, &mut out);
-        out
+    /// then the payload; see [`encode_parts`](Self::encode_parts).
+    pub fn encode(&self) -> PacketBuf {
+        Self::encode_parts(self.src_port, self.dst_port, &self.payload)
+    }
+
+    /// Encodes a datagram of `payload` into one packet buffer with room
+    /// in front for the IP header, so sending it allocates once. The
+    /// header is [`write_header`](Self::write_header)'s.
+    pub fn encode_parts(src_port: u16, dst_port: u16, payload: &[u8]) -> PacketBuf {
+        PacketBuf::with_headroom(IP_HEADER_LEN, UDP_HEADER_LEN + payload.len(), |d| {
+            d[UDP_HEADER_LEN..].copy_from_slice(payload);
+            Self::write_header(src_port, dst_port, d);
+        })
     }
 
     /// Writes the header into the first [`UDP_HEADER_LEN`] bytes of
@@ -69,14 +82,16 @@ impl UdpDatagram {
         datagram[6..8].copy_from_slice(&sum.to_be_bytes());
     }
 
-    /// Parses a datagram from bytes.
+    /// Parses a datagram from a packet's bytes; the payload is a view of
+    /// them, so decoding copies and allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] on truncation, an inexact length (a
     /// flipped length field must not re-frame the datagram), or a checksum
     /// mismatch (`BadChecksum`).
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
+    pub fn decode(wire: &PacketBuf) -> Result<Self, DecodeError> {
+        let bytes = wire.as_slice();
         if bytes.len() < UDP_HEADER_LEN {
             return Err(DecodeError::Truncated {
                 needed: UDP_HEADER_LEN,
@@ -103,7 +118,7 @@ impl UdpDatagram {
         Ok(UdpDatagram {
             src_port,
             dst_port,
-            payload: bytes[UDP_HEADER_LEN..UDP_HEADER_LEN + len].to_vec(),
+            payload: wire.slice(UDP_HEADER_LEN..),
         })
     }
 }
@@ -143,7 +158,7 @@ mod tests {
         built.extend_from_slice(&d.payload);
         UdpDatagram::write_header(7101, 7101, &mut built);
         assert_eq!(built, d.encode());
-        assert_eq!(UdpDatagram::decode(&built).unwrap(), d);
+        assert_eq!(UdpDatagram::decode(&built.into()).unwrap(), d);
     }
 
     #[test]
@@ -151,7 +166,7 @@ mod tests {
         let d = UdpDatagram {
             src_port: 1,
             dst_port: 2,
-            payload: vec![],
+            payload: PacketBuf::new(),
         };
         assert_eq!(UdpDatagram::decode(&d.encode()).unwrap(), d);
     }
@@ -161,15 +176,15 @@ mod tests {
         let d = UdpDatagram {
             src_port: 9,
             dst_port: 10,
-            payload: vec![5; 40],
+            payload: PacketBuf::from([5; 40]),
         };
         let bytes = d.encode();
-        assert!(UdpDatagram::decode(&bytes[..4]).is_err());
-        assert!(UdpDatagram::decode(&bytes[..20]).is_err());
-        let mut corrupted = bytes.clone();
+        assert!(UdpDatagram::decode(&bytes.slice(..4)).is_err());
+        assert!(UdpDatagram::decode(&bytes.slice(..20)).is_err());
+        let mut corrupted = bytes.to_vec();
         corrupted[30] ^= 0x40;
         assert!(matches!(
-            UdpDatagram::decode(&corrupted),
+            UdpDatagram::decode(&corrupted.into()),
             Err(DecodeError::BadChecksum { .. })
         ));
     }
@@ -187,10 +202,10 @@ mod tests {
         let bytes = d.encode();
         for _ in 0..256 {
             let bit = rng.range(0, bytes.len() as u64 * 8) as usize;
-            let mut flipped = bytes.clone();
+            let mut flipped = bytes.to_vec();
             flipped[bit / 8] ^= 1 << (bit % 8);
             assert!(
-                UdpDatagram::decode(&flipped).is_err(),
+                UdpDatagram::decode(&flipped.into()).is_err(),
                 "flip of bit {bit} went undetected"
             );
         }

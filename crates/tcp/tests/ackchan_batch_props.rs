@@ -69,7 +69,7 @@ fn deliver_report(stack: &mut TcpStack, payload: &[u8], now: SimTime) {
     let dgram = UdpDatagram {
         src_port: ACK_CHANNEL_PORT,
         dst_port: ACK_CHANNEL_PORT,
-        payload: payload.to_vec(),
+        payload: payload.into(),
     };
     let packet = IpPacket::new(BACKUP1_ADDR, PRIMARY_ADDR, Protocol::UDP, dgram.encode());
     stack.handle_packet(packet, now);

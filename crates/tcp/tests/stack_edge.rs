@@ -281,7 +281,7 @@ fn udp_delivery_surfaces_to_host() {
         events.iter().any(|e| matches!(
             e,
             StackEvent::UdpDelivery { local, remote, payload }
-                if local.port == 9001 && remote.port == 9000 && payload == b"datagram!"
+                if local.port == 9001 && remote.port == 9000 && payload.as_slice() == b"datagram!"
         )),
         "udp delivery missing: {events:?}"
     );
@@ -653,7 +653,7 @@ fn tunnelled_udp(layers: usize) -> IpPacket {
     let dgram = UdpDatagram {
         src_port: 9,
         dst_port: 7,
-        payload: vec![0; 20],
+        payload: vec![0; 20].into(),
     };
     let mut packet = IpPacket::new(B_ADDR, A_ADDR, Protocol::UDP, dgram.encode());
     for _ in 0..layers {
