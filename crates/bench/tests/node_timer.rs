@@ -75,6 +75,9 @@ impl Deadline for ClientHost {
     }
 }
 
+/// The stack's deadline and the daemon's. The daemon's covers both its
+/// retransmits and the registrations still to fire, as the shipping node's
+/// management deadline does.
 impl Deadline for HostServer {
     fn deadline(&self) -> Option<SimTime> {
         let daemon = self.daemon().next_deadline();

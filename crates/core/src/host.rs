@@ -21,26 +21,18 @@ use hydranet_tcp::stack::{EphemeralPortsExhausted, SocketApp, StackEvent, TcpSta
 /// deadline is earlier than the one already pending; a deadline that moved
 /// later is picked up when that entry fires (DESIGN.md §5c). A crash drops
 /// the host's connections, as it does a host server's.
+#[derive(Debug)]
 pub struct ClientHost {
-    stack: TcpStack,
     name: String,
-}
-
-impl std::fmt::Debug for ClientHost {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClientHost")
-            .field("name", &self.name)
-            .field("stack", &self.stack)
-            .finish()
-    }
+    stack: TcpStack,
 }
 
 impl ClientHost {
     /// Creates a client host at `addr`.
     pub fn new(name: impl Into<String>, addr: IpAddr, cfg: TcpConfig) -> Self {
         ClientHost {
-            stack: TcpStack::new(addr, cfg),
             name: name.into(),
+            stack: TcpStack::new(addr, cfg),
         }
     }
 
@@ -110,36 +102,17 @@ impl Node for ClientHost {
     }
 }
 
-/// A replica of a service scheduled for registration.
-struct PendingService {
-    service: SockAddr,
-    detector: DetectorParams,
-    register_at: SimTime,
-    registered: bool,
-}
-
 /// A HydraNet-FT host server: a [`TcpStack`] with virtual hosts and
-/// replicated ports, plus the management daemon (§4.1, §4.4).
+/// replicated ports, plus the management daemon (§4.1, §4.4), which keeps
+/// the host's one record of each replica it runs.
+#[derive(Debug)]
 pub struct HostServer {
+    name: String,
     stack: TcpStack,
     daemon: HostDaemon,
-    pending: Vec<PendingService>,
-    name: String,
-    /// Kept so a daemon recreated on recovery can be re-wired.
-    obs: Obs,
-    /// The earlier of the daemon's deadline and the first registration
-    /// still to fire, as of the last management pass; `ZERO` (due at once)
-    /// forces the next drive through that pass.
+    /// The daemon's deadline as of the last management pass; `ZERO` (due
+    /// at once) forces the next drive through that pass.
     mgmt_deadline: Option<SimTime>,
-}
-
-impl std::fmt::Debug for HostServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HostServer")
-            .field("name", &self.name)
-            .field("stack", &self.stack)
-            .finish()
-    }
 }
 
 impl HostServer {
@@ -157,11 +130,9 @@ impl HostServer {
         cfg: TcpConfig,
     ) -> Self {
         HostServer {
+            name: name.into(),
             stack: TcpStack::new(addr, cfg),
             daemon: HostDaemon::new(addr, redirectors, 1),
-            pending: Vec::new(),
-            name: name.into(),
-            obs: Obs::disabled(),
             mgmt_deadline: Some(SimTime::ZERO),
         }
     }
@@ -169,8 +140,7 @@ impl HostServer {
     /// Wires telemetry into the stack and the management daemon.
     pub fn set_obs(&mut self, obs: Obs) {
         self.stack.set_obs(obs.clone());
-        self.daemon.set_obs(obs.clone());
-        self.obs = obs;
+        self.daemon.set_obs(obs);
     }
 
     /// The host's stack.
@@ -189,22 +159,18 @@ impl HostServer {
     }
 
     /// Schedules the replica of `service` on this host for registration at
-    /// `register_at`. Registration order across hosts defines the daisy
-    /// chain (first registrant becomes the primary), so deployments stagger
-    /// these instants. A listener for the port must be installed
-    /// separately via [`stack_mut`](Self::stack_mut).
+    /// `at`. Registration order across hosts defines the daisy chain (first
+    /// registrant becomes the primary), so deployments stagger these
+    /// instants. A replica the daemon already holds is rescheduled in
+    /// place, never listed twice. A listener for the port must be
+    /// installed separately via [`stack_mut`](Self::stack_mut).
     pub fn schedule_registration(
         &mut self,
         service: SockAddr,
         detector: DetectorParams,
-        register_at: SimTime,
+        at: SimTime,
     ) {
-        self.pending.push(PendingService {
-            service,
-            detector,
-            register_at,
-            registered: false,
-        });
+        self.daemon.schedule_registration(service, detector, at);
         self.mgmt_deadline = Some(SimTime::ZERO);
     }
 
@@ -222,7 +188,8 @@ impl HostServer {
         self.drive(ctx);
     }
 
-    /// Voluntarily deregisters this host's replica of `service`.
+    /// Voluntarily deregisters this host's replica of `service`; it stays
+    /// out across a crash and recovery until registered again.
     pub fn deregister(&mut self, ctx: &mut Context<'_>, service: SockAddr) {
         self.daemon.deregister_service(service, ctx.now());
         self.mgmt_deadline = Some(SimTime::ZERO);
@@ -236,13 +203,6 @@ impl HostServer {
         // otherwise every step of it would be a no-op.
         let mut mgmt = self.mgmt_deadline.is_some_and(|t| t <= now);
         if mgmt {
-            // Fire any due registrations.
-            for p in &mut self.pending {
-                if !p.registered && now >= p.register_at {
-                    p.registered = true;
-                    self.daemon.register_service(p.service, p.detector, now);
-                }
-            }
             self.daemon.poll(now);
             self.apply_daemon_actions(now);
         }
@@ -274,12 +234,7 @@ impl HostServer {
             // Daemon reactions may have produced more actions (e.g. probe
             // answers); run one more application pass.
             self.apply_daemon_actions(now);
-            let unregistered = self.pending.iter().filter(|p| !p.registered);
-            let registration = unregistered.map(|p| p.register_at).min();
-            self.mgmt_deadline = registration
-                .into_iter()
-                .chain(self.daemon.next_deadline())
-                .min();
+            self.mgmt_deadline = self.daemon.next_deadline();
         }
         self.flush(ctx);
     }
@@ -316,33 +271,22 @@ impl HostServer {
 
 impl Node for HostServer {
     fn on_crash(&mut self) {
-        // Fail-stop: connection state, replicated-port state, and daemon
-        // state are volatile and die with the host. Listeners and the
-        // registration schedule model on-disk configuration: a restarted
-        // server re-applies them.
+        // Fail-stop: connection state and replicated-port state are
+        // volatile and die with the host; so do the daemon's message ids
+        // and roles, which `restart` replaces. Listeners and the daemon's
+        // replica list model on-disk configuration that a restarted server
+        // re-applies: a registration and a voluntary deregistration alike
+        // outlive the crash.
         self.stack.reset_volatile();
-        for p in &mut self.pending {
-            p.registered = false;
-        }
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_>) {
-        // Re-commissioning: a restarted daemon (with a fresh message-id
-        // space, so the controller's duplicate filter accepts it) registers
-        // its replicas again; the redirector appends the host to the chain
-        // as a backup ("creation of backup servers", §4.4). Connections
-        // that predate the crash are not resumed — per-connection state
-        // transfer is the paper's declared future work (§6).
-        let redirectors = self.daemon.redirectors().to_vec();
-        self.daemon = HostDaemon::new(
-            self.stack.primary_addr(),
-            redirectors,
-            ctx.now().as_nanos().max(1),
-        );
-        self.daemon.set_obs(self.obs.clone());
-        for p in &mut self.pending {
-            p.register_at = ctx.now();
-        }
+        // Re-commissioning: the restarted daemon registers its replicas
+        // again; the redirector appends the host to the chain as a backup
+        // ("creation of backup servers", §4.4). Connections that predate
+        // the crash are not resumed — per-connection state transfer is the
+        // paper's declared future work (§6).
+        self.daemon.restart(ctx.now());
         self.mgmt_deadline = Some(SimTime::ZERO);
         self.drive(ctx);
     }

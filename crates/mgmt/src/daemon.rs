@@ -7,7 +7,6 @@
 //!
 //! [`TcpStack`]: hydranet_tcp::stack::TcpStack
 
-use hydranet_netsim::hash::IntMap;
 use hydranet_netsim::packet::IpAddr;
 use hydranet_netsim::time::SimTime;
 use hydranet_obs::{kinds, trace, Obs};
@@ -34,19 +33,32 @@ pub enum DaemonAction {
     },
 }
 
+/// One replica of a service on this host, from its scheduled registration
+/// to its voluntary deregistration.
+#[derive(Debug)]
+struct Replica {
+    service: SockAddr,
+    detector: DetectorParams,
+    /// When the (re-)registration fires; `None` once it has.
+    due: Option<SimTime>,
+    /// Last chain index applied (for promotion detection).
+    role: Option<u32>,
+}
+
 /// The management daemon on one host server.
 #[derive(Debug)]
 pub struct HostDaemon {
     host: IpAddr,
     redirectors: Vec<IpAddr>,
     endpoint: ReliableEndpoint,
-    /// Services this host has registered, with their detector tuning.
-    registered: IntMap<SockAddr, DetectorParams>,
-    /// Last chain index applied per service (for promotion detection).
-    roles: IntMap<SockAddr, u32>,
+    /// This host's replicas in registration order, which fixes the
+    /// message ids and the send order of every (re-)registration.
+    replicas: Vec<Replica>,
     actions: Vec<DaemonAction>,
     /// Failure reports sent (diagnostics).
     reports_sent: u64,
+    /// `SetRole`s dropped for a service with no replica here.
+    stray_roles: u64,
     /// Telemetry sink (no-op unless wired via [`set_obs`](Self::set_obs)).
     obs: Obs,
 }
@@ -62,9 +74,8 @@ impl HostDaemon {
     /// asymmetric loss is a limitation inherited from the paper's
     /// single-redirector protocol (§4.4).
     ///
-    /// `id_base` is the first message id. A daemon restarting after a
-    /// crash must use a fresh base (e.g. the restart time in nanoseconds)
-    /// so peers' duplicate filters accept it.
+    /// `id_base` is the first message id; [`restart`](Self::restart) picks
+    /// a fresh one so peers' duplicate filters accept the restarted daemon.
     ///
     /// # Panics
     ///
@@ -78,10 +89,10 @@ impl HostDaemon {
             host,
             redirectors,
             endpoint: ReliableEndpoint::new().with_id_base(id_base),
-            registered: IntMap::default(),
-            roles: IntMap::default(),
+            replicas: Vec::new(),
             actions: Vec::new(),
             reports_sent: 0,
+            stray_roles: 0,
             obs: Obs::disabled(),
         }
     }
@@ -92,14 +103,15 @@ impl HostDaemon {
         self.obs = obs;
     }
 
-    /// All redirectors this daemon registers with.
-    pub fn redirectors(&self) -> &[IpAddr] {
-        &self.redirectors
-    }
-
-    /// Failure reports sent so far.
+    /// Failure reports sent so far, across restarts.
     pub fn reports_sent(&self) -> u64 {
         self.reports_sent
+    }
+
+    /// `SetRole` directives dropped so far because this host holds no
+    /// replica of their service, across restarts.
+    pub fn stray_roles(&self) -> u64 {
+        self.stray_roles
     }
 
     /// Drains queued actions.
@@ -107,41 +119,58 @@ impl HostDaemon {
         std::mem::take(&mut self.actions)
     }
 
-    /// The earliest retransmission deadline.
+    /// The earlier of the first registration still to fire and the
+    /// earliest retransmission deadline.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.endpoint.next_deadline()
+        let registrations = self.replicas.iter().filter_map(|r| r.due);
+        registrations.chain(self.endpoint.next_deadline()).min()
     }
 
-    /// Registers a local replica of `service` with the redirector
-    /// ("creation of primary/backup servers", §4.4). The chain position —
-    /// and with it primary/backup mode — is assigned by the redirector.
-    pub fn register_service(&mut self, service: SockAddr, detector: DetectorParams, now: SimTime) {
-        self.registered.insert(service, detector);
-        self.obs.event(
-            now.as_nanos(),
-            kinds::REPLICA_REGISTERED,
-            [
-                ("host", self.host.to_string()),
-                ("service", service.to_string()),
-            ],
-        );
-        self.actions
-            .push(DaemonAction::AddVirtualHost(service.addr));
-        let msg = MgmtMsg::RegisterReplica {
-            service,
-            host: self.host,
-        };
-        self.broadcast(msg, now);
+    /// Schedules this host's replica of `service` for registration with
+    /// the redirector at `at` ("creation of primary/backup servers",
+    /// §4.4); [`poll`](Self::poll) fires it. The chain position — and with
+    /// it primary/backup mode — is assigned by the redirector. A replica
+    /// already held is registered again in its place, keeping its last
+    /// role.
+    pub fn schedule_registration(
+        &mut self,
+        service: SockAddr,
+        detector: DetectorParams,
+        at: SimTime,
+    ) {
+        match self.replicas.iter_mut().find(|r| r.service == service) {
+            Some(r) => {
+                r.detector = detector;
+                r.due = Some(at);
+            }
+            None => self.replicas.push(Replica {
+                service,
+                detector,
+                due: Some(at),
+                role: None,
+            }),
+        }
     }
 
-    /// Voluntarily removes this host's replica of `service` (§4.4).
+    /// Voluntarily removes this host's replica of `service` (§4.4). Like
+    /// a registration, the departure outlives a restart.
     pub fn deregister_service(&mut self, service: SockAddr, now: SimTime) {
-        self.registered.remove(&service);
-        let msg = MgmtMsg::Deregister {
-            service,
-            host: self.host,
-        };
-        self.broadcast(msg, now);
+        self.replicas.retain(|r| r.service != service);
+        let host = self.host;
+        self.broadcast(MgmtMsg::Deregister { service, host }, now);
+    }
+
+    /// Restarts the daemon in place after a host crash: a fresh message-id
+    /// space (so the controller's duplicate filter accepts it), no roles,
+    /// and every replica registered again at `now`. The redirector appends
+    /// the host to each chain as a backup.
+    pub fn restart(&mut self, now: SimTime) {
+        self.endpoint = ReliableEndpoint::new().with_id_base(now.as_nanos().max(1));
+        self.actions.clear();
+        for r in &mut self.replicas {
+            r.due = Some(now);
+            r.role = None;
+        }
     }
 
     /// Forwards a failure suspicion from the local estimator to the
@@ -209,23 +238,16 @@ impl HostDaemon {
                 if (index == 0) != predecessor.is_none() {
                     return;
                 }
-                let detector = self
-                    .registered
-                    .get(&service)
-                    .copied()
-                    .unwrap_or(DetectorParams::DEFAULT);
+                let Some(replica) = self.replicas.iter_mut().find(|r| r.service == service) else {
+                    self.stray_roles += 1;
+                    return;
+                };
                 // A backup stepping into index 0 is the paper's promotion
                 // moment; the initial primary assignment is not.
-                let was_backup = self.roles.insert(service, index).is_some_and(|i| i != 0);
+                let was_backup = replica.role.replace(index).is_some_and(|i| i != 0);
+                let detector = replica.detector;
                 if index == 0 && was_backup {
-                    self.obs.event(
-                        now.as_nanos(),
-                        kinds::PROMOTED,
-                        [
-                            ("host", self.host.to_string()),
-                            ("service", service.to_string()),
-                        ],
-                    );
+                    self.note(kinds::PROMOTED, service, now);
                 }
                 self.actions.push(DaemonAction::ApplyPortOpt {
                     port: service.port,
@@ -241,11 +263,34 @@ impl HostDaemon {
         }
     }
 
-    /// Advances retransmission timers.
+    /// Fires due registrations in list order — each binds its service's
+    /// virtual host and broadcasts the registration — then advances
+    /// retransmission timers.
     pub fn poll(&mut self, now: SimTime) {
+        for i in 0..self.replicas.len() {
+            let replica = &mut self.replicas[i];
+            if replica.due.is_some_and(|t| t <= now) {
+                replica.due = None;
+                let (service, host) = (replica.service, self.host);
+                self.note(kinds::REPLICA_REGISTERED, service, now);
+                self.actions
+                    .push(DaemonAction::AddVirtualHost(service.addr));
+                self.broadcast(MgmtMsg::RegisterReplica { service, host }, now);
+            }
+        }
         for (dst, bytes) in self.endpoint.poll(now) {
             self.actions.push(DaemonAction::Send(dst, bytes));
         }
+    }
+
+    /// Records `kind` on the timeline for this host's replica of `service`.
+    fn note(&self, kind: &'static str, service: SockAddr, now: SimTime) {
+        let host = ("host", self.host.to_string());
+        self.obs.event(
+            now.as_nanos(),
+            kind,
+            [host, ("service", service.to_string())],
+        );
     }
 
     /// Sends `msg` reliably to every redirector, in configuration order.
@@ -270,6 +315,28 @@ mod tests {
         SockAddr::new(IpAddr::new(192, 20, 225, 20), 80)
     }
 
+    /// A daemon whose replica of `service()` has registered.
+    fn registered(detector: DetectorParams) -> HostDaemon {
+        let mut d = HostDaemon::new(HOST, vec![RD], 1);
+        d.schedule_registration(service(), detector, SimTime::ZERO);
+        d.poll(SimTime::ZERO);
+        d
+    }
+
+    /// The management messages among `actions`, with their ids.
+    fn sent(actions: &[DaemonAction]) -> Vec<(u64, MgmtMsg)> {
+        let sends = actions.iter().filter_map(|a| match a {
+            DaemonAction::Send(_, bytes) => Some(Envelope::decode(bytes).unwrap()),
+            _ => None,
+        });
+        sends
+            .filter_map(|e| match e {
+                Envelope::Payload { id, msg, .. } => Some((id, msg)),
+                _ => None,
+            })
+            .collect()
+    }
+
     fn payload(msg: MgmtMsg) -> Vec<u8> {
         Envelope::Payload {
             id: 7,
@@ -281,8 +348,7 @@ mod tests {
 
     #[test]
     fn registration_emits_vhost_and_register() {
-        let mut d = HostDaemon::new(HOST, vec![RD], 1);
-        d.register_service(service(), DetectorParams::DEFAULT, SimTime::ZERO);
+        let mut d = registered(DetectorParams::DEFAULT);
         let actions = d.take_actions();
         assert!(actions.contains(&DaemonAction::AddVirtualHost(service().addr)));
         let sends: Vec<_> = actions
@@ -328,9 +394,8 @@ mod tests {
 
     #[test]
     fn set_role_becomes_portopt() {
-        let mut d = HostDaemon::new(HOST, vec![RD], 1);
         let custom = DetectorParams::new(7, SimDuration::from_secs(5));
-        d.register_service(service(), custom, SimTime::ZERO);
+        let mut d = registered(custom);
         d.take_actions();
         d.on_datagram(
             RD,
@@ -360,8 +425,7 @@ mod tests {
     fn set_role_with_index_and_predecessor_disagreeing_is_dropped() {
         let bad = [(1, None), (0, Some(IpAddr::new(10, 0, 9, 9)))];
         for (index, predecessor) in bad {
-            let mut d = HostDaemon::new(HOST, vec![RD], 1);
-            d.register_service(service(), DetectorParams::DEFAULT, SimTime::ZERO);
+            let mut d = registered(DetectorParams::DEFAULT);
             d.take_actions();
             let msg = MgmtMsg::SetRole {
                 service: service(),
@@ -413,8 +477,7 @@ mod tests {
 
     #[test]
     fn deregister_sends_message() {
-        let mut d = HostDaemon::new(HOST, vec![RD], 1);
-        d.register_service(service(), DetectorParams::DEFAULT, SimTime::ZERO);
+        let mut d = registered(DetectorParams::DEFAULT);
         d.take_actions();
         d.deregister_service(service(), SimTime::from_secs(1));
         let actions = d.take_actions();
@@ -424,5 +487,71 @@ mod tests {
                 if matches!(Envelope::decode(bytes),
                     Ok(Envelope::Payload { msg: MgmtMsg::Deregister { .. }, .. }))
         )));
+    }
+
+    /// A role for a service never held, or for a replica that has left,
+    /// would turn a plain port replicated.
+    #[test]
+    fn set_role_for_a_service_with_no_replica_is_dropped_and_counted() {
+        let other = SockAddr::new(service().addr, 8080);
+        for (departed, target) in [(false, other), (true, service())] {
+            let mut d = registered(DetectorParams::DEFAULT);
+            if departed {
+                d.deregister_service(service(), SimTime::ZERO);
+            }
+            d.take_actions();
+            let msg = MgmtMsg::SetRole {
+                service: target,
+                index: 0,
+                predecessor: None,
+                has_successor: false,
+            };
+            d.on_datagram(RD, &payload(msg), SimTime::ZERO);
+            let actions = d.take_actions();
+            assert!(
+                !actions
+                    .iter()
+                    .any(|a| matches!(a, DaemonAction::ApplyPortOpt { .. })),
+                "{target}: {actions:?}"
+            );
+            assert_eq!(d.stray_roles(), 1, "{target}");
+        }
+    }
+
+    #[test]
+    fn restart_registers_each_held_replica_once_with_fresh_ids() {
+        let other = SockAddr::new(service().addr, 8080);
+        let mut d = registered(DetectorParams::DEFAULT);
+        let at = SimTime::from_millis(5);
+        d.schedule_registration(other, DetectorParams::DEFAULT, at);
+        // The registration still to fire comes before the retransmit.
+        assert_eq!(d.next_deadline(), Some(at));
+        d.poll(at);
+        // Re-commissioning a held replica registers it again in place.
+        d.schedule_registration(service(), DetectorParams::DEFAULT, at);
+        d.poll(at);
+        d.take_actions();
+
+        let register = |service| MgmtMsg::RegisterReplica {
+            service,
+            host: HOST,
+        };
+        let now = SimTime::from_secs(3);
+        d.restart(now);
+        assert_eq!(d.next_deadline(), Some(now));
+        d.poll(now);
+        let base = now.as_nanos();
+        assert_eq!(
+            sent(&d.take_actions()),
+            [(base, register(service())), (base + 1, register(other))]
+        );
+
+        // A departure outlives the next restart.
+        d.deregister_service(other, now);
+        let later = now.saturating_add(SimDuration::from_secs(1));
+        d.restart(later);
+        d.poll(later);
+        let base = later.as_nanos();
+        assert_eq!(sent(&d.take_actions()), [(base, register(service()))]);
     }
 }

@@ -8,7 +8,9 @@
 //! - [`proto`] — message definitions and wire format.
 //! - [`reliable`] — acknowledged/retransmitted/deduplicated UDP messaging.
 //! - [`chain`] — role computation for daisy chains.
-//! - [`daemon`] — the host-server daemon ([`HostDaemon`]).
+//! - [`daemon`] — the host-server daemon ([`HostDaemon`]): the host's one
+//!   record of each replica it runs (registration, role, departure), its
+//!   restart after a crash, probe answers and failure reports.
 //! - [`failover`] — the redirector-side controller
 //!   ([`ReplicaController`]): registration, probing, reconfiguration.
 //!

@@ -4,6 +4,7 @@
 
 use hydranet::core::host::HostServer;
 use hydranet::netsim::link::LinkId;
+use hydranet::obs::kinds;
 use hydranet::prelude::*;
 
 const CLIENT: IpAddr = IpAddr::new(10, 0, 1, 1);
@@ -255,6 +256,72 @@ fn congested_backup_is_shed_then_recommissioned() {
         payload2,
         "new connection through the re-commissioned chain did not complete"
     );
+}
+
+/// The controller's chain for `service(80)`.
+fn chain(rig: &Rig) -> Vec<IpAddr> {
+    let controller = rig.system.redirector(rig.rd).controller();
+    controller.chain(service(80)).unwrap_or_default().to_vec()
+}
+
+/// Crashes hs2 10 ms from now, recovers it 490 ms later and runs on for
+/// two seconds, long enough for any re-registration to settle.
+fn restart_hs2(rig: &mut Rig) {
+    let at = |ms| {
+        rig.system
+            .sim
+            .now()
+            .saturating_add(SimDuration::from_millis(ms))
+    };
+    let (crash, recover, settled) = (at(10), at(500), at(2_500));
+    rig.system.sim.schedule_crash(rig.hs2, crash);
+    rig.system.sim.schedule_recover(rig.hs2, recover);
+    rig.system.sim.run_until(settled);
+}
+
+#[test]
+fn deregistered_replica_stays_out_across_a_restart() {
+    // A voluntary departure is configuration, like a registration: the
+    // replica that left does not rejoin when its host restarts.
+    let mut rig = build(true, 5);
+    let hs2 = rig.hs2;
+    rig.system
+        .sim
+        .with_node_ctx::<HostServer, _>(hs2, |host, ctx| host.deregister(ctx, service(80)));
+    rig.system.sim.run_for(SimDuration::from_millis(100));
+    assert_eq!(chain(&rig), [HS1]);
+    restart_hs2(&mut rig);
+    assert_eq!(chain(&rig), [HS1], "the departed replica rejoined");
+}
+
+#[test]
+fn recommissioned_replica_registers_once_per_restart() {
+    // Re-commissioning a replica the host already runs must not leave it
+    // listed twice, or every restart would register it twice.
+    let mut rig = build(true, 6);
+    let registrations = |rig: &Rig| {
+        let host = HS2.to_string();
+        let events = rig.system.obs().events();
+        let of_hs2 = events.iter().filter(|e| {
+            e.kind == kinds::REPLICA_REGISTERED && e.fields.contains(&("host", host.clone()))
+        });
+        of_hs2.count()
+    };
+    let hs2 = rig.hs2;
+    rig.system
+        .sim
+        .with_node_ctx::<HostServer, _>(hs2, |host, ctx| {
+            host.register_now(
+                ctx,
+                service(80),
+                DetectorParams::new(4, SimDuration::from_secs(30)),
+            );
+        });
+    rig.system.sim.run_for(SimDuration::from_millis(100));
+    assert_eq!(registrations(&rig), 2, "the first and the re-commissioning");
+    restart_hs2(&mut rig);
+    assert_eq!(registrations(&rig), 3, "one registration per restart");
+    assert_eq!(chain(&rig), [HS1, HS2]);
 }
 
 #[test]
