@@ -86,6 +86,7 @@ impl<P> Calendar<P> {
 
     /// Files an entry. Entries behind the owner's clock are allowed; they
     /// simply pop first.
+    #[inline]
     pub fn push(&mut self, e: TimerEntry<P>) {
         let slot = self.free.pop().unwrap_or(self.slab.len());
         let key = key(e.time, e.seq, slot);
@@ -97,12 +98,14 @@ impl<P> Calendar<P> {
     }
 
     /// The earliest entry's time.
+    #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         let &Reverse(k) = self.heap.peek()?;
         Some(SimTime::from_nanos((k >> (SEQ_BITS + SLOT_BITS)) as u64))
     }
 
     /// Removes and returns the earliest entry by `(time, seq)`.
+    #[inline]
     pub fn pop(&mut self) -> Option<TimerEntry<P>> {
         let Reverse(k) = self.heap.pop()?;
         let slot = (k as usize) & ((1 << SLOT_BITS) - 1);
@@ -118,6 +121,7 @@ impl<P> Calendar<P> {
     }
 
     /// Pops the earliest entry only if it is due at or before `deadline`.
+    #[inline]
     pub fn pop_if_at_or_before(&mut self, deadline: SimTime) -> Option<TimerEntry<P>> {
         if self.peek_time()? > deadline {
             return None;

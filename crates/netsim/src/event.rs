@@ -65,6 +65,7 @@ impl EventQueue {
         EventQueue::default()
     }
 
+    #[inline]
     pub fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.take_seq();
         self.push_at(time, seq, kind);
@@ -72,6 +73,7 @@ impl EventQueue {
 
     /// Takes the `seq` the next [`push`](Self::push) would stamp, for an
     /// entry filed later under it by [`push_at`](Self::push_at).
+    #[inline]
     pub fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -80,6 +82,7 @@ impl EventQueue {
 
     /// Files `kind` under a `seq` taken earlier: it pops where a
     /// [`push`](Self::push) at the moment the `seq` was taken would have.
+    #[inline]
     pub fn push_at(&mut self, time: SimTime, seq: u64, kind: EventKind) {
         self.calendar.push(TimerEntry {
             time,
@@ -89,11 +92,13 @@ impl EventQueue {
         self.peak = self.peak.max(self.calendar.len());
     }
 
+    #[inline]
     pub fn pop(&mut self) -> Option<Event> {
         self.calendar.pop()
     }
 
     /// Pops the earliest event only if it is due at or before `deadline`.
+    #[inline]
     pub fn pop_if_at_or_before(&mut self, deadline: SimTime) -> Option<Event> {
         self.calendar.pop_if_at_or_before(deadline)
     }
@@ -199,6 +204,139 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![(4_000, 3), (5_000, 0), (5_000, 1), (5_000, 2)]);
+    }
+
+    /// Drives an `EventQueue` and a sorted oracle side by side. The oracle
+    /// stamps its own seqs, and every payload names its entry.
+    #[derive(Default)]
+    struct Harness {
+        q: EventQueue,
+        /// `(time, seq, id)` of every filed event, ascending.
+        oracle: Vec<(u64, u64, usize)>,
+        next_seq: u64,
+        next_id: usize,
+        /// Seqs taken and not yet filed.
+        taken: Vec<u64>,
+        peak: usize,
+    }
+
+    impl Harness {
+        /// Files a fresh event at `time`: by `push`, or by `push_at` under
+        /// the seq `taken` holds at `deferred`.
+        fn file(&mut self, time: u64, deferred: Option<usize>) {
+            let id = self.next_id;
+            self.next_id += 1;
+            let at = SimTime::from_nanos(time);
+            let seq = match deferred {
+                Some(i) => {
+                    let seq = self.taken.remove(i);
+                    self.q.push_at(at, seq, start(id));
+                    seq
+                }
+                None => {
+                    self.q.push(at, start(id));
+                    self.take_oracle_seq()
+                }
+            };
+            let pos = self
+                .oracle
+                .partition_point(|&(t, s, _)| (t, s) < (time, seq));
+            self.oracle.insert(pos, (time, seq, id));
+            self.peak = self.peak.max(self.oracle.len());
+        }
+
+        fn take_oracle_seq(&mut self) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            seq
+        }
+
+        /// Takes a seq, as a packet joining a busy CPU queue does.
+        fn take(&mut self, ctx: &str) {
+            let seq = self.take_oracle_seq();
+            assert_eq!(self.q.take_seq(), seq, "{ctx}: take_seq");
+            self.taken.push(seq);
+        }
+
+        /// Pops with `deadline` (`None`: unbounded), checks the queue
+        /// against the oracle, and returns the popped time.
+        fn pop(&mut self, deadline: Option<u64>, ctx: &str) -> Option<u64> {
+            let got = match deadline {
+                None => self.q.pop(),
+                Some(d) => self.q.pop_if_at_or_before(SimTime::from_nanos(d)),
+            };
+            let got = got.map(|e| match e.payload {
+                EventKind::NodeStart(n) => (e.time.as_nanos(), e.seq, n.index()),
+                other => panic!("{ctx}: unexpected {other:?}"),
+            });
+            let want = match self.oracle.first() {
+                Some(&(t, _, _)) if deadline.is_none_or(|d| t <= d) => Some(self.oracle.remove(0)),
+                _ => None,
+            };
+            assert_eq!(got, want, "{ctx}");
+            assert_eq!(self.q.len(), self.oracle.len(), "{ctx}: len");
+            assert_eq!(self.q.peak(), self.peak, "{ctx}: peak");
+            assert_eq!(
+                self.q.peek_time().map(SimTime::as_nanos),
+                self.oracle.first().map(|e| e.0),
+                "{ctx}: peek"
+            );
+            got.map(|e| e.0)
+        }
+    }
+
+    /// The queue against the oracle under random pushes, seqs taken and
+    /// filed later by `push_at` (the CPU queue's path), plain pops and
+    /// deadline-bounded pops that hit and miss. A `push_at` that files
+    /// under any seq but the one taken pops out of place or under the
+    /// wrong seq. Times cluster on a few instants, so same-time ties
+    /// between deferred and plain pushes are common.
+    #[test]
+    fn matches_sorted_oracle_with_deferred_seqs() {
+        for seed in 0..32u64 {
+            let mut rng = crate::rng::SimRng::seed_from(0xE7E47 ^ (seed << 16));
+            let mut h = Harness::default();
+            let mut now = 0u64;
+            let (mut deferred, mut hits, mut misses) = (0u32, 0u32, 0u32);
+            for step in 0..600u32 {
+                let ctx = format!("seed {seed} step {step}");
+                let time = now + [0, 0, 1, 7, 1_000][rng.range(0, 5) as usize];
+                match rng.range(0, 6) {
+                    0 | 1 => h.file(time, None),
+                    2 => h.take(&ctx),
+                    3 if !h.taken.is_empty() => {
+                        let i = rng.range(0, h.taken.len() as u64) as usize;
+                        h.file(time, Some(i));
+                        deferred += 1;
+                    }
+                    3 => {}
+                    4 => {
+                        if let Some(t) = h.pop(None, &ctx) {
+                            now = now.max(t);
+                        }
+                    }
+                    _ => {
+                        // `run_until(deadline)`: pop until the miss.
+                        let deadline = now + [0, 1, 5, 2_000][rng.range(0, 4) as usize];
+                        while let Some(t) = h.pop(Some(deadline), &ctx) {
+                            hits += 1;
+                            now = now.max(t);
+                        }
+                        misses += 1;
+                        now = deadline;
+                    }
+                }
+            }
+            assert!(
+                deferred > 40 && hits > 20 && misses > 20,
+                "seed {seed}: {deferred} deferred, {hits} hits, {misses} misses"
+            );
+            while !h.taken.is_empty() {
+                h.file(now, Some(0));
+            }
+            while h.pop(None, &format!("seed {seed} drain")).is_some() {}
+            assert!(h.q.is_empty());
+        }
     }
 
     #[test]
